@@ -16,7 +16,7 @@ action matrices are exactly the right-multiplication slices of the table.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 from .linalg import Field, Matrix, Subspace
@@ -110,6 +110,10 @@ class Algebra:
     ``generators`` (optional) is a set of elements known to generate the
     algebra; linear conditions such as "intertwines the action" only need
     to be imposed on generators.
+
+    ``cache`` holds data derived from this instance (its regular and
+    projective modules, resolutions of its modules), so it is freed with the
+    algebra; it takes no part in equality, hashing or ``repr``.
     """
 
     field: Field
@@ -120,6 +124,7 @@ class Algebra:
     vertex_names: tuple[str, ...]
     radical: Subspace
     generators: tuple[tuple, ...] | None = None
+    cache: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
     @property
     def dim(self) -> int:

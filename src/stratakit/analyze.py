@@ -406,14 +406,10 @@ def _direct_delta_route(s: Stratification, eps: dict[str, str], oracle: bool) ->
     return RouteVerdict(True, None)
 
 
-def _opposite_stratification(s: Stratification) -> Stratification:
-    return Stratification(opposite(s.algebra), s.poset, s.rho, s.epsilon, check=False)
-
-
 def _direct_nabla_route(s: Stratification, eps: dict[str, str], oracle: bool) -> RouteVerdict:
     """Injective side, computed as the projective side over the opposite
     algebra: the duality functor swaps the families and flips the sign."""
-    sop = _opposite_stratification(s)
+    sop = s.opposite()
     flipped = {lam: ("-" if sign == "+" else "+") for lam, sign in eps.items()}
     res = _direct_delta_route(sop, flipped, oracle)
     if res.verdict:

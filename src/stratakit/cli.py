@@ -1,19 +1,24 @@
 """Command line surface: validate, check, corpus.
 
-Exit codes: 0 success, 1 malformed input (schema), 2 failed invariants or
-checks, 3 oracle mode requested over the rationals.
+Exit codes: 0 success, 1 malformed input (schema or command line), 2 failed
+invariants or checks, 3 oracle mode requested over the rationals.
+
+Each input is built once: ``checks_validate`` builds the algebra, the
+checked stratification and the gluing data into a ``Session``, and every
+check battery reads them from there.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
 import time
+from dataclasses import dataclass
 
 from .algebra import (
+    Algebra,
     AlgebraError,
     NonAdmissibleError,
     PossiblyInfiniteError,
@@ -28,7 +33,7 @@ from .analyze import (
 from .category import ModuleCategory
 from .corpus import corpus_index, fixture_bytes
 from .modules import simple_module
-from .mv import mv_data_from_spec, mv_intermediate_table, mv_recollement
+from .mv import MVData, mv_data_from_spec, mv_intermediate_table, mv_recollement
 from .recollement import intermediate_extension, make_idempotent_recollement, verify_recollement
 from .report import Check, Report, sha256_bytes
 from .specfile import AlgebraSpec, SpecError, build_algebra, load_spec, parse_spec
@@ -46,13 +51,26 @@ EXIT_FAIL = 2
 EXIT_ORACLE = 3
 
 
-def _strat_of(spec: AlgebraSpec, algebra=None, check=True) -> Stratification:
-    if spec.stratification is None:
-        raise SpecError(f"{spec.name}: no stratification block in the input")
-    a = algebra if algebra is not None else build_algebra(spec)
-    ss = spec.stratification
-    poset = Poset.from_pairs(ss.poset.elements, ss.poset.leq)
-    return Stratification(a, poset, ss.rho, ss.epsilon, check=check)
+class UsageError(Exception):
+    """A malformed command line or environment; reported in one line, exit 1."""
+
+
+@dataclass(frozen=True)
+class Session:
+    """One input, built once: the algebra, its stratification (structure
+    checks passed) and its gluing data, each None where the input has none
+    or it failed validation.  Every check battery reads these, so their
+    caches live exactly as long as the input is being analysed."""
+
+    name: str
+    algebra: Algebra | None = None
+    strat: Stratification | None = None
+    mv: MVData | None = None
+
+    def stratification(self) -> Stratification:
+        if self.strat is None:
+            raise SpecError(f"{self.name}: no stratification block in the input")
+        return self.strat
 
 
 def _mv_samples(r, data):
@@ -70,22 +88,23 @@ def _mv_samples(r, data):
 # individual check batteries (shared by `check` and `corpus`)
 
 
-def checks_validate(spec: AlgebraSpec) -> list[Check]:
+def checks_validate(spec: AlgebraSpec) -> tuple[list[Check], Session]:
+    """Build and validate everything the input declares, once."""
     out = []
     try:
         algebra = build_algebra(spec)
     except NonAdmissibleError as e:
         out.append(Check("build", "relations generate an admissible ideal", "FAIL",
                          witness={"error": "NON-ADMISSIBLE", "message": str(e)}))
-        return out
+        return out, Session(spec.name)
     except PossiblyInfiniteError as e:
         out.append(Check("build", "path classes stabilize below the length bound", "FAIL",
                          witness={"error": "POSSIBLY-INFINITE", "message": str(e)}))
-        return out
+        return out, Session(spec.name)
     except AlgebraError as e:
         out.append(Check("build", "construction passes structural validation", "FAIL",
                          witness={"error": "INVALID", "message": str(e)}))
-        return out
+        return out, Session(spec.name)
     rep = validate_algebra(algebra)
     out.append(Check(
         "validate_algebra",
@@ -94,28 +113,31 @@ def checks_validate(spec: AlgebraSpec) -> list[Check]:
         witness=None if rep.ok else {"issues": list(rep.issues)},
         details={"dimension": algebra.dim, "basis": list(algebra.basis_labels)},
     ))
+    strat = mv = None
     if spec.stratification is not None:
+        ss = spec.stratification
         try:
-            _strat_of(spec, algebra=algebra, check=True)
+            poset = Poset.from_pairs(ss.poset.elements, ss.poset.leq)
+            strat = Stratification(algebra, poset, ss.rho, ss.epsilon, check=True)
             out.append(Check("stratification", "lower sets, layer recollements, stratum independence", "PASS"))
-        except (StratificationError, Exception) as e:  # noqa: BLE001
+        except Exception as e:  # noqa: BLE001
             out.append(Check("stratification", "lower sets, layer recollements, stratum independence",
                              "FAIL", witness={"error": str(e)}))
     if spec.mv is not None:
         try:
-            mv_data_from_spec(spec.mv, spec.field)
+            mv = mv_data_from_spec(spec.mv, spec.field)
             out.append(Check("mv", "bimodule axioms, balanced equivariant pairing", "PASS"))
         except Exception as e:  # noqa: BLE001
             out.append(Check("mv", "bimodule axioms, balanced equivariant pairing",
                              "FAIL", witness={"error": str(e)}))
-    return out
+    return out, Session(spec.name, algebra, strat, mv)
 
 
-def checks_recollement(spec: AlgebraSpec) -> list[Check]:
+def checks_recollement(session: Session) -> list[Check]:
     out = []
-    if spec.mv is not None:
-        data = mv_data_from_spec(spec.mv, spec.field)
-        r = mv_recollement(data)
+    if session.mv is not None:
+        data = session.mv
+        r = mv_recollement(data, check=False)  # mv_data_from_spec validated the data
         rep = verify_recollement(r, _mv_samples(r, data))
         out.append(Check(
             "mv-recollement",
@@ -137,7 +159,7 @@ def checks_recollement(spec: AlgebraSpec) -> list[Check]:
                 witness=None if ok else {"reason": reason},
             ))
         return out
-    algebra = build_algebra(spec)
+    algebra = session.algebra
     samples = ModuleCategory(algebra).standard_samples()
     for v in algebra.vertex_names:
         r = make_idempotent_recollement(algebra, [v])
@@ -152,8 +174,7 @@ def checks_recollement(spec: AlgebraSpec) -> list[Check]:
     return out
 
 
-def checks_simples(spec: AlgebraSpec) -> list[Check]:
-    s = _strat_of(spec)
+def checks_simples(s: Stratification) -> list[Check]:
     try:
         table = s.classify_simples()
     except StratificationError as e:
@@ -167,8 +188,7 @@ def checks_simples(spec: AlgebraSpec) -> list[Check]:
     )]
 
 
-def checks_porism(spec: AlgebraSpec, oracle: bool | None = None) -> list[Check]:
-    s = _strat_of(spec)
+def checks_porism(s: Stratification, oracle: bool | None = None) -> list[Check]:
     out = []
     for b in s.algebra.vertex_names:
         try:
@@ -186,8 +206,7 @@ def checks_porism(spec: AlgebraSpec, oracle: bool | None = None) -> list[Check]:
     return out
 
 
-def checks_synthesis(spec: AlgebraSpec) -> list[Check]:
-    s = _strat_of(spec)
+def checks_synthesis(s: Stratification) -> list[Check]:
     out = []
     for t in s.algebra.vertex_names:
         try:
@@ -209,8 +228,7 @@ def checks_synthesis(spec: AlgebraSpec) -> list[Check]:
     return out
 
 
-def checks_eps(spec: AlgebraSpec, oracle: bool | None = None) -> list[Check]:
-    s = _strat_of(spec)
+def checks_eps(s: Stratification, oracle: bool | None = None) -> list[Check]:
     patterns = [s.epsilon] if s.epsilon is not None else sign_patterns(s.poset)
     out = []
     for eps in patterns:
@@ -244,8 +262,7 @@ def checks_eps(spec: AlgebraSpec, oracle: bool | None = None) -> list[Check]:
     return out
 
 
-def checks_hw(spec: AlgebraSpec, oracle: bool | None = None) -> list[Check]:
-    s = _strat_of(spec)
+def checks_hw(s: Stratification, oracle: bool | None = None) -> list[Check]:
     res = is_highest_weight(s.algebra, s.poset, s.rho, oracle=oracle, strat=s)
     if not res.agreement:
         return [Check(
@@ -271,8 +288,7 @@ def checks_hw(spec: AlgebraSpec, oracle: bool | None = None) -> list[Check]:
     )]
 
 
-def checks_homological(spec: AlgebraSpec, n: int, deep: bool = False) -> list[Check]:
-    s = _strat_of(spec)
+def checks_homological(s: Stratification, n: int, deep: bool = False) -> list[Check]:
     res = is_k_homological(s, n, deep=deep)
     return [Check(
         f"homological(n<={n})",
@@ -293,12 +309,13 @@ def checks_homological(spec: AlgebraSpec, n: int, deep: bool = False) -> list[Ch
 
 
 MODE_RUNNERS = {
-    "recollement": lambda spec, args: checks_recollement(spec),
-    "simples": lambda spec, args: checks_simples(spec),
-    "porism": lambda spec, args: checks_porism(spec, oracle=args.oracle or None),
-    "eps": lambda spec, args: checks_eps(spec, oracle=args.oracle or None),
-    "hw": lambda spec, args: checks_hw(spec, oracle=args.oracle or None),
-    "homological": lambda spec, args: checks_homological(spec, args.n, deep=args.deep),
+    "recollement": lambda session, args: checks_recollement(session),
+    "simples": lambda session, args: checks_simples(session.stratification()),
+    "porism": lambda session, args: checks_porism(session.stratification(), oracle=args.oracle or None),
+    "eps": lambda session, args: checks_eps(session.stratification(), oracle=args.oracle or None),
+    "hw": lambda session, args: checks_hw(session.stratification(), oracle=args.oracle or None),
+    "homological": lambda session, args: checks_homological(session.stratification(), args.n,
+                                                            deep=args.deep),
 }
 
 
@@ -314,7 +331,7 @@ def cmd_validate(args) -> int:
         return EXIT_SCHEMA
     report = Report(mode="validate", input_name=spec.name,
                     input_sha256=sha256_bytes(raw), seed=args.seed)
-    for c in checks_validate(spec):
+    for c in checks_validate(spec)[0]:
         report.add(c)
     _emit(report, args)
     return EXIT_OK if report.ok else EXIT_FAIL
@@ -339,10 +356,11 @@ def cmd_check(args) -> int:
     )
     started = time.monotonic()
     try:
-        for c in checks_validate(spec):
+        checks, session = checks_validate(spec)
+        for c in checks:
             report.add(c)
         if report.ok:
-            for c in MODE_RUNNERS[args.mode](spec, args):
+            for c in MODE_RUNNERS[args.mode](session, args):
                 report.add(c)
     except SpecError as e:
         print(f"schema error: {e}", file=sys.stderr)
@@ -353,11 +371,10 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
-def _corpus_fixture_checks(entry, seed: int) -> list[Check]:
+def _corpus_fixture_checks(entry) -> list[Check]:
     raw = fixture_bytes(entry.file)
     data = json.loads(raw)
     spec = parse_spec(data, name=entry.name)
-    checks: list[Check] = []
     if entry.expect_error is not None:
         expected = {"NON-ADMISSIBLE": NonAdmissibleError,
                     "POSSIBLY-INFINITE": PossiblyInfiniteError}[entry.expect_error]
@@ -371,18 +388,19 @@ def _corpus_fixture_checks(entry, seed: int) -> list[Check]:
         return [Check("negative-control", f"build fails with {entry.expect_error}", "FAIL",
                       witness={"error": "construction unexpectedly succeeded"})]
 
-    checks.extend(checks_validate(spec))
+    checks, session = checks_validate(spec)
     if any(c.failed for c in checks):
         return checks
-    checks.extend(checks_recollement(spec))
-    if spec.stratification is not None:
-        checks.extend(checks_simples(spec))
-        checks.extend(checks_porism(spec))
-        checks.extend(checks_synthesis(spec))
-        if len(spec.stratification.poset.elements) <= 3:
-            checks.extend(checks_eps(spec))
+    checks.extend(checks_recollement(session))
+    s = session.strat
+    if s is not None:
+        checks.extend(checks_simples(s))
+        checks.extend(checks_porism(s))
+        checks.extend(checks_synthesis(s))
+        if len(s.poset.elements) <= 3:
+            checks.extend(checks_eps(s))
         if "hw" in entry.tags:
-            checks.extend(checks_hw(spec))
+            checks.extend(checks_hw(s))
     return checks
 
 
@@ -396,19 +414,16 @@ def cmd_corpus(args) -> int:
         options={"filter": args.filter},
     )
     started = time.monotonic()
-
-    def run(entry):
+    # one fixture at a time: the work is pure Python, so a thread pool only
+    # adds waiting for the interpreter lock, and no cache sees two threads
+    for entry in sorted(entries, key=lambda e: e.name):
         try:
-            return entry.name, _corpus_fixture_checks(entry, args.seed)
+            checks = _corpus_fixture_checks(entry)
         except Exception as e:  # noqa: BLE001
-            return entry.name, [Check("pipeline", "fixture pipeline completes", "ERROR",
-                                      witness={"error": f"{type(e).__name__}: {e}"})]
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=min(8, max(1, len(entries)))) as ex:
-        results = list(ex.map(run, entries))
-    for name, checks in sorted(results, key=lambda t: t[0]):
+            checks = [Check("pipeline", "fixture pipeline completes", "ERROR",
+                            witness={"error": f"{type(e).__name__}: {e}"})]
         for c in checks:
-            report.add(Check(f"{name}/{c.name}", c.criterion, c.verdict, c.witness, c.details))
+            report.add(Check(f"{entry.name}/{c.name}", c.criterion, c.verdict, c.witness, c.details))
     if args.timing:
         report.timing_ms = int((time.monotonic() - started) * 1000)
     _emit(report, args)
@@ -421,14 +436,23 @@ def _emit(report: Report, args) -> None:
 
 def _seed_default() -> int:
     env = os.environ.get("STRATAKIT_SEED")
-    if env is not None:
+    if env is None:
+        return 0
+    try:
         return int(env)
-    return 0
+    except ValueError:
+        raise UsageError(f"STRATAKIT_SEED must be an integer, got {env!r}") from None
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse would exit 2, which here means "failed checks"
+        raise UsageError(f"{self.prog}: error: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="stratakit",
-                                description="recollements and stratifications of module categories, exactly")
+    p = _Parser(prog="stratakit",
+                description="recollements and stratifications of module categories, exactly")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -463,9 +487,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.seed is None:
-        args.seed = _seed_default()
+    try:
+        args = build_parser().parse_args(argv)
+        if args.seed is None:
+            args.seed = _seed_default()
+    except UsageError as e:
+        print(e, file=sys.stderr)
+        return EXIT_SCHEMA
     return args.func(args)
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .linalg import Matrix, Subspace
 from .modules import (
@@ -62,9 +61,16 @@ class Resolution:
         return zero_map(self.term(i), self.term(i - 1))
 
 
-@lru_cache(maxsize=None)
 def projective_resolution(m: RightModule, length: int) -> Resolution:
-    """Minimal projective resolution out to homological degree ``length``."""
+    """Minimal projective resolution out to homological degree ``length``.
+
+    Kept in the cache of ``m``'s algebra, so each resolution is built once
+    per algebra instance and freed with it.
+    """
+    cache = m.algebra.cache
+    key = ("resolution", m, length)
+    if key in cache:
+        return cache[key]
     cov = projective_cover(m)
     terms = [cov.projective]
     diffs: list[ModuleMap] = []
@@ -80,7 +86,9 @@ def projective_resolution(m: RightModule, length: int) -> Resolution:
         diffs.append(cov_i.cover_map.then(ker_incl))
         prev_cover = cov_i
         current = ker_mod
-    return Resolution(module=m, terms=tuple(terms), differentials=tuple(diffs), augmentation=aug)
+    res = cache[key] = Resolution(module=m, terms=tuple(terms), differentials=tuple(diffs),
+                                  augmentation=aug)
+    return res
 
 
 @dataclass(frozen=True)

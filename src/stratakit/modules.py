@@ -125,9 +125,12 @@ def zero_module(algebra: Algebra) -> RightModule:
 
 
 def regular_module(algebra: Algebra) -> RightModule:
-    """The algebra as a right module over itself."""
-    mats = [algebra.right_mult_matrix(algebra.basis_vec(k)) for k in range(algebra.dim)]
-    return RightModule(algebra, algebra.dim, tuple(mats))
+    """The algebra as a right module over itself (built once per algebra)."""
+    cache = algebra.cache
+    if "regular" not in cache:
+        mats = [algebra.right_mult_matrix(algebra.basis_vec(k)) for k in range(algebra.dim)]
+        cache["regular"] = RightModule(algebra, algebra.dim, tuple(mats))
+    return cache["regular"]
 
 
 def submodule(m: RightModule, space: Subspace) -> tuple[RightModule, ModuleMap]:
@@ -309,11 +312,13 @@ def structural_series(m: RightModule) -> StructuralSeries:
 
 
 def projective_module(algebra: Algebra, vertex: str) -> tuple[RightModule, ModuleMap]:
-    """P(v) = e_v A as a submodule of the regular module."""
-    reg = regular_module(algebra)
-    ev = algebra.idempotent_vec(vertex)
-    space = algebra.left_mult_matrix(ev).row_space()
-    return submodule(reg, space)
+    """P(v) = e_v A as a submodule of the regular module (built once per algebra)."""
+    cache = algebra.cache
+    key = ("projective", vertex)
+    if key not in cache:
+        space = algebra.left_mult_matrix(algebra.idempotent_vec(vertex)).row_space()
+        cache[key] = submodule(regular_module(algebra), space)
+    return cache[key]
 
 
 def simple_module(algebra: Algebra, vertex: str) -> RightModule:

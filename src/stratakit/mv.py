@@ -23,7 +23,7 @@ from typing import Sequence
 from .algebra import Algebra
 from .linalg import Matrix, Subspace, intertwiner_basis
 from .modules import ModuleMap, RightModule, simple_module, zero_module
-from .recollement import Recollement
+from .recollement import Recollement, memoize
 from .category import Functor, ModuleCategory
 
 
@@ -572,6 +572,7 @@ def mv_recollement(data: MVData, check: bool = True) -> Recollement:
 
     from .modules import identity_map, zero_map
 
+    @memoize
     def i_embed_obj(z: RightModule) -> MVObject:
         zu = zero_module(data.u_algebra)
         fz = fun.F_obj(zu)
@@ -586,6 +587,7 @@ def mv_recollement(data: MVData, check: bool = True) -> Recollement:
         src, tgt = i_embed_obj(f.source), i_embed_obj(f.target)
         return MVMorphism(src, tgt, zero_map(src.x_u, tgt.x_u), f)
 
+    @memoize
     def i_left_obj(x: MVObject) -> RightModule:
         from .modules import cokernel as module_cokernel
 
@@ -600,6 +602,7 @@ def mv_recollement(data: MVData, check: bool = True) -> Recollement:
         assert mat is not None
         return ModuleMap(p_src.target, c_tgt, mat)
 
+    @memoize
     def i_right_obj(x: MVObject) -> RightModule:
         from .modules import kernel as module_kernel
 
@@ -620,6 +623,7 @@ def mv_recollement(data: MVData, check: bool = True) -> Recollement:
     def j_restrict_mor(f: MVMorphism) -> ModuleMap:
         return f.f_u
 
+    @memoize
     def j_lower_obj(u: RightModule) -> MVObject:
         fu = fun.F_obj(u)
         return MVObject(u, fu, identity_map(fu), fun.eps(u))
@@ -627,6 +631,7 @@ def mv_recollement(data: MVData, check: bool = True) -> Recollement:
     def j_lower_mor(f: ModuleMap) -> MVMorphism:
         return MVMorphism(j_lower_obj(f.source), j_lower_obj(f.target), f, fun.F_mor(f))
 
+    @memoize
     def j_roof_obj(u: RightModule) -> MVObject:
         gu = fun.G_obj(u)
         return MVObject(u, gu, fun.eps(u), identity_map(gu))

@@ -78,6 +78,26 @@ class Recollement:
     extras: dict = dc_field(default_factory=dict)
 
 
+def memoize(fn: Callable) -> Callable:
+    """``fn`` with its results kept per argument value.
+
+    For the object-level constructions of a recollement, which are pure and
+    deterministic in the (structurally hashed) argument, so an equal
+    argument may share the first result.  The dict lives in the returned
+    closure and is freed with whatever holds it, here one ``Recollement``.
+    """
+    store: dict = {}
+
+    def memo(x):
+        try:
+            return store[x]
+        except KeyError:
+            value = store[x] = fn(x)
+            return value
+
+    return memo
+
+
 @dataclass(frozen=True)
 class IdempotentRecollementData:
     algebra: Algebra
@@ -165,9 +185,11 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
 
     # ---- object/morphism constructions -----------------------------------
 
+    @memoize
     def restrict_space(m: RightModule) -> Subspace:
         return m.action_of(e).row_space()
 
+    @memoize
     def j_restrict_obj(m: RightModule) -> RightModule:
         B = restrict_space(m).basis
         acts = []
@@ -185,6 +207,7 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
         assert mat is not None
         return ModuleMap(j_restrict_obj(f.source), j_restrict_obj(f.target), mat)
 
+    @memoize
     def i_embed_obj(z: RightModule) -> RightModule:
         acts = [z.action_of(quot.projection.row(k)) for k in range(a.dim)]
         return RightModule(a, z.dim, tuple(acts))
@@ -192,6 +215,7 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
     def i_embed_mor(f: ModuleMap) -> ModuleMap:
         return ModuleMap(i_embed_obj(f.source), i_embed_obj(f.target), f.mat)
 
+    @memoize
     def killed_space(m: RightModule) -> Subspace:
         # M e A, spanned by (rows of act(e)) @ act(b_k)
         act_e = m.action_of(e)
@@ -201,6 +225,7 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
             vecs.extend(prod.row_list())
         return Subspace.span(F, vecs, m.dim) if vecs else Subspace.zero(F, m.dim)
 
+    @memoize
     def i_left_obj(m: RightModule) -> RightModule:
         W = killed_space(m)
         projW, secW = W.quotient_maps()
@@ -216,6 +241,7 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
         projN, _ = WN.quotient_maps()
         return ModuleMap(i_left_obj(f.source), i_left_obj(f.target), secM @ f.mat @ projN)
 
+    @memoize
     def sub_space(m: RightModule) -> Subspace:
         # {v : v (b e) = 0 for all b}
         if m.dim == 0:
@@ -227,6 +253,7 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
             stacked = mat if stacked is None else stacked.hstack(mat)
         return stacked.left_kernel()
 
+    @memoize
     def i_right_obj(m: RightModule) -> RightModule:
         S = sub_space(m)
         B = S.basis
@@ -247,6 +274,7 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
         return ModuleMap(i_right_obj(f.source), i_right_obj(f.target), mat)
 
     # j_lower: X (x)_Gamma eA as a quotient of X (x)_k eA
+    @memoize
     def tensor_relations(x: RightModule) -> Subspace:
         dx = x.dim
         vecs = []
@@ -280,6 +308,7 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
                 rows.append(tuple(row))
         return Matrix.from_rows(F, rows, cols=dx * de)
 
+    @memoize
     def j_lower_obj(x: RightModule) -> RightModule:
         W = tensor_relations(x)
         projT, secT = W.quotient_maps()
@@ -304,11 +333,12 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
         return ModuleMap(j_lower_obj(x), j_lower_obj(y), secX @ big @ projY)
 
     # j_roof: Hom_Gamma(Ae, X), stored via the flattened intertwiner basis
-    def roof_basis(x: RightModule) -> list[Matrix]:
+    @memoize
+    def roof_basis(x: RightModule) -> tuple[Matrix, ...]:
         pairs = [(right_gamma_on_ae[s], x.action[s]) for s in range(gamma.dim)]
-        return intertwiner_basis(F, pairs, na, x.dim)
+        return tuple(intertwiner_basis(F, pairs, na, x.dim))
 
-    def _roof_coords(basis: list[Matrix], mats: list[Matrix], x: RightModule) -> Matrix:
+    def _roof_coords(basis: Sequence[Matrix], mats: list[Matrix], x: RightModule) -> Matrix:
         if not basis:
             return Matrix.from_rows(F, [], cols=0) if not mats else Matrix.zero(F, len(mats), 0)
         flat_basis = Matrix.from_rows(F, [b.entries for b in basis], cols=na * x.dim)
@@ -317,6 +347,7 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
         assert sol is not None, "map left the hom space"
         return sol
 
+    @memoize
     def j_roof_obj(x: RightModule) -> RightModule:
         basis = roof_basis(x)
         dj = len(basis)

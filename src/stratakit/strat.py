@@ -14,7 +14,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .algebra import Algebra, CornerData, QuotientData, corner_algebra, quotient_by_idempotent_ideal
+from .algebra import (
+    Algebra,
+    CornerData,
+    QuotientData,
+    corner_algebra,
+    opposite,
+    quotient_by_idempotent_ideal,
+)
 from .category import ModuleCategory
 from .homological import ext_dim, universal_extension
 from .linalg import Matrix, Subspace
@@ -394,6 +401,8 @@ class Stratification:
         self._lower: dict[frozenset, QuotientData] = {}
         self._strata: dict[str, CornerData] = {}
         self._recollements: dict[str, Recollement] = {}
+        self._layer_recollements: dict[tuple[frozenset, str], Recollement] = {}
+        self._opposite: Stratification | None = None
         self._standard_cache: dict[str, StandardObjects] | None = None
         self._checked = False
         if check:
@@ -435,8 +444,21 @@ class Stratification:
         """Recollement of mod-A_{lower} at a maximal element lam of lower."""
         if lam not in self.poset.maximal_in(frozenset(lower)):
             raise StratificationError(f"{lam} is not maximal in {sorted(lower)}")
-        b = self.lower_algebra(lower)
-        return make_idempotent_recollement(b.algebra, self.vertices_of(lam))
+        key = (frozenset(lower), lam)
+        if key not in self._layer_recollements:
+            b = self.lower_algebra(lower)
+            self._layer_recollements[key] = make_idempotent_recollement(
+                b.algebra, self.vertices_of(lam)
+            )
+        return self._layer_recollements[key]
+
+    def opposite(self) -> "Stratification":
+        """The same poset and labeling over the opposite algebra (unchecked)."""
+        if self._opposite is None:
+            self._opposite = Stratification(
+                opposite(self.algebra), self.poset, self.rho, self.epsilon, check=False
+            )
+        return self._opposite
 
     # -- the global j-functors (through the principal lower set) ------------
 

@@ -122,6 +122,21 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("STRATAKIT_SEED")
 
 
+def test_malformed_seed_flag_exits_1(capsys):
+    assert main(["corpus", "--seed", "abc"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "--seed" in captured.err
+
+
+def test_malformed_seed_env_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("STRATAKIT_SEED", "abc")
+    assert main(["validate", fixture_path(tmp_path, "fix_a2.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["STRATAKIT_SEED must be an integer, got 'abc'"]
+
+
 def test_entry_point_runs():
     res = subprocess.run(
         [sys.executable, "-m", "stratakit.cli", "corpus", "--filter", "negative"],

@@ -1,0 +1,75 @@
+"""Reports are byte-identical to the committed golden files, and each input
+runs its stratification structure checks exactly once.
+
+The golden files in ``tests/golden/`` were captured before the analysis
+session refactor (one algebra, stratification and gluing datum per input),
+so they pin "reports unchanged across a refactor", which the determinism
+test (two runs of the same code) cannot.  A file named
+``<fixture>.<mode>.json`` is the output of
+
+    stratakit check <fixture>.json --mode <mode> --seed 0
+
+run on the bundled fixture, and ``corpus.seed11.json`` that of
+``stratakit corpus --seed 11``.  Regenerate one only for an intended
+change of its report, and say so in the change.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from stratakit.cli import main
+from stratakit.corpus import fixture_bytes
+from stratakit.strat import Stratification
+
+GOLDEN = Path(__file__).parent / "golden"
+STRATIFIED = ("fix_a3", "fix_nak")
+MODES = ("recollement", "simples", "porism", "eps", "hw", "homological")
+CHECK_CASES = [(f, m) for f in STRATIFIED for m in MODES] + [("fix_mv_pair", "recollement")]
+
+
+def run_counting(monkeypatch, argv):
+    """Exit code, stdout and the number of structure-check runs of one CLI call."""
+    calls = []
+    original = Stratification.run_structure_checks
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Stratification, "run_structure_checks", counted)
+    monkeypatch.delenv("STRATAKIT_SEED", raising=False)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue(), len(calls)
+
+
+def expected_code(golden: str) -> int:
+    return 0 if json.loads(golden)["summary"]["verdict"] == "PASS" else 2
+
+
+@pytest.mark.parametrize("fixture,mode", CHECK_CASES, ids=[f"{f}-{m}" for f, m in CHECK_CASES])
+def test_check_report_matches_golden(tmp_path, monkeypatch, fixture, mode):
+    path = tmp_path / f"{fixture}.json"  # the report names the input by its file stem
+    path.write_bytes(fixture_bytes(f"{fixture}.json"))
+    golden = (GOLDEN / f"{fixture}.{mode}.json").read_text()
+    code, out, structure_checks = run_counting(
+        monkeypatch, ["check", str(path), "--mode", mode, "--seed", "0"])
+    assert out == golden
+    assert code == expected_code(golden)
+    # the stratification is built and checked once, in validation, and then
+    # shared with the mode's battery
+    assert structure_checks == (1 if fixture in STRATIFIED else 0)
+
+
+def test_corpus_report_matches_golden(monkeypatch):
+    golden = (GOLDEN / "corpus.seed11.json").read_text()
+    code, out, structure_checks = run_counting(monkeypatch, ["corpus", "--seed", "11"])
+    assert out == golden
+    assert code == expected_code(golden) == 0
+    # one run per stratified fixture: A2, A3, DUAL, KRO, LOOP, NAK
+    assert structure_checks == 6
