@@ -22,6 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import Algebra, opposite
+from .category import ModuleCategory, solve_in_hom
 from .homological import ext, ext_dim, projective_resolution, reduce_cocycle
 from .linalg import Matrix
 from .modules import (
@@ -30,7 +31,6 @@ from .modules import (
     hom_basis,
     injective_module,
     kernel,
-    lift_through_surjection,
     projective_cover,
     projective_module,
     simple_module,
@@ -57,39 +57,6 @@ class ExactnessVerdict:
     witness: dict | None       # lost-exactness data when not exact
 
 
-def _corner_bimodule_left(s: Stratification, lam: str) -> RightModule:
-    """fB as a right module over the opposite stratum algebra (= left module)."""
-    b = s.lower_algebra(s.poset.down(lam))
-    gamma = s.stratum(lam)
-    f = b.algebra.idempotent_sum(s.vertices_of(lam))
-    rows = b.algebra.left_mult_matrix(f).row_space().basis
-    gop = opposite(gamma.algebra)
-    acts = []
-    for sidx in range(gop.dim):
-        ghat = gamma.embed.row(sidx)
-        imgs = [b.algebra.mul_vec(ghat, rows.row(t)) for t in range(rows.rows)]
-        sol = rows.solve_left(Matrix.from_rows(b.algebra.field, imgs, cols=b.algebra.dim))
-        assert sol is not None
-        acts.append(sol)
-    return RightModule(gop, rows.rows, tuple(acts))
-
-
-def _corner_bimodule_right(s: Stratification, lam: str) -> RightModule:
-    """Bf as a right module over the stratum algebra."""
-    b = s.lower_algebra(s.poset.down(lam))
-    gamma = s.stratum(lam)
-    f = b.algebra.idempotent_sum(s.vertices_of(lam))
-    rows = b.algebra.right_mult_matrix(f).row_space().basis
-    acts = []
-    for sidx in range(gamma.algebra.dim):
-        ghat = gamma.embed.row(sidx)
-        imgs = [b.algebra.mul_vec(rows.row(t), ghat) for t in range(rows.rows)]
-        sol = rows.solve_left(Matrix.from_rows(b.algebra.field, imgs, cols=b.algebra.dim))
-        assert sol is not None
-        acts.append(sol)
-    return RightModule(gamma.algebra, rows.rows, tuple(acts))
-
-
 def _is_projective(m: RightModule) -> tuple[bool, int]:
     cov = projective_cover(m)
     return cov.projective.dim == m.dim, cov.projective.dim
@@ -104,11 +71,12 @@ def exactness_check(s: Stratification, lam: str, side: str) -> ExactnessVerdict:
     certificate; a negative one exhibits a stratum short exact sequence on
     which the functor loses exactness.
     """
-    gamma = s.stratum(lam).algebra
-    if side == "j_!":
-        bim = _corner_bimodule_left(s, lam)
-    elif side == "j_*":
-        bim = _corner_bimodule_right(s, lam)
+    data = s.principal_recollement(lam).extras["idempotent_data"]
+    gamma = data.corner.algebra
+    if side == "j_!":  # fB as a right module over the opposite stratum algebra
+        bim = RightModule(opposite(gamma), data.ea.dim, data.ea.left_action)
+    elif side == "j_*":  # Bf as a right module over the stratum algebra
+        bim = RightModule(gamma, data.ae.dim, data.ae.right_action)
     else:
         raise ValueError(f"unknown side {side!r}")
     proj, cover_dim = _is_projective(bim)
@@ -206,12 +174,18 @@ def ext_comparison(
 
     # chain map u_k: outer P_k -> inflated inner P_k over the identity
     u: list[ModuleMap] = []
-    u0 = lift_through_surjection(res_out.augmentation, inflate_map_(res_in.augmentation))
+    cat = ModuleCategory(outer_alg)
+    aug_in = inflate_map_(res_in.augmentation)
+    u0 = solve_in_hom(cat, res_out.augmentation.source, aug_in.source, lambda h: h.then(aug_in),
+                      res_out.augmentation)
+    if u0 is None:
+        raise ValueError("no lift exists through the given surjection")
     u.append(u0)
     for k in range(1, degree + 1):
         target_map = res_out.differential(k).then(u[k - 1])
         dk_in = inflate_map_(res_in.differential(k))
-        uk = _lift_through_map(target_map, dk_in)
+        uk = solve_in_hom(cat, target_map.source, dk_in.source, lambda h: h.then(dk_in), target_map)
+        assert uk is not None, "comparison lift does not exist"
         u.append(uk)
 
     space_in = ext(x, y, degree)
@@ -229,26 +203,6 @@ def ext_comparison(
             f"{cmp.dim_source} -> {cmp.dim_target} with rank {cmp.rank}"
         )
     return cmp
-
-
-def _lift_through_map(f: ModuleMap, through: ModuleMap) -> ModuleMap:
-    """h with h ; through = f, searched in the hom space (f.source projective)."""
-    hb = hom_basis(f.source, through.source)
-    F = f.source.algebra.field
-    if not hb:
-        assert f.is_zero, "no lift exists"
-        from .modules import zero_map
-
-        return zero_map(f.source, through.source)
-    rows = [h.then(through).mat.entries for h in hb]
-    T = Matrix.from_rows(F, rows, cols=f.source.dim * f.target.dim)
-    sol = T.solve_left(Matrix.from_rows(F, [f.mat.entries], cols=T.cols))
-    assert sol is not None, "comparison lift does not exist"
-    out = hb[0].scale(F.zero)
-    for c, h in zip(sol.row(0), hb):
-        if c != F.zero:
-            out = out + h.scale(c)
-    return out
 
 
 # -- k-homological stratifications --------------------------------------------

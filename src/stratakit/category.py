@@ -134,50 +134,27 @@ def exact_at(cat, f, g) -> bool:
     return cat.dim(img) == cat.dim(ker)
 
 
-def factor_combination(cat, maps, target):
-    """Coefficients c with sum(c_i * maps_i) = target, or None."""
+def solve_in_hom(cat, source, target, compose, goal):
+    """The h in Hom(source, target) with compose(h) == goal, or None.
+
+    ``compose`` must be linear in h (such as h |-> h ; g or h |-> g ; h).  h
+    is solved for as a combination of ``cat.hom_basis(source, target)``: a
+    plain linear solve could return a matrix that is not a morphism.  When
+    several h solve it, the RREF-canonical basis and the elimination fix
+    which one is returned.
+    """
     F = cat.field
-    if not maps:
-        return () if target.is_zero else None
-    rows = [cat.mor_coords(m) for m in maps]
+    basis = cat.hom_basis(source, target)
+    if not basis:
+        return cat.zero_mor(source, target) if goal.is_zero else None
+    rows = [cat.mor_coords(compose(h)) for h in basis]
     ncols = len(rows[0])
     T = Matrix.from_rows(F, rows, cols=ncols)
-    goal = Matrix.from_rows(F, [cat.mor_coords(target)], cols=ncols)
-    sol = T.solve_left(goal)
-    return None if sol is None else sol.row(0)
-
-
-def lift_through_epi(cat, f, epi):
-    """h with h ; epi = f, searched inside hom(f.source, epi.source)."""
-    basis = cat.hom_basis(f.source, epi.source)
-    if not basis:
-        if f.is_zero:
-            return cat.zero_mor(f.source, epi.source)
+    sol = T.solve_left(Matrix.from_rows(F, [cat.mor_coords(goal)], cols=ncols))
+    if sol is None:
         return None
-    composed = [h.then(epi) for h in basis]
-    coeffs = factor_combination(cat, composed, f)
-    if coeffs is None:
-        return None
-    out = cat.zero_mor(f.source, epi.source)
-    for c, h in zip(coeffs, basis):
-        if c != cat.field.zero:
-            out = out + h.scale(c)
-    return out
-
-
-def factor_through_mono(cat, f, mono):
-    """g with g ; mono = f (unique when it exists; mono is injective)."""
-    basis = cat.hom_basis(f.source, mono.source)
-    if not basis:
-        if f.is_zero:
-            return cat.zero_mor(f.source, mono.source)
-        return None
-    composed = [h.then(mono) for h in basis]
-    coeffs = factor_combination(cat, composed, f)
-    if coeffs is None:
-        return None
-    out = cat.zero_mor(f.source, mono.source)
-    for c, h in zip(coeffs, basis):
-        if c != cat.field.zero:
+    out = cat.zero_mor(source, target)
+    for c, h in zip(sol.row(0), basis):
+        if c != F.zero:
             out = out + h.scale(c)
     return out

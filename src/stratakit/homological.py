@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .category import ModuleCategory, solve_in_hom
 from .linalg import Matrix, Subspace
 from .modules import (
     ModuleMap,
@@ -32,7 +33,6 @@ from .modules import (
     hom_basis,
     identity_map,
     kernel,
-    lift_through_surjection,
     projective_cover,
     structural_series,
     zero_map,
@@ -76,7 +76,6 @@ def projective_resolution(m: RightModule, length: int) -> Resolution:
     diffs: list[ModuleMap] = []
     aug = cov.cover_map
     prev_cover = cov
-    current = m
     for i in range(1, length + 1):
         ker_mod, ker_incl = kernel(prev_cover.cover_map)
         if ker_mod.dim == 0:
@@ -85,7 +84,6 @@ def projective_resolution(m: RightModule, length: int) -> Resolution:
         terms.append(cov_i.projective)
         diffs.append(cov_i.cover_map.then(ker_incl))
         prev_cover = cov_i
-        current = ker_mod
     res = cache[key] = Resolution(module=m, terms=tuple(terms), differentials=tuple(diffs),
                                   augmentation=aug)
     return res
@@ -259,14 +257,21 @@ def extract_ext1(ses: ShortExactSequence) -> ExtClass:
     m, n = ses.quotient, ses.sub
     res = projective_resolution(m, 2)
     space = ext(m, n, 1)
+    coords = reduce_cocycle(space, _connecting_map(ses, res))
+    return make_class(space, coords)
+
+
+def _connecting_map(ses: ShortExactSequence, res: Resolution) -> ModuleMap:
+    """The map P_1 -> sub whose class is the connecting class of ``ses``."""
     # lift the augmentation through the projection (projectivity of P_0)
-    l0 = lift_through_surjection(res.augmentation, ses.projection)
+    l0 = solve_in_hom(ModuleCategory(res.module.algebra), res.term(0), ses.middle,
+                      lambda h: h.then(ses.projection), res.augmentation)
+    if l0 is None:
+        raise ValueError("no lift exists through the given surjection")
     g = res.differential(1).then(l0)  # lands in the image of the inclusion
     gprime_mat = ses.inclusion.mat.solve_left(g.mat)
     assert gprime_mat is not None, "connecting map left the submodule"
-    cocycle = ModuleMap(res.term(1), n, gprime_mat)
-    coords = reduce_cocycle(space, cocycle)
-    return make_class(space, coords)
+    return ModuleMap(res.term(1), ses.sub, gprime_mat)
 
 
 def make_class(space: ExtSpace, coords) -> ExtClass:
@@ -330,26 +335,14 @@ def universal_extension(m: RightModule, targets: list[RightModule]) -> Universal
     ses = _pushout_extension(res, stacked, ker_incl)
 
     # surjectivity of Hom(T, B_j) -> Ext^1(m, B_j) via the connecting map
+    to_sub = _connecting_map(ses, res)
     for b, space in zip(targets, spaces):
         if space.dim == 0:
             continue
-        rank_rows = []
-        for h in hom_basis(T, b):
-            connecting = _connecting_class(ses, res, h)
-            rank_rows.append(reduce_cocycle(space, connecting))
+        rank_rows = [reduce_cocycle(space, to_sub.then(h)) for h in hom_basis(T, b)]
         rk = Matrix.from_rows(F, rank_rows, cols=space.dim).rank() if rank_rows else 0
         assert rk == space.dim, "universal extension failed to surject onto Ext^1"
     return UniversalExtension(ses=ses, multiplicities=mults, middle=ses.middle)
-
-
-def _connecting_class(ses: ShortExactSequence, res: Resolution, h: ModuleMap) -> ModuleMap:
-    """Cocycle of the pushout of ``ses`` along h: sub -> B."""
-    l0 = lift_through_surjection(res.augmentation, ses.projection)
-    g = res.differential(1).then(l0)
-    gprime_mat = ses.inclusion.mat.solve_left(g.mat)
-    assert gprime_mat is not None
-    to_sub = ModuleMap(res.term(1), ses.sub, gprime_mat)
-    return to_sub.then(h)
 
 
 # -- independent Ext^1 oracle ---------------------------------------------------

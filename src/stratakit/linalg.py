@@ -386,10 +386,8 @@ def intertwiner_basis(field: Field, pairs: Sequence[tuple["Matrix", "Matrix"]], 
     """RREF-canonical basis of {X (n x m) : A_i @ X = X @ B_i for all i}."""
     if n == 0 or m == 0:
         return []
-    nvars = n * m
     ncons = len(pairs) * n * m
     if ncons == 0:
-        ident = Matrix.identity(field, max(n, m))
         # no constraints: all matrices; basis of unit matrices in RREF order
         out = []
         z = field.zero

@@ -16,10 +16,31 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .algebra import Algebra, opposite
 from .linalg import Matrix, Subspace, intertwiner_basis
+
+
+def memoize(fn: Callable) -> Callable:
+    """``fn`` with its results kept per argument value.
+
+    For object-level constructions (functor values and the spaces they are
+    built from), which are pure and deterministic in the (structurally
+    hashed) argument, so an equal argument may share the first result.  The
+    dict lives in the returned closure and is freed with whatever holds it,
+    such as one ``Recollement``.
+    """
+    store: dict = {}
+
+    def memo(x):
+        try:
+            return store[x]
+        except KeyError:
+            value = store[x] = fn(x)
+            return value
+
+    return memo
 
 
 @dataclass(frozen=True)
@@ -137,7 +158,6 @@ def submodule(m: RightModule, space: Subspace) -> tuple[RightModule, ModuleMap]:
     """Module structure on an action-closed subspace, with its inclusion."""
     if space.ambient != m.dim:
         raise ValueError("ambient mismatch")
-    F = m.algebra.field
     B = space.basis
     mats = []
     for k in range(m.algebra.dim):
@@ -152,7 +172,6 @@ def submodule(m: RightModule, space: Subspace) -> tuple[RightModule, ModuleMap]:
 
 def quotient_module(m: RightModule, space: Subspace) -> tuple[RightModule, ModuleMap]:
     """Quotient by an action-closed subspace, with its projection."""
-    F = m.algebra.field
     proj, sec = space.quotient_maps()
     mats = [sec @ m.action[k] @ proj for k in range(m.algebra.dim)]
     quo = RightModule(m.algebra, proj.cols, tuple(mats))
@@ -241,32 +260,200 @@ def hom_dim(m: RightModule, n: RightModule) -> int:
     return len(hom_basis(m, n))
 
 
-def lift_through_surjection(f: ModuleMap, epi: ModuleMap) -> ModuleMap:
-    """A module map h with h ; epi = f, found inside Hom(f.source, epi.source).
+# -- bimodules and their tensor/hom functors ------------------------------------
 
-    Exists whenever f.source is projective and epi is surjective (and in any
-    other situation where the caller knows a lift exists); raises otherwise.
-    A plain linear solve is not enough here because the lift is generally
-    not unique, and an arbitrary linear solution need not intertwine.
+
+@dataclass(frozen=True)
+class Bimodule:
+    """A (left_algebra, right_algebra)-bimodule on row vectors.
+
+    ``right_action[k]`` is multiplicative as usual; the left action composes
+    through the opposite order (apply the right factor first), and the two
+    actions commute.
     """
-    if f.target != epi.target:
-        raise ValueError("lift target mismatch")
-    F = f.source.algebra.field
-    hb = hom_basis(f.source, epi.source)
-    if not hb:
-        if f.is_zero:
-            return zero_map(f.source, epi.source)
-        raise ValueError("no lift exists: hom space is zero")
-    rows = [h.then(epi).mat.entries for h in hb]
-    T = Matrix.from_rows(F, rows, cols=f.source.dim * f.target.dim)
-    sol = T.solve_left(Matrix.from_rows(F, [f.mat.entries], cols=T.cols))
-    if sol is None:
-        raise ValueError("no lift exists through the given surjection")
-    out = zero_map(f.source, epi.source)
-    for c, h in zip(sol.row(0), hb):
-        if c != F.zero:
-            out = out + h.scale(c)
-    return out
+
+    left_algebra: Algebra
+    right_algebra: Algebra
+    dim: int
+    left_action: tuple[Matrix, ...]
+    right_action: tuple[Matrix, ...]
+
+    def left_of(self, vec: Sequence) -> Matrix:
+        F = self.left_algebra.field
+        out = Matrix.zero(F, self.dim, self.dim)
+        for k, c in enumerate(vec):
+            if c != F.zero:
+                out = out + self.left_action[k].scale(c)
+        return out
+
+    def right_of(self, vec: Sequence) -> Matrix:
+        F = self.right_algebra.field
+        out = Matrix.zero(F, self.dim, self.dim)
+        for k, c in enumerate(vec):
+            if c != F.zero:
+                out = out + self.right_action[k].scale(c)
+        return out
+
+    def tensor_functor(self) -> "TensorFunctor":
+        """X |-> X (x)_L B from right L-modules to right R-modules (L, R the
+        left and right algebras).
+
+        X (x)_L B is the quotient of X (x)_k B, whose coordinate i * dim B + j
+        is x_i (x) b_j, by the span of x l (x) b - x (x) l b over the bases
+        of X, L and B, taken in that order.
+        """
+        L, R = self.left_algebra, self.right_algebra
+        F = R.field
+        db = self.dim
+        ident = Matrix.identity(F, db)
+
+        @memoize
+        def relations(x: RightModule) -> Subspace:
+            dx = x.dim
+            vecs = []
+            for i in range(dx):
+                for s in range(L.dim):
+                    xs = x.action[s].row(i)
+                    ls = self.left_action[s]
+                    for j in range(db):
+                        vec = [F.zero] * (dx * db)
+                        for i2, c in enumerate(xs):
+                            if c != F.zero:
+                                vec[i2 * db + j] = F.add(vec[i2 * db + j], c)
+                        for j2 in range(db):
+                            c = ls[j, j2]
+                            if c != F.zero:
+                                vec[i * db + j2] = F.sub(vec[i * db + j2], c)
+                        vecs.append(tuple(vec))
+            return Subspace.span(F, vecs, dx * db) if vecs else Subspace.zero(F, dx * db)
+
+        @memoize
+        def obj(x: RightModule) -> RightModule:
+            proj, sec = relations(x).quotient_maps()
+            x_ident = Matrix.identity(F, x.dim)
+            acts = [sec @ _kron(x_ident, self.right_action[k]) @ proj for k in range(R.dim)]
+            return RightModule(R, proj.cols, tuple(acts))
+
+        def mor(f: ModuleMap) -> ModuleMap:
+            _, sec = relations(f.source).quotient_maps()
+            proj, _ = relations(f.target).quotient_maps()
+            return ModuleMap(obj(f.source), obj(f.target), sec @ _kron(f.mat, ident) @ proj)
+
+        return TensorFunctor(obj, mor, relations)
+
+    def hom_functor(self) -> "HomFunctor":
+        """X |-> Hom_R(B, X) from right R-modules to right L-modules, with
+        (phi l)(b) = phi(l b).
+
+        An element of Hom_R(B, X) is a dim B x dim X matrix; ``basis(x)`` is
+        the RREF-canonical basis of the intertwiners and ``coords(x, mats)``
+        writes each matrix of ``mats`` in it.
+        """
+        L, R = self.left_algebra, self.right_algebra
+        F = R.field
+        db = self.dim
+
+        @memoize
+        def basis(x: RightModule) -> tuple[Matrix, ...]:
+            pairs = [(self.right_action[s], x.action[s]) for s in range(R.dim)]
+            return tuple(intertwiner_basis(F, pairs, db, x.dim))
+
+        def coords(x: RightModule, mats: Sequence[Matrix]) -> Matrix:
+            phis = basis(x)
+            if not phis:
+                return Matrix.zero(F, len(mats), 0)
+            flat_basis = Matrix.from_rows(F, [phi.entries for phi in phis], cols=db * x.dim)
+            flat_targets = Matrix.from_rows(F, [m.entries for m in mats], cols=db * x.dim)
+            sol = flat_basis.solve_left(flat_targets)
+            assert sol is not None, "map left the hom space"
+            return sol
+
+        @memoize
+        def obj(x: RightModule) -> RightModule:
+            phis = basis(x)
+            acts = [coords(x, [self.left_action[k] @ phi for phi in phis]) for k in range(L.dim)]
+            return RightModule(L, len(phis), tuple(acts))
+
+        def mor(f: ModuleMap) -> ModuleMap:
+            imgs = [phi @ f.mat for phi in basis(f.source)]
+            return ModuleMap(obj(f.source), obj(f.target), coords(f.target, imgs))
+
+        return HomFunctor(obj, mor, basis, coords)
+
+
+class TensorFunctor(NamedTuple):
+    obj: Callable[[RightModule], RightModule]
+    mor: Callable[[ModuleMap], ModuleMap]
+    relations: Callable[[RightModule], Subspace]  # kernel of X (x)_k B ->> X (x)_L B
+
+
+class HomFunctor(NamedTuple):
+    obj: Callable[[RightModule], RightModule]
+    mor: Callable[[ModuleMap], ModuleMap]
+    basis: Callable[[RightModule], tuple[Matrix, ...]]
+    coords: Callable[[RightModule, Sequence[Matrix]], Matrix]
+
+
+def _kron(a: Matrix, b: Matrix) -> Matrix:
+    """Kronecker product: entry (i * b.rows + j, i2 * b.cols + j2) is a[i, i2] b[j, j2]."""
+    F = a.field
+    rows = []
+    for i in range(a.rows):
+        for j in range(b.rows):
+            row = []
+            for c in a.row(i):
+                row.extend([F.zero] * b.cols if c == F.zero else [F.mul(c, y) for y in b.row(j)])
+            rows.append(row)
+    return Matrix.from_rows(F, rows, cols=a.cols * b.cols)
+
+
+def validate_bimodule(b: Bimodule) -> None:
+    L, R = b.left_algebra, b.right_algebra
+    F = L.field
+    ident = Matrix.identity(F, b.dim)
+    if b.left_of(L.unit) != ident or b.right_of(R.unit) != ident:
+        raise ValueError("units must act as the identity on the bimodule")
+    for i in range(R.dim):
+        for j in range(R.dim):
+            if b.right_action[i] @ b.right_action[j] != b.right_of(R.mult[i][j]):
+                raise ValueError("right action is not multiplicative")
+    for i in range(L.dim):
+        for j in range(L.dim):
+            # (s s') . v applies s' first in row convention
+            if b.left_action[j] @ b.left_action[i] != b.left_of(L.mult[i][j]):
+                raise ValueError("left action is not multiplicative")
+    for i in range(L.dim):
+        for j in range(R.dim):
+            if b.left_action[i] @ b.right_action[j] != b.right_action[j] @ b.left_action[i]:
+                raise ValueError("left and right actions do not commute")
+
+
+def corner_bimodules(
+    a: Algebra, gamma: Algebra, embed: Matrix, e_a: Matrix, a_e: Matrix
+) -> tuple[Bimodule, Bimodule]:
+    """eA as a (gamma, A)-bimodule and Ae as an (A, gamma)-bimodule, gamma = eAe.
+
+    ``embed`` lists the basis of gamma as elements of A, and ``e_a`` and
+    ``a_e`` the bases of eA and Ae inside A; every product is taken in A
+    and written back in the basis it lands in.
+    """
+    F = a.field
+    gammas = [embed.row(s) for s in range(gamma.dim)]
+    units = [a.basis_vec(k) for k in range(a.dim)]
+
+    def action(basis: Matrix, x: tuple, on_left: bool) -> Matrix:
+        rows = [a.mul_vec(x, v) if on_left else a.mul_vec(v, x) for v in basis.row_list()]
+        sol = basis.solve_left(Matrix.from_rows(F, rows, cols=a.dim))
+        assert sol is not None, "vector left the bimodule span"
+        return sol
+
+    ea = Bimodule(gamma, a, e_a.rows,
+                  tuple(action(e_a, g, True) for g in gammas),
+                  tuple(action(e_a, b, False) for b in units))
+    ae = Bimodule(a, gamma, a_e.rows,
+                  tuple(action(a_e, b, True) for b in units),
+                  tuple(action(a_e, g, False) for g in gammas))
+    return ea, ae
 
 
 # -- radical, top, socle ------------------------------------------------------

@@ -21,67 +21,22 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import Algebra
-from .linalg import Matrix, Subspace, intertwiner_basis
-from .modules import ModuleMap, RightModule, simple_module, zero_module
-from .recollement import Recollement, memoize
+from .linalg import Matrix, Subspace
+from .modules import (
+    Bimodule,
+    ModuleMap,
+    RightModule,
+    memoize,
+    simple_module,
+    validate_bimodule,
+    zero_module,
+)
+from .recollement import Recollement
 from .category import Functor, ModuleCategory
 
 
 class MVDataError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Bimodule:
-    """A (left_algebra, right_algebra)-bimodule on row vectors.
-
-    ``right_action[k]`` is multiplicative as usual; the left action composes
-    through the opposite order (apply the right factor first), and the two
-    actions commute.
-    """
-
-    left_algebra: Algebra
-    right_algebra: Algebra
-    dim: int
-    left_action: tuple[Matrix, ...]
-    right_action: tuple[Matrix, ...]
-
-    def left_of(self, vec: Sequence) -> Matrix:
-        F = self.left_algebra.field
-        out = Matrix.zero(F, self.dim, self.dim)
-        for k, c in enumerate(vec):
-            if c != F.zero:
-                out = out + self.left_action[k].scale(c)
-        return out
-
-    def right_of(self, vec: Sequence) -> Matrix:
-        F = self.right_algebra.field
-        out = Matrix.zero(F, self.dim, self.dim)
-        for k, c in enumerate(vec):
-            if c != F.zero:
-                out = out + self.right_action[k].scale(c)
-        return out
-
-
-def validate_bimodule(b: Bimodule) -> None:
-    L, R = b.left_algebra, b.right_algebra
-    F = L.field
-    ident = Matrix.identity(F, b.dim)
-    if b.left_of(L.unit) != ident or b.right_of(R.unit) != ident:
-        raise MVDataError("units must act as the identity on the bimodule")
-    for i in range(R.dim):
-        for j in range(R.dim):
-            if b.right_action[i] @ b.right_action[j] != b.right_of(R.mult[i][j]):
-                raise MVDataError("right action is not multiplicative")
-    for i in range(L.dim):
-        for j in range(L.dim):
-            # (s s') . v applies s' first in row convention
-            if b.left_action[j] @ b.left_action[i] != b.left_of(L.mult[i][j]):
-                raise MVDataError("left action is not multiplicative")
-    for i in range(L.dim):
-        for j in range(R.dim):
-            if b.left_action[i] @ b.right_action[j] != b.right_action[j] @ b.left_action[i]:
-                raise MVDataError("left and right actions do not commute")
 
 
 @dataclass(frozen=True)
@@ -160,116 +115,16 @@ class MVFunctors:
 
     def __init__(self, data: MVData):
         self.data = data
-        self.F_field = data.u_algebra.field
-
-    # tensor functor -------------------------------------------------------
-
-    def _tensor_relations(self, x: RightModule) -> Subspace:
-        d = self.data
-        F = self.F_field
-        dx, dm = x.dim, d.m.dim
-        vecs = []
-        for i in range(dx):
-            for s in range(d.u_algebra.dim):
-                xs = x.action[s].row(i)
-                ls = d.m.left_action[s]
-                for j in range(dm):
-                    vec = [F.zero] * (dx * dm)
-                    for i2, c in enumerate(xs):
-                        if c != F.zero:
-                            vec[i2 * dm + j] = F.add(vec[i2 * dm + j], c)
-                    for j2 in range(dm):
-                        c = ls[j, j2]
-                        if c != F.zero:
-                            vec[i * dm + j2] = F.sub(vec[i * dm + j2], c)
-                    vecs.append(tuple(vec))
-        return Subspace.span(F, vecs, dx * dm) if vecs else Subspace.zero(F, dx * dm)
-
-    def F_obj(self, x: RightModule) -> RightModule:
-        d = self.data
-        F = self.F_field
-        dx, dm = x.dim, d.m.dim
-        projT, secT = self._tensor_relations(x).quotient_maps()
-        acts = []
-        for k in range(d.z_algebra.dim):
-            rk = d.m.right_action[k]
-            rows = []
-            for i in range(dx):
-                for j in range(dm):
-                    row = [F.zero] * (dx * dm)
-                    for j2 in range(dm):
-                        c = rk[j, j2]
-                        if c != F.zero:
-                            row[i * dm + j2] = c
-                    rows.append(tuple(row))
-            big = Matrix.from_rows(F, rows, cols=dx * dm)
-            acts.append(secT @ big @ projT)
-        return RightModule(d.z_algebra, projT.cols, tuple(acts))
-
-    def F_mor(self, f: ModuleMap) -> ModuleMap:
-        d = self.data
-        F = self.F_field
-        dm = d.m.dim
-        dx, dy = f.source.dim, f.target.dim
-        rows = []
-        for i in range(dx):
-            for j in range(dm):
-                row = [F.zero] * (dy * dm)
-                for i2 in range(dy):
-                    c = f.mat[i, i2]
-                    if c != F.zero:
-                        row[i2 * dm + j] = c
-                rows.append(tuple(row))
-        big = Matrix.from_rows(F, rows, cols=dy * dm)
-        _, secX = self._tensor_relations(f.source).quotient_maps()
-        projY, _ = self._tensor_relations(f.target).quotient_maps()
-        return ModuleMap(self.F_obj(f.source), self.F_obj(f.target), secX @ big @ projY)
-
-    # hom functor -----------------------------------------------------------
-
-    def _hom_basis_mats(self, x: RightModule) -> list[Matrix]:
-        d = self.data
-        pairs = [
-            (d.n.right_action[s], x.action[s]) for s in range(d.u_algebra.dim)
-        ]
-        return intertwiner_basis(self.F_field, pairs, d.n.dim, x.dim)
-
-    def _hom_coords(self, basis: list[Matrix], mats: list[Matrix], x: RightModule) -> Matrix:
-        F = self.F_field
-        dn = self.data.n.dim
-        if not basis:
-            return Matrix.from_rows(F, [], cols=0) if not mats else Matrix.zero(F, len(mats), 0)
-        flat_basis = Matrix.from_rows(F, [b.entries for b in basis], cols=dn * x.dim)
-        flat_targets = Matrix.from_rows(F, [m.entries for m in mats], cols=dn * x.dim)
-        sol = flat_basis.solve_left(flat_targets)
-        assert sol is not None, "map left the hom space"
-        return sol
-
-    def G_obj(self, x: RightModule) -> RightModule:
-        d = self.data
-        F = self.F_field
-        basis = self._hom_basis_mats(x)
-        dg = len(basis)
-        acts = []
-        for k in range(d.z_algebra.dim):
-            imgs = [d.n.left_action[k] @ phi for phi in basis]
-            acts.append(self._hom_coords(basis, imgs, x) if dg else Matrix.zero(F, 0, 0))
-        return RightModule(d.z_algebra, dg, tuple(acts))
-
-    def G_mor(self, f: ModuleMap) -> ModuleMap:
-        bx = self._hom_basis_mats(f.source)
-        by = self._hom_basis_mats(f.target)
-        imgs = [phi @ f.mat for phi in bx]
-        mat = self._hom_coords(by, imgs, f.target) if by else Matrix.zero(self.F_field, len(bx), 0)
-        return ModuleMap(self.G_obj(f.source), self.G_obj(f.target), mat)
+        self.field = data.u_algebra.field
+        self.F = data.m.tensor_functor()
+        self.G = data.n.hom_functor()
 
     # the natural transformation ---------------------------------------------
 
     def eps(self, x: RightModule) -> ModuleMap:
         d = self.data
-        F = self.F_field
+        F = self.field
         dx, dm, dn = x.dim, d.m.dim, d.n.dim
-        basis = self._hom_basis_mats(x)
         mats = []
         for i in range(dx):
             for j in range(dm):
@@ -278,17 +133,17 @@ class MVFunctors:
                     sval = d.theta.row(j * dn + t)
                     rows.append(x.action_of(sval).row(i))
                 mats.append(Matrix.from_rows(F, rows, cols=dx))
-        v_mat_rows = self._hom_coords(basis, mats, x) if basis else Matrix.zero(F, dx * dm, 0)
-        W = self._tensor_relations(x)
-        if W.dim and basis:
+        v_mat_rows = self.G.coords(x, mats)
+        W = self.F.relations(x)
+        if W.dim and self.G.basis(x):
             assert (W.basis @ v_mat_rows).is_zero, "eps not well defined on the tensor quotient"
         _, secT = W.quotient_maps()
-        return ModuleMap(self.F_obj(x), self.G_obj(x), secT @ v_mat_rows)
+        return ModuleMap(self.F.obj(x), self.G.obj(x), secT @ v_mat_rows)
 
     def check_naturality(self, maps: Sequence[ModuleMap]) -> None:
         for f in maps:
-            lhs = self.F_mor(f).then(self.eps(f.target))
-            rhs = self.eps(f.source).then(self.G_mor(f))
+            lhs = self.F.mor(f).then(self.eps(f.target))
+            rhs = self.eps(f.source).then(self.G.mor(f))
             if not (lhs - rhs).is_zero:
                 raise MVDataError("eps fails naturality on a sample morphism")
 
@@ -355,8 +210,8 @@ class MVCategory:
     def zero_obj(self) -> MVObject:
         zu = zero_module(self.data.u_algebra)
         zz = zero_module(self.data.z_algebra)
-        fz = self.fun.F_obj(zu)
-        gz = self.fun.G_obj(zu)
+        fz = self.fun.F.obj(zu)
+        gz = self.fun.G.obj(zu)
         return MVObject(
             zu, zz,
             ModuleMap(fz, zz, Matrix.zero(self.field, fz.dim, 0)),
@@ -398,8 +253,8 @@ class MVCategory:
         for k in range(nu + nz):
             if k < nu:
                 fu, fz = hu[k], None
-                d1 = self.fun.F_mor(fu).then(y.alpha)
-                d2 = x.beta.then(self.fun.G_mor(fu))
+                d1 = self.fun.F.mor(fu).then(y.alpha)
+                d2 = x.beta.then(self.fun.G.mor(fu))
             else:
                 fu, fz = None, hz[k - nu]
                 d1 = x.alpha.then(fz).scale(F.neg(F.one))
@@ -438,14 +293,14 @@ class MVCategory:
         ku, iu = module_kernel(f.f_u)
         kz, iz = module_kernel(f.f_z)
         # alpha restricts: F(ku) -> kz  (image lands in ker f_z)
-        a_mat = iz.mat.solve_left(self.fun.F_mor(iu).then(f.source.alpha).mat)
+        a_mat = iz.mat.solve_left(self.fun.F.mor(iu).then(f.source.alpha).mat)
         assert a_mat is not None, "alpha does not restrict to the kernel"
-        alpha_k = ModuleMap(self.fun.F_obj(ku), kz, a_mat)
+        alpha_k = ModuleMap(self.fun.F.obj(ku), kz, a_mat)
         # beta corestricts through the mono G(ku) -> G(x_u)
-        g_iu = self.fun.G_mor(iu)
+        g_iu = self.fun.G.mor(iu)
         b_mat = g_iu.mat.solve_left(iz.then(f.source.beta).mat)
         assert b_mat is not None, "beta does not corestrict to the kernel"
-        beta_k = ModuleMap(kz, self.fun.G_obj(ku), b_mat)
+        beta_k = ModuleMap(kz, self.fun.G.obj(ku), b_mat)
         k_obj = self.make_object(ku, kz, alpha_k, beta_k)
         return k_obj, MVMorphism(k_obj, f.source, iu, iz)
 
@@ -454,13 +309,13 @@ class MVCategory:
 
         cu, pu = module_cokernel(f.f_u)
         cz, pz = module_cokernel(f.f_z)
-        f_pu = self.fun.F_mor(pu)
+        f_pu = self.fun.F.mor(pu)
         a_mat = f_pu.mat.solve_right(f.target.alpha.then(pz).mat)
         assert a_mat is not None, "alpha does not descend to the cokernel"
-        alpha_c = ModuleMap(self.fun.F_obj(cu), cz, a_mat)
-        b_mat = pz.mat.solve_right(f.target.beta.then(self.fun.G_mor(pu)).mat)
+        alpha_c = ModuleMap(self.fun.F.obj(cu), cz, a_mat)
+        b_mat = pz.mat.solve_right(f.target.beta.then(self.fun.G.mor(pu)).mat)
         assert b_mat is not None, "beta does not descend to the cokernel"
-        beta_c = ModuleMap(cz, self.fun.G_obj(cu), b_mat)
+        beta_c = ModuleMap(cz, self.fun.G.obj(cu), b_mat)
         c_obj = self.make_object(cu, cz, alpha_c, beta_c)
         return c_obj, MVMorphism(f.target, c_obj, pu, pz)
 
@@ -469,14 +324,14 @@ class MVCategory:
 
         iu_obj, eu, mu = module_image(f.f_u)
         iz_obj, ez, mz = module_image(f.f_z)
-        f_eu = self.fun.F_mor(eu)
+        f_eu = self.fun.F.mor(eu)
         a_mat = f_eu.mat.solve_right(f.source.alpha.then(ez).mat)
         assert a_mat is not None
-        alpha_i = ModuleMap(self.fun.F_obj(iu_obj), iz_obj, a_mat)
-        g_mu = self.fun.G_mor(mu)
+        alpha_i = ModuleMap(self.fun.F.obj(iu_obj), iz_obj, a_mat)
+        g_mu = self.fun.G.mor(mu)
         b_mat = g_mu.mat.solve_left(mz.then(f.target.beta).mat)
         assert b_mat is not None
-        beta_i = ModuleMap(iz_obj, self.fun.G_obj(iu_obj), b_mat)
+        beta_i = ModuleMap(iz_obj, self.fun.G.obj(iu_obj), b_mat)
         i_obj = self.make_object(iu_obj, iz_obj, alpha_i, beta_i)
         return i_obj, MVMorphism(f.source, i_obj, eu, ez), MVMorphism(i_obj, f.target, mu, mz)
 
@@ -494,13 +349,13 @@ class MVCategory:
         F = self.field
         big_u, inj_u, proj_u = module_sum([x.x_u for x in xs])
         big_z, inj_z, proj_z = module_sum([x.x_z for x in xs])
-        f_big = self.fun.F_obj(big_u)
-        g_big = self.fun.G_obj(big_u)
+        f_big = self.fun.F.obj(big_u)
+        g_big = self.fun.G.obj(big_u)
         # alpha: F(inj_i) ; alpha = alpha_i ; inj_z_i, stacked and solved
         lhs = None
         rhs = None
         for x, iu, iz in zip(xs, inj_u, inj_z):
-            f_iu = self.fun.F_mor(iu)
+            f_iu = self.fun.F.mor(iu)
             lhs = f_iu.mat if lhs is None else lhs.stack(f_iu.mat)
             block = x.alpha.then(iz).mat
             rhs = block if rhs is None else rhs.stack(block)
@@ -514,7 +369,7 @@ class MVCategory:
         lhs_h = None
         rhs_h = None
         for x, pu, pz in zip(xs, proj_u, proj_z):
-            g_pu = self.fun.G_mor(pu)
+            g_pu = self.fun.G.mor(pu)
             lhs_h = g_pu.mat if lhs_h is None else lhs_h.hstack(g_pu.mat)
             block = pz.then(x.beta).mat
             rhs_h = block if rhs_h is None else rhs_h.hstack(block)
@@ -575,8 +430,8 @@ def mv_recollement(data: MVData, check: bool = True) -> Recollement:
     @memoize
     def i_embed_obj(z: RightModule) -> MVObject:
         zu = zero_module(data.u_algebra)
-        fz = fun.F_obj(zu)
-        gz = fun.G_obj(zu)
+        fz = fun.F.obj(zu)
+        gz = fun.G.obj(zu)
         return MVObject(
             zu, z,
             ModuleMap(fz, z, Matrix.zero(F, fz.dim, z.dim)),
@@ -625,19 +480,19 @@ def mv_recollement(data: MVData, check: bool = True) -> Recollement:
 
     @memoize
     def j_lower_obj(u: RightModule) -> MVObject:
-        fu = fun.F_obj(u)
+        fu = fun.F.obj(u)
         return MVObject(u, fu, identity_map(fu), fun.eps(u))
 
     def j_lower_mor(f: ModuleMap) -> MVMorphism:
-        return MVMorphism(j_lower_obj(f.source), j_lower_obj(f.target), f, fun.F_mor(f))
+        return MVMorphism(j_lower_obj(f.source), j_lower_obj(f.target), f, fun.F.mor(f))
 
     @memoize
     def j_roof_obj(u: RightModule) -> MVObject:
-        gu = fun.G_obj(u)
+        gu = fun.G.obj(u)
         return MVObject(u, gu, fun.eps(u), identity_map(gu))
 
     def j_roof_mor(f: ModuleMap) -> MVMorphism:
-        return MVMorphism(j_roof_obj(f.source), j_roof_obj(f.target), f, fun.G_mor(f))
+        return MVMorphism(j_roof_obj(f.source), j_roof_obj(f.target), f, fun.G.mor(f))
 
     # units and counits (all componentwise canonical)
     def unit_quot(x: MVObject) -> MVMorphism:
@@ -717,9 +572,9 @@ def mv_simples(data: MVData, check: bool = True) -> list[tuple[str, MVObject]]:
     """All simples: the embedded closed-side simples plus the intermediate
     extensions of the open-side simples.  Simplicity and pairwise
     non-isomorphism are asserted."""
-    cat = MVCategory(data, check=check)
+    r = mv_recollement(data, check=check)
+    cat = r.extras["mv_category"]
     out: list[tuple[str, MVObject]] = []
-    r = mv_recollement(data, check=False)
     for v in data.z_algebra.vertex_names:
         obj = r.i_embed(simple_module(data.z_algebra, v))
         assert _mv_is_simple(cat, r, obj), f"embedded simple at {v} is not simple"
@@ -795,13 +650,13 @@ def mv_subobject_pairs(cat: MVCategory, t: MVObject):
     for wu in all_submodule_spaces(t.x_u):
         for wz in all_submodule_spaces(t.x_z):
             sub_u, iu = submodule(t.x_u, wu)
-            f_iu = cat.fun.F_mor(iu)
+            f_iu = cat.fun.F.mor(iu)
             # alpha(F(W_u)) inside W_z
             carried = f_iu.then(t.alpha)
             if not all(wz.contains(carried.mat.row(i)) for i in range(carried.mat.rows)):
                 continue
             # beta(W_z) inside the image of G(W_u)
-            g_iu = cat.fun.G_mor(iu)
+            g_iu = cat.fun.G.mor(iu)
             img_rows = g_iu.mat.row_space()
             ok = True
             for i in range(wz.dim):

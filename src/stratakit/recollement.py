@@ -30,13 +30,13 @@ from .category import (
     Functor,
     ModuleCategory,
     exact_at,
-    factor_through_mono,
     is_epi,
     is_mono,
     mor_eq,
+    solve_in_hom,
 )
-from .linalg import Matrix, Subspace, intertwiner_basis
-from .modules import ModuleMap, RightModule, projective_cover
+from .linalg import Matrix, Subspace
+from .modules import Bimodule, ModuleMap, RightModule, corner_bimodules, memoize, projective_cover
 
 
 @dataclass
@@ -78,26 +78,6 @@ class Recollement:
     extras: dict = dc_field(default_factory=dict)
 
 
-def memoize(fn: Callable) -> Callable:
-    """``fn`` with its results kept per argument value.
-
-    For the object-level constructions of a recollement, which are pure and
-    deterministic in the (structurally hashed) argument, so an equal
-    argument may share the first result.  The dict lives in the returned
-    closure and is freed with whatever holds it, here one ``Recollement``.
-    """
-    store: dict = {}
-
-    def memo(x):
-        try:
-            return store[x]
-        except KeyError:
-            value = store[x] = fn(x)
-            return value
-
-    return memo
-
-
 @dataclass(frozen=True)
 class IdempotentRecollementData:
     algebra: Algebra
@@ -107,17 +87,28 @@ class IdempotentRecollementData:
     quotient: QuotientData
     e_a: Matrix  # basis rows of eA inside A
     a_e: Matrix  # basis rows of Ae inside A
+    ea: Bimodule  # eA over (eAe, A), on the basis e_a
+    ae: Bimodule  # Ae over (A, eAe), on the basis a_e
 
 
 def idempotent_recollement_data(a: Algebra, vertices: Sequence[str]) -> IdempotentRecollementData:
     vs = tuple(vertices)
     e = a.idempotent_sum(vs)
-    corner = corner_algebra(a, vs) if vs else None
+    if vs:
+        corner = corner_algebra(a, vs)
+        gamma, embed = corner.algebra, corner.embed
+    else:
+        # e = 0: the U side is the zero category, realized as modules over
+        # the zero algebra (quotient by the unit ideal)
+        corner = None
+        gamma = quotient_by_idempotent_ideal(a, list(a.vertex_names)).algebra
+        embed = Matrix.zero(a.field, 0, a.dim)
     quotient = quotient_by_idempotent_ideal(a, vs)
     e_a = a.left_mult_matrix(e).row_space().basis
     a_e = a.right_mult_matrix(e).row_space().basis
+    ea, ae = corner_bimodules(a, gamma, embed, e_a, a_e)
     return IdempotentRecollementData(
-        algebra=a, vertices=vs, e=e, corner=corner, quotient=quotient, e_a=e_a, a_e=a_e
+        algebra=a, vertices=vs, e=e, corner=corner, quotient=quotient, e_a=e_a, a_e=a_e, ea=ea, ae=ae
     )
 
 
@@ -129,12 +120,7 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
     corner = data.corner
     quot = data.quotient
     q_alg = quot.algebra
-    if corner is not None:
-        gamma = corner.algebra
-    else:
-        # e = 0: the U side is the zero category, realized as modules over
-        # the zero algebra (quotient by the unit ideal)
-        gamma = quotient_by_idempotent_ideal(a, list(a.vertex_names)).algebra
+    gamma = data.ea.left_algebra
 
     cat_c = ModuleCategory(a)
     cat_z = ModuleCategory(q_alg)
@@ -149,39 +135,13 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
     de = data.e_a.rows
     na = data.a_e.rows
 
-    # precomputed action tables on the bimodules eA and Ae
-    if corner is not None:
-        gamma_in_a = [corner.embed.row(s) for s in range(gamma.dim)]
-    else:
-        gamma_in_a = []
-
-    def _coords_in(basis: Matrix, vecs: Matrix) -> Matrix:
-        sol = basis.solve_left(vecs)
-        assert sol is not None, "vector left the bimodule span"
-        return sol
-
-    # left action of corner basis on eA / right action of corner basis on Ae
-    left_gamma_on_ea = []
-    right_gamma_on_ae = []
-    for s in range(gamma.dim if corner is not None else 0):
-        gs = gamma_in_a[s]
-        rows = [a.mul_vec(gs, data.e_a.row(j)) for j in range(de)]
-        left_gamma_on_ea.append(_coords_in(data.e_a, Matrix.from_rows(F, rows, cols=a.dim)))
-        rows = [a.mul_vec(data.a_e.row(t), gs) for t in range(na)]
-        right_gamma_on_ae.append(_coords_in(data.a_e, Matrix.from_rows(F, rows, cols=a.dim)))
-
-    # right action of A basis on eA / left action of A basis on Ae
-    right_a_on_ea = []
-    left_a_on_ae = []
-    for k in range(a.dim):
-        bk = a.basis_vec(k)
-        rows = [a.mul_vec(data.e_a.row(j), bk) for j in range(de)]
-        right_a_on_ea.append(_coords_in(data.e_a, Matrix.from_rows(F, rows, cols=a.dim)))
-        rows = [a.mul_vec(bk, data.a_e.row(t)) for t in range(na)]
-        left_a_on_ae.append(_coords_in(data.a_e, Matrix.from_rows(F, rows, cols=a.dim)))
-
-    e_in_ea = _coords_in(data.e_a, Matrix.from_rows(F, [e], cols=a.dim)).row(0) if de else ()
-    e_in_ae = _coords_in(data.a_e, Matrix.from_rows(F, [e], cols=a.dim)).row(0) if na else ()
+    gamma_in_a = [corner.embed.row(s) for s in range(gamma.dim)] if corner is not None else []
+    e_row = Matrix.from_rows(F, [e], cols=a.dim)
+    e_in_ea = data.e_a.solve_left(e_row).row(0) if de else ()
+    e_in_ae = data.a_e.solve_left(e_row).row(0) if na else ()
+    # j_lower = - (x)_Gamma eA and j_roof = Hom_Gamma(Ae, -)
+    tensor = data.ea.tensor_functor()
+    hom = data.ae.hom_functor()
 
     # ---- object/morphism constructions -----------------------------------
 
@@ -273,97 +233,6 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
         assert mat is not None
         return ModuleMap(i_right_obj(f.source), i_right_obj(f.target), mat)
 
-    # j_lower: X (x)_Gamma eA as a quotient of X (x)_k eA
-    @memoize
-    def tensor_relations(x: RightModule) -> Subspace:
-        dx = x.dim
-        vecs = []
-        for i in range(dx):
-            for s in range(gamma.dim):
-                xs = x.action[s].row(i)
-                ls = left_gamma_on_ea[s]
-                for j in range(de):
-                    vec = [F.zero] * (dx * de)
-                    for i2, c in enumerate(xs):
-                        if c != F.zero:
-                            vec[i2 * de + j] = F.add(vec[i2 * de + j], c)
-                    for j2 in range(de):
-                        c = ls[j, j2]
-                        if c != F.zero:
-                            vec[i * de + j2] = F.sub(vec[i * de + j2], c)
-                    vecs.append(tuple(vec))
-        return Subspace.span(F, vecs, dx * de) if vecs else Subspace.zero(F, dx * de)
-
-    def tensor_action_v(x: RightModule, k: int) -> Matrix:
-        dx = x.dim
-        rows = []
-        for i in range(dx):
-            for j in range(de):
-                row = [F.zero] * (dx * de)
-                rk = right_a_on_ea[k]
-                for j2 in range(de):
-                    c = rk[j, j2]
-                    if c != F.zero:
-                        row[i * de + j2] = c
-                rows.append(tuple(row))
-        return Matrix.from_rows(F, rows, cols=dx * de)
-
-    @memoize
-    def j_lower_obj(x: RightModule) -> RightModule:
-        W = tensor_relations(x)
-        projT, secT = W.quotient_maps()
-        acts = [secT @ tensor_action_v(x, k) @ projT for k in range(a.dim)]
-        return RightModule(a, projT.cols, tuple(acts))
-
-    def j_lower_mor(f: ModuleMap) -> ModuleMap:
-        x, y = f.source, f.target
-        dx, dy = x.dim, y.dim
-        rows = []
-        for i in range(dx):
-            for j in range(de):
-                row = [F.zero] * (dy * de)
-                for i2 in range(dy):
-                    c = f.mat[i, i2]
-                    if c != F.zero:
-                        row[i2 * de + j] = c
-                rows.append(tuple(row))
-        big = Matrix.from_rows(F, rows, cols=dy * de)
-        _, secX = tensor_relations(x).quotient_maps()
-        projY, _ = tensor_relations(y).quotient_maps()
-        return ModuleMap(j_lower_obj(x), j_lower_obj(y), secX @ big @ projY)
-
-    # j_roof: Hom_Gamma(Ae, X), stored via the flattened intertwiner basis
-    @memoize
-    def roof_basis(x: RightModule) -> tuple[Matrix, ...]:
-        pairs = [(right_gamma_on_ae[s], x.action[s]) for s in range(gamma.dim)]
-        return tuple(intertwiner_basis(F, pairs, na, x.dim))
-
-    def _roof_coords(basis: Sequence[Matrix], mats: list[Matrix], x: RightModule) -> Matrix:
-        if not basis:
-            return Matrix.from_rows(F, [], cols=0) if not mats else Matrix.zero(F, len(mats), 0)
-        flat_basis = Matrix.from_rows(F, [b.entries for b in basis], cols=na * x.dim)
-        flat_targets = Matrix.from_rows(F, [m.entries for m in mats], cols=na * x.dim)
-        sol = flat_basis.solve_left(flat_targets)
-        assert sol is not None, "map left the hom space"
-        return sol
-
-    @memoize
-    def j_roof_obj(x: RightModule) -> RightModule:
-        basis = roof_basis(x)
-        dj = len(basis)
-        acts = []
-        for k in range(a.dim):
-            imgs = [left_a_on_ae[k] @ phi for phi in basis]
-            acts.append(_roof_coords(basis, imgs, x) if dj else Matrix.zero(F, 0, 0))
-        return RightModule(a, dj, tuple(acts))
-
-    def j_roof_mor(f: ModuleMap) -> ModuleMap:
-        bx = roof_basis(f.source)
-        by = roof_basis(f.target)
-        imgs = [phi @ f.mat for phi in bx]
-        mat = _roof_coords(by, imgs, f.target) if by else Matrix.zero(F, len(bx), 0)
-        return ModuleMap(j_roof_obj(f.source), j_roof_obj(f.target), mat)
-
     # ---- units and counits -------------------------------------------------
 
     def unit_quot(m: RightModule) -> ModuleMap:
@@ -386,10 +255,10 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
 
     def unit_jl(x: RightModule) -> ModuleMap:
         # x |-> class(x (x) e) inside (j_lower x) e
-        tgt_parent = j_lower_obj(x)
+        tgt_parent = tensor.obj(x)
         tgt = j_restrict_obj(tgt_parent)
         B = restrict_space(tgt_parent).basis
-        projT, _ = tensor_relations(x).quotient_maps()
+        projT, _ = tensor.relations(x).quotient_maps()
         rows = []
         for i in range(x.dim):
             vec = [F.zero] * (x.dim * de)
@@ -415,16 +284,15 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
                 act = m.action_of(data.e_a.row(j))
                 rows.append(act.apply_row(v))
         big = Matrix.from_rows(F, rows, cols=m.dim)
-        W = tensor_relations(src_u)
+        W = tensor.relations(src_u)
         assert (W.basis @ big).is_zero, "counit not well defined on the tensor quotient"
         _, secT = W.quotient_maps()
-        return ModuleMap(j_lower_obj(src_u), m, secT @ big)
+        return ModuleMap(tensor.obj(src_u), m, secT @ big)
 
     def unit_jr(m: RightModule) -> ModuleMap:
         # m |-> (ae |-> m*(ae)) in Hom_Gamma(Ae, Me)
         mu = j_restrict_obj(m)
         BM = restrict_space(m).basis
-        basis = roof_basis(mu)
         mats = []
         for i in range(m.dim):
             rows = []
@@ -434,13 +302,12 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
                 assert coords is not None
                 rows.append(coords.row(0))
             mats.append(Matrix.from_rows(F, rows, cols=mu.dim))
-        mat = _roof_coords(basis, mats, mu) if basis else Matrix.zero(F, m.dim, 0)
-        return ModuleMap(m, j_roof_obj(mu), mat)
+        return ModuleMap(m, hom.obj(mu), hom.coords(mu, mats))
 
     def counit_jr(x: RightModule) -> ModuleMap:
         # phi |-> phi(e)
-        roof = j_roof_obj(x)
-        basis = roof_basis(x)
+        roof = hom.obj(x)
+        basis = hom.basis(x)
         src = j_restrict_obj(roof)
         B = restrict_space(roof).basis
         rows = []
@@ -464,8 +331,8 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
         i_left=Functor("i_left", cat_c, cat_z, i_left_obj, i_left_mor),
         i_right=Functor("i_right", cat_c, cat_z, i_right_obj, i_right_mor),
         j_restrict=Functor("j_restrict", cat_c, cat_u, j_restrict_obj, j_restrict_mor),
-        j_lower=Functor("j_lower", cat_u, cat_c, j_lower_obj, j_lower_mor),
-        j_roof=Functor("j_roof", cat_u, cat_c, j_roof_obj, j_roof_mor),
+        j_lower=Functor("j_lower", cat_u, cat_c, tensor.obj, tensor.mor),
+        j_roof=Functor("j_roof", cat_u, cat_c, hom.obj, hom.mor),
         unit_quot=unit_quot,
         counit_quot=counit_quot,
         unit_sub=unit_sub,
@@ -633,7 +500,11 @@ def intermediate_extension(r: Recollement, x) -> IntermediateExtension:
     """
     cat = r.cat_c
     counit = r.counit_jr(x)  # j_restrict(j_roof x) -> x, an iso by (R2)
-    inv = _invert(r.cat_u, counit)
+    ident = r.cat_u.identity(x)
+    inv = solve_in_hom(r.cat_u, x, counit.source, lambda g: g.then(counit), ident)
+    assert inv is not None, "morphism is not invertible"
+    assert mor_eq(inv.then(counit), ident)
+    assert mor_eq(counit.then(inv), r.cat_u.identity(counit.source))
     canon = r.j_lower.map(inv).then(r.counit_jl(r.j_roof(x)))
     img, epi, mono = cat.image(canon)
     assert r.cat_z.is_zero_obj(r.i_left(img)), "intermediate extension has a Z quotient"
@@ -642,23 +513,6 @@ def intermediate_extension(r: Recollement, x) -> IntermediateExtension:
     iso, _, _ = r.cat_u.is_isomorphic(back, x)
     assert iso, "j_restrict does not recover the argument"
     return IntermediateExtension(obj=img, from_lower=epi, into_roof=mono)
-
-
-def _invert(cat, f):
-    """Inverse of an isomorphism, via the hom space."""
-    basis = cat.hom_basis(f.target, f.source)
-    from .category import factor_combination
-
-    composed = [g.then(f) for g in basis]
-    coeffs = factor_combination(cat, composed, cat.identity(f.target))
-    assert coeffs is not None, "morphism is not invertible"
-    out = cat.zero_mor(f.target, f.source)
-    for c, g in zip(coeffs, basis):
-        if c != cat.field.zero:
-            out = out + g.scale(c)
-    assert mor_eq(out.then(f), cat.identity(f.target))
-    assert mor_eq(f.then(out), cat.identity(f.source))
-    return out
 
 
 @dataclass(frozen=True)
@@ -688,7 +542,7 @@ def canonical_ses(r: Recollement, m, side: str) -> CanonicalSES:
             raise SidePreconditionError(f"nonzero largest Z-quotient of dimension {r.cat_z.dim(bad)}")
         left = r.counit_sub(m)
         # factor the unit m -> j_roof j^* m through the image
-        h = factor_through_mono(cat, r.unit_jr(m), ie.into_roof)
+        h = solve_in_hom(cat, m, ie.obj, lambda g: g.then(ie.into_roof), r.unit_jr(m))
         assert h is not None, "unit does not factor through the intermediate extension"
         ses = CanonicalSES(left=left, right=h, sub=left.source, middle=m, quotient=ie.obj)
     elif side == "no-Z-subobjects":
@@ -697,7 +551,7 @@ def canonical_ses(r: Recollement, m, side: str) -> CanonicalSES:
             raise SidePreconditionError(f"nonzero largest Z-subobject of dimension {r.cat_z.dim(bad)}")
         right = r.unit_quot(m)
         # counit_jl factors as (j_lower j^* m ->> j_!*) ; (j_!* -> m)
-        h = _descend_through_epi(cat, r.counit_jl(m), ie.from_lower)
+        h = solve_in_hom(cat, ie.obj, m, lambda g: ie.from_lower.then(g), r.counit_jl(m))
         assert h is not None, "counit does not descend through the intermediate extension"
         ses = CanonicalSES(left=h, right=right, sub=ie.obj, middle=m, quotient=right.target)
     else:
@@ -706,26 +560,6 @@ def canonical_ses(r: Recollement, m, side: str) -> CanonicalSES:
     assert ses.left.then(ses.right).is_zero
     assert cat.dim(ses.sub) + cat.dim(ses.quotient) == cat.dim(ses.middle)
     return ses
-
-
-def _descend_through_epi(cat, f, epi):
-    """g with epi ; g = f (unique since epi is surjective)."""
-    basis = cat.hom_basis(epi.target, f.target)
-    if not basis:
-        if f.is_zero:
-            return cat.zero_mor(epi.target, f.target)
-        return None
-    composed = [epi.then(g) for g in basis]
-    from .category import factor_combination
-
-    coeffs = factor_combination(cat, composed, f)
-    if coeffs is None:
-        return None
-    out = cat.zero_mor(epi.target, f.target)
-    for c, g in zip(coeffs, basis):
-        if c != cat.field.zero:
-            out = out + g.scale(c)
-    return out
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,10 @@ test (two runs of the same code) cannot.  A file named
 
     stratakit check <fixture>.json --mode <mode> --seed 0
 
-run on the bundled fixture, and ``corpus.seed11.json`` that of
+run on the bundled fixture, or on ``<fixture>.input.json`` beside it for
+inputs that are not bundled (the C_3 radical-square-zero cycle over Q and
+an A_5 path algebra over GF(3), which reach paths the GF(2)/GF(3)
+fixtures do not), and ``corpus.seed11.json`` that of
 ``stratakit corpus --seed 11``.  Regenerate one only for an intended
 change of its report, and say so in the change.
 """
@@ -28,7 +31,11 @@ from stratakit.strat import Stratification
 GOLDEN = Path(__file__).parent / "golden"
 STRATIFIED = ("fix_a3", "fix_nak")
 MODES = ("recollement", "simples", "porism", "eps", "hw", "homological")
-CHECK_CASES = [(f, m) for f in STRATIFIED for m in MODES] + [("fix_mv_pair", "recollement")]
+# inputs kept in tests/golden/ as <name>.input.json
+EXTRA_CASES = [("c3_q", "eps"), ("c3_q", "homological"), ("a5_gf3", "recollement")]
+CHECK_CASES = ([(f, m) for f in STRATIFIED for m in MODES] + [("fix_mv_pair", "recollement")]
+               + EXTRA_CASES)
+WITH_STRATIFICATION = STRATIFIED + ("c3_q",)
 
 
 def run_counting(monkeypatch, argv):
@@ -48,6 +55,11 @@ def run_counting(monkeypatch, argv):
     return code, out.getvalue(), len(calls)
 
 
+def input_bytes(fixture: str) -> bytes:
+    extra = GOLDEN / f"{fixture}.input.json"
+    return extra.read_bytes() if extra.exists() else fixture_bytes(f"{fixture}.json")
+
+
 def expected_code(golden: str) -> int:
     return 0 if json.loads(golden)["summary"]["verdict"] == "PASS" else 2
 
@@ -55,7 +67,7 @@ def expected_code(golden: str) -> int:
 @pytest.mark.parametrize("fixture,mode", CHECK_CASES, ids=[f"{f}-{m}" for f, m in CHECK_CASES])
 def test_check_report_matches_golden(tmp_path, monkeypatch, fixture, mode):
     path = tmp_path / f"{fixture}.json"  # the report names the input by its file stem
-    path.write_bytes(fixture_bytes(f"{fixture}.json"))
+    path.write_bytes(input_bytes(fixture))
     golden = (GOLDEN / f"{fixture}.{mode}.json").read_text()
     code, out, structure_checks = run_counting(
         monkeypatch, ["check", str(path), "--mode", mode, "--seed", "0"])
@@ -63,7 +75,7 @@ def test_check_report_matches_golden(tmp_path, monkeypatch, fixture, mode):
     assert code == expected_code(golden)
     # the stratification is built and checked once, in validation, and then
     # shared with the mode's battery
-    assert structure_checks == (1 if fixture in STRATIFIED else 0)
+    assert structure_checks == (1 if fixture in WITH_STRATIFICATION else 0)
 
 
 def test_corpus_report_matches_golden(monkeypatch):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from stratakit.category import solve_in_hom
 from stratakit.corpus import load_fixture
 from stratakit.linalg import Matrix
 from stratakit.modules import simple_module
@@ -182,52 +183,18 @@ def test_universal_property_probes(all_data):
             # kernel: competing g: t -> x with g;f = 0 factor uniquely
             for g in cat.hom_basis(t, x):
                 if g.then(f).is_zero:
-                    h = _factor_through_mono(cat, g, k_mono)
+                    h = solve_in_hom(cat, t, k_obj, lambda h: h.then(k_mono), g)
                     assert h is not None
                     assert (h.then(k_mono) - g).is_zero
                     probes += 1
             # cokernel: competing g: y -> t with f;g = 0 descend uniquely
             for g in cat.hom_basis(y, t):
                 if f.then(g).is_zero:
-                    h = _descend(cat, g, c_epi)
+                    h = solve_in_hom(cat, c_obj, t, lambda h: c_epi.then(h), g)
                     assert h is not None
                     assert (c_epi.then(h) - g).is_zero
                     probes += 1
         assert probes >= 100, (fix, probes)
-
-
-def _factor_through_mono(cat, f, mono):
-    from stratakit.category import factor_combination
-
-    basis = cat.hom_basis(f.source, mono.source)
-    if not basis:
-        return cat.zero_mor(f.source, mono.source) if f.is_zero else None
-    composed = [h.then(mono) for h in basis]
-    coeffs = factor_combination(cat, composed, f)
-    if coeffs is None:
-        return None
-    out = cat.zero_mor(f.source, mono.source)
-    for c, h in zip(coeffs, basis):
-        if c != cat.field.zero:
-            out = out + h.scale(c)
-    return out
-
-
-def _descend(cat, f, epi):
-    from stratakit.category import factor_combination
-
-    basis = cat.hom_basis(epi.target, f.target)
-    if not basis:
-        return cat.zero_mor(epi.target, f.target) if f.is_zero else None
-    composed = [epi.then(h) for h in basis]
-    coeffs = factor_combination(cat, composed, f)
-    if coeffs is None:
-        return None
-    out = cat.zero_mor(epi.target, f.target)
-    for c, h in zip(coeffs, basis):
-        if c != cat.field.zero:
-            out = out + h.scale(c)
-    return out
 
 
 def test_invalid_theta_rejected():

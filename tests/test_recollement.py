@@ -1,10 +1,11 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
 
 from stratakit.algebra import opposite
-from stratakit.category import ModuleCategory, is_epi, is_mono
+from stratakit.category import ModuleCategory, is_epi, is_mono, solve_in_hom
 from stratakit.corpus import load_fixture
 from stratakit.linalg import Subspace
 from stratakit.modules import (
@@ -15,11 +16,13 @@ from stratakit.modules import (
     projective_module,
     simple_module,
     submodule,
+    validate_bimodule,
 )
 from stratakit.recollement import (
     SidePreconditionError,
     canonical_ses,
     cover_transport,
+    idempotent_recollement_data,
     intermediate_extension,
     make_idempotent_recollement,
     verify_recollement,
@@ -31,6 +34,24 @@ FIXTURES = ["FIX-A2", "FIX-A3", "FIX-NAK", "FIX-DUAL", "FIX-KRO", "FIX-LOOP"]
 
 def algebra(fix):
     return build_algebra(load_fixture(fix))
+
+
+@pytest.mark.parametrize("fix", ["FIX-A3", "FIX-NAK", "FIX-KRO"])
+def test_corner_bimodules_are_bimodules(fix):
+    """For every vertex subset, eA is a (eAe, A)-bimodule and Ae an
+    (A, eAe)-bimodule: sum e_v A and sum A e_v, of the dimensions of the
+    projectives and injectives at the subset."""
+    a = algebra(fix)
+    for k in range(len(a.vertex_names) + 1):
+        for vs in itertools.combinations(a.vertex_names, k):
+            data = idempotent_recollement_data(a, vs)
+            validate_bimodule(data.ea)
+            validate_bimodule(data.ae)
+            gamma = data.ea.left_algebra
+            assert gamma.vertex_names == vs
+            assert (data.ea.right_algebra, data.ae.left_algebra, data.ae.right_algebra) == (a, a, gamma)
+            assert data.ea.dim == sum(projective_module(a, v)[0].dim for v in vs)
+            assert data.ae.dim == sum(injective_module(a, v).dim for v in vs)
 
 
 @pytest.mark.parametrize("fix", FIXTURES)
@@ -224,10 +245,9 @@ def test_intermediate_extension_preserves_monos_epis():
                 ie_y = intermediate_extension(r, y)
                 # transport f through j_!*: epi_x ; j_!*(f) = j_lower(f) ; epi_y
                 lifted = r.j_lower.map(f).then(ie_y.from_lower)
-                from stratakit.recollement import _descend_through_epi
-
-                jf = _descend_through_epi(r.cat_c, lifted, ie_x.from_lower)
+                jf = solve_in_hom(r.cat_c, ie_x.obj, ie_y.obj, lambda h: ie_x.from_lower.then(h), lifted)
                 assert jf is not None
+                assert (ie_x.from_lower.then(jf) - lifted).is_zero
                 if is_mono(cat_u, f):
                     assert is_mono(r.cat_c, jf)
                 if is_epi(cat_u, f):
