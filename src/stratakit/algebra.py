@@ -185,12 +185,7 @@ class Algebra:
         return tuple(self.basis_vec(i) for i in range(self.dim))
 
 
-def build_bound_quiver_algebra(
-    pres: Presentation,
-    field: Field,
-    length_bound: int = DEFAULT_LENGTH_BOUND,
-    path_cap: int = PATH_CAP,
-) -> Algebra:
+def build_bound_quiver_algebra(pres: Presentation, field: Field) -> Algebra:
     """Build the path algebra of the quiver modulo the relation ideal.
 
     Relations must be admissible: every term is a composable path of length
@@ -198,7 +193,8 @@ def build_bound_quiver_algebra(
     basis consists of the path classes that survive reduction, ordered by
     (length, lexicographic arrow sequence); the construction is
     deterministic.  Raises ``PossiblyInfiniteError`` if the surviving path
-    classes do not stabilize below ``length_bound``.
+    classes do not stabilize below ``DEFAULT_LENGTH_BOUND``, or if more than
+    ``PATH_CAP`` paths are enumerated on the way.
     """
     quiver = pres.quiver
     F = field
@@ -248,9 +244,9 @@ def build_bound_quiver_algebra(
                 for a in out_arrows[tgt]:
                     nxt.append((src, arrows + (a,)))
             total += len(nxt)
-            if total > path_cap:
+            if total > PATH_CAP:
                 raise PossiblyInfiniteError(
-                    f"more than {path_cap} paths below length {upto}"
+                    f"more than {PATH_CAP} paths below length {upto}"
                 )
             by_len.append(nxt)
         return by_len
@@ -283,7 +279,7 @@ def build_bound_quiver_algebra(
                                 comp = (x[0], x[1] + parr + y[1])
                                 vec[coord_of[comp]] = F.add(vec[coord_of[comp]], c)
                             gens.append(tuple(vec))
-        ideal = Subspace.span(F, gens, ncoords) if gens else Subspace.zero(F, ncoords)
+        ideal = Subspace.span(F, gens, ncoords)
 
         pivots = set()
         for i in range(ideal.dim):
@@ -295,9 +291,9 @@ def build_bound_quiver_algebra(
         if level >= 2 * s + max_rel_len:
             break
         nxt = max(2 * s + max_rel_len, level + 1)
-        if nxt > length_bound:
+        if nxt > DEFAULT_LENGTH_BOUND:
             raise PossiblyInfiniteError(
-                f"path classes still growing at length {level} (bound {length_bound})"
+                f"path classes still growing at length {level} (bound {DEFAULT_LENGTH_BOUND})"
             )
         level = nxt
 
@@ -575,7 +571,7 @@ def quotient_by_idempotent_ideal(a: Algebra, vertices: Sequence[str]) -> Quotien
             v = a.mul_vec(bie, a.basis_vec(j))
             if any(x != F.zero for x in v):
                 vecs.append(v)
-    ideal = Subspace.span(F, vecs, a.dim) if vecs else Subspace.zero(F, a.dim)
+    ideal = Subspace.span(F, vecs, a.dim)
 
     # ideal stability (single pass suffices; assert it)
     for r in range(ideal.dim):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import Algebra, opposite
+from .algebra import opposite
 from .category import ModuleCategory, solve_in_hom
 from .homological import ext, ext_dim, projective_resolution, reduce_cocycle
 from .linalg import Matrix
@@ -33,15 +33,15 @@ from .modules import (
     kernel,
     projective_cover,
     projective_module,
+    restrict_map,
+    restrict_scalars,
     simple_module,
-    structural_series,
 )
 from .strat import (
     Poset,
     Stratification,
     StratificationError,
     filtration_search,
-    inflate_module,
 )
 
 
@@ -161,21 +161,14 @@ def ext_comparison(
         raise ValueError("inner must be contained in outer")
     lift = _inflation_lift(s, inner, outer)
     outer_alg = s.lower_algebra(outer).algebra
-
-    def inflate(mod):
-        return inflate_module(outer_alg, lift, mod)
-
-    def inflate_map_(f: ModuleMap) -> ModuleMap:
-        return ModuleMap(inflate(f.source), inflate(f.target), f.mat)
-
-    ix, iy = inflate(x), inflate(y)
+    ix, iy = restrict_scalars(x, outer_alg, lift), restrict_scalars(y, outer_alg, lift)
     res_in = projective_resolution(x, degree + 1)
     res_out = projective_resolution(ix, degree + 1)
 
     # chain map u_k: outer P_k -> inflated inner P_k over the identity
     u: list[ModuleMap] = []
     cat = ModuleCategory(outer_alg)
-    aug_in = inflate_map_(res_in.augmentation)
+    aug_in = restrict_map(res_in.augmentation, outer_alg, lift)
     u0 = solve_in_hom(cat, res_out.augmentation.source, aug_in.source, lambda h: h.then(aug_in),
                       res_out.augmentation)
     if u0 is None:
@@ -183,7 +176,7 @@ def ext_comparison(
     u.append(u0)
     for k in range(1, degree + 1):
         target_map = res_out.differential(k).then(u[k - 1])
-        dk_in = inflate_map_(res_in.differential(k))
+        dk_in = restrict_map(res_in.differential(k), outer_alg, lift)
         uk = solve_in_hom(cat, target_map.source, dk_in.source, lambda h: h.then(dk_in), target_map)
         assert uk is not None, "comparison lift does not exist"
         u.append(uk)
@@ -192,7 +185,7 @@ def ext_comparison(
     space_out = ext(ix, iy, degree)
     rows = []
     for cls in space_in.classes:
-        pulled = u[degree].then(inflate_map_(cls.cocycle))
+        pulled = u[degree].then(restrict_map(cls.cocycle, outer_alg, lift))
         rows.append(reduce_cocycle(space_out, pulled))
     F = s.algebra.field
     rank = Matrix.from_rows(F, rows, cols=space_out.dim).rank() if rows else 0
@@ -274,8 +267,8 @@ def is_k_homological(
                 outer_alg = s.lower_algebra(outer).algebra
                 for v in inner_alg.vertex_names:
                     for w in inner_alg.vertex_names:
-                        ip = inflate_module(outer_alg, lift, projective_module(inner_alg, v)[0])
-                        ii = inflate_module(outer_alg, lift, injective_module(inner_alg, w))
+                        ip = restrict_scalars(projective_module(inner_alg, v)[0], outer_alg, lift)
+                        ii = restrict_scalars(injective_module(inner_alg, w), outer_alg, lift)
                         for n in range(1, n_max + 1):
                             if ext_dim(ip, ii, n) != 0:
                                 return HomologicalVerdict(
@@ -468,13 +461,7 @@ class HighestWeightResult:
         return self.structure_route.verdict
 
 
-def is_highest_weight(
-    algebra: Algebra,
-    poset: Poset,
-    rho: dict[str, str],
-    oracle: bool | None = None,
-    strat: Stratification | None = None,
-) -> HighestWeightResult:
+def is_highest_weight(s: Stratification, oracle: bool | None = None) -> HighestWeightResult:
     """Highest-weight detection by two routes that must agree.
 
     Structure route: every stratum algebra is one-dimensional (split form
@@ -483,13 +470,12 @@ def is_highest_weight(
     stratum simple and check the four classical axioms, with the kernel
     filtrations searched exhaustively over finite fields.
     """
-    s = strat if strat is not None else Stratification(algebra, poset, rho, check=True)
     if oracle is None:
-        oracle = algebra.field.is_finite
+        oracle = s.algebra.field.is_finite
 
     # route A: structure
     bad = None
-    for lam in poset.elements:
+    for lam in s.poset.elements:
         d = s.stratum(lam).algebra.dim
         if d != 1:
             bad = {"stratum": lam, "stratum_dim": d}
@@ -535,7 +521,7 @@ def _axiom_route(s: Stratification, oracle: bool) -> RouteVerdict:
     for lam in poset.elements:
         b = per_stratum[lam][0]
         p_b, _ = projective_module(s.algebra, b)
-        epi = _surjection_onto_local(p_b, delta[lam])
+        epi = next((h for h in hom_basis(p_b, delta[lam]) if h.is_surjective()), None)
         if epi is None:
             return RouteVerdict(False, {"failure": "HW3", "stratum": lam,
                                         "note": "no surjection onto the standard object"})
@@ -555,12 +541,3 @@ def _axiom_route(s: Stratification, oracle: bool) -> RouteVerdict:
     if tops != set(s.algebra.vertex_names):
         return RouteVerdict(False, {"failure": "HW4"})
     return RouteVerdict(True, None)
-
-
-def _surjection_onto_local(source: RightModule, target: RightModule) -> ModuleMap | None:
-    """A surjection source ->> target for target with simple top, if any."""
-    top_proj = structural_series(target).top_projection
-    for h in hom_basis(source, target):
-        if not h.then(top_proj).is_zero:
-            return h
-    return None

@@ -17,6 +17,7 @@ from .modules import (
     ModuleMap,
     RightModule,
     cokernel,
+    combine,
     direct_sum,
     hom_basis,
     identity_map,
@@ -153,8 +154,4 @@ def solve_in_hom(cat, source, target, compose, goal):
     sol = T.solve_left(Matrix.from_rows(F, [cat.mor_coords(goal)], cols=ncols))
     if sol is None:
         return None
-    out = cat.zero_mor(source, target)
-    for c, h in zip(sol.row(0), basis):
-        if c != F.zero:
-            out = out + h.scale(c)
-    return out
+    return combine(sol.row(0), basis, cat.zero_mor(source, target))

@@ -263,7 +263,7 @@ def checks_eps(s: Stratification, oracle: bool | None = None) -> list[Check]:
 
 
 def checks_hw(s: Stratification, oracle: bool | None = None) -> list[Check]:
-    res = is_highest_weight(s.algebra, s.poset, s.rho, oracle=oracle, strat=s)
+    res = is_highest_weight(s, oracle=oracle)
     if not res.agreement:
         return [Check(
             "highest-weight",

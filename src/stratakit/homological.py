@@ -29,6 +29,7 @@ from .modules import (
     ModuleMap,
     RightModule,
     cokernel,
+    combine,
     direct_sum,
     hom_basis,
     identity_map,
@@ -141,14 +142,14 @@ def ext(m: RightModule, n: RightModule, degree: int) -> ExtSpace:
     for h in homs:
         if d_in.source.dim == 0 or d_in.then(h).is_zero:
             cocycle_vecs.append(_flatten(h))
-    cocycles = Subspace.span(F, cocycle_vecs, ambient) if cocycle_vecs else Subspace.zero(F, ambient)
+    cocycles = Subspace.span(F, cocycle_vecs, ambient)
 
     cob_vecs = []
     if degree >= 1:
         d_here = res.differential(degree)  # P_n -> P_{n-1}
         for g in hom_basis(res.term(degree - 1), n):
             cob_vecs.append(_flatten(d_here.then(g)))
-    coboundaries = Subspace.span(F, cob_vecs, ambient) if cob_vecs else Subspace.zero(F, ambient)
+    coboundaries = Subspace.span(F, cob_vecs, ambient)
 
     # canonical complement: reduce each cocycle basis vector mod coboundaries,
     # take the RREF of the reductions, lift back through the section
@@ -275,14 +276,9 @@ def _connecting_map(ses: ShortExactSequence, res: Resolution) -> ModuleMap:
 
 
 def make_class(space: ExtSpace, coords) -> ExtClass:
-    F = space.source.algebra.field
-    res = projective_resolution(space.source, space.degree + 1)
-    p_n = res.term(space.degree)
-    mat = Matrix.zero(F, p_n.dim, space.target.dim)
-    for c, cls in zip(coords, space.classes):
-        if c != F.zero:
-            mat = mat + cls.cocycle.mat.scale(c)
-    return ExtClass(space.degree, space.source, space.target, ModuleMap(p_n, space.target, mat))
+    p_n = projective_resolution(space.source, space.degree + 1).term(space.degree)
+    cocycle = combine(coords, [cls.cocycle for cls in space.classes], zero_map(p_n, space.target))
+    return ExtClass(space.degree, space.source, space.target, cocycle)
 
 
 def classes_equal(space: ExtSpace, a: ExtClass, b: ExtClass) -> bool:

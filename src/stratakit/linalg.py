@@ -110,9 +110,6 @@ class Field:
             return pow(a, -1, self.p)
         return Fraction(1) / a
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def elements(self) -> Iterator[int]:
         """Iterate all field elements (finite fields only)."""
         if self.kind != "GF":
@@ -186,9 +183,6 @@ class Matrix:
 
     def row_list(self) -> list[tuple]:
         return [self.row(i) for i in range(self.rows)]
-
-    def col(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
     @property
     def is_zero(self) -> bool:
@@ -459,6 +453,8 @@ class Subspace:
     @staticmethod
     def span(field: Field, vectors: Iterable[Sequence], ambient: int) -> "Subspace":
         rows = [tuple(v) for v in vectors]
+        if not rows:
+            return Subspace.zero(field, ambient)
         return Subspace.from_matrix(Matrix.from_rows(field, rows, cols=ambient))
 
     @property

@@ -16,10 +16,10 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .algebra import Algebra, opposite
-from .linalg import Matrix, Subspace, intertwiner_basis
+from .linalg import Field, Matrix, Subspace, intertwiner_basis
 
 
 def memoize(fn: Callable) -> Callable:
@@ -43,6 +43,19 @@ def memoize(fn: Callable) -> Callable:
     return memo
 
 
+def combine(coeffs: Sequence, items: Sequence, zero):
+    """``zero`` plus the sum of c * x over the pairs (c, x) with c nonzero.
+
+    ``items`` are matrices or morphisms (anything with ``scale`` and ``+``);
+    ``zero`` fixes the result when every coefficient is zero.
+    """
+    out = zero
+    for c, x in zip(coeffs, items):
+        if c != 0:
+            out = out + x.scale(c)
+    return out
+
+
 @dataclass(frozen=True)
 class RightModule:
     algebra: Algebra
@@ -51,12 +64,7 @@ class RightModule:
 
     def action_of(self, a: Sequence) -> Matrix:
         """Action matrix of an arbitrary algebra element (coordinate vector)."""
-        F = self.algebra.field
-        out = Matrix.zero(F, self.dim, self.dim)
-        for k, c in enumerate(a):
-            if c != F.zero:
-                out = out + self.action[k].scale(c)
-        return out
+        return combine(a, self.action, Matrix.zero(self.algebra.field, self.dim, self.dim))
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -115,31 +123,6 @@ def zero_map(m: RightModule, n: RightModule) -> ModuleMap:
     return ModuleMap(m, n, Matrix.zero(m.algebra.field, m.dim, n.dim))
 
 
-def module_from_action(algebra: Algebra, action: Sequence[Matrix], check: bool = True) -> RightModule:
-    action = tuple(action)
-    if len(action) != algebra.dim:
-        raise ValueError("need one action matrix per algebra basis element")
-    dim = action[0].rows if action else 0
-    m = RightModule(algebra, dim, action)
-    if check and dim > 0:
-        _check_module(m)
-    return m
-
-
-def _check_module(m: RightModule) -> None:
-    A = m.algebra
-    F = A.field
-    ident = Matrix.identity(F, m.dim)
-    if m.action_of(A.unit) != ident:
-        raise ValueError("unit does not act as the identity")
-    for i in range(A.dim):
-        for j in range(A.dim):
-            if m.action[i] @ m.action[j] != m.action_of(A.mult[i][j]):
-                raise ValueError(
-                    f"action not multiplicative on ({A.basis_labels[i]}, {A.basis_labels[j]})"
-                )
-
-
 def zero_module(algebra: Algebra) -> RightModule:
     F = algebra.field
     return RightModule(algebra, 0, tuple(Matrix.zero(F, 0, 0) for _ in range(algebra.dim)))
@@ -168,6 +151,24 @@ def submodule(m: RightModule, space: Subspace) -> tuple[RightModule, ModuleMap]:
         mats.append(X)
     sub = RightModule(m.algebra, space.dim, tuple(mats))
     return sub, ModuleMap(sub, m, B)
+
+
+def restrict_scalars(m: RightModule, algebra: Algebra, rows: Matrix) -> RightModule:
+    """``m`` as a module over ``algebra`` along a linear map into m's algebra.
+
+    Row k of ``rows`` is the image of basis element k of ``algebra``, which
+    then acts on m's space as that image does.  This is a module when the
+    map is an algebra map (a projection onto a quotient algebra); for a
+    section of one, or the embedding of a corner eAe, the caller passes to
+    the sub- or quotient space of m on which it is.
+    """
+    return RightModule(algebra, m.dim, tuple(m.action_of(rows.row(k)) for k in range(algebra.dim)))
+
+
+def restrict_map(f: ModuleMap, algebra: Algebra, rows: Matrix) -> ModuleMap:
+    """``f`` between the restricted modules: the same matrix."""
+    return ModuleMap(restrict_scalars(f.source, algebra, rows),
+                     restrict_scalars(f.target, algebra, rows), f.mat)
 
 
 def quotient_module(m: RightModule, space: Subspace) -> tuple[RightModule, ModuleMap]:
@@ -256,8 +257,27 @@ def hom_basis(m: RightModule, n: RightModule) -> list[ModuleMap]:
     return [ModuleMap(m, n, mat) for mat in intertwiner_basis(F, pairs, dm, dn)]
 
 
-def hom_dim(m: RightModule, n: RightModule) -> int:
-    return len(hom_basis(m, n))
+def hom_combinations(basis: Sequence, field: Field, exhaustive: bool) -> Iterator:
+    """Deterministic candidate combinations of a hom basis, for searches
+    for an isomorphism, a surjection or a filtration layer.
+
+    Exhaustive (finite fields only): every nonzero combination up to a
+    scalar, in ``itertools.product`` order of the coefficient tuples, each
+    normalized so its first nonzero coefficient is 1 (scaling changes
+    neither kernels, images nor invertibility).  Heuristic: the basis
+    elements, then the pairwise sums b_i + b_j with i < j.
+    """
+    if not exhaustive:
+        yield from basis
+        for i, j in itertools.combinations(range(len(basis)), 2):
+            yield basis[i] + basis[j]
+        return
+    if not field.is_finite:
+        raise ValueError("exhaustive hom-space search needs a finite field")
+    for coeffs in itertools.product(range(field.p), repeat=len(basis)):
+        i = next((k for k, c in enumerate(coeffs) if c != 0), None)
+        if i is not None and coeffs[i] == 1:
+            yield combine(coeffs[i + 1:], basis[i + 1:], basis[i])
 
 
 # -- bimodules and their tensor/hom functors ------------------------------------
@@ -279,20 +299,10 @@ class Bimodule:
     right_action: tuple[Matrix, ...]
 
     def left_of(self, vec: Sequence) -> Matrix:
-        F = self.left_algebra.field
-        out = Matrix.zero(F, self.dim, self.dim)
-        for k, c in enumerate(vec):
-            if c != F.zero:
-                out = out + self.left_action[k].scale(c)
-        return out
+        return combine(vec, self.left_action, Matrix.zero(self.left_algebra.field, self.dim, self.dim))
 
     def right_of(self, vec: Sequence) -> Matrix:
-        F = self.right_algebra.field
-        out = Matrix.zero(F, self.dim, self.dim)
-        for k, c in enumerate(vec):
-            if c != F.zero:
-                out = out + self.right_action[k].scale(c)
-        return out
+        return combine(vec, self.right_action, Matrix.zero(self.right_algebra.field, self.dim, self.dim))
 
     def tensor_functor(self) -> "TensorFunctor":
         """X |-> X (x)_L B from right L-modules to right R-modules (L, R the
@@ -325,7 +335,7 @@ class Bimodule:
                             if c != F.zero:
                                 vec[i * db + j2] = F.sub(vec[i * db + j2], c)
                         vecs.append(tuple(vec))
-            return Subspace.span(F, vecs, dx * db) if vecs else Subspace.zero(F, dx * db)
+            return Subspace.span(F, vecs, dx * db)
 
         @memoize
         def obj(x: RightModule) -> RightModule:
@@ -461,12 +471,21 @@ def corner_bimodules(
 
 def radical_subspace(m: RightModule) -> Subspace:
     A = m.algebra
-    F = A.field
     vecs = []
     for r in range(A.radical.dim):
         mat = m.action_of(A.radical.basis.row(r))
         vecs.extend(mat.row_list())
-    return Subspace.span(F, vecs, m.dim) if vecs else Subspace.zero(F, m.dim)
+    return Subspace.span(A.field, vecs, m.dim)
+
+
+def trace_space(m: RightModule, e: Sequence) -> Subspace:
+    """M e A, the smallest submodule of m containing M e: the span of the
+    rows of act(e) @ act(b_k) over the basis b_k of the algebra."""
+    act_e = m.action_of(e)
+    vecs = []
+    for k in range(m.algebra.dim):
+        vecs.extend((act_e @ m.action[k]).row_list())
+    return Subspace.span(m.algebra.field, vecs, m.dim)
 
 
 def socle_subspace(m: RightModule) -> Subspace:
@@ -700,41 +719,19 @@ def is_isomorphic(m: RightModule, n: RightModule) -> IsoResult:
     if not hmn:
         return IsoResult(False, None, "Hom(m,n) = 0")
 
-    def check(coeffs) -> ModuleMap | None:
-        mat = Matrix.zero(F, m.dim, n.dim)
-        for c, h in zip(coeffs, hmn):
-            if c != F.zero:
-                mat = mat + h.mat.scale(c)
-        if mat.rank() == m.dim:
-            return ModuleMap(m, n, mat)
-        return None
-
-    # deterministic scan: single basis elements, then pairwise sums
-    for i in range(len(hmn)):
-        cand = check([F.one if j == i else F.zero for j in range(len(hmn))])
-        if cand:
-            return IsoResult(True, cand, "basis element")
-    for i, j in itertools.combinations(range(len(hmn)), 2):
-        coeffs = [F.zero] * len(hmn)
-        coeffs[i] = coeffs[j] = F.one
-        cand = check(coeffs)
-        if cand:
-            return IsoResult(True, cand, "sum of basis elements")
-
+    for cand in hom_combinations(hmn, F, False):
+        if cand.is_isomorphism():
+            return IsoResult(True, cand, "basis element or pairwise sum")
     if F.is_finite and F.p ** len(hmn) <= ISO_EXHAUSTION_CAP:
-        for coeffs in itertools.product(range(F.p), repeat=len(hmn)):
-            if all(c == 0 for c in coeffs):
-                continue
-            cand = check(coeffs)
-            if cand:
+        for cand in hom_combinations(hmn, F, True):
+            if cand.is_isomorphism():
                 return IsoResult(True, cand, "exhaustive search")
         return IsoResult(False, None, "exhaustive search over Hom(m,n) found no isomorphism")
 
     rng = random.Random(0xC0FFEE + m.dim * 7919 + len(hmn))
     for _ in range(ISO_RANDOM_TRIES):
-        coeffs = [F.of(rng.randint(-3, 3)) for _ in range(len(hmn))]
-        cand = check(coeffs)
-        if cand:
+        cand = combine([F.of(rng.randint(-3, 3)) for _ in range(len(hmn))], hmn, zero_map(m, n))
+        if cand.is_isomorphism():
             return IsoResult(True, cand, "pseudorandom combination")
     raise UndecidedIsomorphism(
         "invariants agree but no invertible combination found within the retry bound"

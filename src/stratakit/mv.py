@@ -23,9 +23,12 @@ from typing import Sequence
 from .algebra import Algebra
 from .linalg import Matrix, Subspace
 from .modules import (
+    ISO_EXHAUSTION_CAP,
     Bimodule,
     ModuleMap,
     RightModule,
+    combine,
+    hom_combinations,
     memoize,
     simple_module,
     validate_bimodule,
@@ -265,25 +268,9 @@ class MVCategory:
         ker = T.left_kernel()
         from .modules import zero_map
 
-        out = []
-        for i in range(ker.dim):
-            coeffs = ker.basis.row(i)
-            fu = None
-            for c, h in zip(coeffs[:nu], hu):
-                if c != F.zero:
-                    fu = h.scale(c) if fu is None else fu + h.scale(c)
-            fz = None
-            for c, h in zip(coeffs[nu:], hz):
-                if c != F.zero:
-                    fz = h.scale(c) if fz is None else fz + h.scale(c)
-            out.append(
-                MVMorphism(
-                    x, y,
-                    fu if fu is not None else zero_map(x.x_u, y.x_u),
-                    fz if fz is not None else zero_map(x.x_z, y.x_z),
-                )
-            )
-        return out
+        zu, zz = zero_map(x.x_u, y.x_u), zero_map(x.x_z, y.x_z)
+        return [MVMorphism(x, y, combine(coeffs[:nu], hu, zu), combine(coeffs[nu:], hz, zz))
+                for coeffs in ker.basis.row_list()]
 
     # kernels, cokernels, images ------------------------------------------------
 
@@ -392,26 +379,18 @@ class MVCategory:
             return (self.dim(x) == 0), (self.identity(x) if self.dim(x) == 0 else None), "hom space zero"
         F = self.field
 
-        def try_coeffs(coeffs):
-            f = self.zero_mor(x, y)
-            for c, h in zip(coeffs, basis):
-                if c != F.zero:
-                    f = f + h.scale(c)
-            if f.f_u.rank() == x.x_u.dim and f.f_z.rank() == x.x_z.dim:
-                return f
-            return None
+        def invertible(f: MVMorphism) -> bool:
+            return f.f_u.rank() == x.x_u.dim and f.f_z.rank() == x.x_z.dim
 
-        for i in range(len(basis)):
-            got = try_coeffs([F.one if j == i else F.zero for j in range(len(basis))])
-            if got:
-                return True, got, "basis element"
-        if F.is_finite and F.p ** len(basis) <= 4096:
-            for coeffs in itertools.product(range(F.p), repeat=len(basis)):
-                got = try_coeffs([F.of(c) for c in coeffs])
-                if got:
-                    return True, got, "exhaustive search"
+        for f in hom_combinations(basis, F, False):
+            if invertible(f):
+                return True, f, "basis element or pairwise sum"
+        if F.is_finite and F.p ** len(basis) <= ISO_EXHAUSTION_CAP:
+            for f in hom_combinations(basis, F, True):
+                if invertible(f):
+                    return True, f, "exhaustive search"
             return False, None, "exhaustive search found no isomorphism"
-        return False, None, "no isomorphism among basis elements (heuristic)"
+        return False, None, "no isomorphism among basis elements and pairwise sums (heuristic)"
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ an idempotent e = sum of vertex idempotents of a split basic algebra A:
 with (i_left -| i_embed -| i_right) and (j_lower -| j_restrict -| j_roof)
 adjoint triples:
 
-    i_embed     inflation along A ->> A/AeA
+    i_embed     restriction of scalars along A ->> A/AeA
     i_left      M |-> M/(M e A)              (largest quotient killed by e)
     i_right     M |-> {m : m e A = 0}        (largest submodule killed by e)
     j_restrict  M |-> M e                     over the corner algebra eAe
@@ -36,7 +36,18 @@ from .category import (
     solve_in_hom,
 )
 from .linalg import Matrix, Subspace
-from .modules import Bimodule, ModuleMap, RightModule, corner_bimodules, memoize, projective_cover
+from .modules import (
+    Bimodule,
+    ModuleMap,
+    RightModule,
+    corner_bimodules,
+    memoize,
+    projective_cover,
+    quotient_module,
+    restrict_scalars,
+    submodule,
+    trace_space,
+)
 
 
 @dataclass
@@ -85,6 +96,7 @@ class IdempotentRecollementData:
     e: tuple
     corner: CornerData
     quotient: QuotientData
+    embed: Matrix  # basis rows of eAe inside A (none for e = 0)
     e_a: Matrix  # basis rows of eA inside A
     a_e: Matrix  # basis rows of Ae inside A
     ea: Bimodule  # eA over (eAe, A), on the basis e_a
@@ -108,7 +120,8 @@ def idempotent_recollement_data(a: Algebra, vertices: Sequence[str]) -> Idempote
     a_e = a.right_mult_matrix(e).row_space().basis
     ea, ae = corner_bimodules(a, gamma, embed, e_a, a_e)
     return IdempotentRecollementData(
-        algebra=a, vertices=vs, e=e, corner=corner, quotient=quotient, e_a=e_a, a_e=a_e, ea=ea, ae=ae
+        algebra=a, vertices=vs, e=e, corner=corner, quotient=quotient, embed=embed,
+        e_a=e_a, a_e=a_e, ea=ea, ae=ae,
     )
 
 
@@ -117,7 +130,6 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
     data = idempotent_recollement_data(a, vertices)
     F = a.field
     e = data.e
-    corner = data.corner
     quot = data.quotient
     q_alg = quot.algebra
     gamma = data.ea.left_algebra
@@ -135,7 +147,6 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
     de = data.e_a.rows
     na = data.a_e.rows
 
-    gamma_in_a = [corner.embed.row(s) for s in range(gamma.dim)] if corner is not None else []
     e_row = Matrix.from_rows(F, [e], cols=a.dim)
     e_in_ea = data.e_a.solve_left(e_row).row(0) if de else ()
     e_in_ae = data.a_e.solve_left(e_row).row(0) if na else ()
@@ -143,7 +154,9 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
     tensor = data.ea.tensor_functor()
     hom = data.ae.hom_functor()
 
-    # ---- object/morphism constructions -----------------------------------
+    # ---- object/morphism constructions: each object map restricts scalars
+    # along an algebra map (or a section or corner embedding, on the
+    # subquotient where it is one)
 
     @memoize
     def restrict_space(m: RightModule) -> Subspace:
@@ -151,14 +164,7 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
 
     @memoize
     def j_restrict_obj(m: RightModule) -> RightModule:
-        B = restrict_space(m).basis
-        acts = []
-        for s in range(gamma.dim):
-            img = B @ m.action_of(gamma_in_a[s])
-            X = B.solve_left(img)
-            assert X is not None
-            acts.append(X)
-        return RightModule(gamma, B.rows, tuple(acts))
+        return submodule(restrict_scalars(m, gamma, data.embed), restrict_space(m))[0]
 
     def j_restrict_mor(f: ModuleMap) -> ModuleMap:
         BM = restrict_space(f.source).basis
@@ -169,31 +175,18 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
 
     @memoize
     def i_embed_obj(z: RightModule) -> RightModule:
-        acts = [z.action_of(quot.projection.row(k)) for k in range(a.dim)]
-        return RightModule(a, z.dim, tuple(acts))
+        return restrict_scalars(z, a, quot.projection)
 
     def i_embed_mor(f: ModuleMap) -> ModuleMap:
         return ModuleMap(i_embed_obj(f.source), i_embed_obj(f.target), f.mat)
 
     @memoize
     def killed_space(m: RightModule) -> Subspace:
-        # M e A, spanned by (rows of act(e)) @ act(b_k)
-        act_e = m.action_of(e)
-        vecs = []
-        for k in range(a.dim):
-            prod = act_e @ m.action[k]
-            vecs.extend(prod.row_list())
-        return Subspace.span(F, vecs, m.dim) if vecs else Subspace.zero(F, m.dim)
+        return trace_space(m, e)  # M e A
 
     @memoize
     def i_left_obj(m: RightModule) -> RightModule:
-        W = killed_space(m)
-        projW, secW = W.quotient_maps()
-        acts = []
-        for k in range(q_alg.dim):
-            lift = quot.section.row(k)
-            acts.append(secW @ m.action_of(lift) @ projW)
-        return RightModule(q_alg, projW.cols, tuple(acts))
+        return quotient_module(restrict_scalars(m, q_alg, quot.section), killed_space(m))[0]
 
     def i_left_mor(f: ModuleMap) -> ModuleMap:
         WM, WN = killed_space(f.source), killed_space(f.target)
@@ -215,16 +208,7 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
 
     @memoize
     def i_right_obj(m: RightModule) -> RightModule:
-        S = sub_space(m)
-        B = S.basis
-        acts = []
-        for k in range(q_alg.dim):
-            lift = quot.section.row(k)
-            img = B @ m.action_of(lift)
-            X = B.solve_left(img)
-            assert X is not None
-            acts.append(X)
-        return RightModule(q_alg, B.rows, tuple(acts))
+        return submodule(restrict_scalars(m, q_alg, quot.section), sub_space(m))[0]
 
     def i_right_mor(f: ModuleMap) -> ModuleMap:
         BM = sub_space(f.source).basis
@@ -305,22 +289,12 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
         return ModuleMap(m, hom.obj(mu), hom.coords(mu, mats))
 
     def counit_jr(x: RightModule) -> ModuleMap:
-        # phi |-> phi(e)
+        # phi |-> phi(e): the values at e of the basis maps, combined by the
+        # coordinates of each basis vector of (j_roof x) e
         roof = hom.obj(x)
-        basis = hom.basis(x)
-        src = j_restrict_obj(roof)
-        B = restrict_space(roof).basis
-        rows = []
-        for r in range(src.dim):
-            coeffs = B.row(r)
-            val = [F.zero] * x.dim
-            for c, phi in zip(coeffs, basis):
-                if c != F.zero:
-                    contrib = Matrix.from_rows(F, [e_in_ae], cols=na) @ phi
-                    for idx, xval in enumerate(contrib.row(0)):
-                        val[idx] = F.add(val[idx], F.mul(c, xval))
-            rows.append(tuple(val))
-        return ModuleMap(src, x, Matrix.from_rows(F, rows, cols=x.dim))
+        at_e = Matrix.from_rows(F, [e_in_ae], cols=na)
+        values = Matrix.from_rows(F, [(at_e @ phi).row(0) for phi in hom.basis(x)], cols=x.dim)
+        return ModuleMap(j_restrict_obj(roof), x, restrict_space(roof).basis @ values)
 
     label = f"e=({'+'.join(data.vertices) if data.vertices else '0'}) in {'x'.join(a.vertex_names)}"
     return Recollement(
@@ -372,23 +346,16 @@ class RecollementReport:
         return [r for r in self.results if not r.ok]
 
 
-def verify_recollement(
-    r: Recollement,
-    center_samples: Sequence[tuple[str, object]],
-    z_samples: Sequence[tuple[str, object]] | None = None,
-    u_samples: Sequence[tuple[str, object]] | None = None,
-) -> RecollementReport:
+def verify_recollement(r: Recollement, center_samples: Sequence[tuple[str, object]]) -> RecollementReport:
     """Check (R1)-(R4) on the given sample objects.
 
     The axioms quantify over all objects; this runs them on a finite sample
-    list (named in the report).  Defaults: the Z/U samples are the images
-    of the center samples under i_left and j_restrict.
+    list (named in the report).  The Z/U samples are the images of the
+    center samples under i_left and j_restrict.
     """
     out: list[CheckResult] = []
-    if z_samples is None:
-        z_samples = [(f"i_left({n})", r.i_left(x)) for n, x in center_samples]
-    if u_samples is None:
-        u_samples = [(f"j_restrict({n})", r.j_restrict(x)) for n, x in center_samples]
+    z_samples = [(f"i_left({n})", r.i_left(x)) for n, x in center_samples]
+    u_samples = [(f"j_restrict({n})", r.j_restrict(x)) for n, x in center_samples]
 
     def record(axiom, subject, thunk, note=""):
         # a corrupted functor package may fail to even typecheck; that is a

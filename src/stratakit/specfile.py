@@ -211,8 +211,5 @@ def load_spec(path: str | Path) -> tuple[AlgebraSpec, bytes]:
     return parse_spec(data, name=Path(path).stem), raw
 
 
-def build_algebra(spec: AlgebraSpec, length_bound: int | None = None) -> Algebra:
-    kwargs = {}
-    if length_bound is not None:
-        kwargs["length_bound"] = length_bound
-    return build_bound_quiver_algebra(spec.presentation, spec.field, **kwargs)
+def build_algebra(spec: AlgebraSpec) -> Algebra:
+    return build_bound_quiver_algebra(spec.presentation, spec.field)

@@ -29,15 +29,19 @@ from .modules import (
     ModuleMap,
     RightModule,
     hom_basis,
+    hom_combinations,
     image,
     is_isomorphic,
     kernel,
     projective_cover,
     projective_module,
     quotient_module,
+    restrict_map,
+    restrict_scalars,
     simple_module,
     structural_series,
     submodule,
+    trace_space,
 )
 from .recollement import (
     Recollement,
@@ -122,24 +126,6 @@ class Poset:
         return tuple(order)
 
 
-def inflate_module(to_algebra: Algebra, lift_rows: Matrix, m: RightModule) -> RightModule:
-    """Inflation along an algebra surjection T ->> S given by its matrix.
-
-    ``lift_rows`` has one row per basis element of T: the coordinates of its
-    image in S.  The result is the T-module with the same underlying space.
-    """
-    acts = tuple(m.action_of(lift_rows.row(k)) for k in range(to_algebra.dim))
-    return RightModule(to_algebra, m.dim, acts)
-
-
-def inflate_map(to_algebra: Algebra, lift_rows: Matrix, f: ModuleMap) -> ModuleMap:
-    return ModuleMap(
-        inflate_module(to_algebra, lift_rows, f.source),
-        inflate_module(to_algebra, lift_rows, f.target),
-        f.mat,
-    )
-
-
 @dataclass(frozen=True)
 class LayerWitness:
     """One layer of a filtration certificate.
@@ -209,47 +195,14 @@ def verify_filtration_certificate(cert: "FiltrationCertificate") -> bool:
         if layer.mode == "exact-layers":
             if not is_isomorphic(quotient_layer, allowed).isomorphic:
                 return False
-        else:
-            found = False
-            for h in _candidate_maps(hom_basis(allowed, quotient_layer), F, F.is_finite):
-                if h.is_surjective():
-                    found = True
-                    break
-            if not found:
-                return False
+        elif not any(h.is_surjective()
+                     for h in hom_combinations(hom_basis(allowed, quotient_layer), F, F.is_finite)):
+            return False
         prev = layer.above
     return prev == Subspace.full(F, m.dim)
 
 
 FILTRATION_NODE_CAP = 200_000
-
-
-def _candidate_maps(maps, field, oracle: bool):
-    """Deterministic candidate combinations of a hom basis.
-
-    Oracle mode (finite fields): every nonzero combination, normalized so
-    the first nonzero coefficient is 1 (scaling changes neither kernels nor
-    images).  Heuristic mode: basis elements and pairwise sums.
-    """
-    n = len(maps)
-    if n == 0:
-        return
-    if oracle:
-        for coeffs in itertools.product(range(field.p), repeat=n):
-            first = next((c for c in coeffs if c != 0), None)
-            if first != 1:
-                continue
-            out = None
-            for c, h in zip(coeffs, maps):
-                if c != 0:
-                    piece = h.scale(c)
-                    out = piece if out is None else out + piece
-            yield out
-    else:
-        for h in maps:
-            yield h
-        for i, j in itertools.combinations(range(n), 2):
-            yield maps[i] + maps[j]
 
 
 def filtration_search(
@@ -312,7 +265,7 @@ def _search_exact(m, allowed, oracle, budget, embed=None):
         if obj.dim > m.dim:
             continue
         top_proj = structural_series(obj).top_projection
-        for h in _candidate_maps(hom_basis(m, obj), F, oracle):
+        for h in hom_combinations(hom_basis(m, obj), F, oracle):
             _spend(budget)
             if h.then(top_proj).is_zero:
                 continue  # cannot be onto a local module
@@ -335,7 +288,7 @@ def _search_quotient(m, allowed, oracle, budget, proj=None, orig=None):
         return []
     below = proj.left_kernel()
     for name, obj in allowed:
-        for phi in _candidate_maps(hom_basis(obj, m), F, oracle):
+        for phi in hom_combinations(hom_basis(obj, m), F, oracle):
             _spend(budget)
             if phi.is_zero:
                 continue
@@ -399,9 +352,7 @@ class Stratification:
         self.rho = dict(rho)
         self.epsilon = dict(epsilon) if epsilon is not None else None
         self._lower: dict[frozenset, QuotientData] = {}
-        self._strata: dict[str, CornerData] = {}
-        self._recollements: dict[str, Recollement] = {}
-        self._layer_recollements: dict[tuple[frozenset, str], Recollement] = {}
+        self._layers: dict[tuple[frozenset, str], Recollement] = {}
         self._opposite: Stratification | None = None
         self._standard_cache: dict[str, StandardObjects] | None = None
         self._checked = False
@@ -413,9 +364,6 @@ class Stratification:
     def vertices_of(self, lam: str) -> list[str]:
         return [v for v in self.algebra.vertex_names if self.rho[v] == lam]
 
-    def vertices_in(self, lower: frozenset[str]) -> list[str]:
-        return [v for v in self.algebra.vertex_names if self.rho[v] in lower]
-
     def lower_algebra(self, lower: frozenset[str]) -> QuotientData:
         lower = frozenset(lower)
         if not self.poset.is_lower(lower):
@@ -426,31 +374,24 @@ class Stratification:
         return self._lower[lower]
 
     def stratum(self, lam: str) -> CornerData:
-        if lam not in self._strata:
-            below = self.lower_algebra(self.poset.down(lam))
-            self._strata[lam] = corner_algebra(below.algebra, self.vertices_of(lam))
-        return self._strata[lam]
+        """The stratum algebra at lam: the corner of A_{<=lam} at its vertices."""
+        return self.principal_recollement(lam).extras["idempotent_data"].corner
 
     def principal_recollement(self, lam: str) -> Recollement:
         """The recollement of mod-A_{<=lam} at the stratum idempotent."""
-        if lam not in self._recollements:
-            below = self.lower_algebra(self.poset.down(lam))
-            self._recollements[lam] = make_idempotent_recollement(
-                below.algebra, self.vertices_of(lam)
-            )
-        return self._recollements[lam]
+        return self.layer_recollement(self.poset.down(lam), lam)
 
     def layer_recollement(self, lower: frozenset[str], lam: str) -> Recollement:
         """Recollement of mod-A_{lower} at a maximal element lam of lower."""
         if lam not in self.poset.maximal_in(frozenset(lower)):
             raise StratificationError(f"{lam} is not maximal in {sorted(lower)}")
         key = (frozenset(lower), lam)
-        if key not in self._layer_recollements:
+        if key not in self._layers:
             b = self.lower_algebra(lower)
-            self._layer_recollements[key] = make_idempotent_recollement(
+            self._layers[key] = make_idempotent_recollement(
                 b.algebra, self.vertices_of(lam)
             )
-        return self._layer_recollements[key]
+        return self._layers[key]
 
     def opposite(self) -> "Stratification":
         """The same poset and labeling over the opposite algebra (unchecked)."""
@@ -460,26 +401,16 @@ class Stratification:
             )
         return self._opposite
 
-    # -- the global j-functors (through the principal lower set) ------------
-
-    def j_bang(self, lam: str, x: RightModule) -> RightModule:
-        r = self.principal_recollement(lam)
-        below = self.lower_algebra(self.poset.down(lam))
-        return inflate_module(self.algebra, _lift_rows(below), r.j_lower(x))
-
-    def j_star(self, lam: str, x: RightModule) -> RightModule:
-        r = self.principal_recollement(lam)
-        below = self.lower_algebra(self.poset.down(lam))
-        return inflate_module(self.algebra, _lift_rows(below), r.j_roof(x))
+    # -- the global intermediate extension (through the principal lower set) --
 
     def j_intermediate(self, lam: str, x: RightModule) -> RightModule:
         r = self.principal_recollement(lam)
         below = self.lower_algebra(self.poset.down(lam))
-        return inflate_module(self.algebra, _lift_rows(below), intermediate_extension(r, x).obj)
+        return restrict_scalars(intermediate_extension(r, x).obj, self.algebra, below.projection)
 
     # -- structure checks ----------------------------------------------------
 
-    def run_structure_checks(self, deep: bool = False) -> list[tuple[str, str]]:
+    def run_structure_checks(self) -> list[tuple[str, str]]:
         """(S1)-(S3) instance checks; raises on violation, returns notes."""
         notes: list[tuple[str, str]] = []
         empty = self.lower_algebra(frozenset())
@@ -588,23 +519,22 @@ class Stratification:
             lam = self.rho[b]
             gamma = self.stratum(lam).algebra
             r = self.principal_recollement(lam)
-            below = self.lower_algebra(self.poset.down(lam))
-            lift = _lift_rows(below)
+            lift = self.lower_algebra(self.poset.down(lam)).projection
 
             l_gamma = simple_module(gamma, b)
             p_cover = projective_cover(l_gamma)
             i_env = injective_envelope(l_gamma)
 
-            std = inflate_module(self.algebra, lift, r.j_lower(p_cover.projective))
-            proper_std = inflate_module(self.algebra, lift, r.j_lower(l_gamma))
-            costd = inflate_module(self.algebra, lift, r.j_roof(i_env.injective))
-            proper_costd = inflate_module(self.algebra, lift, r.j_roof(l_gamma))
+            std = restrict_scalars(r.j_lower(p_cover.projective), self.algebra, lift)
+            proper_std = restrict_scalars(r.j_lower(l_gamma), self.algebra, lift)
+            costd = restrict_scalars(r.j_roof(i_env.injective), self.algebra, lift)
+            proper_costd = restrict_scalars(r.j_roof(l_gamma), self.algebra, lift)
 
-            std_to_proper = inflate_map(self.algebra, lift, r.j_lower.map(p_cover.cover_map))
+            std_to_proper = restrict_map(r.j_lower.map(p_cover.cover_map), self.algebra, lift)
             ie = intermediate_extension(r, l_gamma)
-            proper_to_simple = inflate_map(self.algebra, lift, ie.from_lower)
-            simple_to_proper = inflate_map(self.algebra, lift, ie.into_roof)
-            proper_to_costd = inflate_map(self.algebra, lift, r.j_roof.map(i_env.envelope_map))
+            proper_to_simple = restrict_map(ie.from_lower, self.algebra, lift)
+            simple_to_proper = restrict_map(ie.into_roof, self.algebra, lift)
+            proper_to_costd = restrict_map(r.j_roof.map(i_env.envelope_map), self.algebra, lift)
 
             fam = StandardObjects(
                 vertex=b,
@@ -651,11 +581,6 @@ class Stratification:
                             )
 
 
-def _lift_rows(q: QuotientData) -> Matrix:
-    """Rows: image in the quotient algebra of each parent basis element."""
-    return q.projection
-
-
 @dataclass(frozen=True)
 class SynthesisAudit:
     layer: str
@@ -696,7 +621,7 @@ def synthesize_projective_cover(
     # base layer: transported stratum cover inside A_{first i0+1 elements}
     base_lower = frozenset(order[: i0 + 1])
     base_alg_data = s.lower_algebra(base_lower)
-    r0 = make_idempotent_recollement(base_alg_data.algebra, s.vertices_of(lam_t))
+    r0 = s.layer_recollement(base_lower, lam_t)
     gamma = r0.extras["idempotent_data"].corner.algebra
     stratum_cover = projective_cover(simple_module(gamma, t))
     current = r0.j_lower(stratum_cover.projective)
@@ -715,9 +640,8 @@ def synthesize_projective_cover(
         lower = frozenset(order[: i + 1])
         b_data = s.lower_algebra(lower)
         prev_data = s.lower_algebra(frozenset(order[:i]))
-        # inflate along A_lower ->> A_prev (through A-representatives)
-        lift = b_data.section @ prev_data.projection
-        current = inflate_module(b_data.algebra, lift, current)
+        # restrict scalars along A_lower ->> A_prev (through A-representatives)
+        current = restrict_scalars(current, b_data.algebra, b_data.section @ prev_data.projection)
 
         layer_vertices = s.vertices_of(lam)
         layer_simples = [simple_module(b_data.algebra, u) for u in layer_vertices]
@@ -785,12 +709,7 @@ def porism_check(s: Stratification, b: str, oracle: bool | None = None) -> Poris
     lam = s.rho[b]
     p_b, _ = projective_module(s.algebra, b)
     outside = [v for v in s.algebra.vertex_names if not s.poset.leq(s.rho[v], lam)]
-    e_out = s.algebra.idempotent_sum(outside)
-    act_e = p_b.action_of(e_out)
-    vecs = []
-    for k in range(s.algebra.dim):
-        vecs.extend((act_e @ p_b.action[k]).row_list())
-    w = Subspace.span(s.algebra.field, vecs, p_b.dim) if vecs else Subspace.zero(s.algebra.field, p_b.dim)
+    w = trace_space(p_b, s.algebra.idempotent_sum(outside))
     q_mod, _ = submodule(p_b, w)
     quo, _ = quotient_module(p_b, w)
     fams = s.standard_objects()

@@ -192,14 +192,16 @@ def test_criterion_7_highest_weight(strats):
     # hereditary fixtures: YES under all total orders
     poset2 = Poset.from_pairs(["x", "y"], [("x", "y")])
     for rho in ({"1": "x", "2": "y"}, {"1": "y", "2": "x"}):
-        res = is_highest_weight(strats["FIX-A2"].algebra, poset2, rho)
+        res = is_highest_weight(Stratification(strats["FIX-A2"].algebra, poset2, rho))
         ok = ok and res.verdict and res.agreement
     poset3 = Poset.from_pairs(["x", "y", "z"], [("x", "y"), ("y", "z"), ("x", "z")])
     for perm in itertools.permutations(["x", "y", "z"]):
-        res = is_highest_weight(strats["FIX-A3"].algebra, poset3, dict(zip(("1", "2", "3"), perm)))
+        res = is_highest_weight(
+            Stratification(strats["FIX-A3"].algebra, poset3, dict(zip(("1", "2", "3"), perm))))
         ok = ok and res.verdict and res.agreement
     # FIX-DUAL and FIX-NAK: NO under every admissible labeling
-    res = is_highest_weight(strats["FIX-DUAL"].algebra, Poset.from_pairs(["l"], []), {"1": "l"})
+    res = is_highest_weight(
+        Stratification(strats["FIX-DUAL"].algebra, Poset.from_pairs(["l"], []), {"1": "l"}))
     ok = ok and not res.verdict and res.agreement
     nak = strats["FIX-NAK"].algebra
     labelings = [(Poset.from_pairs(["l"], []), {"1": "l", "2": "l"}),
@@ -207,7 +209,7 @@ def test_criterion_7_highest_weight(strats):
     for rho in ({"1": "x", "2": "y"}, {"1": "y", "2": "x"}):
         labelings.append((poset2, rho))
     for poset, rho in labelings:
-        res = is_highest_weight(nak, poset, rho)
+        res = is_highest_weight(Stratification(nak, poset, rho))
         ok = ok and not res.verdict and res.agreement
     report(7, "hereditary fixtures highest weight under all total orders; dual numbers and "
               "the radical-square-zero cycle never; both routes agree everywhere", ok)

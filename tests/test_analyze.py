@@ -188,13 +188,13 @@ def test_highest_weight_hereditary(strats):
     a2 = strats["FIX-A2"].algebra
     for rho in ({"1": "x", "2": "y"}, {"1": "y", "2": "x"}):
         poset = Poset.from_pairs(["x", "y"], [("x", "y")])
-        res = is_highest_weight(a2, poset, rho)
+        res = is_highest_weight(Stratification(a2, poset, rho))
         assert res.verdict and res.agreement
     a3 = strats["FIX-A3"].algebra
     poset3 = Poset.from_pairs(["x", "y", "z"], [("x", "y"), ("y", "z"), ("x", "z")])
     for perm in itertools.permutations(["x", "y", "z"]):
         rho = dict(zip(("1", "2", "3"), perm))
-        res = is_highest_weight(a3, poset3, rho)
+        res = is_highest_weight(Stratification(a3, poset3, rho))
         assert res.verdict and res.agreement
 
 
@@ -208,13 +208,13 @@ def nak_labelings():
 def test_highest_weight_nak_never(strats):
     nak = strats["FIX-NAK"].algebra
     for poset, rho in nak_labelings():
-        res = is_highest_weight(nak, poset, rho)
+        res = is_highest_weight(Stratification(nak, poset, rho))
         assert not res.verdict and res.agreement, (rho, res)
 
 
 def test_highest_weight_dual_never(strats):
     dual = strats["FIX-DUAL"].algebra
-    res = is_highest_weight(dual, Poset.from_pairs(["l"], []), {"1": "l"})
+    res = is_highest_weight(Stratification(dual, Poset.from_pairs(["l"], []), {"1": "l"}))
     assert not res.verdict and res.agreement
     assert res.structure_route.witness["failure"] == "stratum not one-dimensional"
 
@@ -222,7 +222,7 @@ def test_highest_weight_dual_never(strats):
 def test_highest_weight_loop_kro_not(strats):
     for fix in ("FIX-LOOP", "FIX-KRO"):
         s = strats[fix]
-        res = is_highest_weight(s.algebra, s.poset, s.rho, strat=s)
+        res = is_highest_weight(s)
         assert not res.verdict and res.agreement
 
 
@@ -234,7 +234,7 @@ def test_monotone_consistency(strats):
         all_eps = all(is_epsilon_stratified(s, e).verdict for e in sign_patterns(s.poset))
         strata_ok = all(s.stratum(lam).algebra.dim == 1 for lam in s.poset.elements)
         homological = is_k_homological(s, 2).holds
-        hw = is_highest_weight(s.algebra, s.poset, s.rho, strat=s).verdict
+        hw = is_highest_weight(s).verdict
         if all_eps and strata_ok and homological:
             assert hw, fix
         if hw:

@@ -10,9 +10,11 @@ test (two runs of the same code) cannot.  A file named
     stratakit check <fixture>.json --mode <mode> --seed 0
 
 run on the bundled fixture, or on ``<fixture>.input.json`` beside it for
-inputs that are not bundled (the C_3 radical-square-zero cycle over Q and
-an A_5 path algebra over GF(3), which reach paths the GF(2)/GF(3)
-fixtures do not), and ``corpus.seed11.json`` that of
+inputs that are not bundled (the C_3 radical-square-zero cycle over Q, its
+twin over GF(3) and an A_5 path algebra over GF(3), which reach paths the
+GF(2)/GF(3) fixtures do not: the porism reports of the two C_3 inputs pin
+the heuristic and the exhaustive order of the hom-space search), and
+``corpus.seed11.json`` that of
 ``stratakit corpus --seed 11``.  Regenerate one only for an intended
 change of its report, and say so in the change.
 """
@@ -32,10 +34,11 @@ GOLDEN = Path(__file__).parent / "golden"
 STRATIFIED = ("fix_a3", "fix_nak")
 MODES = ("recollement", "simples", "porism", "eps", "hw", "homological")
 # inputs kept in tests/golden/ as <name>.input.json
-EXTRA_CASES = [("c3_q", "eps"), ("c3_q", "homological"), ("a5_gf3", "recollement")]
+EXTRA_CASES = [("c3_q", "eps"), ("c3_q", "homological"), ("c3_q", "porism"),
+               ("c3_gf3", "porism"), ("c3_gf3", "eps"), ("a5_gf3", "recollement")]
 CHECK_CASES = ([(f, m) for f in STRATIFIED for m in MODES] + [("fix_mv_pair", "recollement")]
                + EXTRA_CASES)
-WITH_STRATIFICATION = STRATIFIED + ("c3_q",)
+WITH_STRATIFICATION = STRATIFIED + ("c3_q", "c3_gf3")
 
 
 def run_counting(monkeypatch, argv):

@@ -1,14 +1,18 @@
+import itertools
 import random
 
 import pytest
 
+from stratakit.algebra import quotient_by_idempotent_ideal
 from stratakit.corpus import load_fixture
+from stratakit.linalg import Matrix
 from stratakit.modules import (
     ModuleMap,
     cokernel,
     direct_sum,
     dual_module,
     hom_basis,
+    hom_combinations,
     identity_map,
     image,
     injective_envelope,
@@ -19,12 +23,13 @@ from stratakit.modules import (
     projective_module,
     quotient_module,
     regular_module,
+    restrict_scalars,
     simple_module,
     structural_series,
     submodule,
     zero_map,
 )
-from stratakit.specfile import build_algebra
+from stratakit.specfile import build_algebra, parse_spec
 
 
 @pytest.fixture(scope="module")
@@ -301,3 +306,63 @@ def test_composition_associative(a2):
         assert f.then(g).then(h).mat == f.then(g.then(h)).mat
         checked += 1
     assert checked > 20
+
+
+def unit_hom_basis(field: dict) -> list[ModuleMap]:
+    """The basis of Hom(S, S^3) over the one-vertex algebra: the maps whose
+    1 x 3 matrices are the unit rows, so a combination's matrix entries are
+    its coefficients."""
+    a = build_algebra(parse_spec({"field": field, "quiver": {"vertices": ["1"], "arrows": []},
+                                  "relations": []}))
+    s = simple_module(a, "1")
+    basis = hom_basis(s, direct_sum([s, s, s])[0])
+    assert [h.mat.entries for h in basis] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    return basis
+
+
+# the candidate sequences of the search these replace, on the basis above
+HEURISTIC = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
+EXHAUSTIVE_GF3 = [(0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2), (1, 0, 0), (1, 0, 1), (1, 0, 2),
+                  (1, 1, 0), (1, 1, 1), (1, 1, 2), (1, 2, 0), (1, 2, 1), (1, 2, 2)]
+
+
+@pytest.mark.parametrize("field", [{"kind": "GF", "p": 3}, {"kind": "Q"}], ids=["GF3", "Q"])
+def test_hom_combinations_heuristic_order(field):
+    basis = unit_hom_basis(field)
+    got = [h.mat.entries for h in hom_combinations(basis, basis[0].mat.field, False)]
+    n = len(basis)
+    assert got == HEURISTIC and len(got) == n + n * (n - 1) // 2
+
+
+def test_hom_combinations_exhaustive_order_gf3():
+    basis = unit_hom_basis({"kind": "GF", "p": 3})
+    got = [h.mat.entries for h in hom_combinations(basis, basis[0].mat.field, True)]
+    # every nonzero coefficient tuple up to scalar, first nonzero entry 1
+    assert got == EXHAUSTIVE_GF3 and len(got) == (3 ** 3 - 1) // (3 - 1)
+    assert all(next(c for c in t if c) == 1 for t in got)
+
+
+def test_hom_combinations_exhaustive_over_q_raises():
+    basis = unit_hom_basis({"kind": "Q"})
+    with pytest.raises(ValueError):
+        list(hom_combinations(basis, basis[0].mat.field, True))
+
+
+def test_restrict_scalars_along_quotient_projection(a3):
+    """Each simple, projective and injective of A/AeA, restricted along the
+    projection A ->> A/AeA, is an A-module that e kills."""
+    F = a3.field
+    for k in range(len(a3.vertex_names) + 1):
+        for vs in itertools.combinations(a3.vertex_names, k):
+            quot = quotient_by_idempotent_ideal(a3, vs)
+            q = quot.algebra
+            e = a3.idempotent_sum(vs)
+            for v in q.vertex_names:
+                for x in (simple_module(q, v), projective_module(q, v)[0], injective_module(q, v)):
+                    m = restrict_scalars(x, a3, quot.projection)
+                    assert m.algebra == a3 and m.dim == x.dim
+                    assert m.action_of(e).is_zero
+                    assert m.action_of(a3.unit) == Matrix.identity(F, m.dim)
+                    for i in range(a3.dim):
+                        for j in range(a3.dim):
+                            assert m.action[i] @ m.action[j] == m.action_of(a3.mult[i][j])

@@ -291,5 +291,5 @@ def test_rational_field_end_to_end():
     for eps in sign_patterns(poset):
         res = is_epsilon_stratified(s, eps, oracle=False)
         assert res.agreement and res.verdict
-    hw = is_highest_weight(a, poset, ss.rho, oracle=False, strat=s)
+    hw = is_highest_weight(s, oracle=False)
     assert hw.verdict and hw.agreement
