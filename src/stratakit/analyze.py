@@ -213,17 +213,14 @@ class HomologicalVerdict:
     table: tuple[tuple, ...] = ()
 
 
-def is_k_homological(
-    s: Stratification, k: int, n_max: int | None = None, deep: bool = False
-) -> HomologicalVerdict:
+def is_k_homological(s: Stratification, k: int, deep: bool = False) -> HomologicalVerdict:
     """Every recollement in the stratification data is k-homological.
 
     Per (lower set, maximal element) pair, the comparison is tested on all
     pairs of simples of the inner lower-set algebra for degrees up to k;
     passage from simples to all finite-length objects is by long-exact-
     sequence induction (recorded, and re-run on the projectives and
-    injectives when ``deep``).  With ``n_max`` set, additionally checks
-    the vanishing Ext^n(iP, iI) = 0 for 1 <= n <= n_max.
+    injectives when ``deep``).
     """
     checked = 0
     table: list[tuple] = []
@@ -262,24 +259,6 @@ def is_k_homological(
                             note="comparison fails on a pair of inner simples",
                             table=tuple(table),
                         )
-            if n_max is not None:
-                lift = _inflation_lift(s, inner, outer)
-                outer_alg = s.lower_algebra(outer).algebra
-                for v in inner_alg.vertex_names:
-                    for w in inner_alg.vertex_names:
-                        ip = restrict_scalars(projective_module(inner_alg, v)[0], outer_alg, lift)
-                        ii = restrict_scalars(injective_module(inner_alg, w), outer_alg, lift)
-                        for n in range(1, n_max + 1):
-                            if ext_dim(ip, ii, n) != 0:
-                                return HomologicalVerdict(
-                                    k=k, holds=False,
-                                    witness={
-                                        "lower_set": sorted(outer), "stratum": lam,
-                                        "projective_at": v, "injective_at": w, "degree": n,
-                                    },
-                                    checked_pairs=checked,
-                                    note="auxiliary vanishing Ext^n(iP, iI) fails",
-                                )
     note = (
         "comparison checked on inner simples; extension to all finite-length "
         "objects is by induction on composition series"
@@ -309,19 +288,20 @@ class RouteVerdict:
 
 
 @dataclass(frozen=True)
-class EpsilonStratifiedResult:
-    epsilon: tuple[tuple[str, str], ...]
-    theorem_route: RouteVerdict | None
-    direct_delta: RouteVerdict | None
-    direct_nabla: RouteVerdict | None
-    agreement: bool
+class Decision:
+    """One decision reached by independent routes, keyed by route name in
+    report order.  The routes must agree; a disagreement is reported by the
+    caller, never resolved here."""
+
+    routes: dict[str, RouteVerdict]
+
+    @property
+    def agreement(self) -> bool:
+        return len({r.verdict for r in self.routes.values()}) == 1
 
     @property
     def verdict(self) -> bool:
-        for r in (self.theorem_route, self.direct_delta, self.direct_nabla):
-            if r is not None:
-                return r.verdict
-        raise ValueError("no route was run")
+        return next(iter(self.routes.values())).verdict
 
 
 def _theorem_route(s: Stratification, eps: dict[str, str]) -> RouteVerdict:
@@ -337,7 +317,7 @@ def _theorem_route(s: Stratification, eps: dict[str, str]) -> RouteVerdict:
     return RouteVerdict(True, None)
 
 
-def _direct_delta_route(s: Stratification, eps: dict[str, str], oracle: bool) -> RouteVerdict:
+def _direct_delta_route(s: Stratification, eps: dict[str, str]) -> RouteVerdict:
     fams = s.standard_objects()
     for b in s.algebra.vertex_names:
         allowed = [
@@ -346,19 +326,19 @@ def _direct_delta_route(s: Stratification, eps: dict[str, str], oracle: bool) ->
             if s.poset.leq(s.rho[b], s.rho[c])
         ]
         p_b, _ = projective_module(s.algebra, b)
-        cert = filtration_search(p_b, allowed, mode="exact-layers", oracle=oracle)
+        cert = filtration_search(p_b, allowed, mode="exact-layers")
         if cert is None:
             return RouteVerdict(False, {"failure": "no sign-standard filtration",
                                         "projective_at": b})
     return RouteVerdict(True, None)
 
 
-def _direct_nabla_route(s: Stratification, eps: dict[str, str], oracle: bool) -> RouteVerdict:
+def _direct_nabla_route(s: Stratification, eps: dict[str, str]) -> RouteVerdict:
     """Injective side, computed as the projective side over the opposite
     algebra: the duality functor swaps the families and flips the sign."""
     sop = s.opposite()
     flipped = {lam: ("-" if sign == "+" else "+") for lam, sign in eps.items()}
-    res = _direct_delta_route(sop, flipped, oracle)
+    res = _direct_delta_route(sop, flipped)
     if res.verdict:
         return res
     witness = dict(res.witness or {})
@@ -367,29 +347,14 @@ def _direct_nabla_route(s: Stratification, eps: dict[str, str], oracle: bool) ->
     return RouteVerdict(False, witness)
 
 
-def is_epsilon_stratified(
-    s: Stratification,
-    eps: dict[str, str],
-    routes: tuple[str, ...] = ("theorem", "direct-delta", "direct-nabla"),
-    oracle: bool | None = None,
-) -> EpsilonStratifiedResult:
-    if oracle is None:
-        oracle = s.algebra.field.is_finite
-    theorem = delta = nabla = None
-    if "theorem" in routes:
-        theorem = _theorem_route(s, eps)
-    if "direct-delta" in routes:
-        delta = _direct_delta_route(s, eps, oracle)
-    if "direct-nabla" in routes:
-        nabla = _direct_nabla_route(s, eps, oracle)
-    verdicts = {r.verdict for r in (theorem, delta, nabla) if r is not None}
-    return EpsilonStratifiedResult(
-        epsilon=tuple(sorted(eps.items())),
-        theorem_route=theorem,
-        direct_delta=delta,
-        direct_nabla=nabla,
-        agreement=len(verdicts) == 1,
-    )
+def is_epsilon_stratified(s: Stratification, eps: dict[str, str]) -> Decision:
+    """The sign-stratified decision by the homological criterion and by
+    direct filtration search on the projective and the injective side."""
+    return Decision({
+        "theorem": _theorem_route(s, eps),
+        "direct-delta": _direct_delta_route(s, eps),
+        "direct-nabla": _direct_nabla_route(s, eps),
+    })
 
 
 # -- the split lemma for projectives over 2-homological recollements ------------
@@ -433,16 +398,16 @@ def lemma_split_check(s: Stratification, lam: str, p: RightModule) -> SplitCheck
 
 
 def bs_vanishing_table(
-    s: Stratification, eps: dict[str, str], n_max: int
+    s: Stratification, eps: dict[str, str], max_degree: int
 ) -> dict[tuple[str, str, int], int]:
-    """dim Ext^n(std_eps(b), costd_eps(b')) for all pairs and 0 <= n <= n_max."""
+    """dim Ext^n(std_eps(b), costd_eps(b')) for all pairs and 0 <= n <= max_degree."""
     fams = s.standard_objects()
     table: dict[tuple[str, str, int], int] = {}
     for b in s.algebra.vertex_names:
         for c in s.algebra.vertex_names:
             delta = fams[b].eps_standard(eps[s.rho[b]])
             nabla = fams[c].eps_costandard(eps[s.rho[c]])
-            for n in range(n_max + 1):
+            for n in range(max_degree + 1):
                 table[(b, c, n)] = ext_dim(delta, nabla, n)
     return table
 
@@ -450,18 +415,7 @@ def bs_vanishing_table(
 # -- highest weight detection -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HighestWeightResult:
-    structure_route: RouteVerdict
-    axiom_route: RouteVerdict
-    agreement: bool
-
-    @property
-    def verdict(self) -> bool:
-        return self.structure_route.verdict
-
-
-def is_highest_weight(s: Stratification, oracle: bool | None = None) -> HighestWeightResult:
+def is_highest_weight(s: Stratification) -> Decision:
     """Highest-weight detection by two routes that must agree.
 
     Structure route: every stratum algebra is one-dimensional (split form
@@ -470,9 +424,6 @@ def is_highest_weight(s: Stratification, oracle: bool | None = None) -> HighestW
     stratum simple and check the four classical axioms, with the kernel
     filtrations searched exhaustively over finite fields.
     """
-    if oracle is None:
-        oracle = s.algebra.field.is_finite
-
     # route A: structure
     bad = None
     for lam in s.poset.elements:
@@ -490,12 +441,10 @@ def is_highest_weight(s: Stratification, oracle: bool | None = None) -> HighestW
             else RouteVerdict(False, {"failure": "2-homological", "witness": hv.witness})
         )
 
-    axiom = _axiom_route(s, oracle)
-    agreement = structure.verdict == axiom.verdict
-    return HighestWeightResult(structure_route=structure, axiom_route=axiom, agreement=agreement)
+    return Decision({"structure": structure, "axioms": _axiom_route(s)})
 
 
-def _axiom_route(s: Stratification, oracle: bool) -> RouteVerdict:
+def _axiom_route(s: Stratification) -> RouteVerdict:
     poset = s.poset
     per_stratum = {lam: s.vertices_of(lam) for lam in poset.elements}
     if any(len(vs) != 1 for vs in per_stratum.values()):
@@ -529,7 +478,7 @@ def _axiom_route(s: Stratification, oracle: bool) -> RouteVerdict:
         allowed = [
             (f"std({mu})", delta[mu]) for mu in poset.elements if poset.lt(lam, mu)
         ]
-        cert = filtration_search(u_mod, allowed, mode="exact-layers", oracle=oracle)
+        cert = filtration_search(u_mod, allowed, mode="exact-layers")
         if cert is None:
             return RouteVerdict(False, {"failure": "HW3", "stratum": lam,
                                         "kernel_dim": u_mod.dim})

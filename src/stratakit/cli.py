@@ -25,6 +25,7 @@ from .algebra import (
     validate_algebra,
 )
 from .analyze import (
+    Decision,
     is_epsilon_stratified,
     is_highest_weight,
     is_k_homological,
@@ -188,11 +189,11 @@ def checks_simples(s: Stratification) -> list[Check]:
     )]
 
 
-def checks_porism(s: Stratification, oracle: bool | None = None) -> list[Check]:
+def checks_porism(s: Stratification) -> list[Check]:
     out = []
     for b in s.algebra.vertex_names:
         try:
-            res = porism_check(s, b, oracle=oracle)
+            res = porism_check(s, b)
             out.append(Check(
                 f"porism({b})",
                 "cover kernel over the standard quotient is filtered by quotients of higher standards",
@@ -228,63 +229,34 @@ def checks_synthesis(s: Stratification) -> list[Check]:
     return out
 
 
-def checks_eps(s: Stratification, oracle: bool | None = None) -> list[Check]:
+def _decision_check(name: str, criterion: str, decision: Decision, agreed_criterion: str) -> Check:
+    """FAIL with every route's verdict when the routes disagree, else YES or
+    NO under ``agreed_criterion``, with every route's witness on NO."""
+    witnesses = {route: r.witness for route, r in decision.routes.items()}
+    if not decision.agreement:
+        verdicts = {route: r.verdict for route, r in decision.routes.items()}
+        return Check(name, criterion, "FAIL",
+                     witness={"ROUTE-DISAGREEMENT": {**verdicts, "witnesses": witnesses}})
+    k = len(decision.routes)
+    return Check(name, agreed_criterion, "YES" if decision.verdict else "NO",
+                 witness=None if decision.verdict else witnesses,
+                 details={"routes": f"{k}/{k} agree"})
+
+
+def checks_eps(s: Stratification) -> list[Check]:
     patterns = [s.epsilon] if s.epsilon is not None else sign_patterns(s.poset)
+    criterion = "homological criterion agrees with both direct filtration searches"
     out = []
     for eps in patterns:
-        res = is_epsilon_stratified(s, eps, oracle=oracle)
         label = ",".join(f"{lam}{sign}" for lam, sign in sorted(eps.items()))
-        witnesses = {
-            "theorem": res.theorem_route.witness,
-            "direct-delta": res.direct_delta.witness,
-            "direct-nabla": res.direct_nabla.witness,
-        }
-        if not res.agreement:
-            out.append(Check(
-                f"eps({label})",
-                "homological criterion agrees with both direct filtration searches",
-                "FAIL",
-                witness={"ROUTE-DISAGREEMENT": {
-                    "theorem": res.theorem_route.verdict,
-                    "direct-delta": res.direct_delta.verdict,
-                    "direct-nabla": res.direct_nabla.verdict,
-                    "witnesses": witnesses,
-                }},
-            ))
-        else:
-            out.append(Check(
-                f"eps({label})",
-                "homological criterion agrees with both direct filtration searches",
-                "YES" if res.verdict else "NO",
-                witness=None if res.verdict else witnesses,
-                details={"routes": "3/3 agree"},
-            ))
+        out.append(_decision_check(f"eps({label})", criterion, is_epsilon_stratified(s, eps), criterion))
     return out
 
 
-def checks_hw(s: Stratification, oracle: bool | None = None) -> list[Check]:
-    res = is_highest_weight(s, oracle=oracle)
-    if not res.agreement:
-        return [Check(
-            "highest-weight",
-            "structure route and axiom route agree",
-            "FAIL",
-            witness={"ROUTE-DISAGREEMENT": {
-                "structure": res.structure_route.verdict,
-                "axioms": res.axiom_route.verdict,
-                "witnesses": {"structure": res.structure_route.witness,
-                              "axioms": res.axiom_route.witness},
-            }},
-        )]
-    return [Check(
-        "highest-weight",
+def checks_hw(s: Stratification) -> list[Check]:
+    return [_decision_check(
+        "highest-weight", "structure route and axiom route agree", is_highest_weight(s),
         "one-dimensional strata with a 2-homological stratification; classical axioms",
-        "YES" if res.verdict else "NO",
-        witness=None if res.verdict else {
-            "structure": res.structure_route.witness,
-            "axioms": res.axiom_route.witness,
-        },
-        details={"routes": "2/2 agree"},
     )]
 
 
@@ -311,9 +283,9 @@ def checks_homological(s: Stratification, n: int, deep: bool = False) -> list[Ch
 MODE_RUNNERS = {
     "recollement": lambda session, args: checks_recollement(session),
     "simples": lambda session, args: checks_simples(session.stratification()),
-    "porism": lambda session, args: checks_porism(session.stratification(), oracle=args.oracle or None),
-    "eps": lambda session, args: checks_eps(session.stratification(), oracle=args.oracle or None),
-    "hw": lambda session, args: checks_hw(session.stratification(), oracle=args.oracle or None),
+    "porism": lambda session, args: checks_porism(session.stratification()),
+    "eps": lambda session, args: checks_eps(session.stratification()),
+    "hw": lambda session, args: checks_hw(session.stratification()),
     "homological": lambda session, args: checks_homological(session.stratification(), args.n,
                                                             deep=args.deep),
 }
@@ -472,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--mode", choices=sorted(MODE_RUNNERS), required=True)
     c.add_argument("--n", type=int, default=4, help="degree bound for --mode homological")
     c.add_argument("--oracle", action="store_true",
-                   help="exhaustive filtration search (finite fields only)")
+                   help="require a finite field (exit 3 over Q), where filtration searches "
+                        "are always exhaustive")
     c.add_argument("--deep", action="store_true",
                    help="re-run the Ext comparison on projectives and injectives, "
                         "not only simples (--mode homological)")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 def _is_prime(n: int) -> bool:
@@ -109,12 +109,6 @@ class Field:
         if self.kind == "GF":
             return pow(a, -1, self.p)
         return Fraction(1) / a
-
-    def elements(self) -> Iterator[int]:
-        """Iterate all field elements (finite fields only)."""
-        if self.kind != "GF":
-            raise ValueError("cannot enumerate the rationals")
-        return iter(range(self.p))
 
     def to_json(self) -> dict:
         return {"kind": "GF", "p": self.p} if self.kind == "GF" else {"kind": "Q"}
@@ -480,11 +474,6 @@ class Subspace:
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(other.basis.row(i)) for i in range(other.dim))
-
-    def coords(self, v: Sequence) -> tuple | None:
-        """Coordinates of v in the RREF basis, or None if v is outside."""
-        sol = self.basis.solve_left(Matrix.from_rows(self.field, [tuple(v)], cols=self.ambient))
-        return sol.row(0) if sol is not None else None
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check(other)

@@ -141,15 +141,14 @@ def submodule(m: RightModule, space: Subspace) -> tuple[RightModule, ModuleMap]:
     """Module structure on an action-closed subspace, with its inclusion."""
     if space.ambient != m.dim:
         raise ValueError("ambient mismatch")
-    B = space.basis
-    mats = []
-    for k in range(m.algebra.dim):
-        img = B @ m.action[k]
-        X = B.solve_left(img)
-        if X is None:
-            raise ValueError("subspace not closed under the action")
-        mats.append(X)
-    sub = RightModule(m.algebra, space.dim, tuple(mats))
+    B, d, n = space.basis, space.dim, m.algebra.dim
+    # one elimination of B for the images of B under every basis element
+    images = Matrix(B.field, n * d, m.dim, tuple(x for k in range(n) for x in (B @ m.action[k]).entries))
+    X = B.solve_left(images)
+    if X is None:
+        raise ValueError("subspace not closed under the action")
+    mats = tuple(Matrix(B.field, d, d, X.entries[k * d * d:(k + 1) * d * d]) for k in range(n))
+    sub = RightModule(m.algebra, d, mats)
     return sub, ModuleMap(sub, m, B)
 
 

@@ -202,13 +202,10 @@ class MVCategory:
 
     # object helpers --------------------------------------------------------
 
-    def make_object(self, x_u, x_z, alpha, beta, check: bool = True) -> MVObject:
-        obj = MVObject(x_u, x_z, alpha, beta)
-        if check:
-            eps = self.fun.eps(x_u)
-            if not (alpha.then(beta) - eps).is_zero:
-                raise MVDataError("beta . alpha differs from eps: not a glued object")
-        return obj
+    def make_object(self, x_u, x_z, alpha, beta) -> MVObject:
+        if not (alpha.then(beta) - self.fun.eps(x_u)).is_zero:
+            raise MVDataError("beta . alpha differs from eps: not a glued object")
+        return MVObject(x_u, x_z, alpha, beta)
 
     def zero_obj(self) -> MVObject:
         zu = zero_module(self.data.u_algebra)
@@ -547,11 +544,11 @@ def i_exact_retract(x: MVObject) -> RightModule:
     return x.x_z
 
 
-def mv_simples(data: MVData, check: bool = True) -> list[tuple[str, MVObject]]:
+def mv_simples(data: MVData) -> list[tuple[str, MVObject]]:
     """All simples: the embedded closed-side simples plus the intermediate
     extensions of the open-side simples.  Simplicity and pairwise
     non-isomorphism are asserted."""
-    r = mv_recollement(data, check=check)
+    r = mv_recollement(data)
     cat = r.extras["mv_category"]
     out: list[tuple[str, MVObject]] = []
     for v in data.z_algebra.vertex_names:

@@ -276,16 +276,13 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
     def unit_jr(m: RightModule) -> ModuleMap:
         # m |-> (ae |-> m*(ae)) in Hom_Gamma(Ae, Me)
         mu = j_restrict_obj(m)
-        BM = restrict_space(m).basis
-        mats = []
-        for i in range(m.dim):
-            rows = []
-            for t in range(na):
-                vec = m.action_of(data.a_e.row(t)).row(i)  # e_i * (Ae row t)
-                coords = BM.solve_left(Matrix.from_rows(F, [vec], cols=m.dim))
-                assert coords is not None
-                rows.append(coords.row(0))
-            mats.append(Matrix.from_rows(F, rows, cols=mu.dim))
+        acts = [m.action_of(data.a_e.row(t)) for t in range(na)]
+        # row (i, t) is e_i * (Ae row t), written in the basis of M e by one solve
+        coords = restrict_space(m).basis.solve_left(
+            Matrix.from_rows(F, [acts[t].row(i) for i in range(m.dim) for t in range(na)], cols=m.dim))
+        assert coords is not None
+        block = na * mu.dim
+        mats = [Matrix(F, na, mu.dim, coords.entries[i * block:(i + 1) * block]) for i in range(m.dim)]
         return ModuleMap(m, hom.obj(mu), hom.coords(mu, mats))
 
     def counit_jr(x: RightModule) -> ModuleMap:

@@ -209,7 +209,6 @@ def filtration_search(
     m: RightModule,
     allowed: Sequence[tuple[str, RightModule]],
     mode: str = "exact-layers",
-    oracle: bool = False,
 ) -> FiltrationCertificate | None:
     """Search for a filtration of m with layers from ``allowed``.
 
@@ -223,22 +222,21 @@ def filtration_search(
     object into the current quotient of m (this matches how such
     filtrations arise: images of maps from standard objects).
 
-    Completeness holds in oracle mode over finite fields, where all
-    candidate maps are enumerated up to scalar; heuristic mode is labelled.
+    The field decides the search: over a finite field every candidate map
+    is enumerated up to scalar, so the search is complete and labelled
+    "oracle"; over Q only basis maps and their pairwise sums are tried,
+    and the certificate is labelled "heuristic".
     """
-    F = m.algebra.field
-    if oracle and not F.is_finite:
-        raise ValueError("oracle filtration search needs a finite field")
     for name, obj in allowed:
         if obj.dim == 0 or structural_series(obj).top.dim != 1:
             raise ValueError(f"allowed object {name} lacks a simple top")
     budget = [FILTRATION_NODE_CAP]
-    search_mode = "oracle" if oracle else "heuristic"
+    search_mode = "oracle" if m.algebra.field.is_finite else "heuristic"
 
     if mode == "exact-layers":
-        layers = _search_exact(m, list(allowed), oracle, budget)
+        layers = _search_exact(m, list(allowed), budget)
     elif mode == "quotient-layers":
-        layers = _search_quotient(m, list(allowed), oracle, budget)
+        layers = _search_quotient(m, list(allowed), budget)
     else:
         raise ValueError(f"unknown filtration mode {mode!r}")
     if layers is None:
@@ -252,7 +250,7 @@ def _spend(budget) -> None:
         raise RuntimeError("filtration search budget exhausted")
 
 
-def _search_exact(m, allowed, oracle, budget, embed=None):
+def _search_exact(m, allowed, budget, embed=None):
     """Top-down peel; returns layers listed bottom-up, with subspaces of the
     original module."""
     F = m.algebra.field
@@ -265,36 +263,35 @@ def _search_exact(m, allowed, oracle, budget, embed=None):
         if obj.dim > m.dim:
             continue
         top_proj = structural_series(obj).top_projection
-        for h in hom_combinations(hom_basis(m, obj), F, oracle):
+        for h in hom_combinations(hom_basis(m, obj), F, F.is_finite):
             _spend(budget)
             if h.then(top_proj).is_zero:
                 continue  # cannot be onto a local module
             k_mod, k_incl = kernel(h)
             sub_embed = k_incl.mat @ embed
-            rest = _search_exact(k_mod, allowed, oracle, budget, sub_embed)
+            rest = _search_exact(k_mod, allowed, budget, sub_embed)
             if rest is not None:
                 below = Subspace.from_matrix(sub_embed)
                 return rest + [LayerWitness(name, below, full, h, "exact-layers")]
     return None
 
 
-def _search_quotient(m, allowed, oracle, budget, proj=None, orig=None):
+def _search_quotient(m, allowed, budget, proj=None):
     """Bottom-up image peel; layers listed bottom-up with original subspaces."""
     F = m.algebra.field
-    if orig is None:
-        orig = m
+    if proj is None:
         proj = Matrix.identity(F, m.dim)
     if m.dim == 0:
         return []
     below = proj.left_kernel()
     for name, obj in allowed:
-        for phi in hom_combinations(hom_basis(obj, m), F, oracle):
+        for phi in hom_combinations(hom_basis(obj, m), F, F.is_finite):
             _spend(budget)
             if phi.is_zero:
                 continue
             img, _, img_incl = image(phi)
             quo, q_proj = quotient_module(m, img_incl.mat.row_space())
-            rest = _search_quotient(quo, allowed, oracle, budget, proj @ q_proj.mat, orig)
+            rest = _search_quotient(quo, allowed, budget, proj @ q_proj.mat)
             if rest is None:
                 continue
             # preimage in the original module of the freshly filtered part
@@ -601,9 +598,10 @@ class SynthesisNonTermination(RuntimeError):
     pass
 
 
-def synthesize_projective_cover(
-    s: Stratification, t: str, max_iterations: int = 16
-) -> SynthesisResult:
+SYNTHESIS_ITERATION_CAP = 16
+
+
+def synthesize_projective_cover(s: Stratification, t: str) -> SynthesisResult:
     """Build P(t) bottom-up through the lower-set chain of a linear extension.
 
     At the base layer the cover is transported from the stratum by the left
@@ -651,9 +649,9 @@ def synthesize_projective_cover(
             ds = [ext_dim(current, l_u, 1) for l_u in layer_simples]
             if all(d == 0 for d in ds):
                 break
-            if iterations >= max_iterations:
+            if iterations >= SYNTHESIS_ITERATION_CAP:
                 raise SynthesisNonTermination(
-                    f"extension iteration bound {max_iterations} exceeded at layer {lam}"
+                    f"extension iteration bound {SYNTHESIS_ITERATION_CAP} exceeded at layer {lam}"
                 )
             ue = universal_extension(current, layer_simples)
             for u, d in zip(layer_vertices, ue.multiplicities):
@@ -701,11 +699,9 @@ class PorismResult:
     certificate: FiltrationCertificate
 
 
-def porism_check(s: Stratification, b: str, oracle: bool | None = None) -> PorismResult:
+def porism_check(s: Stratification, b: str) -> PorismResult:
     """The short exact sequence 0 -> Q(b) -> P(b) -> std(b) -> 0 plus a
     quotient-layers certificate for Q(b) against the higher standards."""
-    if oracle is None:
-        oracle = s.algebra.field.is_finite
     lam = s.rho[b]
     p_b, _ = projective_module(s.algebra, b)
     outside = [v for v in s.algebra.vertex_names if not s.poset.leq(s.rho[v], lam)]
@@ -723,7 +719,7 @@ def porism_check(s: Stratification, b: str, oracle: bool | None = None) -> Poris
         for c in s.algebra.vertex_names
         if s.poset.lt(lam, s.rho[c])
     ]
-    cert = filtration_search(q_mod, allowed, mode="quotient-layers", oracle=oracle)
+    cert = filtration_search(q_mod, allowed, mode="quotient-layers")
     if cert is None:
         raise StratificationError(
             f"no quotient-layers filtration of the porism kernel at {b}; "

@@ -154,7 +154,7 @@ def test_criterion_5_porism_suite(strats):
     p1, _ = projective_module(s.algebra, "1")
     exact = filtration_search(
         p1, [(f"std({c})", fams[c].std) for c in s.algebra.vertex_names],
-        mode="exact-layers", oracle=True,
+        mode="exact-layers",
     )
     res = porism_check(s, "1")
     ok = ok and exact is None and len(res.certificate.layers) == 1
@@ -176,10 +176,10 @@ def test_criterion_6_headline_route_agreement(strats):
     for fix, s in strats.items():
         assert len(s.poset.elements) <= 3
         for eps in sign_patterns(s.poset):
-            res = is_epsilon_stratified(s, eps, oracle=True)
+            res = is_epsilon_stratified(s, eps)
             ok = ok and res.agreement and res.verdict == expected[fix](eps)
-            if fix == "FIX-NAK" and res.theorem_route.witness:
-                w = res.theorem_route.witness.get("witness", {})
+            if fix == "FIX-NAK" and res.routes["theorem"].witness:
+                w = res.routes["theorem"].witness.get("witness", {})
                 if w.get("degree") == 2 and w.get("dims") == (0, 1):
                     nak_witness_seen = True
     ok = ok and nak_witness_seen
@@ -235,7 +235,7 @@ def test_criterion_9_ext_vanishing_on_stratified(strats):
     pairs_checked = 0
     for fix, s in strats.items():
         for eps in sign_patterns(s.poset):
-            if not is_epsilon_stratified(s, eps, routes=("direct-delta",), oracle=True).verdict:
+            if not is_epsilon_stratified(s, eps).routes["direct-delta"].verdict:
                 continue
             table = bs_vanishing_table(s, eps, 4)
             for (b, c, n), d in table.items():

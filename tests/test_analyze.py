@@ -129,9 +129,9 @@ def test_epsilon_nak_witnesses(strats):
     s = strats["FIX-NAK"]
     res = is_epsilon_stratified(s, {"x": "+", "y": "+"})
     assert not res.verdict
-    assert res.theorem_route.witness["failure"] == "2-homological"
-    assert res.direct_delta.witness["projective_at"] == "1"
-    assert res.direct_nabla.witness["failure"] == "no sign-costandard filtration"
+    assert res.routes["theorem"].witness["failure"] == "2-homological"
+    assert res.routes["direct-delta"].witness["projective_at"] == "1"
+    assert res.routes["direct-nabla"].witness["failure"] == "no sign-costandard filtration"
 
 
 def test_single_stratum_always_stratified(strats):
@@ -216,7 +216,7 @@ def test_highest_weight_dual_never(strats):
     dual = strats["FIX-DUAL"].algebra
     res = is_highest_weight(Stratification(dual, Poset.from_pairs(["l"], []), {"1": "l"}))
     assert not res.verdict and res.agreement
-    assert res.structure_route.witness["failure"] == "stratum not one-dimensional"
+    assert res.routes["structure"].witness["failure"] == "stratum not one-dimensional"
 
 
 def test_highest_weight_loop_kro_not(strats):

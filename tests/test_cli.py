@@ -76,6 +76,20 @@ def test_check_eps_verdicts_embedded(tmp_path, capsys):
     assert all(c["witness"] is not None for c in eps_checks)
 
 
+@pytest.mark.parametrize("mode", ["eps", "porism", "hw"])
+def test_oracle_flag_changes_only_options(tmp_path, capsys, mode):
+    """Over a finite field every filtration search is exhaustive, so
+    ``--oracle`` changes nothing but the recorded option."""
+    path = fixture_path(tmp_path, "fix_nak.json")
+    code, out = run_cli(capsys, "check", path, "--mode", mode)
+    code_oracle, out_oracle = run_cli(capsys, "check", path, "--mode", mode, "--oracle")
+    plain, oracle = json.loads(out), json.loads(out_oracle)
+    assert code_oracle == code
+    assert (plain["options"]["oracle"], oracle["options"]["oracle"]) == (False, True)
+    oracle["options"]["oracle"] = False
+    assert oracle == plain
+
+
 def test_oracle_over_rationals_exit3(tmp_path, capsys):
     data = json.loads(fixture_bytes("fix_a2.json"))
     data["field"] = {"kind": "Q"}

@@ -7,10 +7,14 @@ A stdlib-``ast`` stand-in for a linter: it flags
 * a plain ``name = ...`` inside a function that the function (nested
   functions and lambdas included) never reads, and
 * a function, class or method whose name appears nowhere in ``src/``,
-  ``tests/`` or ``perfbench/`` except where it is defined.
+  ``tests/`` or ``perfbench/`` except where it is defined, and
+* a defaulted parameter that no call there (to any function of that name)
+  passes, by keyword or by position.
 
 Tuple targets (``_, b = ...``), augmented and annotated assignments are not
-checked; neither is the name ``_``; dunder names count as used.
+checked; neither is the name ``_``; dunder names count as used.  A default
+that captures the same name from the enclosing scope (``def f(x=x)``) is not
+a setting and is not checked.
 """
 
 import ast
@@ -103,6 +107,61 @@ def unreferenced(checked: dict[str, str], others: Sequence[str]) -> list[str]:
                   for name in set(defined_names(ast.parse(text))) if words[name] <= defs[name])
 
 
+def _defaulted(fn: ast.FunctionDef, method: bool) -> list[tuple[str, int | None]]:
+    """(name, position among the arguments a call passes) of each defaulted
+    parameter of ``fn``; keyword-only parameters have no position."""
+    positional = fn.args.posonlyargs + fn.args.args
+    shift = 1 if method else 0
+    pairs = list(zip(positional[len(positional) - len(fn.args.defaults):], fn.args.defaults))
+    out = [(arg.arg, positional.index(arg) - shift, default) for arg, default in pairs]
+    out += [(arg.arg, None, default)
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if default is not None]
+    return [(name, pos) for name, pos, default in out
+            if not (isinstance(default, ast.Name) and default.id == name)]
+
+
+def _functions(tree: ast.AST):
+    """(names a call uses, function, is a method) for every function in ``tree``."""
+    methods = {}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in node.decorator_list)
+                    names = {cls.name, node.name} if node.name == "__init__" else {node.name}
+                    methods[node] = (names, not static)
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names, method = methods.get(fn, ({fn.name}, False))
+            yield names, fn, method
+
+
+def unpassed_parameters(checked: dict[str, str], others: Sequence[str]) -> list[str]:
+    """``path: function(parameter)`` for each defaulted parameter of a
+    function in a ``checked`` source that no call in any source passes."""
+    passed: dict[str, list[tuple[int, set[str]]]] = {}
+    for text in list(checked.values()) + list(others):
+        for call in ast.walk(ast.parse(text)):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                    k.arg is None for k in call.keywords):
+                npos, kws = float("inf"), set()  # *args or **kwargs may pass anything
+            else:
+                npos, kws = len(call.args), {k.arg for k in call.keywords}
+            passed.setdefault(name, []).append((npos, kws))
+    out = []
+    for path, text in checked.items():
+        for names, fn, method in _functions(ast.parse(text)):
+            calls = [c for n in names for c in passed.get(n, [])]
+            for param, pos in _defaulted(fn, method):
+                if not any(param in kws or (pos is not None and npos > pos) for npos, kws in calls):
+                    out.append(f"{path}: {fn.name}({param})")
+    return sorted(out)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
@@ -149,3 +208,33 @@ def test_reference_checker_flags_what_it_should():
     )
     test = "def test_it():\n    Used().method()\n"
     assert unreferenced({"m.py": src}, [test]) == ["m.py: dead_method"]
+
+
+def test_no_unpassed_parameters():
+    checked = {str(p.relative_to(SRC)): p.read_text() for p in MODULES}
+    assert unpassed_parameters(checked, [p.read_text() for p in OTHERS]) == []
+
+
+def test_parameter_checker_flags_what_it_should():
+    src = (
+        "def f(x, y=1, *, z=2, unused=3):\n"
+        "    return x\n"
+        "def never(a=1):\n"
+        "    return [lambda a=a: a]\n"
+        "class C:\n"
+        "    def __init__(self, size=0):\n"
+        "        self.size = size\n"
+        "    def m(self, k=0):\n"
+        "        return k\n"
+        "    def n(self, a, k=0):\n"
+        "        return k\n"
+        "def outer(xs):\n"
+        "    return [g for x in xs for g in [lambda: x]] + [h for x in xs for h in (inner(x),)]\n"
+        "def inner(x, cap=None):\n"
+        "    def seq(x=x):\n"
+        "        return x\n"
+        "    return seq\n"
+    )
+    test = "f(0, 1, z=2)\nnever()\nC(4).m(1)\nC().n(1)\ninner(*[1, 2])\n"
+    assert unpassed_parameters({"m.py": src}, [test]) == [
+        "m.py: f(unused)", "m.py: n(k)", "m.py: never(a)"]

@@ -125,7 +125,7 @@ def test_standard_canonical_maps(strats):
 def test_filtration_single_layer(strats):
     s = strats["FIX-A2"]
     fams = s.standard_objects()
-    cert = filtration_search(fams["2"].std, [("std(2)", fams["2"].std)], "exact-layers", oracle=True)
+    cert = filtration_search(fams["2"].std, [("std(2)", fams["2"].std)], "exact-layers")
     assert cert is not None and len(cert.layers) == 1
 
 
@@ -134,7 +134,7 @@ def test_filtration_a2_projective(strats):
     fams = s.standard_objects()
     p1, _ = projective_module(s.algebra, "1")
     allowed = [("std(1)", fams["1"].std), ("std(2)", fams["2"].std)]
-    cert = filtration_search(p1, allowed, "exact-layers", oracle=True)
+    cert = filtration_search(p1, allowed, "exact-layers")
     assert cert is not None
     assert [l.allowed_name for l in cert.layers] == ["std(2)", "std(1)"]
     # chain is strictly increasing and nested
@@ -149,29 +149,14 @@ def test_filtration_nak_fails_exact_mode(strats):
     fams = s.standard_objects()
     p1, _ = projective_module(s.algebra, "1")
     allowed = [("std(1)", fams["1"].std), ("std(2)", fams["2"].std)]
-    assert filtration_search(p1, allowed, "exact-layers", oracle=True) is None
+    assert filtration_search(p1, allowed, "exact-layers") is None
 
 
 def test_filtration_rejects_bad_allowed(strats):
     s = strats["FIX-A2"]
     reg = regular_module(s.algebra)  # top is not simple
     with pytest.raises(ValueError):
-        filtration_search(reg, [("A", reg)], "exact-layers", oracle=True)
-
-
-def test_oracle_requires_finite_field():
-    import json
-
-    from stratakit.specfile import parse_spec
-
-    data = json.loads(
-        '{"field": {"kind": "Q"}, "quiver": {"vertices": ["1", "2"],'
-        ' "arrows": [{"name": "a", "from": "1", "to": "2"}]}}'
-    )
-    a = build_algebra(parse_spec(data))
-    s1 = simple_module(a, "1")
-    with pytest.raises(ValueError):
-        filtration_search(s1, [("S1", s1)], "exact-layers", oracle=True)
+        filtration_search(reg, [("A", reg)], "exact-layers")
 
 
 def test_porism_every_vertex(strats):
@@ -260,7 +245,7 @@ def test_certificates_verify_independently(strats):
     p1, _ = projective_module(s.algebra, "1")
     cert = filtration_search(
         p1, [("std(1)", fams["1"].std), ("std(2)", fams["2"].std)],
-        "exact-layers", oracle=True,
+        "exact-layers",
     )
     assert verify_filtration_certificate(cert)
     for fix, st in strats.items():
@@ -287,9 +272,9 @@ def test_rational_field_end_to_end():
     s.classify_simples()
     for b in a.vertex_names:
         assert synthesize_projective_cover(s, b).matches_direct_cover
-        assert porism_check(s, b, oracle=False).certificate is not None
+        assert porism_check(s, b).certificate is not None
     for eps in sign_patterns(poset):
-        res = is_epsilon_stratified(s, eps, oracle=False)
+        res = is_epsilon_stratified(s, eps)
         assert res.agreement and res.verdict
-    hw = is_highest_weight(s, oracle=False)
+    hw = is_highest_weight(s)
     assert hw.verdict and hw.agreement
