@@ -217,12 +217,12 @@ def build_bound_quiver_algebra(pres: Presentation, field: Field) -> Algebra:
             here = src
             for a in arrows:
                 if quiver.vertex_index(quiver.arrows[a][1]) != here:
-                    raise ValueError(f"relation {ridx}: non-composable path")
+                    raise AlgebraError(f"relation {ridx}: non-composable path")
                 here = quiver.vertex_index(quiver.arrows[a][2])
             if sig is None:
                 sig = (src, here)
             elif sig != (src, here):
-                raise ValueError(f"relation {ridx}: terms not homogeneous in (source, target)")
+                raise AlgebraError(f"relation {ridx}: terms not homogeneous in (source, target)")
             terms.append((c, (src, tuple(arrows))))
         if terms:
             parsed.append(terms)
@@ -281,10 +281,7 @@ def build_bound_quiver_algebra(pres: Presentation, field: Field) -> Algebra:
                             gens.append(tuple(vec))
         ideal = Subspace.span(F, gens, ncoords)
 
-        pivots = set()
-        for i in range(ideal.dim):
-            row = ideal.basis.row(i)
-            pivots.add(next(j for j, x in enumerate(row) if x != F.zero))
+        pivots = set(ideal.pivots)
         live = [paths[i] for pos, i in enumerate(order) if pos not in pivots]
         s = max((len(p[1]) for p in live), default=0)
 
@@ -301,20 +298,15 @@ def build_bound_quiver_algebra(pres: Presentation, field: Field) -> Algebra:
     index_of = {p: i for i, p in enumerate(basis_paths)}
     dim = len(basis_paths)
 
+    # column c of the ideal's quotient projection is the class of live[c]
+    proj, _ = ideal.quotient_maps()
+    basis_index = [index_of[p] for p in live]
+
     def reduce_path(p: Path) -> tuple:
         """Class of path p in basis-path coordinates."""
-        vec = [F.zero] * ncoords
-        vec[coord_of[p]] = F.one
-        for i in range(ideal.dim):
-            row = ideal.basis.row(i)
-            pc = next(j for j, x in enumerate(row) if x != F.zero)
-            if vec[pc] != F.zero:
-                f = vec[pc]
-                vec = [F.sub(a, F.mul(f, b)) for a, b in zip(vec, row)]
         out = [F.zero] * dim
-        for pos, i in enumerate(order):
-            if vec[pos] != F.zero:
-                out[index_of[paths[i]]] = vec[pos]
+        for i, x in zip(basis_index, proj.row(coord_of[p])):
+            out[i] = x
         return tuple(out)
 
     zero = (F.zero,) * dim
@@ -412,17 +404,15 @@ def validate_algebra(a: Algebra) -> ValidationReport:
                     break
 
     idems = [a.basis_vec(i) for i in a.idempotent_indices]
-    total = a.zero_vec()
     for v, e in zip(a.vertex_names, idems):
         if not vec_eq(a.mul_vec(e, e), e):
             issues.append(("idempotent", f"e_{v} is not idempotent"))
-        total = tuple(F.add(x, y) for x, y in zip(total, e))
     for (v, e), (w, f) in itertools.combinations(zip(a.vertex_names, idems), 2):
         if not all(x == F.zero for x in a.mul_vec(e, f)) or not all(
             x == F.zero for x in a.mul_vec(f, e)
         ):
             issues.append(("orthogonality", f"e_{v} * e_{w} != 0"))
-    if not vec_eq(total, a.unit):
+    if not vec_eq(a.idempotent_sum(a.vertex_names), a.unit):
         issues.append(("idempotent-sum", "vertex idempotents do not sum to the unit"))
 
     # radical: two-sided ideal, nilpotent
@@ -506,30 +496,21 @@ def corner_algebra(a: Algebra, vertices: Sequence[str]) -> CornerData:
     embed = Matrix.from_rows(F, basis_rows, cols=a.dim)
     cdim = embed.rows
 
-    def coords(vec: tuple) -> tuple:
-        sol = embed.solve_left(Matrix.from_rows(F, [vec], cols=a.dim))
-        if sol is None:
-            raise AlgebraError("corner product left the corner span")
-        return sol.row(0)
-
-    mult_rows = []
-    for i in range(cdim):
-        row = []
-        for j in range(cdim):
-            row.append(coords(a.mul_vec(basis_rows[i], basis_rows[j])))
-        mult_rows.append(tuple(row))
-
-    rad_vecs = []
-    for r in range(a.radical.dim):
-        rv = a.radical.basis.row(r)
-        rad_vecs.append(coords(a.mul_vec(a.mul_vec(e, rv), e)))
-    rad = Subspace.span(F, rad_vecs, cdim)
+    # one solve writes every product, the radical's corner and e in the basis
+    targets = [a.mul_vec(x, y) for x in basis_rows for y in basis_rows]
+    targets += [a.mul_vec(a.mul_vec(e, a.radical.basis.row(r)), e) for r in range(a.radical.dim)]
+    targets.append(e)
+    sol = embed.solve_left(Matrix(F, len(targets), a.dim, tuple(x for t in targets for x in t)))
+    if sol is None:
+        raise AlgebraError("corner product left the corner span")
+    mult_rows = [tuple(sol.row(i * cdim + j) for j in range(cdim)) for i in range(cdim)]
+    rad = Subspace.span(F, [sol.row(cdim * cdim + r) for r in range(a.radical.dim)], cdim)
 
     alg = Algebra(
         field=F,
         basis_labels=tuple(labels),
         mult=tuple(mult_rows),
-        unit=coords(e),
+        unit=sol.row(sol.rows - 1),
         idempotent_indices=tuple(range(len(subset))),
         vertex_names=tuple(subset),
         radical=rad,
@@ -597,25 +578,18 @@ def quotient_by_idempotent_ideal(a: Algebra, vertices: Sequence[str]) -> Quotien
         )
         return QuotientData(zero_alg, proj, sec, ideal, a)
 
-    def push(vec: tuple) -> tuple:
-        return (Matrix.from_rows(F, [vec], cols=a.dim) @ proj).row(0)
-
+    push = proj.apply_row
     surviving = [v for v in a.vertex_names if v not in subset]
     idem_indices = []
     for v in surviving:
         img = push(a.idempotent_vec(v))
         ones = [k for k, x in enumerate(img) if x != F.zero]
-        if len(ones) != 1 or img[ones[0]] != F.one or not all(
-            x == F.zero for k, x in enumerate(img) if k != ones[0]
-        ):
+        if len(ones) != 1 or img[ones[0]] != F.one:
             raise AlgebraError(f"idempotent e_{v} does not survive as a basis class")
         idem_indices.append(ones[0])
 
-    labels = []
-    for k in range(qdim):
-        rep = sec.row(k)
-        i = next(j for j, x in enumerate(rep) if x != F.zero)
-        labels.append(a.basis_labels[i])
+    # the section picks the basis elements off the ideal's pivots
+    labels = [a.basis_labels[j] for j in range(a.dim) if j not in ideal.pivots]
 
     mult_rows = []
     for i in range(qdim):

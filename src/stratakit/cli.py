@@ -138,7 +138,7 @@ def checks_recollement(session: Session) -> list[Check]:
     out = []
     if session.mv is not None:
         data = session.mv
-        r = mv_recollement(data, check=False)  # mv_data_from_spec validated the data
+        r = mv_recollement(data)
         rep = verify_recollement(r, _mv_samples(r, data))
         out.append(Check(
             "mv-recollement",
@@ -244,6 +244,8 @@ def _decision_check(name: str, criterion: str, decision: Decision, agreed_criter
 
 
 def checks_eps(s: Stratification) -> list[Check]:
+    if s.epsilon is None and len(s.poset.elements) > 8:
+        raise SpecError("epsilon required above 8 strata")
     patterns = [s.epsilon] if s.epsilon is not None else sign_patterns(s.poset)
     criterion = "homological criterion agrees with both direct filtration searches"
     out = []
@@ -406,6 +408,12 @@ def _emit(report: Report, args) -> None:
     sys.stdout.write(report.render(args.format))
 
 
+def _nonnegative(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _seed_default() -> int:
     env = os.environ.get("STRATAKIT_SEED")
     if env is None:
@@ -442,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("check", help="run one analysis mode on an input file")
     c.add_argument("path")
     c.add_argument("--mode", choices=sorted(MODE_RUNNERS), required=True)
-    c.add_argument("--n", type=int, default=4, help="degree bound for --mode homological")
+    c.add_argument("--n", type=_nonnegative, default=4,
+                   help="non-negative degree bound for --mode homological")
     c.add_argument("--oracle", action="store_true",
                    help="require a finite field (exit 3 over Q), where filtration searches "
                         "are always exhaustive")

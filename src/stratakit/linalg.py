@@ -13,6 +13,10 @@ Conventions:
   both legal and show up constantly (zero modules, empty kernels).
 * Linear maps act on *row* vectors: the map with matrix ``A`` sends ``v`` to
   ``v @ A``, and composition "f then g" is ``f.mat @ g.mat``.
+* Values from outside the kernel enter through ``Matrix.from_rows``,
+  ``Subspace.span`` or ``Field.of``, which coerce every entry into the
+  field.  Results computed here are field elements already, so linalg
+  builds them as ``Matrix(field, rows, cols, entries)`` directly.
 """
 
 from __future__ import annotations
@@ -78,17 +82,20 @@ class Field:
         return 1 if self.kind == "GF" else Fraction(1)
 
     def of(self, x) -> int | Fraction:
-        """Coerce an int, Fraction, or numeric string into the field."""
+        """Coerce an exact number into the field: an int, a ``Fraction``, or a
+        string that ``Fraction`` parses ("3", "-2/5", "0.5").  Floats are
+        rejected because they are not exact, and bools because they are not
+        numbers (``TypeError``); a malformed string raises ``ValueError``."""
+        if isinstance(x, str):
+            x = Fraction(x)
+        elif isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise TypeError(f"not an exact number: {x!r}")
         if self.kind == "GF":
-            if isinstance(x, str):
-                x = int(x, 10)
             if isinstance(x, Fraction):
                 if x.denominator % self.p == 0:
                     raise ZeroDivisionError(f"{x} has no image in GF({self.p})")
                 return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
-            return int(x) % self.p
-        if isinstance(x, str):
-            return Fraction(x)
+            return x % self.p
         return Fraction(x)
 
     def add(self, a, b):
@@ -249,8 +256,22 @@ class Matrix:
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        rows = [self.row(i) + other.row(i) for i in range(self.rows)]
-        return Matrix.from_rows(self.field, rows, cols=self.cols + other.cols)
+        ent = tuple(x for i in range(self.rows) for x in self.row(i) + other.row(i))
+        return Matrix(self.field, self.rows, self.cols + other.cols, ent)
+
+    def kron(self, other: "Matrix") -> "Matrix":
+        """Kronecker product: entry (i * other.rows + j, i2 * other.cols + j2)
+        is self[i, i2] * other[j, j2]."""
+        F = self.field
+        zeros = (F.zero,) * other.cols
+        out = []
+        for i in range(self.rows):
+            arow = self.row(i)
+            for j in range(other.rows):
+                brow = other.row(j)
+                for c in arow:
+                    out.extend(zeros if c == F.zero else [F.mul(c, y) for y in brow])
+        return Matrix(F, self.rows * other.rows, self.cols * other.cols, tuple(out))
 
     def apply_row(self, v: Sequence) -> tuple:
         """Row vector times matrix: v @ self."""
@@ -276,9 +297,9 @@ class Matrix:
         """Reduced row echelon form.
 
         Returns (rref matrix, rank, pivot columns).  The RREF is the unique
-        one with leading 1s and zeros above and below each pivot; zero rows
-        are dropped is NOT done here (shape is preserved), rows below the
-        rank are zero.
+        one with leading 1s and zeros above and below each pivot.  The shape
+        is kept: zero rows are not dropped, and the rows below the rank are
+        zero.
         """
         F = self.field
         m = [list(self.row(i)) for i in range(self.rows)]
@@ -325,14 +346,14 @@ class Matrix:
         F = self.field
         n = self.rows
         free = [j for j in range(n) if j not in piv]
-        basis = []
+        ent = []
         for fc in free:
             v = [F.zero] * n
             v[fc] = F.one
             for r, pc in enumerate(piv):
                 v[pc] = F.neg(R[r, fc])
-            basis.append(tuple(v))
-        return Subspace.from_matrix(Matrix.from_rows(F, basis, cols=n))
+            ent.extend(v)
+        return Subspace.from_matrix(Matrix(F, len(free), n, tuple(ent)))
 
     def solve_right(self, target: "Matrix") -> "Matrix | None":
         """Find X with self @ X = target, or None if inconsistent."""
@@ -353,7 +374,7 @@ class Matrix:
         aug = self.hstack(Matrix.identity(F, n))
         R, rank, piv = aug.rref()
         # Pivot columns inside the first self.cols columns give usable rows.
-        rows_out = []
+        ent = []
         for t in range(target.rows):
             v = list(target.row(t)) + [F.zero] * n
             # reduce v against R
@@ -366,57 +387,37 @@ class Matrix:
                     v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, rrow)]
             if any(x != F.zero for x in v[: self.cols]):
                 return None
-            rows_out.append(tuple(F.neg(x) for x in v[self.cols :]))
-        return Matrix.from_rows(F, rows_out, cols=n)
+            ent.extend(F.neg(x) for x in v[self.cols :])
+        return Matrix(F, target.rows, n, tuple(ent))
 
 
 def intertwiner_basis(field: Field, pairs: Sequence[tuple["Matrix", "Matrix"]], n: int, m: int) -> list["Matrix"]:
-    """RREF-canonical basis of {X (n x m) : A_i @ X = X @ B_i for all i}."""
+    """RREF-canonical basis of {X (n x m) : A_i @ X = X @ B_i for all i}.
+
+    Unknown k * m + l is the entry X[k, l]; with no pairs there are no
+    equations, and the kernel is the unit basis of all n x m matrices.
+    """
     if n == 0 or m == 0:
         return []
     ncons = len(pairs) * n * m
-    if ncons == 0:
-        # no constraints: all matrices; basis of unit matrices in RREF order
-        out = []
-        z = field.zero
-        for k in range(n):
-            for l in range(m):
-                ent = tuple(field.one if (i == k and j == l) else z for i in range(n) for j in range(m))
-                out.append(Matrix(field, n, m, ent))
-        return out
-    rows = []
+    ent = [field.zero] * (n * m * ncons)
     for k in range(n):
         for l in range(m):
-            row = [field.zero] * ncons
+            row = (k * m + l) * ncons
             for pi, (A, B) in enumerate(pairs):
-                base = pi * n * m
+                base = row + pi * n * m
                 for i in range(n):
                     c = A[i, k]
                     if c != field.zero:
                         idx = base + i * m + l
-                        row[idx] = field.add(row[idx], c)
+                        ent[idx] = field.add(ent[idx], c)
                 for j in range(m):
                     c = B[l, j]
                     if c != field.zero:
                         idx = base + k * m + j
-                        row[idx] = field.sub(row[idx], c)
-            rows.append(tuple(row))
-    T = Matrix.from_rows(field, rows, cols=ncons)
-    ker = T.left_kernel()
+                        ent[idx] = field.sub(ent[idx], c)
+    ker = Matrix(field, n * m, ncons, tuple(ent)).left_kernel()
     return [Matrix(field, n, m, ker.basis.row(i)) for i in range(ker.dim)]
-
-
-def solve(a: Matrix, b: Matrix) -> tuple[Matrix, Subspace] | None:
-    """Solve x @ a = b rowwise: returns (particular, kernel) or None.
-
-    ``a`` is (n x m); ``b`` is (k x m); the particular solution is (k x n)
-    and the kernel is the space of rows v with v @ a = 0, so the full
-    solution set for each row is particular_row + kernel.
-    """
-    part = a.solve_left(b)
-    if part is None:
-        return None
-    return part, a.left_kernel()
 
 
 @dataclass(frozen=True)
@@ -424,25 +425,26 @@ class Subspace:
     """A subspace of k^ambient, basis stored as an RREF matrix.
 
     Canonical: two subspaces are equal iff their dataclass representations
-    are equal.
+    are equal.  ``pivots`` are the pivot columns of the basis rows, as
+    ``rref`` returns them.
     """
 
     ambient: int
     basis: Matrix  # rank x ambient, in RREF with no zero rows
+    pivots: tuple[int, ...]
 
     @staticmethod
     def from_matrix(m: Matrix) -> "Subspace":
-        R, rank, _ = m.rref()
-        rows = [R.row(i) for i in range(rank)]
-        return Subspace(m.cols, Matrix.from_rows(m.field, rows, cols=m.cols))
+        R, rank, piv = m.rref()
+        return Subspace(m.cols, Matrix(m.field, rank, m.cols, R.entries[: rank * m.cols]), piv)
 
     @staticmethod
     def zero(field: Field, ambient: int) -> "Subspace":
-        return Subspace(ambient, Matrix.from_rows(field, [], cols=ambient))
+        return Subspace(ambient, Matrix(field, 0, ambient, ()), ())
 
     @staticmethod
     def full(field: Field, ambient: int) -> "Subspace":
-        return Subspace(ambient, Matrix.identity(field, ambient))
+        return Subspace(ambient, Matrix.identity(field, ambient), tuple(range(ambient)))
 
     @staticmethod
     def span(field: Field, vectors: Iterable[Sequence], ambient: int) -> "Subspace":
@@ -460,17 +462,11 @@ class Subspace:
         return self.basis.rows
 
     def contains(self, v: Sequence) -> bool:
-        F = self.field
-        v = list(v)
+        """v lies in the span iff it is the combination of the basis rows
+        with its own pivot coordinates as coefficients."""
         if len(v) != self.ambient:
             raise ValueError("ambient mismatch")
-        for i in range(self.basis.rows):
-            row = self.basis.row(i)
-            pc = next(j for j, x in enumerate(row) if x != F.zero)
-            if v[pc] != F.zero:
-                f = v[pc]
-                v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, row)]
-        return all(x == F.zero for x in v)
+        return self.basis.apply_row([v[pc] for pc in self.pivots]) == tuple(v)
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(other.basis.row(i)) for i in range(other.dim))
@@ -481,25 +477,12 @@ class Subspace:
 
     def intersection(self, other: "Subspace") -> "Subspace":
         self._check(other)
-        F = self.field
         if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(F, self.ambient)
-        stacked = self.basis.stack(other.basis)
-        ker = stacked.left_kernel()
-        vecs = []
-        for i in range(ker.dim):
-            coeffs = ker.basis.row(i)[: self.dim]
-            vecs.append(self._combine(coeffs))
-        return Subspace.span(F, vecs, self.ambient)
-
-    def _combine(self, coeffs: Sequence) -> tuple:
-        F = self.field
-        out = [F.zero] * self.ambient
-        for c, i in zip(coeffs, range(self.dim)):
-            if c != F.zero:
-                row = self.basis.row(i)
-                out = [F.add(x, F.mul(c, y)) for x, y in zip(out, row)]
-        return tuple(out)
+            return Subspace.zero(self.field, self.ambient)
+        ker = self.basis.stack(other.basis).left_kernel()
+        # the first self.dim coordinates of a kernel vector combine self's basis
+        coeffs = tuple(x for i in range(ker.dim) for x in ker.basis.row(i)[: self.dim])
+        return Subspace.from_matrix(Matrix(self.field, ker.dim, self.dim, coeffs) @ self.basis)
 
     def quotient_maps(self) -> tuple[Matrix, Matrix]:
         """Projection/section pair for k^ambient / self.
@@ -509,33 +492,22 @@ class Subspace:
         coordinate vectors), section is (q x ambient) choosing those
         coordinate vectors as representatives; projection after section is
         the identity on the quotient (row convention: section @ projection).
+        In closed form, row j of the projection is the unit vector of j off
+        the pivots, and -(basis row r) on the non-pivots at the pivot of row r.
         """
         F = self.field
-        piv = []
-        for i in range(self.dim):
-            row = self.basis.row(i)
-            piv.append(next(j for j, x in enumerate(row) if x != F.zero))
-        nonpiv = [j for j in range(self.ambient) if j not in piv]
-        q = len(nonpiv)
-        # projection: reduce e_j against basis, read off non-pivot coords
-        proj_rows = []
+        row_of = {pc: r for r, pc in enumerate(self.pivots)}
+        nonpiv = [j for j in range(self.ambient) if j not in row_of]
+        proj = []
         for j in range(self.ambient):
-            v = [F.zero] * self.ambient
-            v[j] = F.one
-            for r, pc in enumerate(piv):
-                if v[pc] != F.zero:
-                    f = v[pc]
-                    row = self.basis.row(r)
-                    v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, row)]
-            proj_rows.append(tuple(v[c] for c in nonpiv))
-        proj = Matrix.from_rows(F, proj_rows, cols=q)
-        sec_rows = []
-        for c in nonpiv:
-            v = [F.zero] * self.ambient
-            v[c] = F.one
-            sec_rows.append(tuple(v))
-        sec = Matrix.from_rows(F, sec_rows, cols=self.ambient)
-        return proj, sec
+            if j in row_of:
+                row = self.basis.row(row_of[j])
+                proj.extend(F.neg(row[c]) for c in nonpiv)
+            else:
+                proj.extend(F.one if c == j else F.zero for c in nonpiv)
+        sec = tuple(F.one if j == c else F.zero for c in nonpiv for j in range(self.ambient))
+        q = len(nonpiv)
+        return Matrix(F, self.ambient, q, tuple(proj)), Matrix(F, q, self.ambient, sec)
 
     def _check(self, other: "Subspace") -> None:
         if self.ambient != other.ambient:

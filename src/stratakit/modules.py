@@ -308,45 +308,31 @@ class Bimodule:
         left and right algebras).
 
         X (x)_L B is the quotient of X (x)_k B, whose coordinate i * dim B + j
-        is x_i (x) b_j, by the span of x l (x) b - x (x) l b over the bases
-        of X, L and B, taken in that order.
+        is x_i (x) b_j as in ``Matrix.kron``, by the rows of
+        x.action[s] (x) I - I (x) left_action[s] over the basis l_s of L,
+        that is, by the vectors x l_s (x) b - x (x) l_s b.
         """
         L, R = self.left_algebra, self.right_algebra
         F = R.field
-        db = self.dim
-        ident = Matrix.identity(F, db)
+        ident = Matrix.identity(F, self.dim)
 
         @memoize
         def relations(x: RightModule) -> Subspace:
-            dx = x.dim
-            vecs = []
-            for i in range(dx):
-                for s in range(L.dim):
-                    xs = x.action[s].row(i)
-                    ls = self.left_action[s]
-                    for j in range(db):
-                        vec = [F.zero] * (dx * db)
-                        for i2, c in enumerate(xs):
-                            if c != F.zero:
-                                vec[i2 * db + j] = F.add(vec[i2 * db + j], c)
-                        for j2 in range(db):
-                            c = ls[j, j2]
-                            if c != F.zero:
-                                vec[i * db + j2] = F.sub(vec[i * db + j2], c)
-                        vecs.append(tuple(vec))
-            return Subspace.span(F, vecs, dx * db)
+            x_ident, n = Matrix.identity(F, x.dim), x.dim * self.dim
+            rels = [x.action[s].kron(ident) - x_ident.kron(self.left_action[s]) for s in range(L.dim)]
+            return Subspace.from_matrix(Matrix(F, L.dim * n, n, tuple(e for r in rels for e in r.entries)))
 
         @memoize
         def obj(x: RightModule) -> RightModule:
             proj, sec = relations(x).quotient_maps()
             x_ident = Matrix.identity(F, x.dim)
-            acts = [sec @ _kron(x_ident, self.right_action[k]) @ proj for k in range(R.dim)]
+            acts = [sec @ x_ident.kron(self.right_action[k]) @ proj for k in range(R.dim)]
             return RightModule(R, proj.cols, tuple(acts))
 
         def mor(f: ModuleMap) -> ModuleMap:
             _, sec = relations(f.source).quotient_maps()
             proj, _ = relations(f.target).quotient_maps()
-            return ModuleMap(obj(f.source), obj(f.target), sec @ _kron(f.mat, ident) @ proj)
+            return ModuleMap(obj(f.source), obj(f.target), sec @ f.mat.kron(ident) @ proj)
 
         return TensorFunctor(obj, mor, relations)
 
@@ -355,25 +341,25 @@ class Bimodule:
         (phi l)(b) = phi(l b).
 
         An element of Hom_R(B, X) is a dim B x dim X matrix; ``basis(x)`` is
-        the RREF-canonical basis of the intertwiners and ``coords(x, mats)``
+        ``hom_basis`` from B as a right R-module to X, and ``coords(x, mats)``
         writes each matrix of ``mats`` in it.
         """
         L, R = self.left_algebra, self.right_algebra
         F = R.field
         db = self.dim
+        as_module = RightModule(R, db, self.right_action)
 
         @memoize
         def basis(x: RightModule) -> tuple[Matrix, ...]:
-            pairs = [(self.right_action[s], x.action[s]) for s in range(R.dim)]
-            return tuple(intertwiner_basis(F, pairs, db, x.dim))
+            return tuple(f.mat for f in hom_basis(as_module, x))
 
         def coords(x: RightModule, mats: Sequence[Matrix]) -> Matrix:
             phis = basis(x)
             if not phis:
                 return Matrix.zero(F, len(mats), 0)
-            flat_basis = Matrix.from_rows(F, [phi.entries for phi in phis], cols=db * x.dim)
-            flat_targets = Matrix.from_rows(F, [m.entries for m in mats], cols=db * x.dim)
-            sol = flat_basis.solve_left(flat_targets)
+            n = db * x.dim
+            flat_basis = Matrix(F, len(phis), n, tuple(e for phi in phis for e in phi.entries))
+            sol = flat_basis.solve_left(Matrix(F, len(mats), n, tuple(e for m in mats for e in m.entries)))
             assert sol is not None, "map left the hom space"
             return sol
 
@@ -401,19 +387,6 @@ class HomFunctor(NamedTuple):
     mor: Callable[[ModuleMap], ModuleMap]
     basis: Callable[[RightModule], tuple[Matrix, ...]]
     coords: Callable[[RightModule, Sequence[Matrix]], Matrix]
-
-
-def _kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product: entry (i * b.rows + j, i2 * b.cols + j2) is a[i, i2] b[j, j2]."""
-    F = a.field
-    rows = []
-    for i in range(a.rows):
-        for j in range(b.rows):
-            row = []
-            for c in a.row(i):
-                row.extend([F.zero] * b.cols if c == F.zero else [F.mul(c, y) for y in b.row(j)])
-            rows.append(row)
-    return Matrix.from_rows(F, rows, cols=a.cols * b.cols)
 
 
 def validate_bimodule(b: Bimodule) -> None:

@@ -57,56 +57,28 @@ class MVData:
             raise MVDataError("n must be a (z_algebra, u_algebra)-bimodule")
         if self.theta.rows != self.m.dim * self.n.dim or self.theta.cols != self.u_algebra.dim:
             raise MVDataError("theta has the wrong shape")
+        validate_mv_data(self)
 
 
 def validate_mv_data(d: MVData) -> None:
-    """Bimodule axioms, balance of theta over R, and S-S equivariance."""
+    """Bimodule axioms, balance of theta over R, and S-S equivariance.
+
+    theta sends u (x) w to (u kron w) @ theta, so each axiom compares two
+    matrices whose row i * dim N + j is the value on m_i (x) n_j.
+    """
     validate_bimodule(d.m)
     validate_bimodule(d.n)
-    F = d.u_algebra.field
-    dm, dn = d.m.dim, d.n.dim
-
-    def theta_val(mi_vec, nj_vec) -> tuple:
-        # bilinear extension of theta on coordinate pairs
-        out = [F.zero] * d.u_algebra.dim
-        for i, ci in enumerate(mi_vec):
-            if ci == F.zero:
-                continue
-            for j, cj in enumerate(nj_vec):
-                if cj == F.zero:
-                    continue
-                row = d.theta.row(i * dn + j)
-                c = F.mul(ci, cj)
-                out = [F.add(x, F.mul(c, y)) for x, y in zip(out, row)]
-        return tuple(out)
-
-    def unit_vec(n, k):
-        return tuple(F.one if t == k else F.zero for t in range(n))
-
+    F, S, theta = d.u_algebra.field, d.u_algebra, d.theta
+    id_m, id_n = Matrix.identity(F, d.m.dim), Matrix.identity(F, d.n.dim)
     for r in range(d.z_algebra.dim):
-        rv = d.z_algebra.basis_vec(r)
-        mr = d.m.right_of(rv)
-        rn = d.n.left_of(rv)
-        for i in range(dm):
-            for j in range(dn):
-                lhs = theta_val(mr.row(i), unit_vec(dn, j))
-                rhs = theta_val(unit_vec(dm, i), rn.apply_row(unit_vec(dn, j)))
-                if lhs != rhs:
-                    raise MVDataError("theta is not balanced over the closed-side algebra")
-    for sidx in range(d.u_algebra.dim):
-        sv = d.u_algebra.basis_vec(sidx)
-        ls = d.m.left_of(sv)
-        rs = d.n.right_of(sv)
-        for i in range(dm):
-            for j in range(dn):
-                lhs = theta_val(ls.apply_row(unit_vec(dm, i)), unit_vec(dn, j))
-                rhs = d.u_algebra.mul_vec(sv, theta_val(unit_vec(dm, i), unit_vec(dn, j)))
-                if lhs != rhs:
-                    raise MVDataError("theta is not left equivariant")
-                lhs = theta_val(unit_vec(dm, i), rs.apply_row(unit_vec(dn, j)))
-                rhs = d.u_algebra.mul_vec(theta_val(unit_vec(dm, i), unit_vec(dn, j)), sv)
-                if lhs != rhs:
-                    raise MVDataError("theta is not right equivariant")
+        if d.m.right_action[r].kron(id_n) @ theta != id_m.kron(d.n.left_action[r]) @ theta:
+            raise MVDataError("theta is not balanced over the closed-side algebra")
+    for s in range(S.dim):
+        sv = S.basis_vec(s)
+        if d.m.left_action[s].kron(id_n) @ theta != theta @ S.left_mult_matrix(sv):
+            raise MVDataError("theta is not left equivariant")
+        if id_m.kron(d.n.right_action[s]) @ theta != theta @ S.right_mult_matrix(sv):
+            raise MVDataError("theta is not right equivariant")
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +100,10 @@ class MVFunctors:
         d = self.data
         F = self.field
         dx, dm, dn = x.dim, d.m.dim, d.n.dim
-        mats = []
-        for i in range(dx):
-            for j in range(dm):
-                rows = []
-                for t in range(dn):
-                    sval = d.theta.row(j * dn + t)
-                    rows.append(x.action_of(sval).row(i))
-                mats.append(Matrix.from_rows(F, rows, cols=dx))
+        # theta's row j * dn + t is theta(m_j (x) n_t), acting on x
+        acts = [x.action_of(d.theta.row(k)) for k in range(dm * dn)]
+        mats = [Matrix(F, dn, dx, tuple(e for t in range(dn) for e in acts[j * dn + t].row(i)))
+                for i in range(dx) for j in range(dm)]
         v_mat_rows = self.G.coords(x, mats)
         W = self.F.relations(x)
         if W.dim and self.G.basis(x):
@@ -191,9 +159,7 @@ class MVMorphism:
 class MVCategory:
     """The glued abelian category, as a computable category handle."""
 
-    def __init__(self, data: MVData, check: bool = True):
-        if check:
-            validate_mv_data(data)
+    def __init__(self, data: MVData):
         self.data = data
         self.fun = MVFunctors(data)
         self.field = data.u_algebra.field
@@ -394,8 +360,8 @@ class MVCategory:
 # the recollement
 
 
-def mv_recollement(data: MVData, check: bool = True) -> Recollement:
-    cat = MVCategory(data, check=check)
+def mv_recollement(data: MVData) -> Recollement:
+    cat = MVCategory(data)
     fun = cat.fun
     F = cat.field
     cat_z = cat.cat_z
@@ -669,15 +635,13 @@ def mv_data_from_spec(spec, field) -> MVData:
                 raise MVDataError(f"{which} action names unknown basis elements {sorted(unknown)}")
             return tuple(out)
 
-        b = Bimodule(
+        return Bimodule(
             left_algebra=left_alg,
             right_algebra=right_alg,
             dim=dim,
             left_action=mats(bspec.left, left_alg, "left"),
             right_action=mats(bspec.right, right_alg, "right"),
         )
-        validate_bimodule(b)
-        return b
 
     m = build_bimodule(spec.m, u_alg, z_alg)
     n = build_bimodule(spec.n, z_alg, u_alg)
@@ -685,6 +649,4 @@ def mv_data_from_spec(spec, field) -> MVData:
     if len(theta_rows) != m.dim * n.dim:
         raise MVDataError(f"theta: expected {m.dim * n.dim} rows, got {len(theta_rows)}")
     theta = Matrix.from_rows(field, theta_rows, cols=u_alg.dim)
-    data = MVData(z_algebra=z_alg, u_algebra=u_alg, m=m, n=n, theta=theta)
-    validate_mv_data(data)
-    return data
+    return MVData(z_algebra=z_alg, u_algebra=u_alg, m=m, n=n, theta=theta)

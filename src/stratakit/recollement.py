@@ -147,9 +147,10 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
     de = data.e_a.rows
     na = data.a_e.rows
 
+    # e as a 1 x de row over the basis of eA, and as a 1 x na row over Ae
     e_row = Matrix.from_rows(F, [e], cols=a.dim)
-    e_in_ea = data.e_a.solve_left(e_row).row(0) if de else ()
-    e_in_ae = data.a_e.solve_left(e_row).row(0) if na else ()
+    e_in_ea = data.e_a.solve_left(e_row)
+    e_in_ae = data.a_e.solve_left(e_row)
     # j_lower = - (x)_Gamma eA and j_roof = Hom_Gamma(Ae, -)
     tensor = data.ea.tensor_functor()
     hom = data.ae.hom_functor()
@@ -240,21 +241,11 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
     def unit_jl(x: RightModule) -> ModuleMap:
         # x |-> class(x (x) e) inside (j_lower x) e
         tgt_parent = tensor.obj(x)
-        tgt = j_restrict_obj(tgt_parent)
-        B = restrict_space(tgt_parent).basis
         projT, _ = tensor.relations(x).quotient_maps()
-        rows = []
-        for i in range(x.dim):
-            vec = [F.zero] * (x.dim * de)
-            for j, c in enumerate(e_in_ea):
-                if c != F.zero:
-                    vec[i * de + j] = c
-            vrow = Matrix.from_rows(F, [tuple(vec)], cols=x.dim * de) @ projT
-            rows.append(vrow.row(0))
-        down = Matrix.from_rows(F, rows, cols=projT.cols)
-        mat = B.solve_left(down)
+        down = Matrix.identity(F, x.dim).kron(e_in_ea) @ projT
+        mat = restrict_space(tgt_parent).basis.solve_left(down)
         assert mat is not None, "unit image left the restricted subspace"
-        return ModuleMap(x, tgt, mat)
+        return ModuleMap(x, j_restrict_obj(tgt_parent), mat)
 
     def counit_jl(m: RightModule) -> ModuleMap:
         # class(v (x) m_j) |-> v * m_j
@@ -289,8 +280,7 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
         # phi |-> phi(e): the values at e of the basis maps, combined by the
         # coordinates of each basis vector of (j_roof x) e
         roof = hom.obj(x)
-        at_e = Matrix.from_rows(F, [e_in_ae], cols=na)
-        values = Matrix.from_rows(F, [(at_e @ phi).row(0) for phi in hom.basis(x)], cols=x.dim)
+        values = Matrix.from_rows(F, [(e_in_ae @ phi).row(0) for phi in hom.basis(x)], cols=x.dim)
         return ModuleMap(j_restrict_obj(roof), x, restrict_space(roof).basis @ values)
 
     label = f"e=({'+'.join(data.vertices) if data.vertices else '0'}) in {'x'.join(a.vertex_names)}"

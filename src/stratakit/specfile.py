@@ -63,7 +63,16 @@ def _parse_quiver(obj) -> Quiver:
         raise SpecError(f"quiver: {e}") from None
 
 
-def _parse_relations(obj, quiver: Quiver) -> Presentation:
+def _number(field: Field, x, where: str):
+    """``x`` in the field; a float, a bool or a malformed string is an error
+    that names the entry."""
+    try:
+        return field.of(x)
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        raise SpecError(f"{where}: {e}") from None
+
+
+def _parse_relations(obj, quiver: Quiver, field: Field) -> Presentation:
     rels = []
     for i, rel in enumerate(obj):
         _expect_keys(rel, f"relations[{i}]", {"terms"})
@@ -73,7 +82,7 @@ def _parse_relations(obj, quiver: Quiver) -> Presentation:
             path = t["path"]
             if not isinstance(path, list) or not all(isinstance(x, str) for x in path):
                 raise SpecError(f"relations[{i}].terms[{j}].path: expected arrow names")
-            terms.append((t["coeff"], path))
+            terms.append((_number(field, t["coeff"], f"relations[{i}].terms[{j}].coeff"), path))
         rels.append(terms)
     try:
         return Presentation.from_names(quiver, rels)
@@ -144,32 +153,32 @@ class MVSpec:
     theta: list      # (dim m * dim n) x dim(u-algebra) rows
 
 
-def _parse_matrix_rows(obj, where: str) -> list:
+def _parse_matrix_rows(obj, where: str, field: Field) -> list:
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise SpecError(f"{where}: expected a list of rows")
-    return obj
+    return [[_number(field, x, f"{where}[{i}][{j}]") for j, x in enumerate(r)] for i, r in enumerate(obj)]
 
 
-def _parse_bimodule(obj, where: str, left_key: str, right_key: str) -> BimoduleSpec:
+def _parse_bimodule(obj, where: str, left_key: str, right_key: str, field: Field) -> BimoduleSpec:
     _expect_keys(obj, where, {"dim", left_key, right_key})
     if not isinstance(obj["dim"], int) or obj["dim"] < 0:
         raise SpecError(f"{where}.dim: expected a nonnegative integer")
-    left = {k: _parse_matrix_rows(v, f"{where}.{left_key}[{k}]") for k, v in obj[left_key].items()}
-    right = {k: _parse_matrix_rows(v, f"{where}.{right_key}[{k}]") for k, v in obj[right_key].items()}
+    left = {k: _parse_matrix_rows(v, f"{where}.{left_key}[{k}]", field) for k, v in obj[left_key].items()}
+    right = {k: _parse_matrix_rows(v, f"{where}.{right_key}[{k}]", field) for k, v in obj[right_key].items()}
     return BimoduleSpec(obj["dim"], left, right)
 
 
-def _parse_mv(obj) -> MVSpec:
+def _parse_mv(obj, field: Field) -> MVSpec:
     _expect_keys(obj, "mv", {"z", "u", "m", "n", "theta"})
     sides = {}
     for side in ("z", "u"):
         _expect_keys(obj[side], f"mv.{side}", {"quiver"}, {"relations"})
         q = _parse_quiver(obj[side]["quiver"])
-        pres = _parse_relations(obj[side].get("relations", []), q)
+        pres = _parse_relations(obj[side].get("relations", []), q, field)
         sides[side] = (q, pres)
-    m = _parse_bimodule(obj["m"], "mv.m", "left_u", "right_z")
-    n = _parse_bimodule(obj["n"], "mv.n", "left_z", "right_u")
-    theta = _parse_matrix_rows(obj["theta"], "mv.theta")
+    m = _parse_bimodule(obj["m"], "mv.m", "left_u", "right_z", field)
+    n = _parse_bimodule(obj["n"], "mv.n", "left_z", "right_u", field)
+    theta = _parse_matrix_rows(obj["theta"], "mv.theta", field)
     return MVSpec(
         z_quiver=sides["z"][0], z_presentation=sides["z"][1],
         u_quiver=sides["u"][0], u_presentation=sides["u"][1],
@@ -191,13 +200,13 @@ def parse_spec(data, name: str = "<input>") -> AlgebraSpec:
     _expect_keys(data, name, {"field", "quiver"}, {"relations", "stratification", "mv"})
     field = _parse_field(data["field"])
     quiver = _parse_quiver(data["quiver"])
-    pres = _parse_relations(data.get("relations", []), quiver)
+    pres = _parse_relations(data.get("relations", []), quiver, field)
     strat = None
     if "stratification" in data:
         strat = _parse_stratification(data["stratification"], quiver)
     mv = None
     if "mv" in data:
-        mv = _parse_mv(data["mv"])
+        mv = _parse_mv(data["mv"], field)
     return AlgebraSpec(name=name, field=field, quiver=quiver, presentation=pres,
                        stratification=strat, mv=mv)
 

@@ -236,3 +236,108 @@ def test_homological_mode_emits_table(tmp_path, capsys):
     assert hom["witness"]["degree"] == 2
     table = hom["details"]["comparison_table"]
     assert table and table[-1]["rank"] == 0 and table[-1]["dim_target"] == 1
+
+
+# ---------------------------------------------------------------------------
+# malformed inputs end in one line on stderr, never in a traceback
+
+
+def loop_spec(field, coeff):
+    """One vertex with a loop x and the relation coeff * x*x."""
+    return {
+        "field": field,
+        "quiver": {"vertices": ["1"], "arrows": [{"name": "x", "from": "1", "to": "1"}]},
+        "relations": [{"terms": [{"coeff": coeff, "path": ["x", "x"]}]}],
+    }
+
+
+def write_spec(tmp_path, data):
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(data))
+    return str(p)
+
+
+def one_line_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    return code, captured.err.strip()
+
+
+GF3 = {"kind": "GF", "p": 3}
+Q = {"kind": "Q"}
+
+
+@pytest.mark.parametrize("field,coeff,message", [
+    (GF3, 0.5, "not an exact number: 0.5"),
+    (Q, 0.1, "not an exact number: 0.1"),
+    (Q, True, "not an exact number: True"),
+    (GF3, "abc", "Invalid literal for Fraction: 'abc'"),
+    (GF3, "1/3", "1/3 has no image in GF(3)"),
+])
+def test_inexact_relation_coefficient_is_a_schema_error(tmp_path, capsys, field, coeff, message):
+    path = write_spec(tmp_path, loop_spec(field, coeff))
+    code, err = one_line_error(capsys, ["validate", path])
+    assert code == 1
+    assert err == f"schema error: relations[0].terms[0].coeff: {message}"
+
+
+def test_exact_decimal_string_is_accepted(tmp_path, capsys):
+    code, out = run_cli(capsys, "validate", write_spec(tmp_path, loop_spec(Q, "0.1")))
+    assert code == 0 and json.loads(out)["checks"][0]["details"]["dimension"] == 2
+
+
+@pytest.mark.parametrize("where", ["m.left_u", "theta"])
+def test_inexact_mv_entry_is_a_schema_error(tmp_path, capsys, where):
+    data = json.loads(fixture_bytes("fix_mv_id.json"))
+    if where == "theta":
+        data["mv"]["theta"] = [[1.0]]
+        entry = "mv.theta[0][0]"
+    else:
+        data["mv"]["m"]["left_u"]["e_1"] = [[0.5]]
+        entry = "mv.m.left_u[e_1][0][0]"
+    code, err = one_line_error(capsys, ["validate", write_spec(tmp_path, data)])
+    assert code == 1
+    assert err.startswith(f"schema error: {entry}: not an exact number")
+
+
+@pytest.mark.parametrize("relation,message", [
+    ([{"coeff": 1, "path": ["a", "a"]}], "relation 0: non-composable path"),
+    ([{"coeff": 1, "path": ["a", "b"]}, {"coeff": 1, "path": ["d", "d"]}],
+     "relation 0: terms not homogeneous in (source, target)"),
+])
+def test_malformed_relation_is_a_build_failure(tmp_path, capsys, relation, message):
+    data = {
+        "field": GF3,
+        "quiver": {"vertices": ["1", "2", "3"], "arrows": [
+            {"name": "a", "from": "1", "to": "2"}, {"name": "b", "from": "2", "to": "3"},
+            {"name": "c", "from": "1", "to": "3"}, {"name": "d", "from": "3", "to": "3"}]},
+        "relations": [{"terms": relation}],
+    }
+    code, out = run_cli(capsys, "validate", write_spec(tmp_path, data))
+    assert code == 2
+    (check,) = json.loads(out)["checks"]
+    assert check["name"] == "build" and check["verdict"] == "FAIL"
+    assert check["witness"] == {"error": "INVALID", "message": message}
+
+
+def test_eps_without_epsilon_above_eight_strata(tmp_path, capsys):
+    vs = [str(i) for i in range(9)]
+    data = {
+        "field": {"kind": "GF", "p": 2},
+        "quiver": {"vertices": vs, "arrows": []},
+        "stratification": {"poset": {"elements": [f"s{v}" for v in vs], "leq": []},
+                           "rho": {v: f"s{v}" for v in vs}},
+    }
+    code, err = one_line_error(capsys, ["check", write_spec(tmp_path, data), "--mode", "eps"])
+    assert code == 1
+    assert err == "schema error: epsilon required above 8 strata"
+
+
+@pytest.mark.parametrize("n", ["-1", "x"])
+def test_degree_bound_must_be_non_negative(tmp_path, capsys, n):
+    path = fixture_path(tmp_path, "fix_a2.json")
+    code, err = one_line_error(capsys, ["check", path, "--mode", "homological", "--n", n])
+    assert code == 1
+    assert "--n" in err and "expected a non-negative integer" in err

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stratakit.linalg import GF2, GF3, QQ, Field, Matrix, Subspace, solve
+from stratakit.linalg import GF2, GF3, QQ, Field, Matrix, Subspace
 
 
 def mat(field, rows, cols=None):
@@ -44,7 +44,7 @@ def test_rref_rational_rank_one():
 def test_solve_identity():
     a = Matrix.identity(GF3, 3)
     b = mat(GF3, [[1, 2, 0]])
-    part, ker = solve(a, b)
+    part, ker = a.solve_left(b), a.left_kernel()
     assert part == b
     assert ker.dim == 0
 
@@ -52,14 +52,14 @@ def test_solve_identity():
 def test_solve_inconsistent():
     a = Matrix.zero(GF2, 2, 2)
     b = mat(GF2, [[1, 0]])
-    assert solve(a, b) is None
+    assert a.solve_left(b) is None
 
 
 def test_solve_underdetermined_gf2():
     # x @ [[1],[1]] = [0]: solutions (0,0) and (1,1)
     a = mat(GF2, [[1], [1]])
     b = mat(GF2, [[0]])
-    part, ker = solve(a, b)
+    part, ker = a.solve_left(b), a.left_kernel()
     assert part.row(0) in {(0, 0), (1, 1)}
     assert ker.dim == 1
     assert ker.basis.row(0) == (1, 1)
@@ -164,13 +164,112 @@ def test_solve_matches_enumeration(a, data):
         for v in itertools.product(range(F.p), repeat=a.rows)
         if a.apply_row(v) == tuple(F.of(x) for x in target)
     ]
-    got = solve(a, b)
-    if got is None:
+    part = a.solve_left(b)
+    if part is None:
         assert expected == []
     else:
-        part, ker = got
+        ker = a.left_kernel()
         assert part.row(0) in expected
         assert len(expected) == F.p ** ker.dim
         for v in expected:
             diff = tuple(F.sub(x, y) for x, y in zip(v, part.row(0)))
             assert ker.contains(diff)
+
+
+# ---------------------------------------------------------------------------
+# the kernel's own structure: pivots, closed-form quotient maps, kron
+
+
+def elements(field):
+    if field.kind == "GF":
+        return st.integers(min_value=0, max_value=field.p - 1)
+    return st.integers(min_value=-3, max_value=3).map(Fraction)
+
+
+def subspace_and_vector(field):
+    """A subspace of k^n and a vector of k^n, for n in 1..4."""
+    def build(n):
+        vec = st.lists(elements(field), min_size=n, max_size=n).map(tuple)
+        spc = st.lists(vec, max_size=n + 1).map(lambda vs: Subspace.span(field, vs, n))
+        return st.tuples(spc, vec)
+
+    return st.integers(1, 4).flatmap(build)
+
+
+FIELDS = st.sampled_from([GF2, GF3, QQ])
+
+
+@settings(max_examples=60, deadline=None)
+@given(FIELDS.flatmap(subspace_and_vector))
+def test_quotient_maps_split_the_quotient(uv):
+    u, _ = uv
+    proj, sec = u.quotient_maps()
+    q = u.ambient - u.dim
+    assert (proj.rows, proj.cols, sec.rows, sec.cols) == (u.ambient, q, q, u.ambient)
+    assert sec @ proj == Matrix.identity(u.field, q)
+    assert (u.basis @ proj).is_zero
+    assert proj.left_kernel() == u
+
+
+@settings(max_examples=60, deadline=None)
+@given(FIELDS.flatmap(subspace_and_vector))
+def test_contains_iff_projection_vanishes(uv):
+    u, v = uv
+    proj, _ = u.quotient_maps()
+    assert u.contains(v) == all(x == 0 for x in proj.apply_row(v))
+    # a combination of the basis rows is inside, and projects to zero
+    w = u.basis.apply_row(v[: u.dim])
+    assert u.contains(w) and all(x == 0 for x in proj.apply_row(w))
+
+
+@settings(max_examples=60, deadline=None)
+@given(FIELDS.flatmap(matrices))
+def test_pivots_are_the_rref_pivots(m):
+    _, rank, piv = m.rref()
+    s = Subspace.from_matrix(m)
+    assert s.pivots == piv and s.dim == rank
+    assert all(s.basis[r, pc] == 1 for r, pc in enumerate(s.pivots))
+
+
+def kron_operands(field):
+    def build(shape):
+        r, c, p, q, k = shape
+        def mats(rows, cols):
+            return st.lists(elements(field), min_size=rows * cols, max_size=rows * cols).map(
+                lambda e: Matrix.from_rows(field, [e[i * cols:(i + 1) * cols] for i in range(rows)], cols=cols))
+        # A is r x c, B is p x q, C is c x k, D is q x (k + 1)
+        return st.tuples(mats(r, c), mats(p, q), mats(c, k), mats(q, k + 1))
+
+    return st.tuples(*[st.integers(1, 3)] * 5).flatmap(build)
+
+
+@settings(max_examples=60, deadline=None)
+@given(FIELDS.flatmap(kron_operands))
+def test_kron_entries_and_mixed_product(ops):
+    a, b, c, d = ops
+    F = a.field
+    k = a.kron(b)
+    assert (k.rows, k.cols) == (a.rows * b.rows, a.cols * b.cols)
+    for i, j, i2, j2 in itertools.product(range(a.rows), range(b.rows), range(a.cols), range(b.cols)):
+        assert k[i * b.rows + j, i2 * b.cols + j2] == F.mul(a[i, i2], b[j, j2])
+    assert (a @ c).kron(b @ d) == a.kron(b) @ c.kron(d)
+
+
+def test_kron_with_empty_factors():
+    row = mat(GF3, [[1, 2]])
+    assert Matrix.identity(GF3, 0).kron(row) == Matrix.zero(GF3, 0, 0)
+    assert row.kron(Matrix.zero(GF3, 1, 0)) == Matrix.zero(GF3, 1, 0)
+    assert Matrix.identity(GF3, 2).kron(row) == mat(GF3, [[1, 2, 0, 0], [0, 0, 1, 2]])
+
+
+def test_field_rejects_inexact_numbers():
+    for F in (GF3, QQ):
+        for bad in (0.5, 1.0, True, None):
+            with pytest.raises(TypeError):
+                F.of(bad)
+        with pytest.raises(ValueError):
+            F.of("abc")
+    assert QQ.of("0.1") == Fraction(1, 10)
+    assert GF3.of("1/2") == 2
+    with pytest.raises(ZeroDivisionError):
+        GF3.of("1/3")
