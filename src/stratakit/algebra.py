@@ -111,9 +111,10 @@ class Algebra:
     algebra; linear conditions such as "intertwines the action" only need
     to be imposed on generators.
 
-    ``cache`` holds data derived from this instance (its regular and
-    projective modules, resolutions of its modules), so it is freed with the
-    algebra; it takes no part in equality, hashing or ``repr``.
+    ``cache`` holds data derived from this instance (its opposite, its
+    regular and projective modules, resolutions of its modules), so it is
+    freed with the algebra; it takes no part in equality, hashing or
+    ``repr``.
     """
 
     field: Field
@@ -624,15 +625,25 @@ def quotient_by_idempotent_ideal(a: Algebra, vertices: Sequence[str]) -> Quotien
 
 
 def opposite(a: Algebra) -> Algebra:
-    """Same space, reversed multiplication."""
-    mult = tuple(tuple(a.mult[j][i] for j in range(a.dim)) for i in range(a.dim))
-    return Algebra(
-        field=a.field,
-        basis_labels=a.basis_labels,
-        mult=mult,
-        unit=a.unit,
-        idempotent_indices=a.idempotent_indices,
-        vertex_names=a.vertex_names,
-        radical=a.radical,
-        generators=a.generators,
-    )
+    """Same space, reversed multiplication.
+
+    Built once per algebra and kept in its ``cache``; the opposite's cache
+    points back, so ``opposite(opposite(a)) is a`` and both sides share
+    their regular and projective modules and resolutions.  The reference
+    cycle between the two is freed by the garbage collector.
+    """
+    if "opposite" not in a.cache:
+        mult = tuple(tuple(a.mult[j][i] for j in range(a.dim)) for i in range(a.dim))
+        op = Algebra(
+            field=a.field,
+            basis_labels=a.basis_labels,
+            mult=mult,
+            unit=a.unit,
+            idempotent_indices=a.idempotent_indices,
+            vertex_names=a.vertex_names,
+            radical=a.radical,
+            generators=a.generators,
+        )
+        op.cache["opposite"] = a
+        a.cache["opposite"] = op
+    return a.cache["opposite"]

@@ -28,6 +28,7 @@ from .linalg import Matrix
 from .modules import (
     ModuleMap,
     RightModule,
+    dual_module,
     hom_basis,
     injective_module,
     kernel,
@@ -136,11 +137,6 @@ class ExtComparison:
         return self.dim_source == self.dim_target == self.rank
 
 
-def _inflation_lift(s: Stratification, inner: frozenset, outer: frozenset) -> Matrix:
-    """Rows: image in A_inner of each basis element of A_outer."""
-    return s.lower_algebra(outer).section @ s.lower_algebra(inner).projection
-
-
 def ext_comparison(
     s: Stratification,
     inner: frozenset,
@@ -159,7 +155,7 @@ def ext_comparison(
     inner, outer = frozenset(inner), frozenset(outer)
     if not inner <= outer:
         raise ValueError("inner must be contained in outer")
-    lift = _inflation_lift(s, inner, outer)
+    lift = s.inflation(inner, outer)
     outer_alg = s.lower_algebra(outer).algebra
     ix, iy = restrict_scalars(x, outer_alg, lift), restrict_scalars(y, outer_alg, lift)
     res_in = projective_resolution(x, degree + 1)
@@ -334,17 +330,21 @@ def _direct_delta_route(s: Stratification, eps: dict[str, str]) -> RouteVerdict:
 
 
 def _direct_nabla_route(s: Stratification, eps: dict[str, str]) -> RouteVerdict:
-    """Injective side, computed as the projective side over the opposite
-    algebra: the duality functor swaps the families and flips the sign."""
-    sop = s.opposite()
-    flipped = {lam: ("-" if sign == "+" else "+") for lam, sign in eps.items()}
-    res = _direct_delta_route(sop, flipped)
-    if res.verdict:
-        return res
-    witness = dict(res.witness or {})
-    witness["failure"] = "no sign-costandard filtration"
-    witness["injective_at"] = witness.pop("projective_at", None)
-    return RouteVerdict(False, witness)
+    """Injective side by the duality D = Hom_k(-, k): I(b) has a costd_eps-flag
+    iff D I(b), which is P(b) over the opposite algebra, has a D costd_eps-flag."""
+    fams = s.standard_objects()
+    for b in s.algebra.vertex_names:
+        allowed = [
+            (f"D costd_eps({c})", dual_module(fams[c].eps_costandard(eps[s.rho[c]])))
+            for c in s.algebra.vertex_names
+            if s.poset.leq(s.rho[b], s.rho[c])
+        ]
+        d_i_b = dual_module(injective_module(s.algebra, b))
+        cert = filtration_search(d_i_b, allowed, mode="exact-layers")
+        if cert is None:
+            return RouteVerdict(False, {"failure": "no sign-costandard filtration",
+                                        "injective_at": b})
+    return RouteVerdict(True, None)
 
 
 def is_epsilon_stratified(s: Stratification, eps: dict[str, str]) -> Decision:

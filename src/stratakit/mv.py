@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import Algebra
+from .algebra import Algebra, build_bound_quiver_algebra
 from .linalg import Matrix, Subspace
 from .modules import (
     ISO_EXHAUSTION_CAP,
@@ -29,12 +29,20 @@ from .modules import (
     RightModule,
     combine,
     hom_combinations,
+    identity_map,
     memoize,
     simple_module,
+    submodule,
     validate_bimodule,
+    zero_map,
     zero_module,
 )
-from .recollement import Recollement
+from .modules import cokernel as module_cokernel
+from .modules import direct_sum as module_sum
+from .modules import hom_basis as module_hom
+from .modules import image as module_image
+from .modules import kernel as module_kernel
+from .recollement import Recollement, intermediate_extension
 from .category import Functor, ModuleCategory
 
 
@@ -193,21 +201,15 @@ class MVCategory:
     # morphisms ---------------------------------------------------------------
 
     def identity(self, x: MVObject) -> MVMorphism:
-        from .modules import identity_map
-
         return MVMorphism(x, x, identity_map(x.x_u), identity_map(x.x_z))
 
     def zero_mor(self, x: MVObject, y: MVObject) -> MVMorphism:
-        from .modules import zero_map
-
         return MVMorphism(x, y, zero_map(x.x_u, y.x_u), zero_map(x.x_z, y.x_z))
 
     def mor_coords(self, f: MVMorphism) -> tuple:
         return f.f_u.mat.entries + f.f_z.mat.entries
 
     def hom_basis(self, x: MVObject, y: MVObject) -> list[MVMorphism]:
-        from .modules import hom_basis as module_hom
-
         hu = module_hom(x.x_u, y.x_u)
         hz = module_hom(x.x_z, y.x_z)
         nu, nz = len(hu), len(hz)
@@ -229,7 +231,6 @@ class MVCategory:
         ncols = len(rows[0]) if rows else 0
         T = Matrix.from_rows(F, rows, cols=ncols)
         ker = T.left_kernel()
-        from .modules import zero_map
 
         zu, zz = zero_map(x.x_u, y.x_u), zero_map(x.x_z, y.x_z)
         return [MVMorphism(x, y, combine(coeffs[:nu], hu, zu), combine(coeffs[nu:], hz, zz))
@@ -238,8 +239,6 @@ class MVCategory:
     # kernels, cokernels, images ------------------------------------------------
 
     def kernel(self, f: MVMorphism) -> tuple[MVObject, MVMorphism]:
-        from .modules import kernel as module_kernel
-
         ku, iu = module_kernel(f.f_u)
         kz, iz = module_kernel(f.f_z)
         # alpha restricts: F(ku) -> kz  (image lands in ker f_z)
@@ -255,8 +254,6 @@ class MVCategory:
         return k_obj, MVMorphism(k_obj, f.source, iu, iz)
 
     def cokernel(self, f: MVMorphism) -> tuple[MVObject, MVMorphism]:
-        from .modules import cokernel as module_cokernel
-
         cu, pu = module_cokernel(f.f_u)
         cz, pz = module_cokernel(f.f_z)
         f_pu = self.fun.F.mor(pu)
@@ -270,8 +267,6 @@ class MVCategory:
         return c_obj, MVMorphism(f.target, c_obj, pu, pz)
 
     def image(self, f: MVMorphism) -> tuple[MVObject, MVMorphism, MVMorphism]:
-        from .modules import image as module_image
-
         iu_obj, eu, mu = module_image(f.f_u)
         iz_obj, ez, mz = module_image(f.f_z)
         f_eu = self.fun.F.mor(eu)
@@ -288,8 +283,6 @@ class MVCategory:
     def direct_sum(self, xs: Sequence[MVObject]):
         """Componentwise sum; the connecting maps are solved through the
         canonical additivity isomorphisms of the two functors."""
-        from .modules import direct_sum as module_sum
-
         if not xs:
             z = self.zero_obj()
             return z, [], []
@@ -367,8 +360,6 @@ def mv_recollement(data: MVData) -> Recollement:
     cat_z = cat.cat_z
     cat_u = cat.cat_u
 
-    from .modules import identity_map, zero_map
-
     @memoize
     def i_embed_obj(z: RightModule) -> MVObject:
         zu = zero_module(data.u_algebra)
@@ -386,13 +377,9 @@ def mv_recollement(data: MVData) -> Recollement:
 
     @memoize
     def i_left_obj(x: MVObject) -> RightModule:
-        from .modules import cokernel as module_cokernel
-
         return module_cokernel(x.alpha)[0]
 
     def i_left_mor(f: MVMorphism) -> ModuleMap:
-        from .modules import cokernel as module_cokernel
-
         _, p_src = module_cokernel(f.source.alpha)
         c_tgt, p_tgt = module_cokernel(f.target.alpha)
         mat = p_src.mat.solve_right(f.f_z.then(p_tgt).mat)
@@ -401,13 +388,9 @@ def mv_recollement(data: MVData) -> Recollement:
 
     @memoize
     def i_right_obj(x: MVObject) -> RightModule:
-        from .modules import kernel as module_kernel
-
         return module_kernel(x.beta)[0]
 
     def i_right_mor(f: MVMorphism) -> ModuleMap:
-        from .modules import kernel as module_kernel
-
         k_src, i_src = module_kernel(f.source.beta)
         k_tgt, i_tgt = module_kernel(f.target.beta)
         mat = i_tgt.mat.solve_left(i_src.then(f.f_z).mat)
@@ -438,8 +421,6 @@ def mv_recollement(data: MVData) -> Recollement:
 
     # units and counits (all componentwise canonical)
     def unit_quot(x: MVObject) -> MVMorphism:
-        from .modules import cokernel as module_cokernel
-
         c, p = module_cokernel(x.alpha)
         return MVMorphism(x, i_embed_obj(c), zero_map(x.x_u, zero_module(data.u_algebra)), p)
 
@@ -454,8 +435,6 @@ def mv_recollement(data: MVData) -> Recollement:
         return identity_map(z)
 
     def counit_sub(x: MVObject) -> MVMorphism:
-        from .modules import kernel as module_kernel
-
         k, i = module_kernel(x.beta)
         return MVMorphism(i_embed_obj(k), x, zero_map(zero_module(data.u_algebra), x.x_u), i)
 
@@ -498,8 +477,6 @@ def mv_recollement(data: MVData) -> Recollement:
 
 def mv_intermediate_table(cat: MVCategory, u: RightModule) -> MVObject:
     """j_!* by the closed formula: (X_U, im eps, corestricted eps, inclusion)."""
-    from .modules import image as module_image
-
     eps = cat.fun.eps(u)
     img, epi, mono = module_image(eps)
     return cat.make_object(u, img, epi, mono)
@@ -521,7 +498,6 @@ def mv_simples(data: MVData) -> list[tuple[str, MVObject]]:
         obj = r.i_embed(simple_module(data.z_algebra, v))
         assert _mv_is_simple(cat, r, obj), f"embedded simple at {v} is not simple"
         out.append((f"i_embed(S_z({v}))", obj))
-    from .recollement import intermediate_extension
 
     for w in data.u_algebra.vertex_names:
         ie = intermediate_extension(r, simple_module(data.u_algebra, w))
@@ -541,8 +517,6 @@ def _mv_is_simple(cat: MVCategory, r: Recollement, t: MVObject) -> bool:
     """Simplicity through the recollement classification: either a simple
     closed-side object with zero open part, or a simple open restriction
     with t isomorphic to its intermediate extension."""
-    from .recollement import intermediate_extension
-
     if cat.is_zero_obj(t):
         return False
     if t.x_u.dim == 0:
@@ -561,8 +535,6 @@ def mv_subobject_pairs(cat: MVCategory, t: MVObject):
     alpha carries the tensor image of W_u into W_z and beta carries W_z
     into the hom image of W_u.  Strictly an oracle for tiny objects.
     """
-    from .modules import submodule
-
     F = cat.field
     if not F.is_finite:
         raise ValueError("subobject enumeration needs a finite field")
@@ -613,8 +585,6 @@ def mv_subobject_pairs(cat: MVCategory, t: MVObject):
 
 def mv_data_from_spec(spec, field) -> MVData:
     """Build MVData from the parsed file block (see specfile.MVSpec)."""
-    from .algebra import build_bound_quiver_algebra
-
     z_alg = build_bound_quiver_algebra(spec.z_presentation, field)
     u_alg = build_bound_quiver_algebra(spec.u_presentation, field)
 

@@ -20,10 +20,19 @@ class SpecError(ValueError):
     """Malformed input file (schema level, exit code 1 territory)."""
 
 
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _expect(obj, kind: type, where: str):
+    """``obj`` itself if it has the JSON type ``kind``; a SpecError naming
+    ``where`` otherwise."""
+    if not isinstance(obj, kind):
+        raise SpecError(f"{where}: expected {_JSON_KINDS[kind]}")
+    return obj
+
+
 def _expect_keys(obj: dict, where: str, required: set[str], optional: set[str] = frozenset()) -> None:
-    if not isinstance(obj, dict):
-        raise SpecError(f"{where}: expected an object")
-    keys = set(obj)
+    keys = set(_expect(obj, dict, where))
     missing = required - keys
     unknown = keys - required - optional
     if missing:
@@ -48,19 +57,20 @@ def _parse_field(obj) -> Field:
     raise SpecError(f"field: unknown kind {obj['kind']!r}")
 
 
-def _parse_quiver(obj) -> Quiver:
-    _expect_keys(obj, "quiver", {"vertices", "arrows"})
+def _parse_quiver(obj, where: str) -> Quiver:
+    _expect_keys(obj, where, {"vertices", "arrows"})
     vs = obj["vertices"]
     if not isinstance(vs, list) or not all(isinstance(v, str) for v in vs):
-        raise SpecError("quiver.vertices: expected a list of strings")
+        raise SpecError(f"{where}.vertices: expected a list of strings")
     arrows = []
-    for i, a in enumerate(obj["arrows"]):
-        _expect_keys(a, f"quiver.arrows[{i}]", {"name", "from", "to"})
-        arrows.append((a["name"], a["from"], a["to"]))
+    for i, a in enumerate(_expect(obj["arrows"], list, f"{where}.arrows")):
+        _expect_keys(a, f"{where}.arrows[{i}]", {"name", "from", "to"})
+        arrows.append(tuple(_expect(a[k], str, f"{where}.arrows[{i}].{k}")
+                            for k in ("name", "from", "to")))
     try:
         return Quiver(tuple(vs), tuple(arrows))
     except ValueError as e:
-        raise SpecError(f"quiver: {e}") from None
+        raise SpecError(f"{where}: {e}") from None
 
 
 def _number(field: Field, x, where: str):
@@ -72,22 +82,23 @@ def _number(field: Field, x, where: str):
         raise SpecError(f"{where}: {e}") from None
 
 
-def _parse_relations(obj, quiver: Quiver, field: Field) -> Presentation:
+def _parse_relations(obj, where: str, quiver: Quiver, field: Field) -> Presentation:
     rels = []
-    for i, rel in enumerate(obj):
-        _expect_keys(rel, f"relations[{i}]", {"terms"})
+    for i, rel in enumerate(_expect(obj, list, where)):
+        _expect_keys(rel, f"{where}[{i}]", {"terms"})
         terms = []
-        for j, t in enumerate(rel["terms"]):
-            _expect_keys(t, f"relations[{i}].terms[{j}]", {"coeff", "path"})
+        for j, t in enumerate(_expect(rel["terms"], list, f"{where}[{i}].terms")):
+            term = f"{where}[{i}].terms[{j}]"
+            _expect_keys(t, term, {"coeff", "path"})
             path = t["path"]
             if not isinstance(path, list) or not all(isinstance(x, str) for x in path):
-                raise SpecError(f"relations[{i}].terms[{j}].path: expected arrow names")
-            terms.append((_number(field, t["coeff"], f"relations[{i}].terms[{j}].coeff"), path))
+                raise SpecError(f"{term}.path: expected arrow names")
+            terms.append((_number(field, t["coeff"], f"{term}.coeff"), path))
         rels.append(terms)
     try:
         return Presentation.from_names(quiver, rels)
     except KeyError as e:
-        raise SpecError(f"relations: unknown arrow {e}") from None
+        raise SpecError(f"{where}: unknown arrow {e}") from None
 
 
 @dataclass(frozen=True)
@@ -110,13 +121,13 @@ def _parse_stratification(obj, quiver: Quiver) -> StratSpec:
     if not isinstance(elements, list) or not all(isinstance(x, str) for x in elements):
         raise SpecError("stratification.poset.elements: expected strings")
     leq = []
-    for pair in obj["poset"]["leq"]:
+    for pair in _expect(obj["poset"]["leq"], list, "stratification.poset.leq"):
         if not isinstance(pair, list) or len(pair) != 2:
             raise SpecError("stratification.poset.leq: expected pairs")
         if pair[0] not in elements or pair[1] not in elements:
             raise SpecError(f"stratification.poset.leq: unknown element in {pair}")
         leq.append((pair[0], pair[1]))
-    rho = obj["rho"]
+    rho = _expect(obj["rho"], dict, "stratification.rho")
     if set(rho) != set(quiver.vertices):
         raise SpecError("stratification.rho: must label every vertex exactly once")
     for v, lam in rho.items():
@@ -126,7 +137,7 @@ def _parse_stratification(obj, quiver: Quiver) -> StratSpec:
         raise SpecError("stratification.rho: every poset element must label some vertex")
     eps = None
     if "epsilon" in obj:
-        eps = obj["epsilon"]
+        eps = _expect(obj["epsilon"], dict, "stratification.epsilon")
         if set(eps) != set(elements):
             raise SpecError("stratification.epsilon: must assign every poset element")
         for lam, s in eps.items():
@@ -159,12 +170,17 @@ def _parse_matrix_rows(obj, where: str, field: Field) -> list:
     return [[_number(field, x, f"{where}[{i}][{j}]") for j, x in enumerate(r)] for i, r in enumerate(obj)]
 
 
+def _parse_actions(obj, where: str, field: Field) -> dict[str, list]:
+    """Basis label -> matrix rows of its action."""
+    return {k: _parse_matrix_rows(v, f"{where}[{k}]", field) for k, v in _expect(obj, dict, where).items()}
+
+
 def _parse_bimodule(obj, where: str, left_key: str, right_key: str, field: Field) -> BimoduleSpec:
     _expect_keys(obj, where, {"dim", left_key, right_key})
     if not isinstance(obj["dim"], int) or obj["dim"] < 0:
         raise SpecError(f"{where}.dim: expected a nonnegative integer")
-    left = {k: _parse_matrix_rows(v, f"{where}.{left_key}[{k}]", field) for k, v in obj[left_key].items()}
-    right = {k: _parse_matrix_rows(v, f"{where}.{right_key}[{k}]", field) for k, v in obj[right_key].items()}
+    left = _parse_actions(obj[left_key], f"{where}.{left_key}", field)
+    right = _parse_actions(obj[right_key], f"{where}.{right_key}", field)
     return BimoduleSpec(obj["dim"], left, right)
 
 
@@ -173,8 +189,8 @@ def _parse_mv(obj, field: Field) -> MVSpec:
     sides = {}
     for side in ("z", "u"):
         _expect_keys(obj[side], f"mv.{side}", {"quiver"}, {"relations"})
-        q = _parse_quiver(obj[side]["quiver"])
-        pres = _parse_relations(obj[side].get("relations", []), q, field)
+        q = _parse_quiver(obj[side]["quiver"], f"mv.{side}.quiver")
+        pres = _parse_relations(obj[side].get("relations", []), f"mv.{side}.relations", q, field)
         sides[side] = (q, pres)
     m = _parse_bimodule(obj["m"], "mv.m", "left_u", "right_z", field)
     n = _parse_bimodule(obj["n"], "mv.n", "left_z", "right_u", field)
@@ -199,8 +215,8 @@ class AlgebraSpec:
 def parse_spec(data, name: str = "<input>") -> AlgebraSpec:
     _expect_keys(data, name, {"field", "quiver"}, {"relations", "stratification", "mv"})
     field = _parse_field(data["field"])
-    quiver = _parse_quiver(data["quiver"])
-    pres = _parse_relations(data.get("relations", []), quiver, field)
+    quiver = _parse_quiver(data["quiver"], "quiver")
+    pres = _parse_relations(data.get("relations", []), "relations", quiver, field)
     strat = None
     if "stratification" in data:
         strat = _parse_stratification(data["stratification"], quiver)

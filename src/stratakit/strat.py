@@ -19,7 +19,6 @@ from .algebra import (
     CornerData,
     QuotientData,
     corner_algebra,
-    opposite,
     quotient_by_idempotent_ideal,
 )
 from .category import ModuleCategory
@@ -31,6 +30,7 @@ from .modules import (
     hom_basis,
     hom_combinations,
     image,
+    injective_envelope,
     is_isomorphic,
     kernel,
     projective_cover,
@@ -183,13 +183,7 @@ def verify_filtration_certificate(cert: "FiltrationCertificate") -> bool:
         if not layer.above.contains_space(layer.below) or layer.above.dim <= layer.below.dim:
             return False
         sub_above, _ = submodule(m, layer.above)
-        below_in_above = Subspace.span(
-            F,
-            [layer.above.basis.solve_left(
-                Matrix.from_rows(F, [layer.below.basis.row(i)], cols=m.dim)).row(0)
-             for i in range(layer.below.dim)],
-            layer.above.dim,
-        )
+        below_in_above = Subspace.from_matrix(layer.above.basis.solve_left(layer.below.basis))
         quotient_layer, _ = quotient_module(sub_above, below_in_above)
         allowed = layer.witness.source if layer.mode == "quotient-layers" else layer.witness.target
         if layer.mode == "exact-layers":
@@ -350,9 +344,7 @@ class Stratification:
         self.epsilon = dict(epsilon) if epsilon is not None else None
         self._lower: dict[frozenset, QuotientData] = {}
         self._layers: dict[tuple[frozenset, str], Recollement] = {}
-        self._opposite: Stratification | None = None
         self._standard_cache: dict[str, StandardObjects] | None = None
-        self._checked = False
         if check:
             self.run_structure_checks()
 
@@ -390,13 +382,10 @@ class Stratification:
             )
         return self._layers[key]
 
-    def opposite(self) -> "Stratification":
-        """The same poset and labeling over the opposite algebra (unchecked)."""
-        if self._opposite is None:
-            self._opposite = Stratification(
-                opposite(self.algebra), self.poset, self.rho, self.epsilon, check=False
-            )
-        return self._opposite
+    def inflation(self, inner: frozenset[str], outer: frozenset[str]) -> Matrix:
+        """The surjection A_outer ->> A_inner for lower sets inner <= outer:
+        row k is the image in A_inner of basis element k of A_outer."""
+        return self.lower_algebra(outer).section @ self.lower_algebra(inner).projection
 
     # -- the global intermediate extension (through the principal lower set) --
 
@@ -439,33 +428,21 @@ class Stratification:
                         f"(S3): stratum at {lam} differs when computed inside {sorted(lower)}"
                     )
         notes.append(("S3", f"stratum independence checked on {len(lowers)} lower sets"))
-        self._checked = True
         return notes
 
     def _stratum_independent(self, lower: frozenset[str], lam: str) -> bool:
         """Compare the corner of A_lower at lam with the canonical stratum."""
         gamma_ref = self.stratum(lam)
-        b_big = self.lower_algebra(lower)
-        gamma_here = corner_algebra(b_big.algebra, self.vertices_of(lam))
-        down_data = self.lower_algebra(self.poset.down(lam))
-        # algebra map: Gamma_here -> Gamma_ref through A-representatives
+        gamma_here = corner_algebra(self.lower_algebra(lower).algebra, self.vertices_of(lam))
         ref_alg = gamma_ref.algebra
         here_alg = gamma_here.algebra
         if ref_alg.dim != here_alg.dim:
             return False
-        rows = []
-        for i in range(here_alg.dim):
-            in_b = gamma_here.embed.row(i)  # coords in A_lower
-            vec_a = Matrix.from_rows(self.algebra.field, [in_b], cols=b_big.algebra.dim) @ b_big.section
-            vec_down = vec_a @ down_data.projection
-            coords = gamma_ref.embed.solve_left(
-                Matrix.from_rows(self.algebra.field, [vec_down.row(0)], cols=down_data.algebra.dim)
-            )
-            if coords is None:
-                return False
-            rows.append(coords.row(0))
-        phi = Matrix.from_rows(self.algebra.field, rows, cols=ref_alg.dim)
-        if phi.rank() != ref_alg.dim:
+        # algebra map Gamma_here -> Gamma_ref along A_lower ->> A_{<=lam}
+        phi = gamma_ref.embed.solve_left(
+            gamma_here.embed @ self.inflation(self.poset.down(lam), lower)
+        )
+        if phi is None or phi.rank() != ref_alg.dim:
             return False
         # multiplicativity and unit
         if phi.apply_row(here_alg.unit) != ref_alg.unit:
@@ -507,8 +484,6 @@ class Stratification:
     # -- standard object families ------------------------------------------------
 
     def standard_objects(self) -> dict[str, StandardObjects]:
-        from .modules import injective_envelope
-
         if self._standard_cache is not None:
             return self._standard_cache
         out = {}
@@ -637,9 +612,7 @@ def synthesize_projective_cover(s: Stratification, t: str) -> SynthesisResult:
         lam = order[i]
         lower = frozenset(order[: i + 1])
         b_data = s.lower_algebra(lower)
-        prev_data = s.lower_algebra(frozenset(order[:i]))
-        # restrict scalars along A_lower ->> A_prev (through A-representatives)
-        current = restrict_scalars(current, b_data.algebra, b_data.section @ prev_data.projection)
+        current = restrict_scalars(current, b_data.algebra, s.inflation(frozenset(order[:i]), lower))
 
         layer_vertices = s.vertices_of(lam)
         layer_simples = [simple_module(b_data.algebra, u) for u in layer_vertices]

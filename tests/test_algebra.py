@@ -136,6 +136,16 @@ def test_opposite_involution(a2):
     assert opposite(opposite(a2)) == a2
 
 
+def test_opposite_is_built_once_per_algebra(nak):
+    from stratakit.modules import regular_module
+
+    op = opposite(nak)
+    assert opposite(nak) is op
+    assert opposite(op) is nak
+    assert opposite(opposite(nak)) is nak
+    assert regular_module(opposite(opposite(nak))) is regular_module(nak)
+
+
 def test_opposite_of_a2_is_reversed_quiver(a2):
     rev = Quiver(("1", "2"), (("a", "2", "1"),))
     b = build_bound_quiver_algebra(Presentation.from_names(rev, []), GF2)

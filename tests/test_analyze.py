@@ -2,8 +2,11 @@ import itertools
 
 import pytest
 
+from stratakit.algebra import opposite
 from stratakit.analyze import (
     ExtComparison,
+    _direct_delta_route,
+    _direct_nabla_route,
     bs_vanishing_table,
     exactness_check,
     ext_comparison,
@@ -15,7 +18,7 @@ from stratakit.analyze import (
 )
 from stratakit.corpus import load_fixture
 from stratakit.modules import projective_module, simple_module
-from stratakit.specfile import build_algebra
+from stratakit.specfile import build_algebra, parse_spec
 from stratakit.strat import Poset, Stratification
 
 ALL = ["FIX-A2", "FIX-A3", "FIX-NAK", "FIX-DUAL", "FIX-KRO", "FIX-LOOP"]
@@ -132,6 +135,51 @@ def test_epsilon_nak_witnesses(strats):
     assert res.routes["theorem"].witness["failure"] == "2-homological"
     assert res.routes["direct-delta"].witness["projective_at"] == "1"
     assert res.routes["direct-nabla"].witness["failure"] == "no sign-costandard filtration"
+
+
+def chain_strat(kind, field, chain):
+    """C_3 (radical-square-zero cycle) or A_3 (linear path) over ``field``,
+    with vertex i labelled si and the strata totally ordered by ``chain``."""
+    vs = ["1", "2", "3"]
+    if kind == "C":
+        arrows = [{"name": f"a{i}", "from": vs[i - 1], "to": vs[i % 3]} for i in (1, 2, 3)]
+        relations = [{"terms": [{"coeff": 1, "path": [f"a{i}", f"a{i % 3 + 1}"]}]} for i in (1, 2, 3)]
+    else:
+        arrows = [{"name": f"a{i}", "from": vs[i - 1], "to": vs[i]} for i in (1, 2)]
+        relations = []
+    spec = parse_spec({
+        "field": field,
+        "quiver": {"vertices": vs, "arrows": arrows},
+        "relations": relations,
+        "stratification": {
+            "poset": {"elements": [f"s{v}" for v in vs],
+                      "leq": [[chain[i], chain[j]] for i in range(3) for j in range(i + 1, 3)]},
+            "rho": {v: f"s{v}" for v in vs},
+        },
+    })
+    ss = spec.stratification
+    return Stratification(build_algebra(spec), Poset.from_pairs(ss.poset.elements, ss.poset.leq), ss.rho)
+
+
+def test_nabla_route_matches_delta_route_over_the_opposite(strats):
+    """The injective side read through duality agrees with the projective
+    side of a separately built stratification of the opposite algebra, with
+    the signs flipped: same verdict, same failing vertex."""
+    cases = list(strats.values()) + [
+        chain_strat("C", {"kind": "Q"}, ["s2", "s1", "s3"]),
+        chain_strat("C", {"kind": "GF", "p": 3}, ["s2", "s1", "s3"]),
+        chain_strat("A", {"kind": "Q"}, ["s3", "s1", "s2"]),
+    ]
+    for s in cases:
+        sop = Stratification(opposite(s.algebra), s.poset, s.rho, check=False)
+        for eps in sign_patterns(s.poset):
+            flipped = {lam: "-" if sign == "+" else "+" for lam, sign in eps.items()}
+            nabla = _direct_nabla_route(s, eps)
+            delta_op = _direct_delta_route(sop, flipped)
+            assert nabla.verdict == delta_op.verdict, (s.algebra.field, eps)
+            if not nabla.verdict:
+                assert nabla.witness == {"failure": "no sign-costandard filtration",
+                                         "injective_at": delta_op.witness["projective_at"]}
 
 
 def test_single_stratum_always_stratified(strats):

@@ -341,3 +341,28 @@ def test_degree_bound_must_be_non_negative(tmp_path, capsys, n):
     code, err = one_line_error(capsys, ["check", path, "--mode", "homological", "--n", n])
     assert code == 1
     assert "--n" in err and "expected a non-negative integer" in err
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (["quiver", "arrows"], 5, "quiver.arrows: expected a list"),
+    (["quiver", "arrows", 0, "name"], 7, "quiver.arrows[0].name: expected a string"),
+    (["quiver", "arrows", 0, "from"], ["1"], "quiver.arrows[0].from: expected a string"),
+    (["quiver", "arrows", 0, "to"], ["2"], "quiver.arrows[0].to: expected a string"),
+    (["relations"], 3, "relations: expected a list"),
+    (["relations"], [{"terms": 1}], "relations[0].terms: expected a list"),
+    (["stratification", "poset", "leq"], 1, "stratification.poset.leq: expected a list"),
+    (["stratification", "rho"], ["x", "y"], "stratification.rho: expected an object"),
+    (["mv", "m", "left_u"], [[1]], "mv.m.left_u: expected an object"),
+    (["mv", "z", "relations"], 3, "mv.z.relations: expected a list"),
+], ids=["arrows", "arrow-name", "arrow-from", "arrow-to", "relations", "terms", "leq", "rho", "left_u",
+        "mv-relations"])
+def test_malformed_json_shape_is_a_schema_error(tmp_path, capsys, path, value, message):
+    data = json.loads(fixture_bytes("fix_mv_id.json" if path[0] == "mv" else "fix_a2.json"))
+    *keys, last = path
+    entry = data
+    for key in keys:
+        entry = entry[key]
+    entry[last] = value
+    code, err = one_line_error(capsys, ["validate", write_spec(tmp_path, data)])
+    assert code == 1
+    assert err == f"schema error: {message}"

@@ -9,10 +9,13 @@ A stdlib-``ast`` stand-in for a linter: it flags
 * a function, class or method whose name appears nowhere in ``src/``,
   ``tests/`` or ``perfbench/`` except where it is defined, and
 * a defaulted parameter that no call there (to any function of that name)
-  passes, by keyword or by position.
+  passes, by keyword or by position, and
+* an attribute that a ``self.<name> = ...`` sets but that no source there
+  ever reads (``self.<name> += ...`` counts as a read).
 
-Tuple targets (``_, b = ...``), augmented and annotated assignments are not
-checked; neither is the name ``_``; dunder names count as used.  A default
+For dead locals, tuple targets (``_, b = ...``), augmented and annotated
+assignments are not checked; neither is the name ``_``; dunder names count
+as used.  A default
 that captures the same name from the enclosing scope (``def f(x=x)``) is not
 a setting and is not checked.
 """
@@ -162,6 +165,22 @@ def unpassed_parameters(checked: dict[str, str], others: Sequence[str]) -> list[
     return sorted(out)
 
 
+def write_only_attributes(checked: dict[str, str], others: Sequence[str]) -> list[str]:
+    """``path: name`` for each attribute that a ``checked`` source sets on
+    ``self`` and that no source, checked or other, reads."""
+    trees = {path: ast.parse(text) for path, text in checked.items()}
+    nodes = [node for tree in list(trees.values()) + [ast.parse(t) for t in others]
+             for node in ast.walk(tree)]
+    read = {node.attr for node in nodes if isinstance(node, ast.Attribute)
+            and not isinstance(node.ctx, ast.Store)}
+    read |= {node.target.attr for node in nodes
+             if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute)}
+    return sorted({f"{path}: {node.attr}" for path, tree in trees.items() for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                   and isinstance(node.value, ast.Name) and node.value.id == "self"
+                   and node.attr not in read})
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
@@ -238,3 +257,25 @@ def test_parameter_checker_flags_what_it_should():
     test = "f(0, 1, z=2)\nnever()\nC(4).m(1)\nC().n(1)\ninner(*[1, 2])\n"
     assert unpassed_parameters({"m.py": src}, [test]) == [
         "m.py: f(unused)", "m.py: n(k)", "m.py: never(a)"]
+
+
+def test_no_write_only_attributes():
+    checked = {str(p.relative_to(SRC)): p.read_text() for p in MODULES}
+    assert write_only_attributes(checked, [p.read_text() for p in OTHERS]) == []
+
+
+def test_attribute_checker_flags_what_it_should():
+    src = (
+        "class C:\n"
+        "    def __init__(self):\n"
+        "        self.used = 1\n"
+        "        self.dead = 2\n"
+        "        self.seen_in_test, self.pair_dead = 3, 4\n"
+        "        self.count = 0\n"
+        "    def bump(self):\n"
+        "        self.count += 1\n"
+        "        self.dead = 5\n"
+        "        return self.used\n"
+    )
+    test = "def test_it():\n    assert C().seen_in_test == 3\n"
+    assert write_only_attributes({"m.py": src}, [test]) == ["m.py: dead", "m.py: pair_dead"]

@@ -225,7 +225,7 @@ def test_duality_swaps_standard_sides(strats):
     from stratakit.algebra import opposite
     from stratakit.modules import dual_module
 
-    for fix in ("FIX-A2", "FIX-NAK", "FIX-LOOP"):
+    for fix in ALL:
         s = strats[fix]
         aop = opposite(s.algebra)
         sop = Stratification(aop, s.poset, s.rho, s.epsilon, check=False)
@@ -235,6 +235,7 @@ def test_duality_swaps_standard_sides(strats):
             assert is_isomorphic(dual_module(fams[b].costd), fams_op[b].std).isomorphic
             assert is_isomorphic(dual_module(fams[b].proper_costd), fams_op[b].proper_std).isomorphic
             assert is_isomorphic(dual_module(fams[b].std), fams_op[b].costd).isomorphic
+            assert is_isomorphic(dual_module(fams[b].proper_std), fams_op[b].proper_costd).isomorphic
 
 
 def test_certificates_verify_independently(strats):
