@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
-from .linalg import Field, Matrix, Subspace
+from .linalg import Field, InconsistentSystem, Matrix, Subspace
 
 
 class NonAdmissibleError(ValueError):
@@ -501,9 +501,10 @@ def corner_algebra(a: Algebra, vertices: Sequence[str]) -> CornerData:
     targets = [a.mul_vec(x, y) for x in basis_rows for y in basis_rows]
     targets += [a.mul_vec(a.mul_vec(e, a.radical.basis.row(r)), e) for r in range(a.radical.dim)]
     targets.append(e)
-    sol = embed.solve_left(Matrix(F, len(targets), a.dim, tuple(x for t in targets for x in t)))
-    if sol is None:
-        raise AlgebraError("corner product left the corner span")
+    try:
+        sol = embed.solve_left(Matrix(F, len(targets), a.dim, tuple(x for t in targets for x in t)))
+    except InconsistentSystem:
+        raise AlgebraError("corner product left the corner span") from None
     mult_rows = [tuple(sol.row(i * cdim + j) for j in range(cdim)) for i in range(cdim)]
     rad = Subspace.span(F, [sol.row(cdim * cdim + r) for r in range(a.radical.dim)], cdim)
 

@@ -26,7 +26,6 @@ from .category import ModuleCategory, solve_in_hom
 from .homological import ext, ext_dim, projective_resolution, reduce_cocycle
 from .linalg import Matrix
 from .modules import (
-    ModuleMap,
     RightModule,
     dual_module,
     hom_basis,
@@ -162,20 +161,14 @@ def ext_comparison(
     res_out = projective_resolution(ix, degree + 1)
 
     # chain map u_k: outer P_k -> inflated inner P_k over the identity
-    u: list[ModuleMap] = []
     cat = ModuleCategory(outer_alg)
     aug_in = restrict_map(res_in.augmentation, outer_alg, lift)
-    u0 = solve_in_hom(cat, res_out.augmentation.source, aug_in.source, lambda h: h.then(aug_in),
-                      res_out.augmentation)
-    if u0 is None:
-        raise ValueError("no lift exists through the given surjection")
-    u.append(u0)
+    u = [solve_in_hom(cat, res_out.augmentation.source, aug_in.source, lambda h: h.then(aug_in),
+                      res_out.augmentation)]
     for k in range(1, degree + 1):
         target_map = res_out.differential(k).then(u[k - 1])
         dk_in = restrict_map(res_in.differential(k), outer_alg, lift)
-        uk = solve_in_hom(cat, target_map.source, dk_in.source, lambda h: h.then(dk_in), target_map)
-        assert uk is not None, "comparison lift does not exist"
-        u.append(uk)
+        u.append(solve_in_hom(cat, target_map.source, dk_in.source, lambda h: h.then(dk_in), target_map))
 
     space_in = ext(x, y, degree)
     space_out = ext(ix, iy, degree)

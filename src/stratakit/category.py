@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Algebra
-from .linalg import Matrix
+from .linalg import InconsistentSystem, Matrix
 from .modules import (
     ModuleMap,
     RightModule,
@@ -136,22 +136,23 @@ def exact_at(cat, f, g) -> bool:
 
 
 def solve_in_hom(cat, source, target, compose, goal):
-    """The h in Hom(source, target) with compose(h) == goal, or None.
+    """The h in Hom(source, target) with compose(h) == goal.
 
     ``compose`` must be linear in h (such as h |-> h ; g or h |-> g ; h).  h
     is solved for as a combination of ``cat.hom_basis(source, target)``: a
     plain linear solve could return a matrix that is not a morphism.  When
     several h solve it, the RREF-canonical basis and the elimination fix
-    which one is returned.
+    which one is returned.  When none does (a nonzero goal and a zero hom
+    space included), this raises ``linalg.InconsistentSystem``.
     """
     F = cat.field
     basis = cat.hom_basis(source, target)
     if not basis:
-        return cat.zero_mor(source, target) if goal.is_zero else None
+        if goal.is_zero:
+            return cat.zero_mor(source, target)
+        raise InconsistentSystem("nonzero goal from a zero hom space")
     rows = [cat.mor_coords(compose(h)) for h in basis]
     ncols = len(rows[0])
     T = Matrix.from_rows(F, rows, cols=ncols)
     sol = T.solve_left(Matrix.from_rows(F, [cat.mor_coords(goal)], cols=ncols))
-    if sol is None:
-        return None
     return combine(sol.row(0), basis, cat.zero_mor(source, target))

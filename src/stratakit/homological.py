@@ -182,9 +182,7 @@ def reduce_cocycle(space: ExtSpace, f: ModuleMap) -> tuple:
         return ()
     basis_rows = [proj.apply_row(_flatten(c.cocycle)) for c in space.classes]
     B = Matrix.from_rows(F, basis_rows, cols=proj.cols)
-    sol = B.solve_left(Matrix.from_rows(F, [reduced], cols=proj.cols))
-    assert sol is not None, "cocycle is not a class in this Ext space"
-    return sol.row(0)
+    return B.solve_left(Matrix.from_rows(F, [reduced], cols=proj.cols)).row(0)
 
 
 @dataclass(frozen=True)
@@ -210,11 +208,7 @@ def _cocycle_to_kernel_map(res: Resolution, f: ModuleMap) -> ModuleMap:
     d1 = res.differential(1)
     # d1 = (P_1 ->> K) ; incl: recover the epi onto K
     epi_mat = ker_incl.mat.solve_left(d1.mat)
-    assert epi_mat is not None
-    epi = ModuleMap(d1.source, ker_mod, epi_mat)
-    fbar_mat = epi.mat.solve_right(f.mat)
-    assert fbar_mat is not None, "cocycle does not factor through the kernel"
-    return ModuleMap(ker_mod, f.target, fbar_mat)
+    return ModuleMap(ker_mod, f.target, epi_mat.solve_right(f.mat))
 
 
 def _pushout_extension(res: Resolution, fbar: ModuleMap, ker_incl: ModuleMap) -> ShortExactSequence:
@@ -236,7 +230,6 @@ def _pushout_extension(res: Resolution, fbar: ModuleMap, ker_incl: ModuleMap) ->
     lifted = coker_proj.mat.solve_right(
         Matrix.zero(F, T.dim, m.dim).stack(res.augmentation.mat)
     )
-    assert lifted is not None
     onto = ModuleMap(e_mod, m, lifted)
     ses = ShortExactSequence(sub=T, middle=e_mod, quotient=m, inclusion=incl, projection=onto)
     assert ses.verify(), "pushout did not produce a short exact sequence"
@@ -267,12 +260,8 @@ def _connecting_map(ses: ShortExactSequence, res: Resolution) -> ModuleMap:
     # lift the augmentation through the projection (projectivity of P_0)
     l0 = solve_in_hom(ModuleCategory(res.module.algebra), res.term(0), ses.middle,
                       lambda h: h.then(ses.projection), res.augmentation)
-    if l0 is None:
-        raise ValueError("no lift exists through the given surjection")
     g = res.differential(1).then(l0)  # lands in the image of the inclusion
-    gprime_mat = ses.inclusion.mat.solve_left(g.mat)
-    assert gprime_mat is not None, "connecting map left the submodule"
-    return ModuleMap(res.term(1), ses.sub, gprime_mat)
+    return ModuleMap(res.term(1), ses.sub, ses.inclusion.mat.solve_left(g.mat))
 
 
 def make_class(space: ExtSpace, coords) -> ExtClass:

@@ -17,6 +17,9 @@ Conventions:
   ``Subspace.span`` or ``Field.of``, which coerce every entry into the
   field.  Results computed here are field elements already, so linalg
   builds them as ``Matrix(field, rows, cols, entries)`` directly.
+* ``Matrix.solve_left`` and ``solve_right`` always return a solution; a
+  system with none raises ``InconsistentSystem``.  A caller that asks a
+  real yes/no question catches it; everywhere else no solution is a bug.
 """
 
 from __future__ import annotations
@@ -24,6 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+
+class InconsistentSystem(ArithmeticError):
+    """A linear system has no solution.
+
+    Not a ``ValueError``: the handlers that turn bad input into a report
+    must not mistake a failed solve, which is a program bug unless the
+    caller asked for it, for bad input.
+    """
 
 
 def _is_prime(n: int) -> bool:
@@ -355,13 +367,12 @@ class Matrix:
             ent.extend(v)
         return Subspace.from_matrix(Matrix(F, len(free), n, tuple(ent)))
 
-    def solve_right(self, target: "Matrix") -> "Matrix | None":
-        """Find X with self @ X = target, or None if inconsistent."""
-        yt = self.transpose().solve_left(target.transpose())
-        return None if yt is None else yt.transpose()
+    def solve_right(self, target: "Matrix") -> "Matrix":
+        """Find X with self @ X = target; ``InconsistentSystem`` if none."""
+        return self.transpose().solve_left(target.transpose()).transpose()
 
-    def solve_left(self, target: "Matrix") -> "Matrix | None":
-        """Find X with X @ self = target, or None if inconsistent.
+    def solve_left(self, target: "Matrix") -> "Matrix":
+        """Find X with X @ self = target; ``InconsistentSystem`` if none.
 
         ``self`` is (n x m), ``target`` is (k x m), X is (k x n).  This is
         the workhorse for re-expressing vectors in a spanning set.
@@ -386,7 +397,8 @@ class Matrix:
                     rrow = R.row(r)
                     v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, rrow)]
             if any(x != F.zero for x in v[: self.cols]):
-                return None
+                raise InconsistentSystem(
+                    f"target row {t} is not in the row space of a {self.rows} x {self.cols} matrix")
             ent.extend(F.neg(x) for x in v[self.cols :])
         return Matrix(F, target.rows, n, tuple(ent))
 

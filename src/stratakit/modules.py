@@ -13,34 +13,14 @@ and modules can be used as cache keys.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .algebra import Algebra, opposite
-from .linalg import Field, Matrix, Subspace, intertwiner_basis
-
-
-def memoize(fn: Callable) -> Callable:
-    """``fn`` with its results kept per argument value.
-
-    For object-level constructions (functor values and the spaces they are
-    built from), which are pure and deterministic in the (structurally
-    hashed) argument, so an equal argument may share the first result.  The
-    dict lives in the returned closure and is freed with whatever holds it,
-    such as one ``Recollement``.
-    """
-    store: dict = {}
-
-    def memo(x):
-        try:
-            return store[x]
-        except KeyError:
-            value = store[x] = fn(x)
-            return value
-
-    return memo
+from .linalg import Field, InconsistentSystem, Matrix, Subspace, intertwiner_basis
 
 
 def combine(coeffs: Sequence, items: Sequence, zero):
@@ -144,9 +124,10 @@ def submodule(m: RightModule, space: Subspace) -> tuple[RightModule, ModuleMap]:
     B, d, n = space.basis, space.dim, m.algebra.dim
     # one elimination of B for the images of B under every basis element
     images = Matrix(B.field, n * d, m.dim, tuple(x for k in range(n) for x in (B @ m.action[k]).entries))
-    X = B.solve_left(images)
-    if X is None:
-        raise ValueError("subspace not closed under the action")
+    try:
+        X = B.solve_left(images)
+    except InconsistentSystem:
+        raise ValueError("subspace not closed under the action") from None
     mats = tuple(Matrix(B.field, d, d, X.entries[k * d * d:(k + 1) * d * d]) for k in range(n))
     sub = RightModule(m.algebra, d, mats)
     return sub, ModuleMap(sub, m, B)
@@ -186,9 +167,7 @@ def image(f: ModuleMap) -> tuple[RightModule, ModuleMap, ModuleMap]:
     """Image with its (epi from source, mono to target) factorization."""
     space = f.mat.row_space()
     img, incl = submodule(f.target, space)
-    X = space.basis.solve_left(f.mat)
-    assert X is not None
-    epi = ModuleMap(f.source, img, X)
+    epi = ModuleMap(f.source, img, space.basis.solve_left(f.mat))
     return img, epi, incl
 
 
@@ -316,13 +295,13 @@ class Bimodule:
         F = R.field
         ident = Matrix.identity(F, self.dim)
 
-        @memoize
+        @functools.cache
         def relations(x: RightModule) -> Subspace:
             x_ident, n = Matrix.identity(F, x.dim), x.dim * self.dim
             rels = [x.action[s].kron(ident) - x_ident.kron(self.left_action[s]) for s in range(L.dim)]
             return Subspace.from_matrix(Matrix(F, L.dim * n, n, tuple(e for r in rels for e in r.entries)))
 
-        @memoize
+        @functools.cache
         def obj(x: RightModule) -> RightModule:
             proj, sec = relations(x).quotient_maps()
             x_ident = Matrix.identity(F, x.dim)
@@ -349,7 +328,7 @@ class Bimodule:
         db = self.dim
         as_module = RightModule(R, db, self.right_action)
 
-        @memoize
+        @functools.cache
         def basis(x: RightModule) -> tuple[Matrix, ...]:
             return tuple(f.mat for f in hom_basis(as_module, x))
 
@@ -359,11 +338,9 @@ class Bimodule:
                 return Matrix.zero(F, len(mats), 0)
             n = db * x.dim
             flat_basis = Matrix(F, len(phis), n, tuple(e for phi in phis for e in phi.entries))
-            sol = flat_basis.solve_left(Matrix(F, len(mats), n, tuple(e for m in mats for e in m.entries)))
-            assert sol is not None, "map left the hom space"
-            return sol
+            return flat_basis.solve_left(Matrix(F, len(mats), n, tuple(e for m in mats for e in m.entries)))
 
-        @memoize
+        @functools.cache
         def obj(x: RightModule) -> RightModule:
             phis = basis(x)
             acts = [coords(x, [self.left_action[k] @ phi for phi in phis]) for k in range(L.dim)]
@@ -425,9 +402,7 @@ def corner_bimodules(
 
     def action(basis: Matrix, x: tuple, on_left: bool) -> Matrix:
         rows = [a.mul_vec(x, v) if on_left else a.mul_vec(v, x) for v in basis.row_list()]
-        sol = basis.solve_left(Matrix.from_rows(F, rows, cols=a.dim))
-        assert sol is not None, "vector left the bimodule span"
-        return sol
+        return basis.solve_left(Matrix.from_rows(F, rows, cols=a.dim))
 
     ea = Bimodule(gamma, a, e_a.rows,
                   tuple(action(e_a, g, True) for g in gammas),

@@ -16,6 +16,7 @@ categories, so the generic recollement machinery runs on it unchanged.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,7 +31,6 @@ from .modules import (
     combine,
     hom_combinations,
     identity_map,
-    memoize,
     simple_module,
     submodule,
     validate_bimodule,
@@ -243,12 +243,10 @@ class MVCategory:
         kz, iz = module_kernel(f.f_z)
         # alpha restricts: F(ku) -> kz  (image lands in ker f_z)
         a_mat = iz.mat.solve_left(self.fun.F.mor(iu).then(f.source.alpha).mat)
-        assert a_mat is not None, "alpha does not restrict to the kernel"
         alpha_k = ModuleMap(self.fun.F.obj(ku), kz, a_mat)
         # beta corestricts through the mono G(ku) -> G(x_u)
         g_iu = self.fun.G.mor(iu)
         b_mat = g_iu.mat.solve_left(iz.then(f.source.beta).mat)
-        assert b_mat is not None, "beta does not corestrict to the kernel"
         beta_k = ModuleMap(kz, self.fun.G.obj(ku), b_mat)
         k_obj = self.make_object(ku, kz, alpha_k, beta_k)
         return k_obj, MVMorphism(k_obj, f.source, iu, iz)
@@ -258,10 +256,8 @@ class MVCategory:
         cz, pz = module_cokernel(f.f_z)
         f_pu = self.fun.F.mor(pu)
         a_mat = f_pu.mat.solve_right(f.target.alpha.then(pz).mat)
-        assert a_mat is not None, "alpha does not descend to the cokernel"
         alpha_c = ModuleMap(self.fun.F.obj(cu), cz, a_mat)
         b_mat = pz.mat.solve_right(f.target.beta.then(self.fun.G.mor(pu)).mat)
-        assert b_mat is not None, "beta does not descend to the cokernel"
         beta_c = ModuleMap(cz, self.fun.G.obj(cu), b_mat)
         c_obj = self.make_object(cu, cz, alpha_c, beta_c)
         return c_obj, MVMorphism(f.target, c_obj, pu, pz)
@@ -271,11 +267,9 @@ class MVCategory:
         iz_obj, ez, mz = module_image(f.f_z)
         f_eu = self.fun.F.mor(eu)
         a_mat = f_eu.mat.solve_right(f.source.alpha.then(ez).mat)
-        assert a_mat is not None
         alpha_i = ModuleMap(self.fun.F.obj(iu_obj), iz_obj, a_mat)
         g_mu = self.fun.G.mor(mu)
         b_mat = g_mu.mat.solve_left(mz.then(f.target.beta).mat)
-        assert b_mat is not None
         beta_i = ModuleMap(iz_obj, self.fun.G.obj(iu_obj), b_mat)
         i_obj = self.make_object(iu_obj, iz_obj, alpha_i, beta_i)
         return i_obj, MVMorphism(f.source, i_obj, eu, ez), MVMorphism(i_obj, f.target, mu, mz)
@@ -306,7 +300,6 @@ class MVCategory:
             alpha_mat = Matrix.zero(F, f_big.dim, big_z.dim)
         else:
             alpha_mat = lhs.solve_right(rhs)
-            assert alpha_mat is not None, "additivity solve for alpha failed"
         alpha = ModuleMap(f_big, big_z, alpha_mat)
         # beta: beta ; G(proj_i) = proj_z_i ; beta_i, hstacked and solved
         lhs_h = None
@@ -320,7 +313,6 @@ class MVCategory:
             beta_mat = Matrix.zero(F, big_z.dim, g_big.dim)
         else:
             beta_mat = lhs_h.solve_left(rhs_h)
-            assert beta_mat is not None, "additivity solve for beta failed"
         beta = ModuleMap(big_z, g_big, beta_mat)
         total = self.make_object(big_u, big_z, alpha, beta)
         injs = [MVMorphism(x, total, iu, iz) for x, iu, iz in zip(xs, inj_u, inj_z)]
@@ -360,7 +352,7 @@ def mv_recollement(data: MVData) -> Recollement:
     cat_z = cat.cat_z
     cat_u = cat.cat_u
 
-    @memoize
+    @functools.cache
     def i_embed_obj(z: RightModule) -> MVObject:
         zu = zero_module(data.u_algebra)
         fz = fun.F.obj(zu)
@@ -375,27 +367,23 @@ def mv_recollement(data: MVData) -> Recollement:
         src, tgt = i_embed_obj(f.source), i_embed_obj(f.target)
         return MVMorphism(src, tgt, zero_map(src.x_u, tgt.x_u), f)
 
-    @memoize
+    @functools.cache
     def i_left_obj(x: MVObject) -> RightModule:
         return module_cokernel(x.alpha)[0]
 
     def i_left_mor(f: MVMorphism) -> ModuleMap:
         _, p_src = module_cokernel(f.source.alpha)
         c_tgt, p_tgt = module_cokernel(f.target.alpha)
-        mat = p_src.mat.solve_right(f.f_z.then(p_tgt).mat)
-        assert mat is not None
-        return ModuleMap(p_src.target, c_tgt, mat)
+        return ModuleMap(p_src.target, c_tgt, p_src.mat.solve_right(f.f_z.then(p_tgt).mat))
 
-    @memoize
+    @functools.cache
     def i_right_obj(x: MVObject) -> RightModule:
         return module_kernel(x.beta)[0]
 
     def i_right_mor(f: MVMorphism) -> ModuleMap:
         k_src, i_src = module_kernel(f.source.beta)
         k_tgt, i_tgt = module_kernel(f.target.beta)
-        mat = i_tgt.mat.solve_left(i_src.then(f.f_z).mat)
-        assert mat is not None
-        return ModuleMap(k_src, k_tgt, mat)
+        return ModuleMap(k_src, k_tgt, i_tgt.mat.solve_left(i_src.then(f.f_z).mat))
 
     def j_restrict_obj(x: MVObject) -> RightModule:
         return x.x_u
@@ -403,7 +391,7 @@ def mv_recollement(data: MVData) -> Recollement:
     def j_restrict_mor(f: MVMorphism) -> ModuleMap:
         return f.f_u
 
-    @memoize
+    @functools.cache
     def j_lower_obj(u: RightModule) -> MVObject:
         fu = fun.F.obj(u)
         return MVObject(u, fu, identity_map(fu), fun.eps(u))
@@ -411,7 +399,7 @@ def mv_recollement(data: MVData) -> Recollement:
     def j_lower_mor(f: ModuleMap) -> MVMorphism:
         return MVMorphism(j_lower_obj(f.source), j_lower_obj(f.target), f, fun.F.mor(f))
 
-    @memoize
+    @functools.cache
     def j_roof_obj(u: RightModule) -> MVObject:
         gu = fun.G.obj(u)
         return MVObject(u, gu, fun.eps(u), identity_map(gu))

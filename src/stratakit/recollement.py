@@ -22,6 +22,7 @@ the Macpherson-Vilonen instance reuses them unchanged.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
@@ -41,7 +42,6 @@ from .modules import (
     ModuleMap,
     RightModule,
     corner_bimodules,
-    memoize,
     projective_cover,
     quotient_module,
     restrict_scalars,
@@ -159,33 +159,31 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
     # along an algebra map (or a section or corner embedding, on the
     # subquotient where it is one)
 
-    @memoize
+    @functools.cache
     def restrict_space(m: RightModule) -> Subspace:
         return m.action_of(e).row_space()
 
-    @memoize
+    @functools.cache
     def j_restrict_obj(m: RightModule) -> RightModule:
         return submodule(restrict_scalars(m, gamma, data.embed), restrict_space(m))[0]
 
     def j_restrict_mor(f: ModuleMap) -> ModuleMap:
         BM = restrict_space(f.source).basis
         BN = restrict_space(f.target).basis
-        mat = BN.solve_left(BM @ f.mat)
-        assert mat is not None
-        return ModuleMap(j_restrict_obj(f.source), j_restrict_obj(f.target), mat)
+        return ModuleMap(j_restrict_obj(f.source), j_restrict_obj(f.target), BN.solve_left(BM @ f.mat))
 
-    @memoize
+    @functools.cache
     def i_embed_obj(z: RightModule) -> RightModule:
         return restrict_scalars(z, a, quot.projection)
 
     def i_embed_mor(f: ModuleMap) -> ModuleMap:
         return ModuleMap(i_embed_obj(f.source), i_embed_obj(f.target), f.mat)
 
-    @memoize
+    @functools.cache
     def killed_space(m: RightModule) -> Subspace:
         return trace_space(m, e)  # M e A
 
-    @memoize
+    @functools.cache
     def i_left_obj(m: RightModule) -> RightModule:
         return quotient_module(restrict_scalars(m, q_alg, quot.section), killed_space(m))[0]
 
@@ -195,7 +193,7 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
         projN, _ = WN.quotient_maps()
         return ModuleMap(i_left_obj(f.source), i_left_obj(f.target), secM @ f.mat @ projN)
 
-    @memoize
+    @functools.cache
     def sub_space(m: RightModule) -> Subspace:
         # {v : v (b e) = 0 for all b}
         if m.dim == 0:
@@ -207,16 +205,14 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
             stacked = mat if stacked is None else stacked.hstack(mat)
         return stacked.left_kernel()
 
-    @memoize
+    @functools.cache
     def i_right_obj(m: RightModule) -> RightModule:
         return submodule(restrict_scalars(m, q_alg, quot.section), sub_space(m))[0]
 
     def i_right_mor(f: ModuleMap) -> ModuleMap:
         BM = sub_space(f.source).basis
         BN = sub_space(f.target).basis
-        mat = BN.solve_left(BM @ f.mat)
-        assert mat is not None
-        return ModuleMap(i_right_obj(f.source), i_right_obj(f.target), mat)
+        return ModuleMap(i_right_obj(f.source), i_right_obj(f.target), BN.solve_left(BM @ f.mat))
 
     # ---- units and counits -------------------------------------------------
 
@@ -243,9 +239,7 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
         tgt_parent = tensor.obj(x)
         projT, _ = tensor.relations(x).quotient_maps()
         down = Matrix.identity(F, x.dim).kron(e_in_ea) @ projT
-        mat = restrict_space(tgt_parent).basis.solve_left(down)
-        assert mat is not None, "unit image left the restricted subspace"
-        return ModuleMap(x, j_restrict_obj(tgt_parent), mat)
+        return ModuleMap(x, j_restrict_obj(tgt_parent), restrict_space(tgt_parent).basis.solve_left(down))
 
     def counit_jl(m: RightModule) -> ModuleMap:
         # class(v (x) m_j) |-> v * m_j
@@ -271,7 +265,6 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
         # row (i, t) is e_i * (Ae row t), written in the basis of M e by one solve
         coords = restrict_space(m).basis.solve_left(
             Matrix.from_rows(F, [acts[t].row(i) for i in range(m.dim) for t in range(na)], cols=m.dim))
-        assert coords is not None
         block = na * mu.dim
         mats = [Matrix(F, na, mu.dim, coords.entries[i * block:(i + 1) * block]) for i in range(m.dim)]
         return ModuleMap(m, hom.obj(mu), hom.coords(mu, mats))
@@ -456,7 +449,6 @@ def intermediate_extension(r: Recollement, x) -> IntermediateExtension:
     counit = r.counit_jr(x)  # j_restrict(j_roof x) -> x, an iso by (R2)
     ident = r.cat_u.identity(x)
     inv = solve_in_hom(r.cat_u, x, counit.source, lambda g: g.then(counit), ident)
-    assert inv is not None, "morphism is not invertible"
     assert mor_eq(inv.then(counit), ident)
     assert mor_eq(counit.then(inv), r.cat_u.identity(counit.source))
     canon = r.j_lower.map(inv).then(r.counit_jl(r.j_roof(x)))
@@ -497,7 +489,6 @@ def canonical_ses(r: Recollement, m, side: str) -> CanonicalSES:
         left = r.counit_sub(m)
         # factor the unit m -> j_roof j^* m through the image
         h = solve_in_hom(cat, m, ie.obj, lambda g: g.then(ie.into_roof), r.unit_jr(m))
-        assert h is not None, "unit does not factor through the intermediate extension"
         ses = CanonicalSES(left=left, right=h, sub=left.source, middle=m, quotient=ie.obj)
     elif side == "no-Z-subobjects":
         bad = r.i_right(m)
@@ -506,7 +497,6 @@ def canonical_ses(r: Recollement, m, side: str) -> CanonicalSES:
         right = r.unit_quot(m)
         # counit_jl factors as (j_lower j^* m ->> j_!*) ; (j_!* -> m)
         h = solve_in_hom(cat, ie.obj, m, lambda g: ie.from_lower.then(g), r.counit_jl(m))
-        assert h is not None, "counit does not descend through the intermediate extension"
         ses = CanonicalSES(left=h, right=right, sub=ie.obj, middle=m, quotient=right.target)
     else:
         raise ValueError(f"unknown side {side!r}")

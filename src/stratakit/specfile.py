@@ -177,7 +177,7 @@ def _parse_actions(obj, where: str, field: Field) -> dict[str, list]:
 
 def _parse_bimodule(obj, where: str, left_key: str, right_key: str, field: Field) -> BimoduleSpec:
     _expect_keys(obj, where, {"dim", left_key, right_key})
-    if not isinstance(obj["dim"], int) or obj["dim"] < 0:
+    if not isinstance(obj["dim"], int) or isinstance(obj["dim"], bool) or obj["dim"] < 0:
         raise SpecError(f"{where}.dim: expected a nonnegative integer")
     left = _parse_actions(obj[left_key], f"{where}.{left_key}", field)
     right = _parse_actions(obj[right_key], f"{where}.{right_key}", field)
@@ -228,7 +228,10 @@ def parse_spec(data, name: str = "<input>") -> AlgebraSpec:
 
 
 def load_spec(path: str | Path) -> tuple[AlgebraSpec, bytes]:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as e:
+        raise SpecError(f"{path}: cannot read ({e.strerror})") from None
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as e:

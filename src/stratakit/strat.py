@@ -23,7 +23,7 @@ from .algebra import (
 )
 from .category import ModuleCategory
 from .homological import ext_dim, universal_extension
-from .linalg import Matrix, Subspace
+from .linalg import InconsistentSystem, Matrix, Subspace
 from .modules import (
     ModuleMap,
     RightModule,
@@ -439,10 +439,12 @@ class Stratification:
         if ref_alg.dim != here_alg.dim:
             return False
         # algebra map Gamma_here -> Gamma_ref along A_lower ->> A_{<=lam}
-        phi = gamma_ref.embed.solve_left(
-            gamma_here.embed @ self.inflation(self.poset.down(lam), lower)
-        )
-        if phi is None or phi.rank() != ref_alg.dim:
+        images = gamma_here.embed @ self.inflation(self.poset.down(lam), lower)
+        try:
+            phi = gamma_ref.embed.solve_left(images)
+        except InconsistentSystem:
+            return False
+        if phi.rank() != ref_alg.dim:
             return False
         # multiplicativity and unit
         if phi.apply_row(here_alg.unit) != ref_alg.unit:

@@ -366,3 +366,19 @@ def test_malformed_json_shape_is_a_schema_error(tmp_path, capsys, path, value, m
     code, err = one_line_error(capsys, ["validate", write_spec(tmp_path, data)])
     assert code == 1
     assert err == f"schema error: {message}"
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_input_path_is_a_schema_error(tmp_path, capsys, kind):
+    path = tmp_path / "no_such.json" if kind == "missing" else tmp_path
+    code, err = one_line_error(capsys, ["check", str(path), "--mode", "eps"])
+    assert code == 1
+    assert err.startswith(f"schema error: {path}: cannot read")
+
+
+def test_boolean_bimodule_dimension_is_a_schema_error(tmp_path, capsys):
+    data = json.loads(fixture_bytes("fix_mv_id.json"))
+    data["mv"]["m"]["dim"] = True
+    code, err = one_line_error(capsys, ["validate", write_spec(tmp_path, data)])
+    assert code == 1
+    assert err == "schema error: mv.m.dim: expected a nonnegative integer"

@@ -22,6 +22,9 @@ change of its report, and say so in the change.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,3 +91,13 @@ def test_corpus_report_matches_golden(monkeypatch):
     assert code == expected_code(golden) == 0
     # one run per stratified fixture: A2, A3, DUAL, KRO, LOOP, NAK
     assert structure_checks == 6
+
+
+def test_corpus_report_is_the_same_under_optimize():
+    """No verdict rests on an ``assert``: with asserts stripped the corpus
+    report is still byte for byte the golden one."""
+    env = {k: v for k, v in os.environ.items() if k != "STRATAKIT_SEED"}
+    res = subprocess.run([sys.executable, "-O", "-m", "stratakit.cli", "corpus", "--seed", "11"],
+                         capture_output=True, env=env)
+    assert res.stdout == (GOLDEN / "corpus.seed11.json").read_bytes()
+    assert res.returncode == 0, res.stderr

@@ -11,7 +11,12 @@ A stdlib-``ast`` stand-in for a linter: it flags
 * a defaulted parameter that no call there (to any function of that name)
   passes, by keyword or by position, and
 * an attribute that a ``self.<name> = ...`` sets but that no source there
-  ever reads (``self.<name> += ...`` counts as a read).
+  ever reads (``self.<name> += ...`` counts as a read), and
+* a name assigned from a ``solve_left``, ``solve_right`` or ``solve_in_hom``
+  call and then compared with ``None`` in an ``if``, a conditional
+  expression or an ``assert``: these raise ``InconsistentSystem`` instead
+  of returning ``None``, so a caller with a real yes/no question catches
+  that.
 
 For dead locals, tuple targets (``_, b = ...``), augmented and annotated
 assignments are not checked; neither is the name ``_``; dunder names count
@@ -65,12 +70,12 @@ def unused_imports(tree: ast.Module) -> list[str]:
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
 
-def _own_assigns(fn: ast.AST) -> list[ast.Assign]:
-    """The assignments of ``fn`` itself, not of the scopes nested in it."""
+def _own_nodes(fn: ast.AST, kinds) -> list:
+    """The nodes of type ``kinds`` in ``fn`` itself, not in the scopes nested in it."""
     out, stack = [], list(ast.iter_child_nodes(fn))
     while stack:
         node = stack.pop()
-        if isinstance(node, ast.Assign):
+        if isinstance(node, kinds):
             out.append(node)
         if not isinstance(node, SCOPES):
             stack.extend(ast.iter_child_nodes(node))
@@ -85,7 +90,7 @@ def dead_locals(tree: ast.Module) -> list[str]:
         read = _reads(fn)
         declared = {n for node in ast.walk(fn) if isinstance(node, (ast.Global, ast.Nonlocal))
                     for n in node.names}
-        for node in _own_assigns(fn):
+        for node in _own_nodes(fn, ast.Assign):
             for target in node.targets:
                 if (isinstance(target, ast.Name) and target.id != "_"
                         and target.id not in read and target.id not in declared):
@@ -108,6 +113,11 @@ def unreferenced(checked: dict[str, str], others: Sequence[str]) -> list[str]:
     defs = Counter(name for text in texts for name in defined_names(ast.parse(text)))
     return sorted(f"{path}: {name}" for path, text in checked.items()
                   for name in set(defined_names(ast.parse(text))) if words[name] <= defs[name])
+
+
+def _called_name(call: ast.Call) -> str | None:
+    """``f`` for a call ``f(...)`` or ``x.f(...)``."""
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
 
 
 def _defaulted(fn: ast.FunctionDef, method: bool) -> list[tuple[str, int | None]]:
@@ -148,7 +158,7 @@ def unpassed_parameters(checked: dict[str, str], others: Sequence[str]) -> list[
         for call in ast.walk(ast.parse(text)):
             if not isinstance(call, ast.Call):
                 continue
-            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            name = _called_name(call)
             if any(isinstance(a, ast.Starred) for a in call.args) or any(
                     k.arg is None for k in call.keywords):
                 npos, kws = float("inf"), set()  # *args or **kwargs may pass anything
@@ -179,6 +189,30 @@ def write_only_attributes(checked: dict[str, str], others: Sequence[str]) -> lis
                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
                    and isinstance(node.value, ast.Name) and node.value.id == "self"
                    and node.attr not in read})
+
+
+SOLVES = {"solve_left", "solve_right", "solve_in_hom"}
+
+
+def none_checked_solves(tree: ast.Module) -> list[str]:
+    """``function, line n: name`` for each ``is None``/``is not None`` test,
+    in an ``if``, a conditional expression or an ``assert``, of a name that
+    the same function assigns from a solve."""
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        solved = {target.id for node in _own_nodes(fn, ast.Assign)
+                  if isinstance(node.value, ast.Call) and _called_name(node.value) in SOLVES
+                  for target in node.targets if isinstance(target, ast.Name)}
+        for node in _own_nodes(fn, (ast.If, ast.IfExp, ast.Assert)):
+            for cmp in ast.walk(node.test):
+                if (isinstance(cmp, ast.Compare) and isinstance(cmp.ops[0], (ast.Is, ast.IsNot))
+                        and isinstance(cmp.left, ast.Name) and cmp.left.id in solved
+                        and isinstance(cmp.comparators[0], ast.Constant)
+                        and cmp.comparators[0].value is None):
+                    out.append(f"{fn.name}, line {cmp.lineno}: {cmp.left.id}")
+    return sorted(out)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
@@ -279,3 +313,30 @@ def test_attribute_checker_flags_what_it_should():
     )
     test = "def test_it():\n    assert C().seen_in_test == 3\n"
     assert write_only_attributes({"m.py": src}, [test]) == ["m.py: dead", "m.py: pair_dead"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_no_none_checked_solves(path):
+    assert none_checked_solves(ast.parse(path.read_text())) == []
+
+
+def test_solve_checker_flags_what_it_should():
+    tree = ast.parse(
+        "def f(a, b, cat):\n"
+        "    x = a.solve_left(b)\n"
+        "    assert x is not None, 'no solution'\n"
+        "    y = a.solve_right(b)\n"
+        "    if y is None or y.rank() == 0:\n"
+        "        return None\n"
+        "    z = b.transpose()\n"
+        "    assert z is not None\n"
+        "    def g():\n"
+        "        h = solve_in_hom(cat, a, b, None, b)\n"
+        "        return None if h is None else h\n"
+        "    try:\n"
+        "        w = a.solve_left(b)\n"
+        "    except ArithmeticError:\n"
+        "        return None\n"
+        "    return x, y, w, g\n"
+    )
+    assert none_checked_solves(tree) == ["f, line 3: x", "f, line 5: y", "g, line 11: h"]

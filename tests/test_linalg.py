@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stratakit.linalg import GF2, GF3, QQ, Field, Matrix, Subspace
+from stratakit.linalg import GF2, GF3, QQ, Field, InconsistentSystem, Matrix, Subspace
 
 
 def mat(field, rows, cols=None):
@@ -52,7 +52,17 @@ def test_solve_identity():
 def test_solve_inconsistent():
     a = Matrix.zero(GF2, 2, 2)
     b = mat(GF2, [[1, 0]])
-    assert a.solve_left(b) is None
+    with pytest.raises(InconsistentSystem, match="target row 0"):
+        a.solve_left(b)
+
+
+def test_solve_right_inconsistent():
+    # a @ X = b needs b's columns in a's column space, which is spanned by (1, 1)
+    a = mat(QQ, [[1, 2], [1, 2]])
+    with pytest.raises(InconsistentSystem):
+        a.solve_right(mat(QQ, [[1], [0]]))
+    x = a.solve_right(mat(QQ, [[3], [3]]))
+    assert a @ x == mat(QQ, [[3], [3]])
 
 
 def test_solve_underdetermined_gf2():
@@ -164,8 +174,9 @@ def test_solve_matches_enumeration(a, data):
         for v in itertools.product(range(F.p), repeat=a.rows)
         if a.apply_row(v) == tuple(F.of(x) for x in target)
     ]
-    part = a.solve_left(b)
-    if part is None:
+    try:
+        part = a.solve_left(b)
+    except InconsistentSystem:
         assert expected == []
     else:
         ker = a.left_kernel()

@@ -5,7 +5,7 @@ import pytest
 
 from stratakit.algebra import quotient_by_idempotent_ideal
 from stratakit.corpus import load_fixture
-from stratakit.linalg import Matrix
+from stratakit.linalg import Matrix, Subspace
 from stratakit.modules import (
     ModuleMap,
     cokernel,
@@ -243,6 +243,13 @@ def test_quotient_and_submodule_consistency(a2):
     quo, proj = quotient_module(reg, rad)
     assert sub.dim + quo.dim == reg.dim
     assert incl.then(proj).is_zero
+
+
+def test_submodule_of_a_non_closed_subspace_is_rejected(a2):
+    # the unit spans a line, but its multiples fill the whole algebra
+    reg = regular_module(a2)
+    with pytest.raises(ValueError, match="subspace not closed under the action"):
+        submodule(reg, Subspace.span(a2.field, [a2.unit], reg.dim))
 
 
 def test_universal_property_probes(a2):

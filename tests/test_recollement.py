@@ -1,15 +1,18 @@
 import dataclasses
 import itertools
 import random
+import subprocess
+import sys
 
 import pytest
 
 from stratakit.algebra import opposite
 from stratakit.category import ModuleCategory, is_epi, is_mono, solve_in_hom
 from stratakit.corpus import load_fixture
-from stratakit.linalg import Subspace
+from stratakit.linalg import InconsistentSystem, Subspace
 from stratakit.modules import (
     hom_basis,
+    identity_map,
     injective_module,
     is_isomorphic,
     projective_cover,
@@ -17,6 +20,7 @@ from stratakit.modules import (
     simple_module,
     submodule,
     validate_bimodule,
+    zero_map,
 )
 from stratakit.recollement import (
     SidePreconditionError,
@@ -348,3 +352,47 @@ def test_invalid_idempotent_rejected():
         make_idempotent_recollement(a, ["weird"])
     with pytest.raises(ValueError):
         make_idempotent_recollement(a, ["1", "1"])
+
+
+def test_solve_in_hom_raises_without_a_solution():
+    a = algebra("FIX-A2")
+    cat = ModuleCategory(a)
+    p1, _ = projective_module(a, "1")
+    p2, _ = projective_module(a, "2")
+    ident = identity_map(p1)
+    # Hom(P1, P1) is nonzero, but h ; 0 is never the identity
+    with pytest.raises(InconsistentSystem):
+        solve_in_hom(cat, p1, p1, lambda h: h.then(zero_map(p1, p1)), ident)
+    # Hom(P1, P2) = 0: no h reaches a nonzero goal, and h = 0 reaches the zero goal
+    (f,) = hom_basis(p2, p1)
+    assert not hom_basis(p1, p2)
+    with pytest.raises(InconsistentSystem):
+        solve_in_hom(cat, p1, p2, lambda h: h.then(f), ident)
+    h = solve_in_hom(cat, p1, p2, lambda h: h.then(f), zero_map(p1, p1))
+    assert (h.source, h.target) == (p1, p2) and h.is_zero
+
+
+NOT_A_MORPHISM = """
+from stratakit.corpus import load_fixture
+from stratakit.linalg import InconsistentSystem, Matrix
+from stratakit.modules import ModuleMap, projective_module
+from stratakit.recollement import make_idempotent_recollement
+from stratakit.specfile import build_algebra
+
+a = build_algebra(load_fixture("FIX-A3"))
+r = make_idempotent_recollement(a, ["2"])
+p1, p2 = projective_module(a, "1")[0], projective_module(a, "2")[0]
+ones = Matrix.from_rows(a.field, [[1] * p1.dim] * p2.dim, cols=p1.dim)
+try:
+    r.j_restrict.map(ModuleMap(p2, p1, ones))
+except InconsistentSystem:
+    print("raised", __debug__)
+"""
+
+
+def test_failed_solve_raises_under_optimize():
+    """A linear map that is not a module map has no image under j_restrict;
+    the failed solve raises, with asserts stripped too."""
+    res = subprocess.run([sys.executable, "-O", "-c", NOT_A_MORPHISM], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "raised False\n"
