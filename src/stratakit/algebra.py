@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
-from .linalg import Field, InconsistentSystem, Matrix, Subspace
+from .linalg import Field, InconsistentSystem, Matrix, Subspace, cached_hash
 
 
 class NonAdmissibleError(ValueError):
@@ -111,10 +111,11 @@ class Algebra:
     algebra; linear conditions such as "intertwines the action" only need
     to be imposed on generators.
 
-    ``cache`` holds data derived from this instance (its opposite, its
-    regular and projective modules, resolutions of its modules), so it is
-    freed with the algebra; it takes no part in equality, hashing or
-    ``repr``.
+    ``cache`` holds data derived from this instance (the sparse table of
+    ``mult`` that ``mul_vec`` reads, its opposite, its regular and projective
+    modules, resolutions of its modules), so it is freed with the algebra;
+    it takes no part in equality, hashing or ``repr``, and is not an
+    ``__init__`` argument, so ``dataclasses.replace`` starts a fresh one.
     """
 
     field: Field
@@ -125,7 +126,9 @@ class Algebra:
     vertex_names: tuple[str, ...]
     radical: Subspace
     generators: tuple[tuple, ...] | None = None
-    cache: dict = dc_field(default_factory=dict, compare=False, repr=False)
+    cache: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
+
+    __hash__ = cached_hash
 
     @property
     def dim(self) -> int:
@@ -155,19 +158,25 @@ class Algebra:
         return tuple(out)
 
     def mul_vec(self, x: Sequence, y: Sequence) -> tuple:
+        """x * y, summed over the nonzero entries of y and the nonzero
+        structure constants: ``cache["sparse"][i][j]`` lists the (k, c) with
+        c = mult[i][j][k] nonzero, built once from ``mult`` as given."""
         F = self.field
+        if "sparse" not in self.cache:
+            self.cache["sparse"] = tuple(
+                tuple(tuple((k, c) for k, c in enumerate(prod) if c) for prod in row)
+                for row in self.mult)
+        table = self.cache["sparse"]
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
         out = [F.zero] * self.dim
         for i, xi in enumerate(x):
-            if xi == F.zero:
+            if not xi:
                 continue
-            for j, yj in enumerate(y):
-                if yj == F.zero:
-                    continue
+            row = table[i]
+            for j, yj in ys:
                 c = F.mul(xi, yj)
-                row = self.mult[i][j]
-                for k, m in enumerate(row):
-                    if m != F.zero:
-                        out[k] = F.add(out[k], F.mul(c, m))
+                for k, m in row[j]:
+                    out[k] = F.add(out[k], F.mul(c, m))
         return tuple(out)
 
     def right_mult_matrix(self, a: Sequence) -> Matrix:

@@ -209,8 +209,15 @@ def is_k_homological(s: Stratification, k: int, deep: bool = False) -> Homologic
     pairs of simples of the inner lower-set algebra for degrees up to k;
     passage from simples to all finite-length objects is by long-exact-
     sequence induction (recorded, and re-run on the projectives and
-    injectives when ``deep``).
+    injectives when ``deep``).  The verdict does not depend on a sign
+    pattern, so it is computed once per (k, deep) and kept on ``s``.
     """
+    if (k, deep) not in s._homological:
+        s._homological[k, deep] = _k_homological(s, k, deep)
+    return s._homological[k, deep]
+
+
+def _k_homological(s: Stratification, k: int, deep: bool) -> HomologicalVerdict:
     checked = 0
     table: list[tuple] = []
     for outer in s.poset.lower_sets():

@@ -20,11 +20,17 @@ Conventions:
 * ``Matrix.solve_left`` and ``solve_right`` always return a solution; a
   system with none raises ``InconsistentSystem``.  A caller that asks a
   real yes/no question catches it; everywhere else no solution is a bug.
+* The value types ``Matrix``, ``Subspace``, ``algebra.Algebra`` and
+  ``modules.RightModule`` hash once: ``cached_hash`` computes the hash the
+  dataclass would and keeps it on the instance, so a memo keyed by a module
+  does not re-hash its algebra's multiplication table on every lookup.
+* Over Q, ``Field.zero`` and ``Field.one`` are shared ``Fraction``
+  constants (fractions are immutable), not a new object per call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -36,6 +42,21 @@ class InconsistentSystem(ArithmeticError):
     must not mistake a failed solve, which is a program bug unless the
     caller asked for it, for bad input.
     """
+
+
+def cached_hash(self) -> int:
+    """``__hash__`` of a frozen value dataclass, computed on first use and
+    kept on the instance: hash of the tuple of the fields that take part in
+    equality, the value the generated ``__hash__`` would return.  Like any
+    hash of a string, it is valid in this process only."""
+    h = self.__dict__.get("_hash")
+    if h is None:
+        h = hash(tuple(getattr(self, f.name) for f in fields(self) if f.compare))
+        object.__setattr__(self, "_hash", h)
+    return h
+
+
+_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
 
 
 def _is_prime(n: int) -> bool:
@@ -87,11 +108,11 @@ class Field:
 
     @property
     def zero(self):
-        return 0 if self.kind == "GF" else Fraction(0)
+        return 0 if self.kind == "GF" else _Q_ZERO
 
     @property
     def one(self):
-        return 1 if self.kind == "GF" else Fraction(1)
+        return 1 if self.kind == "GF" else _Q_ONE
 
     def of(self, x) -> int | Fraction:
         """Coerce an exact number into the field: an int, a ``Fraction``, or a
@@ -127,7 +148,7 @@ class Field:
             raise ZeroDivisionError("inverse of zero")
         if self.kind == "GF":
             return pow(a, -1, self.p)
-        return Fraction(1) / a
+        return _Q_ONE / a
 
     def to_json(self) -> dict:
         return {"kind": "GF", "p": self.p} if self.kind == "GF" else {"kind": "Q"}
@@ -149,6 +170,8 @@ class Matrix:
     rows: int
     cols: int
     entries: tuple
+
+    __hash__ = cached_hash
 
     def __post_init__(self) -> None:
         if len(self.entries) != self.rows * self.cols:
@@ -249,7 +272,7 @@ class Matrix:
             for i in range(n):
                 arow = a[i * m : (i + 1) * m]
                 for j in range(k):
-                    s = Fraction(0)
+                    s = _Q_ZERO
                     for t in range(m):
                         s += arow[t] * b[t * k + j]
                     out.append(s)
@@ -444,6 +467,8 @@ class Subspace:
     ambient: int
     basis: Matrix  # rank x ambient, in RREF with no zero rows
     pivots: tuple[int, ...]
+
+    __hash__ = cached_hash
 
     @staticmethod
     def from_matrix(m: Matrix) -> "Subspace":

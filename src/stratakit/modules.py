@@ -20,19 +20,20 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .algebra import Algebra, opposite
-from .linalg import Field, InconsistentSystem, Matrix, Subspace, intertwiner_basis
+from .linalg import Field, InconsistentSystem, Matrix, Subspace, cached_hash, intertwiner_basis
 
 
-def combine(coeffs: Sequence, items: Sequence, zero):
-    """``zero`` plus the sum of c * x over the pairs (c, x) with c nonzero.
+def combine(coeffs: Sequence, items: Sequence, start):
+    """``start`` plus the sum of c * x over the pairs (c, x) with c nonzero
+    (x itself for c = 1).
 
     ``items`` are matrices or morphisms (anything with ``scale`` and ``+``);
-    ``zero`` fixes the result when every coefficient is zero.
+    ``start`` fixes the result when every coefficient is zero.
     """
-    out = zero
+    out = start
     for c, x in zip(coeffs, items):
         if c != 0:
-            out = out + x.scale(c)
+            out = out + (x if c == 1 else x.scale(c))
     return out
 
 
@@ -42,9 +43,16 @@ class RightModule:
     dim: int
     action: tuple[Matrix, ...]
 
+    __hash__ = cached_hash
+
     def action_of(self, a: Sequence) -> Matrix:
-        """Action matrix of an arbitrary algebra element (coordinate vector)."""
-        return combine(a, self.action, Matrix.zero(self.algebra.field, self.dim, self.dim))
+        """Action matrix of an arbitrary algebra element (coordinate vector):
+        the sum of its nonzero terms, so a unit vector gives ``action[k]``
+        itself."""
+        terms = [x if c == 1 else x.scale(c) for c, x in zip(a, self.action) if c]
+        if not terms:
+            return Matrix.zero(self.algebra.field, self.dim, self.dim)
+        return functools.reduce(Matrix.__add__, terms)
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -68,12 +76,16 @@ class ModuleMap:
         return ModuleMap(self.source, other.target, self.mat @ other.mat)
 
     def __add__(self, other: "ModuleMap") -> "ModuleMap":
-        assert self.source == other.source and self.target == other.target
+        self._same_ends(other)
         return ModuleMap(self.source, self.target, self.mat + other.mat)
 
     def __sub__(self, other: "ModuleMap") -> "ModuleMap":
-        assert self.source == other.source and self.target == other.target
+        self._same_ends(other)
         return ModuleMap(self.source, self.target, self.mat - other.mat)
+
+    def _same_ends(self, other: "ModuleMap") -> None:
+        if self.source != other.source or self.target != other.target:
+            raise ValueError("maps have different sources or targets")
 
     def scale(self, c) -> "ModuleMap":
         return ModuleMap(self.source, self.target, self.mat.scale(c))

@@ -344,6 +344,8 @@ class Stratification:
         self.epsilon = dict(epsilon) if epsilon is not None else None
         self._lower: dict[frozenset, QuotientData] = {}
         self._layers: dict[tuple[frozenset, str], Recollement] = {}
+        # analyze.is_k_homological's verdicts, keyed by (k, deep)
+        self._homological: dict[tuple[int, bool], object] = {}
         self._standard_cache: dict[str, StandardObjects] | None = None
         if check:
             self.run_structure_checks()

@@ -1,4 +1,8 @@
+import dataclasses
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stratakit.algebra import (
     Algebra,
@@ -12,8 +16,8 @@ from stratakit.algebra import (
     quotient_by_idempotent_ideal,
     validate_algebra,
 )
-from stratakit.corpus import load_fixture
-from stratakit.linalg import GF2, Subspace
+from stratakit.corpus import corpus_index, load_fixture
+from stratakit.linalg import GF2, GF3, QQ, Subspace
 from stratakit.specfile import build_algebra
 
 
@@ -177,3 +181,74 @@ def test_build_deterministic():
     s1 = build_algebra(load_fixture("FIX-KRO"))
     s2 = build_algebra(load_fixture("FIX-KRO"))
     assert s1 == s2
+
+
+def _fixture_algebras():
+    """Every bundled fixture's bound quiver rebuilt over GF(2), GF(3) and Q,
+    where it is admissible and finite-dimensional there."""
+    out = []
+    for entry in corpus_index():
+        if entry.expect_error is not None:
+            continue
+        pres = load_fixture(entry.name).presentation
+        for F in (GF2, GF3, QQ):
+            try:
+                out.append(build_bound_quiver_algebra(pres, F))
+            except ValueError:
+                continue
+    return out
+
+
+FIXTURE_ALGEBRAS = _fixture_algebras()
+
+
+def _vector(F, n):
+    # mostly zeros, so both sparse skips are exercised
+    values = [0, 0, 0, 1, 2, -1] + ([] if F.is_finite else [Fraction(1, 2)])
+    return st.lists(st.sampled_from(values).map(F.of), min_size=n, max_size=n).map(tuple)
+
+
+def _algebra_and_vectors(i):
+    a = FIXTURE_ALGEBRAS[i]
+    return st.tuples(st.just(i), _vector(a.field, a.dim), _vector(a.field, a.dim))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, len(FIXTURE_ALGEBRAS) - 1).flatmap(_algebra_and_vectors))
+def test_mul_vec_is_the_dense_sum(ixy):
+    i, x, y = ixy
+    a = FIXTURE_ALGEBRAS[i]
+    dense = tuple(
+        a.field.of(sum(x[i] * y[j] * a.mult[i][j][k] for i in range(a.dim) for j in range(a.dim)))
+        for k in range(a.dim))
+    assert a.mul_vec(x, y) == dense
+
+
+def test_fixture_algebras_cover_every_field():
+    assert {a.field for a in FIXTURE_ALGEBRAS} == {GF2, GF3, QQ}
+
+
+@pytest.mark.parametrize("name", ["FIX-A2", "FIX-A3", "FIX-KRO", "FIX-NAK"])
+def test_validate_sees_a_zero_structure_constant_made_nonzero(name):
+    """Set a * a = a for an arrow a: v -> w with v != w (so a * a = 0).
+    Then (a * e_w) * a = a but a * (e_w * a) = 0.  The algebra was validated
+    when it was built, so its sparse table is cached: the replaced algebra
+    must multiply with the table it is given, not that one."""
+    a = build_algebra(load_fixture(name))
+    assert "sparse" in a.cache
+
+    def ends(i):
+        b = a.basis_vec(i)
+        return ({v for v in a.vertex_names if a.mul_vec(a.idempotent_vec(v), b) == b},
+                {w for w in a.vertex_names if a.mul_vec(b, a.idempotent_vec(w)) == b})
+
+    i = next(i for i, label in enumerate(a.basis_labels)
+             if "*" not in label and not label.startswith("e_") and ends(i)[0] != ends(i)[1])
+    assert a.mul_vec(a.basis_vec(i), a.basis_vec(i)) == a.zero_vec()
+    mult = [list(row) for row in a.mult]
+    mult[i][i] = a.basis_vec(i)
+    bad = dataclasses.replace(a, mult=tuple(tuple(row) for row in mult))
+    assert "sparse" not in bad.cache
+    assert bad.mul_vec(a.basis_vec(i), a.basis_vec(i)) == a.basis_vec(i)
+    rep = validate_algebra(bad)
+    assert [name for name, _ in rep.issues][:1] == ["associativity"]

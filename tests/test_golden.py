@@ -10,8 +10,9 @@ test (two runs of the same code) cannot.  A file named
     stratakit check <fixture>.json --mode <mode> --seed 0
 
 run on the bundled fixture, or on ``<fixture>.input.json`` beside it for
-inputs that are not bundled (the C_3 radical-square-zero cycle over Q, its
-twin over GF(3) and an A_5 path algebra over GF(3), which reach paths the
+inputs that are not bundled (the C_3 radical-square-zero cycle over Q, the
+same without its sign pattern so that ``eps`` decides all eight, its twin
+over GF(3) and an A_5 path algebra over GF(3), which reach paths the
 GF(2)/GF(3) fixtures do not: the porism reports of the two C_3 inputs pin
 the heuristic and the exhaustive order of the hom-space search), and
 ``corpus.seed11.json`` that of
@@ -25,6 +26,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -38,10 +40,11 @@ STRATIFIED = ("fix_a3", "fix_nak")
 MODES = ("recollement", "simples", "porism", "eps", "hw", "homological")
 # inputs kept in tests/golden/ as <name>.input.json
 EXTRA_CASES = [("c3_q", "eps"), ("c3_q", "homological"), ("c3_q", "porism"),
-               ("c3_gf3", "porism"), ("c3_gf3", "eps"), ("a5_gf3", "recollement")]
+               ("c3_q_all", "eps"), ("c3_gf3", "porism"), ("c3_gf3", "eps"),
+               ("a5_gf3", "recollement")]
 CHECK_CASES = ([(f, m) for f in STRATIFIED for m in MODES] + [("fix_mv_pair", "recollement")]
                + EXTRA_CASES)
-WITH_STRATIFICATION = STRATIFIED + ("c3_q", "c3_gf3")
+WITH_STRATIFICATION = STRATIFIED + ("c3_q", "c3_q_all", "c3_gf3")
 
 
 def run_counting(monkeypatch, argv):
@@ -101,3 +104,23 @@ def test_corpus_report_is_the_same_under_optimize():
                          capture_output=True, env=env)
     assert res.stdout == (GOLDEN / "corpus.seed11.json").read_bytes()
     assert res.returncode == 0, res.stderr
+
+
+def test_eps_on_c3_over_q_hashes_few_fractions(monkeypatch):
+    """A work counter, not a timing: memo and cache keys hash their entries
+    once, so deciding one sign pattern of C_3 over Q hashes 887 fractions
+    (267,653 when every lookup re-hashed a module with its algebra's
+    multiplication table)."""
+    calls = []
+    original = Fraction.__hash__
+
+    def counted(self):
+        calls.append(None)
+        return original(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    monkeypatch.delenv("STRATAKIT_SEED", raising=False)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["check", str(GOLDEN / "c3_q.input.json"), "--mode", "eps", "--seed", "0"])
+    assert code == 0
+    assert len(calls) <= 5000

@@ -1,10 +1,15 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stratakit.algebra import Algebra
+from stratakit.corpus import load_fixture
 from stratakit.linalg import GF2, GF3, QQ, Field, InconsistentSystem, Matrix, Subspace
+from stratakit.modules import RightModule, projective_module, regular_module
+from stratakit.specfile import build_algebra
 
 
 def mat(field, rows, cols=None):
@@ -284,3 +289,54 @@ def test_field_rejects_inexact_numbers():
     assert GF3.of("1/2") == 2
     with pytest.raises(ZeroDivisionError):
         GF3.of("1/3")
+
+
+# ---------------------------------------------------------------------------
+# the value types hash once
+
+
+def _field_hash(x):
+    """What the dataclass-generated ``__hash__`` returns."""
+    return hash(tuple(getattr(x, f.name) for f in dataclasses.fields(x) if f.compare))
+
+
+def _values(name):
+    a = build_algebra(load_fixture(name))
+    m = regular_module(a)
+    return [m.action[-1], a.radical, a, m]
+
+
+def test_hash_is_the_dataclass_hash_and_equal_values_hash_alike():
+    first, second = _values("FIX-NAK"), _values("FIX-NAK")
+    # fill the second algebra's cache before anything of it is hashed
+    algebra = second[2]
+    algebra.mul_vec(algebra.unit, algebra.unit)
+    projective_module(algebra, algebra.vertex_names[0])
+    assert "sparse" in algebra.cache
+    for x, y in zip(first, second):
+        assert x == y and x is not y
+        assert hash(x) == hash(y) == _field_hash(x) == _field_hash(y)
+
+
+class CountingInt(int):
+    """An int that counts the calls of its ``__hash__``."""
+
+    calls = 0
+
+    def __hash__(self):
+        CountingInt.calls += 1
+        return int.__hash__(self)
+
+
+def test_entries_are_hashed_once():
+    one, zero = CountingInt(1), CountingInt(0)
+    m = Matrix(GF2, 2, 2, (one, zero, zero, one))
+    u = Subspace(2, m, (0, 1))
+    a = Algebra(GF2, ("e",), (((one,),),), (one,), (0,), ("v",), Subspace(1, Matrix(GF2, 0, 1, ()), ()))
+    mod = RightModule(a, 2, (m,))
+    CountingInt.calls = 0
+    for _ in range(3):
+        hash(m), hash(u), hash(a), hash(mod)
+        {m: 0, u: 0, a: 0, mod: 0}
+    # the four entries of m and the two of a (its table and its unit), each once
+    assert CountingInt.calls == 4 + 2

@@ -252,6 +252,27 @@ def test_submodule_of_a_non_closed_subspace_is_rejected(a2):
         submodule(reg, Subspace.span(a2.field, [a2.unit], reg.dim))
 
 
+def test_sum_of_maps_with_different_ends_is_rejected(a2):
+    p1, _ = projective_module(a2, "1")
+    p2, _ = projective_module(a2, "2")
+    f, g = identity_map(p1), zero_map(p1, p2)
+    for op in (lambda: f + g, lambda: g - f):
+        with pytest.raises(ValueError, match="different sources or targets"):
+            op()
+    assert (f - f).is_zero and (g + g) == g
+
+
+def test_action_of_sums_only_the_nonzero_terms(a2):
+    """A unit vector gives its action matrix itself, not a scaled copy, and
+    a combination the same matrix as the dense sum."""
+    reg = regular_module(a2)
+    F = a2.field
+    for k in range(a2.dim):
+        assert reg.action_of(a2.basis_vec(k)) is reg.action[k]
+    assert reg.action_of(a2.zero_vec()) == Matrix.zero(F, reg.dim, reg.dim)
+    assert reg.action_of(a2.unit) == reg.action[0] + reg.action[1] == Matrix.identity(F, reg.dim)
+
+
 def test_universal_property_probes(a2):
     """Kernel/cokernel universal properties against random competing maps."""
     rng = random.Random(7)
