@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import opposite
-from .category import ModuleCategory, solve_in_hom
+from .category import ModuleCategory, ShortExactSequence, solve_in_hom
 from .homological import ext, ext_dim, projective_resolution, reduce_cocycle
 from .linalg import Matrix
 from .modules import (
@@ -148,8 +148,9 @@ def ext_comparison(
 
     Realized by lifting a chain map from the minimal outer resolution of
     the inflation to the inflated inner resolution, then pulling cocycles
-    back.  Degrees 0 and 1 must be isomorphisms (Serre subcategory); that
-    is asserted, not reported.
+    back; when either Ext space is zero the rank is 0 and nothing is lifted.
+    Degrees 0 and 1 must be isomorphisms (Serre subcategory); that is
+    asserted, not reported.
     """
     inner, outer = frozenset(inner), frozenset(outer)
     if not inner <= outer:
@@ -157,27 +158,24 @@ def ext_comparison(
     lift = s.inflation(inner, outer)
     outer_alg = s.lower_algebra(outer).algebra
     ix, iy = restrict_scalars(x, outer_alg, lift), restrict_scalars(y, outer_alg, lift)
-    res_in = projective_resolution(x, degree + 1)
-    res_out = projective_resolution(ix, degree + 1)
-
-    # chain map u_k: outer P_k -> inflated inner P_k over the identity
-    cat = ModuleCategory(outer_alg)
-    aug_in = restrict_map(res_in.augmentation, outer_alg, lift)
-    u = [solve_in_hom(cat, res_out.augmentation.source, aug_in.source, lambda h: h.then(aug_in),
-                      res_out.augmentation)]
-    for k in range(1, degree + 1):
-        target_map = res_out.differential(k).then(u[k - 1])
-        dk_in = restrict_map(res_in.differential(k), outer_alg, lift)
-        u.append(solve_in_hom(cat, target_map.source, dk_in.source, lambda h: h.then(dk_in), target_map))
-
     space_in = ext(x, y, degree)
     space_out = ext(ix, iy, degree)
-    rows = []
-    for cls in space_in.classes:
-        pulled = u[degree].then(restrict_map(cls.cocycle, outer_alg, lift))
-        rows.append(reduce_cocycle(space_out, pulled))
-    F = s.algebra.field
-    rank = Matrix.from_rows(F, rows, cols=space_out.dim).rank() if rows else 0
+    rank = 0
+    if space_in.dim and space_out.dim:
+        res_in = projective_resolution(x, degree + 1)
+        res_out = projective_resolution(ix, degree + 1)
+        # chain map u_k: outer P_k -> inflated inner P_k over the identity
+        cat = ModuleCategory(outer_alg)
+        aug_in = restrict_map(res_in.augmentation, outer_alg, lift)
+        u = solve_in_hom(cat, res_out.augmentation.source, aug_in.source, lambda h: h.then(aug_in),
+                         res_out.augmentation)
+        for k in range(1, degree + 1):
+            target_map = res_out.differential(k).then(u)
+            dk_in = restrict_map(res_in.differential(k), outer_alg, lift)
+            u = solve_in_hom(cat, target_map.source, dk_in.source, lambda h: h.then(dk_in), target_map)
+        rows = [reduce_cocycle(space_out, u.then(restrict_map(cls.cocycle, outer_alg, lift)))
+                for cls in space_in.classes]
+        rank = Matrix.from_rows(s.algebra.field, rows, cols=space_out.dim).rank()
     cmp = ExtComparison(degree=degree, dim_source=space_in.dim, dim_target=space_out.dim, rank=rank)
     if degree <= 1 and not cmp.is_isomorphism:
         raise StratificationError(
@@ -385,12 +383,7 @@ def lemma_split_check(s: Stratification, lam: str, p: RightModule) -> SplitCheck
             exact=False, dims=dims,
             obstruction=f"dim j_! j^* P + dim i_* i^* P = {dims[0]} + {dims[2]} != {dims[1]} = dim P",
         )
-    ok = (
-        eps.is_injective()
-        and eta.is_surjective()
-        and eps.then(eta).is_zero
-        and eps.rank() == kernel(eta)[1].source.dim
-    )
+    ok = ShortExactSequence(eps, eta).verify()
     return SplitCheckResult(exact=ok, dims=dims, obstruction=None if ok else "sequence not exact")
 
 

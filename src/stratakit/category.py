@@ -1,10 +1,19 @@
 """The computable-abelian-category interface and its module-category instance.
 
 The recollement engine is generic: it only talks to categories through the
-small method surface below (plus the morphism conventions: every morphism
-has ``source``/``target``/``then``/``+``/``-``/``scale``/``is_zero``).
-``ModuleCategory`` wraps right modules over a fixed algebra; the
-Macpherson-Vilonen category implements the same surface for glued tuples.
+small method surface below, plus the object and morphism conventions:
+
+* every object has ``dim``, the dimension of its underlying space;
+* every morphism has ``source``/``target``/``then``/``+``/``-``/``scale``/
+  ``is_zero``, its ``rank()`` and the trio ``is_injective``/
+  ``is_surjective``/``is_isomorphism`` read off the rank.
+
+Kernels, cokernels and images are computed on underlying spaces (in the
+glued category componentwise), so mono, epi, iso and exactness are rank
+counts: ``exact_at`` and ``ShortExactSequence`` test exactness without
+building a kernel or an image.  ``ModuleCategory`` wraps right modules over
+a fixed algebra; the Macpherson-Vilonen category implements the same
+surface for glued tuples.
 """
 
 from __future__ import annotations
@@ -40,12 +49,6 @@ class ModuleCategory:
         self.field = algebra.field
 
     # objects -----------------------------------------------------------
-
-    def dim(self, x: RightModule) -> int:
-        return x.dim
-
-    def is_zero_obj(self, x: RightModule) -> bool:
-        return x.dim == 0
 
     def zero_obj(self) -> RightModule:
         return zero_module(self.algebra)
@@ -114,25 +117,38 @@ class Functor:
         return self.on_mor(f)
 
 
-def is_mono(cat, f) -> bool:
-    return cat.dim(cat.kernel(f)[0]) == 0
-
-
-def is_epi(cat, f) -> bool:
-    return cat.dim(cat.cokernel(f)[0]) == 0
-
-
 def mor_eq(f, g) -> bool:
     return (f - g).is_zero
 
 
-def exact_at(cat, f, g) -> bool:
-    """Exactness of X -f-> Y -g-> Z at Y (image = kernel via dimensions)."""
-    if not f.then(g).is_zero:
-        return False
-    img = cat.image(f)[0]
-    ker = cat.kernel(g)[0]
-    return cat.dim(img) == cat.dim(ker)
+def exact_at(f, g) -> bool:
+    """Exactness of X -f-> Y -g-> Z at Y: f ; g = 0 puts im f inside ker g,
+    and the two are equal when rank f = dim ker g = dim Y - rank g."""
+    return f.then(g).is_zero and f.rank() + g.rank() == f.target.dim
+
+
+@dataclass(frozen=True)
+class ShortExactSequence:
+    """0 -> sub -> middle -> quotient -> 0 in any category of the interface."""
+
+    inclusion: object   # sub -> middle
+    projection: object  # middle -> quotient
+
+    @property
+    def sub(self):
+        return self.inclusion.source
+
+    @property
+    def middle(self):
+        return self.inclusion.target
+
+    @property
+    def quotient(self):
+        return self.projection.target
+
+    def verify(self) -> bool:
+        return (self.inclusion.is_injective() and self.projection.is_surjective()
+                and exact_at(self.inclusion, self.projection))
 
 
 def solve_in_hom(cat, source, target, compose, goal):

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .category import ModuleCategory, solve_in_hom
+from .category import ModuleCategory, ShortExactSequence, solve_in_hom
 from .linalg import Matrix, Subspace
 from .modules import (
     ModuleMap,
@@ -137,12 +137,13 @@ def ext(m: RightModule, n: RightModule, degree: int) -> ExtSpace:
     homs = hom_basis(p_n, n)
     ambient = p_n.dim * n.dim
 
+    # the cocycles are the kernel of h |-> d_{n+1} ; h, written through the
+    # flattened hom basis
     d_in = res.differential(degree + 1)  # P_{n+1} -> P_n
-    cocycle_vecs = []
-    for h in homs:
-        if d_in.source.dim == 0 or d_in.then(h).is_zero:
-            cocycle_vecs.append(_flatten(h))
-    cocycles = Subspace.span(F, cocycle_vecs, ambient)
+    flat = Matrix(F, len(homs), ambient, tuple(e for h in homs for e in _flatten(h)))
+    composites = Matrix(F, len(homs), d_in.source.dim * n.dim,
+                        tuple(e for h in homs for e in _flatten(d_in.then(h))))
+    cocycles = Subspace.from_matrix(composites.left_kernel().basis @ flat)
 
     cob_vecs = []
     if degree >= 1:
@@ -185,23 +186,6 @@ def reduce_cocycle(space: ExtSpace, f: ModuleMap) -> tuple:
     return B.solve_left(Matrix.from_rows(F, [reduced], cols=proj.cols)).row(0)
 
 
-@dataclass(frozen=True)
-class ShortExactSequence:
-    sub: RightModule
-    middle: RightModule
-    quotient: RightModule
-    inclusion: ModuleMap   # sub -> middle
-    projection: ModuleMap  # middle -> quotient
-
-    def verify(self) -> bool:
-        return (
-            self.inclusion.is_injective()
-            and self.projection.is_surjective()
-            and self.inclusion.then(self.projection).is_zero
-            and self.sub.dim + self.quotient.dim == self.middle.dim
-        )
-
-
 def _cocycle_to_kernel_map(res: Resolution, f: ModuleMap) -> ModuleMap:
     """Factor a degree-1 cocycle P_1 -> N through P_1 ->> K = ker(aug)."""
     ker_mod, ker_incl = kernel(res.augmentation)
@@ -230,8 +214,7 @@ def _pushout_extension(res: Resolution, fbar: ModuleMap, ker_incl: ModuleMap) ->
     lifted = coker_proj.mat.solve_right(
         Matrix.zero(F, T.dim, m.dim).stack(res.augmentation.mat)
     )
-    onto = ModuleMap(e_mod, m, lifted)
-    ses = ShortExactSequence(sub=T, middle=e_mod, quotient=m, inclusion=incl, projection=onto)
+    ses = ShortExactSequence(incl, ModuleMap(e_mod, m, lifted))
     assert ses.verify(), "pushout did not produce a short exact sequence"
     return ses
 
@@ -299,9 +282,7 @@ def universal_extension(m: RightModule, targets: list[RightModule]) -> Universal
     spaces = [ext(m, b, 1) for b in targets]
     mults = tuple(s.dim for s in spaces)
     if all(d == 0 for d in mults):
-        ident = identity_map(m)
-        z = zero_module(A)
-        ses = ShortExactSequence(z, m, m, zero_map(z, m), ident)
+        ses = ShortExactSequence(zero_map(zero_module(A), m), identity_map(m))
         return UniversalExtension(ses=ses, multiplicities=mults, middle=m)
 
     res = projective_resolution(m, 2)

@@ -309,16 +309,17 @@ class Matrix:
         return Matrix(F, self.rows * other.rows, self.cols * other.cols, tuple(out))
 
     def apply_row(self, v: Sequence) -> tuple:
-        """Row vector times matrix: v @ self."""
+        """Row vector times matrix: v @ self, summed over the nonzero
+        entries of v, which are collected once for all columns."""
         if len(v) != self.rows:
             raise ValueError("vector length mismatch")
-        F = self.field
+        F, cols, ent = self.field, self.cols, self.entries
+        terms = [(i * cols, x) for i, x in enumerate(v) if x != F.zero]
         out = []
-        for j in range(self.cols):
+        for j in range(cols):
             s = F.zero
-            for i, x in enumerate(v):
-                if x != F.zero:
-                    s = F.add(s, F.mul(x, self.entries[i * self.cols + j]))
+            for start, x in terms:
+                s = F.add(s, F.mul(x, ent[start + j]))
             out.append(s)
         return tuple(out)
 

@@ -54,9 +54,6 @@ class RightModule:
             return Matrix.zero(self.algebra.field, self.dim, self.dim)
         return functools.reduce(Matrix.__add__, terms)
 
-    def is_zero(self) -> bool:
-        return self.dim == 0
-
     def vertex_dims(self) -> tuple[int, ...]:
         """Dimension of M e_v for each vertex, in vertex order."""
         return tuple(
@@ -64,8 +61,23 @@ class RightModule:
         )
 
 
+class RankPredicates:
+    """Mono, epi and iso read off ``rank()`` and the ends' ``dim``: right for
+    every morphism whose kernel and cokernel live on its underlying spaces
+    (module maps, and glued morphisms componentwise)."""
+
+    def is_injective(self) -> bool:
+        return self.rank() == self.source.dim
+
+    def is_surjective(self) -> bool:
+        return self.rank() == self.target.dim
+
+    def is_isomorphism(self) -> bool:
+        return self.source.dim == self.target.dim and self.rank() == self.source.dim
+
+
 @dataclass(frozen=True)
-class ModuleMap:
+class ModuleMap(RankPredicates):
     source: RightModule
     target: RightModule
     mat: Matrix  # source.dim x target.dim
@@ -96,15 +108,6 @@ class ModuleMap:
 
     def rank(self) -> int:
         return self.mat.rank()
-
-    def is_injective(self) -> bool:
-        return self.rank() == self.source.dim
-
-    def is_surjective(self) -> bool:
-        return self.rank() == self.target.dim
-
-    def is_isomorphism(self) -> bool:
-        return self.source.dim == self.target.dim and self.rank() == self.source.dim
 
 
 def identity_map(m: RightModule) -> ModuleMap:
@@ -605,9 +608,6 @@ def projective_cover(m: RightModule) -> Cover:
         summand_mods.append(pv)
         blocks.append(element_map_from_projective(pv, incl.mat, m, u))
         counts[v] = counts.get(v, 0) + 1
-    if not summand_mods:
-        z = zero_module(A)
-        return Cover(z, ModuleMap(z, m, Matrix.zero(F, 0, m.dim)), ())
     big, injs, _ = direct_sum(summand_mods)
     rows = []
     for blk in blocks:

@@ -27,6 +27,7 @@ from .modules import (
     ISO_EXHAUSTION_CAP,
     Bimodule,
     ModuleMap,
+    RankPredicates,
     RightModule,
     combine,
     hom_combinations,
@@ -138,9 +139,13 @@ class MVObject:
     alpha: ModuleMap  # F(x_u) -> x_z
     beta: ModuleMap   # x_z -> G(x_u)
 
+    @property
+    def dim(self) -> int:
+        return self.x_u.dim + self.x_z.dim
+
 
 @dataclass(frozen=True)
-class MVMorphism:
+class MVMorphism(RankPredicates):
     source: MVObject
     target: MVObject
     f_u: ModuleMap
@@ -162,6 +167,9 @@ class MVMorphism:
     @property
     def is_zero(self) -> bool:
         return self.f_u.is_zero and self.f_z.is_zero
+
+    def rank(self) -> int:
+        return self.f_u.rank() + self.f_z.rank()
 
 
 class MVCategory:
@@ -191,12 +199,6 @@ class MVCategory:
             ModuleMap(fz, zz, Matrix.zero(self.field, fz.dim, 0)),
             ModuleMap(zz, gz, Matrix.zero(self.field, 0, gz.dim)),
         )
-
-    def dim(self, x: MVObject) -> int:
-        return x.x_u.dim + x.x_z.dim
-
-    def is_zero_obj(self, x: MVObject) -> bool:
-        return self.dim(x) == 0
 
     # morphisms ---------------------------------------------------------------
 
@@ -324,18 +326,14 @@ class MVCategory:
             return False, None, "component dimensions differ"
         basis = self.hom_basis(x, y)
         if not basis:
-            return (self.dim(x) == 0), (self.identity(x) if self.dim(x) == 0 else None), "hom space zero"
+            return (x.dim == 0), (self.identity(x) if x.dim == 0 else None), "hom space zero"
         F = self.field
-
-        def invertible(f: MVMorphism) -> bool:
-            return f.f_u.rank() == x.x_u.dim and f.f_z.rank() == x.x_z.dim
-
         for f in hom_combinations(basis, F, False):
-            if invertible(f):
+            if f.is_isomorphism():
                 return True, f, "basis element or pairwise sum"
         if F.is_finite and F.p ** len(basis) <= ISO_EXHAUSTION_CAP:
             for f in hom_combinations(basis, F, True):
-                if invertible(f):
+                if f.is_isomorphism():
                     return True, f, "exhaustive search"
             return False, None, "exhaustive search found no isomorphism"
         return False, None, "no isomorphism among basis elements and pairwise sums (heuristic)"
@@ -505,7 +503,7 @@ def _mv_is_simple(cat: MVCategory, r: Recollement, t: MVObject) -> bool:
     """Simplicity through the recollement classification: either a simple
     closed-side object with zero open part, or a simple open restriction
     with t isomorphic to its intermediate extension."""
-    if cat.is_zero_obj(t):
+    if t.dim == 0:
         return False
     if t.x_u.dim == 0:
         return t.x_z.dim == 1  # split basic: simples are one-dimensional

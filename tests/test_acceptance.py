@@ -18,7 +18,7 @@ from stratakit.analyze import (
     is_highest_weight,
     sign_patterns,
 )
-from stratakit.category import ModuleCategory, is_epi, is_mono, solve_in_hom
+from stratakit.category import ModuleCategory, solve_in_hom
 from stratakit.cli import main as cli_main
 from stratakit.corpus import load_fixture
 from stratakit.homological import ext1_dimension_by_enumeration, ext_dim
@@ -124,9 +124,9 @@ def test_criterion_3_intermediate_extension_contracts(strats):
                 if jf is None or not (ie_x.from_lower.then(jf) - lifted).is_zero:
                     ok = False
                     break
-                if is_mono(cat_u, f) and not is_mono(r.cat_c, jf):
+                if f.is_injective() and not jf.is_injective():
                     ok = False
-                if is_epi(cat_u, f) and not is_epi(r.cat_c, jf):
+                if f.is_surjective() and not jf.is_surjective():
                     ok = False
                 count += 1
             ok = ok and count == 50

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from stratakit import analyze
 from stratakit.algebra import opposite
 from stratakit.analyze import (
     ExtComparison,
@@ -287,3 +288,24 @@ def test_monotone_consistency(strats):
             assert hw, fix
         if hw:
             assert all_eps and strata_ok and homological, fix
+
+
+def test_ext_comparison_lifts_only_between_nonzero_spaces(monkeypatch):
+    """A work counter: a chain map is lifted only when both Ext spaces are
+    nonzero, so the degree bound does not change the number of hom solves on
+    FIX-A3 (75 at n = 4 and 16,605 at n = 80 when every comparison lifted
+    through every degree)."""
+    calls = []
+    original = analyze.solve_in_hom
+
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(analyze, "solve_in_hom", counted)
+    counts = []
+    for n in (4, 80):
+        calls.clear()
+        assert is_k_homological(strat_of("FIX-A3"), n).holds
+        counts.append(len(calls))
+    assert counts[0] == counts[1]

@@ -1,5 +1,6 @@
 import pytest
 
+from stratakit.algebra import Presentation, Quiver, build_bound_quiver_algebra
 from stratakit.corpus import load_fixture
 from stratakit.homological import (
     classes_equal,
@@ -11,9 +12,13 @@ from stratakit.homological import (
     realize_ext1,
     universal_extension,
 )
+from stratakit.linalg import GF3
 from stratakit.modules import (
     hom_basis,
+    injective_module,
     is_isomorphic,
+    kernel,
+    projective_cover,
     projective_module,
     radical_subspace,
     regular_module,
@@ -193,3 +198,22 @@ def test_ext1_oracle_bigger_modules(a2):
 
     i2 = injective_module(a2, "2")
     assert ext1_dimension_by_enumeration(i2_dual, i2) == ext_dim(i2_dual, i2, 1)
+
+
+def test_ext_cocycles_are_a_kernel_not_a_basis_filter():
+    """1 => 2 -> 3 with a*c = b*c over GF(3): d_2 ; h can vanish on a
+    combination of hom-basis maps h that each survive it.  Degree 0 is the
+    hom space, and degree 1 follows from 0 -> Hom(M, N) -> Hom(P_0, N) ->
+    Hom(Omega M, N) -> Ext^1(M, N) -> 0."""
+    q = Quiver(("1", "2", "3"), (("a", "1", "2"), ("b", "1", "2"), ("c", "2", "3")))
+    alg = build_bound_quiver_algebra(Presentation.from_names(q, [[(1, ["a", "c"]), (-1, ["b", "c"])]]), GF3)
+    samples = [f(alg, v) for f in (simple_module, lambda a, v: projective_module(a, v)[0], injective_module)
+               for v in alg.vertex_names]
+    for m in samples:
+        cov = projective_cover(m)
+        omega, _ = kernel(cov.cover_map)
+        for n in samples:
+            hom = len(hom_basis(m, n))
+            assert ext(m, n, 0).dim == hom
+            shift = len(hom_basis(omega, n)) - len(hom_basis(cov.projective, n)) + hom
+            assert ext(m, n, 1).dim == shift

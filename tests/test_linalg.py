@@ -340,3 +340,23 @@ def test_entries_are_hashed_once():
         {m: 0, u: 0, a: 0, mod: 0}
     # the four entries of m and the two of a (its table and its unit), each once
     assert CountingInt.calls == 4 + 2
+
+
+def matrix_and_vector(field):
+    """A rows x cols matrix, 0 <= cols, and a mostly-zero vector of length rows."""
+    def build(rows, cols):
+        m = st.lists(elements(field), min_size=rows * cols, max_size=rows * cols).map(
+            lambda ent: Matrix(field, rows, cols, tuple(field.of(x) for x in ent)))
+        v = st.lists(st.one_of(st.just(0), elements(field)), min_size=rows, max_size=rows).map(
+            lambda xs: tuple(field.of(x) for x in xs))
+        return st.tuples(m, v)
+
+    return st.tuples(st.integers(1, 4), st.integers(0, 4)).flatmap(lambda rc: build(*rc))
+
+
+@settings(max_examples=80, deadline=None)
+@given(FIELDS.flatmap(matrix_and_vector))
+def test_apply_row_is_the_row_matrix_product(mv):
+    m, v = mv
+    assert m.apply_row(v) == (Matrix(m.field, 1, m.rows, v) @ m).row(0)
+    assert m.apply_row((m.field.zero,) * m.rows) == (m.field.zero,) * m.cols

@@ -152,7 +152,7 @@ def test_direct_sum_universal_maps(all_data):
         total, injs, projs = cat.direct_sum(objs[:3])
         for inj, proj in zip(injs, projs):
             assert (inj.then(proj) - cat.identity(inj.source)).is_zero
-        assert cat.dim(total) == sum(cat.dim(o) for o in objs[:3])
+        assert total.dim == sum(o.dim for o in objs[:3])
 
 
 def test_universal_property_probes(all_data):
