@@ -107,13 +107,11 @@ class Algebra:
     ``mult[i][j]`` is the coordinate vector of ``b_i * b_j``.  The vertex
     idempotents are the basis elements at ``idempotent_indices`` (aligned
     with ``vertex_names``), and ``radical`` spans the Jacobson radical.
-    ``generators`` (optional) is a set of elements known to generate the
-    algebra; linear conditions such as "intertwines the action" only need
-    to be imposed on generators.
 
     ``cache`` holds data derived from this instance (the sparse table of
-    ``mult`` that ``mul_vec`` reads, its opposite, its regular and projective
-    modules, resolutions of its modules), so it is freed with the algebra;
+    ``mult`` that ``mul_vec`` reads, its generators, its opposite, its
+    regular and projective modules, resolutions of its modules), so it is
+    freed with the algebra;
     it takes no part in equality, hashing or ``repr``, and is not an
     ``__init__`` argument, so ``dataclasses.replace`` starts a fresh one.
     """
@@ -125,7 +123,6 @@ class Algebra:
     idempotent_indices: tuple[int, ...]
     vertex_names: tuple[str, ...]
     radical: Subspace
-    generators: tuple[tuple, ...] | None = None
     cache: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
 
     __hash__ = cached_hash
@@ -190,9 +187,22 @@ class Algebra:
         return Matrix.from_rows(self.field, rows, cols=self.dim)
 
     def generating_vectors(self) -> tuple[tuple, ...]:
-        if self.generators is not None:
-            return self.generators
-        return tuple(self.basis_vec(i) for i in range(self.dim))
+        """The vertex idempotents and a basis of a complement of rad^2 in
+        rad, in RREF order: these generate the algebra, since A is the sum
+        of the k e_v and rad, and rad is nilpotent.  Linear conditions such
+        as "intertwines the action" need only be imposed on them.  Built
+        once into ``cache``; on a bound quiver algebra they are the vertex
+        idempotents and the arrows."""
+        if "generators" not in self.cache:
+            F, rows = self.field, self.radical.basis.row_list()
+            span = Subspace.span(F, [self.mul_vec(x, y) for x in rows for y in rows], self.dim)
+            gens = [self.basis_vec(i) for i in self.idempotent_indices]
+            for r in rows:
+                if not span.contains(r):
+                    gens.append(r)
+                    span = span.sum(Subspace.span(F, [r], self.dim))
+            self.cache["generators"] = tuple(gens)
+        return self.cache["generators"]
 
 
 def build_bound_quiver_algebra(pres: Presentation, field: Field) -> Algebra:
@@ -344,13 +354,6 @@ def build_bound_quiver_algebra(pres: Presentation, field: Field) -> Algebra:
         dim,
     )
 
-    gens = []
-    for i in idem_indices:
-        gens.append(tuple(F.one if j == i else F.zero for j in range(dim)))
-    for p in basis_paths:
-        if len(p[1]) == 1:
-            gens.append(tuple(F.one if j == index_of[p] else F.zero for j in range(dim)))
-
     alg = Algebra(
         field=F,
         basis_labels=tuple(_path_label(quiver, p) for p in basis_paths),
@@ -359,7 +362,6 @@ def build_bound_quiver_algebra(pres: Presentation, field: Field) -> Algebra:
         idempotent_indices=tuple(idem_indices),
         vertex_names=quiver.vertices,
         radical=rad,
-        generators=tuple(gens),
     )
     report = validate_algebra(alg)
     if not report.ok:
@@ -477,8 +479,6 @@ def validate_algebra(a: Algebra) -> ValidationReport:
 class CornerData:
     algebra: Algebra
     embed: Matrix          # corner dim x parent dim: corner basis as parent vectors
-    idempotent: tuple      # the idempotent e in the parent algebra
-    parent: Algebra
 
 
 def corner_algebra(a: Algebra, vertices: Sequence[str]) -> CornerData:
@@ -525,12 +525,11 @@ def corner_algebra(a: Algebra, vertices: Sequence[str]) -> CornerData:
         idempotent_indices=tuple(range(len(subset))),
         vertex_names=tuple(subset),
         radical=rad,
-        generators=None,
     )
     report = validate_algebra(alg)
     if not report.ok:
         raise AlgebraError(f"corner algebra failed validation: {report.issues}")
-    return CornerData(algebra=alg, embed=embed, idempotent=e, parent=a)
+    return CornerData(algebra=alg, embed=embed)
 
 
 @dataclass(frozen=True)
@@ -538,8 +537,6 @@ class QuotientData:
     algebra: Algebra
     projection: Matrix     # parent dim x quotient dim
     section: Matrix        # quotient dim x parent dim
-    ideal: Subspace
-    parent: Algebra
 
 
 def quotient_by_idempotent_ideal(a: Algebra, vertices: Sequence[str]) -> QuotientData:
@@ -585,9 +582,8 @@ def quotient_by_idempotent_ideal(a: Algebra, vertices: Sequence[str]) -> Quotien
             idempotent_indices=(),
             vertex_names=(),
             radical=Subspace.zero(F, 0),
-            generators=(),
         )
-        return QuotientData(zero_alg, proj, sec, ideal, a)
+        return QuotientData(zero_alg, proj, sec)
 
     push = proj.apply_row
     surviving = [v for v in a.vertex_names if v not in subset]
@@ -614,10 +610,6 @@ def quotient_by_idempotent_ideal(a: Algebra, vertices: Sequence[str]) -> Quotien
         F, [push(a.radical.basis.row(r)) for r in range(a.radical.dim)], qdim
     )
 
-    gens = None
-    if a.generators is not None:
-        gens = tuple(push(g) for g in a.generators)
-
     alg = Algebra(
         field=F,
         basis_labels=tuple(labels),
@@ -626,12 +618,11 @@ def quotient_by_idempotent_ideal(a: Algebra, vertices: Sequence[str]) -> Quotien
         idempotent_indices=tuple(idem_indices),
         vertex_names=tuple(surviving),
         radical=rad,
-        generators=gens,
     )
     report = validate_algebra(alg)
     if not report.ok:
         raise AlgebraError(f"quotient algebra failed validation: {report.issues}")
-    return QuotientData(algebra=alg, projection=proj, section=sec, ideal=ideal, parent=a)
+    return QuotientData(algebra=alg, projection=proj, section=sec)
 
 
 def opposite(a: Algebra) -> Algebra:
@@ -652,7 +643,6 @@ def opposite(a: Algebra) -> Algebra:
             idempotent_indices=a.idempotent_indices,
             vertex_names=a.vertex_names,
             radical=a.radical,
-            generators=a.generators,
         )
         op.cache["opposite"] = a
         a.cache["opposite"] = op

@@ -8,8 +8,6 @@
 * k-homological stratifications,
 * the sign-stratified decision, by the homological criterion and by direct
   filtration search on both the projective and injective sides,
-* bounded-degree Ext-vanishing tables between the sign-standard and
-  sign-costandard families,
 * highest-weight detection by structure and by the axioms, cross-checked.
 
 Every negative verdict carries a finite witness.  Route disagreement is a
@@ -22,8 +20,8 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import opposite
-from .category import ModuleCategory, ShortExactSequence, solve_in_hom
-from .homological import ext, ext_dim, projective_resolution, reduce_cocycle
+from .category import ModuleCategory, solve_in_hom
+from .homological import ext, projective_resolution, reduce_cocycle
 from .linalg import Matrix
 from .modules import (
     RightModule,
@@ -51,7 +49,6 @@ from .strat import (
 @dataclass(frozen=True)
 class ExactnessVerdict:
     stratum: str
-    side: str                  # "j_!" or "j_*"
     exact: bool
     reason: str
     witness: dict | None       # lost-exactness data when not exact
@@ -82,14 +79,14 @@ def exactness_check(s: Stratification, lam: str, side: str) -> ExactnessVerdict:
     proj, cover_dim = _is_projective(bim)
     if proj:
         return ExactnessVerdict(
-            stratum=lam, side=side, exact=True,
+            stratum=lam, exact=True,
             reason=f"corner bimodule of dimension {bim.dim} equals its projective cover",
             witness=None,
         )
     witness = _lost_exactness_witness(s, lam, side)
     assert witness is not None, "non-projective bimodule must lose exactness on some stratum cover"
     return ExactnessVerdict(
-        stratum=lam, side=side, exact=False,
+        stratum=lam, exact=False,
         reason=f"corner bimodule has dimension {bim.dim} but its cover has dimension {cover_dim}",
         witness=witness,
     )
@@ -190,7 +187,6 @@ def ext_comparison(
 
 @dataclass(frozen=True)
 class HomologicalVerdict:
-    k: int
     holds: bool
     witness: dict | None
     checked_pairs: int
@@ -239,7 +235,6 @@ def _k_homological(s: Stratification, k: int, deep: bool) -> HomologicalVerdict:
                                   cmp.dim_source, cmp.dim_target, cmp.rank))
                     if not cmp.is_isomorphism:
                         return HomologicalVerdict(
-                            k=k,
                             holds=False,
                             witness={
                                 "lower_set": sorted(outer),
@@ -259,7 +254,7 @@ def _k_homological(s: Stratification, k: int, deep: bool) -> HomologicalVerdict:
     )
     if deep:
         note += "; also re-checked on inner projectives against injectives"
-    return HomologicalVerdict(k=k, holds=True, witness=None, checked_pairs=checked,
+    return HomologicalVerdict(holds=True, witness=None, checked_pairs=checked,
                               note=note, table=tuple(table))
 
 
@@ -353,56 +348,6 @@ def is_epsilon_stratified(s: Stratification, eps: dict[str, str]) -> Decision:
         "direct-delta": _direct_delta_route(s, eps),
         "direct-nabla": _direct_nabla_route(s, eps),
     })
-
-
-# -- the split lemma for projectives over 2-homological recollements ------------
-
-
-@dataclass(frozen=True)
-class SplitCheckResult:
-    exact: bool
-    dims: tuple[int, int, int]   # (j_! j^* P, P, i_* i^* P)
-    obstruction: str | None
-
-
-def lemma_split_check(s: Stratification, lam: str, p: RightModule) -> SplitCheckResult:
-    """For maximal lam: is 0 -> j_! j^* P -> P -> i_* i^* P -> 0 exact?
-
-    Holds whenever the recollement is 2-homological and P is projective; a
-    dimension mismatch is returned as the obstruction otherwise.
-    """
-    full = frozenset(s.poset.elements)
-    if lam not in s.poset.maximal_in(full):
-        raise ValueError(f"{lam} is not maximal")
-    r = s.layer_recollement(full, lam)
-    eps = r.counit_jl(p)
-    eta = r.unit_quot(p)
-    dims = (eps.source.dim, p.dim, eta.target.dim)
-    if dims[0] + dims[2] != dims[1]:
-        return SplitCheckResult(
-            exact=False, dims=dims,
-            obstruction=f"dim j_! j^* P + dim i_* i^* P = {dims[0]} + {dims[2]} != {dims[1]} = dim P",
-        )
-    ok = ShortExactSequence(eps, eta).verify()
-    return SplitCheckResult(exact=ok, dims=dims, obstruction=None if ok else "sequence not exact")
-
-
-# -- bounded Ext-vanishing table -------------------------------------------------
-
-
-def bs_vanishing_table(
-    s: Stratification, eps: dict[str, str], max_degree: int
-) -> dict[tuple[str, str, int], int]:
-    """dim Ext^n(std_eps(b), costd_eps(b')) for all pairs and 0 <= n <= max_degree."""
-    fams = s.standard_objects()
-    table: dict[tuple[str, str, int], int] = {}
-    for b in s.algebra.vertex_names:
-        for c in s.algebra.vertex_names:
-            delta = fams[b].eps_standard(eps[s.rho[b]])
-            nabla = fams[c].eps_costandard(eps[s.rho[c]])
-            for n in range(max_degree + 1):
-                table[(b, c, n)] = ext_dim(delta, nabla, n)
-    return table
 
 
 # -- highest weight detection -----------------------------------------------------

@@ -6,8 +6,6 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .specfile import AlgebraSpec, parse_spec
-
 
 @dataclass(frozen=True)
 class CorpusEntry:
@@ -33,11 +31,3 @@ def corpus_index() -> list[CorpusEntry]:
 
 def fixture_bytes(file: str) -> bytes:
     return resources.files("stratakit.fixtures").joinpath(file).read_bytes()
-
-
-def load_fixture(name: str) -> AlgebraSpec:
-    for entry in corpus_index():
-        if entry.name == name:
-            data = json.loads(fixture_bytes(entry.file))
-            return parse_spec(data, name=entry.name)
-    raise KeyError(f"no bundled fixture named {name}")

@@ -5,22 +5,10 @@ kernel, so differentials land in radicals and Ext dimensions read off
 canonically.  Ext classes are represented by cocycles P_n -> N reduced
 against the coboundary space with a fixed RREF-canonical complement, which
 makes class equality a representation equality for a fixed resolution.
-
-The module also houses an independent brute-force Ext^1 oracle over finite
-fields: extensions 0 -> N -> E -> M -> 0 with fixed identifications are
-exactly the block lower-triangular action tables
-
-    act_E(b) = [[act_N(b), 0], [C(b), act_M(b)]]
-
-whose off-diagonal blocks satisfy C(ab) = C(a) act_N(b) + act_M(a) C(b),
-counted modulo the blocks of the form h act_N(a) - act_M(a) h.  The oracle
-enumerates all block assignments exhaustively and never touches the
-resolution machinery.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .category import ModuleCategory, ShortExactSequence, solve_in_hom
@@ -29,10 +17,8 @@ from .modules import (
     ModuleMap,
     RightModule,
     cokernel,
-    combine,
     direct_sum,
     hom_basis,
-    identity_map,
     kernel,
     projective_cover,
     structural_series,
@@ -107,8 +93,7 @@ class ExtSpace:
     target: RightModule
     dim: int
     classes: tuple[ExtClass, ...]
-    cocycle_space: Subspace     # in flattened Hom(P_n, target) coordinates
-    coboundary_space: Subspace
+    coboundary_space: Subspace  # in flattened Hom(P_n, target) coordinates
 
 
 def _flatten(f: ModuleMap) -> tuple:
@@ -132,8 +117,7 @@ def ext(m: RightModule, n: RightModule, degree: int) -> ExtSpace:
     res = projective_resolution(m, degree + 1)
     p_n = res.term(degree)
     if p_n.dim == 0 or n.dim == 0:
-        zero_sub = Subspace.zero(F, p_n.dim * n.dim)
-        return ExtSpace(degree, m, n, 0, (), zero_sub, zero_sub)
+        return ExtSpace(degree, m, n, 0, (), Subspace.zero(F, p_n.dim * n.dim))
     homs = hom_basis(p_n, n)
     ambient = p_n.dim * n.dim
 
@@ -163,7 +147,7 @@ def ext(m: RightModule, n: RightModule, degree: int) -> ExtSpace:
             lifted = sec.apply_row(red_space.basis.row(i))
             classes.append(ExtClass(degree, m, n, _unflatten(lifted, p_n, n)))
     dim = len(classes)
-    return ExtSpace(degree, m, n, dim, tuple(classes), cocycles, coboundaries)
+    return ExtSpace(degree, m, n, dim, tuple(classes), coboundaries)
 
 
 def ext_dim(m: RightModule, n: RightModule, degree: int) -> int:
@@ -219,25 +203,6 @@ def _pushout_extension(res: Resolution, fbar: ModuleMap, ker_incl: ModuleMap) ->
     return ses
 
 
-def realize_ext1(cls: ExtClass) -> ShortExactSequence:
-    """Short exact sequence with connecting class equal to ``cls``."""
-    if cls.degree != 1:
-        raise ValueError("only degree-1 classes are realizable as extensions")
-    res = projective_resolution(cls.source, 2)
-    ker_mod, ker_incl = kernel(res.augmentation)
-    fbar = _cocycle_to_kernel_map(res, cls.cocycle)
-    return _pushout_extension(res, fbar, ker_incl)
-
-
-def extract_ext1(ses: ShortExactSequence) -> ExtClass:
-    """Connecting class of 0 -> N -> E -> M -> 0 in Ext^1(M, N)."""
-    m, n = ses.quotient, ses.sub
-    res = projective_resolution(m, 2)
-    space = ext(m, n, 1)
-    coords = reduce_cocycle(space, _connecting_map(ses, res))
-    return make_class(space, coords)
-
-
 def _connecting_map(ses: ShortExactSequence, res: Resolution) -> ModuleMap:
     """The map P_1 -> sub whose class is the connecting class of ``ses``."""
     # lift the augmentation through the projection (projectivity of P_0)
@@ -247,21 +212,10 @@ def _connecting_map(ses: ShortExactSequence, res: Resolution) -> ModuleMap:
     return ModuleMap(res.term(1), ses.sub, ses.inclusion.mat.solve_left(g.mat))
 
 
-def make_class(space: ExtSpace, coords) -> ExtClass:
-    p_n = projective_resolution(space.source, space.degree + 1).term(space.degree)
-    cocycle = combine(coords, [cls.cocycle for cls in space.classes], zero_map(p_n, space.target))
-    return ExtClass(space.degree, space.source, space.target, cocycle)
-
-
-def classes_equal(space: ExtSpace, a: ExtClass, b: ExtClass) -> bool:
-    return reduce_cocycle(space, a.cocycle) == reduce_cocycle(space, b.cocycle)
-
-
 @dataclass(frozen=True)
 class UniversalExtension:
-    ses: ShortExactSequence      # 0 -> sum of B_i^{d_i} -> E -> M -> 0
     multiplicities: tuple[int, ...]
-    middle: RightModule
+    middle: RightModule  # E in 0 -> sum of B_i^{d_i} -> E -> M -> 0
 
 
 def universal_extension(m: RightModule, targets: list[RightModule]) -> UniversalExtension:
@@ -282,8 +236,7 @@ def universal_extension(m: RightModule, targets: list[RightModule]) -> Universal
     spaces = [ext(m, b, 1) for b in targets]
     mults = tuple(s.dim for s in spaces)
     if all(d == 0 for d in mults):
-        ses = ShortExactSequence(zero_map(zero_module(A), m), identity_map(m))
-        return UniversalExtension(ses=ses, multiplicities=mults, middle=m)
+        return UniversalExtension(multiplicities=mults, middle=m)
 
     res = projective_resolution(m, 2)
     ker_mod, ker_incl = kernel(res.augmentation)
@@ -308,77 +261,4 @@ def universal_extension(m: RightModule, targets: list[RightModule]) -> Universal
         rank_rows = [reduce_cocycle(space, to_sub.then(h)) for h in hom_basis(T, b)]
         rk = Matrix.from_rows(F, rank_rows, cols=space.dim).rank() if rank_rows else 0
         assert rk == space.dim, "universal extension failed to surject onto Ext^1"
-    return UniversalExtension(ses=ses, multiplicities=mults, middle=ses.middle)
-
-
-# -- independent Ext^1 oracle ---------------------------------------------------
-
-
-ORACLE_BIT_CAP = 22
-
-
-def ext1_dimension_by_enumeration(m: RightModule, n: RightModule) -> int:
-    """Count extension classes 0 -> n -> E -> m -> 0 by exhaustive enumeration.
-
-    Finite fields only; the search space is p^(dim m * dim n * dim A), so this
-    is strictly a small-instance oracle.
-    """
-    A = m.algebra
-    F = A.field
-    if not F.is_finite:
-        raise ValueError("enumeration oracle needs a finite field")
-    dm, dn, da = m.dim, n.dim, A.dim
-    if dm == 0 or dn == 0:
-        return 0
-    nbits = dm * dn * da
-    if nbits > ORACLE_BIT_CAP:
-        raise ValueError(f"oracle search space too large ({nbits} coordinates)")
-
-    def blocks_from(flat) -> list[Matrix]:
-        out = []
-        for k in range(da):
-            chunk = flat[k * dm * dn : (k + 1) * dm * dn]
-            out.append(Matrix(F, dm, dn, tuple(F.of(x) for x in chunk)))
-        return out
-
-    def is_cocycle(C: list[Matrix]) -> bool:
-        # unit must act as the identity on E
-        unit_block = Matrix.zero(F, dm, dn)
-        for k, c in enumerate(A.unit):
-            if c != F.zero:
-                unit_block = unit_block + C[k].scale(c)
-        if not unit_block.is_zero:
-            return False
-        for i in range(da):
-            for j in range(da):
-                lhs = C[i] @ n.action[j] + m.action[i] @ C[j]
-                rhs = Matrix.zero(F, dm, dn)
-                for k, c in enumerate(A.mult[i][j]):
-                    if c != F.zero:
-                        rhs = rhs + C[k].scale(c)
-                if lhs != rhs:
-                    return False
-        return True
-
-    ncocycles = 0
-    for flat in itertools.product(range(F.p), repeat=nbits):
-        if is_cocycle(blocks_from(flat)):
-            ncocycles += 1
-
-    # coboundaries: C_h(a) = h @ act_n(a) - act_m(a) @ h
-    cob = set()
-    for hflat in itertools.product(range(F.p), repeat=dm * dn):
-        h = Matrix(F, dm, dn, tuple(F.of(x) for x in hflat))
-        key = tuple(
-            (h @ n.action[k] - m.action[k] @ h).entries for k in range(da)
-        )
-        cob.add(key)
-    ncob = len(cob)
-
-    classes = ncocycles // ncob
-    # classes = p^dim Ext^1
-    d = 0
-    while F.p ** d < classes:
-        d += 1
-    assert F.p ** d == classes, "cocycle count is not a power of the field size"
-    return d
+    return UniversalExtension(multiplicities=mults, middle=ses.middle)

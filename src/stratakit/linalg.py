@@ -513,15 +513,6 @@ class Subspace:
         self._check(other)
         return Subspace.from_matrix(self.basis.stack(other.basis))
 
-    def intersection(self, other: "Subspace") -> "Subspace":
-        self._check(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.field, self.ambient)
-        ker = self.basis.stack(other.basis).left_kernel()
-        # the first self.dim coordinates of a kernel vector combine self's basis
-        coeffs = tuple(x for i in range(ker.dim) for x in ker.basis.row(i)[: self.dim])
-        return Subspace.from_matrix(Matrix(self.field, ker.dim, self.dim, coeffs) @ self.basis)
-
     def quotient_maps(self) -> tuple[Matrix, Matrix]:
         """Projection/section pair for k^ambient / self.
 

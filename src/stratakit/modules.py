@@ -64,7 +64,8 @@ class RightModule:
 class RankPredicates:
     """Mono, epi and iso read off ``rank()`` and the ends' ``dim``: right for
     every morphism whose kernel and cokernel live on its underlying spaces
-    (module maps, and glued morphisms componentwise)."""
+    (module maps, and glued morphisms componentwise).  ``_same_ends`` is the
+    check that ``+`` and ``-`` make first."""
 
     def is_injective(self) -> bool:
         return self.rank() == self.source.dim
@@ -74,6 +75,10 @@ class RankPredicates:
 
     def is_isomorphism(self) -> bool:
         return self.source.dim == self.target.dim and self.rank() == self.source.dim
+
+    def _same_ends(self, other) -> None:
+        if self.source != other.source or self.target != other.target:
+            raise ValueError("maps have different sources or targets")
 
 
 @dataclass(frozen=True)
@@ -94,10 +99,6 @@ class ModuleMap(RankPredicates):
     def __sub__(self, other: "ModuleMap") -> "ModuleMap":
         self._same_ends(other)
         return ModuleMap(self.source, self.target, self.mat - other.mat)
-
-    def _same_ends(self, other: "ModuleMap") -> None:
-        if self.source != other.source or self.target != other.target:
-            raise ValueError("maps have different sources or targets")
 
     def scale(self, c) -> "ModuleMap":
         return ModuleMap(self.source, self.target, self.mat.scale(c))
@@ -508,45 +509,6 @@ def injective_module(algebra: Algebra, vertex: str) -> RightModule:
     """I(v) = D(e_v A^op)."""
     p_op, _ = projective_module(opposite(algebra), vertex)
     return dual_module(p_op)
-
-
-@dataclass(frozen=True)
-class Cells:
-    """The distinguished modules of an algebra in vertex order."""
-
-    regular: RightModule
-    projectives: tuple[RightModule, ...]
-    simples: tuple[RightModule, ...]
-    injectives: tuple[RightModule, ...]
-
-
-def cells(algebra: Algebra) -> Cells:
-    """Regular module plus all P(v), S(v), I(v).
-
-    Indecomposability of each P(v) is certified by the hom-dimension
-    pattern dim Hom(P(v), S(w)) = [v = w].
-    """
-    projs = []
-    simps = []
-    injs = []
-    for v in algebra.vertex_names:
-        projs.append(projective_module(algebra, v)[0])
-        simps.append(simple_module(algebra, v))
-        injs.append(injective_module(algebra, v))
-    for v, p in zip(algebra.vertex_names, projs):
-        for w, s in zip(algebra.vertex_names, simps):
-            want = 1 if v == w else 0
-            got = len(hom_basis(p, s))
-            if got != want:
-                raise ValueError(
-                    f"cover pattern broken: dim Hom(P({v}), S({w})) = {got}, expected {want}"
-                )
-    return Cells(
-        regular=regular_module(algebra),
-        projectives=tuple(projs),
-        simples=tuple(simps),
-        injectives=tuple(injs),
-    )
 
 
 # -- covers and envelopes ------------------------------------------------------

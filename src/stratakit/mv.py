@@ -17,12 +17,11 @@ categories, so the generic recollement machinery runs on it unchanged.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import Algebra, build_bound_quiver_algebra
-from .linalg import Matrix, Subspace
+from .linalg import Matrix
 from .modules import (
     ISO_EXHAUSTION_CAP,
     Bimodule,
@@ -32,8 +31,6 @@ from .modules import (
     combine,
     hom_combinations,
     identity_map,
-    simple_module,
-    submodule,
     validate_bimodule,
     zero_map,
     zero_module,
@@ -43,7 +40,7 @@ from .modules import direct_sum as module_sum
 from .modules import hom_basis as module_hom
 from .modules import image as module_image
 from .modules import kernel as module_kernel
-from .recollement import Recollement, intermediate_extension
+from .recollement import Recollement
 from .category import Functor, ModuleCategory
 
 
@@ -120,13 +117,6 @@ class MVFunctors:
         _, secT = W.quotient_maps()
         return ModuleMap(self.F.obj(x), self.G.obj(x), secT @ v_mat_rows)
 
-    def check_naturality(self, maps: Sequence[ModuleMap]) -> None:
-        for f in maps:
-            lhs = self.F.mor(f).then(self.eps(f.target))
-            rhs = self.eps(f.source).then(self.G.mor(f))
-            if not (lhs - rhs).is_zero:
-                raise MVDataError("eps fails naturality on a sample morphism")
-
 
 # ---------------------------------------------------------------------------
 # objects, morphisms, category
@@ -152,13 +142,16 @@ class MVMorphism(RankPredicates):
     f_z: ModuleMap
 
     def then(self, other: "MVMorphism") -> "MVMorphism":
-        assert self.target == other.source, "maps not composable"
+        if self.target != other.source:
+            raise ValueError("maps not composable")
         return MVMorphism(self.source, other.target, self.f_u.then(other.f_u), self.f_z.then(other.f_z))
 
     def __add__(self, other: "MVMorphism") -> "MVMorphism":
+        self._same_ends(other)
         return MVMorphism(self.source, self.target, self.f_u + other.f_u, self.f_z + other.f_z)
 
     def __sub__(self, other: "MVMorphism") -> "MVMorphism":
+        self._same_ends(other)
         return MVMorphism(self.source, self.target, self.f_u - other.f_u, self.f_z - other.f_z)
 
     def scale(self, c) -> "MVMorphism":
@@ -466,107 +459,6 @@ def mv_intermediate_table(cat: MVCategory, u: RightModule) -> MVObject:
     eps = cat.fun.eps(u)
     img, epi, mono = module_image(eps)
     return cat.make_object(u, img, epi, mono)
-
-
-def i_exact_retract(x: MVObject) -> RightModule:
-    """The exact retraction of the closed embedding: (X_U, X_Z, a, b) -> X_Z."""
-    return x.x_z
-
-
-def mv_simples(data: MVData) -> list[tuple[str, MVObject]]:
-    """All simples: the embedded closed-side simples plus the intermediate
-    extensions of the open-side simples.  Simplicity and pairwise
-    non-isomorphism are asserted."""
-    r = mv_recollement(data)
-    cat = r.extras["mv_category"]
-    out: list[tuple[str, MVObject]] = []
-    for v in data.z_algebra.vertex_names:
-        obj = r.i_embed(simple_module(data.z_algebra, v))
-        assert _mv_is_simple(cat, r, obj), f"embedded simple at {v} is not simple"
-        out.append((f"i_embed(S_z({v}))", obj))
-
-    for w in data.u_algebra.vertex_names:
-        ie = intermediate_extension(r, simple_module(data.u_algebra, w))
-        obj = ie.obj
-        table = mv_intermediate_table(cat, simple_module(data.u_algebra, w))
-        ok, _, _ = cat.is_isomorphic(obj, table)
-        assert ok, "generic intermediate extension disagrees with the closed formula"
-        assert _mv_is_simple(cat, r, obj), f"intermediate extension at {w} is not simple"
-        out.append((f"j_!*(S_u({w}))", obj))
-    for (n1, a), (n2, b) in itertools.combinations(out, 2):
-        iso, _, _ = cat.is_isomorphic(a, b)
-        assert not iso, f"simples {n1} and {n2} are isomorphic"
-    return out
-
-
-def _mv_is_simple(cat: MVCategory, r: Recollement, t: MVObject) -> bool:
-    """Simplicity through the recollement classification: either a simple
-    closed-side object with zero open part, or a simple open restriction
-    with t isomorphic to its intermediate extension."""
-    if t.dim == 0:
-        return False
-    if t.x_u.dim == 0:
-        return t.x_z.dim == 1  # split basic: simples are one-dimensional
-    if t.x_u.dim != 1:
-        return False
-    ie = intermediate_extension(r, t.x_u)
-    ok, _, _ = cat.is_isomorphic(t, ie.obj)
-    return ok
-
-
-def mv_subobject_pairs(cat: MVCategory, t: MVObject):
-    """Exhaustive subobject enumeration over small finite fields.
-
-    A subobject is a pair of action-closed subspaces (W_u, W_z) such that
-    alpha carries the tensor image of W_u into W_z and beta carries W_z
-    into the hom image of W_u.  Strictly an oracle for tiny objects.
-    """
-    F = cat.field
-    if not F.is_finite:
-        raise ValueError("subobject enumeration needs a finite field")
-
-    def all_submodule_spaces(mod):
-        dims = mod.dim
-        if F.p ** (dims * dims) > 2 ** 16:
-            raise ValueError("object too large for subobject enumeration")
-        seen = set()
-        out = []
-        for rows in itertools.product(itertools.product(range(F.p), repeat=dims), repeat=dims):
-            space = Subspace.span(F, [tuple(F.of(x) for x in r) for r in rows], dims)
-            if space in seen:
-                continue
-            seen.add(space)
-            closed = True
-            for k in range(mod.algebra.dim):
-                img = space.basis @ mod.action[k]
-                if not all(space.contains(img.row(i)) for i in range(img.rows)):
-                    closed = False
-                    break
-            if closed:
-                out.append(space)
-        return out
-
-    pairs = []
-    for wu in all_submodule_spaces(t.x_u):
-        for wz in all_submodule_spaces(t.x_z):
-            sub_u, iu = submodule(t.x_u, wu)
-            f_iu = cat.fun.F.mor(iu)
-            # alpha(F(W_u)) inside W_z
-            carried = f_iu.then(t.alpha)
-            if not all(wz.contains(carried.mat.row(i)) for i in range(carried.mat.rows)):
-                continue
-            # beta(W_z) inside the image of G(W_u)
-            g_iu = cat.fun.G.mor(iu)
-            img_rows = g_iu.mat.row_space()
-            ok = True
-            for i in range(wz.dim):
-                v = Matrix.from_rows(F, [wz.basis.row(i)], cols=t.x_z.dim) @ t.beta.mat
-                if not img_rows.contains(v.row(0)):
-                    ok = False
-                    break
-            if ok:
-                pairs.append((wu, wz))
-    return pairs
 
 
 def mv_data_from_spec(spec, field) -> MVData:

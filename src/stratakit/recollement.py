@@ -15,9 +15,9 @@ adjoint triples:
     j_lower     X |-> X (x)_{eAe} eA
     j_roof      X |-> Hom_{eAe}(Ae, X)
 
-``verify_recollement``, ``intermediate_extension``, ``canonical_ses`` and
-``cover_transport`` are generic: they only use the category interface, so
-the Macpherson-Vilonen instance reuses them unchanged.
+``verify_recollement`` and ``intermediate_extension`` are generic: they
+only use the category interface, so the Macpherson-Vilonen instance reuses
+them unchanged.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .algebra import Algebra, CornerData, QuotientData, corner_algebra, quotient
 from .category import (
     Functor,
     ModuleCategory,
-    ShortExactSequence,
     exact_at,
     mor_eq,
     solve_in_hom,
@@ -41,7 +40,6 @@ from .modules import (
     ModuleMap,
     RightModule,
     corner_bimodules,
-    projective_cover,
     quotient_module,
     restrict_scalars,
     submodule,
@@ -451,64 +449,3 @@ def intermediate_extension(r: Recollement, x) -> IntermediateExtension:
     iso, _, _ = r.cat_u.is_isomorphic(back, x)
     assert iso, "j_restrict does not recover the argument"
     return IntermediateExtension(obj=img, from_lower=epi, into_roof=mono)
-
-
-class SidePreconditionError(ValueError):
-    """The object has a nonzero quotient/subobject on the Z side."""
-
-
-def canonical_ses(r: Recollement, m, side: str) -> ShortExactSequence:
-    """The canonical short exact sequence around j_!* j_restrict m.
-
-    side="no-Z-quotients"  (i_left m = 0):  0 -> i_embed i_right m -> m -> j_!* j^* m -> 0
-    side="no-Z-subobjects" (i_right m = 0): 0 -> j_!* j^* m -> m -> i_embed i_left m -> 0
-    """
-    cat = r.cat_c
-    ie = intermediate_extension(r, r.j_restrict(m))
-    if side == "no-Z-quotients":
-        bad = r.i_left(m)
-        if bad.dim:
-            raise SidePreconditionError(f"nonzero largest Z-quotient of dimension {bad.dim}")
-        # factor the unit m -> j_roof j^* m through the image
-        h = solve_in_hom(cat, m, ie.obj, lambda g: g.then(ie.into_roof), r.unit_jr(m))
-        ses = ShortExactSequence(r.counit_sub(m), h)
-    elif side == "no-Z-subobjects":
-        bad = r.i_right(m)
-        if bad.dim:
-            raise SidePreconditionError(f"nonzero largest Z-subobject of dimension {bad.dim}")
-        # counit_jl factors as (j_lower j^* m ->> j_!*) ; (j_!* -> m)
-        h = solve_in_hom(cat, ie.obj, m, lambda g: ie.from_lower.then(g), r.counit_jl(m))
-        ses = ShortExactSequence(h, r.unit_quot(m))
-    else:
-        raise ValueError(f"unknown side {side!r}")
-    assert ses.verify(), "canonical sequence is not short exact"
-    return ses
-
-
-@dataclass(frozen=True)
-class CoverTransport:
-    cover: object       # j_lower(p), projective in the center category
-    cover_map: object   # j_lower(p) ->> j_!*(x)
-    matches_direct: bool | None  # comparison with the directly computed cover
-
-
-def cover_transport(r: Recollement, x, p_cover) -> CoverTransport:
-    """Transport a U-side projective cover p ->> x to a cover of j_!*(x).
-
-    ``p_cover`` is the covering morphism in the U category.  j_lower is the
-    left adjoint of the exact j_restrict, so it preserves projectives; the
-    composite j_lower(p) -> j_lower(x) ->> j_!*(x) is an essential
-    surjection.  When the center category supports direct covers (module
-    categories), the result is cross-checked against one.
-    """
-    cat = r.cat_c
-    ie = intermediate_extension(r, x)
-    composite = r.j_lower.map(p_cover).then(ie.from_lower)
-    assert composite.is_surjective(), "transported map is not surjective"
-    matches = None
-    if isinstance(cat, ModuleCategory):
-        direct = projective_cover(ie.obj)
-        ok, _, _ = cat.is_isomorphic(direct.projective, composite.source)
-        matches = ok
-        assert ok, "transported cover disagrees with the direct projective cover"
-    return CoverTransport(cover=composite.source, cover_map=composite, matches_direct=matches)

@@ -155,9 +155,7 @@ class BimoduleSpec:
 
 @dataclass(frozen=True)
 class MVSpec:
-    z_quiver: Quiver
     z_presentation: Presentation
-    u_quiver: Quiver
     u_presentation: Presentation
     m: BimoduleSpec  # left u-algebra, right z-algebra
     n: BimoduleSpec  # left z-algebra, right u-algebra
@@ -190,16 +188,11 @@ def _parse_mv(obj, field: Field) -> MVSpec:
     for side in ("z", "u"):
         _expect_keys(obj[side], f"mv.{side}", {"quiver"}, {"relations"})
         q = _parse_quiver(obj[side]["quiver"], f"mv.{side}.quiver")
-        pres = _parse_relations(obj[side].get("relations", []), f"mv.{side}.relations", q, field)
-        sides[side] = (q, pres)
+        sides[side] = _parse_relations(obj[side].get("relations", []), f"mv.{side}.relations", q, field)
     m = _parse_bimodule(obj["m"], "mv.m", "left_u", "right_z", field)
     n = _parse_bimodule(obj["n"], "mv.n", "left_z", "right_u", field)
     theta = _parse_matrix_rows(obj["theta"], "mv.theta", field)
-    return MVSpec(
-        z_quiver=sides["z"][0], z_presentation=sides["z"][1],
-        u_quiver=sides["u"][0], u_presentation=sides["u"][1],
-        m=m, n=n, theta=theta,
-    )
+    return MVSpec(z_presentation=sides["z"], u_presentation=sides["u"], m=m, n=n, theta=theta)
 
 
 @dataclass(frozen=True)

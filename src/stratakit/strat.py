@@ -36,7 +36,6 @@ from .modules import (
     projective_cover,
     projective_module,
     quotient_module,
-    restrict_map,
     restrict_scalars,
     simple_module,
     structural_series,
@@ -166,36 +165,6 @@ class FiltrationCertificate:
         }
 
 
-def verify_filtration_certificate(cert: "FiltrationCertificate") -> bool:
-    """Re-check a certificate without trusting the search that built it.
-
-    The chain must be strictly increasing, nested, and action-closed; each
-    layer (above/below as a subquotient of the certified module) must be
-    isomorphic to its allowed object in exact mode, or a quotient of it
-    (an epi exists) in quotient mode.
-    """
-    m = cert.module
-    F = m.algebra.field
-    prev = Subspace.zero(F, m.dim)
-    for layer in cert.layers:
-        if layer.below != prev:
-            return False
-        if not layer.above.contains_space(layer.below) or layer.above.dim <= layer.below.dim:
-            return False
-        sub_above, _ = submodule(m, layer.above)
-        below_in_above = Subspace.from_matrix(layer.above.basis.solve_left(layer.below.basis))
-        quotient_layer, _ = quotient_module(sub_above, below_in_above)
-        allowed = layer.witness.source if layer.mode == "quotient-layers" else layer.witness.target
-        if layer.mode == "exact-layers":
-            if not is_isomorphic(quotient_layer, allowed).isomorphic:
-                return False
-        elif not any(h.is_surjective()
-                     for h in hom_combinations(hom_basis(allowed, quotient_layer), F, F.is_finite)):
-            return False
-        prev = layer.above
-    return prev == Subspace.full(F, m.dim)
-
-
 FILTRATION_NODE_CAP = 200_000
 
 
@@ -297,7 +266,7 @@ def _search_quotient(m, allowed, budget, proj=None):
 @dataclass(frozen=True)
 class StandardObjects:
     """The four object families of one vertex: standard, costandard, proper
-    standard, proper costandard, with their canonical maps."""
+    standard, proper costandard."""
 
     vertex: str
     stratum: str
@@ -305,10 +274,6 @@ class StandardObjects:
     costd: RightModule         # j_* of the stratum injective envelope
     proper_std: RightModule    # j_! of the stratum simple
     proper_costd: RightModule  # j_* of the stratum simple
-    std_to_proper: ModuleMap       # std ->> proper_std
-    proper_to_simple: ModuleMap    # proper_std ->> L(vertex)
-    simple_to_proper: ModuleMap    # L(vertex) -> proper_costd
-    proper_to_costd: ModuleMap     # proper_costd -> costd
 
     def eps_standard(self, sign: str) -> RightModule:
         return self.std if sign == "+" else self.proper_std
@@ -506,12 +471,6 @@ class Stratification:
             costd = restrict_scalars(r.j_roof(i_env.injective), self.algebra, lift)
             proper_costd = restrict_scalars(r.j_roof(l_gamma), self.algebra, lift)
 
-            std_to_proper = restrict_map(r.j_lower.map(p_cover.cover_map), self.algebra, lift)
-            ie = intermediate_extension(r, l_gamma)
-            proper_to_simple = restrict_map(ie.from_lower, self.algebra, lift)
-            simple_to_proper = restrict_map(ie.into_roof, self.algebra, lift)
-            proper_to_costd = restrict_map(r.j_roof.map(i_env.envelope_map), self.algebra, lift)
-
             fam = StandardObjects(
                 vertex=b,
                 stratum=lam,
@@ -519,10 +478,6 @@ class Stratification:
                 costd=costd,
                 proper_std=proper_std,
                 proper_costd=proper_costd,
-                std_to_proper=std_to_proper,
-                proper_to_simple=proper_to_simple,
-                simple_to_proper=simple_to_proper,
-                proper_to_costd=proper_to_costd,
             )
             self._check_family(fam)
             out[b] = fam
@@ -672,7 +627,6 @@ def _assert_layer_cover(algebra: Algebra, current: RightModule, t: str) -> None:
 class PorismResult:
     vertex: str
     kernel_module: RightModule
-    cover_to_standard_kernel_dim: int
     certificate: FiltrationCertificate
 
 
@@ -705,51 +659,5 @@ def porism_check(s: Stratification, b: str) -> PorismResult:
     return PorismResult(
         vertex=b,
         kernel_module=q_mod,
-        cover_to_standard_kernel_dim=q_mod.dim,
         certificate=cert,
     )
-
-
-def composition_profile(s: Stratification, m: RightModule) -> dict[str, int]:
-    """Composition factors of m counted per stratum label.
-
-    Computed by socle peeling (an explicit composition series: the socle is
-    semisimple with one factor per unit of each vertex dimension).  A
-    subquotient of j_!* of a stratum object may hide factors from lower
-    strata, so there is no clean two-sequence recursion; this count is the
-    honest series, and ``profile_consistency_checks`` triangulates it
-    against the idempotent count and the top-layer restriction count.
-    """
-    out = {lam: 0 for lam in s.poset.elements}
-    current = m
-    while current.dim > 0:
-        soc_space = structural_series(current).socle
-        soc, _ = submodule(current, soc_space)
-        for v, idx in zip(s.algebra.vertex_names, s.algebra.idempotent_indices):
-            out[s.rho[v]] += soc.action[idx].rank()
-        current, _ = quotient_module(current, soc_space)
-    return out
-
-
-def profile_consistency_checks(s: Stratification, m: RightModule) -> None:
-    """Composition counts agree along three independent routes.
-
-    (a) socle-peeling series, (b) per-vertex idempotent ranks, (c) for each
-    maximal stratum, the corner dimension of the layer restriction (the
-    Serre quotient kills exactly the lower factors and is exact).
-    """
-    prof = composition_profile(s, m)
-    direct = {lam: 0 for lam in s.poset.elements}
-    for v, idx in zip(s.algebra.vertex_names, s.algebra.idempotent_indices):
-        direct[s.rho[v]] += m.action[idx].rank()
-    if prof != direct:
-        raise StratificationError(f"composition profiles disagree: {prof} vs {direct}")
-    if sum(prof.values()) != m.dim:
-        raise StratificationError("composition length does not equal the dimension")
-    full = frozenset(s.poset.elements)
-    for lam in s.poset.maximal_in(full):
-        r = s.layer_recollement(full, lam)
-        if r.j_restrict(m).dim != prof[lam]:
-            raise StratificationError(
-                f"layer restriction at {lam} disagrees with the composition count"
-            )

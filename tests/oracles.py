@@ -1,0 +1,191 @@
+"""Independent oracles: brute-force answers to questions the package
+answers by construction.
+
+They live with the tests, apart from the code they check, and the package
+does not ship them.  Each rests on the exact linear algebra and the module
+primitives only, never on the routine whose answer it checks (resolutions,
+the glued category's kernels, the filtration search), so the two cannot
+share a defect there.  The enumerations are exhaustive over a finite
+field and meant for tiny inputs only.
+
+* ``ext1_dimension_by_enumeration``: extensions 0 -> N -> E -> M -> 0 with
+  fixed identifications are exactly the block lower-triangular action
+  tables
+
+      act_E(b) = [[act_N(b), 0], [C(b), act_M(b)]]
+
+  whose off-diagonal blocks satisfy C(ab) = C(a) act_N(b) + act_M(a) C(b),
+  counted modulo the blocks of the form h act_N(a) - act_M(a) h.  It never
+  touches the resolution machinery.
+* ``mv_subobject_pairs``: every subobject of a glued object, by
+  enumerating pairs of action-closed subspaces.
+* ``verify_filtration_certificate``: re-checks a filtration certificate
+  without trusting the search that built it.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from stratakit.linalg import Matrix, Subspace
+from stratakit.modules import (
+    hom_basis,
+    hom_combinations,
+    is_isomorphic,
+    quotient_module,
+    submodule,
+)
+
+ORACLE_BIT_CAP = 22
+
+
+def ext1_dimension_by_enumeration(m, n) -> int:
+    """Count extension classes 0 -> n -> E -> m -> 0 by exhaustive enumeration.
+
+    Finite fields only; the search space is p^(dim m * dim n * dim A), so this
+    is strictly a small-instance oracle.
+    """
+    A = m.algebra
+    F = A.field
+    if not F.is_finite:
+        raise ValueError("enumeration oracle needs a finite field")
+    dm, dn, da = m.dim, n.dim, A.dim
+    if dm == 0 or dn == 0:
+        return 0
+    nbits = dm * dn * da
+    if nbits > ORACLE_BIT_CAP:
+        raise ValueError(f"oracle search space too large ({nbits} coordinates)")
+
+    def blocks_from(flat) -> list[Matrix]:
+        out = []
+        for k in range(da):
+            chunk = flat[k * dm * dn : (k + 1) * dm * dn]
+            out.append(Matrix(F, dm, dn, tuple(F.of(x) for x in chunk)))
+        return out
+
+    def is_cocycle(C: list[Matrix]) -> bool:
+        # unit must act as the identity on E
+        unit_block = Matrix.zero(F, dm, dn)
+        for k, c in enumerate(A.unit):
+            if c != F.zero:
+                unit_block = unit_block + C[k].scale(c)
+        if not unit_block.is_zero:
+            return False
+        for i in range(da):
+            for j in range(da):
+                lhs = C[i] @ n.action[j] + m.action[i] @ C[j]
+                rhs = Matrix.zero(F, dm, dn)
+                for k, c in enumerate(A.mult[i][j]):
+                    if c != F.zero:
+                        rhs = rhs + C[k].scale(c)
+                if lhs != rhs:
+                    return False
+        return True
+
+    ncocycles = 0
+    for flat in itertools.product(range(F.p), repeat=nbits):
+        if is_cocycle(blocks_from(flat)):
+            ncocycles += 1
+
+    # coboundaries: C_h(a) = h @ act_n(a) - act_m(a) @ h
+    cob = set()
+    for hflat in itertools.product(range(F.p), repeat=dm * dn):
+        h = Matrix(F, dm, dn, tuple(F.of(x) for x in hflat))
+        key = tuple(
+            (h @ n.action[k] - m.action[k] @ h).entries for k in range(da)
+        )
+        cob.add(key)
+    ncob = len(cob)
+
+    classes = ncocycles // ncob
+    # classes = p^dim Ext^1
+    d = 0
+    while F.p ** d < classes:
+        d += 1
+    assert F.p ** d == classes, "cocycle count is not a power of the field size"
+    return d
+
+
+def mv_subobject_pairs(cat, t):
+    """Exhaustive subobject enumeration over small finite fields.
+
+    A subobject is a pair of action-closed subspaces (W_u, W_z) such that
+    alpha carries the tensor image of W_u into W_z and beta carries W_z
+    into the hom image of W_u.  Strictly an oracle for tiny objects.
+    """
+    F = cat.field
+    if not F.is_finite:
+        raise ValueError("subobject enumeration needs a finite field")
+
+    def all_submodule_spaces(mod):
+        dims = mod.dim
+        if F.p ** (dims * dims) > 2 ** 16:
+            raise ValueError("object too large for subobject enumeration")
+        seen = set()
+        out = []
+        for rows in itertools.product(itertools.product(range(F.p), repeat=dims), repeat=dims):
+            space = Subspace.span(F, [tuple(F.of(x) for x in r) for r in rows], dims)
+            if space in seen:
+                continue
+            seen.add(space)
+            closed = True
+            for k in range(mod.algebra.dim):
+                img = space.basis @ mod.action[k]
+                if not all(space.contains(img.row(i)) for i in range(img.rows)):
+                    closed = False
+                    break
+            if closed:
+                out.append(space)
+        return out
+
+    pairs = []
+    for wu in all_submodule_spaces(t.x_u):
+        for wz in all_submodule_spaces(t.x_z):
+            sub_u, iu = submodule(t.x_u, wu)
+            f_iu = cat.fun.F.mor(iu)
+            # alpha(F(W_u)) inside W_z
+            carried = f_iu.then(t.alpha)
+            if not all(wz.contains(carried.mat.row(i)) for i in range(carried.mat.rows)):
+                continue
+            # beta(W_z) inside the image of G(W_u)
+            g_iu = cat.fun.G.mor(iu)
+            img_rows = g_iu.mat.row_space()
+            ok = True
+            for i in range(wz.dim):
+                v = Matrix.from_rows(F, [wz.basis.row(i)], cols=t.x_z.dim) @ t.beta.mat
+                if not img_rows.contains(v.row(0)):
+                    ok = False
+                    break
+            if ok:
+                pairs.append((wu, wz))
+    return pairs
+
+
+def verify_filtration_certificate(cert) -> bool:
+    """Re-check a certificate without trusting the search that built it.
+
+    The chain must be strictly increasing, nested, and action-closed; each
+    layer (above/below as a subquotient of the certified module) must be
+    isomorphic to its allowed object in exact mode, or a quotient of it
+    (an epi exists) in quotient mode.
+    """
+    m = cert.module
+    F = m.algebra.field
+    prev = Subspace.zero(F, m.dim)
+    for layer in cert.layers:
+        if layer.below != prev:
+            return False
+        if not layer.above.contains_space(layer.below) or layer.above.dim <= layer.below.dim:
+            return False
+        sub_above, _ = submodule(m, layer.above)
+        below_in_above = Subspace.from_matrix(layer.above.basis.solve_left(layer.below.basis))
+        quotient_layer, _ = quotient_module(sub_above, below_in_above)
+        allowed = layer.witness.source if layer.mode == "quotient-layers" else layer.witness.target
+        if layer.mode == "exact-layers":
+            if not is_isomorphic(quotient_layer, allowed).isomorphic:
+                return False
+        elif not any(h.is_surjective()
+                     for h in hom_combinations(hom_basis(allowed, quotient_layer), F, F.is_finite)):
+            return False
+        prev = layer.above
+    return prev == Subspace.full(F, m.dim)

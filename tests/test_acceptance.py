@@ -13,15 +13,13 @@ import random
 import pytest
 
 from stratakit.analyze import (
-    bs_vanishing_table,
     is_epsilon_stratified,
     is_highest_weight,
     sign_patterns,
 )
 from stratakit.category import ModuleCategory, solve_in_hom
 from stratakit.cli import main as cli_main
-from stratakit.corpus import load_fixture
-from stratakit.homological import ext1_dimension_by_enumeration, ext_dim
+from stratakit.homological import ext_dim
 from stratakit.modules import (
     projective_module,
     simple_module,
@@ -40,6 +38,9 @@ from stratakit.strat import (
     porism_check,
     synthesize_projective_cover,
 )
+
+from oracles import ext1_dimension_by_enumeration
+from support import bs_vanishing_table, load_fixture
 
 STRAT_FIXTURES = ["FIX-A2", "FIX-A3", "FIX-NAK", "FIX-DUAL", "FIX-KRO", "FIX-LOOP"]
 MV_FIXTURES = ["FIX-MV-ID", "FIX-MV-ZERO", "FIX-MV-PROD", "FIX-MV-PAIR"]

@@ -16,9 +16,11 @@ from stratakit.algebra import (
     quotient_by_idempotent_ideal,
     validate_algebra,
 )
-from stratakit.corpus import corpus_index, load_fixture
+from stratakit.corpus import corpus_index
 from stratakit.linalg import GF2, GF3, QQ, Subspace
 from stratakit.specfile import build_algebra
+
+from support import load_fixture
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +80,6 @@ def test_validate_catches_broken_associativity(a2):
         idempotent_indices=a2.idempotent_indices,
         vertex_names=a2.vertex_names,
         radical=a2.radical,
-        generators=None,
     )
     rep = validate_algebra(bad)
     assert not rep.ok
@@ -94,7 +95,6 @@ def test_validate_catches_bad_radical(a2):
         idempotent_indices=a2.idempotent_indices,
         vertex_names=a2.vertex_names,
         radical=Subspace.span(GF2, [(0, 1, 0)], 3),  # span{e_2}: not an ideal complementary story
-        generators=None,
     )
     rep = validate_algebra(bad)
     assert not rep.ok
@@ -222,6 +222,34 @@ def test_mul_vec_is_the_dense_sum(ixy):
         a.field.of(sum(x[i] * y[j] * a.mult[i][j][k] for i in range(a.dim) for j in range(a.dim)))
         for k in range(a.dim))
     assert a.mul_vec(x, y) == dense
+
+
+def _generated(a):
+    """The span of a's generating vectors closed under products."""
+    gens = a.generating_vectors()
+    span = Subspace.span(a.field, gens, a.dim)
+    while True:
+        rows = span.basis.row_list()
+        grown = Subspace.span(a.field, rows + [a.mul_vec(x, g) for x in rows for g in gens], a.dim)
+        if grown == span:
+            return span
+        span = grown
+
+
+def test_generating_vectors_generate():
+    """The vertex idempotents and a complement of rad^2 in rad generate each
+    fixture algebra, its vertex corners and its quotients by one vertex; on
+    a bound quiver algebra they are the vertex idempotents and the arrows."""
+    for a in FIXTURE_ALGEBRAS:
+        arrows = [j for j, label in enumerate(a.basis_labels)
+                  if "*" not in label and j not in a.idempotent_indices]
+        gens = a.generating_vectors()
+        assert len(gens) == a.nvertices + len(arrows)
+        assert set(gens) == {a.basis_vec(j) for j in a.idempotent_indices + tuple(arrows)}
+        derived = ([corner_algebra(a, [v]).algebra for v in a.vertex_names]
+                   + [quotient_by_idempotent_ideal(a, [v]).algebra for v in a.vertex_names])
+        for b in [a] + derived:
+            assert _generated(b) == Subspace.full(b.field, b.dim), b.basis_labels
 
 
 def test_fixture_algebras_cover_every_field():

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import dataclass
 
 import pytest
 
@@ -8,19 +9,19 @@ from stratakit.analyze import (
     ExtComparison,
     _direct_delta_route,
     _direct_nabla_route,
-    bs_vanishing_table,
     exactness_check,
     ext_comparison,
     is_epsilon_stratified,
     is_highest_weight,
     is_k_homological,
-    lemma_split_check,
     sign_patterns,
 )
-from stratakit.corpus import load_fixture
+from stratakit.category import ShortExactSequence
 from stratakit.modules import projective_module, simple_module
 from stratakit.specfile import build_algebra, parse_spec
 from stratakit.strat import Poset, Stratification
+
+from support import bs_vanishing_table, load_fixture
 
 ALL = ["FIX-A2", "FIX-A3", "FIX-NAK", "FIX-DUAL", "FIX-KRO", "FIX-LOOP"]
 
@@ -187,6 +188,35 @@ def test_single_stratum_always_stratified(strats):
     s = strats["FIX-DUAL"]
     for eps in sign_patterns(s.poset):
         assert is_epsilon_stratified(s, eps).verdict
+
+
+@dataclass(frozen=True)
+class SplitCheckResult:
+    exact: bool
+    dims: tuple[int, int, int]   # (j_! j^* P, P, i_* i^* P)
+    obstruction: str | None
+
+
+def lemma_split_check(s, lam: str, p) -> SplitCheckResult:
+    """For maximal lam: is 0 -> j_! j^* P -> P -> i_* i^* P -> 0 exact?
+
+    Holds whenever the recollement is 2-homological and P is projective; a
+    dimension mismatch is returned as the obstruction otherwise.
+    """
+    full = frozenset(s.poset.elements)
+    if lam not in s.poset.maximal_in(full):
+        raise ValueError(f"{lam} is not maximal")
+    r = s.layer_recollement(full, lam)
+    eps = r.counit_jl(p)
+    eta = r.unit_quot(p)
+    dims = (eps.source.dim, p.dim, eta.target.dim)
+    if dims[0] + dims[2] != dims[1]:
+        return SplitCheckResult(
+            exact=False, dims=dims,
+            obstruction=f"dim j_! j^* P + dim i_* i^* P = {dims[0]} + {dims[2]} != {dims[1]} = dim P",
+        )
+    ok = ShortExactSequence(eps, eta).verify()
+    return SplitCheckResult(exact=ok, dims=dims, obstruction=None if ok else "sequence not exact")
 
 
 def test_lemma_split_a2(strats):

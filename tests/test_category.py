@@ -10,9 +10,10 @@ import pytest
 
 from stratakit.category import ModuleCategory, ShortExactSequence, exact_at
 from stratakit.cli import _mv_samples
-from stratakit.corpus import load_fixture
 from stratakit.mv import MVCategory, mv_data_from_spec, mv_recollement
 from stratakit.specfile import build_algebra
+
+from support import load_fixture
 
 MODULE_FIXTURES = ["FIX-A2", "FIX-A3", "FIX-NAK", "FIX-DUAL", "FIX-KRO", "FIX-LOOP"]
 MV_FIXTURES = ["FIX-MV-ID", "FIX-MV-ZERO", "FIX-MV-PROD", "FIX-MV-PAIR"]

@@ -382,3 +382,32 @@ def test_boolean_bimodule_dimension_is_a_schema_error(tmp_path, capsys):
     code, err = one_line_error(capsys, ["validate", write_spec(tmp_path, data)])
     assert code == 1
     assert err == "schema error: mv.m.dim: expected a nonnegative integer"
+
+
+def test_input_algebra_is_validated_once(tmp_path, capsys, monkeypatch):
+    """The build validates the input and raises on failure, so the report's
+    validate_algebra row needs no second validation.  The full lower-set
+    quotient is structurally equal to the input and validated on its own,
+    so the input is told apart by identity."""
+    from stratakit import algebra, cli
+
+    validated, built = [], []
+    original_validate, original_build = algebra.validate_algebra, cli.build_algebra
+
+    def counting_validate(a):
+        validated.append(a)
+        return original_validate(a)
+
+    def keeping_build(spec):
+        built.append(original_build(spec))
+        return built[-1]
+
+    monkeypatch.setattr(algebra, "validate_algebra", counting_validate)
+    # a validation through a name bound in cli counts too
+    monkeypatch.setattr(cli, "validate_algebra", counting_validate, raising=False)
+    monkeypatch.setattr(cli, "build_algebra", keeping_build)
+    code, out = run_cli(capsys, "check", fixture_path(tmp_path, "fix_a3.json"), "--mode", "recollement")
+    assert code == 0
+    assert json.loads(out)["checks"][0]["name"] == "validate_algebra"
+    (a,) = built
+    assert sum(1 for x in validated if x is a) == 1

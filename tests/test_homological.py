@@ -1,19 +1,20 @@
 import pytest
 
 from stratakit.algebra import Presentation, Quiver, build_bound_quiver_algebra
-from stratakit.corpus import load_fixture
 from stratakit.homological import (
-    classes_equal,
+    ExtClass,
+    _cocycle_to_kernel_map,
+    _connecting_map,
+    _pushout_extension,
     ext,
-    ext1_dimension_by_enumeration,
     ext_dim,
-    extract_ext1,
     projective_resolution,
-    realize_ext1,
+    reduce_cocycle,
     universal_extension,
 )
 from stratakit.linalg import GF3
 from stratakit.modules import (
+    combine,
     hom_basis,
     injective_module,
     is_isomorphic,
@@ -23,8 +24,12 @@ from stratakit.modules import (
     radical_subspace,
     regular_module,
     simple_module,
+    zero_map,
 )
 from stratakit.specfile import build_algebra
+
+from oracles import ext1_dimension_by_enumeration
+from support import load_fixture
 
 
 @pytest.fixture(scope="module")
@@ -115,11 +120,39 @@ def test_ext_values_dual(dual):
         assert ext_dim(s, s, n) == 1  # periodic resolution of the dual numbers
 
 
+def realize_ext1(cls):
+    """Short exact sequence with connecting class equal to ``cls``."""
+    if cls.degree != 1:
+        raise ValueError("only degree-1 classes are realizable as extensions")
+    res = projective_resolution(cls.source, 2)
+    ker_mod, ker_incl = kernel(res.augmentation)
+    fbar = _cocycle_to_kernel_map(res, cls.cocycle)
+    return _pushout_extension(res, fbar, ker_incl)
+
+
+def extract_ext1(ses):
+    """Connecting class of 0 -> N -> E -> M -> 0 in Ext^1(M, N)."""
+    m, n = ses.quotient, ses.sub
+    res = projective_resolution(m, 2)
+    space = ext(m, n, 1)
+    coords = reduce_cocycle(space, _connecting_map(ses, res))
+    return make_class(space, coords)
+
+
+def make_class(space, coords):
+    p_n = projective_resolution(space.source, space.degree + 1).term(space.degree)
+    cocycle = combine(coords, [cls.cocycle for cls in space.classes], zero_map(p_n, space.target))
+    return ExtClass(space.degree, space.source, space.target, cocycle)
+
+
+def classes_equal(space, a, b) -> bool:
+    return reduce_cocycle(space, a.cocycle) == reduce_cocycle(space, b.cocycle)
+
+
 def test_realize_zero_class_splits(a2):
     s1, s2 = simple_module(a2, "1"), simple_module(a2, "2")
     space = ext(s2, s1, 1)
     assert space.dim == 0  # nothing to realize; build the split case by hand
-    from stratakit.homological import make_class
     from stratakit.modules import direct_sum
 
     space10 = ext(s1, s2, 1)

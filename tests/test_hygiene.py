@@ -10,13 +10,21 @@ A stdlib-``ast`` stand-in for a linter: it flags
   ``tests/`` or ``perfbench/`` except where it is defined, and
 * a defaulted parameter that no call there (to any function of that name)
   passes, by keyword or by position, and
-* an attribute that a ``self.<name> = ...`` sets but that no source there
-  ever reads (``self.<name> += ...`` counts as a read), and
+* an attribute that a ``self.<name> = ...`` sets, or a dataclass or
+  ``NamedTuple`` field, that no source there ever reads as an attribute
+  (``self.<name> += ...`` counts as a read; reads match by name alone, so
+  a field named like an attribute read on another object, such as
+  ``Path(...).parent``, counts as read), and
 * a name assigned from a ``solve_left``, ``solve_right`` or ``solve_in_hom``
   call and then compared with ``None`` in an ``if``, a conditional
   expression or an ``assert``: these raise ``InconsistentSystem`` instead
   of returning ``None``, so a caller with a real yes/no question catches
   that.
+
+Apart from these, every function, class and method in ``src/stratakit``
+must be reachable from the command line: ``unreachable`` follows a
+name-based call graph from ``cli.main`` (see its docstring), so a
+definition that only tests use is flagged even though a test names it.
 
 For dead locals, tuple targets (``_, b = ...``), augmented and annotated
 assignments are not checked; neither is the name ``_``; dunder names count
@@ -175,9 +183,23 @@ def unpassed_parameters(checked: dict[str, str], others: Sequence[str]) -> list[
     return sorted(out)
 
 
+def _record_fields(tree: ast.AST):
+    """(class name, field name) for each annotated field of a dataclass or a
+    ``NamedTuple`` in ``tree``."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        marks = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list] + cls.bases
+        if any(getattr(m, "id", getattr(m, "attr", None)) in ("dataclass", "NamedTuple") for m in marks):
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    yield cls.name, node.target.id
+
+
 def write_only_attributes(checked: dict[str, str], others: Sequence[str]) -> list[str]:
     """``path: name`` for each attribute that a ``checked`` source sets on
-    ``self`` and that no source, checked or other, reads."""
+    ``self``, and ``path: Class.field`` for each dataclass or ``NamedTuple``
+    field it declares, that no source, checked or other, reads."""
     trees = {path: ast.parse(text) for path, text in checked.items()}
     nodes = [node for tree in list(trees.values()) + [ast.parse(t) for t in others]
              for node in ast.walk(tree)]
@@ -185,10 +207,89 @@ def write_only_attributes(checked: dict[str, str], others: Sequence[str]) -> lis
             and not isinstance(node.ctx, ast.Store)}
     read |= {node.target.attr for node in nodes
              if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute)}
-    return sorted({f"{path}: {node.attr}" for path, tree in trees.items() for node in ast.walk(tree)
-                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
-                   and isinstance(node.value, ast.Name) and node.value.id == "self"
-                   and node.attr not in read})
+    fields = {f"{path}: {cls}.{name}" for path, tree in trees.items()
+              for cls, name in _record_fields(tree) if name not in read}
+    return sorted(fields | {f"{path}: {node.attr}" for path, tree in trees.items() for node in ast.walk(tree)
+                            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                            and isinstance(node.value, ast.Name) and node.value.id == "self"
+                            and node.attr not in read})
+
+
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _loads(nodes) -> set[str]:
+    """Names that ``nodes`` load, plainly or as an attribute, outside the
+    bodies of the definitions among them.  A definition's decorators,
+    defaults and bases count: they run where it is defined."""
+    out, stack = set(), list(nodes)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        if isinstance(node, ast.ClassDef):
+            stack.extend(node.decorator_list + node.bases + node.keywords)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(node.decorator_list + node.args.defaults
+                         + [d for d in node.args.kw_defaults if d is not None])
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def _definitions(node: ast.AST, prefix: str = ""):
+    """(qualified name, node) of every function, class and method under
+    ``node``, nested ones included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, DEFS):
+            yield prefix + child.name, child
+            yield from _definitions(child, f"{prefix}{child.name}.")
+        else:
+            yield from _definitions(child, prefix)
+
+
+def unreachable(sources: dict[str, str], roots: dict[str, set[str]]) -> list[str]:
+    """``path: qualified name`` of each definition in ``sources`` (path ->
+    text) that a name-based call graph does not reach.
+
+    The graph starts from the definitions named in ``roots`` (path ->
+    qualified names), from module-level and class-body statements, which run
+    on import, and from dunder methods, which Python calls by protocol.  A
+    reached body reaches every definition whose name it loads, plainly or as
+    an attribute, in any module.  Matching by name over-approximates: a
+    call ``x.direct_sum(...)`` reaches every ``direct_sum``, whichever
+    object ``x`` is, so a definition this passes may still be dead, but one
+    it flags is one that nothing reached from the roots names.
+    """
+    defs, names = [], set()
+    for path, text in sources.items():
+        tree = ast.parse(text)
+        names |= _loads(tree.body)
+        for qual, node in _definitions(tree):
+            if isinstance(node, ast.ClassDef):
+                names |= _loads(node.body)
+            defs.append((path, qual, node))
+    reached = set()
+
+    def reach(path, qual, node):
+        reached.add((path, qual))
+        if not isinstance(node, ast.ClassDef):
+            names.update(_loads(node.body))
+
+    for path, qual, node in defs:
+        name = node.name
+        if qual in roots.get(path, ()) or (name.startswith("__") and name.endswith("__")):
+            reach(path, qual, node)
+    grown = True
+    while grown:
+        grown = False
+        for path, qual, node in defs:
+            if (path, qual) not in reached and node.name in names:
+                reach(path, qual, node)
+                grown = True
+    return sorted(f"{path}: {qual}" for path, qual, _ in defs if (path, qual) not in reached)
 
 
 SOLVES = {"solve_left", "solve_right", "solve_in_hom"}
@@ -313,6 +414,81 @@ def test_attribute_checker_flags_what_it_should():
     )
     test = "def test_it():\n    assert C().seen_in_test == 3\n"
     assert write_only_attributes({"m.py": src}, [test]) == ["m.py: dead", "m.py: pair_dead"]
+
+
+def test_record_field_checker_flags_what_it_should():
+    src = (
+        "from dataclasses import dataclass\n"
+        "from typing import NamedTuple\n"
+        "@dataclass(frozen=True)\n"
+        "class Result:\n"
+        "    value: int\n"
+        "    kept_for_nothing: int\n"
+        "    seen_in_test: int = 0\n"
+        "class Pair(NamedTuple):\n"
+        "    first: int\n"
+        "    second: int\n"
+        "class Plain:\n"
+        "    annotated: int = 0\n"
+        "def use(r, p):\n"
+        "    return r.value + p.first\n"
+    )
+    test = "def test_it():\n    assert Result(1, 2, 3).seen_in_test == 3\n"
+    assert write_only_attributes({"m.py": src}, [test]) == [
+        "m.py: Pair.second", "m.py: Result.kept_for_nothing"]
+
+
+def test_every_definition_is_reachable_from_the_cli():
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in MODULES}
+    # argparse calls ``error`` on a malformed command line; cli overrides
+    # it to exit 1 instead of 2, and nothing in the package names it
+    assert unreachable(sources, {"cli.py": {"main", "_Parser.error"}}) == []
+
+
+def test_reachability_checker_flags_what_it_should():
+    cli = (
+        "import argparse\n"
+        "class _Parser(argparse.ArgumentParser):\n"
+        "    def error(self, message):\n"
+        "        raise Usage(message)\n"
+        "def main():\n"
+        "    _Parser()\n"
+        "    return run(helper)\n"
+        "if __name__ == '__main__':\n"
+        "    main()\n"
+    )
+    lib = (
+        "def run(f):\n"
+        "    def inner():\n"
+        "        return f()\n"
+        "    def never():\n"
+        "        return 0\n"
+        "    return inner()\n"
+        "def helper(x=default()):\n"
+        "    return x\n"
+        "def default():\n"
+        "    return 0\n"
+        "class Usage(Exception):\n"
+        "    kind = tag()\n"
+        "    def __str__(self):\n"
+        "        return fmt()\n"
+        "    def unused(self):\n"
+        "        return orphan()\n"
+        "def tag():\n"
+        "    return 'usage'\n"
+        "def fmt():\n"
+        "    return ''\n"
+        "def orphan():\n"
+        "    return run(orphan)\n"
+        "class Planted:\n"
+        "    pass\n"
+    )
+    sources = {"cli.py": cli, "lib.py": lib}
+    assert unreachable(sources, {"cli.py": {"main", "_Parser.error"}}) == [
+        "lib.py: Planted", "lib.py: Usage.unused", "lib.py: orphan", "lib.py: run.never"]
+    assert unreachable(sources, {"cli.py": {"main"}}) == [
+        "cli.py: _Parser.error", "lib.py: Planted", "lib.py: Usage", "lib.py: Usage.unused",
+        "lib.py: orphan", "lib.py: run.never"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])

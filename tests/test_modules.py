@@ -1,13 +1,14 @@
 import itertools
 import random
+from dataclasses import dataclass
 
 import pytest
 
 from stratakit.algebra import quotient_by_idempotent_ideal
-from stratakit.corpus import load_fixture
 from stratakit.linalg import Matrix, Subspace
 from stratakit.modules import (
     ModuleMap,
+    RightModule,
     cokernel,
     direct_sum,
     dual_module,
@@ -30,6 +31,8 @@ from stratakit.modules import (
     zero_map,
 )
 from stratakit.specfile import build_algebra, parse_spec
+
+from support import load_fixture
 
 
 @pytest.fixture(scope="module")
@@ -306,9 +309,46 @@ def test_universal_property_probes(a2):
                 assert c_proj.then(ModuleMap(c, t, sol.transpose())).mat == g.mat
 
 
-def test_cells_bundle(a2, nak):
-    from stratakit.modules import cells
+@dataclass(frozen=True)
+class Cells:
+    """The distinguished modules of an algebra in vertex order."""
 
+    regular: RightModule
+    projectives: tuple[RightModule, ...]
+    simples: tuple[RightModule, ...]
+    injectives: tuple[RightModule, ...]
+
+
+def cells(algebra) -> Cells:
+    """Regular module plus all P(v), S(v), I(v).
+
+    Indecomposability of each P(v) is certified by the hom-dimension
+    pattern dim Hom(P(v), S(w)) = [v = w].
+    """
+    projs = []
+    simps = []
+    injs = []
+    for v in algebra.vertex_names:
+        projs.append(projective_module(algebra, v)[0])
+        simps.append(simple_module(algebra, v))
+        injs.append(injective_module(algebra, v))
+    for v, p in zip(algebra.vertex_names, projs):
+        for w, s in zip(algebra.vertex_names, simps):
+            want = 1 if v == w else 0
+            got = len(hom_basis(p, s))
+            if got != want:
+                raise ValueError(
+                    f"cover pattern broken: dim Hom(P({v}), S({w})) = {got}, expected {want}"
+                )
+    return Cells(
+        regular=regular_module(algebra),
+        projectives=tuple(projs),
+        simples=tuple(simps),
+        injectives=tuple(injs),
+    )
+
+
+def test_cells_bundle(a2, nak):
     for alg in (a2, nak):
         c = cells(alg)
         assert len(c.projectives) == len(c.simples) == len(c.injectives) == alg.nvertices

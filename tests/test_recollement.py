@@ -7,8 +7,7 @@ import sys
 import pytest
 
 from stratakit.algebra import opposite
-from stratakit.category import ModuleCategory, solve_in_hom
-from stratakit.corpus import load_fixture
+from stratakit.category import ModuleCategory, ShortExactSequence, solve_in_hom
 from stratakit.linalg import InconsistentSystem, Subspace
 from stratakit.modules import (
     hom_basis,
@@ -23,15 +22,14 @@ from stratakit.modules import (
     zero_map,
 )
 from stratakit.recollement import (
-    SidePreconditionError,
-    canonical_ses,
-    cover_transport,
     idempotent_recollement_data,
     intermediate_extension,
     make_idempotent_recollement,
     verify_recollement,
 )
 from stratakit.specfile import build_algebra
+
+from support import load_fixture
 
 FIXTURES = ["FIX-A2", "FIX-A3", "FIX-NAK", "FIX-DUAL", "FIX-KRO", "FIX-LOOP"]
 
@@ -283,6 +281,67 @@ def test_simple_classification_single_recollement():
                 matched.add(hits[0])
 
 
+class SidePreconditionError(ValueError):
+    """The object has a nonzero quotient/subobject on the Z side."""
+
+
+def canonical_ses(r, m, side: str) -> ShortExactSequence:
+    """The canonical short exact sequence around j_!* j_restrict m.
+
+    side="no-Z-quotients"  (i_left m = 0):  0 -> i_embed i_right m -> m -> j_!* j^* m -> 0
+    side="no-Z-subobjects" (i_right m = 0): 0 -> j_!* j^* m -> m -> i_embed i_left m -> 0
+    """
+    cat = r.cat_c
+    ie = intermediate_extension(r, r.j_restrict(m))
+    if side == "no-Z-quotients":
+        bad = r.i_left(m)
+        if bad.dim:
+            raise SidePreconditionError(f"nonzero largest Z-quotient of dimension {bad.dim}")
+        # factor the unit m -> j_roof j^* m through the image
+        h = solve_in_hom(cat, m, ie.obj, lambda g: g.then(ie.into_roof), r.unit_jr(m))
+        ses = ShortExactSequence(r.counit_sub(m), h)
+    elif side == "no-Z-subobjects":
+        bad = r.i_right(m)
+        if bad.dim:
+            raise SidePreconditionError(f"nonzero largest Z-subobject of dimension {bad.dim}")
+        # counit_jl factors as (j_lower j^* m ->> j_!*) ; (j_!* -> m)
+        h = solve_in_hom(cat, ie.obj, m, lambda g: ie.from_lower.then(g), r.counit_jl(m))
+        ses = ShortExactSequence(h, r.unit_quot(m))
+    else:
+        raise ValueError(f"unknown side {side!r}")
+    assert ses.verify(), "canonical sequence is not short exact"
+    return ses
+
+
+@dataclasses.dataclass(frozen=True)
+class CoverTransport:
+    cover: object       # j_lower(p), projective in the center category
+    cover_map: object   # j_lower(p) ->> j_!*(x)
+    matches_direct: bool | None  # comparison with the directly computed cover
+
+
+def cover_transport(r, x, p_cover) -> CoverTransport:
+    """Transport a U-side projective cover p ->> x to a cover of j_!*(x).
+
+    ``p_cover`` is the covering morphism in the U category.  j_lower is the
+    left adjoint of the exact j_restrict, so it preserves projectives; the
+    composite j_lower(p) -> j_lower(x) ->> j_!*(x) is an essential
+    surjection.  When the center category supports direct covers (module
+    categories), the result is cross-checked against one.
+    """
+    cat = r.cat_c
+    ie = intermediate_extension(r, x)
+    composite = r.j_lower.map(p_cover).then(ie.from_lower)
+    assert composite.is_surjective(), "transported map is not surjective"
+    matches = None
+    if isinstance(cat, ModuleCategory):
+        direct = projective_cover(ie.obj)
+        ok, _, _ = cat.is_isomorphic(direct.projective, composite.source)
+        matches = ok
+        assert ok, "transported cover disagrees with the direct projective cover"
+    return CoverTransport(cover=composite.source, cover_map=composite, matches_direct=matches)
+
+
 def test_canonical_ses_both_sides():
     a = algebra("FIX-A2")
     r = make_idempotent_recollement(a, ["2"])
@@ -373,13 +432,15 @@ def test_solve_in_hom_raises_without_a_solution():
 
 
 NOT_A_MORPHISM = """
-from stratakit.corpus import load_fixture
+import json
+
+from stratakit.corpus import fixture_bytes
 from stratakit.linalg import InconsistentSystem, Matrix
 from stratakit.modules import ModuleMap, projective_module
 from stratakit.recollement import make_idempotent_recollement
-from stratakit.specfile import build_algebra
+from stratakit.specfile import build_algebra, parse_spec
 
-a = build_algebra(load_fixture("FIX-A3"))
+a = build_algebra(parse_spec(json.loads(fixture_bytes("fix_a3.json"))))
 r = make_idempotent_recollement(a, ["2"])
 p1, p2 = projective_module(a, "1")[0], projective_module(a, "2")[0]
 ones = Matrix.from_rows(a.field, [[1] * p1.dim] * p2.dim, cols=p1.dim)
