@@ -178,13 +178,13 @@ class Algebra:
 
     def right_mult_matrix(self, a: Sequence) -> Matrix:
         """Matrix of x |-> x*a on row vectors."""
-        rows = [self.mul_vec(self.basis_vec(i), a) for i in range(self.dim)]
-        return Matrix.from_rows(self.field, rows, cols=self.dim)
+        ent = tuple(x for i in range(self.dim) for x in self.mul_vec(self.basis_vec(i), a))
+        return Matrix(self.field, self.dim, self.dim, ent)
 
     def left_mult_matrix(self, a: Sequence) -> Matrix:
         """Matrix of x |-> a*x on row vectors."""
-        rows = [self.mul_vec(a, self.basis_vec(i)) for i in range(self.dim)]
-        return Matrix.from_rows(self.field, rows, cols=self.dim)
+        ent = tuple(x for i in range(self.dim) for x in self.mul_vec(a, self.basis_vec(i)))
+        return Matrix(self.field, self.dim, self.dim, ent)
 
     def generating_vectors(self) -> tuple[tuple, ...]:
         """The vertex idempotents and a basis of a complement of rad^2 in
@@ -195,12 +195,13 @@ class Algebra:
         idempotents and the arrows."""
         if "generators" not in self.cache:
             F, rows = self.field, self.radical.basis.row_list()
-            span = Subspace.span(F, [self.mul_vec(x, y) for x in rows for y in rows], self.dim)
+            products = tuple(z for x in rows for y in rows for z in self.mul_vec(x, y))
+            span = Matrix(F, len(rows) ** 2, self.dim, products).row_space()
             gens = [self.basis_vec(i) for i in self.idempotent_indices]
             for r in rows:
                 if not span.contains(r):
                     gens.append(r)
-                    span = span.sum(Subspace.span(F, [r], self.dim))
+                    span = span.sum(Matrix(F, 1, self.dim, r).row_space())
             self.cache["generators"] = tuple(gens)
         return self.cache["generators"]
 
@@ -299,7 +300,7 @@ def build_bound_quiver_algebra(pres: Presentation, field: Field) -> Algebra:
                                 comp = (x[0], x[1] + parr + y[1])
                                 vec[coord_of[comp]] = F.add(vec[coord_of[comp]], c)
                             gens.append(tuple(vec))
-        ideal = Subspace.span(F, gens, ncoords)
+        ideal = Matrix(F, len(gens), ncoords, tuple(x for g in gens for x in g)).row_space()
 
         pivots = set(ideal.pivots)
         live = [paths[i] for pos, i in enumerate(order) if pos not in pivots]
@@ -348,11 +349,8 @@ def build_bound_quiver_algebra(pres: Presentation, field: Field) -> Algebra:
         unit[i] = F.one
 
     rad_vecs = [basis_paths[i] for i in range(dim) if len(basis_paths[i][1]) >= 1]
-    rad = Subspace.span(
-        F,
-        [tuple(F.one if j == index_of[p] else F.zero for j in range(dim)) for p in rad_vecs],
-        dim,
-    )
+    rad_ent = tuple(F.one if j == index_of[p] else F.zero for p in rad_vecs for j in range(dim))
+    rad = Matrix(F, len(rad_vecs), dim, rad_ent).row_space()
 
     alg = Algebra(
         field=F,
@@ -448,11 +446,9 @@ def validate_algebra(a: Algebra) -> ValidationReport:
         power = rad
         k = 1
         while power.dim > 0 and k <= a.dim:
-            vecs = []
-            for i in range(power.dim):
-                for j in range(rad.dim):
-                    vecs.append(a.mul_vec(power.basis.row(i), rad.basis.row(j)))
-            power = Subspace.span(F, vecs, a.dim)
+            ent = tuple(x for i in range(power.dim) for j in range(rad.dim)
+                        for x in a.mul_vec(power.basis.row(i), rad.basis.row(j)))
+            power = Matrix(F, power.dim * rad.dim, a.dim, ent).row_space()
             k += 1
         if power.dim > 0:
             issues.append(("radical-nilpotent", f"rad^{k} still nonzero"))
@@ -463,9 +459,9 @@ def validate_algebra(a: Algebra) -> ValidationReport:
         ev = idems[vi]
         for wi, w in enumerate(a.vertex_names):
             ew = idems[wi]
-            vecs = [a.mul_vec(a.mul_vec(ev, a.basis_vec(i)), ew) for i in range(a.dim)]
-            pushed = [proj.apply_row(x) for x in vecs]
-            img = Subspace.span(F, pushed, proj.cols)
+            corner = tuple(x for i in range(a.dim)
+                           for x in a.mul_vec(a.mul_vec(ev, a.basis_vec(i)), ew))
+            img = (Matrix(F, a.dim, a.dim, corner) @ proj).row_space()
             want = 1 if vi == wi else 0
             if img.dim != want:
                 issues.append(
@@ -496,14 +492,14 @@ def corner_algebra(a: Algebra, vertices: Sequence[str]) -> CornerData:
         ev = a.idempotent_vec(v)
         basis_rows.append(ev)
         labels.append(f"e_{v}")
-        span = span.sum(Subspace.span(F, [ev], a.dim))
+        span = span.sum(Matrix(F, 1, a.dim, ev).row_space())
     for i in range(a.dim):
         cand = a.mul_vec(a.mul_vec(e, a.basis_vec(i)), e)
         if any(x != F.zero for x in cand) and not span.contains(cand):
             basis_rows.append(cand)
             labels.append(a.basis_labels[i])
-            span = span.sum(Subspace.span(F, [cand], a.dim))
-    embed = Matrix.from_rows(F, basis_rows, cols=a.dim)
+            span = span.sum(Matrix(F, 1, a.dim, cand).row_space())
+    embed = Matrix(F, len(basis_rows), a.dim, tuple(x for r in basis_rows for x in r))
     cdim = embed.rows
 
     # one solve writes every product, the radical's corner and e in the basis
@@ -515,7 +511,7 @@ def corner_algebra(a: Algebra, vertices: Sequence[str]) -> CornerData:
     except InconsistentSystem:
         raise AlgebraError("corner product left the corner span") from None
     mult_rows = [tuple(sol.row(i * cdim + j) for j in range(cdim)) for i in range(cdim)]
-    rad = Subspace.span(F, [sol.row(cdim * cdim + r) for r in range(a.radical.dim)], cdim)
+    rad = Matrix(F, a.radical.dim, cdim, sol.entries[cdim ** 3:-cdim]).row_space()  # the rows before e
 
     alg = Algebra(
         field=F,
@@ -560,7 +556,7 @@ def quotient_by_idempotent_ideal(a: Algebra, vertices: Sequence[str]) -> Quotien
             v = a.mul_vec(bie, a.basis_vec(j))
             if any(x != F.zero for x in v):
                 vecs.append(v)
-    ideal = Subspace.span(F, vecs, a.dim)
+    ideal = Matrix(F, len(vecs), a.dim, tuple(x for v in vecs for x in v)).row_space()
 
     # ideal stability (single pass suffices; assert it)
     for r in range(ideal.dim):
@@ -606,9 +602,7 @@ def quotient_by_idempotent_ideal(a: Algebra, vertices: Sequence[str]) -> Quotien
             row.append(push(a.mul_vec(xi, sec.row(j))))
         mult_rows.append(tuple(row))
 
-    rad = Subspace.span(
-        F, [push(a.radical.basis.row(r)) for r in range(a.radical.dim)], qdim
-    )
+    rad = (a.radical.basis @ proj).row_space()
 
     alg = Algebra(
         field=F,

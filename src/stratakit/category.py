@@ -5,15 +5,15 @@ small method surface below, plus the object and morphism conventions:
 
 * every object has ``dim``, the dimension of its underlying space;
 * every morphism has ``source``/``target``/``then``/``+``/``-``/``scale``/
-  ``is_zero``, its ``rank()`` and the trio ``is_injective``/
-  ``is_surjective``/``is_isomorphism`` read off the rank.
+  ``is_zero``, its ``rank()`` and the pair ``is_surjective``/
+  ``is_isomorphism`` read off the rank.
 
 Kernels, cokernels and images are computed on underlying spaces (in the
 glued category componentwise), so mono, epi, iso and exactness are rank
-counts: ``exact_at`` and ``ShortExactSequence`` test exactness without
-building a kernel or an image.  ``ModuleCategory`` wraps right modules over
-a fixed algebra; the Macpherson-Vilonen category implements the same
-surface for glued tuples.
+counts: ``exact_at`` and ``ShortExactSequence`` test exactness, at the ends
+too, without building a kernel or an image, and rank each map once.
+``ModuleCategory`` wraps right modules over a fixed algebra; the
+Macpherson-Vilonen category implements the same surface for glued tuples.
 """
 
 from __future__ import annotations
@@ -121,10 +121,16 @@ def mor_eq(f, g) -> bool:
     return (f - g).is_zero
 
 
-def exact_at(f, g) -> bool:
+def exact_at(f, g, mono: bool = False, epi: bool = False) -> bool:
     """Exactness of X -f-> Y -g-> Z at Y: f ; g = 0 puts im f inside ker g,
-    and the two are equal when rank f = dim ker g = dim Y - rank g."""
-    return f.then(g).is_zero and f.rank() + g.rank() == f.target.dim
+    and the two are equal when rank f = dim ker g = dim Y - rank g.  With
+    ``mono`` also at X (0 -> X, rank f = dim X) and with ``epi`` also at Z
+    (Z -> 0, rank g = dim Z); each map is ranked once."""
+    if not f.then(g).is_zero:
+        return False
+    rf, rg = f.rank(), g.rank()
+    return (rf + rg == f.target.dim and (not mono or rf == f.source.dim)
+            and (not epi or rg == g.target.dim))
 
 
 @dataclass(frozen=True)
@@ -147,8 +153,7 @@ class ShortExactSequence:
         return self.projection.target
 
     def verify(self) -> bool:
-        return (self.inclusion.is_injective() and self.projection.is_surjective()
-                and exact_at(self.inclusion, self.projection))
+        return exact_at(self.inclusion, self.projection, mono=True, epi=True)
 
 
 def solve_in_hom(cat, source, target, compose, goal):

@@ -8,7 +8,12 @@ of subspaces is equality of representations, and every operation is pure.
 
 Conventions:
 
-* A vector is a tuple of field elements (ints for GF(p), ``Fraction`` for Q).
+* A vector is a tuple of field elements.  Over GF(p) they are ints in
+  ``range(p)``.  Over Q a whole number is an ``int`` and any other value a
+  ``Fraction``, which is never integral: every operation that can leave a
+  ``Fraction`` with denominator 1 turns it back into an ``int``, so there is
+  one representation per rational and whole-number arithmetic, by far the
+  common case, runs on plain ints.
 * A ``Matrix`` is dense and row-major.  Row count 0 and column count 0 are
   both legal and show up constantly (zero modules, empty kernels).
 * Linear maps act on *row* vectors: the map with matrix ``A`` sends ``v`` to
@@ -16,7 +21,10 @@ Conventions:
 * Values from outside the kernel enter through ``Matrix.from_rows``,
   ``Subspace.span`` or ``Field.of``, which coerce every entry into the
   field.  Results computed here are field elements already, so linalg
-  builds them as ``Matrix(field, rows, cols, entries)`` directly.
+  builds them as ``Matrix(field, rows, cols, entries)`` directly, and so
+  do the hot paths above it for vectors they computed (multiplication
+  matrices, direct sums, radicals and traces, recollement units and
+  counits), spanning a subspace as ``Matrix(...).row_space()``.
 * ``Matrix.solve_left`` and ``solve_right`` always return a solution; a
   system with none raises ``InconsistentSystem``.  A caller that asks a
   real yes/no question catches it; everywhere else no solution is a bug.
@@ -24,8 +32,6 @@ Conventions:
   ``modules.RightModule`` hash once: ``cached_hash`` computes the hash the
   dataclass would and keeps it on the instance, so a memo keyed by a module
   does not re-hash its algebra's multiplication table on every lookup.
-* Over Q, ``Field.zero`` and ``Field.one`` are shared ``Fraction``
-  constants (fractions are immutable), not a new object per call.
 """
 
 from __future__ import annotations
@@ -56,7 +62,9 @@ def cached_hash(self) -> int:
     return h
 
 
-_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
+def _whole(x: int | Fraction) -> int | Fraction:
+    """A rational in its one representation: an int when it is whole."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def _is_prime(n: int) -> bool:
@@ -78,7 +86,9 @@ class Field:
 
     ``kind`` is ``"GF"`` (with ``p`` prime) or ``"Q"`` (``p`` is None).
     Elements of GF(p) are plain ints in ``range(p)``; elements of Q are
-    ``Fraction`` instances.
+    ints when whole and otherwise ``Fraction`` instances, never one with
+    denominator 1.  ``Fraction(n) == n`` and ``hash(Fraction(n)) == hash(n)``,
+    so equality, hashing and ``str`` agree across the two.
     """
 
     kind: str
@@ -106,19 +116,15 @@ class Field:
     def is_finite(self) -> bool:
         return self.kind == "GF"
 
-    @property
-    def zero(self):
-        return 0 if self.kind == "GF" else _Q_ZERO
-
-    @property
-    def one(self):
-        return 1 if self.kind == "GF" else _Q_ONE
+    zero = 0
+    one = 1
 
     def of(self, x) -> int | Fraction:
         """Coerce an exact number into the field: an int, a ``Fraction``, or a
         string that ``Fraction`` parses ("3", "-2/5", "0.5").  Floats are
         rejected because they are not exact, and bools because they are not
-        numbers (``TypeError``); a malformed string raises ``ValueError``."""
+        numbers (``TypeError``); a malformed string raises ``ValueError``.
+        Over Q a whole number comes back as an ``int``."""
         if isinstance(x, str):
             x = Fraction(x)
         elif isinstance(x, bool) or not isinstance(x, (int, Fraction)):
@@ -129,26 +135,26 @@ class Field:
                     raise ZeroDivisionError(f"{x} has no image in GF({self.p})")
                 return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
             return x % self.p
-        return Fraction(x)
+        return _whole(x)
 
     def add(self, a, b):
-        return (a + b) % self.p if self.kind == "GF" else a + b
+        return (a + b) % self.p if self.kind == "GF" else _whole(a + b)
 
     def sub(self, a, b):
-        return (a - b) % self.p if self.kind == "GF" else a - b
+        return (a - b) % self.p if self.kind == "GF" else _whole(a - b)
 
     def neg(self, a):
         return (-a) % self.p if self.kind == "GF" else -a
 
     def mul(self, a, b):
-        return (a * b) % self.p if self.kind == "GF" else a * b
+        return (a * b) % self.p if self.kind == "GF" else _whole(a * b)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         if self.kind == "GF":
             return pow(a, -1, self.p)
-        return _Q_ONE / a
+        return a if a in (1, -1) else _whole(1 / Fraction(a))
 
     def to_json(self) -> dict:
         return {"kind": "GF", "p": self.p} if self.kind == "GF" else {"kind": "Q"}
@@ -270,12 +276,12 @@ class Matrix:
                     out.append(s % p)
         else:
             for i in range(n):
-                arow = a[i * m : (i + 1) * m]
+                terms = [(t * k, x) for t, x in enumerate(a[i * m : (i + 1) * m]) if x]
                 for j in range(k):
-                    s = _Q_ZERO
-                    for t in range(m):
-                        s += arow[t] * b[t * k + j]
-                    out.append(s)
+                    s = 0
+                    for start, x in terms:
+                        s += x * b[start + j]
+                    out.append(_whole(s))
         return Matrix(F, n, k, tuple(out))
 
     def transpose(self) -> "Matrix":
@@ -473,6 +479,8 @@ class Subspace:
 
     @staticmethod
     def from_matrix(m: Matrix) -> "Subspace":
+        if m.rows == 0:
+            return Subspace.zero(m.field, m.cols)
         R, rank, piv = m.rref()
         return Subspace(m.cols, Matrix(m.field, rank, m.cols, R.entries[: rank * m.cols]), piv)
 

@@ -62,13 +62,10 @@ class RightModule:
 
 
 class RankPredicates:
-    """Mono, epi and iso read off ``rank()`` and the ends' ``dim``: right for
+    """Epi and iso read off ``rank()`` and the ends' ``dim``: right for
     every morphism whose kernel and cokernel live on its underlying spaces
     (module maps, and glued morphisms componentwise).  ``_same_ends`` is the
     check that ``+`` and ``-`` make first."""
-
-    def is_injective(self) -> bool:
-        return self.rank() == self.source.dim
 
     def is_surjective(self) -> bool:
         return self.rank() == self.target.dim
@@ -201,31 +198,20 @@ def direct_sum(mods: Sequence[RightModule]) -> tuple[RightModule, list[ModuleMap
     offsets = [sum(dims[:i]) for i in range(len(mods))]
     mats = []
     for k in range(A.dim):
-        rows = []
+        ent = []
         for mi, m in enumerate(mods):
+            left, right = (F.zero,) * offsets[mi], (F.zero,) * (total - offsets[mi] - m.dim)
             for r in range(m.dim):
-                row = [F.zero] * total
-                src = m.action[k].row(r)
-                for c, x in enumerate(src):
-                    row[offsets[mi] + c] = x
-                rows.append(tuple(row))
-        mats.append(Matrix.from_rows(F, rows, cols=total))
+                ent.extend(left + m.action[k].row(r) + right)
+        mats.append(Matrix(F, total, total, tuple(ent)))
     big = RightModule(A, total, tuple(mats))
+    unit = Matrix.identity(F, total)
     injs, projs = [], []
     for mi, m in enumerate(mods):
-        inj_rows = []
-        for r in range(m.dim):
-            row = [F.zero] * total
-            row[offsets[mi] + r] = F.one
-            inj_rows.append(tuple(row))
-        injs.append(ModuleMap(m, big, Matrix.from_rows(F, inj_rows, cols=total)))
-        proj_rows = []
-        for r in range(total):
-            row = [F.zero] * m.dim
-            if offsets[mi] <= r < offsets[mi] + m.dim:
-                row[r - offsets[mi]] = F.one
-            proj_rows.append(tuple(row))
-        projs.append(ModuleMap(big, m, Matrix.from_rows(F, proj_rows, cols=m.dim)))
+        lo, hi = offsets[mi], offsets[mi] + m.dim
+        inj = Matrix(F, m.dim, total, unit.entries[lo * total:hi * total])
+        injs.append(ModuleMap(m, big, inj))
+        projs.append(ModuleMap(big, m, inj.transpose()))
     return big, injs, projs
 
 
@@ -417,8 +403,9 @@ def corner_bimodules(
     units = [a.basis_vec(k) for k in range(a.dim)]
 
     def action(basis: Matrix, x: tuple, on_left: bool) -> Matrix:
-        rows = [a.mul_vec(x, v) if on_left else a.mul_vec(v, x) for v in basis.row_list()]
-        return basis.solve_left(Matrix.from_rows(F, rows, cols=a.dim))
+        ent = tuple(y for v in basis.row_list()
+                    for y in (a.mul_vec(x, v) if on_left else a.mul_vec(v, x)))
+        return basis.solve_left(Matrix(F, basis.rows, a.dim, ent))
 
     ea = Bimodule(gamma, a, e_a.rows,
                   tuple(action(e_a, g, True) for g in gammas),
@@ -434,21 +421,16 @@ def corner_bimodules(
 
 def radical_subspace(m: RightModule) -> Subspace:
     A = m.algebra
-    vecs = []
-    for r in range(A.radical.dim):
-        mat = m.action_of(A.radical.basis.row(r))
-        vecs.extend(mat.row_list())
-    return Subspace.span(A.field, vecs, m.dim)
+    ent = tuple(x for r in range(A.radical.dim) for x in m.action_of(A.radical.basis.row(r)).entries)
+    return Matrix(A.field, A.radical.dim * m.dim, m.dim, ent).row_space()
 
 
 def trace_space(m: RightModule, e: Sequence) -> Subspace:
     """M e A, the smallest submodule of m containing M e: the span of the
     rows of act(e) @ act(b_k) over the basis b_k of the algebra."""
     act_e = m.action_of(e)
-    vecs = []
-    for k in range(m.algebra.dim):
-        vecs.extend((act_e @ m.action[k]).row_list())
-    return Subspace.span(m.algebra.field, vecs, m.dim)
+    ent = tuple(x for k in range(m.algebra.dim) for x in (act_e @ m.action[k]).entries)
+    return Matrix(m.algebra.field, m.algebra.dim * m.dim, m.dim, ent).row_space()
 
 
 def socle_subspace(m: RightModule) -> Subspace:
@@ -522,11 +504,9 @@ def element_map_from_projective(
     ``incl_rows`` gives P(v)'s basis as elements of the algebra; row t is an
     algebra element x, and the map sends x to u * x.
     """
-    out_rows = []
-    for t in range(incl_rows.rows):
-        act = target.action_of(incl_rows.row(t))
-        out_rows.append(act.apply_row(u))
-    return Matrix.from_rows(target.algebra.field, out_rows, cols=target.dim)
+    ent = tuple(x for t in range(incl_rows.rows)
+                for x in target.action_of(incl_rows.row(t)).apply_row(u))
+    return Matrix(target.algebra.field, incl_rows.rows, target.dim, ent)
 
 
 @dataclass(frozen=True)
@@ -558,7 +538,7 @@ def projective_cover(m: RightModule) -> Cover:
             u = me_v.row(r)
             tu = proj.mat.apply_row(u)
             if any(x != F.zero for x in tu) and not picked.contains(tu):
-                picked = picked.sum(Subspace.span(F, [tu], top.dim))
+                picked = picked.sum(Matrix(F, 1, top.dim, tu).row_space())
                 pieces.append((v, u))
         assert picked.dim == target_dim, "top basis lifting failed"
 
@@ -571,10 +551,7 @@ def projective_cover(m: RightModule) -> Cover:
         blocks.append(element_map_from_projective(pv, incl.mat, m, u))
         counts[v] = counts.get(v, 0) + 1
     big, injs, _ = direct_sum(summand_mods)
-    rows = []
-    for blk in blocks:
-        rows.extend(blk.row_list())
-    phi = ModuleMap(big, m, Matrix.from_rows(F, rows, cols=m.dim))
+    phi = ModuleMap(big, m, Matrix(F, big.dim, m.dim, tuple(x for blk in blocks for x in blk.entries)))
     assert phi.is_surjective(), "cover map not surjective"
     ker_space = phi.mat.left_kernel()
     assert radical_subspace(big).contains_space(ker_space), "cover not essential"

@@ -19,6 +19,11 @@ def load_fixture(name: str) -> AlgebraSpec:
     raise KeyError(f"no bundled fixture named {name}")
 
 
+def is_injective(f) -> bool:
+    """Mono read off the rank, as ``exact_at(..., mono=True)`` reads it."""
+    return f.rank() == f.source.dim
+
+
 def bs_vanishing_table(s, eps: dict[str, str], max_degree: int) -> dict[tuple[str, str, int], int]:
     """dim Ext^n(std_eps(b), costd_eps(b')) for all pairs and 0 <= n <= max_degree."""
     fams = s.standard_objects()

@@ -40,7 +40,7 @@ from stratakit.strat import (
 )
 
 from oracles import ext1_dimension_by_enumeration
-from support import bs_vanishing_table, load_fixture
+from support import bs_vanishing_table, is_injective, load_fixture
 
 STRAT_FIXTURES = ["FIX-A2", "FIX-A3", "FIX-NAK", "FIX-DUAL", "FIX-KRO", "FIX-LOOP"]
 MV_FIXTURES = ["FIX-MV-ID", "FIX-MV-ZERO", "FIX-MV-PROD", "FIX-MV-PAIR"]
@@ -125,7 +125,7 @@ def test_criterion_3_intermediate_extension_contracts(strats):
                 if jf is None or not (ie_x.from_lower.then(jf) - lifted).is_zero:
                     ok = False
                     break
-                if f.is_injective() and not jf.is_injective():
+                if is_injective(f) and not is_injective(jf):
                     ok = False
                 if f.is_surjective() and not jf.is_surjective():
                     ok = False

@@ -1,9 +1,9 @@
 """The rank predicates and ``exact_at`` against the object route they replace.
 
-Mono, epi and exactness are read off ranks and dimensions; the oracle here
-builds the kernel, cokernel and image objects and reads their dimensions,
-in mod-A on the fixtures' standard samples and in the Macpherson-Vilonen
-glued category on the samples the CLI checks.
+Mono, epi and exactness (at the ends too) are read off ranks and
+dimensions; the oracle here builds the kernel, cokernel and image objects
+and reads their dimensions, in mod-A on the fixtures' standard samples and
+in the Macpherson-Vilonen glued category on the samples the CLI checks.
 """
 
 import pytest
@@ -13,7 +13,7 @@ from stratakit.cli import _mv_samples
 from stratakit.mv import MVCategory, mv_data_from_spec, mv_recollement
 from stratakit.specfile import build_algebra
 
-from support import load_fixture
+from support import is_injective, load_fixture
 
 MODULE_FIXTURES = ["FIX-A2", "FIX-A3", "FIX-NAK", "FIX-DUAL", "FIX-KRO", "FIX-LOOP"]
 MV_FIXTURES = ["FIX-MV-ID", "FIX-MV-ZERO", "FIX-MV-PROD", "FIX-MV-PAIR"]
@@ -62,10 +62,10 @@ def test_rank_predicates_match_kernel_and_cokernel(build, fix):
     for f in maps:
         ker, incl = cat.kernel(f)
         coker, proj = cat.cokernel(f)
-        assert f.is_injective() == (ker.dim == 0)
+        assert is_injective(f) == (ker.dim == 0)
         assert f.is_surjective() == (coker.dim == 0)
         assert f.is_isomorphism() == (ker.dim == 0 and coker.dim == 0)
-        seen.add((f.is_injective(), f.is_surjective()))
+        seen.add((is_injective(f), f.is_surjective()))
         for a, b in ((incl, f), (f, proj)):
             assert exact_at(a, b) and oracle_exact(cat, a, b)
         assert ShortExactSequence(incl, cat.image(f)[1]).verify()
@@ -75,15 +75,20 @@ def test_rank_predicates_match_kernel_and_cokernel(build, fix):
 @pytest.mark.parametrize("build, fix", cases())
 def test_exact_at_matches_image_and_kernel(build, fix):
     """Composable pairs of sample morphisms: exact, zero but not exact, and
-    nonzero composites."""
+    nonzero composites; with ``mono``/``epi``, also exact at the ends."""
     cat, samples = build(fix)
     maps = morphisms(cat, samples)
+    mono = [cat.kernel(f)[0].dim == 0 for f in maps]
+    epi = [cat.cokernel(g)[0].dim == 0 for g in maps]
     verdicts = set()
-    for f in maps:
-        for g in maps:
+    for i, f in enumerate(maps):
+        for j, g in enumerate(maps):
             if g.source != f.target:
                 continue
             got = exact_at(f, g)
             assert got == oracle_exact(cat, f, g)
+            assert exact_at(f, g, mono=True) == (got and mono[i])
+            assert exact_at(f, g, epi=True) == (got and epi[j])
+            assert exact_at(f, g, mono=True, epi=True) == (got and mono[i] and epi[j])
             verdicts.add((got, f.then(g).is_zero))
     assert verdicts == {(True, True), (False, True), (False, False)}

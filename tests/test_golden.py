@@ -14,7 +14,9 @@ inputs that are not bundled (the C_3 radical-square-zero cycle over Q, the
 same without its sign pattern so that ``eps`` decides all eight, its twin
 over GF(3) and an A_5 path algebra over GF(3), which reach paths the
 GF(2)/GF(3) fixtures do not: the porism reports of the two C_3 inputs pin
-the heuristic and the exhaustive order of the hom-space search), and
+the heuristic and the exhaustive order of the hom-space search; and FIX-A3
+over Q, whose ``hw``, ``recollement`` and ``simples`` reports pin how those
+modes render values over Q), and
 ``corpus.seed11.json`` that of
 ``stratakit corpus --seed 11``.  Regenerate one only for an intended
 change of its report, and say so in the change.
@@ -41,10 +43,11 @@ MODES = ("recollement", "simples", "porism", "eps", "hw", "homological")
 # inputs kept in tests/golden/ as <name>.input.json
 EXTRA_CASES = [("c3_q", "eps"), ("c3_q", "homological"), ("c3_q", "porism"),
                ("c3_q_all", "eps"), ("c3_gf3", "porism"), ("c3_gf3", "eps"),
-               ("a5_gf3", "recollement")]
+               ("a5_gf3", "recollement"), ("a3_q", "hw"), ("a3_q", "recollement"),
+               ("a3_q", "simples")]
 CHECK_CASES = ([(f, m) for f in STRATIFIED for m in MODES] + [("fix_mv_pair", "recollement")]
                + EXTRA_CASES)
-WITH_STRATIFICATION = STRATIFIED + ("c3_q", "c3_q_all", "c3_gf3")
+WITH_STRATIFICATION = STRATIFIED + ("c3_q", "c3_q_all", "c3_gf3", "a3_q")
 
 
 def run_counting(monkeypatch, argv):

@@ -29,7 +29,7 @@ from stratakit.modules import (
 from stratakit.specfile import build_algebra
 
 from oracles import ext1_dimension_by_enumeration
-from support import load_fixture
+from support import is_injective, load_fixture
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +60,7 @@ def test_resolution_of_s1_a2(a2):
     assert len(res.terms) == 2
     assert res.terms[0].dim == 2  # P(1)
     assert res.terms[1].dim == 1  # P(2)
-    assert res.differentials[0].is_injective()
+    assert is_injective(res.differentials[0])
 
 
 def test_resolution_periodic_nak(nak):

@@ -13,8 +13,10 @@ A stdlib-``ast`` stand-in for a linter: it flags
 * an attribute that a ``self.<name> = ...`` sets, or a dataclass or
   ``NamedTuple`` field, that no source there ever reads as an attribute
   (``self.<name> += ...`` counts as a read; reads match by name alone, so
-  a field named like an attribute read on another object, such as
-  ``Path(...).parent``, counts as read), and
+  a field named like an attribute read on another object counts as read,
+  unless that object is visibly a ``pathlib.Path``: a ``Path(...)`` call, a
+  name assigned only from one, or a ``.parent``/``.resolve()`` chain of
+  those), and
 * a name assigned from a ``solve_left``, ``solve_right`` or ``solve_in_hom``
   call and then compared with ``None`` in an ``if``, a conditional
   expression or an ``assert``: these raise ``InconsistentSystem`` instead
@@ -196,17 +198,54 @@ def _record_fields(tree: ast.AST):
                     yield cls.name, node.target.id
 
 
+def _is_path(node: ast.AST, names: set[str]) -> bool:
+    """Whether ``node`` is visibly a ``pathlib.Path``: a ``Path(...)`` call,
+    one of ``names``, or ``.parent`` or ``.resolve()`` of such a node."""
+    if isinstance(node, ast.Call):
+        f = node.func
+        if isinstance(f, ast.Name) and f.id == "Path" or isinstance(f, ast.Attribute) and f.attr == "Path":
+            return True
+        return isinstance(f, ast.Attribute) and f.attr == "resolve" and _is_path(f.value, names)
+    if isinstance(node, ast.Name):
+        return node.id in names
+    return isinstance(node, ast.Attribute) and node.attr == "parent" and _is_path(node.value, names)
+
+
+def _path_names(tree: ast.AST) -> set[str]:
+    """Names that every plain assignment in ``tree`` binds to a path."""
+    values: dict[str, list[ast.AST]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for t in node.targets:
+                if isinstance(t, ast.Name):
+                    values.setdefault(t.id, []).append(node.value)
+                else:  # tuple targets and the like bind names to anything
+                    for n in ast.walk(t):
+                        if isinstance(n, ast.Name):
+                            values.setdefault(n.id, []).append(t)
+    names: set[str] = set()
+    while True:
+        more = {n for n, vs in values.items() if all(_is_path(v, names) for v in vs)}
+        if more == names:
+            return names
+        names = more
+
+
 def write_only_attributes(checked: dict[str, str], others: Sequence[str]) -> list[str]:
     """``path: name`` for each attribute that a ``checked`` source sets on
     ``self``, and ``path: Class.field`` for each dataclass or ``NamedTuple``
-    field it declares, that no source, checked or other, reads."""
+    field it declares, that no source, checked or other, reads.  A read on
+    a visible ``pathlib.Path`` (see ``_is_path``) is not a read of a field."""
     trees = {path: ast.parse(text) for path, text in checked.items()}
-    nodes = [node for tree in list(trees.values()) + [ast.parse(t) for t in others]
-             for node in ast.walk(tree)]
-    read = {node.attr for node in nodes if isinstance(node, ast.Attribute)
-            and not isinstance(node.ctx, ast.Store)}
-    read |= {node.target.attr for node in nodes
-             if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute)}
+    read: set[str] = set()
+    for tree in list(trees.values()) + [ast.parse(t) for t in others]:
+        paths = _path_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+                read.add(node.target.attr)
+            elif (isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)
+                    and not _is_path(node.value, paths)):
+                read.add(node.attr)
     fields = {f"{path}: {cls}.{name}" for path, tree in trees.items()
               for cls, name in _record_fields(tree) if name not in read}
     return sorted(fields | {f"{path}: {node.attr}" for path, tree in trees.items() for node in ast.walk(tree)
@@ -430,12 +469,20 @@ def test_record_field_checker_flags_what_it_should():
         "    second: int\n"
         "class Plain:\n"
         "    annotated: int = 0\n"
+        "@dataclass\n"
+        "class Node:\n"
+        "    parent: int\n"
         "def use(r, p):\n"
         "    return r.value + p.first\n"
     )
-    test = "def test_it():\n    assert Result(1, 2, 3).seen_in_test == 3\n"
+    test = ("from pathlib import Path\n"
+            "HERE = Path(__file__).resolve().parent\n"
+            "ROOT = HERE.parent\n"
+            "def test_it():\n"
+            "    assert Path(__file__).parent.parent == ROOT.parent.parent\n"
+            "    assert Result(1, 2, 3).seen_in_test == 3\n")
     assert write_only_attributes({"m.py": src}, [test]) == [
-        "m.py: Pair.second", "m.py: Result.kept_for_nothing"]
+        "m.py: Node.parent", "m.py: Pair.second", "m.py: Result.kept_for_nothing"]
 
 
 def test_every_definition_is_reachable_from_the_cli():

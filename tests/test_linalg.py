@@ -372,3 +372,149 @@ def test_apply_row_is_the_row_matrix_product(mv):
     m, v = mv
     assert m.apply_row(v) == (Matrix(m.field, 1, m.rows, v) @ m).row(0)
     assert m.apply_row((m.field.zero,) * m.rows) == (m.field.zero,) * m.cols
+
+
+# ---------------------------------------------------------------------------
+# over Q a whole number is an int: the kernels agree with all-Fraction
+# reference arithmetic and never leave a Fraction with denominator 1
+
+
+def rationals():
+    """Mostly small integers, some proper fractions and some whole ones such as 4/2."""
+    return st.one_of(st.integers(-3, 3), st.integers(-3, 3),
+                     st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)))
+
+
+def q_matrix(rows, cols):
+    return st.lists(rationals(), min_size=rows * cols, max_size=rows * cols).map(
+        lambda e: Matrix.from_rows(QQ, [e[i * cols:(i + 1) * cols] for i in range(rows)], cols=cols))
+
+
+def q_operands():
+    """A (r x c), B (c x k), a vector of length r and a target in A's row space."""
+    def build(r, c, k):
+        vec = st.lists(rationals(), min_size=r, max_size=r).map(lambda xs: tuple(QQ.of(x) for x in xs))
+        return st.tuples(q_matrix(r, c), q_matrix(c, k), vec, vec)
+
+    return st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3)).flatmap(lambda s: build(*s))
+
+
+def canonical(values) -> bool:
+    return all(type(x) is int or (type(x) is Fraction and x.denominator != 1) for x in values)
+
+
+def fractions(m: Matrix) -> list[list[Fraction]]:
+    return [[Fraction(x) for x in m.row(i)] for i in range(m.rows)]
+
+
+def ref_matmul(a, b):
+    return [[sum((x * b[t][j] for t, x in enumerate(row)), Fraction(0)) for j in range(len(b[0]))]
+            for row in a]
+
+
+def ref_rref(rows):
+    """Textbook Gauss-Jordan on Fractions: (rref rows, pivot columns)."""
+    m = [list(r) for r in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            f = m[i][c]
+            if i != r and f != 0:
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def ref_left_kernel(a):
+    """The RREF basis of {v : v @ a = 0}, from the null space of a^T."""
+    n = len(a)
+    rt, piv = ref_rref([list(col) for col in zip(*a)])
+    vecs = []
+    for fc in (j for j in range(n) if j not in piv):
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(piv):
+            v[pc] = -rt[r][fc]
+        vecs.append(v)
+    return ref_rref(vecs)[0] if vecs else []
+
+
+def ref_solve_left(a, target):
+    """X with X @ a = target, read off the RREF of [a | I] as ``solve_left`` does."""
+    n, m = len(a), len(a[0])
+    r, piv = ref_rref([row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)])
+    out = []
+    for t in target:
+        v = list(t) + [Fraction(0)] * n
+        for k, pc in enumerate(piv):
+            if pc < m and v[pc] != 0:
+                f = v[pc]
+                v = [x - f * y for x, y in zip(v, r[k])]
+        assert all(x == 0 for x in v[:m])
+        out.append([-x for x in v[m:]])
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(q_operands())
+def test_q_kernels_match_fraction_arithmetic(ops):
+    a, b, v, w = ops
+    fa, fb = fractions(a), fractions(b)
+    assert canonical(a.entries) and canonical(b.entries) and canonical(v)
+    product = a @ b
+    assert fractions(product) == ref_matmul(fa, fb) and canonical(product.entries)
+    r, rank, piv = a.rref()
+    ref_r, ref_piv = ref_rref(fa)
+    assert fractions(r) == ref_r and (rank, list(piv)) == (len(ref_piv), ref_piv)
+    assert canonical(r.entries)
+    applied = a.apply_row(v)
+    assert list(applied) == ref_matmul([list(v)], fa)[0] and canonical(applied)
+    ker = a.left_kernel().basis
+    assert fractions(ker) == ref_left_kernel(fa) and canonical(ker.entries)
+    target = Matrix(QQ, 1, a.cols, a.apply_row(w))
+    x = a.solve_left(target)
+    assert fractions(x) == ref_solve_left(fa, fractions(target)) and canonical(x.entries)
+    k = a.kron(b)
+    assert canonical(k.entries)
+    for i, j, i2, j2 in itertools.product(range(a.rows), range(b.rows), range(a.cols), range(b.cols)):
+        assert k[i * b.rows + j, i2 * b.cols + j2] == fa[i][i2] * fb[j][j2]
+
+
+Q_ALGEBRAS = [build_algebra(dataclasses.replace(load_fixture(name), field=QQ))
+              for name in ("FIX-A3", "FIX-NAK", "FIX-KRO")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(Q_ALGEBRAS).flatmap(
+    lambda a: st.tuples(st.just(a), *[st.lists(rationals(), min_size=a.dim, max_size=a.dim)] * 2)))
+def test_q_mul_vec_matches_fraction_arithmetic(axy):
+    a, x, y = axy
+    x, y = tuple(QQ.of(c) for c in x), tuple(QQ.of(c) for c in y)
+    got = a.mul_vec(x, y)
+    want = [Fraction(0)] * a.dim
+    for i, j in itertools.product(range(a.dim), repeat=2):
+        for k, c in enumerate(a.mult[i][j]):
+            want[k] += Fraction(x[i]) * Fraction(y[j]) * Fraction(c)
+    assert list(got) == want and canonical(got)
+    assert canonical(e for row in a.mult for prod in row for e in prod) and canonical(a.unit)
+
+
+def test_q_values_are_ints_when_whole():
+    assert QQ.of("4/2") == 2 and type(QQ.of("4/2")) is int
+    assert QQ.of(Fraction(6, 3)) == 2 and type(QQ.of(Fraction(6, 3))) is int
+    assert QQ.of("0.5") == Fraction(1, 2)
+    assert QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
+    assert QQ.inv(Fraction(1, 3)) == 3 and type(QQ.inv(Fraction(1, 3))) is int
+    assert QQ.inv(2) == Fraction(1, 2)
+    assert type(QQ.add(Fraction(1, 2), Fraction(1, 2))) is int
+    assert type(QQ.mul(Fraction(2, 3), 3)) is int
+    assert (QQ.zero, QQ.one) == (0, 1) and type(QQ.zero) is type(QQ.one) is int
+    for bad in (0.5, 2.0, True, False):
+        with pytest.raises(TypeError):
+            QQ.of(bad)

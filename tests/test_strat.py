@@ -26,7 +26,7 @@ from stratakit.strat import (
 )
 
 from oracles import verify_filtration_certificate
-from support import load_fixture
+from support import is_injective, load_fixture
 
 ALL = ["FIX-A2", "FIX-A3", "FIX-NAK", "FIX-DUAL", "FIX-KRO", "FIX-LOOP"]
 
@@ -142,8 +142,8 @@ def test_standard_canonical_maps(strats):
             assert std_to_proper.is_surjective()
             assert proper_to_simple.is_surjective()
             assert proper_to_simple.target.dim == 1
-            assert simple_to_proper.is_injective()
-            assert proper_to_costd.is_injective()
+            assert is_injective(simple_to_proper)
+            assert is_injective(proper_to_costd)
 
 
 def test_filtration_single_layer(strats):
