@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .linalg import Field, InconsistentSystem, Matrix, Subspace, cached_hash
 
@@ -108,8 +108,8 @@ class Algebra:
     idempotents are the basis elements at ``idempotent_indices`` (aligned
     with ``vertex_names``), and ``radical`` spans the Jacobson radical.
 
-    ``cache`` holds data derived from this instance (the sparse table of
-    ``mult`` that ``mul_vec`` reads, its generators, its opposite, its
+    ``cache`` holds data derived from this instance (``sparse_table()``,
+    which products and validation read, its generators, its opposite, its
     regular and projective modules, resolutions of its modules), so it is
     freed with the algebra;
     it takes no part in equality, hashing or ``repr``, and is not an
@@ -154,16 +154,32 @@ class Algebra:
             out = [F.add(x, y) for x, y in zip(out, ev)]
         return tuple(out)
 
-    def mul_vec(self, x: Sequence, y: Sequence) -> tuple:
-        """x * y, summed over the nonzero entries of y and the nonzero
-        structure constants: ``cache["sparse"][i][j]`` lists the (k, c) with
-        c = mult[i][j][k] nonzero, built once from ``mult`` as given."""
-        F = self.field
+    def sparse_table(self) -> tuple:
+        """``sparse_table()[i][j]`` lists the (k, c) with c = mult[i][j][k]
+        nonzero: the product b_i * b_j with its zero coordinates left out.
+        Built once from ``mult`` as given and kept in ``cache``."""
         if "sparse" not in self.cache:
             self.cache["sparse"] = tuple(
                 tuple(tuple((k, c) for k, c in enumerate(prod) if c) for prod in row)
                 for row in self.mult)
-        table = self.cache["sparse"]
+        return self.cache["sparse"]
+
+    def sum_of_products(self, terms: Iterable[tuple]) -> tuple:
+        """The coordinates of the sum of c * b_i * b_j over the (c, i, j) in
+        ``terms``, each product read off the sparse table."""
+        F, table = self.field, self.sparse_table()
+        out = [F.zero] * self.dim
+        for c, i, j in terms:
+            for k, m in table[i][j]:
+                out[k] = F.add(out[k], F.mul(c, m))
+        return tuple(out)
+
+    def mul_vec(self, x: Sequence, y: Sequence) -> tuple:
+        """x * y, summed over the nonzero entries of x and y and the nonzero
+        structure constants.  The same sum as ``sum_of_products`` over the
+        pairs (x_i y_j, i, j), written out because this is the hot product:
+        building those triples costs it about 40 %."""
+        F, table = self.field, self.sparse_table()
         ys = [(j, yj) for j, yj in enumerate(y) if yj]
         out = [F.zero] * self.dim
         for i, xi in enumerate(x):
@@ -377,16 +393,21 @@ class ValidationReport:
 
 
 def validate_algebra(a: Algebra) -> ValidationReport:
-    """Check every structural invariant of an Algebra."""
+    """Check every structural invariant of an Algebra.
+
+    Products of basis elements are read off ``a.sparse_table()``, so the
+    dim^3 associativity triples cost the nonzero structure constants they
+    touch, not a dense product each."""
     F = a.field
+    one = F.one
+    table = a.sparse_table()
+    prod = a.sum_of_products
     issues: list[tuple[str, str]] = []
 
-    def vec_eq(x, y) -> bool:
-        return tuple(x) == tuple(y)
-
+    units = [(u, m) for m, u in enumerate(a.unit) if u]
     for i in range(a.dim):
         b = a.basis_vec(i)
-        if not vec_eq(a.mul_vec(a.unit, b), b) or not vec_eq(a.mul_vec(b, a.unit), b):
+        if prod((u, m, i) for u, m in units) != b or prod((u, i, m) for u, m in units) != b:
             issues.append(("unit", f"unit fails on basis element {a.basis_labels[i]}"))
             break
 
@@ -394,17 +415,13 @@ def validate_algebra(a: Algebra) -> ValidationReport:
     for i in range(a.dim):
         if done:
             break
-        bi = a.basis_vec(i)
         for j in range(a.dim):
             if done:
                 break
-            bj = a.basis_vec(j)
-            ij = a.mul_vec(bi, bj)
+            ij = table[i][j]
             for k in range(a.dim):
-                bk = a.basis_vec(k)
-                lhs = a.mul_vec(ij, bk)
-                rhs = a.mul_vec(bi, a.mul_vec(bj, bk))
-                if not vec_eq(lhs, rhs):
+                # (b_i b_j) b_k against b_i (b_j b_k)
+                if prod((c, m, k) for m, c in ij) != prod((c, i, m) for m, c in table[j][k]):
                     issues.append(
                         ("associativity",
                          f"({a.basis_labels[i]}*{a.basis_labels[j]})*{a.basis_labels[k]}"
@@ -413,16 +430,14 @@ def validate_algebra(a: Algebra) -> ValidationReport:
                     done = True
                     break
 
-    idems = [a.basis_vec(i) for i in a.idempotent_indices]
-    for v, e in zip(a.vertex_names, idems):
-        if not vec_eq(a.mul_vec(e, e), e):
+    idx = a.idempotent_indices
+    for v, i in zip(a.vertex_names, idx):
+        if prod([(one, i, i)]) != a.basis_vec(i):
             issues.append(("idempotent", f"e_{v} is not idempotent"))
-    for (v, e), (w, f) in itertools.combinations(zip(a.vertex_names, idems), 2):
-        if not all(x == F.zero for x in a.mul_vec(e, f)) or not all(
-            x == F.zero for x in a.mul_vec(f, e)
-        ):
+    for (v, i), (w, j) in itertools.combinations(zip(a.vertex_names, idx), 2):
+        if any(prod([(one, i, j)])) or any(prod([(one, j, i)])):
             issues.append(("orthogonality", f"e_{v} * e_{w} != 0"))
-    if not vec_eq(a.idempotent_sum(a.vertex_names), a.unit):
+    if tuple(a.idempotent_sum(a.vertex_names)) != tuple(a.unit):
         issues.append(("idempotent-sum", "vertex idempotents do not sum to the unit"))
 
     # radical: two-sided ideal, nilpotent
@@ -431,13 +446,12 @@ def validate_algebra(a: Algebra) -> ValidationReport:
         issues.append(("radical", "ambient dimension mismatch"))
     else:
         for r in range(rad.dim):
-            rv = rad.basis.row(r)
+            rv = [(c, m) for m, c in enumerate(rad.basis.row(r)) if c]
             for i in range(a.dim):
-                b = a.basis_vec(i)
-                if not rad.contains(a.mul_vec(rv, b)):
+                if not rad.contains(prod((c, m, i) for c, m in rv)):
                     issues.append(("radical-ideal", f"rad*{a.basis_labels[i]} leaves the radical"))
                     break
-                if not rad.contains(a.mul_vec(b, rv)):
+                if not rad.contains(prod((c, i, m) for c, m in rv)):
                     issues.append(("radical-ideal", f"{a.basis_labels[i]}*rad leaves the radical"))
                     break
             else:
@@ -456,12 +470,11 @@ def validate_algebra(a: Algebra) -> ValidationReport:
     # split semisimple quotient: e_v (A/rad) e_w is k for v=w, 0 otherwise
     proj, _ = a.radical.quotient_maps()
     for vi, v in enumerate(a.vertex_names):
-        ev = idems[vi]
         for wi, w in enumerate(a.vertex_names):
-            ew = idems[wi]
-            corner = tuple(x for i in range(a.dim)
-                           for x in a.mul_vec(a.mul_vec(ev, a.basis_vec(i)), ew))
-            img = (Matrix(F, a.dim, a.dim, corner) @ proj).row_space()
+            # the nonzero e_v b_i e_w span the corner
+            rows = (prod((c, m, idx[wi]) for m, c in table[idx[vi]][i]) for i in range(a.dim))
+            corner = [r for r in rows if any(r)]
+            img = (Matrix(F, len(corner), a.dim, tuple(x for r in corner for x in r)) @ proj).row_space()
             want = 1 if vi == wi else 0
             if img.dim != want:
                 issues.append(
@@ -544,26 +557,27 @@ def quotient_by_idempotent_ideal(a: Algebra, vertices: Sequence[str]) -> Quotien
     subset = list(vertices)
     if any(v not in a.vertex_names for v in subset) or len(set(subset)) != len(subset):
         raise ValueError(f"not a vertex subset: {vertices!r}")
-    F = a.field
-    e = a.idempotent_sum(subset)
+    F, one, prod = a.field, a.field.one, a.sum_of_products
+    e_idx = [a.idempotent_indices[a.vertex_names.index(v)] for v in subset]
 
+    # the span of the b_i e b_j, products read off the sparse table
     vecs = []
     for i in range(a.dim):
-        bie = a.mul_vec(a.basis_vec(i), e)
-        if all(x == F.zero for x in bie):
+        bie = [(c, m) for m, c in enumerate(prod((one, i, v) for v in e_idx)) if c]
+        if not bie:
             continue
         for j in range(a.dim):
-            v = a.mul_vec(bie, a.basis_vec(j))
-            if any(x != F.zero for x in v):
+            v = prod((c, m, j) for c, m in bie)
+            if any(v):
                 vecs.append(v)
     ideal = Matrix(F, len(vecs), a.dim, tuple(x for v in vecs for x in v)).row_space()
 
     # ideal stability (single pass suffices; assert it)
     for r in range(ideal.dim):
-        rv = ideal.basis.row(r)
+        rv = [(c, m) for m, c in enumerate(ideal.basis.row(r)) if c]
         for i in range(a.dim):
-            if not ideal.contains(a.mul_vec(rv, a.basis_vec(i))) or not ideal.contains(
-                a.mul_vec(a.basis_vec(i), rv)
+            if not ideal.contains(prod((c, m, i) for c, m in rv)) or not ideal.contains(
+                prod((c, i, m) for c, m in rv)
             ):
                 raise AlgebraError("idempotent ideal span not stable")
 
@@ -592,15 +606,9 @@ def quotient_by_idempotent_ideal(a: Algebra, vertices: Sequence[str]) -> Quotien
         idem_indices.append(ones[0])
 
     # the section picks the basis elements off the ideal's pivots
-    labels = [a.basis_labels[j] for j in range(a.dim) if j not in ideal.pivots]
-
-    mult_rows = []
-    for i in range(qdim):
-        xi = sec.row(i)
-        row = []
-        for j in range(qdim):
-            row.append(push(a.mul_vec(xi, sec.row(j))))
-        mult_rows.append(tuple(row))
+    kept = [j for j in range(a.dim) if j not in ideal.pivots]
+    labels = [a.basis_labels[j] for j in kept]
+    mult_rows = [tuple(push(prod([(one, i, j)])) for j in kept) for i in kept]
 
     rad = (a.radical.basis @ proj).row_space()
 

@@ -172,7 +172,7 @@ def ext_comparison(
             u = solve_in_hom(cat, target_map.source, dk_in.source, lambda h: h.then(dk_in), target_map)
         rows = [reduce_cocycle(space_out, u.then(restrict_map(cls.cocycle, outer_alg, lift)))
                 for cls in space_in.classes]
-        rank = Matrix.from_rows(s.algebra.field, rows, cols=space_out.dim).rank()
+        rank = Matrix(s.algebra.field, len(rows), space_out.dim, tuple(x for r in rows for x in r)).rank()
     cmp = ExtComparison(degree=degree, dim_source=space_in.dim, dim_target=space_out.dim, rank=rank)
     if degree <= 1 and not cmp.is_isomorphism:
         raise StratificationError(

@@ -174,6 +174,6 @@ def solve_in_hom(cat, source, target, compose, goal):
         raise InconsistentSystem("nonzero goal from a zero hom space")
     rows = [cat.mor_coords(compose(h)) for h in basis]
     ncols = len(rows[0])
-    T = Matrix.from_rows(F, rows, cols=ncols)
-    sol = T.solve_left(Matrix.from_rows(F, [cat.mor_coords(goal)], cols=ncols))
+    T = Matrix(F, len(rows), ncols, tuple(x for r in rows for x in r))
+    sol = T.solve_left(Matrix(F, 1, ncols, tuple(cat.mor_coords(goal))))
     return combine(sol.row(0), basis, cat.zero_mor(source, target))

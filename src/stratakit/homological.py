@@ -134,7 +134,7 @@ def ext(m: RightModule, n: RightModule, degree: int) -> ExtSpace:
         d_here = res.differential(degree)  # P_n -> P_{n-1}
         for g in hom_basis(res.term(degree - 1), n):
             cob_vecs.append(_flatten(d_here.then(g)))
-    coboundaries = Subspace.span(F, cob_vecs, ambient)
+    coboundaries = Matrix(F, len(cob_vecs), ambient, tuple(x for v in cob_vecs for x in v)).row_space()
 
     # canonical complement: reduce each cocycle basis vector mod coboundaries,
     # take the RREF of the reductions, lift back through the section
@@ -142,7 +142,7 @@ def ext(m: RightModule, n: RightModule, degree: int) -> ExtSpace:
     if cocycles.dim > 0:
         proj, sec = coboundaries.quotient_maps()
         reduced = [proj.apply_row(cocycles.basis.row(i)) for i in range(cocycles.dim)]
-        red_space = Subspace.span(F, reduced, proj.cols)
+        red_space = Matrix(F, len(reduced), proj.cols, tuple(x for v in reduced for x in v)).row_space()
         for i in range(red_space.dim):
             lifted = sec.apply_row(red_space.basis.row(i))
             classes.append(ExtClass(degree, m, n, _unflatten(lifted, p_n, n)))
@@ -166,8 +166,8 @@ def reduce_cocycle(space: ExtSpace, f: ModuleMap) -> tuple:
         assert all(x == F.zero for x in reduced), "nonzero class in a zero Ext space"
         return ()
     basis_rows = [proj.apply_row(_flatten(c.cocycle)) for c in space.classes]
-    B = Matrix.from_rows(F, basis_rows, cols=proj.cols)
-    return B.solve_left(Matrix.from_rows(F, [reduced], cols=proj.cols)).row(0)
+    B = Matrix(F, len(basis_rows), proj.cols, tuple(x for r in basis_rows for x in r))
+    return B.solve_left(Matrix(F, 1, proj.cols, reduced)).row(0)
 
 
 def _cocycle_to_kernel_map(res: Resolution, f: ModuleMap) -> ModuleMap:
@@ -259,6 +259,6 @@ def universal_extension(m: RightModule, targets: list[RightModule]) -> Universal
         if space.dim == 0:
             continue
         rank_rows = [reduce_cocycle(space, to_sub.then(h)) for h in hom_basis(T, b)]
-        rk = Matrix.from_rows(F, rank_rows, cols=space.dim).rank() if rank_rows else 0
+        rk = Matrix(F, len(rank_rows), space.dim, tuple(x for r in rank_rows for x in r)).rank()
         assert rk == space.dim, "universal extension failed to surject onto Ext^1"
     return UniversalExtension(multiplicities=mults, middle=ses.middle)

@@ -20,11 +20,14 @@ Conventions:
   ``v @ A``, and composition "f then g" is ``f.mat @ g.mat``.
 * Values from outside the kernel enter through ``Matrix.from_rows``,
   ``Subspace.span`` or ``Field.of``, which coerce every entry into the
-  field.  Results computed here are field elements already, so linalg
-  builds them as ``Matrix(field, rows, cols, entries)`` directly, and so
-  do the hot paths above it for vectors they computed (multiplication
-  matrices, direct sums, radicals and traces, recollement units and
-  counits), spanning a subspace as ``Matrix(...).row_space()``.
+  field.  The package uses them only for values that may not be field
+  elements yet: parsed input (``specfile``, ``mv.mv_data_from_spec``),
+  relation coefficients, the scalar of ``Matrix.scale`` and the
+  pseudorandom coefficients of ``modules.is_isomorphic``.  Results
+  computed here are field elements already, so linalg builds them as
+  ``Matrix(field, rows, cols, entries)`` directly, and so does every
+  module above it for vectors it computed, spanning a subspace as
+  ``Matrix(...).row_space()``.
 * ``Matrix.solve_left`` and ``solve_right`` always return a solution; a
   system with none raises ``InconsistentSystem``.  A caller that asks a
   real yes/no question catches it; everywhere else no solution is a bug.

@@ -125,8 +125,10 @@ def regular_module(algebra: Algebra) -> RightModule:
     """The algebra as a right module over itself (built once per algebra)."""
     cache = algebra.cache
     if "regular" not in cache:
-        mats = [algebra.right_mult_matrix(algebra.basis_vec(k)) for k in range(algebra.dim)]
-        cache["regular"] = RightModule(algebra, algebra.dim, tuple(mats))
+        # row i of the action of b_k is b_i * b_k: column slice k of the table
+        n, mult = algebra.dim, algebra.mult
+        mats = [Matrix(algebra.field, n, n, tuple(x for i in range(n) for x in mult[i][k])) for k in range(n)]
+        cache["regular"] = RightModule(algebra, n, tuple(mats))
     return cache["regular"]
 
 

@@ -223,9 +223,7 @@ class MVCategory:
                 d1 = x.alpha.then(fz).scale(F.neg(F.one))
                 d2 = fz.then(y.beta).scale(F.neg(F.one))
             rows.append(d1.mat.entries + d2.mat.entries)
-        ncols = len(rows[0]) if rows else 0
-        T = Matrix.from_rows(F, rows, cols=ncols)
-        ker = T.left_kernel()
+        ker = Matrix(F, len(rows), len(rows[0]), tuple(x for r in rows for x in r)).left_kernel()
 
         zu, zz = zero_map(x.x_u, y.x_u), zero_map(x.x_z, y.x_z)
         return [MVMorphism(x, y, combine(coeffs[:nu], hu, zu), combine(coeffs[nu:], hz, zz))

@@ -23,7 +23,7 @@ them unchanged.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Sequence
 
 from .algebra import Algebra, CornerData, QuotientData, corner_algebra, quotient_by_idempotent_ideal
@@ -325,8 +325,14 @@ def verify_recollement(r: Recollement, center_samples: Sequence[tuple[str, objec
 
     The axioms quantify over all objects; this runs them on a finite sample
     list (named in the report).  The Z/U samples are the images of the
-    center samples under i_left and j_restrict.
+    center samples under i_left and j_restrict.  Each unit and counit is
+    computed once per object for this verification: several axioms read
+    the same component, and a component that raises is not cached, so it
+    raises in every check that reads it.
     """
+    r = replace(r, **{name: functools.cache(getattr(r, name)) for name in (
+        "unit_quot", "counit_quot", "unit_sub", "counit_sub",
+        "unit_jl", "counit_jl", "unit_jr", "counit_jr")})
     out: list[CheckResult] = []
     z_samples = [(f"i_left({n})", r.i_left(x)) for n, x in center_samples]
     u_samples = [(f"j_restrict({n})", r.j_restrict(x)) for n, x in center_samples]

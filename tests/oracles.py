@@ -21,6 +21,9 @@ field and meant for tiny inputs only.
   enumerating pairs of action-closed subspaces.
 * ``verify_filtration_certificate``: re-checks a filtration certificate
   without trusting the search that built it.
+* ``algebra_issues_by_mul_vec``: the structural checks of
+  ``validate_algebra``, each product of basis elements taken as a dense
+  ``mul_vec`` of two basis vectors instead of a read of the structure table.
 """
 
 from __future__ import annotations
@@ -189,3 +192,69 @@ def verify_filtration_certificate(cert) -> bool:
             return False
         prev = layer.above
     return prev == Subspace.full(F, m.dim)
+
+
+def algebra_issues_by_mul_vec(a) -> tuple[tuple[str, str], ...]:
+    """The issues ``validate_algebra`` must report, in its order: the same
+    checks and loops, with every product a ``mul_vec``."""
+    F = a.field
+    issues: list[tuple[str, str]] = []
+
+    for i in range(a.dim):
+        b = a.basis_vec(i)
+        if a.mul_vec(a.unit, b) != b or a.mul_vec(b, a.unit) != b:
+            issues.append(("unit", f"unit fails on basis element {a.basis_labels[i]}"))
+            break
+
+    def associativity():
+        for i, j, k in itertools.product(range(a.dim), repeat=3):
+            bi, bj, bk = a.basis_vec(i), a.basis_vec(j), a.basis_vec(k)
+            if a.mul_vec(a.mul_vec(bi, bj), bk) != a.mul_vec(bi, a.mul_vec(bj, bk)):
+                labels = a.basis_labels
+                return [("associativity", f"({labels[i]}*{labels[j]})*{labels[k]}"
+                         f" != {labels[i]}*({labels[j]}*{labels[k]})")]
+        return []
+
+    issues += associativity()
+    idems = [a.basis_vec(i) for i in a.idempotent_indices]
+    for v, e in zip(a.vertex_names, idems):
+        if a.mul_vec(e, e) != e:
+            issues.append(("idempotent", f"e_{v} is not idempotent"))
+    for (v, e), (w, f) in itertools.combinations(zip(a.vertex_names, idems), 2):
+        if any(x != F.zero for x in a.mul_vec(e, f) + a.mul_vec(f, e)):
+            issues.append(("orthogonality", f"e_{v} * e_{w} != 0"))
+    if a.idempotent_sum(a.vertex_names) != tuple(a.unit):
+        issues.append(("idempotent-sum", "vertex idempotents do not sum to the unit"))
+
+    rad = a.radical
+    if rad.ambient != a.dim:
+        issues.append(("radical", "ambient dimension mismatch"))
+    else:
+        def ideal():
+            for r in range(rad.dim):
+                rv = rad.basis.row(r)
+                for i in range(a.dim):
+                    b = a.basis_vec(i)
+                    if not rad.contains(a.mul_vec(rv, b)):
+                        return [("radical-ideal", f"rad*{a.basis_labels[i]} leaves the radical")]
+                    if not rad.contains(a.mul_vec(b, rv)):
+                        return [("radical-ideal", f"{a.basis_labels[i]}*rad leaves the radical")]
+            return []
+
+        issues += ideal()
+        power, k = rad, 1
+        while power.dim > 0 and k <= a.dim:
+            vecs = [a.mul_vec(x, y) for x in power.basis.row_list() for y in rad.basis.row_list()]
+            power = Subspace.span(F, vecs, a.dim)
+            k += 1
+        if power.dim > 0:
+            issues.append(("radical-nilpotent", f"rad^{k} still nonzero"))
+
+    proj, _ = rad.quotient_maps()
+    for (vi, v), (wi, w) in itertools.product(enumerate(a.vertex_names), repeat=2):
+        ev, ew = idems[vi], idems[wi]
+        corner = [a.mul_vec(a.mul_vec(ev, a.basis_vec(i)), ew) for i in range(a.dim)]
+        dim = Subspace.span(F, [proj.apply_row(x) for x in corner], proj.cols).dim
+        if dim != (1 if vi == wi else 0):
+            issues.append(("split-semisimple", f"dim e_{v}(A/rad)e_{w} = {dim}, expected {1 if vi == wi else 0}"))
+    return tuple(issues)

@@ -20,6 +20,7 @@ from stratakit.corpus import corpus_index
 from stratakit.linalg import GF2, GF3, QQ, Subspace
 from stratakit.specfile import build_algebra
 
+from oracles import algebra_issues_by_mul_vec
 from support import load_fixture
 
 
@@ -280,3 +281,60 @@ def test_validate_sees_a_zero_structure_constant_made_nonzero(name):
     assert bad.mul_vec(a.basis_vec(i), a.basis_vec(i)) == a.basis_vec(i)
     rep = validate_algebra(bad)
     assert [name for name, _ in rep.issues][:1] == ["associativity"]
+
+
+def test_validate_matches_the_mul_vec_reference():
+    """Reading products off the structure table reports what the dense
+    products report: nothing on every fixture algebra, its vertex corners
+    and its quotients by a vertex."""
+    for a in FIXTURE_ALGEBRAS:
+        derived = ([corner_algebra(a, [v]).algebra for v in a.vertex_names]
+                   + [quotient_by_idempotent_ideal(a, [v]).algebra for v in a.vertex_names])
+        for b in [a] + derived:
+            assert validate_algebra(b).issues == algebra_issues_by_mul_vec(b) == ()
+
+
+def _corruption(i):
+    a = FIXTURE_ALGEBRAS[i]
+    values = [0, 1, 2, -1] + ([] if a.field.is_finite else [Fraction(1, 2), 3])
+    index = st.integers(0, a.dim - 1)
+    return st.tuples(st.just(i), index, index, index, st.sampled_from(values).map(a.field.of))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, len(FIXTURE_ALGEBRAS) - 1).flatmap(_corruption))
+def test_validate_matches_the_mul_vec_reference_on_corrupted_tables(corruption):
+    """One structure constant b_i * b_j at b_k set to c: the same issues, in
+    the same order and with the same witnesses, as the dense reference."""
+    n, i, j, k, c = corruption
+    a = FIXTURE_ALGEBRAS[n]
+    mult = [[list(prod) for prod in row] for row in a.mult]
+    mult[i][j][k] = c
+    bad = dataclasses.replace(a, mult=tuple(tuple(tuple(prod) for prod in row) for row in mult))
+    assert validate_algebra(bad).issues == algebra_issues_by_mul_vec(bad)
+
+
+def _with_radical(a, vectors):
+    return dataclasses.replace(a, radical=Subspace.span(a.field, vectors, a.dim))
+
+
+def test_validate_sees_a_radical_that_misses_an_arrow():
+    """Without arrow x: v -> w the radical still is a nilpotent ideal here,
+    but x survives in A/rad, so e_v (A/rad) e_w is too big."""
+    for a in FIXTURE_ALGEBRAS:
+        rad = a.radical.basis.row_list()
+        arrows = [j for j, label in enumerate(a.basis_labels)
+                  if "*" not in label and j not in a.idempotent_indices]
+        for j in arrows:
+            bad = _with_radical(a, [r for r in rad if r != a.basis_vec(j)])
+            assert bad.radical.dim == len(rad) - 1
+            assert "split-semisimple" in [name for name, _ in validate_algebra(bad).issues], a.basis_labels[j]
+
+
+def test_validate_sees_a_radical_that_holds_a_vertex_idempotent():
+    """rad + k e_v is never nilpotent, since e_v is idempotent."""
+    for a in FIXTURE_ALGEBRAS:
+        for i in a.idempotent_indices:
+            bad = _with_radical(a, a.radical.basis.row_list() + [a.basis_vec(i)])
+            names = [name for name, _ in validate_algebra(bad).issues]
+            assert "radical-nilpotent" in names and "split-semisimple" in names, a.basis_labels[i]

@@ -1,5 +1,6 @@
-"""Reports are byte-identical to the committed golden files, and each input
-runs its stratification structure checks exactly once.
+"""Reports are byte-identical to the committed golden files, each input
+runs its stratification structure checks exactly once, and a few work
+counters (hashes, dense products, solves) stay under fixed bounds.
 
 The golden files in ``tests/golden/`` were captured before the analysis
 session refactor (one algebra, stratification and gluing datum per input),
@@ -28,13 +29,15 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from stratakit.algebra import Algebra
 from stratakit.cli import main
 from stratakit.corpus import fixture_bytes
+from stratakit.linalg import Matrix, Subspace
+from stratakit.modules import RightModule
 from stratakit.strat import Stratification
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -109,21 +112,65 @@ def test_corpus_report_is_the_same_under_optimize():
     assert res.returncode == 0, res.stderr
 
 
-def test_eps_on_c3_over_q_hashes_few_fractions(monkeypatch):
-    """A work counter, not a timing: memo and cache keys hash their entries
-    once, so deciding one sign pattern of C_3 over Q hashes 887 fractions
-    (267,653 when every lookup re-hashed a module with its algebra's
-    multiplication table)."""
-    calls = []
-    original = Fraction.__hash__
+def test_eps_on_c3_over_q_hashes_each_value_once(monkeypatch):
+    """A work counter, not a timing: the value types keep their hash, so
+    deciding one sign pattern of C_3 over Q computes 591 structural hashes
+    of matrices, subspaces, algebras and modules (13,258 when every lookup
+    re-hashes a module with its algebra's multiplication table)."""
+    computed = []
+    for cls in (Matrix, Subspace, Algebra, RightModule):
+        def counted(self, original=cls.__hash__):
+            if "_hash" not in self.__dict__:
+                computed.append(type(self).__name__)
+            return original(self)
 
-    def counted(self):
-        calls.append(None)
-        return original(self)
-
-    monkeypatch.setattr(Fraction, "__hash__", counted)
+        monkeypatch.setattr(cls, "__hash__", counted)
     monkeypatch.delenv("STRATAKIT_SEED", raising=False)
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(["check", str(GOLDEN / "c3_q.input.json"), "--mode", "eps", "--seed", "0"])
     assert code == 0
-    assert len(calls) <= 5000
+    assert len(computed) <= 3300
+
+
+def count_calls(monkeypatch, owner, name) -> list:
+    """Count the calls of ``owner.name`` for the rest of the test."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    monkeypatch.delenv("STRATAKIT_SEED", raising=False)
+    return calls
+
+
+def test_validate_reads_basis_products_off_the_table(tmp_path, monkeypatch):
+    """A work counter: validating the linearly oriented A_6 over GF(3)
+    (dimension 21) reads the products of basis elements off the structure
+    table and makes 525 dense ``mul_vec`` products (30,969 when each of the
+    21^3 associativity triples took three)."""
+    spec = {"field": {"kind": "GF", "p": 3},
+            "quiver": {"vertices": [str(i) for i in range(1, 7)],
+                       "arrows": [{"name": f"a{i}", "from": str(i), "to": str(i + 1)} for i in range(1, 6)]},
+            "relations": []}
+    path = tmp_path / "a6.json"
+    path.write_text(json.dumps(spec))
+    calls = count_calls(monkeypatch, Algebra, "mul_vec")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["validate", str(path)]) == 0
+    assert len(calls) <= 2000
+
+
+def test_recollement_check_computes_each_unit_once(tmp_path, monkeypatch):
+    """A work counter: one verification computes each unit and counit once
+    per object, so ``check --mode recollement`` on FIX-A3 makes 498
+    ``solve_left`` calls (851 when every axiom recomputed the components
+    it reads)."""
+    path = tmp_path / "fix_a3.json"
+    path.write_bytes(fixture_bytes("fix_a3.json"))
+    calls = count_calls(monkeypatch, Matrix, "solve_left")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["check", str(path), "--mode", "recollement", "--seed", "0"]) == 0
+    assert len(calls) <= 650

@@ -88,6 +88,71 @@ def test_corrupted_functor_is_reported():
     assert any(ax.startswith("R1:j_restrict-|j_roof") or ax.startswith("R2") or ax.startswith("R4") for ax in axioms)
 
 
+UNITS_AND_COUNITS = ("unit_quot", "counit_quot", "unit_sub", "counit_sub",
+                     "unit_jl", "counit_jl", "unit_jr", "counit_jr")
+
+
+def test_units_and_counits_are_computed_once_per_object():
+    """Several axioms read the same unit or counit component: one
+    verification computes each once per distinct object, and reports what
+    it reports on a package without the counters."""
+    a = algebra("FIX-A3")
+    samples = ModuleCategory(a).standard_samples()
+    r = make_idempotent_recollement(a, ["2"])
+    args = {name: [] for name in UNITS_AND_COUNITS}
+
+    def counted(name):
+        component = getattr(r, name)
+
+        def call(x):
+            args[name].append(x)
+            return component(x)
+
+        return call
+
+    rep = verify_recollement(dataclasses.replace(r, **{n: counted(n) for n in UNITS_AND_COUNITS}), samples)
+    assert rep == verify_recollement(make_idempotent_recollement(a, ["2"]), samples)
+    assert rep.ok
+    for name, xs in args.items():
+        assert xs and len(xs) == len(set(xs)), (name, len(xs), len(set(xs)))
+
+
+def test_negated_unit_fails_every_triangle_it_reaches():
+    """A sign flip in the unit X -> j_roof j_restrict X breaks both triangle
+    identities of (j_restrict -| j_roof) on every sample with X e != 0.
+    Exactness and cokernels do not see a sign, so the R4 rows pass."""
+    a = algebra("FIX-A3")
+    samples = ModuleCategory(a).standard_samples()
+    r = make_idempotent_recollement(a, ["2"])
+    rep = verify_recollement(dataclasses.replace(r, unit_jr=lambda x: r.unit_jr(x).scale(-1)), samples)
+    reached = [n for n, x in samples if r.j_restrict(x).dim]
+    assert len(reached) == 5
+    assert [(f.axiom, f.subject) for f in rep.failures()] == (
+        [("R1:j_restrict-|j_roof", n) for n in reached]
+        + [("R1:j_restrict-|j_roof", f"j_restrict({n})") for n in reached])
+
+
+def test_raising_unit_fails_every_check_that_reads_it():
+    """A component that raises is not memoized: every check that reads the
+    unit X -> j_roof j_restrict X, in R1 and in R4, is a FAIL row that names
+    the exception."""
+    a = algebra("FIX-A3")
+    samples = ModuleCategory(a).standard_samples()
+    r = make_idempotent_recollement(a, ["2"])
+
+    def broken(x):
+        raise ValueError("seeded defect")
+
+    rep = verify_recollement(dataclasses.replace(r, unit_jr=broken), samples)
+    names = [n for n, _ in samples]
+    assert {(f.axiom, f.subject) for f in rep.failures()} == (
+        {("R1:j_restrict-|j_roof", n) for n in names}
+        | {("R1:j_restrict-|j_roof", f"j_restrict({n})") for n in names}
+        | {("R4:0->ir->X->jr", n) for n in names}
+        | {("R4:K' in image(i_embed)", n) for n in names})
+    assert {f.note for f in rep.failures()} == {"raised ValueError: seeded defect"}
+
+
 def test_functor_formulas_on_a2():
     a = algebra("FIX-A2")
     r = make_idempotent_recollement(a, ["2"])
