@@ -27,7 +27,6 @@ from .modules import (
     RightModule,
     cokernel,
     combine,
-    direct_sum,
     hom_basis,
     identity_map,
     image,
@@ -37,7 +36,6 @@ from .modules import (
     projective_module,
     simple_module,
     zero_map,
-    zero_module,
 )
 
 
@@ -47,17 +45,6 @@ class ModuleCategory:
     def __init__(self, algebra: Algebra):
         self.algebra = algebra
         self.field = algebra.field
-
-    # objects -----------------------------------------------------------
-
-    def zero_obj(self) -> RightModule:
-        return zero_module(self.algebra)
-
-    def direct_sum(self, xs):
-        if not xs:
-            z = self.zero_obj()
-            return z, [], []
-        return direct_sum(list(xs))
 
     # morphisms ----------------------------------------------------------
 

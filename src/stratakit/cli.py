@@ -5,7 +5,9 @@ invariants or checks, 3 oracle mode requested over the rationals.
 
 Each input is built once: ``checks_validate`` builds the algebra, the
 checked stratification and the gluing data into a ``Session``, and every
-check battery reads them from there.
+check battery reads them from there.  Each battery imports the layers it
+runs, and only when it runs: every invocation is a fresh interpreter, so a
+layer imported at the top would be compiled and built on every start.
 """
 
 from __future__ import annotations
@@ -16,34 +18,16 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .algebra import (
-    Algebra,
-    AlgebraError,
-    NonAdmissibleError,
-    PossiblyInfiniteError,
-)
-from .analyze import (
-    Decision,
-    is_epsilon_stratified,
-    is_highest_weight,
-    is_k_homological,
-    sign_patterns,
-)
-from .category import ModuleCategory
-from .corpus import corpus_index, fixture_bytes
-from .modules import simple_module
-from .mv import MVData, mv_data_from_spec, mv_intermediate_table, mv_recollement
-from .recollement import intermediate_extension, make_idempotent_recollement, verify_recollement
+from .algebra import Algebra, AlgebraError, NonAdmissibleError, PossiblyInfiniteError
 from .report import Check, Report, sha256_bytes
 from .specfile import AlgebraSpec, SpecError, build_algebra, load_spec, parse_spec
-from .strat import (
-    Poset,
-    Stratification,
-    StratificationError,
-    porism_check,
-    synthesize_projective_cover,
-)
+
+if TYPE_CHECKING:
+    from .analyze import Decision
+    from .mv import MVData
+    from .strat import Stratification
 
 EXIT_OK = 0
 EXIT_SCHEMA = 1
@@ -74,6 +58,7 @@ class Session:
 
 
 def _mv_samples(r, data):
+    from .modules import simple_module
     out = []
     for w in data.u_algebra.vertex_names:
         su = simple_module(data.u_algebra, w)
@@ -114,6 +99,7 @@ def checks_validate(spec: AlgebraSpec) -> tuple[list[Check], Session]:
     ))
     strat = mv = None
     if spec.stratification is not None:
+        from .strat import Poset, Stratification
         ss = spec.stratification
         try:
             poset = Poset.from_pairs(ss.poset.elements, ss.poset.leq)
@@ -123,6 +109,7 @@ def checks_validate(spec: AlgebraSpec) -> tuple[list[Check], Session]:
             out.append(Check("stratification", "lower sets, layer recollements, stratum independence",
                              "FAIL", witness={"error": str(e)}))
     if spec.mv is not None:
+        from .mv import mv_data_from_spec
         try:
             mv = mv_data_from_spec(spec.mv, spec.field)
             out.append(Check("mv", "bimodule axioms, balanced equivariant pairing", "PASS"))
@@ -133,8 +120,12 @@ def checks_validate(spec: AlgebraSpec) -> tuple[list[Check], Session]:
 
 
 def checks_recollement(session: Session) -> list[Check]:
+    from .category import ModuleCategory
+    from .modules import simple_module
+    from .recollement import intermediate_extension, make_idempotent_recollement, verify_recollement
     out = []
     if session.mv is not None:
+        from .mv import mv_intermediate_table, mv_recollement
         data = session.mv
         r = mv_recollement(data)
         rep = verify_recollement(r, _mv_samples(r, data))
@@ -174,6 +165,7 @@ def checks_recollement(session: Session) -> list[Check]:
 
 
 def checks_simples(s: Stratification) -> list[Check]:
+    from .strat import StratificationError
     try:
         table = s.classify_simples()
     except StratificationError as e:
@@ -188,6 +180,7 @@ def checks_simples(s: Stratification) -> list[Check]:
 
 
 def checks_porism(s: Stratification) -> list[Check]:
+    from .strat import StratificationError, porism_check
     out = []
     for b in s.algebra.vertex_names:
         try:
@@ -206,6 +199,7 @@ def checks_porism(s: Stratification) -> list[Check]:
 
 
 def checks_synthesis(s: Stratification) -> list[Check]:
+    from .strat import synthesize_projective_cover
     out = []
     for t in s.algebra.vertex_names:
         try:
@@ -242,6 +236,7 @@ def _decision_check(name: str, criterion: str, decision: Decision, agreed_criter
 
 
 def checks_eps(s: Stratification) -> list[Check]:
+    from .analyze import is_epsilon_stratified, sign_patterns
     if s.epsilon is None and len(s.poset.elements) > 8:
         raise SpecError("epsilon required above 8 strata")
     patterns = [s.epsilon] if s.epsilon is not None else sign_patterns(s.poset)
@@ -254,6 +249,7 @@ def checks_eps(s: Stratification) -> list[Check]:
 
 
 def checks_hw(s: Stratification) -> list[Check]:
+    from .analyze import is_highest_weight
     return [_decision_check(
         "highest-weight", "structure route and axiom route agree", is_highest_weight(s),
         "one-dimensional strata with a 2-homological stratification; classical axioms",
@@ -261,6 +257,7 @@ def checks_hw(s: Stratification) -> list[Check]:
 
 
 def checks_homological(s: Stratification, n: int, deep: bool = False) -> list[Check]:
+    from .analyze import is_k_homological
     res = is_k_homological(s, n, deep=deep)
     return [Check(
         f"homological(n<={n})",
@@ -344,6 +341,7 @@ def cmd_check(args) -> int:
 
 
 def _corpus_fixture_checks(entry) -> list[Check]:
+    from .corpus import fixture_bytes
     raw = fixture_bytes(entry.file)
     data = json.loads(raw)
     spec = parse_spec(data, name=entry.name)
@@ -377,6 +375,7 @@ def _corpus_fixture_checks(entry) -> list[Check]:
 
 
 def cmd_corpus(args) -> int:
+    from .corpus import corpus_index
     entries = [e for e in corpus_index() if args.filter is None or args.filter in e.tags]
     report = Report(
         mode="corpus",

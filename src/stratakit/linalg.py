@@ -18,16 +18,15 @@ Conventions:
   both legal and show up constantly (zero modules, empty kernels).
 * Linear maps act on *row* vectors: the map with matrix ``A`` sends ``v`` to
   ``v @ A``, and composition "f then g" is ``f.mat @ g.mat``.
-* Values from outside the kernel enter through ``Matrix.from_rows``,
-  ``Subspace.span`` or ``Field.of``, which coerce every entry into the
-  field.  The package uses them only for values that may not be field
-  elements yet: parsed input (``specfile``, ``mv.mv_data_from_spec``),
-  relation coefficients, the scalar of ``Matrix.scale`` and the
-  pseudorandom coefficients of ``modules.is_isomorphic``.  Results
-  computed here are field elements already, so linalg builds them as
-  ``Matrix(field, rows, cols, entries)`` directly, and so does every
-  module above it for vectors it computed, spanning a subspace as
-  ``Matrix(...).row_space()``.
+* Values from outside the kernel enter through ``Matrix.from_rows`` or
+  ``Field.of``, which coerce every entry into the field.  The package uses
+  them only for values that may not be field elements yet: parsed input
+  (``specfile``, ``mv.mv_data_from_spec``), relation coefficients, the
+  scalar of ``Matrix.scale`` and the pseudorandom coefficients of
+  ``modules.is_isomorphic``.  Results computed here are field elements
+  already, so linalg builds them as ``Matrix(field, rows, cols, entries)``
+  directly, and so does every module above it for vectors it computed,
+  spanning a subspace as ``Matrix(...).row_space()``.
 * ``Matrix.solve_left`` and ``solve_right`` always return a solution; a
   system with none raises ``InconsistentSystem``.  A caller that asks a
   real yes/no question catches it; everywhere else no solution is a bug.
@@ -41,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class InconsistentSystem(ArithmeticError):
@@ -377,7 +376,13 @@ class Matrix:
         return Matrix(F, nrows, ncols, flat), len(pivots), tuple(pivots)
 
     def rank(self) -> int:
-        return self.rref()[1]
+        """Kept on the instance after the first elimination, as ``cached_hash``
+        keeps the hash; like ``_hash``, ``_rank`` is no field."""
+        r = self.__dict__.get("_rank")
+        if r is None:
+            r = self.rref()[1]
+            object.__setattr__(self, "_rank", r)
+        return r
 
     def row_space(self) -> "Subspace":
         return Subspace.from_matrix(self)
@@ -494,13 +499,6 @@ class Subspace:
     @staticmethod
     def full(field: Field, ambient: int) -> "Subspace":
         return Subspace(ambient, Matrix.identity(field, ambient), tuple(range(ambient)))
-
-    @staticmethod
-    def span(field: Field, vectors: Iterable[Sequence], ambient: int) -> "Subspace":
-        rows = [tuple(v) for v in vectors]
-        if not rows:
-            return Subspace.zero(field, ambient)
-        return Subspace.from_matrix(Matrix.from_rows(field, rows, cols=ambient))
 
     @property
     def field(self) -> Field:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
 
 from .algebra import Algebra, build_bound_quiver_algebra
 from .linalg import Matrix
@@ -36,7 +35,6 @@ from .modules import (
     zero_module,
 )
 from .modules import cokernel as module_cokernel
-from .modules import direct_sum as module_sum
 from .modules import hom_basis as module_hom
 from .modules import image as module_image
 from .modules import kernel as module_kernel
@@ -182,17 +180,6 @@ class MVCategory:
             raise MVDataError("beta . alpha differs from eps: not a glued object")
         return MVObject(x_u, x_z, alpha, beta)
 
-    def zero_obj(self) -> MVObject:
-        zu = zero_module(self.data.u_algebra)
-        zz = zero_module(self.data.z_algebra)
-        fz = self.fun.F.obj(zu)
-        gz = self.fun.G.obj(zu)
-        return MVObject(
-            zu, zz,
-            ModuleMap(fz, zz, Matrix.zero(self.field, fz.dim, 0)),
-            ModuleMap(zz, gz, Matrix.zero(self.field, 0, gz.dim)),
-        )
-
     # morphisms ---------------------------------------------------------------
 
     def identity(self, x: MVObject) -> MVMorphism:
@@ -266,51 +253,6 @@ class MVCategory:
         beta_i = ModuleMap(iz_obj, self.fun.G.obj(iu_obj), b_mat)
         i_obj = self.make_object(iu_obj, iz_obj, alpha_i, beta_i)
         return i_obj, MVMorphism(f.source, i_obj, eu, ez), MVMorphism(i_obj, f.target, mu, mz)
-
-    def direct_sum(self, xs: Sequence[MVObject]):
-        """Componentwise sum; the connecting maps are solved through the
-        canonical additivity isomorphisms of the two functors."""
-        if not xs:
-            z = self.zero_obj()
-            return z, [], []
-        if len(xs) == 1:
-            x = xs[0]
-            return x, [self.identity(x)], [self.identity(x)]
-        F = self.field
-        big_u, inj_u, proj_u = module_sum([x.x_u for x in xs])
-        big_z, inj_z, proj_z = module_sum([x.x_z for x in xs])
-        f_big = self.fun.F.obj(big_u)
-        g_big = self.fun.G.obj(big_u)
-        # alpha: F(inj_i) ; alpha = alpha_i ; inj_z_i, stacked and solved
-        lhs = None
-        rhs = None
-        for x, iu, iz in zip(xs, inj_u, inj_z):
-            f_iu = self.fun.F.mor(iu)
-            lhs = f_iu.mat if lhs is None else lhs.stack(f_iu.mat)
-            block = x.alpha.then(iz).mat
-            rhs = block if rhs is None else rhs.stack(block)
-        if f_big.dim == 0 or big_z.dim == 0:
-            alpha_mat = Matrix.zero(F, f_big.dim, big_z.dim)
-        else:
-            alpha_mat = lhs.solve_right(rhs)
-        alpha = ModuleMap(f_big, big_z, alpha_mat)
-        # beta: beta ; G(proj_i) = proj_z_i ; beta_i, hstacked and solved
-        lhs_h = None
-        rhs_h = None
-        for x, pu, pz in zip(xs, proj_u, proj_z):
-            g_pu = self.fun.G.mor(pu)
-            lhs_h = g_pu.mat if lhs_h is None else lhs_h.hstack(g_pu.mat)
-            block = pz.then(x.beta).mat
-            rhs_h = block if rhs_h is None else rhs_h.hstack(block)
-        if big_z.dim == 0 or g_big.dim == 0:
-            beta_mat = Matrix.zero(F, big_z.dim, g_big.dim)
-        else:
-            beta_mat = lhs_h.solve_left(rhs_h)
-        beta = ModuleMap(big_z, g_big, beta_mat)
-        total = self.make_object(big_u, big_z, alpha, beta)
-        injs = [MVMorphism(x, total, iu, iz) for x, iu, iz in zip(xs, inj_u, inj_z)]
-        projs = [MVMorphism(total, x, pu, pz) for x, pu, pz in zip(xs, proj_u, proj_z)]
-        return total, injs, projs
 
     def is_isomorphic(self, x: MVObject, y: MVObject):
         if (x.x_u.dim, x.x_z.dim) != (y.x_u.dim, y.x_z.dim):

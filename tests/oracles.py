@@ -39,6 +39,8 @@ from stratakit.modules import (
     submodule,
 )
 
+from support import span
+
 ORACLE_BIT_CAP = 22
 
 
@@ -127,7 +129,7 @@ def mv_subobject_pairs(cat, t):
         seen = set()
         out = []
         for rows in itertools.product(itertools.product(range(F.p), repeat=dims), repeat=dims):
-            space = Subspace.span(F, [tuple(F.of(x) for x in r) for r in rows], dims)
+            space = span(F, [tuple(F.of(x) for x in r) for r in rows], dims)
             if space in seen:
                 continue
             seen.add(space)
@@ -245,7 +247,7 @@ def algebra_issues_by_mul_vec(a) -> tuple[tuple[str, str], ...]:
         power, k = rad, 1
         while power.dim > 0 and k <= a.dim:
             vecs = [a.mul_vec(x, y) for x in power.basis.row_list() for y in rad.basis.row_list()]
-            power = Subspace.span(F, vecs, a.dim)
+            power = span(F, vecs, a.dim)
             k += 1
         if power.dim > 0:
             issues.append(("radical-nilpotent", f"rad^{k} still nonzero"))
@@ -254,7 +256,7 @@ def algebra_issues_by_mul_vec(a) -> tuple[tuple[str, str], ...]:
     for (vi, v), (wi, w) in itertools.product(enumerate(a.vertex_names), repeat=2):
         ev, ew = idems[vi], idems[wi]
         corner = [a.mul_vec(a.mul_vec(ev, a.basis_vec(i)), ew) for i in range(a.dim)]
-        dim = Subspace.span(F, [proj.apply_row(x) for x in corner], proj.cols).dim
+        dim = span(F, [proj.apply_row(x) for x in corner], proj.cols).dim
         if dim != (1 if vi == wi else 0):
             issues.append(("split-semisimple", f"dim e_{v}(A/rad)e_{w} = {dim}, expected {1 if vi == wi else 0}"))
     return tuple(issues)

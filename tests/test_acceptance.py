@@ -40,7 +40,7 @@ from stratakit.strat import (
 )
 
 from oracles import ext1_dimension_by_enumeration
-from support import bs_vanishing_table, is_injective, load_fixture
+from support import bs_vanishing_table, is_injective, load_fixture, mv_direct_sum
 
 STRAT_FIXTURES = ["FIX-A2", "FIX-A3", "FIX-NAK", "FIX-DUAL", "FIX-KRO", "FIX-LOOP"]
 MV_FIXTURES = ["FIX-MV-ID", "FIX-MV-ZERO", "FIX-MV-PROD", "FIX-MV-PAIR"]
@@ -275,7 +275,7 @@ def test_criterion_10_mv_suite():
         objs = list(base)
         for i in range(len(base)):
             for j in range(i, len(base)):
-                objs.append(cat.direct_sum([base[i], base[j]])[0])
+                objs.append(mv_direct_sum(cat, [base[i], base[j]])[0])
         rng = random.Random(515)
         probes = 0
         attempts = 0

@@ -21,7 +21,7 @@ from stratakit.linalg import GF2, GF3, QQ, Subspace
 from stratakit.specfile import build_algebra
 
 from oracles import algebra_issues_by_mul_vec
-from support import load_fixture
+from support import load_fixture, span
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +95,7 @@ def test_validate_catches_bad_radical(a2):
         unit=a2.unit,
         idempotent_indices=a2.idempotent_indices,
         vertex_names=a2.vertex_names,
-        radical=Subspace.span(GF2, [(0, 1, 0)], 3),  # span{e_2}: not an ideal complementary story
+        radical=span(GF2, [(0, 1, 0)], 3),  # span{e_2}: not an ideal complementary story
     )
     rep = validate_algebra(bad)
     assert not rep.ok
@@ -174,7 +174,7 @@ def test_dim_is_sum_of_corner_dims(a2, nak):
             for w in a.vertex_names:
                 ev, ew = a.idempotent_vec(v), a.idempotent_vec(w)
                 vecs = [a.mul_vec(a.mul_vec(ev, a.basis_vec(i)), ew) for i in range(a.dim)]
-                total += Subspace.span(a.field, vecs, a.dim).dim
+                total += span(a.field, vecs, a.dim).dim
         assert total == a.dim
 
 
@@ -228,13 +228,13 @@ def test_mul_vec_is_the_dense_sum(ixy):
 def _generated(a):
     """The span of a's generating vectors closed under products."""
     gens = a.generating_vectors()
-    span = Subspace.span(a.field, gens, a.dim)
+    space = span(a.field, gens, a.dim)
     while True:
-        rows = span.basis.row_list()
-        grown = Subspace.span(a.field, rows + [a.mul_vec(x, g) for x in rows for g in gens], a.dim)
-        if grown == span:
-            return span
-        span = grown
+        rows = space.basis.row_list()
+        grown = span(a.field, rows + [a.mul_vec(x, g) for x in rows for g in gens], a.dim)
+        if grown == space:
+            return space
+        space = grown
 
 
 def test_generating_vectors_generate():
@@ -315,7 +315,7 @@ def test_validate_matches_the_mul_vec_reference_on_corrupted_tables(corruption):
 
 
 def _with_radical(a, vectors):
-    return dataclasses.replace(a, radical=Subspace.span(a.field, vectors, a.dim))
+    return dataclasses.replace(a, radical=span(a.field, vectors, a.dim))
 
 
 def test_validate_sees_a_radical_that_misses_an_arrow():

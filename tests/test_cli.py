@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -411,3 +413,34 @@ def test_input_algebra_is_validated_once(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["checks"][0]["name"] == "validate_algebra"
     (a,) = built
     assert sum(1 for x in validated if x is a) == 1
+
+
+ROOT = Path(__file__).resolve().parent.parent
+START = {"stratakit", "cli", "algebra", "linalg", "report", "specfile"}
+
+
+def loaded_layers(argv) -> set[str]:
+    """The stratakit modules, package prefix dropped, that a fresh
+    interpreter has loaded after ``main(argv)``, or after importing the CLI
+    when ``argv`` is None."""
+    run = "" if argv is None else f"main({argv!r})\n"
+    code = ("import sys\nfrom stratakit.cli import main\n" + run
+            + "print(*sorted(m for m in sys.modules if m.startswith('stratakit')))\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    return {m.removeprefix("stratakit.") for m in res.stdout.splitlines()[-1].split()}
+
+
+def test_each_command_loads_only_its_layers(tmp_path):
+    """Every invocation is a fresh interpreter, so a layer the command does
+    not run must not be imported: importing it would compile and build it on
+    every start."""
+    a5 = str(ROOT / "tests" / "golden" / "a5_gf3.input.json")
+    assert loaded_layers(None) == START
+    assert loaded_layers(["validate", a5]) == START
+    assert loaded_layers(["check", a5, "--mode", "recollement"]) == START | {
+        "category", "modules", "recollement"}
+    porism = loaded_layers(["check", fixture_path(tmp_path, "fix_a3.json"), "--mode", "porism"])
+    assert "strat" in porism
+    assert not porism & {"analyze", "mv", "corpus"}

@@ -257,17 +257,18 @@ def write_only_attributes(checked: dict[str, str], others: Sequence[str]) -> lis
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _loads(nodes) -> set[str]:
-    """Names that ``nodes`` load, plainly or as an attribute, outside the
-    bodies of the definitions among them.  A definition's decorators,
-    defaults and bases count: they run where it is defined."""
-    out, stack = set(), list(nodes)
+def _loads(nodes) -> tuple[set[str], set[str]]:
+    """Names that ``nodes`` load plainly, and names they load as an
+    attribute, outside the bodies of the definitions among them.  A
+    definition's decorators, defaults and bases count: they run where it is
+    defined."""
+    plain, attrs, stack = set(), set(), list(nodes)
     while stack:
         node = stack.pop()
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.add(node.id)
+            plain.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            out.add(node.attr)
+            attrs.add(node.attr)
         if isinstance(node, ast.ClassDef):
             stack.extend(node.decorator_list + node.bases + node.keywords)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -275,15 +276,15 @@ def _loads(nodes) -> set[str]:
                          + [d for d in node.args.kw_defaults if d is not None])
         else:
             stack.extend(ast.iter_child_nodes(node))
-    return out
+    return plain, attrs
 
 
 def _definitions(node: ast.AST, prefix: str = ""):
-    """(qualified name, node) of every function, class and method under
-    ``node``, nested ones included."""
+    """(qualified name, node, is a method) of every function, class and
+    method under ``node``, nested ones included."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, DEFS):
-            yield prefix + child.name, child
+            yield prefix + child.name, child, isinstance(node, ast.ClassDef)
             yield from _definitions(child, f"{prefix}{child.name}.")
         else:
             yield from _definitions(child, prefix)
@@ -296,39 +297,48 @@ def unreachable(sources: dict[str, str], roots: dict[str, set[str]]) -> list[str
     The graph starts from the definitions named in ``roots`` (path ->
     qualified names), from module-level and class-body statements, which run
     on import, and from dunder methods, which Python calls by protocol.  A
-    reached body reaches every definition whose name it loads, plainly or as
-    an attribute, in any module.  Matching by name over-approximates: a
-    call ``x.direct_sum(...)`` reaches every ``direct_sum``, whichever
-    object ``x`` is, so a definition this passes may still be dead, but one
-    it flags is one that nothing reached from the roots names.
+    reached body reaches every definition whose name it loads, in any
+    module: a function or class by a plain or an attribute load, a method
+    only by an attribute load (``x.span``, ``Subspace.span``), since a plain
+    ``span`` is a variable, never a method.  Matching by name
+    over-approximates: a call ``x.direct_sum(...)`` reaches every
+    ``direct_sum``, whichever object ``x`` is, so a definition this passes
+    may still be dead, but one it flags is one that nothing reached from the
+    roots names.
     """
-    defs, names = [], set()
+    defs, plain, attrs = [], set(), set()
+
+    def load(nodes):
+        p, a = _loads(nodes)
+        plain.update(p)
+        attrs.update(a)
+
     for path, text in sources.items():
         tree = ast.parse(text)
-        names |= _loads(tree.body)
-        for qual, node in _definitions(tree):
+        load(tree.body)
+        for qual, node, method in _definitions(tree):
             if isinstance(node, ast.ClassDef):
-                names |= _loads(node.body)
-            defs.append((path, qual, node))
+                load(node.body)
+            defs.append((path, qual, node, method))
     reached = set()
 
     def reach(path, qual, node):
         reached.add((path, qual))
         if not isinstance(node, ast.ClassDef):
-            names.update(_loads(node.body))
+            load(node.body)
 
-    for path, qual, node in defs:
+    for path, qual, node, _ in defs:
         name = node.name
         if qual in roots.get(path, ()) or (name.startswith("__") and name.endswith("__")):
             reach(path, qual, node)
     grown = True
     while grown:
         grown = False
-        for path, qual, node in defs:
-            if (path, qual) not in reached and node.name in names:
+        for path, qual, node, method in defs:
+            if (path, qual) not in reached and (node.name in attrs or not method and node.name in plain):
                 reach(path, qual, node)
                 grown = True
-    return sorted(f"{path}: {qual}" for path, qual, _ in defs if (path, qual) not in reached)
+    return sorted(f"{path}: {qual}" for path, qual, _, _ in defs if (path, qual) not in reached)
 
 
 SOLVES = {"solve_left", "solve_right", "solve_in_hom"}
@@ -506,8 +516,9 @@ def test_reachability_checker_flags_what_it_should():
     )
     lib = (
         "def run(f):\n"
+        "    span = f\n"
         "    def inner():\n"
-        "        return f()\n"
+        "        return span().label\n"
         "    def never():\n"
         "        return 0\n"
         "    return inner()\n"
@@ -521,6 +532,10 @@ def test_reachability_checker_flags_what_it_should():
         "        return fmt()\n"
         "    def unused(self):\n"
         "        return orphan()\n"
+        "    def span(self):\n"
+        "        return 0\n"
+        "    def label(self):\n"
+        "        return ''\n"
         "def tag():\n"
         "    return 'usage'\n"
         "def fmt():\n"
@@ -531,11 +546,14 @@ def test_reachability_checker_flags_what_it_should():
         "    pass\n"
     )
     sources = {"cli.py": cli, "lib.py": lib}
+    # the local variable ``span`` is no load of the method ``Usage.span``;
+    # ``span().label`` is one of ``Usage.label``
     assert unreachable(sources, {"cli.py": {"main", "_Parser.error"}}) == [
-        "lib.py: Planted", "lib.py: Usage.unused", "lib.py: orphan", "lib.py: run.never"]
+        "lib.py: Planted", "lib.py: Usage.span", "lib.py: Usage.unused", "lib.py: orphan",
+        "lib.py: run.never"]
     assert unreachable(sources, {"cli.py": {"main"}}) == [
-        "cli.py: _Parser.error", "lib.py: Planted", "lib.py: Usage", "lib.py: Usage.unused",
-        "lib.py: orphan", "lib.py: run.never"]
+        "cli.py: _Parser.error", "lib.py: Planted", "lib.py: Usage", "lib.py: Usage.span",
+        "lib.py: Usage.unused", "lib.py: orphan", "lib.py: run.never"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])

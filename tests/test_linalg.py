@@ -10,7 +10,7 @@ from stratakit.linalg import GF2, GF3, QQ, Field, InconsistentSystem, Matrix, Su
 from stratakit.modules import RightModule, projective_module, regular_module
 from stratakit.specfile import build_algebra
 
-from support import load_fixture
+from support import load_fixture, span
 
 
 def mat(field, rows, cols=None):
@@ -97,20 +97,20 @@ def test_subspace_whole_and_zero():
     v = Subspace.zero(GF2, 3)
     assert u.sum(v) == u
     assert intersection(u, v) == v
-    w = Subspace.span(GF2, [(1, 1, 0)], 3)
+    w = span(GF2, [(1, 1, 0)], 3)
     assert w.sum(w) == w and intersection(w, w) == w
 
 
 def test_subspace_three_dim_example():
-    u = Subspace.span(GF2, [(1, 0, 0), (0, 1, 0)], 3)
-    v = Subspace.span(GF2, [(0, 1, 0), (0, 0, 1)], 3)
+    u = span(GF2, [(1, 0, 0), (0, 1, 0)], 3)
+    v = span(GF2, [(0, 1, 0), (0, 0, 1)], 3)
     inter = intersection(u, v)
-    assert inter == Subspace.span(GF2, [(0, 1, 0)], 3)
+    assert inter == span(GF2, [(0, 1, 0)], 3)
     assert u.sum(v) == Subspace.full(GF2, 3)
 
 
 def test_quotient_with_section():
-    u = Subspace.span(GF2, [(1, 1, 0)], 3)
+    u = span(GF2, [(1, 1, 0)], 3)
     proj, sec = u.quotient_maps()
     assert proj.rows == 3 and proj.cols == 2
     assert (sec @ proj) == Matrix.identity(GF2, 2)
@@ -162,7 +162,7 @@ def subspace_pairs(field, ambient):
     elt = st.integers(min_value=0, max_value=field.p - 1)
     vec = st.lists(elt, min_size=ambient, max_size=ambient)
     vecs = st.lists(vec, min_size=0, max_size=ambient + 1)
-    spc = vecs.map(lambda vs: Subspace.span(field, [tuple(v) for v in vs], ambient))
+    spc = vecs.map(lambda vs: span(field, [tuple(v) for v in vs], ambient))
     return st.tuples(spc, spc)
 
 
@@ -218,7 +218,7 @@ def subspace_and_vector(field):
     """A subspace of k^n and a vector of k^n, for n in 1..4."""
     def build(n):
         vec = st.lists(elements(field), min_size=n, max_size=n).map(tuple)
-        spc = st.lists(vec, max_size=n + 1).map(lambda vs: Subspace.span(field, vs, n))
+        spc = st.lists(vec, max_size=n + 1).map(lambda vs: span(field, vs, n))
         return st.tuples(spc, vec)
 
     return st.integers(1, 4).flatmap(build)
@@ -352,6 +352,34 @@ def test_entries_are_hashed_once():
         {m: 0, u: 0, a: 0, mod: 0}
     # the four entries of m and the two of a (its table and its unit), each once
     assert CountingInt.calls == 4 + 2
+
+
+# ---------------------------------------------------------------------------
+# a matrix is ranked once
+
+
+def test_second_rank_runs_no_elimination(monkeypatch):
+    calls = []
+    rref = Matrix.rref
+
+    def counting_rref(self):
+        calls.append(self)
+        return rref(self)
+
+    monkeypatch.setattr(Matrix, "rref", counting_rref)
+    m = mat(QQ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    assert m.rank() == 2 and len(calls) == 1
+    assert m.rank() == 2 and len(calls) == 1
+    # an equal matrix built afresh is ranked on its own
+    assert mat(QQ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]]).rank() == 2 and len(calls) == 2
+
+
+def test_kept_rank_is_no_part_of_equality_or_hash():
+    ranked, fresh = mat(GF3, [[1, 2], [2, 1]]), mat(GF3, [[1, 2], [2, 1]])
+    ranked.rank()
+    assert "_rank" in vars(ranked) and "_rank" not in vars(fresh)
+    assert ranked == fresh and hash(ranked) == hash(fresh) == _field_hash(fresh)
+    assert "_rank" not in {f.name for f in dataclasses.fields(Matrix)}
 
 
 def matrix_and_vector(field):

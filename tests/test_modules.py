@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import pytest
 
 from stratakit.algebra import quotient_by_idempotent_ideal
-from stratakit.linalg import Matrix, Subspace
+from stratakit.linalg import Matrix
 from stratakit.modules import (
     ModuleMap,
     RightModule,
@@ -32,7 +32,7 @@ from stratakit.modules import (
 )
 from stratakit.specfile import build_algebra, parse_spec
 
-from support import load_fixture
+from support import load_fixture, span
 
 
 @pytest.fixture(scope="module")
@@ -252,7 +252,7 @@ def test_submodule_of_a_non_closed_subspace_is_rejected(a2):
     # the unit spans a line, but its multiples fill the whole algebra
     reg = regular_module(a2)
     with pytest.raises(ValueError, match="subspace not closed under the action"):
-        submodule(reg, Subspace.span(a2.field, [a2.unit], reg.dim))
+        submodule(reg, span(a2.field, [a2.unit], reg.dim))
 
 
 def test_sum_of_maps_with_different_ends_is_rejected(a2):

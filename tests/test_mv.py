@@ -18,7 +18,7 @@ from stratakit.mv import (
 from stratakit.recollement import intermediate_extension, verify_recollement
 
 from oracles import mv_subobject_pairs
-from support import load_fixture
+from support import load_fixture, mv_direct_sum
 
 MV_FIXTURES = ["FIX-MV-ID", "FIX-MV-ZERO", "FIX-MV-PROD", "FIX-MV-PAIR"]
 
@@ -192,7 +192,7 @@ def test_direct_sum_universal_maps(all_data):
         cat = MVCategory(data)
         r = mv_recollement(data)
         objs = [o for _, o in generating_objects(r, data)]
-        total, injs, projs = cat.direct_sum(objs[:3])
+        total, injs, projs = mv_direct_sum(cat, objs[:3])
         for inj, proj in zip(injs, projs):
             assert (inj.then(proj) - cat.identity(inj.source)).is_zero
         assert total.dim == sum(o.dim for o in objs[:3])
@@ -207,7 +207,7 @@ def test_universal_property_probes(all_data):
         objs = list(base)
         for i in range(len(base)):
             for j in range(i, len(base)):
-                objs.append(cat.direct_sum([base[i], base[j]])[0])
+                objs.append(mv_direct_sum(cat, [base[i], base[j]])[0])
         rng = random.Random(41)
         probes = 0
         attempts = 0

@@ -8,7 +8,7 @@ import pytest
 
 from stratakit.algebra import opposite
 from stratakit.category import ModuleCategory, ShortExactSequence, solve_in_hom
-from stratakit.linalg import InconsistentSystem, Subspace
+from stratakit.linalg import InconsistentSystem
 from stratakit.modules import (
     hom_basis,
     identity_map,
@@ -29,7 +29,7 @@ from stratakit.recollement import (
 )
 from stratakit.specfile import build_algebra
 
-from support import is_injective, load_fixture
+from support import is_injective, load_fixture, span
 
 FIXTURES = ["FIX-A2", "FIX-A3", "FIX-NAK", "FIX-DUAL", "FIX-KRO", "FIX-LOOP"]
 
@@ -205,8 +205,6 @@ def test_smallest_submodule_with_killed_quotient():
     exhaustive enumeration of submodules over GF(2)."""
     import itertools
 
-    from stratakit.linalg import Subspace
-
     a = algebra("FIX-NAK")
     r = make_idempotent_recollement(a, ["2"])
     data = r.extras["idempotent_data"]
@@ -216,10 +214,10 @@ def test_smallest_submodule_with_killed_quotient():
         mea_vecs = []
         for k in range(a.dim):
             mea_vecs.extend((act_e @ m.action[k]).row_list())
-        mea = Subspace.span(a.field, mea_vecs, m.dim)
+        mea = span(a.field, mea_vecs, m.dim)
         # enumerate all submodules of m (dim 2 over GF(2): tiny)
         for rows in itertools.product(itertools.product(range(2), repeat=m.dim), repeat=m.dim):
-            space = Subspace.span(a.field, list(rows), m.dim)
+            space = span(a.field, list(rows), m.dim)
             closed = all(
                 space.contains((space.basis @ m.action[k]).row(i))
                 for k in range(a.dim)
@@ -233,7 +231,7 @@ def test_smallest_submodule_with_killed_quotient():
         # dual statement: a submodule is killed by e iff it sits inside i_right
         sub_space = r.counit_sub(m).mat.row_space()
         for rows in itertools.product(itertools.product(range(2), repeat=m.dim), repeat=m.dim):
-            space = Subspace.span(a.field, list(rows), m.dim)
+            space = span(a.field, list(rows), m.dim)
             closed = all(
                 space.contains((space.basis @ m.action[k]).row(i))
                 for k in range(a.dim)
