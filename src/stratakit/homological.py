@@ -21,7 +21,7 @@ from .modules import (
     hom_basis,
     kernel,
     projective_cover,
-    structural_series,
+    top,
     zero_map,
     zero_module,
 )
@@ -231,7 +231,7 @@ def universal_extension(m: RightModule, targets: list[RightModule]) -> Universal
     for b in targets:
         if b.dim == 0:
             raise ValueError("zero module is not a valid extension target")
-        if b.dim > 1 and structural_series(b).top.dim != 1 and len(hom_basis(b, b)) != 1:
+        if b.dim > 1 and top(b)[0].dim != 1 and len(hom_basis(b, b)) != 1:
             raise ValueError("extension target lacks a local endomorphism ring certificate")
     spaces = [ext(m, b, 1) for b in targets]
     mults = tuple(s.dim for s in spaces)

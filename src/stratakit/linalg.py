@@ -496,10 +496,6 @@ class Subspace:
     def zero(field: Field, ambient: int) -> "Subspace":
         return Subspace(ambient, Matrix(field, 0, ambient, ()), ())
 
-    @staticmethod
-    def full(field: Field, ambient: int) -> "Subspace":
-        return Subspace(ambient, Matrix.identity(field, ambient), tuple(range(ambient)))
-
     @property
     def field(self) -> Field:
         return self.basis.field

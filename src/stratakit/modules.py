@@ -280,12 +280,6 @@ class Bimodule:
     left_action: tuple[Matrix, ...]
     right_action: tuple[Matrix, ...]
 
-    def left_of(self, vec: Sequence) -> Matrix:
-        return combine(vec, self.left_action, Matrix.zero(self.left_algebra.field, self.dim, self.dim))
-
-    def right_of(self, vec: Sequence) -> Matrix:
-        return combine(vec, self.right_action, Matrix.zero(self.right_algebra.field, self.dim, self.dim))
-
     def tensor_functor(self) -> "TensorFunctor":
         """X |-> X (x)_L B from right L-modules to right R-modules (L, R the
         left and right algebras).
@@ -373,17 +367,17 @@ class HomFunctor(NamedTuple):
 def validate_bimodule(b: Bimodule) -> None:
     L, R = b.left_algebra, b.right_algebra
     F = L.field
-    ident = Matrix.identity(F, b.dim)
-    if b.left_of(L.unit) != ident or b.right_of(R.unit) != ident:
+    ident, zero = Matrix.identity(F, b.dim), Matrix.zero(F, b.dim, b.dim)
+    if combine(L.unit, b.left_action, zero) != ident or combine(R.unit, b.right_action, zero) != ident:
         raise ValueError("units must act as the identity on the bimodule")
     for i in range(R.dim):
         for j in range(R.dim):
-            if b.right_action[i] @ b.right_action[j] != b.right_of(R.mult[i][j]):
+            if b.right_action[i] @ b.right_action[j] != combine(R.mult[i][j], b.right_action, zero):
                 raise ValueError("right action is not multiplicative")
     for i in range(L.dim):
         for j in range(L.dim):
             # (s s') . v applies s' first in row convention
-            if b.left_action[j] @ b.left_action[i] != b.left_of(L.mult[i][j]):
+            if b.left_action[j] @ b.left_action[i] != combine(L.mult[i][j], b.left_action, zero):
                 raise ValueError("left action is not multiplicative")
     for i in range(L.dim):
         for j in range(R.dim):
@@ -418,47 +412,32 @@ def corner_bimodules(
     return ea, ae
 
 
-# -- radical, top, socle ------------------------------------------------------
+# -- the two submodule rules: M·S and its annihilator ---------------------------
 
 
-def radical_subspace(m: RightModule) -> Subspace:
-    A = m.algebra
-    ent = tuple(x for r in range(A.radical.dim) for x in m.action_of(A.radical.basis.row(r)).entries)
-    return Matrix(A.field, A.radical.dim * m.dim, m.dim, ent).row_space()
+def times(m: RightModule, elements: Sequence[Sequence]) -> Subspace:
+    """M·S, the span of v·s over v in m and s in ``elements`` (algebra
+    elements as coordinate vectors): the row space of the stacked
+    ``m.action_of(s)``.  It is a submodule when S spans a right ideal (M rad A,
+    M e A); an empty S gives the zero space."""
+    acts = [m.action_of(s) for s in elements]
+    ent = tuple(x for act in acts for x in act.entries)
+    return Matrix(m.algebra.field, len(acts) * m.dim, m.dim, ent).row_space()
 
 
-def trace_space(m: RightModule, e: Sequence) -> Subspace:
-    """M e A, the smallest submodule of m containing M e: the span of the
-    rows of act(e) @ act(b_k) over the basis b_k of the algebra."""
-    act_e = m.action_of(e)
-    ent = tuple(x for k in range(m.algebra.dim) for x in (act_e @ m.action[k]).entries)
-    return Matrix(m.algebra.field, m.algebra.dim * m.dim, m.dim, ent).row_space()
+def annihilator(m: RightModule, elements: Sequence[Sequence]) -> Subspace:
+    """{v : v·s = 0 for every s in ``elements``}: the left kernel of the
+    ``m.action_of(s)`` side by side.  It is a submodule when S spans a left
+    ideal (the socle for S a basis of rad A); an empty S gives the whole
+    space."""
+    acts = [m.action_of(s) for s in elements]
+    ent = tuple(x for i in range(m.dim) for act in acts for x in act.row(i))
+    return Matrix(m.algebra.field, m.dim, len(acts) * m.dim, ent).left_kernel()
 
 
-def socle_subspace(m: RightModule) -> Subspace:
-    A = m.algebra
-    F = A.field
-    if A.radical.dim == 0 or m.dim == 0:
-        return Subspace.full(F, m.dim)
-    stacked = None
-    for r in range(A.radical.dim):
-        mat = m.action_of(A.radical.basis.row(r))
-        stacked = mat if stacked is None else stacked.hstack(mat)
-    return stacked.left_kernel()
-
-
-@dataclass(frozen=True)
-class StructuralSeries:
-    radical: Subspace
-    top: RightModule
-    top_projection: ModuleMap
-    socle: Subspace
-
-
-def structural_series(m: RightModule) -> StructuralSeries:
-    rad = radical_subspace(m)
-    top, proj = quotient_module(m, rad)
-    return StructuralSeries(radical=rad, top=top, top_projection=proj, socle=socle_subspace(m))
+def top(m: RightModule) -> tuple[RightModule, ModuleMap]:
+    """The top M / M rad A, with its projection."""
+    return quotient_module(m, times(m, m.algebra.radical.basis.row_list()))
 
 
 # -- distinguished modules ----------------------------------------------------
@@ -477,7 +456,7 @@ def projective_module(algebra: Algebra, vertex: str) -> tuple[RightModule, Modul
 def simple_module(algebra: Algebra, vertex: str) -> RightModule:
     """S(v): the top of P(v)."""
     p, _ = projective_module(algebra, vertex)
-    return structural_series(p).top
+    return top(p)[0]
 
 
 def dual_module(m: RightModule) -> RightModule:
@@ -525,22 +504,21 @@ def projective_cover(m: RightModule) -> Cover:
     if m.dim == 0:
         z = zero_module(A)
         return Cover(z, ModuleMap(z, m, Matrix.zero(F, 0, 0)), ())
-    series = structural_series(m)
-    top, proj = series.top, series.top_projection
+    head, proj = top(m)
 
     pieces: list[tuple[str, tuple]] = []  # (vertex, generator image u in m)
     for v in A.vertex_names:
         ev = A.idempotent_vec(v)
         me_v = m.action_of(ev)
-        picked = Subspace.zero(F, top.dim)
-        target_dim = top.action_of(ev).rank()
+        picked = Subspace.zero(F, head.dim)
+        target_dim = head.action_of(ev).rank()
         for r in range(me_v.rows):
             if picked.dim == target_dim:
                 break
             u = me_v.row(r)
             tu = proj.mat.apply_row(u)
             if any(x != F.zero for x in tu) and not picked.contains(tu):
-                picked = picked.sum(Matrix(F, 1, top.dim, tu).row_space())
+                picked = picked.sum(Matrix(F, 1, head.dim, tu).row_space())
                 pieces.append((v, u))
         assert picked.dim == target_dim, "top basis lifting failed"
 
@@ -556,7 +534,7 @@ def projective_cover(m: RightModule) -> Cover:
     phi = ModuleMap(big, m, Matrix(F, big.dim, m.dim, tuple(x for blk in blocks for x in blk.entries)))
     assert phi.is_surjective(), "cover map not surjective"
     ker_space = phi.mat.left_kernel()
-    assert radical_subspace(big).contains_space(ker_space), "cover not essential"
+    assert times(big, A.radical.basis.row_list()).contains_space(ker_space), "cover not essential"
     summands = tuple((v, counts[v]) for v in A.vertex_names if v in counts)
     return Cover(big, phi, summands)
 

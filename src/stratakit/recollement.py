@@ -39,11 +39,12 @@ from .modules import (
     Bimodule,
     ModuleMap,
     RightModule,
+    annihilator,
     corner_bimodules,
     quotient_module,
     restrict_scalars,
     submodule,
-    trace_space,
+    times,
 )
 
 
@@ -141,8 +142,8 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
     elif len(data.vertices) == len(a.vertex_names):
         degenerate = "zero-Z"
 
-    de = data.e_a.rows
-    na = data.a_e.rows
+    e_a_rows, a_e_rows = data.e_a.row_list(), data.a_e.row_list()
+    de, na = len(e_a_rows), len(a_e_rows)
 
     # e as a 1 x de row over the basis of eA, and as a 1 x na row over Ae
     e_row = Matrix(F, 1, a.dim, e)
@@ -158,7 +159,7 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
 
     @functools.cache
     def restrict_space(m: RightModule) -> Subspace:
-        return m.action_of(e).row_space()
+        return times(m, [e])  # M e
 
     @functools.cache
     def j_restrict_obj(m: RightModule) -> RightModule:
@@ -178,7 +179,7 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
 
     @functools.cache
     def killed_space(m: RightModule) -> Subspace:
-        return trace_space(m, e)  # M e A
+        return times(m, e_a_rows)  # M e A
 
     @functools.cache
     def i_left_obj(m: RightModule) -> RightModule:
@@ -192,15 +193,7 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
 
     @functools.cache
     def sub_space(m: RightModule) -> Subspace:
-        # {v : v (b e) = 0 for all b}
-        if m.dim == 0:
-            return Subspace.zero(F, 0)
-        act_e = m.action_of(e)
-        stacked = None
-        for k in range(a.dim):
-            mat = m.action[k] @ act_e
-            stacked = mat if stacked is None else stacked.hstack(mat)
-        return stacked.left_kernel()
+        return annihilator(m, a_e_rows)  # {v : v A e = 0}
 
     @functools.cache
     def i_right_obj(m: RightModule) -> RightModule:
@@ -243,7 +236,7 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
         src_u = j_restrict_obj(m)
         BM = restrict_space(m).basis
         dx = src_u.dim
-        acts = [m.action_of(data.e_a.row(j)) for j in range(de)]
+        acts = [m.action_of(x) for x in e_a_rows]
         big = Matrix(F, dx * de, m.dim,
                      tuple(x for i in range(dx) for act in acts for x in act.apply_row(BM.row(i))))
         W = tensor.relations(src_u)
@@ -254,7 +247,7 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
     def unit_jr(m: RightModule) -> ModuleMap:
         # m |-> (ae |-> m*(ae)) in Hom_Gamma(Ae, Me)
         mu = j_restrict_obj(m)
-        acts = [m.action_of(data.a_e.row(t)) for t in range(na)]
+        acts = [m.action_of(x) for x in a_e_rows]
         # row (i, t) is e_i * (Ae row t), written in the basis of M e by one solve
         rows = tuple(x for i in range(m.dim) for t in range(na) for x in acts[t].row(i))
         coords = restrict_space(m).basis.solve_left(Matrix(F, m.dim * na, m.dim, rows))

@@ -27,6 +27,7 @@ from .linalg import InconsistentSystem, Matrix, Subspace
 from .modules import (
     ModuleMap,
     RightModule,
+    annihilator,
     hom_basis,
     hom_combinations,
     image,
@@ -38,9 +39,9 @@ from .modules import (
     quotient_module,
     restrict_scalars,
     simple_module,
-    structural_series,
     submodule,
-    trace_space,
+    times,
+    top,
 )
 from .recollement import (
     Recollement,
@@ -119,9 +120,9 @@ class Poset:
         remaining = set(self.elements)
         order: list[str] = []
         while remaining:
-            top = self.maximal_in(frozenset(remaining))[0]
-            order.insert(0, top)
-            remaining.discard(top)
+            peak = self.maximal_in(frozenset(remaining))[0]
+            order.insert(0, peak)
+            remaining.discard(peak)
         return tuple(order)
 
 
@@ -190,16 +191,17 @@ def filtration_search(
     "oracle"; over Q only basis maps and their pairwise sums are tried,
     and the certificate is labelled "heuristic".
     """
-    for name, obj in allowed:
-        if obj.dim == 0 or structural_series(obj).top.dim != 1:
+    allowed = [(name, obj, top(obj)[1]) for name, obj in allowed]
+    for name, _, top_proj in allowed:
+        if top_proj.target.dim != 1:
             raise ValueError(f"allowed object {name} lacks a simple top")
     budget = [FILTRATION_NODE_CAP]
     search_mode = "oracle" if m.algebra.field.is_finite else "heuristic"
 
     if mode == "exact-layers":
-        layers = _search_exact(m, list(allowed), budget)
+        layers = _search_exact(m, allowed, budget)
     elif mode == "quotient-layers":
-        layers = _search_quotient(m, list(allowed), budget)
+        layers = _search_quotient(m, allowed, budget)
     else:
         raise ValueError(f"unknown filtration mode {mode!r}")
     if layers is None:
@@ -214,7 +216,8 @@ def _spend(budget) -> None:
 
 
 def _search_exact(m, allowed, budget, embed=None):
-    """Top-down peel; returns layers listed bottom-up, with subspaces of the
+    """Top-down peel over the (name, object, top projection) triples of
+    ``allowed``; returns layers listed bottom-up, with subspaces of the
     original module."""
     F = m.algebra.field
     if embed is None:
@@ -222,10 +225,9 @@ def _search_exact(m, allowed, budget, embed=None):
     if m.dim == 0:
         return []
     full = Subspace.from_matrix(embed)
-    for name, obj in allowed:
+    for name, obj, top_proj in allowed:
         if obj.dim > m.dim:
             continue
-        top_proj = structural_series(obj).top_projection
         for h in hom_combinations(hom_basis(m, obj), F, F.is_finite):
             _spend(budget)
             if h.then(top_proj).is_zero:
@@ -247,7 +249,7 @@ def _search_quotient(m, allowed, budget, proj=None):
     if m.dim == 0:
         return []
     below = proj.left_kernel()
-    for name, obj in allowed:
+    for name, obj, _ in allowed:
         for phi in hom_combinations(hom_basis(obj, m), F, F.is_finite):
             _spend(budget)
             if phi.is_zero:
@@ -488,12 +490,10 @@ class Stratification:
     def _check_family(self, fam: StandardObjects) -> None:
         lb = simple_module(self.algebra, fam.vertex)
         for name, mod in (("std", fam.std), ("proper_std", fam.proper_std)):
-            top = structural_series(mod).top
-            if not is_isomorphic(top, lb).isomorphic:
+            if not is_isomorphic(top(mod)[0], lb).isomorphic:
                 raise StratificationError(f"{name}({fam.vertex}) does not have simple top L({fam.vertex})")
         for name, mod in (("costd", fam.costd), ("proper_costd", fam.proper_costd)):
-            soc_space = structural_series(mod).socle
-            soc, _ = submodule(mod, soc_space)
+            soc, _ = submodule(mod, annihilator(mod, self.algebra.radical.basis.row_list()))
             if not is_isomorphic(soc, lb).isomorphic:
                 raise StratificationError(f"{name}({fam.vertex}) does not have simple socle L({fam.vertex})")
 
@@ -612,9 +612,9 @@ def synthesize_projective_cover(s: Stratification, t: str) -> SynthesisResult:
 def _assert_layer_cover(algebra: Algebra, current: RightModule, t: str) -> None:
     """Unique simple quotient L(t) with multiplicity one, and no first
     self-extensions against any simple: the two certifying assertions."""
-    top = structural_series(current).top
+    head, _ = top(current)
     lt = simple_module(algebra, t)
-    if top.dim != 1 or not is_isomorphic(top, lt).isomorphic:
+    if head.dim != 1 or not is_isomorphic(head, lt).isomorphic:
         raise StratificationError(f"synthesis lost the unique simple quotient at {t}")
     for u in algebra.vertex_names:
         if ext_dim(current, simple_module(algebra, u), 1) != 0:
@@ -636,7 +636,8 @@ def porism_check(s: Stratification, b: str) -> PorismResult:
     lam = s.rho[b]
     p_b, _ = projective_module(s.algebra, b)
     outside = [v for v in s.algebra.vertex_names if not s.poset.leq(s.rho[v], lam)]
-    w = trace_space(p_b, s.algebra.idempotent_sum(outside))
+    e = s.algebra.idempotent_sum(outside)
+    w = times(p_b, s.algebra.left_mult_matrix(e).row_list())  # P(b) e A
     q_mod, _ = submodule(p_b, w)
     quo, _ = quotient_module(p_b, w)
     fams = s.standard_objects()

@@ -39,7 +39,7 @@ from stratakit.modules import (
     submodule,
 )
 
-from support import span
+from support import full, span
 
 ORACLE_BIT_CAP = 22
 
@@ -193,7 +193,7 @@ def verify_filtration_certificate(cert) -> bool:
                      for h in hom_combinations(hom_basis(allowed, quotient_layer), F, F.is_finite)):
             return False
         prev = layer.above
-    return prev == Subspace.full(F, m.dim)
+    return prev == full(F, m.dim)
 
 
 def algebra_issues_by_mul_vec(a) -> tuple[tuple[str, str], ...]:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Iterable, Sequence
 
+from stratakit.algebra import Algebra, build_bound_quiver_algebra
 from stratakit.corpus import corpus_index, fixture_bytes
 from stratakit.homological import ext_dim
-from stratakit.linalg import Field, Matrix, Subspace
+from stratakit.linalg import GF2, GF3, QQ, Field, Matrix, Subspace
 from stratakit.modules import ModuleMap
 from stratakit.modules import direct_sum as module_sum
 from stratakit.mv import MVMorphism
@@ -24,12 +26,34 @@ def load_fixture(name: str) -> AlgebraSpec:
     raise KeyError(f"no bundled fixture named {name}")
 
 
+@functools.cache
+def fixture_algebras() -> tuple[Algebra, ...]:
+    """Every bundled fixture's bound quiver rebuilt over GF(2), GF(3) and Q,
+    where it is admissible and finite-dimensional there."""
+    out = []
+    for entry in corpus_index():
+        if entry.expect_error is not None:
+            continue
+        pres = load_fixture(entry.name).presentation
+        for F in (GF2, GF3, QQ):
+            try:
+                out.append(build_bound_quiver_algebra(pres, F))
+            except ValueError:
+                continue
+    return tuple(out)
+
+
 def span(field: Field, vectors: Iterable[Sequence], ambient: int) -> Subspace:
     """The span of ``vectors`` in k^ambient; entries are coerced into the field."""
     rows = [tuple(v) for v in vectors]
     if not rows:
         return Subspace.zero(field, ambient)
     return Matrix.from_rows(field, rows, cols=ambient).row_space()
+
+
+def full(field: Field, ambient: int) -> Subspace:
+    """The whole of k^ambient."""
+    return Subspace(ambient, Matrix.identity(field, ambient), tuple(range(ambient)))
 
 
 def is_injective(f) -> bool:

@@ -16,12 +16,11 @@ from stratakit.algebra import (
     quotient_by_idempotent_ideal,
     validate_algebra,
 )
-from stratakit.corpus import corpus_index
-from stratakit.linalg import GF2, GF3, QQ, Subspace
+from stratakit.linalg import GF2, GF3, QQ
 from stratakit.specfile import build_algebra
 
 from oracles import algebra_issues_by_mul_vec
-from support import load_fixture, span
+from support import fixture_algebras, full, load_fixture, span
 
 
 @pytest.fixture(scope="module")
@@ -184,23 +183,7 @@ def test_build_deterministic():
     assert s1 == s2
 
 
-def _fixture_algebras():
-    """Every bundled fixture's bound quiver rebuilt over GF(2), GF(3) and Q,
-    where it is admissible and finite-dimensional there."""
-    out = []
-    for entry in corpus_index():
-        if entry.expect_error is not None:
-            continue
-        pres = load_fixture(entry.name).presentation
-        for F in (GF2, GF3, QQ):
-            try:
-                out.append(build_bound_quiver_algebra(pres, F))
-            except ValueError:
-                continue
-    return out
-
-
-FIXTURE_ALGEBRAS = _fixture_algebras()
+FIXTURE_ALGEBRAS = fixture_algebras()
 
 
 def _vector(F, n):
@@ -250,7 +233,7 @@ def test_generating_vectors_generate():
         derived = ([corner_algebra(a, [v]).algebra for v in a.vertex_names]
                    + [quotient_by_idempotent_ideal(a, [v]).algebra for v in a.vertex_names])
         for b in [a] + derived:
-            assert _generated(b) == Subspace.full(b.field, b.dim), b.basis_labels
+            assert _generated(b) == full(b.field, b.dim), b.basis_labels
 
 
 def test_fixture_algebras_cover_every_field():

@@ -21,9 +21,9 @@ from stratakit.modules import (
     kernel,
     projective_cover,
     projective_module,
-    radical_subspace,
     regular_module,
     simple_module,
+    times,
     zero_map,
 )
 from stratakit.specfile import build_algebra
@@ -69,9 +69,9 @@ def test_resolution_periodic_nak(nak):
     dims = [t.dim for t in res.terms]
     assert dims == [2, 2, 2, 2, 2]
     # alternating covers P(1), P(2), P(1), ...
-    from stratakit.modules import structural_series
+    from stratakit.modules import top
 
-    tops = [structural_series(t).top.vertex_dims() for t in res.terms]
+    tops = [top(t)[0].vertex_dims() for t in res.terms]
     assert tops[0] != tops[1] and tops[0] == tops[2]
 
 
@@ -80,7 +80,7 @@ def test_minimality_differentials_in_radical(a2, nak):
         s = simple_module(alg, v)
         res = projective_resolution(s, 3)
         for i, d in enumerate(res.differentials, start=1):
-            rad = radical_subspace(res.terms[i - 1])
+            rad = times(res.terms[i - 1], alg.radical.basis.row_list())
             assert rad.contains_space(d.mat.row_space())
 
 

@@ -10,7 +10,7 @@ from stratakit.linalg import GF2, GF3, QQ, Field, InconsistentSystem, Matrix, Su
 from stratakit.modules import RightModule, projective_module, regular_module
 from stratakit.specfile import build_algebra
 
-from support import load_fixture, span
+from support import full, load_fixture, span
 
 
 def mat(field, rows, cols=None):
@@ -93,7 +93,7 @@ def intersection(u: Subspace, v: Subspace) -> Subspace:
 
 
 def test_subspace_whole_and_zero():
-    u = Subspace.full(GF2, 3)
+    u = full(GF2, 3)
     v = Subspace.zero(GF2, 3)
     assert u.sum(v) == u
     assert intersection(u, v) == v
@@ -106,7 +106,7 @@ def test_subspace_three_dim_example():
     v = span(GF2, [(0, 1, 0), (0, 0, 1)], 3)
     inter = intersection(u, v)
     assert inter == span(GF2, [(0, 1, 0)], 3)
-    assert u.sum(v) == Subspace.full(GF2, 3)
+    assert u.sum(v) == full(GF2, 3)
 
 
 def test_quotient_with_section():

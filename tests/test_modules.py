@@ -4,11 +4,12 @@ from dataclasses import dataclass
 
 import pytest
 
-from stratakit.algebra import quotient_by_idempotent_ideal
-from stratakit.linalg import Matrix
+from stratakit.algebra import corner_algebra, quotient_by_idempotent_ideal
+from stratakit.linalg import GF2, GF3, QQ, Matrix
 from stratakit.modules import (
     ModuleMap,
     RightModule,
+    annihilator,
     cokernel,
     direct_sum,
     dual_module,
@@ -26,13 +27,14 @@ from stratakit.modules import (
     regular_module,
     restrict_scalars,
     simple_module,
-    structural_series,
     submodule,
+    times,
+    top,
     zero_map,
 )
 from stratakit.specfile import build_algebra, parse_spec
 
-from support import load_fixture, span
+from support import fixture_algebras, full, load_fixture, span
 
 
 @pytest.fixture(scope="module")
@@ -157,27 +159,27 @@ def test_nonzero_map_p2_to_p1(a2):
 
 def test_structural_series_a2(a2):
     p1, _ = projective_module(a2, "1")
-    series = structural_series(p1)
-    assert series.radical.dim == 1
-    assert is_isomorphic(series.top, simple_module(a2, "1")).isomorphic
-    soc, _ = submodule(p1, series.socle)
+    rad = a2.radical.basis.row_list()
+    assert times(p1, rad).dim == 1
+    assert is_isomorphic(top(p1)[0], simple_module(a2, "1")).isomorphic
+    soc, _ = submodule(p1, annihilator(p1, rad))
     assert is_isomorphic(soc, simple_module(a2, "2")).isomorphic
 
 
 def test_structural_series_semisimple(a2):
     s1 = simple_module(a2, "1")
-    series = structural_series(s1)
-    assert series.radical.dim == 0
-    assert series.top.dim == 1
-    assert series.socle.dim == 1
+    rad = a2.radical.basis.row_list()
+    assert times(s1, rad).dim == 0
+    assert top(s1)[0].dim == 1
+    assert annihilator(s1, rad).dim == 1
 
 
 def test_structural_series_dual_numbers(dual):
     reg = regular_module(dual)
-    series = structural_series(reg)
-    assert series.radical.dim == 1
-    assert series.socle.dim == 1
-    assert series.radical == series.socle
+    rad = dual.radical.basis.row_list()
+    assert times(reg, rad).dim == 1
+    assert annihilator(reg, rad).dim == 1
+    assert times(reg, rad) == annihilator(reg, rad)
 
 
 def test_projective_cover_of_projective(a2):
@@ -241,7 +243,7 @@ def test_dual_module_roundtrip(a2):
 
 def test_quotient_and_submodule_consistency(a2):
     reg = regular_module(a2)
-    rad = structural_series(reg).radical
+    rad = times(reg, a2.radical.basis.row_list())
     sub, incl = submodule(reg, rad)
     quo, proj = quotient_module(reg, rad)
     assert sub.dim + quo.dim == reg.dim
@@ -434,3 +436,93 @@ def test_restrict_scalars_along_quotient_projection(a3):
                     for i in range(a3.dim):
                         for j in range(a3.dim):
                             assert m.action[i] @ m.action[j] == m.action_of(a3.mult[i][j])
+
+
+def _rule_cases():
+    """(algebra, fixture modules) for each fixture algebra over GF(2), GF(3)
+    and Q, its vertex corners and its quotients by one vertex: the
+    projectives, injectives and simples of each."""
+    for a in fixture_algebras():
+        derived = ([corner_algebra(a, [v]).algebra for v in a.vertex_names]
+                   + [quotient_by_idempotent_ideal(a, [v]).algebra for v in a.vertex_names])
+        for b in [a] + derived:
+            mods = []
+            for v in b.vertex_names:
+                mods += [projective_module(b, v)[0], injective_module(b, v), simple_module(b, v)]
+            yield b, mods
+
+
+def _stacked(mats, side_by_side):
+    out = mats[0]
+    for x in mats[1:]:
+        out = out.hstack(x) if side_by_side else out.stack(x)
+    return out
+
+
+def test_times_and_annihilator_follow_their_definitions():
+    fields = set()
+    for b, mods in _rule_cases():
+        fields.add(b.field)
+        rad = b.radical.basis.row_list()
+        element_sets = [rad]
+        for v in b.vertex_names:
+            e = b.idempotent_vec(v)
+            element_sets += [[e], b.left_mult_matrix(e).row_space().basis.row_list(),
+                       b.right_mult_matrix(e).row_space().basis.row_list()]
+        for m in mods:
+            F = m.algebra.field
+            assert times(m, []) == span(F, [], m.dim)
+            assert annihilator(m, []) == full(F, m.dim)
+            for elements in element_sets:
+                if not elements or m.dim == 0:
+                    continue
+                acts = [m.action_of(s) for s in elements]
+                # M·S: every v·s, for v a basis vector, and nothing more
+                products = _stacked(acts, side_by_side=False)
+                assert times(m, elements) == span(F, products.row_list(), m.dim)
+                # {v : v·s = 0 for all s}: killed by each s, and as large as the rank allows
+                ann = annihilator(m, elements)
+                assert all(act.apply_row(v) == (F.zero,) * m.dim
+                           for v in ann.basis.row_list() for act in acts)
+                assert ann.dim == m.dim - _stacked(acts, side_by_side=True).rank()
+    assert fields == {GF2, GF3, QQ}
+
+
+def test_the_recollement_spaces_are_the_two_rules():
+    """M e A is M·(a basis of eA) and {v : v A e = 0} the annihilator of a
+    basis of Ae, as ``make_idempotent_recollement`` and ``porism_check``
+    compute them."""
+    for b, mods in _rule_cases():
+        for v in b.vertex_names:
+            e = b.idempotent_vec(v)
+            e_a = b.left_mult_matrix(e).row_space().basis.row_list()
+            a_e = b.right_mult_matrix(e).row_space().basis.row_list()
+            for m in mods:
+                if m.dim == 0:
+                    continue
+                act_e = m.action_of(e)
+                trace = _stacked([act_e @ x for x in m.action], side_by_side=False).row_space()
+                assert times(m, e_a) == trace
+                assert times(m, b.left_mult_matrix(e).row_list()) == trace
+                killed = _stacked([x @ act_e for x in m.action], side_by_side=True).left_kernel()
+                assert annihilator(m, a_e) == killed
+
+
+def test_top_and_simples_compute_no_socle(monkeypatch):
+    """The top is a quotient by M rad A: building it, or a simple module,
+    solves no kernel, so no socle is computed on the way."""
+    kernels = []
+    real = Matrix.left_kernel
+
+    def counted(self):
+        kernels.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Matrix, "left_kernel", counted)
+    for a in fixture_algebras():
+        for v in a.vertex_names:
+            s = simple_module(a, v)
+            for m in (projective_module(a, v)[0], injective_module(a, v), s):
+                head, proj = top(m)
+                assert proj.source == m and proj.target == head and proj.is_surjective()
+    assert kernels == []

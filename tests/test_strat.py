@@ -1,6 +1,8 @@
 import pytest
 
+from stratakit import strat
 from stratakit.modules import (
+    annihilator,
     injective_envelope,
     injective_module,
     is_isomorphic,
@@ -10,7 +12,6 @@ from stratakit.modules import (
     regular_module,
     restrict_map,
     simple_module,
-    structural_series,
     submodule,
 )
 from stratakit.recollement import intermediate_extension
@@ -176,6 +177,20 @@ def test_filtration_nak_fails_exact_mode(strats):
     assert filtration_search(p1, allowed, "exact-layers") is None
 
 
+def test_filtration_search_computes_each_top_once(strats, monkeypatch):
+    """The top projection of each allowed object is computed once per
+    search, not once per search node."""
+    a = strats["FIX-A3"].algebra
+    p1, _ = projective_module(a, "1")
+    allowed = [(f"L({v})", simple_module(a, v)) for v in a.vertex_names]
+    tops = []
+    real = strat.top
+    monkeypatch.setattr(strat, "top", lambda m: tops.append(m) or real(m))
+    cert = filtration_search(p1, allowed, "exact-layers")
+    assert cert is not None and len(cert.layers) == p1.dim > 1
+    assert tops == [obj for _, obj in allowed]
+
+
 def test_filtration_rejects_bad_allowed(strats):
     s = strats["FIX-A2"]
     reg = regular_module(s.algebra)  # top is not simple
@@ -246,7 +261,7 @@ def composition_profile(s, m):
     out = {lam: 0 for lam in s.poset.elements}
     current = m
     while current.dim > 0:
-        soc_space = structural_series(current).socle
+        soc_space = annihilator(current, current.algebra.radical.basis.row_list())
         soc, _ = submodule(current, soc_space)
         for v, idx in zip(s.algebra.vertex_names, s.algebra.idempotent_indices):
             out[s.rho[v]] += soc.action[idx].rank()
