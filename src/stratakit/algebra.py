@@ -110,10 +110,11 @@ class Algebra:
 
     ``cache`` holds data derived from this instance (``sparse_table()``,
     which products and validation read, its generators, its opposite, its
-    regular and projective modules, resolutions of its modules), so it is
-    freed with the algebra;
-    it takes no part in equality, hashing or ``repr``, and is not an
-    ``__init__`` argument, so ``dataclasses.replace`` starts a fresh one.
+    regular module, its projective, simple and injective modules, its
+    idempotent recollements, resolutions of its modules), so it is freed
+    with the algebra; it takes no part in equality, hashing or ``repr``,
+    and is not an ``__init__`` argument, so ``dataclasses.replace`` starts
+    a fresh one.
     """
 
     field: Field
@@ -418,10 +419,13 @@ def validate_algebra(a: Algebra) -> ValidationReport:
         for j in range(a.dim):
             if done:
                 break
-            ij = table[i][j]
+            ij, row_j = table[i][j], table[j]
             for k in range(a.dim):
-                # (b_i b_j) b_k against b_i (b_j b_k)
-                if prod((c, m, k) for m, c in ij) != prod((c, i, m) for m, c in table[j][k]):
+                # (b_i b_j) b_k against b_i (b_j b_k); both are zero when
+                # neither product is in the table
+                if not ij and not row_j[k]:
+                    continue
+                if prod((c, m, k) for m, c in ij) != prod((c, i, m) for m, c in row_j[k]):
                     issues.append(
                         ("associativity",
                          f"({a.basis_labels[i]}*{a.basis_labels[j]})*{a.basis_labels[k]}"

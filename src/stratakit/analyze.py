@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .algebra import opposite
 from .category import ModuleCategory, solve_in_hom
 from .homological import ext, projective_resolution, reduce_cocycle
-from .linalg import Matrix
+from .linalg import InvariantError, Matrix
 from .modules import (
     RightModule,
     dual_module,
@@ -35,12 +35,7 @@ from .modules import (
     restrict_scalars,
     simple_module,
 )
-from .strat import (
-    Poset,
-    Stratification,
-    StratificationError,
-    filtration_search,
-)
+from .strat import Poset, Stratification, StratificationError
 
 
 # -- exactness of the one-sided extension functors ---------------------------
@@ -66,8 +61,13 @@ def exactness_check(s: Stratification, lam: str, side: str) -> ExactnessVerdict:
     Gamma-module; j_* = Hom_Gamma(Bf, -) is exact iff Bf is projective as a
     right Gamma-module.  A positive verdict carries the cover-dimension
     certificate; a negative one exhibits a stratum short exact sequence on
-    which the functor loses exactness.
+    which the functor loses exactness.  The fact does not depend on a sign
+    pattern, so it is computed once per (lam, side) and kept on ``s``.
     """
+    return s.memo(("exactness", lam, side), lambda: _exactness(s, lam, side))
+
+
+def _exactness(s: Stratification, lam: str, side: str) -> ExactnessVerdict:
     data = s.principal_recollement(lam).extras["idempotent_data"]
     gamma = data.corner.algebra
     if side == "j_!":  # fB as a right module over the opposite stratum algebra
@@ -84,7 +84,8 @@ def exactness_check(s: Stratification, lam: str, side: str) -> ExactnessVerdict:
             witness=None,
         )
     witness = _lost_exactness_witness(s, lam, side)
-    assert witness is not None, "non-projective bimodule must lose exactness on some stratum cover"
+    if witness is None:
+        raise InvariantError("non-projective bimodule must lose exactness on some stratum cover")
     return ExactnessVerdict(
         stratum=lam, exact=False,
         reason=f"corner bimodule has dimension {bim.dim} but its cover has dimension {cover_dim}",
@@ -206,9 +207,7 @@ def is_k_homological(s: Stratification, k: int, deep: bool = False) -> Homologic
     injectives when ``deep``).  The verdict does not depend on a sign
     pattern, so it is computed once per (k, deep) and kept on ``s``.
     """
-    if (k, deep) not in s._homological:
-        s._homological[k, deep] = _k_homological(s, k, deep)
-    return s._homological[k, deep]
+    return s.memo(("homological", k, deep), lambda: _k_homological(s, k, deep))
 
 
 def _k_homological(s: Stratification, k: int, deep: bool) -> HomologicalVerdict:
@@ -315,7 +314,7 @@ def _direct_delta_route(s: Stratification, eps: dict[str, str]) -> RouteVerdict:
             if s.poset.leq(s.rho[b], s.rho[c])
         ]
         p_b, _ = projective_module(s.algebra, b)
-        cert = filtration_search(p_b, allowed, mode="exact-layers")
+        cert = s.filtration(p_b, allowed, mode="exact-layers")
         if cert is None:
             return RouteVerdict(False, {"failure": "no sign-standard filtration",
                                         "projective_at": b})
@@ -333,7 +332,7 @@ def _direct_nabla_route(s: Stratification, eps: dict[str, str]) -> RouteVerdict:
             if s.poset.leq(s.rho[b], s.rho[c])
         ]
         d_i_b = dual_module(injective_module(s.algebra, b))
-        cert = filtration_search(d_i_b, allowed, mode="exact-layers")
+        cert = s.filtration(d_i_b, allowed, mode="exact-layers")
         if cert is None:
             return RouteVerdict(False, {"failure": "no sign-costandard filtration",
                                         "injective_at": b})
@@ -416,7 +415,7 @@ def _axiom_route(s: Stratification) -> RouteVerdict:
         allowed = [
             (f"std({mu})", delta[mu]) for mu in poset.elements if poset.lt(lam, mu)
         ]
-        cert = filtration_search(u_mod, allowed, mode="exact-layers")
+        cert = s.filtration(u_mod, allowed, mode="exact-layers")
         if cert is None:
             return RouteVerdict(False, {"failure": "HW3", "stratum": lam,
                                         "kernel_dim": u_mod.dim})

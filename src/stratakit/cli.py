@@ -122,13 +122,13 @@ def checks_validate(spec: AlgebraSpec) -> tuple[list[Check], Session]:
 def checks_recollement(session: Session) -> list[Check]:
     from .category import ModuleCategory
     from .modules import simple_module
-    from .recollement import intermediate_extension, make_idempotent_recollement, verify_recollement
+    from .recollement import intermediate_extension, make_idempotent_recollement
     out = []
     if session.mv is not None:
         from .mv import mv_intermediate_table, mv_recollement
         data = session.mv
         r = mv_recollement(data)
-        rep = verify_recollement(r, _mv_samples(r, data))
+        rep = r.verify(_mv_samples(r, data))
         out.append(Check(
             "mv-recollement",
             "adjoint triples, fully faithful embeddings, orthogonality, adjunction exact sequences",
@@ -153,7 +153,7 @@ def checks_recollement(session: Session) -> list[Check]:
     samples = ModuleCategory(algebra).standard_samples()
     for v in algebra.vertex_names:
         r = make_idempotent_recollement(algebra, [v])
-        rep = verify_recollement(r, samples)
+        rep = r.verify(samples)
         out.append(Check(
             f"recollement(e_{v})",
             "adjoint triples, fully faithful embeddings, orthogonality, adjunction exact sequences",

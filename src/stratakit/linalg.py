@@ -32,8 +32,9 @@ Conventions:
   real yes/no question catches it; everywhere else no solution is a bug.
 * The value types ``Matrix``, ``Subspace``, ``algebra.Algebra`` and
   ``modules.RightModule`` hash once: ``cached_hash`` computes the hash the
-  dataclass would and keeps it on the instance, so a memo keyed by a module
-  does not re-hash its algebra's multiplication table on every lookup.
+  dataclass would and keeps it on the instance (and the names of the
+  compared fields on the class), so a memo keyed by a module does not
+  re-hash its algebra's multiplication table on every lookup.
 """
 
 from __future__ import annotations
@@ -52,6 +53,12 @@ class InconsistentSystem(ArithmeticError):
     """
 
 
+class InvariantError(RuntimeError):
+    """A property that the code itself guarantees does not hold: a program
+    bug, never bad input.  Raised explicitly where an ``assert`` would
+    vanish under ``python -O``."""
+
+
 def cached_hash(self) -> int:
     """``__hash__`` of a frozen value dataclass, computed on first use and
     kept on the instance: hash of the tuple of the fields that take part in
@@ -59,7 +66,11 @@ def cached_hash(self) -> int:
     hash of a string, it is valid in this process only."""
     h = self.__dict__.get("_hash")
     if h is None:
-        h = hash(tuple(getattr(self, f.name) for f in fields(self) if f.compare))
+        cls = type(self)
+        names = cls.__dict__.get("_hash_fields")  # read off the class once
+        if names is None:
+            names = cls._hash_fields = tuple(f.name for f in fields(cls) if f.compare)
+        h = hash(tuple(getattr(self, name) for name in names))
         object.__setattr__(self, "_hash", h)
     return h
 

@@ -454,9 +454,11 @@ def projective_module(algebra: Algebra, vertex: str) -> tuple[RightModule, Modul
 
 
 def simple_module(algebra: Algebra, vertex: str) -> RightModule:
-    """S(v): the top of P(v)."""
-    p, _ = projective_module(algebra, vertex)
-    return top(p)[0]
+    """S(v): the top of P(v) (built once per algebra)."""
+    key = ("simple", vertex)
+    if key not in algebra.cache:
+        algebra.cache[key] = top(projective_module(algebra, vertex)[0])[0]
+    return algebra.cache[key]
 
 
 def dual_module(m: RightModule) -> RightModule:
@@ -469,9 +471,11 @@ def dual_map(f: ModuleMap) -> ModuleMap:
 
 
 def injective_module(algebra: Algebra, vertex: str) -> RightModule:
-    """I(v) = D(e_v A^op)."""
-    p_op, _ = projective_module(opposite(algebra), vertex)
-    return dual_module(p_op)
+    """I(v) = D(e_v A^op) (built once per algebra)."""
+    key = ("injective", vertex)
+    if key not in algebra.cache:
+        algebra.cache[key] = dual_module(projective_module(opposite(algebra), vertex)[0])
+    return algebra.cache[key]
 
 
 # -- covers and envelopes ------------------------------------------------------

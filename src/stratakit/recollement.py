@@ -23,6 +23,7 @@ them unchanged.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Sequence
 
@@ -34,7 +35,7 @@ from .category import (
     mor_eq,
     solve_in_hom,
 )
-from .linalg import Matrix, Subspace
+from .linalg import InvariantError, Matrix, Subspace
 from .modules import (
     Bimodule,
     ModuleMap,
@@ -85,6 +86,17 @@ class Recollement:
     label: str = ""
     degenerate: str | None = None  # "zero-U" (e=0) or "zero-Z" (e=1)
     extras: dict = dc_field(default_factory=dict)
+    # reports of ``verify`` by sample tuple; not an ``__init__`` argument, so
+    # a ``dataclasses.replace`` copy starts with none and is verified afresh
+    reports: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def verify(self, samples: Sequence[tuple[str, object]]) -> RecollementReport:
+        """``verify_recollement`` on ``samples``, run once per sample tuple
+        and kept on this object."""
+        key = tuple(samples)
+        if key not in self.reports:
+            self.reports[key] = verify_recollement(self, samples)
+        return self.reports[key]
 
 
 @dataclass(frozen=True)
@@ -124,7 +136,14 @@ def idempotent_recollement_data(a: Algebra, vertices: Sequence[str]) -> Idempote
 
 
 def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollement:
-    """The recollement of mod-A defined by e = sum of the given vertex idempotents."""
+    """The recollement of mod-A defined by e = sum of the given vertex
+    idempotents, built once per vertex tuple while a caller holds it:
+    ``a.cache`` keeps it weakly, so a battery that builds one after another
+    holds one at a time."""
+    key = ("recollement", tuple(vertices))
+    kept = a.cache[key]() if key in a.cache else None
+    if kept is not None:
+        return kept
     data = idempotent_recollement_data(a, vertices)
     F = a.field
     e = data.e
@@ -212,12 +231,14 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
 
     def counit_quot(z: RightModule) -> ModuleMap:
         src = i_left_obj(i_embed_obj(z))
-        assert src == z, "i_left . i_embed is the identity on the nose here"
+        if src != z:
+            raise InvariantError("i_left . i_embed is not the identity on the nose")
         return ModuleMap(src, z, Matrix.identity(F, z.dim))
 
     def unit_sub(z: RightModule) -> ModuleMap:
         tgt = i_right_obj(i_embed_obj(z))
-        assert tgt == z
+        if tgt != z:
+            raise InvariantError("i_right . i_embed is not the identity on the nose")
         return ModuleMap(z, tgt, Matrix.identity(F, z.dim))
 
     def counit_sub(m: RightModule) -> ModuleMap:
@@ -240,7 +261,8 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
         big = Matrix(F, dx * de, m.dim,
                      tuple(x for i in range(dx) for act in acts for x in act.apply_row(BM.row(i))))
         W = tensor.relations(src_u)
-        assert (W.basis @ big).is_zero, "counit not well defined on the tensor quotient"
+        if not (W.basis @ big).is_zero:
+            raise InvariantError("counit not well defined on the tensor quotient")
         _, secT = W.quotient_maps()
         return ModuleMap(tensor.obj(src_u), m, secT @ big)
 
@@ -264,7 +286,7 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
         return ModuleMap(j_restrict_obj(roof), x, restrict_space(roof).basis @ values)
 
     label = f"e=({'+'.join(data.vertices) if data.vertices else '0'}) in {'x'.join(a.vertex_names)}"
-    return Recollement(
+    r = Recollement(
         cat_z=cat_z,
         cat_c=cat_c,
         cat_u=cat_u,
@@ -286,6 +308,8 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
         degenerate=degenerate,
         extras={"idempotent_data": data},
     )
+    a.cache[key] = weakref.ref(r)
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +345,9 @@ def verify_recollement(r: Recollement, center_samples: Sequence[tuple[str, objec
     center samples under i_left and j_restrict.  Each unit and counit is
     computed once per object for this verification: several axioms read
     the same component, and a component that raises is not cached, so it
-    raises in every check that reads it.
+    raises in every check that reads it.  Each axiom runs once per distinct
+    object of each sample list: the functors are deterministic, so samples
+    with equal values share its answer, and each keeps its own row.
     """
     r = replace(r, **{name: functools.cache(getattr(r, name)) for name in (
         "unit_quot", "counit_quot", "unit_sub", "counit_sub",
@@ -330,90 +356,90 @@ def verify_recollement(r: Recollement, center_samples: Sequence[tuple[str, objec
     z_samples = [(f"i_left({n})", r.i_left(x)) for n, x in center_samples]
     u_samples = [(f"j_restrict({n})", r.j_restrict(x)) for n, x in center_samples]
 
-    def record(axiom, subject, thunk, note=""):
-        # a corrupted functor package may fail to even typecheck; that is a
-        # check failure, not a crash of the verifier
-        try:
-            ok = bool(thunk())
-            err = ""
-        except Exception as exc:  # noqa: BLE001
-            ok = False
-            err = f"raised {type(exc).__name__}: {exc}"
-        out.append(CheckResult(axiom, subject, ok, err or note))
+    answers: dict = {}  # (side, axiom, object) -> (ok, note)
+
+    def record(side, axiom, subject, x, check, note=""):
+        # ``side`` (C, Z or U) names the sample list: when e is 0 or 1 an
+        # object of Z or U can equal one of C, and the same axiom name is
+        # then a different check there
+        key = (side, axiom, x)
+        if key not in answers:
+            # a corrupted functor package may fail to even typecheck; that is
+            # a check failure, not a crash of the verifier
+            try:
+                answers[key] = (bool(check(x)), note)
+            except Exception as exc:  # noqa: BLE001
+                answers[key] = (False, f"raised {type(exc).__name__}: {exc}")
+        out.append(CheckResult(axiom, subject, *answers[key]))
 
     # (R1) triangle identities, 2 per adjunction
     for name, x in center_samples:
-        record("R1:i_left-|i_embed", name, lambda x=x: mor_eq(
+        record("C", "R1:i_left-|i_embed", name, x, lambda x: mor_eq(
             r.i_left.map(r.unit_quot(x)).then(r.counit_quot(r.i_left(x))),
             r.cat_z.identity(r.i_left(x))))
-        record("R1:i_embed-|i_right", name, lambda x=x: mor_eq(
+        record("C", "R1:i_embed-|i_right", name, x, lambda x: mor_eq(
             r.unit_sub(r.i_right(x)).then(r.i_right.map(r.counit_sub(x))),
             r.cat_z.identity(r.i_right(x))))
-        record("R1:j_lower-|j_restrict", name, lambda x=x: mor_eq(
+        record("C", "R1:j_lower-|j_restrict", name, x, lambda x: mor_eq(
             r.unit_jl(r.j_restrict(x)).then(r.j_restrict.map(r.counit_jl(x))),
             r.cat_u.identity(r.j_restrict(x))))
-        record("R1:j_restrict-|j_roof", name, lambda x=x: mor_eq(
+        record("C", "R1:j_restrict-|j_roof", name, x, lambda x: mor_eq(
             r.j_restrict.map(r.unit_jr(x)).then(r.counit_jr(r.j_restrict(x))),
             r.cat_u.identity(r.j_restrict(x))))
     for name, z in z_samples:
-        record("R1:i_left-|i_embed", name, lambda z=z: mor_eq(
+        record("Z", "R1:i_left-|i_embed", name, z, lambda z: mor_eq(
             r.unit_quot(r.i_embed(z)).then(r.i_embed.map(r.counit_quot(z))),
             r.cat_c.identity(r.i_embed(z))))
-        record("R1:i_embed-|i_right", name, lambda z=z: mor_eq(
+        record("Z", "R1:i_embed-|i_right", name, z, lambda z: mor_eq(
             r.i_embed.map(r.unit_sub(z)).then(r.counit_sub(r.i_embed(z))),
             r.cat_c.identity(r.i_embed(z))))
     for name, u in u_samples:
-        record("R1:j_lower-|j_restrict", name, lambda u=u: mor_eq(
+        record("U", "R1:j_lower-|j_restrict", name, u, lambda u: mor_eq(
             r.j_lower.map(r.unit_jl(u)).then(r.counit_jl(r.j_lower(u))),
             r.cat_c.identity(r.j_lower(u))))
-        record("R1:j_restrict-|j_roof", name, lambda u=u: mor_eq(
+        record("U", "R1:j_restrict-|j_roof", name, u, lambda u: mor_eq(
             r.unit_jr(r.j_roof(u)).then(r.j_roof.map(r.counit_jr(u))),
             r.cat_c.identity(r.j_roof(u))))
 
     # (R2) fully faithful embeddings via unit/counit isomorphisms
     for name, z in z_samples:
-        record("R2:i_left.i_embed=id", name, lambda z=z: r.counit_quot(z).is_isomorphism())
-        record("R2:i_right.i_embed=id", name, lambda z=z: r.unit_sub(z).is_isomorphism())
+        record("Z", "R2:i_left.i_embed=id", name, z, lambda z: r.counit_quot(z).is_isomorphism())
+        record("Z", "R2:i_right.i_embed=id", name, z, lambda z: r.unit_sub(z).is_isomorphism())
     for name, u in u_samples:
-        record("R2:j_restrict.j_lower=id", name, lambda u=u: r.unit_jl(u).is_isomorphism())
-        record("R2:j_restrict.j_roof=id", name, lambda u=u: r.counit_jr(u).is_isomorphism())
+        record("U", "R2:j_restrict.j_lower=id", name, u, lambda u: r.unit_jl(u).is_isomorphism())
+        record("U", "R2:j_restrict.j_roof=id", name, u, lambda u: r.counit_jr(u).is_isomorphism())
 
     # (R3) j_restrict i_embed = 0 and the adjoint consequences
     for name, z in z_samples:
-        record("R3:j_restrict.i_embed=0", name, lambda z=z: r.j_restrict(r.i_embed(z)).dim == 0)
+        record("Z", "R3:j_restrict.i_embed=0", name, z, lambda z: r.j_restrict(r.i_embed(z)).dim == 0)
     for name, u in u_samples:
-        record("R3:i_left.j_lower=0", name, lambda u=u: r.i_left(r.j_lower(u)).dim == 0)
-        record("R3:i_right.j_roof=0", name, lambda u=u: r.i_right(r.j_roof(u)).dim == 0)
+        record("U", "R3:i_left.j_lower=0", name, u, lambda u: r.i_left(r.j_lower(u)).dim == 0)
+        record("U", "R3:i_right.j_roof=0", name, u, lambda u: r.i_right(r.j_roof(u)).dim == 0)
 
     # (R4) the two adjunction exact sequences, with end conditions
+    def seq1(x):
+        eps = r.counit_jl(x)  # j_lower j_restrict X -> X
+        eta = r.unit_quot(x)  # X -> i_embed i_left X
+        return exact_at(eps, eta, epi=True)
+
+    def kin(x):
+        k_obj, _ = r.cat_c.kernel(r.counit_jl(x))
+        return r.j_restrict(k_obj).dim == 0
+
+    def seq2(x):
+        mu = r.counit_sub(x)  # i_embed i_right X -> X
+        nu = r.unit_jr(x)     # X -> j_roof j_restrict X
+        return exact_at(mu, nu, mono=True)
+
+    def kout(x):
+        c_obj, _ = r.cat_c.cokernel(r.unit_jr(x))
+        return r.j_restrict(c_obj).dim == 0
+
     for name, x in center_samples:
-        def seq1(x=x):
-            eps = r.counit_jl(x)  # j_lower j_restrict X -> X
-            eta = r.unit_quot(x)  # X -> i_embed i_left X
-            return exact_at(eps, eta, epi=True)
-
-        record("R4:jl->X->il->0", name, seq1)
-
-        def kin(x=x):
-            k_obj, _ = r.cat_c.kernel(r.counit_jl(x))
-            return r.j_restrict(k_obj).dim == 0
-
-        record("R4:K in image(i_embed)", name, kin,
-               "kernel of the counit is killed by j_restrict")
-
-        def seq2(x=x):
-            mu = r.counit_sub(x)  # i_embed i_right X -> X
-            nu = r.unit_jr(x)     # X -> j_roof j_restrict X
-            return exact_at(mu, nu, mono=True)
-
-        record("R4:0->ir->X->jr", name, seq2)
-
-        def kout(x=x):
-            c_obj, _ = r.cat_c.cokernel(r.unit_jr(x))
-            return r.j_restrict(c_obj).dim == 0
-
-        record("R4:K' in image(i_embed)", name, kout,
-               "cokernel of the unit is killed by j_restrict")
+        record("C", "R4:jl->X->il->0", name, x, seq1)
+        record("C", "R4:K in image(i_embed)", name, x, kin, "kernel of the counit is killed by j_restrict")
+        record("C", "R4:0->ir->X->jr", name, x, seq2)
+        record("C", "R4:K' in image(i_embed)", name, x, kout, "cokernel of the unit is killed by j_restrict")
     return RecollementReport(label=r.label, results=tuple(out))
 
 
@@ -429,19 +455,21 @@ def intermediate_extension(r: Recollement, x) -> IntermediateExtension:
 
     The canonical map is the adjoint transpose of the identity: invert the
     counit j_restrict(j_roof(x)) -> x, transpose along (j_lower -| j_restrict).
-    Asserts i_left/i_right kill the image and j_restrict returns x.
+    Raises ``InvariantError`` unless i_left/i_right kill the image and
+    j_restrict returns x.
     """
     cat = r.cat_c
     counit = r.counit_jr(x)  # j_restrict(j_roof x) -> x, an iso by (R2)
     ident = r.cat_u.identity(x)
     inv = solve_in_hom(r.cat_u, x, counit.source, lambda g: g.then(counit), ident)
-    assert mor_eq(inv.then(counit), ident)
-    assert mor_eq(counit.then(inv), r.cat_u.identity(counit.source))
+    if not (mor_eq(inv.then(counit), ident) and mor_eq(counit.then(inv), r.cat_u.identity(counit.source))):
+        raise InvariantError("the counit j_restrict j_roof x -> x has no two-sided inverse")
     canon = r.j_lower.map(inv).then(r.counit_jl(r.j_roof(x)))
     img, epi, mono = cat.image(canon)
-    assert r.i_left(img).dim == 0, "intermediate extension has a Z quotient"
-    assert r.i_right(img).dim == 0, "intermediate extension has a Z subobject"
-    back = r.j_restrict(img)
-    iso, _, _ = r.cat_u.is_isomorphic(back, x)
-    assert iso, "j_restrict does not recover the argument"
+    if r.i_left(img).dim != 0:
+        raise InvariantError("intermediate extension has a Z quotient")
+    if r.i_right(img).dim != 0:
+        raise InvariantError("intermediate extension has a Z subobject")
+    if not r.cat_u.is_isomorphic(r.j_restrict(img), x)[0]:
+        raise InvariantError("j_restrict does not recover the argument")
     return IntermediateExtension(obj=img, from_lower=epi, into_roof=mono)

@@ -43,12 +43,7 @@ from .modules import (
     times,
     top,
 )
-from .recollement import (
-    Recollement,
-    intermediate_extension,
-    make_idempotent_recollement,
-    verify_recollement,
-)
+from .recollement import Recollement, intermediate_extension, make_idempotent_recollement
 
 
 class PosetError(ValueError):
@@ -289,6 +284,8 @@ class Stratification:
 
     Derived algebras are built on demand and cached; all constructions are
     deterministic, so repeated calls return structurally equal values.
+    Every question that the check batteries ask of it more than once, under
+    any sign pattern, is answered once and kept here (``memo``).
     """
 
     def __init__(
@@ -311,13 +308,28 @@ class Stratification:
         self.epsilon = dict(epsilon) if epsilon is not None else None
         self._lower: dict[frozenset, QuotientData] = {}
         self._layers: dict[tuple[frozenset, str], Recollement] = {}
-        # analyze.is_k_homological's verdicts, keyed by (k, deep)
-        self._homological: dict[tuple[int, bool], object] = {}
-        self._standard_cache: dict[str, StandardObjects] | None = None
+        self._memo: dict = {}
         if check:
             self.run_structure_checks()
 
     # -- derived data -----------------------------------------------------
+
+    def memo(self, key, compute):
+        """``compute()``, once per key for this stratification; a call that
+        raises is not kept.  The key names the question: the standard
+        objects, the k-homological verdicts, the exactness facts and the
+        filtration searches."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def filtration(self, m: RightModule, allowed: Sequence[tuple[str, RightModule]],
+                   mode: str) -> FiltrationCertificate | None:
+        """``filtration_search(m, allowed, mode)``, searched once per module,
+        allowed (name, object) pairs and mode.  The names are part of the
+        question, so routes that name their families apart never share one."""
+        return self.memo(("filtration", m, tuple(allowed), mode),
+                         lambda: filtration_search(m, allowed, mode))
 
     def vertices_of(self, lam: str) -> list[str]:
         return [v for v in self.algebra.vertex_names if self.rho[v] == lam]
@@ -345,10 +357,10 @@ class Stratification:
             raise StratificationError(f"{lam} is not maximal in {sorted(lower)}")
         key = (frozenset(lower), lam)
         if key not in self._layers:
-            b = self.lower_algebra(lower)
-            self._layers[key] = make_idempotent_recollement(
-                b.algebra, self.vertices_of(lam)
-            )
+            b = self.lower_algebra(lower).algebra
+            if b == self.algebra:  # the full lower set, as (S1) checks: share A's own recollement
+                b = self.algebra
+            self._layers[key] = make_idempotent_recollement(b, self.vertices_of(lam))
         return self._layers[key]
 
     def inflation(self, inner: frozenset[str], outer: frozenset[str]) -> Matrix:
@@ -379,7 +391,7 @@ class Stratification:
         for lam in self.poset.elements:
             r = self.principal_recollement(lam)
             samples = ModuleCategory(r.cat_c.algebra).standard_samples()
-            rep = verify_recollement(r, samples)
+            rep = r.verify(samples)
             if not rep.ok:
                 raise StratificationError(
                     f"(S2): recollement at {lam} fails axioms: {rep.failures()[:3]}"
@@ -455,8 +467,9 @@ class Stratification:
     # -- standard object families ------------------------------------------------
 
     def standard_objects(self) -> dict[str, StandardObjects]:
-        if self._standard_cache is not None:
-            return self._standard_cache
+        return self.memo("standard objects", self._standard_objects)
+
+    def _standard_objects(self) -> dict[str, StandardObjects]:
         out = {}
         for b in self.algebra.vertex_names:
             lam = self.rho[b]
@@ -484,7 +497,6 @@ class Stratification:
             self._check_family(fam)
             out[b] = fam
         self._check_exceptional_vanishing(out)
-        self._standard_cache = out
         return out
 
     def _check_family(self, fam: StandardObjects) -> None:
@@ -651,7 +663,7 @@ def porism_check(s: Stratification, b: str) -> PorismResult:
         for c in s.algebra.vertex_names
         if s.poset.lt(lam, s.rho[c])
     ]
-    cert = filtration_search(q_mod, allowed, mode="quotient-layers")
+    cert = s.filtration(q_mod, allowed, mode="quotient-layers")
     if cert is None:
         raise StratificationError(
             f"no quotient-layers filtration of the porism kernel at {b}; "

@@ -33,6 +33,7 @@ from pathlib import Path
 
 import pytest
 
+from stratakit import analyze, recollement, strat
 from stratakit.algebra import Algebra
 from stratakit.cli import main
 from stratakit.corpus import fixture_bytes
@@ -150,7 +151,9 @@ def test_validate_reads_basis_products_off_the_table(tmp_path, monkeypatch):
     """A work counter: validating the linearly oriented A_6 over GF(3)
     (dimension 21) reads the products of basis elements off the structure
     table and makes 525 dense ``mul_vec`` products (30,969 when each of the
-    21^3 associativity triples took three)."""
+    21^3 associativity triples took three), and 5,916 sparse sums of
+    products (19,986 when the associativity check also ran the triples
+    whose two inner products are both zero)."""
     spec = {"field": {"kind": "GF", "p": 3},
             "quiver": {"vertices": [str(i) for i in range(1, 7)],
                        "arrows": [{"name": f"a{i}", "from": str(i), "to": str(i + 1)} for i in range(1, 6)]},
@@ -158,9 +161,11 @@ def test_validate_reads_basis_products_off_the_table(tmp_path, monkeypatch):
     path = tmp_path / "a6.json"
     path.write_text(json.dumps(spec))
     calls = count_calls(monkeypatch, Algebra, "mul_vec")
+    sums = count_calls(monkeypatch, Algebra, "sum_of_products")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["validate", str(path)]) == 0
     assert len(calls) <= 2000
+    assert len(sums) <= 7000
 
 
 def test_recollement_check_computes_each_unit_once(tmp_path, monkeypatch):
@@ -174,3 +179,40 @@ def test_recollement_check_computes_each_unit_once(tmp_path, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["check", str(path), "--mode", "recollement", "--seed", "0"]) == 0
     assert len(calls) <= 650
+
+
+def test_corpus_asks_each_question_once(monkeypatch):
+    """Work counters: each battery answers each question once per input.
+    ``corpus --seed 11`` runs 22 axiom batteries on 18 recollement builds
+    (28 on 24 when the (S2) check and the recollement battery each built
+    and verified the principal recollement at a top stratum), at most 46
+    filtration searches (119 when every sign pattern searched again) and
+    at most 22 exactness facts (52).  Two more batteries repeat one by
+    value, but in another fixture: FIX-NAK's A_{<=x} equals FIX-A2's and
+    FIX-LOOP's A_{<=z} equals FIX-KRO's.  No memo outlives its input, so
+    those two stay."""
+    batteries = count_calls(monkeypatch, recollement, "verify_recollement")
+    builds = count_calls(monkeypatch, recollement, "idempotent_recollement_data")
+    searches = count_calls(monkeypatch, strat, "filtration_search")
+    facts = count_calls(monkeypatch, analyze, "_exactness")
+    code, out, _ = run_counting(monkeypatch, ["corpus", "--seed", "11"])
+    assert out == (GOLDEN / "corpus.seed11.json").read_text()
+    assert code == 0
+    assert (len(batteries), len(builds)) == (22, 18)
+    assert len(searches) <= 46
+    assert len(facts) <= 22
+
+
+def test_eps_asks_each_sign_independent_question_once(tmp_path, monkeypatch):
+    """Deciding all eight sign patterns of C_3 over Q takes 3 filtration
+    searches and 6 exactness facts, one per stratum and side (24 and 24
+    when every pattern asked its own): each stratum algebra is
+    one-dimensional, so the patterns ask the same questions."""
+    path = tmp_path / "c3_q_all.json"
+    path.write_bytes(input_bytes("c3_q_all"))
+    searches = count_calls(monkeypatch, strat, "filtration_search")
+    facts = count_calls(monkeypatch, analyze, "_exactness")
+    code, out, _ = run_counting(monkeypatch, ["check", str(path), "--mode", "eps", "--seed", "0"])
+    assert out == (GOLDEN / "c3_q_all.eps.json").read_text()
+    assert code == 0
+    assert (len(searches), len(facts)) == (3, 6)

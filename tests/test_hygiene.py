@@ -21,7 +21,12 @@ A stdlib-``ast`` stand-in for a linter: it flags
   call and then compared with ``None`` in an ``if``, a conditional
   expression or an ``assert``: these raise ``InconsistentSystem`` instead
   of returning ``None``, so a caller with a real yes/no question catches
-  that.
+  that, and
+* a module-level name bound to an empty container, or a module-level
+  function or method made a ``functools`` cache: state that would outlive
+  every input, and
+* an ``assert`` in ``recollement.py`` or ``analyze.py``, which raise
+  ``InvariantError`` instead, because ``python -O`` strips an ``assert``.
 
 Apart from these, every function, class and method in ``src/stratakit``
 must be reachable from the command line: ``unreachable`` follows a
@@ -363,6 +368,91 @@ def none_checked_solves(tree: ast.Module) -> list[str]:
                         and cmp.comparators[0].value is None):
                     out.append(f"{fn.name}, line {cmp.lineno}: {cmp.left.id}")
     return sorted(out)
+
+
+CONTAINERS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque",
+              "WeakValueDictionary", "WeakKeyDictionary"}
+CACHES = {"cache", "lru_cache"}
+
+
+def process_caches(tree: ast.Module) -> list[str]:
+    """``line n: name`` for each module-level name bound to an empty
+    container (``{}``, ``[]``, ``set()``, ``defaultdict(list)``, ...) and
+    each function or method at module level that is, or is made by,
+    ``functools.cache``/``lru_cache``: state that would outlive every input."""
+    out = []
+
+    def is_cache(node):  # cache, functools.cache, lru_cache(...), lru_cache(...)(f)
+        while isinstance(node, ast.Call):
+            node = node.func
+        return getattr(node, "id", getattr(node, "attr", None)) in CACHES
+
+    def is_empty(value):
+        if isinstance(value, (ast.Dict, ast.List, ast.Set)):
+            return not getattr(value, "keys", getattr(value, "elts", None))
+        return (isinstance(value, ast.Call) and _called_name(value) in CONTAINERS
+                and (not value.args or _called_name(value) == "defaultdict"))
+
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            names = [n.id for t in getattr(node, "targets", [getattr(node, "target", None)])
+                     for n in ast.walk(t) if isinstance(n, ast.Name)]
+            if is_empty(node.value) or is_cache(node.value):
+                out += [f"line {node.lineno}: {n}" for n in names]
+        defs = [node] if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else (
+            [d for d in node.body if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            if isinstance(node, ast.ClassDef) else [])
+        out += [f"line {d.lineno}: {d.name}" for d in defs if any(is_cache(dec) for dec in d.decorator_list)]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_nothing_is_cached_per_process(path):
+    """Every memo lives on the object its question is about (an algebra's
+    ``cache``, a stratification, a recollement, one call), never in the
+    module, where it would outlive its input."""
+    assert process_caches(ast.parse(path.read_text())) == []
+
+
+def test_process_cache_checker_flags_what_it_should():
+    tree = ast.parse(
+        "import functools\n"
+        "from functools import lru_cache\n"
+        "from collections import defaultdict\n"
+        "SEEN = {}\n"
+        "ORDER: list = []\n"
+        "TABLE = {'a': 1}\n"
+        "PAIRS = defaultdict(list)\n"
+        "NAMES = set()\n"
+        "KINDS = set('ab')\n"
+        "EMPTY = ()\n"
+        "@functools.cache\n"
+        "def f(x):\n"
+        "    local = {}\n"
+        "    return local\n"
+        "@lru_cache(maxsize=None)\n"
+        "def g(x):\n"
+        "    @functools.cache\n"
+        "    def inner(y):\n"
+        "        return y\n"
+        "    return inner\n"
+        "h = functools.lru_cache(maxsize=8)(g)\n"
+        "class C:\n"
+        "    @functools.cache\n"
+        "    def m(self):\n"
+        "        return 0\n"
+    )
+    assert process_caches(tree) == [
+        "line 12: f", "line 16: g", "line 21: h", "line 24: m",
+        "line 4: SEEN", "line 5: ORDER", "line 7: PAIRS", "line 8: NAMES"]
+
+
+@pytest.mark.parametrize("name", ["recollement.py", "analyze.py"])
+def test_no_assert_statements(name):
+    """These modules raise ``InvariantError`` instead: an ``assert``
+    vanishes under ``python -O``."""
+    tree = ast.parse((SRC / name).read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])

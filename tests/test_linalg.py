@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stratakit import linalg
 from stratakit.algebra import Algebra
-from stratakit.linalg import GF2, GF3, QQ, Field, InconsistentSystem, Matrix, Subspace
+from stratakit.linalg import GF2, GF3, QQ, Field, InconsistentSystem, Matrix, Subspace, cached_hash
 from stratakit.modules import RightModule, projective_module, regular_module
 from stratakit.specfile import build_algebra
 
@@ -328,6 +329,21 @@ def test_hash_is_the_dataclass_hash_and_equal_values_hash_alike():
     for x, y in zip(first, second):
         assert x == y and x is not y
         assert hash(x) == hash(y) == _field_hash(x) == _field_hash(y)
+
+
+def test_compare_field_names_are_read_once_per_class(monkeypatch):
+    calls = []
+    monkeypatch.setattr(linalg, "fields", lambda cls: calls.append(cls) or dataclasses.fields(cls))
+
+    @dataclasses.dataclass(frozen=True)
+    class Pair:
+        left: int
+        right: int = dataclasses.field(compare=False)
+
+        __hash__ = cached_hash
+
+    assert [hash(Pair(i, -i)) for i in range(3)] == [hash((i,)) for i in range(3)]
+    assert calls == [Pair]
 
 
 class CountingInt(int):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from dataclasses import dataclass
@@ -204,6 +205,15 @@ def test_projective_cover_additive(a2):
     cov = projective_cover(both)
     assert dict(cov.summands) == {"1": 1, "2": 1}
     assert cov.projective.dim == 3
+
+
+def test_simples_and_injectives_are_built_once_per_algebra(a2):
+    for v in a2.vertex_names:
+        assert simple_module(a2, v) is simple_module(a2, v)
+        assert injective_module(a2, v) is injective_module(a2, v)
+    fresh = dataclasses.replace(a2)  # equal, with an empty cache
+    assert simple_module(fresh, "1") == simple_module(a2, "1")
+    assert simple_module(fresh, "1") is not simple_module(a2, "1")
 
 
 def test_injective_envelope(a2):

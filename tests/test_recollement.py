@@ -1,11 +1,14 @@
 import dataclasses
+import gc
 import itertools
 import random
 import subprocess
 import sys
+import weakref
 
 import pytest
 
+from stratakit import recollement
 from stratakit.algebra import opposite
 from stratakit.category import ModuleCategory, ShortExactSequence, solve_in_hom
 from stratakit.linalg import InconsistentSystem
@@ -115,6 +118,61 @@ def test_units_and_counits_are_computed_once_per_object():
     assert rep.ok
     for name, xs in args.items():
         assert xs and len(xs) == len(set(xs)), (name, len(xs), len(set(xs)))
+
+
+def test_each_axiom_runs_once_per_distinct_sample(monkeypatch):
+    """The 9 standard samples of FIX-A3 are 7 distinct modules (S(3) = P(3)
+    and S(1) = I(1)): each exactness row of (R4) is computed once per
+    distinct module, and every sample keeps its own rows, in order."""
+    a = algebra("FIX-A3")
+    samples = ModuleCategory(a).standard_samples()
+    assert len({x for _, x in samples}) == 7
+    calls = []
+    real = recollement.exact_at
+    monkeypatch.setattr(recollement, "exact_at", lambda *args, **kw: calls.append(None) or real(*args, **kw))
+    rep = verify_recollement(make_idempotent_recollement(a, ["2"]), samples)
+    assert rep.ok
+    assert len(calls) == 2 * 7
+    r4 = [(res.axiom, res.subject) for res in rep.results if res.axiom.startswith("R4")]
+    assert r4 == [(axiom, n) for n, _ in samples for axiom in (
+        "R4:jl->X->il->0", "R4:K in image(i_embed)", "R4:0->ir->X->jr", "R4:K' in image(i_embed)")]
+
+
+@pytest.mark.parametrize("vertices", [[], ["1", "2"]], ids=["e=0", "e=1"])
+def test_each_sample_list_runs_its_own_checks(vertices, monkeypatch):
+    """When e is 0 (or 1), i_left (or j_restrict) keeps every sample's
+    value, so a Z (or U) sample equals a C sample; a triangle identity on
+    Z or U is still a different check from the C one of the same name, and
+    runs on its own: 4 per distinct C object, 2 per distinct Z or U one."""
+    a = algebra("FIX-A2")
+    samples = ModuleCategory(a).standard_samples()
+    r = make_idempotent_recollement(a, vertices)
+    sides = [{x for _, x in samples}, {r.i_left(x) for _, x in samples}, {r.j_restrict(x) for _, x in samples}]
+    assert sides[0] in sides[1:]
+    calls = []
+    real = recollement.mor_eq
+    monkeypatch.setattr(recollement, "mor_eq", lambda f, g: calls.append(None) or real(f, g))
+    assert verify_recollement(r, samples).ok
+    assert len(calls) == 4 * len(sides[0]) + 2 * len(sides[1]) + 2 * len(sides[2])
+
+
+def test_a_replaced_package_is_verified_afresh():
+    """A recollement is built once per vertex tuple while it is in use and
+    keeps its reports.  A ``dataclasses.replace`` copy starts with none, so
+    a corrupted copy of a verified package is never served its report, and
+    the algebra does not keep a recollement that nothing else holds."""
+    a = algebra("FIX-A2")
+    samples = ModuleCategory(a).standard_samples()
+    r = make_idempotent_recollement(a, ["2"])
+    assert make_idempotent_recollement(a, ["2"]) is r
+    rep = r.verify(samples)
+    assert rep.ok and r.verify(samples) is rep
+    assert not dataclasses.replace(r, j_roof=r.j_lower).verify(samples).ok
+    assert r.verify(samples) is rep
+    kept = weakref.ref(r)
+    del r
+    gc.collect()
+    assert kept() is None
 
 
 def test_negated_unit_fails_every_triangle_it_reaches():

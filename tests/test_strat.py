@@ -198,6 +198,30 @@ def test_filtration_rejects_bad_allowed(strats):
         filtration_search(reg, [("A", reg)], "exact-layers")
 
 
+def test_filtration_is_searched_once_per_question(monkeypatch):
+    """``Stratification.filtration`` keeps each search by module, allowed
+    (name, object) pairs and mode.  Asked again, it answers from the first
+    search; under other names it searches again; a search that raises is
+    not kept."""
+    s = strat_of("FIX-A2")
+    calls = []
+    real = strat.filtration_search
+    monkeypatch.setattr(strat, "filtration_search", lambda *args: calls.append(args) or real(*args))
+    a = s.algebra
+    p1, _ = projective_module(a, "1")
+    allowed = [(f"L({v})", simple_module(a, v)) for v in a.vertex_names]
+    cert = s.filtration(p1, allowed, "exact-layers")
+    assert cert is not None
+    assert s.filtration(p1, list(allowed), "exact-layers") is cert
+    renamed = [(f"M({v})", x) for v, (_, x) in zip(a.vertex_names, allowed)]
+    assert {l.allowed_name for l in s.filtration(p1, renamed, "exact-layers").layers} <= {"M(1)", "M(2)"}
+    reg = regular_module(a)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            s.filtration(reg, [("A", reg)], "exact-layers")
+    assert len(calls) == 4
+
+
 def test_porism_every_vertex(strats):
     for fix, s in strats.items():
         for b in s.algebra.vertex_names:
