@@ -1,7 +1,8 @@
 """The computable-abelian-category interface and its module-category instance.
 
 The recollement engine is generic: it only talks to categories through the
-small method surface below, plus the object and morphism conventions:
+small method surface below (``invariant`` is an isomorphism invariant of
+objects), plus the object and morphism conventions:
 
 * every object has ``dim``, the dimension of its underlying space;
 * every morphism has ``source``/``target``/``then``/``+``/``-``/``scale``/
@@ -12,26 +13,29 @@ Kernels, cokernels and images are computed on underlying spaces (in the
 glued category componentwise), so mono, epi, iso and exactness are rank
 counts: ``exact_at`` and ``ShortExactSequence`` test exactness, at the ends
 too, without building a kernel or an image, and rank each map once.
-``ModuleCategory`` wraps right modules over a fixed algebra; the
-Macpherson-Vilonen category implements the same surface for glued tuples.
+``solve_in_hom`` and ``is_isomorphic``, the one isomorphism search, are
+written over this surface.  ``ModuleCategory`` wraps right modules over a
+fixed algebra; the Macpherson-Vilonen category implements the same surface
+for glued tuples.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from .algebra import Algebra
-from .linalg import InconsistentSystem, Matrix
+from .linalg import InconsistentSystem, Matrix, UndecidedIsomorphism
 from .modules import (
     ModuleMap,
     RightModule,
     cokernel,
     combine,
     hom_basis,
+    hom_combinations,
     identity_map,
     image,
     injective_module,
-    is_isomorphic,
     kernel,
     projective_module,
     simple_module,
@@ -69,9 +73,10 @@ class ModuleCategory:
     def image(self, f: ModuleMap):
         return image(f)
 
-    def is_isomorphic(self, x: RightModule, y: RightModule):
-        res = is_isomorphic(x, y)
-        return res.isomorphic, res.certificate, res.reason
+    def invariant(self, x: RightModule) -> tuple[int, ...]:
+        if x.algebra != self.algebra:
+            raise ValueError("modules over different algebras")
+        return x.vertex_dims()
 
     # generating family ----------------------------------------------------
 
@@ -164,3 +169,54 @@ def solve_in_hom(cat, source, target, compose, goal):
     T = Matrix(F, len(rows), ncols, tuple(x for r in rows for x in r))
     sol = T.solve_left(Matrix(F, 1, ncols, tuple(cat.mor_coords(goal))))
     return combine(sol.row(0), basis, cat.zero_mor(source, target))
+
+
+@dataclass(frozen=True)
+class IsoResult:
+    isomorphic: bool
+    certificate: object | None  # explicit iso when YES
+    reason: str                 # distinguishing invariant or search note
+
+
+ISO_EXHAUSTION_CAP = 4096
+ISO_RANDOM_TRIES = 500
+
+
+def is_isomorphic(cat, x, y) -> IsoResult:
+    """Whether x and y are isomorphic in ``cat``; the certificate of a YES
+    is an isomorphism x -> y.  Invariants first (``dim``, then
+    ``cat.invariant``), then Hom(x, y): its basis elements and pairwise sums,
+    then every combination when the field is finite and small enough, else
+    pseudorandom ones, ending in ``UndecidedIsomorphism``, never in NO."""
+    F = cat.field
+    if x.dim != y.dim:
+        return IsoResult(False, None, f"total dimensions differ: {x.dim} != {y.dim}")
+    ix, iy = cat.invariant(x), cat.invariant(y)
+    if x.dim == 0:
+        return IsoResult(True, cat.zero_mor(x, y), "zero modules")
+    if ix != iy:
+        return IsoResult(False, None, f"dimension vectors differ: {ix} != {iy}")
+    if x == y:
+        return IsoResult(True, cat.identity(x), "equal representations")
+    hxy, hyx = cat.hom_basis(x, y), cat.hom_basis(y, x)
+    if len(hxy) != len(hyx):
+        return IsoResult(False, None,
+                         f"hom spaces asymmetric: dim Hom(m,n)={len(hxy)}, dim Hom(n,m)={len(hyx)}")
+    if not hxy:
+        return IsoResult(False, None, "Hom(m,n) = 0")
+
+    for cand in hom_combinations(hxy, F, False):
+        if cand.is_isomorphism():
+            return IsoResult(True, cand, "basis element or pairwise sum")
+    if F.is_finite and F.p ** len(hxy) <= ISO_EXHAUSTION_CAP:
+        for cand in hom_combinations(hxy, F, True):
+            if cand.is_isomorphism():
+                return IsoResult(True, cand, "exhaustive search")
+        return IsoResult(False, None, "exhaustive search over Hom(m,n) found no isomorphism")
+
+    rng = random.Random(0xC0FFEE + x.dim * 7919 + len(hxy))
+    for _ in range(ISO_RANDOM_TRIES):
+        cand = combine([F.of(rng.randint(-3, 3)) for _ in range(len(hxy))], hxy, cat.zero_mor(x, y))
+        if cand.is_isomorphism():
+            return IsoResult(True, cand, "pseudorandom combination")
+    raise UndecidedIsomorphism("invariants agree but no invertible combination found within the retry bound")

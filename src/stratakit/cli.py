@@ -1,7 +1,9 @@
 """Command line surface: validate, check, corpus.
 
 Exit codes: 0 success, 1 malformed input (schema or command line), 2 failed
-invariants or checks, 3 oracle mode requested over the rationals.
+invariants or checks, or an isomorphism question left undecided (reported as
+an ``ERROR`` check, never as a FAIL), 3 oracle mode requested over the
+rationals.
 
 Each input is built once: ``checks_validate`` builds the algebra, the
 checked stratification and the gluing data into a ``Session``, and every
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .algebra import Algebra, AlgebraError, NonAdmissibleError, PossiblyInfiniteError
+from .linalg import UndecidedIsomorphism
 from .report import Check, Report, sha256_bytes
 from .specfile import AlgebraSpec, SpecError, build_algebra, load_spec, parse_spec
 
@@ -120,7 +123,7 @@ def checks_validate(spec: AlgebraSpec) -> tuple[list[Check], Session]:
 
 
 def checks_recollement(session: Session) -> list[Check]:
-    from .category import ModuleCategory
+    from .category import ModuleCategory, is_isomorphic
     from .modules import simple_module
     from .recollement import intermediate_extension, make_idempotent_recollement
     out = []
@@ -141,12 +144,12 @@ def checks_recollement(session: Session) -> list[Check]:
             su = simple_module(data.u_algebra, w)
             generic = intermediate_extension(r, su).obj
             table = mv_intermediate_table(cat, su)
-            ok, _, reason = cat.is_isomorphic(generic, table)
+            res = is_isomorphic(cat, generic, table)
             out.append(Check(
                 f"mv-middle-formula({w})",
                 "closed-form intermediate extension equals the image of the canonical map",
-                "PASS" if ok else "FAIL",
-                witness=None if ok else {"reason": reason},
+                "PASS" if res.isomorphic else "FAIL",
+                witness=None if res.isomorphic else {"reason": res.reason},
             ))
         return out
     algebra = session.algebra
@@ -214,6 +217,8 @@ def checks_synthesis(s: Stratification) -> list[Check]:
                     for a in res.audit
                 ]},
             ))
+        except UndecidedIsomorphism:
+            raise
         except Exception as e:  # noqa: BLE001
             out.append(Check(f"synthesize_cover({t})",
                              "iterated universal extensions rebuild the projective cover",
@@ -334,6 +339,9 @@ def cmd_check(args) -> int:
     except SpecError as e:
         print(f"schema error: {e}", file=sys.stderr)
         return EXIT_SCHEMA
+    except UndecidedIsomorphism as e:
+        report.add(Check(args.mode, "every isomorphism question is decided", "ERROR",
+                         witness={"error": "UNDECIDED", "message": str(e)}))
     if args.timing:
         report.timing_ms = int((time.monotonic() - started) * 1000)
     _emit(report, args)

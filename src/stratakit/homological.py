@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .category import ModuleCategory, ShortExactSequence, solve_in_hom
-from .linalg import Matrix, Subspace
+from .linalg import InvariantError, Matrix, Subspace
 from .modules import (
     ModuleMap,
     RightModule,
@@ -163,7 +163,8 @@ def reduce_cocycle(space: ExtSpace, f: ModuleMap) -> tuple:
     proj, _ = space.coboundary_space.quotient_maps()
     reduced = proj.apply_row(flat)
     if space.dim == 0:
-        assert all(x == F.zero for x in reduced), "nonzero class in a zero Ext space"
+        if any(x != F.zero for x in reduced):
+            raise InvariantError("nonzero class in a zero Ext space")
         return ()
     basis_rows = [proj.apply_row(_flatten(c.cocycle)) for c in space.classes]
     B = Matrix(F, len(basis_rows), proj.cols, tuple(x for r in basis_rows for x in r))
@@ -199,7 +200,8 @@ def _pushout_extension(res: Resolution, fbar: ModuleMap, ker_incl: ModuleMap) ->
         Matrix.zero(F, T.dim, m.dim).stack(res.augmentation.mat)
     )
     ses = ShortExactSequence(incl, ModuleMap(e_mod, m, lifted))
-    assert ses.verify(), "pushout did not produce a short exact sequence"
+    if not ses.verify():
+        raise InvariantError("pushout did not produce a short exact sequence")
     return ses
 
 
@@ -260,5 +262,6 @@ def universal_extension(m: RightModule, targets: list[RightModule]) -> Universal
             continue
         rank_rows = [reduce_cocycle(space, to_sub.then(h)) for h in hom_basis(T, b)]
         rk = Matrix(F, len(rank_rows), space.dim, tuple(x for r in rank_rows for x in r)).rank()
-        assert rk == space.dim, "universal extension failed to surject onto Ext^1"
+        if rk != space.dim:
+            raise InvariantError("universal extension failed to surject onto Ext^1")
     return UniversalExtension(multiplicities=mults, middle=ses.middle)

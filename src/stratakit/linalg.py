@@ -23,7 +23,7 @@ Conventions:
   them only for values that may not be field elements yet: parsed input
   (``specfile``, ``mv.mv_data_from_spec``), relation coefficients, the
   scalar of ``Matrix.scale`` and the pseudorandom coefficients of
-  ``modules.is_isomorphic``.  Results computed here are field elements
+  ``category.is_isomorphic``.  Results computed here are field elements
   already, so linalg builds them as ``Matrix(field, rows, cols, entries)``
   directly, and so does every module above it for vectors it computed,
   spanning a subspace as ``Matrix(...).row_space()``.
@@ -57,6 +57,11 @@ class InvariantError(RuntimeError):
     """A property that the code itself guarantees does not hold: a program
     bug, never bad input.  Raised explicitly where an ``assert`` would
     vanish under ``python -O``."""
+
+
+class UndecidedIsomorphism(RuntimeError):
+    """An isomorphism search ran out of tries with every invariant agreeing:
+    neither YES nor NO, so it is reported as undecided, never as a FAIL."""
 
 
 def cached_hash(self) -> int:

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .algebra import Algebra, opposite
-from .linalg import Field, InconsistentSystem, Matrix, Subspace, cached_hash, intertwiner_basis
+from .linalg import Field, InconsistentSystem, InvariantError, Matrix, Subspace, cached_hash, intertwiner_basis
 
 
 def combine(coeffs: Sequence, items: Sequence, start):
@@ -524,7 +523,8 @@ def projective_cover(m: RightModule) -> Cover:
             if any(x != F.zero for x in tu) and not picked.contains(tu):
                 picked = picked.sum(Matrix(F, 1, head.dim, tu).row_space())
                 pieces.append((v, u))
-        assert picked.dim == target_dim, "top basis lifting failed"
+        if picked.dim != target_dim:
+            raise InvariantError("top basis lifting failed")
 
     summand_mods = []
     blocks = []
@@ -536,9 +536,11 @@ def projective_cover(m: RightModule) -> Cover:
         counts[v] = counts.get(v, 0) + 1
     big, injs, _ = direct_sum(summand_mods)
     phi = ModuleMap(big, m, Matrix(F, big.dim, m.dim, tuple(x for blk in blocks for x in blk.entries)))
-    assert phi.is_surjective(), "cover map not surjective"
+    if not phi.is_surjective():
+        raise InvariantError("cover map not surjective")
     ker_space = phi.mat.left_kernel()
-    assert times(big, A.radical.basis.row_list()).contains_space(ker_space), "cover not essential"
+    if not times(big, A.radical.basis.row_list()).contains_space(ker_space):
+        raise InvariantError("cover not essential")
     summands = tuple((v, counts[v]) for v in A.vertex_names if v in counts)
     return Cover(big, phi, summands)
 
@@ -554,67 +556,7 @@ def injective_envelope(m: RightModule) -> Envelope:
     dm = dual_module(m)
     cov = projective_cover(dm)
     iota = dual_map(cov.cover_map)  # D(D(m)) -> D(P); D(D(m)) == m on the nose
-    assert iota.source == m
+    if iota.source != m:
+        raise InvariantError("the dual of the cover of D(m) does not start at m")
     return Envelope(injective=iota.target, envelope_map=iota)
 
-
-# -- isomorphism testing --------------------------------------------------------
-
-
-class UndecidedIsomorphism(RuntimeError):
-    """Heuristic search exhausted without a certificate either way."""
-
-
-@dataclass(frozen=True)
-class IsoResult:
-    isomorphic: bool
-    certificate: ModuleMap | None  # explicit iso when YES
-    reason: str                    # distinguishing invariant or search note
-
-
-ISO_EXHAUSTION_CAP = 4096
-ISO_RANDOM_TRIES = 500
-
-
-def is_isomorphic(m: RightModule, n: RightModule) -> IsoResult:
-    if m.algebra != n.algebra:
-        raise ValueError("modules over different algebras")
-    F = m.algebra.field
-    if m.dim != n.dim:
-        return IsoResult(False, None, f"total dimensions differ: {m.dim} != {n.dim}")
-    if m.dim == 0:
-        return IsoResult(True, ModuleMap(m, n, Matrix.zero(F, 0, 0)), "zero modules")
-    if m.vertex_dims() != n.vertex_dims():
-        return IsoResult(
-            False, None,
-            f"dimension vectors differ: {m.vertex_dims()} != {n.vertex_dims()}",
-        )
-    if m == n:
-        return IsoResult(True, identity_map(m), "equal representations")
-    hmn = hom_basis(m, n)
-    hnm = hom_basis(n, m)
-    if len(hmn) != len(hnm):
-        return IsoResult(
-            False, None,
-            f"hom spaces asymmetric: dim Hom(m,n)={len(hmn)}, dim Hom(n,m)={len(hnm)}",
-        )
-    if not hmn:
-        return IsoResult(False, None, "Hom(m,n) = 0")
-
-    for cand in hom_combinations(hmn, F, False):
-        if cand.is_isomorphism():
-            return IsoResult(True, cand, "basis element or pairwise sum")
-    if F.is_finite and F.p ** len(hmn) <= ISO_EXHAUSTION_CAP:
-        for cand in hom_combinations(hmn, F, True):
-            if cand.is_isomorphism():
-                return IsoResult(True, cand, "exhaustive search")
-        return IsoResult(False, None, "exhaustive search over Hom(m,n) found no isomorphism")
-
-    rng = random.Random(0xC0FFEE + m.dim * 7919 + len(hmn))
-    for _ in range(ISO_RANDOM_TRIES):
-        cand = combine([F.of(rng.randint(-3, 3)) for _ in range(len(hmn))], hmn, zero_map(m, n))
-        if cand.is_isomorphism():
-            return IsoResult(True, cand, "pseudorandom combination")
-    raise UndecidedIsomorphism(
-        "invariants agree but no invertible combination found within the retry bound"
-    )

@@ -20,15 +20,13 @@ import functools
 from dataclasses import dataclass
 
 from .algebra import Algebra, build_bound_quiver_algebra
-from .linalg import Matrix
+from .linalg import InvariantError, Matrix
 from .modules import (
-    ISO_EXHAUSTION_CAP,
     Bimodule,
     ModuleMap,
     RankPredicates,
     RightModule,
     combine,
-    hom_combinations,
     identity_map,
     validate_bimodule,
     zero_map,
@@ -110,8 +108,8 @@ class MVFunctors:
                 for i in range(dx) for j in range(dm)]
         v_mat_rows = self.G.coords(x, mats)
         W = self.F.relations(x)
-        if W.dim and self.G.basis(x):
-            assert (W.basis @ v_mat_rows).is_zero, "eps not well defined on the tensor quotient"
+        if W.dim and self.G.basis(x) and not (W.basis @ v_mat_rows).is_zero:
+            raise InvariantError("eps not well defined on the tensor quotient")
         _, secT = W.quotient_maps()
         return ModuleMap(self.F.obj(x), self.G.obj(x), secT @ v_mat_rows)
 
@@ -188,6 +186,9 @@ class MVCategory:
     def zero_mor(self, x: MVObject, y: MVObject) -> MVMorphism:
         return MVMorphism(x, y, zero_map(x.x_u, y.x_u), zero_map(x.x_z, y.x_z))
 
+    def invariant(self, x: MVObject) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return x.x_u.vertex_dims(), x.x_z.vertex_dims()
+
     def mor_coords(self, f: MVMorphism) -> tuple:
         return f.f_u.mat.entries + f.f_z.mat.entries
 
@@ -253,23 +254,6 @@ class MVCategory:
         beta_i = ModuleMap(iz_obj, self.fun.G.obj(iu_obj), b_mat)
         i_obj = self.make_object(iu_obj, iz_obj, alpha_i, beta_i)
         return i_obj, MVMorphism(f.source, i_obj, eu, ez), MVMorphism(i_obj, f.target, mu, mz)
-
-    def is_isomorphic(self, x: MVObject, y: MVObject):
-        if (x.x_u.dim, x.x_z.dim) != (y.x_u.dim, y.x_z.dim):
-            return False, None, "component dimensions differ"
-        basis = self.hom_basis(x, y)
-        if not basis:
-            return (x.dim == 0), (self.identity(x) if x.dim == 0 else None), "hom space zero"
-        F = self.field
-        for f in hom_combinations(basis, F, False):
-            if f.is_isomorphism():
-                return True, f, "basis element or pairwise sum"
-        if F.is_finite and F.p ** len(basis) <= ISO_EXHAUSTION_CAP:
-            for f in hom_combinations(basis, F, True):
-                if f.is_isomorphism():
-                    return True, f, "exhaustive search"
-            return False, None, "exhaustive search found no isomorphism"
-        return False, None, "no isomorphism among basis elements and pairwise sums (heuristic)"
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +328,13 @@ def mv_recollement(data: MVData) -> Recollement:
         return MVMorphism(x, i_embed_obj(c), zero_map(x.x_u, zero_module(data.u_algebra)), p)
 
     def counit_quot(z: RightModule) -> ModuleMap:
-        src = i_left_obj(i_embed_obj(z))
-        assert src == z
+        if i_left_obj(i_embed_obj(z)) != z:
+            raise InvariantError("i_left i_embed z differs from z")
         return identity_map(z)
 
     def unit_sub(z: RightModule) -> ModuleMap:
-        tgt = i_right_obj(i_embed_obj(z))
-        assert tgt == z
+        if i_right_obj(i_embed_obj(z)) != z:
+            raise InvariantError("i_right i_embed z differs from z")
         return identity_map(z)
 
     def counit_sub(x: MVObject) -> MVMorphism:
@@ -358,7 +342,8 @@ def mv_recollement(data: MVData) -> Recollement:
         return MVMorphism(i_embed_obj(k), x, zero_map(zero_module(data.u_algebra), x.x_u), i)
 
     def unit_jl(u: RightModule) -> ModuleMap:
-        assert j_restrict_obj(j_lower_obj(u)) == u
+        if j_restrict_obj(j_lower_obj(u)) != u:
+            raise InvariantError("j_restrict j_lower u differs from u")
         return identity_map(u)
 
     def counit_jl(x: MVObject) -> MVMorphism:
@@ -368,7 +353,8 @@ def mv_recollement(data: MVData) -> Recollement:
         return MVMorphism(x, j_roof_obj(x.x_u), identity_map(x.x_u), x.beta)
 
     def counit_jr(u: RightModule) -> ModuleMap:
-        assert j_restrict_obj(j_roof_obj(u)) == u
+        if j_restrict_obj(j_roof_obj(u)) != u:
+            raise InvariantError("j_restrict j_roof u differs from u")
         return identity_map(u)
 
     return Recollement(

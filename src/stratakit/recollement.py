@@ -32,6 +32,7 @@ from .category import (
     Functor,
     ModuleCategory,
     exact_at,
+    is_isomorphic,
     mor_eq,
     solve_in_hom,
 )
@@ -470,6 +471,6 @@ def intermediate_extension(r: Recollement, x) -> IntermediateExtension:
         raise InvariantError("intermediate extension has a Z quotient")
     if r.i_right(img).dim != 0:
         raise InvariantError("intermediate extension has a Z subobject")
-    if not r.cat_u.is_isomorphic(r.j_restrict(img), x)[0]:
+    if not is_isomorphic(r.cat_u, r.j_restrict(img), x).isomorphic:
         raise InvariantError("j_restrict does not recover the argument")
     return IntermediateExtension(obj=img, from_lower=epi, into_roof=mono)

@@ -21,7 +21,7 @@ from .algebra import (
     corner_algebra,
     quotient_by_idempotent_ideal,
 )
-from .category import ModuleCategory
+from .category import ModuleCategory, is_isomorphic
 from .homological import ext_dim, universal_extension
 from .linalg import InconsistentSystem, Matrix, Subspace
 from .modules import (
@@ -32,7 +32,6 @@ from .modules import (
     hom_combinations,
     image,
     injective_envelope,
-    is_isomorphic,
     kernel,
     projective_cover,
     projective_module,
@@ -306,8 +305,6 @@ class Stratification:
         self.poset = poset
         self.rho = dict(rho)
         self.epsilon = dict(epsilon) if epsilon is not None else None
-        self._lower: dict[frozenset, QuotientData] = {}
-        self._layers: dict[tuple[frozenset, str], Recollement] = {}
         self._memo: dict = {}
         if check:
             self.run_structure_checks()
@@ -317,8 +314,9 @@ class Stratification:
     def memo(self, key, compute):
         """``compute()``, once per key for this stratification; a call that
         raises is not kept.  The key names the question: the standard
-        objects, the k-homological verdicts, the exactness facts and the
-        filtration searches."""
+        objects, the lower-set quotients, the layer recollements, the
+        k-homological verdicts, the exactness facts and the filtration
+        searches."""
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
@@ -338,10 +336,8 @@ class Stratification:
         lower = frozenset(lower)
         if not self.poset.is_lower(lower):
             raise StratificationError(f"{sorted(lower)} is not a lower set")
-        if lower not in self._lower:
-            outside = [v for v in self.algebra.vertex_names if self.rho[v] not in lower]
-            self._lower[lower] = quotient_by_idempotent_ideal(self.algebra, outside)
-        return self._lower[lower]
+        return self.memo(("lower", lower), lambda: quotient_by_idempotent_ideal(
+            self.algebra, [v for v in self.algebra.vertex_names if self.rho[v] not in lower]))
 
     def stratum(self, lam: str) -> CornerData:
         """The stratum algebra at lam: the corner of A_{<=lam} at its vertices."""
@@ -355,13 +351,13 @@ class Stratification:
         """Recollement of mod-A_{lower} at a maximal element lam of lower."""
         if lam not in self.poset.maximal_in(frozenset(lower)):
             raise StratificationError(f"{lam} is not maximal in {sorted(lower)}")
-        key = (frozenset(lower), lam)
-        if key not in self._layers:
-            b = self.lower_algebra(lower).algebra
-            if b == self.algebra:  # the full lower set, as (S1) checks: share A's own recollement
-                b = self.algebra
-            self._layers[key] = make_idempotent_recollement(b, self.vertices_of(lam))
-        return self._layers[key]
+        return self.memo(("layer", frozenset(lower), lam), lambda: self._layer_recollement(lower, lam))
+
+    def _layer_recollement(self, lower: frozenset[str], lam: str) -> Recollement:
+        b = self.lower_algebra(lower).algebra
+        if b == self.algebra:  # the full lower set, as (S1) checks: share A's own recollement
+            b = self.algebra
+        return make_idempotent_recollement(b, self.vertices_of(lam))
 
     def inflation(self, inner: frozenset[str], outer: frozenset[str]) -> Matrix:
         """The surjection A_outer ->> A_inner for lower sets inner <= outer:
@@ -445,12 +441,13 @@ class Stratification:
         of each algebra simple as the intermediate extension verified."""
         out: dict[str, tuple[str, RightModule]] = {}
         built = []
+        cat = ModuleCategory(self.algebra)
         for b in self.algebra.vertex_names:
             lam = self.rho[b]
             stratum_simple = simple_module(self.stratum(lam).algebra, b)
             glued = self.j_intermediate(lam, stratum_simple)
             target = simple_module(self.algebra, b)
-            res = is_isomorphic(glued, target)
+            res = is_isomorphic(cat, glued, target)
             if not res.isomorphic:
                 raise StratificationError(
                     f"classification mismatch at vertex {b}: {res.reason}"
@@ -460,7 +457,7 @@ class Stratification:
         if len(built) != self.algebra.nvertices:
             raise StratificationError("classification is not complete")
         for x, y in itertools.combinations(built, 2):
-            if is_isomorphic(x, y).isomorphic:
+            if is_isomorphic(cat, x, y).isomorphic:
                 raise StratificationError("classification is redundant")
         return out
 
@@ -501,12 +498,13 @@ class Stratification:
 
     def _check_family(self, fam: StandardObjects) -> None:
         lb = simple_module(self.algebra, fam.vertex)
+        cat = ModuleCategory(self.algebra)
         for name, mod in (("std", fam.std), ("proper_std", fam.proper_std)):
-            if not is_isomorphic(top(mod)[0], lb).isomorphic:
+            if not is_isomorphic(cat, top(mod)[0], lb).isomorphic:
                 raise StratificationError(f"{name}({fam.vertex}) does not have simple top L({fam.vertex})")
         for name, mod in (("costd", fam.costd), ("proper_costd", fam.proper_costd)):
             soc, _ = submodule(mod, annihilator(mod, self.algebra.radical.basis.row_list()))
-            if not is_isomorphic(soc, lb).isomorphic:
+            if not is_isomorphic(cat, soc, lb).isomorphic:
                 raise StratificationError(f"{name}({fam.vertex}) does not have simple socle L({fam.vertex})")
 
     def _check_exceptional_vanishing(self, fams: dict[str, StandardObjects]) -> None:
@@ -613,7 +611,7 @@ def synthesize_projective_cover(s: Stratification, t: str) -> SynthesisResult:
         _assert_layer_cover(b_data.algebra, current, t)
 
     direct, _ = projective_module(s.algebra, t)
-    res = is_isomorphic(current, direct)
+    res = is_isomorphic(ModuleCategory(s.algebra), current, direct)
     if not res.isomorphic:
         raise StratificationError(
             f"synthesized cover at {t} is not the projective cover: {res.reason}"
@@ -626,7 +624,7 @@ def _assert_layer_cover(algebra: Algebra, current: RightModule, t: str) -> None:
     self-extensions against any simple: the two certifying assertions."""
     head, _ = top(current)
     lt = simple_module(algebra, t)
-    if head.dim != 1 or not is_isomorphic(head, lt).isomorphic:
+    if head.dim != 1 or not is_isomorphic(ModuleCategory(algebra), head, lt).isomorphic:
         raise StratificationError(f"synthesis lost the unique simple quotient at {t}")
     for u in algebra.vertex_names:
         if ext_dim(current, simple_module(algebra, u), 1) != 0:
@@ -653,7 +651,7 @@ def porism_check(s: Stratification, b: str) -> PorismResult:
     q_mod, _ = submodule(p_b, w)
     quo, _ = quotient_module(p_b, w)
     fams = s.standard_objects()
-    res = is_isomorphic(quo, fams[b].std)
+    res = is_isomorphic(ModuleCategory(s.algebra), quo, fams[b].std)
     if not res.isomorphic:
         raise StratificationError(
             f"largest lower-set quotient of P({b}) is not the standard object: {res.reason}"

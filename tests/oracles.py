@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import itertools
 
+from stratakit.category import ModuleCategory, is_isomorphic
 from stratakit.linalg import Matrix, Subspace
 from stratakit.modules import (
     hom_basis,
     hom_combinations,
-    is_isomorphic,
     quotient_module,
     submodule,
 )
@@ -187,7 +187,7 @@ def verify_filtration_certificate(cert) -> bool:
         quotient_layer, _ = quotient_module(sub_above, below_in_above)
         allowed = layer.witness.source if layer.mode == "quotient-layers" else layer.witness.target
         if layer.mode == "exact-layers":
-            if not is_isomorphic(quotient_layer, allowed).isomorphic:
+            if not is_isomorphic(ModuleCategory(m.algebra), quotient_layer, allowed).isomorphic:
                 return False
         elif not any(h.is_surjective()
                      for h in hom_combinations(hom_basis(allowed, quotient_layer), F, F.is_finite)):

@@ -8,6 +8,7 @@ import pytest
 
 from stratakit.cli import main
 from stratakit.corpus import fixture_bytes
+from stratakit.linalg import UndecidedIsomorphism
 from stratakit.specfile import SpecError, parse_spec
 
 
@@ -106,6 +107,38 @@ def test_missing_stratification_block(tmp_path, capsys):
     p = tmp_path / "nostrat.json"
     p.write_text(json.dumps(data))
     assert main(["check", str(p), "--mode", "eps"]) == 1
+
+
+def undecided(*args, **kwargs):
+    raise UndecidedIsomorphism("invariants agree but no invertible combination found")
+
+
+@pytest.mark.parametrize("fixture, mode, search", [
+    ("fix_mv_pair.json", "recollement", "stratakit.category.is_isomorphic"),
+    ("fix_a3.json", "simples", "stratakit.strat.is_isomorphic"),
+])
+def test_check_reports_an_undecided_isomorphism(tmp_path, capsys, monkeypatch, fixture, mode, search):
+    """An undecided isomorphism question is one ERROR check and exit 2:
+    neither a traceback nor a FAIL."""
+    import stratakit.mv, stratakit.strat  # noqa: F401  every layer binds the real search first
+    monkeypatch.setattr(search, undecided)
+    code, out = run_cli(capsys, "check", fixture_path(tmp_path, fixture), "--mode", mode)
+    assert code == 2
+    checks = json.loads(out)["checks"]
+    assert [c["verdict"] for c in checks if c["verdict"] not in ("PASS", "YES")] == ["ERROR"]
+    assert checks[-1]["name"] == mode
+    assert checks[-1]["witness"] == {"error": "UNDECIDED",
+                                     "message": "invariants agree but no invertible combination found"}
+
+
+def test_corpus_reports_an_undecided_synthesis_as_a_pipeline_error(capsys, monkeypatch):
+    monkeypatch.setattr("stratakit.strat.synthesize_projective_cover", undecided)
+    code, out = run_cli(capsys, "corpus", "--filter", "hw")
+    assert code == 2
+    checks = json.loads(out)["checks"]
+    assert [(c["name"], c["verdict"]) for c in checks] == [
+        ("FIX-A2/pipeline", "ERROR"), ("FIX-A3/pipeline", "ERROR")]
+    assert checks[0]["witness"]["error"].startswith("UndecidedIsomorphism: ")
 
 
 def test_corpus_filter(capsys):

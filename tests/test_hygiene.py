@@ -447,11 +447,11 @@ def test_process_cache_checker_flags_what_it_should():
         "line 4: SEEN", "line 5: ORDER", "line 7: PAIRS", "line 8: NAMES"]
 
 
-@pytest.mark.parametrize("name", ["recollement.py", "analyze.py"])
-def test_no_assert_statements(name):
-    """These modules raise ``InvariantError`` instead: an ``assert``
-    vanishes under ``python -O``."""
-    tree = ast.parse((SRC / name).read_text())
+@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_no_assert_statements(path):
+    """``src/`` raises ``InvariantError`` instead: an ``assert`` vanishes
+    under ``python -O``."""
+    tree = ast.parse(path.read_text())
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
 
 

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import pytest
 
 from stratakit.algebra import corner_algebra, quotient_by_idempotent_ideal
+from stratakit.category import ModuleCategory, is_isomorphic
 from stratakit.linalg import GF2, GF3, QQ, Matrix
 from stratakit.modules import (
     ModuleMap,
@@ -20,7 +21,6 @@ from stratakit.modules import (
     image,
     injective_envelope,
     injective_module,
-    is_isomorphic,
     kernel,
     projective_cover,
     projective_module,
@@ -153,18 +153,18 @@ def test_nonzero_map_p2_to_p1(a2):
     assert img.dim == 1
     # the image is the socle copy of S(2) inside P(1)
     s2 = simple_module(a2, "2")
-    assert is_isomorphic(img, s2).isomorphic
+    assert is_isomorphic(ModuleCategory(a2), img, s2).isomorphic
     coker, _ = cokernel(f)
-    assert is_isomorphic(coker, simple_module(a2, "1")).isomorphic
+    assert is_isomorphic(ModuleCategory(a2), coker, simple_module(a2, "1")).isomorphic
 
 
 def test_structural_series_a2(a2):
     p1, _ = projective_module(a2, "1")
     rad = a2.radical.basis.row_list()
     assert times(p1, rad).dim == 1
-    assert is_isomorphic(top(p1)[0], simple_module(a2, "1")).isomorphic
+    assert is_isomorphic(ModuleCategory(a2), top(p1)[0], simple_module(a2, "1")).isomorphic
     soc, _ = submodule(p1, annihilator(p1, rad))
-    assert is_isomorphic(soc, simple_module(a2, "2")).isomorphic
+    assert is_isomorphic(ModuleCategory(a2), soc, simple_module(a2, "2")).isomorphic
 
 
 def test_structural_series_semisimple(a2):
@@ -195,7 +195,7 @@ def test_projective_cover_of_simple(a2):
     cov = projective_cover(s1)
     assert cov.summands == (("1", 1),)
     k, _ = kernel(cov.cover_map)
-    assert is_isomorphic(k, simple_module(a2, "2")).isomorphic
+    assert is_isomorphic(ModuleCategory(a2), k, simple_module(a2, "2")).isomorphic
 
 
 def test_projective_cover_additive(a2):
@@ -223,7 +223,7 @@ def test_injective_envelope(a2):
     s2 = simple_module(a2, "2")
     env2 = injective_envelope(s2)
     assert env2.injective.dim == 2
-    assert is_isomorphic(env2.injective, i2).isomorphic
+    assert is_isomorphic(ModuleCategory(a2), env2.injective, i2).isomorphic
     s1 = simple_module(a2, "1")
     env1 = injective_envelope(s1)
     assert env1.injective.dim == 1  # vertex 1 is a source
@@ -231,10 +231,10 @@ def test_injective_envelope(a2):
 
 def test_is_isomorphic_basics(a2):
     p1, _ = projective_module(a2, "1")
-    res = is_isomorphic(p1, p1)
+    res = is_isomorphic(ModuleCategory(a2), p1, p1)
     assert res.isomorphic and res.certificate.is_isomorphism()
     s1, s2 = simple_module(a2, "1"), simple_module(a2, "2")
-    res = is_isomorphic(s1, s2)
+    res = is_isomorphic(ModuleCategory(a2), s1, s2)
     assert not res.isomorphic and "dimension vectors" in res.reason
 
 
@@ -242,7 +242,7 @@ def test_is_isomorphic_distinguishes_extensions(nak):
     # P(1) and S(1) + S(2) have the same dimension vector but are not isomorphic
     p1, _ = projective_module(nak, "1")
     ss, _, _ = direct_sum([simple_module(nak, "1"), simple_module(nak, "2")])
-    res = is_isomorphic(p1, ss)
+    res = is_isomorphic(ModuleCategory(nak), p1, ss)
     assert not res.isomorphic
 
 

@@ -1,13 +1,15 @@
 import itertools
+import json
 import random
 import subprocess
 import sys
 
 import pytest
 
-from stratakit.category import solve_in_hom
+from stratakit.category import is_isomorphic, solve_in_hom
+from stratakit.corpus import fixture_bytes
 from stratakit.linalg import Matrix
-from stratakit.modules import simple_module
+from stratakit.modules import ModuleMap, simple_module
 from stratakit.mv import (
     MVCategory,
     MVDataError,
@@ -16,6 +18,7 @@ from stratakit.mv import (
     mv_recollement,
 )
 from stratakit.recollement import intermediate_extension, verify_recollement
+from stratakit.specfile import parse_spec
 
 from oracles import mv_subobject_pairs
 from support import load_fixture, mv_direct_sum
@@ -81,7 +84,7 @@ def test_product_category_when_bimodules_vanish(all_data):
     jl, jr = r.j_lower(k), r.j_roof(k)
     # with M = N = 0 everything is componentwise; both adjoints are plain pairs
     assert jl.x_z.dim == 0 and jr.x_z.dim == 0
-    ok, _, _ = cat.is_isomorphic(jl, jr)
+    ok = is_isomorphic(cat, jl, jr).isomorphic
     assert ok
 
 
@@ -93,7 +96,7 @@ def test_closed_formula_matches_generic(all_data):
             su = simple_module(data.u_algebra, w)
             generic = intermediate_extension(r, su).obj
             table = mv_intermediate_table(cat, su)
-            ok, _, _ = cat.is_isomorphic(generic, table)
+            ok = is_isomorphic(cat, generic, table).isomorphic
             assert ok, (fix, w)
 
 
@@ -113,12 +116,12 @@ def mv_simples(data):
         ie = intermediate_extension(r, simple_module(data.u_algebra, w))
         obj = ie.obj
         table = mv_intermediate_table(cat, simple_module(data.u_algebra, w))
-        ok, _, _ = cat.is_isomorphic(obj, table)
+        ok = is_isomorphic(cat, obj, table).isomorphic
         assert ok, "generic intermediate extension disagrees with the closed formula"
         assert _mv_is_simple(cat, r, obj), f"intermediate extension at {w} is not simple"
         out.append((f"j_!*(S_u({w}))", obj))
     for (n1, a), (n2, b) in itertools.combinations(out, 2):
-        iso, _, _ = cat.is_isomorphic(a, b)
+        iso = is_isomorphic(cat, a, b).isomorphic
         assert not iso, f"simples {n1} and {n2} are isomorphic"
     return out
 
@@ -134,7 +137,7 @@ def _mv_is_simple(cat, r, t):
     if t.x_u.dim != 1:
         return False
     ie = intermediate_extension(r, t.x_u)
-    ok, _, _ = cat.is_isomorphic(t, ie.obj)
+    ok = is_isomorphic(cat, t, ie.obj).isomorphic
     return ok
 
 
@@ -276,6 +279,48 @@ def test_naturality_checked_on_generators(all_data):
             lhs = cat.fun.F.mor(f).then(cat.fun.eps(f.target))
             rhs = cat.fun.eps(f.source).then(cat.fun.G.mor(f))
             assert (lhs - rhs).is_zero, (fix, "eps fails naturality on a sample morphism")
+
+
+RETYPED_FIELDS = [{"kind": "Q"}, {"kind": "GF", "p": 3}]
+
+
+def open_simple_cubed(file, field):
+    """The glued category of the bundled fixture ``file`` retyped over
+    ``field``, and j_lower(S_u(1))^3 in it: End is M_3(k), whose RREF basis
+    has no invertible element and no invertible pairwise sum."""
+    raw = json.loads(fixture_bytes(file))
+    raw["field"] = field
+    spec = parse_spec(raw)
+    data = mv_data_from_spec(spec.mv, spec.field)
+    r = mv_recollement(data)
+    cat = r.extras["mv_category"]
+    return cat, mv_direct_sum(cat, [r.j_lower(simple_module(data.u_algebra, "1"))] * 3)[0]
+
+
+@pytest.mark.parametrize("field", RETYPED_FIELDS, ids=["Q", "GF3"])
+def test_glued_cube_is_isomorphic_to_itself(field):
+    """X_U = S_u(1)^3 and X_Z = 0 in the product gluing, where the search
+    must not give up at basis elements and pairwise sums."""
+    cat, x = open_simple_cubed("fix_mv_prod.json", field)
+    assert (x.x_u.dim, x.x_z.dim) == (3, 0) and len(cat.hom_basis(x, x)) == 9
+    res = is_isomorphic(cat, x, x)
+    assert res.isomorphic and res.certificate.is_isomorphism()
+
+
+@pytest.mark.parametrize("field", RETYPED_FIELDS, ids=["Q", "GF3"])
+def test_glued_cube_with_conjugated_structure_maps(field):
+    """alpha and beta conjugated by g in GL_3 give an object isomorphic
+    through (id, g) but not equal, so no shortcut decides it."""
+    cat, x = open_simple_cubed("fix_mv_id.json", field)
+    F = cat.field
+    g = Matrix.from_rows(F, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    g_inv = g.solve_left(Matrix.identity(F, 3))
+    y = cat.make_object(x.x_u, x.x_z, x.alpha.then(ModuleMap(x.x_z, x.x_z, g)),
+                        ModuleMap(x.x_z, x.x_z, g_inv).then(x.beta))
+    assert x != y and (x.x_u.dim, x.x_z.dim) == (3, 3)
+    res = is_isomorphic(cat, x, y)
+    assert res.isomorphic and res.certificate.is_isomorphism()
+    assert (res.certificate.source, res.certificate.target) == (x, y)
 
 
 MISMATCHED_ENDS = """

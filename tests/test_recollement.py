@@ -10,13 +10,12 @@ import pytest
 
 from stratakit import recollement
 from stratakit.algebra import opposite
-from stratakit.category import ModuleCategory, ShortExactSequence, solve_in_hom
+from stratakit.category import ModuleCategory, ShortExactSequence, is_isomorphic, solve_in_hom
 from stratakit.linalg import InconsistentSystem
 from stratakit.modules import (
     hom_basis,
     identity_map,
     injective_module,
-    is_isomorphic,
     projective_cover,
     projective_module,
     simple_module,
@@ -223,7 +222,7 @@ def test_functor_formulas_on_a2():
     k = simple_module(gamma, "2")
     assert r.j_lower(k).dim == 1
     assert r.j_roof(k).dim == 2
-    assert is_isomorphic(r.j_lower(k), simple_module(a, "2")).isomorphic
+    assert is_isomorphic(ModuleCategory(a), r.j_lower(k), simple_module(a, "2")).isomorphic
 
 
 def test_annihilated_module_is_fixed_by_both_adjoints():
@@ -233,8 +232,8 @@ def test_annihilated_module_is_fixed_by_both_adjoints():
     s1 = simple_module(a, "1")  # S(1)e_2 = 0
     up = r.i_embed(r.i_left(s1))
     down = r.i_embed(r.i_right(s1))
-    assert is_isomorphic(up, s1).isomorphic
-    assert is_isomorphic(down, s1).isomorphic
+    assert is_isomorphic(ModuleCategory(a), up, s1).isomorphic
+    assert is_isomorphic(ModuleCategory(a), down, s1).isomorphic
 
 
 def test_largest_quotient_characterization():
@@ -396,7 +395,7 @@ def test_simple_classification_single_recollement():
             # each built object matches exactly one actual simple
             matched = set()
             for b in built:
-                hits = [i for i, s in enumerate(actual) if is_isomorphic(b, s).isomorphic]
+                hits = [i for i, s in enumerate(actual) if is_isomorphic(ModuleCategory(a), b, s).isomorphic]
                 assert len(hits) == 1
                 assert hits[0] not in matched
                 matched.add(hits[0])
@@ -457,9 +456,8 @@ def cover_transport(r, x, p_cover) -> CoverTransport:
     matches = None
     if isinstance(cat, ModuleCategory):
         direct = projective_cover(ie.obj)
-        ok, _, _ = cat.is_isomorphic(direct.projective, composite.source)
-        matches = ok
-        assert ok, "transported cover disagrees with the direct projective cover"
+        matches = is_isomorphic(cat, direct.projective, composite.source).isomorphic
+        assert matches, "transported cover disagrees with the direct projective cover"
     return CoverTransport(cover=composite.source, cover_map=composite, matches_direct=matches)
 
 
@@ -471,7 +469,7 @@ def test_canonical_ses_both_sides():
     m = r.j_roof(k)  # dim 2, no Z subobjects
     ses = canonical_ses(r, m, "no-Z-subobjects")
     assert ses.sub.dim == 1 and ses.quotient.dim == 1
-    assert is_isomorphic(ses.sub, simple_module(a, "2")).isomorphic
+    assert is_isomorphic(ModuleCategory(a), ses.sub, simple_module(a, "2")).isomorphic
     m2 = r.j_lower(k)  # S(2): fine on both sides
     ses2 = canonical_ses(r, m2, "no-Z-quotients")
     assert ses2.sub.dim == 0 and ses2.quotient.dim == 1
@@ -512,7 +510,7 @@ def test_transport_of_restricted_projective():
     assert r.i_left(p2).dim == 0
     x = r.j_restrict(p2)
     ct = cover_transport(r, x, projective_cover(x).cover_map)
-    assert is_isomorphic(ct.cover, p2).isomorphic
+    assert is_isomorphic(ModuleCategory(a), ct.cover, p2).isomorphic
 
 
 def test_opposite_recollement_symmetry():

@@ -1,11 +1,11 @@
 import pytest
 
 from stratakit import strat
+from stratakit.category import ModuleCategory, is_isomorphic
 from stratakit.modules import (
     annihilator,
     injective_envelope,
     injective_module,
-    is_isomorphic,
     projective_cover,
     projective_module,
     quotient_module,
@@ -222,6 +222,23 @@ def test_filtration_is_searched_once_per_question(monkeypatch):
     assert len(calls) == 4
 
 
+def test_lower_sets_and_layers_are_kept_in_the_one_memo():
+    """Each lower-set quotient and layer recollement is built once and kept
+    in ``Stratification.memo``; a set that is not lower, or a label that is
+    not maximal in it, raises before anything is kept."""
+    s = strat_of("FIX-A3", check=False)
+    with pytest.raises(StratificationError, match="not a lower set"):
+        s.lower_algebra(frozenset({"y"}))
+    with pytest.raises(StratificationError, match="not maximal"):
+        s.layer_recollement(frozenset({"x", "y"}), "x")
+    assert s._memo == {}
+    xy = frozenset({"x", "y"})
+    r = s.layer_recollement(xy, "y")
+    assert s.layer_recollement({"x", "y"}, "y") is r
+    assert s.lower_algebra({"x", "y"}) is s.lower_algebra(xy)
+    assert set(s._memo) == {("lower", xy), ("layer", xy, "y")}
+
+
 def test_porism_every_vertex(strats):
     for fix, s in strats.items():
         for b in s.algebra.vertex_names:
@@ -339,11 +356,12 @@ def test_duality_swaps_standard_sides(strats):
         sop = Stratification(aop, s.poset, s.rho, s.epsilon, check=False)
         fams = s.standard_objects()
         fams_op = sop.standard_objects()
+        cat = ModuleCategory(aop)
         for b in s.algebra.vertex_names:
-            assert is_isomorphic(dual_module(fams[b].costd), fams_op[b].std).isomorphic
-            assert is_isomorphic(dual_module(fams[b].proper_costd), fams_op[b].proper_std).isomorphic
-            assert is_isomorphic(dual_module(fams[b].std), fams_op[b].costd).isomorphic
-            assert is_isomorphic(dual_module(fams[b].proper_std), fams_op[b].proper_costd).isomorphic
+            assert is_isomorphic(cat, dual_module(fams[b].costd), fams_op[b].std).isomorphic
+            assert is_isomorphic(cat, dual_module(fams[b].proper_costd), fams_op[b].proper_std).isomorphic
+            assert is_isomorphic(cat, dual_module(fams[b].std), fams_op[b].costd).isomorphic
+            assert is_isomorphic(cat, dual_module(fams[b].proper_std), fams_op[b].proper_costd).isomorphic
 
 
 def test_certificates_verify_independently(strats):
