@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import Field, InconsistentSystem, Matrix, Subspace, cached_hash
 
@@ -64,8 +64,7 @@ class Quiver:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     quiver: Quiver
     # each relation: tuple of (coefficient, arrow-index tuple); coefficients
     # are raw (int/str/Fraction) and coerced by the builder
@@ -387,8 +386,7 @@ def build_bound_quiver_algebra(pres: Presentation, field: Field) -> Algebra:
     return alg
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     issues: tuple[tuple[str, str], ...]  # (check name, witness)
 
@@ -488,8 +486,7 @@ def validate_algebra(a: Algebra) -> ValidationReport:
     return ValidationReport(ok=not issues, issues=tuple(issues))
 
 
-@dataclass(frozen=True)
-class CornerData:
+class CornerData(NamedTuple):
     algebra: Algebra
     embed: Matrix          # corner dim x parent dim: corner basis as parent vectors
 
@@ -545,8 +542,7 @@ def corner_algebra(a: Algebra, vertices: Sequence[str]) -> CornerData:
     return CornerData(algebra=alg, embed=embed)
 
 
-@dataclass(frozen=True)
-class QuotientData:
+class QuotientData(NamedTuple):
     algebra: Algebra
     projection: Matrix     # parent dim x quotient dim
     section: Matrix        # quotient dim x parent dim

@@ -17,7 +17,7 @@ falsification event: it is reported, never auto-resolved.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import opposite
 from .category import ModuleCategory, solve_in_hom
@@ -41,8 +41,7 @@ from .strat import Poset, Stratification, StratificationError
 # -- exactness of the one-sided extension functors ---------------------------
 
 
-@dataclass(frozen=True)
-class ExactnessVerdict:
+class ExactnessVerdict(NamedTuple):
     stratum: str
     exact: bool
     reason: str
@@ -122,8 +121,7 @@ def _lost_exactness_witness(s: Stratification, lam: str, side: str) -> dict | No
 # -- Ext comparison along a Serre inclusion -----------------------------------
 
 
-@dataclass(frozen=True)
-class ExtComparison:
+class ExtComparison(NamedTuple):
     degree: int
     dim_source: int
     dim_target: int
@@ -186,8 +184,7 @@ def ext_comparison(
 # -- k-homological stratifications --------------------------------------------
 
 
-@dataclass(frozen=True)
-class HomologicalVerdict:
+class HomologicalVerdict(NamedTuple):
     holds: bool
     witness: dict | None
     checked_pairs: int
@@ -269,14 +266,12 @@ def sign_patterns(poset: Poset) -> list[dict[str, str]]:
     return out
 
 
-@dataclass(frozen=True)
-class RouteVerdict:
+class RouteVerdict(NamedTuple):
     verdict: bool
     witness: dict | None
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """One decision reached by independent routes, keyed by route name in
     report order.  The routes must agree; a disagreement is reported by the
     caller, never resolved here."""

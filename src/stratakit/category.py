@@ -22,7 +22,7 @@ for glued tuples.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import Algebra
 from .linalg import InconsistentSystem, Matrix, UndecidedIsomorphism
@@ -92,8 +92,7 @@ class ModuleCategory:
         return out
 
 
-@dataclass
-class Functor:
+class Functor(NamedTuple):
     """A computable functor: deterministic callables on objects/morphisms."""
 
     name: str
@@ -125,8 +124,7 @@ def exact_at(f, g, mono: bool = False, epi: bool = False) -> bool:
             and (not epi or rg == g.target.dim))
 
 
-@dataclass(frozen=True)
-class ShortExactSequence:
+class ShortExactSequence(NamedTuple):
     """0 -> sub -> middle -> quotient -> 0 in any category of the interface."""
 
     inclusion: object   # sub -> middle
@@ -171,8 +169,7 @@ def solve_in_hom(cat, source, target, compose, goal):
     return combine(sol.row(0), basis, cat.zero_mor(source, target))
 
 
-@dataclass(frozen=True)
-class IsoResult:
+class IsoResult(NamedTuple):
     isomorphic: bool
     certificate: object | None  # explicit iso when YES
     reason: str                 # distinguishing invariant or search note

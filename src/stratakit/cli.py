@@ -19,8 +19,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .algebra import Algebra, AlgebraError, NonAdmissibleError, PossiblyInfiniteError
 from .linalg import UndecidedIsomorphism
@@ -42,8 +41,7 @@ class UsageError(Exception):
     """A malformed command line or environment; reported in one line, exit 1."""
 
 
-@dataclass(frozen=True)
-class Session:
+class Session(NamedTuple):
     """One input, built once: the algebra, its stratification (structure
     checks passed) and its gluing data, each None where the input has none
     or it failed validation.  Every check battery reads these, so their
@@ -384,7 +382,12 @@ def _corpus_fixture_checks(entry) -> list[Check]:
 
 def cmd_corpus(args) -> int:
     from .corpus import corpus_index
-    entries = [e for e in corpus_index() if args.filter is None or args.filter in e.tags]
+    index = corpus_index()
+    entries = [e for e in index if args.filter is None or args.filter in e.tags]
+    if not entries:  # a misspelt tag would otherwise pass with nothing checked
+        tags = sorted({t for e in index for t in e.tags})
+        print(f"unknown corpus tag {args.filter!r}; known tags: {', '.join(tags)}", file=sys.stderr)
+        return EXIT_SCHEMA
     report = Report(
         mode="corpus",
         input_name="bundled-corpus",

@@ -9,7 +9,7 @@ makes class equality a representation equality for a fixed resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .category import ModuleCategory, ShortExactSequence, solve_in_hom
 from .linalg import InvariantError, Matrix, Subspace
@@ -27,8 +27,7 @@ from .modules import (
 )
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(NamedTuple):
     """P_n -> ... -> P_0 -> M -> 0 (exact), with minimal P_i."""
 
     module: RightModule
@@ -76,8 +75,7 @@ def projective_resolution(m: RightModule, length: int) -> Resolution:
     return res
 
 
-@dataclass(frozen=True)
-class ExtClass:
+class ExtClass(NamedTuple):
     """Degree-n class represented by a reduced cocycle P_n -> target."""
 
     degree: int
@@ -86,8 +84,7 @@ class ExtClass:
     cocycle: ModuleMap  # P_degree -> target, reduced modulo coboundaries
 
 
-@dataclass(frozen=True)
-class ExtSpace:
+class ExtSpace(NamedTuple):
     degree: int
     source: RightModule
     target: RightModule
@@ -214,8 +211,7 @@ def _connecting_map(ses: ShortExactSequence, res: Resolution) -> ModuleMap:
     return ModuleMap(res.term(1), ses.sub, ses.inclusion.mat.solve_left(g.mat))
 
 
-@dataclass(frozen=True)
-class UniversalExtension:
+class UniversalExtension(NamedTuple):
     multiplicities: tuple[int, ...]
     middle: RightModule  # E in 0 -> sum of B_i^{d_i} -> E -> M -> 0
 

@@ -35,6 +35,9 @@ Conventions:
   dataclass would and keeps it on the instance (and the names of the
   compared fields on the class), so a memo keyed by a module does not
   re-hash its algebra's multiplication table on every lookup.
+* Records are ``typing.NamedTuple``s; value types that validate, hash once
+  or are mutated stay dataclasses, whose classes cost their generated
+  methods on every start of the command line.
 """
 
 from __future__ import annotations
@@ -186,7 +189,7 @@ GF3 = Field.gf(3)
 QQ = Field.rationals()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Matrix:
     """Immutable dense matrix, row-major entry tuple of length rows*cols."""
 
@@ -197,12 +200,12 @@ class Matrix:
 
     __hash__ = cached_hash
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
-            )
+    def __init__(self, field: Field, rows: int, cols: int, entries: tuple) -> None:
+        # one dict update where the frozen dataclass __init__ would make one
+        # object.__setattr__ call per field
+        if len(entries) != rows * cols:
+            raise ValueError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
+        self.__dict__.update(field=field, rows=rows, cols=cols, entries=entries)
 
     # -- constructors ------------------------------------------------------
 

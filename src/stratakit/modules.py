@@ -264,8 +264,7 @@ def hom_combinations(basis: Sequence, field: Field, exhaustive: bool) -> Iterato
 # -- bimodules and their tensor/hom functors ------------------------------------
 
 
-@dataclass(frozen=True)
-class Bimodule:
+class Bimodule(NamedTuple):
     """A (left_algebra, right_algebra)-bimodule on row vectors.
 
     ``right_action[k]`` is multiplicative as usual; the left action composes
@@ -493,8 +492,7 @@ def element_map_from_projective(
     return Matrix(target.algebra.field, incl_rows.rows, target.dim, ent)
 
 
-@dataclass(frozen=True)
-class Cover:
+class Cover(NamedTuple):
     projective: RightModule
     cover_map: ModuleMap
     summands: tuple[tuple[str, int], ...]  # (vertex, multiplicity)
@@ -545,8 +543,7 @@ def projective_cover(m: RightModule) -> Cover:
     return Cover(big, phi, summands)
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     injective: RightModule
     envelope_map: ModuleMap
 

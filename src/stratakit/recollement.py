@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import weakref
 from dataclasses import dataclass, field as dc_field, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .algebra import Algebra, CornerData, QuotientData, corner_algebra, quotient_by_idempotent_ideal
 from .category import (
@@ -100,8 +100,7 @@ class Recollement:
         return self.reports[key]
 
 
-@dataclass(frozen=True)
-class IdempotentRecollementData:
+class IdempotentRecollementData(NamedTuple):
     algebra: Algebra
     vertices: tuple[str, ...]
     e: tuple
@@ -317,16 +316,14 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
 # generic verification and derived constructions
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     axiom: str
     subject: str
     ok: bool
     note: str = ""
 
 
-@dataclass(frozen=True)
-class RecollementReport:
+class RecollementReport(NamedTuple):
     label: str
     results: tuple[CheckResult, ...]
 
@@ -444,8 +441,7 @@ def verify_recollement(r: Recollement, center_samples: Sequence[tuple[str, objec
     return RecollementReport(label=r.label, results=tuple(out))
 
 
-@dataclass(frozen=True)
-class IntermediateExtension:
+class IntermediateExtension(NamedTuple):
     obj: object                 # the image j_!* x in the center category
     from_lower: object          # epi  j_lower(x) ->> j_!* x
     into_roof: object           # mono j_!* x -> j_roof(x)

@@ -6,6 +6,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import __version__
 
@@ -28,8 +29,7 @@ def jsonable(x):
     return str(x)
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     criterion: str
     verdict: str              # PASS | FAIL | YES | NO | ERROR

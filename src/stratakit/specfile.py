@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .algebra import Algebra, Presentation, Quiver, build_bound_quiver_algebra
 from .linalg import Field
@@ -101,14 +102,12 @@ def _parse_relations(obj, where: str, quiver: Quiver, field: Field) -> Presentat
         raise SpecError(f"{where}: unknown arrow {e}") from None
 
 
-@dataclass(frozen=True)
-class PosetSpec:
+class PosetSpec(NamedTuple):
     elements: tuple[str, ...]
     leq: tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
-class StratSpec:
+class StratSpec(NamedTuple):
     poset: PosetSpec
     rho: dict[str, str]
     epsilon: dict[str, str] | None
@@ -146,15 +145,13 @@ def _parse_stratification(obj, quiver: Quiver) -> StratSpec:
     return StratSpec(PosetSpec(tuple(elements), tuple(leq)), dict(rho), eps)
 
 
-@dataclass(frozen=True)
-class BimoduleSpec:
+class BimoduleSpec(NamedTuple):
     dim: int
     left: dict[str, list]   # acting algebra basis label -> matrix rows
     right: dict[str, list]
 
 
-@dataclass(frozen=True)
-class MVSpec:
+class MVSpec(NamedTuple):
     z_presentation: Presentation
     u_presentation: Presentation
     m: BimoduleSpec  # left u-algebra, right z-algebra

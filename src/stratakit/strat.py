@@ -11,8 +11,7 @@ synthesis of projective covers by iterated universal extensions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import (
     Algebra,
@@ -53,8 +52,7 @@ class StratificationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Poset:
+class Poset(NamedTuple):
     """Finite poset: elements plus the full (reflexive) order relation."""
 
     elements: tuple[str, ...]
@@ -120,8 +118,7 @@ class Poset:
         return tuple(order)
 
 
-@dataclass(frozen=True)
-class LayerWitness:
+class LayerWitness(NamedTuple):
     """One layer of a filtration certificate.
 
     ``below`` and ``above`` are nested subspaces of the filtered module with
@@ -137,8 +134,7 @@ class LayerWitness:
     mode: str
 
 
-@dataclass(frozen=True)
-class FiltrationCertificate:
+class FiltrationCertificate(NamedTuple):
     module: RightModule
     layers: tuple[LayerWitness, ...]
     mode: str
@@ -259,8 +255,7 @@ def _search_quotient(m, allowed, budget, proj=None):
     return None
 
 
-@dataclass(frozen=True)
-class StandardObjects:
+class StandardObjects(NamedTuple):
     """The four object families of one vertex: standard, costandard, proper
     standard, proper costandard."""
 
@@ -522,16 +517,14 @@ class Stratification:
                             )
 
 
-@dataclass(frozen=True)
-class SynthesisAudit:
+class SynthesisAudit(NamedTuple):
     layer: str
     iterations: int
     multiplicities: tuple[tuple[str, int], ...]
     dim_after: int
 
 
-@dataclass(frozen=True)
-class SynthesisResult:
+class SynthesisResult(NamedTuple):
     vertex: str
     module: RightModule
     audit: tuple[SynthesisAudit, ...]
@@ -633,8 +626,7 @@ def _assert_layer_cover(algebra: Algebra, current: RightModule, t: str) -> None:
             )
 
 
-@dataclass(frozen=True)
-class PorismResult:
+class PorismResult(NamedTuple):
     vertex: str
     kernel_module: RightModule
     certificate: FiltrationCertificate

@@ -149,6 +149,14 @@ def test_corpus_filter(capsys):
     assert names == {"FIX-MV-ID", "FIX-MV-PAIR", "FIX-MV-PROD", "FIX-MV-ZERO"}
 
 
+def test_corpus_filter_with_an_unknown_tag_exits_1_and_lists_the_tags(capsys):
+    """A misspelt tag checks nothing, so it must not pass as an empty PASS."""
+    assert main(["corpus", "--filter", "hws"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["unknown corpus tag 'hws'; known tags: eps, hw, mv, negative, strat"]
+
+
 def test_corpus_negative_controls(capsys):
     code, out = run_cli(capsys, "corpus", "--filter", "negative")
     assert code == 0

@@ -671,3 +671,37 @@ def test_solve_checker_flags_what_it_should():
         "    return x, y, w, g\n"
     )
     assert none_checked_solves(tree) == ["f, line 3: x", "f, line 5: y", "g, line 11: h"]
+
+
+def test_only_the_listed_value_types_are_dataclasses():
+    """Every other record is a ``typing.NamedTuple``: each dataclass costs
+    its generated, ``exec``'d methods on every start of the command line,
+    about ten times a ``NamedTuple`` class.  These stay dataclasses:
+
+    * ``Field``, ``Quiver`` and ``MVData`` validate in ``__post_init__``;
+    * ``Matrix``, ``Subspace``, ``Algebra`` and ``RightModule`` hash once
+      with ``cached_hash``, or keep values on their ``__dict__``;
+    * ``Algebra``, ``Recollement`` and ``Report`` have a mutable or
+      ``default_factory`` field;
+    * ``ModuleMap`` and ``MVMorphism`` have a base class;
+    * tests derive inputs from an ``AlgebraSpec`` with ``dataclasses.replace``;
+    * ``MVObject``, an object of the glued category, is a memo key beside
+      modules, where tuple equality would make it equal to a plain tuple of
+      its fields.
+
+    A new record is a ``NamedTuple`` unless it is added here on purpose."""
+    found = set()
+    for path in MODULES:
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if isinstance(cls, ast.ClassDef) and any(
+                    getattr(m, "id", getattr(m, "attr", None)) == "dataclass"
+                    for m in (d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list)):
+                found.add(f"{path.stem}.{cls.name}")
+    assert found == {
+        "linalg.Field", "algebra.Quiver", "mv.MVData",
+        "linalg.Matrix", "linalg.Subspace", "algebra.Algebra", "modules.RightModule",
+        "recollement.Recollement", "report.Report",
+        "modules.ModuleMap", "mv.MVMorphism",
+        "specfile.AlgebraSpec",
+        "mv.MVObject",
+    }

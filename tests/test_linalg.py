@@ -398,6 +398,47 @@ def test_kept_rank_is_no_part_of_equality_or_hash():
     assert "_rank" not in {f.name for f in dataclasses.fields(Matrix)}
 
 
+# ---------------------------------------------------------------------------
+# the matrix value contract, whichever way its constructor stores the fields
+
+
+def test_matrix_rejects_a_wrong_entry_count():
+    with pytest.raises(ValueError) as err:
+        Matrix(GF3, 2, 3, (1, 2, 0, 1, 1))
+    assert str(err.value) == "2x3 matrix needs 6 entries, got 5"
+    with pytest.raises(ValueError) as err:
+        Matrix(QQ, rows=0, cols=2, entries=(1,))
+    assert str(err.value) == "0x2 matrix needs 0 entries, got 1"
+
+
+def test_matrix_is_frozen():
+    m = Matrix(GF3, 1, 2, (1, 2))
+    for name in ("rows", "entries", "unknown"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(m, name, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del m.rows
+    assert (m.field, m.rows, m.cols, m.entries) == (GF3, 1, 2, (1, 2))
+
+
+def test_matrix_repr_equality_and_fields():
+    m = Matrix(GF3, 1, 2, (1, 2))
+    assert repr(m) == "Matrix(field=GF(3), rows=1, cols=2, entries=(1, 2))"
+    assert repr(Matrix(QQ, 0, 0, ())) == "Matrix(field=Q, rows=0, cols=0, entries=())"
+    assert m == Matrix(field=GF3, rows=1, cols=2, entries=(1, 2)) == mat(GF3, [[1, 2]])
+    assert m != Matrix(GF3, 2, 1, (1, 2)) and m != Matrix(QQ, 1, 2, (1, 2))
+    assert m != (GF3, 1, 2, (1, 2))
+    assert [f.name for f in dataclasses.fields(Matrix)] == ["field", "rows", "cols", "entries"]
+
+
+def test_matrix_keeps_hash_and_rank_on_the_instance():
+    m = mat(GF3, [[1, 2], [2, 1]])
+    assert set(vars(m)) == {"field", "rows", "cols", "entries"}
+    hash(m), m.rank()
+    assert set(vars(m)) == {"field", "rows", "cols", "entries", "_hash", "_rank"}
+    assert vars(m)["_hash"] == _field_hash(m) and vars(m)["_rank"] == 1
+
+
 def matrix_and_vector(field):
     """A rows x cols matrix, 0 <= cols, and a mostly-zero vector of length rows."""
     def build(rows, cols):

@@ -14,7 +14,7 @@ from stratakit.modules import (
     simple_module,
     submodule,
 )
-from stratakit.recollement import intermediate_extension
+from stratakit.recollement import CheckResult, Recollement, RecollementReport, intermediate_extension
 from stratakit.specfile import build_algebra
 from stratakit.strat import (
     Poset,
@@ -71,6 +71,19 @@ def test_structure_checks_pass(strats):
     for fix, s in strats.items():
         notes = s.run_structure_checks()
         assert any(tag == "S3" for tag, _ in notes), fix
+
+
+def test_s2_failure_text_carries_each_failed_check_by_its_repr(monkeypatch):
+    """``validate`` reports this text as the stratification witness, so the
+    records keep the ``Name(field=value, ...)`` repr of a dataclass."""
+    failed = CheckResult("R1", "j_restrict(P(1))", False, "counit not iso")
+    monkeypatch.setattr(Recollement, "verify", lambda self, samples: RecollementReport(
+        "broken", (CheckResult("R0", "S(1)", True), failed)))
+    with pytest.raises(StratificationError) as err:
+        strat_of("FIX-A2")
+    assert str(err.value) == ("(S2): recollement at x fails axioms: [CheckResult(axiom='R1', "
+                              "subject='j_restrict(P(1))', ok=False, note='counit not iso')]")
+    assert repr(CheckResult("R0", "S(1)", True)) == "CheckResult(axiom='R0', subject='S(1)', ok=True, note='')"
 
 
 def test_single_stratum_is_whole_algebra():
