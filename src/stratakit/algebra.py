@@ -492,9 +492,10 @@ class CornerData(NamedTuple):
 
 
 def corner_algebra(a: Algebra, vertices: Sequence[str]) -> CornerData:
-    """The corner algebra eAe for e the sum of the named vertex idempotents."""
+    """The corner algebra eAe for e the sum of the named vertex idempotents;
+    the zero algebra for e = 0."""
     subset = list(vertices)
-    if not subset or any(v not in a.vertex_names for v in subset) or len(set(subset)) != len(subset):
+    if any(v not in a.vertex_names for v in subset) or len(set(subset)) != len(subset):
         raise ValueError(f"not a vertex subset: {vertices!r}")
     F = a.field
     e = a.idempotent_sum(subset)
@@ -525,7 +526,8 @@ def corner_algebra(a: Algebra, vertices: Sequence[str]) -> CornerData:
     except InconsistentSystem:
         raise AlgebraError("corner product left the corner span") from None
     mult_rows = [tuple(sol.row(i * cdim + j) for j in range(cdim)) for i in range(cdim)]
-    rad = Matrix(F, a.radical.dim, cdim, sol.entries[cdim ** 3:-cdim]).row_space()  # the rows before e
+    # the radical's rows lie between the products and e
+    rad = Matrix(F, a.radical.dim, cdim, sol.entries[cdim ** 3:(sol.rows - 1) * cdim]).row_space()
 
     alg = Algebra(
         field=F,
@@ -582,19 +584,6 @@ def quotient_by_idempotent_ideal(a: Algebra, vertices: Sequence[str]) -> Quotien
                 raise AlgebraError("idempotent ideal span not stable")
 
     proj, sec = ideal.quotient_maps()
-    qdim = proj.cols
-    if qdim == 0:
-        zero_alg = Algebra(
-            field=F,
-            basis_labels=(),
-            mult=(),
-            unit=(),
-            idempotent_indices=(),
-            vertex_names=(),
-            radical=Subspace.zero(F, 0),
-        )
-        return QuotientData(zero_alg, proj, sec)
-
     push = proj.apply_row
     surviving = [v for v in a.vertex_names if v not in subset]
     idem_indices = []

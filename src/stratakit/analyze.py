@@ -67,7 +67,7 @@ def exactness_check(s: Stratification, lam: str, side: str) -> ExactnessVerdict:
 
 
 def _exactness(s: Stratification, lam: str, side: str) -> ExactnessVerdict:
-    data = s.principal_recollement(lam).extras["idempotent_data"]
+    data = s.principal_recollement(lam).data
     gamma = data.corner.algebra
     if side == "j_!":  # fB as a right module over the opposite stratum algebra
         bim = RightModule(opposite(gamma), data.ea.dim, data.ea.left_action)

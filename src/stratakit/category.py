@@ -93,19 +93,18 @@ class ModuleCategory:
 
 
 class Functor(NamedTuple):
-    """A computable functor: deterministic callables on objects/morphisms."""
+    """A computable functor: deterministic callables on objects and on
+    morphisms, named as in ``TensorFunctor`` and ``HomFunctor``; ``F(x)``
+    applies ``obj`` and ``F.map(f)`` applies ``mor``."""
 
-    name: str
-    source: object
-    target: object
-    on_obj: object  # callable obj -> obj
-    on_mor: object  # callable mor -> mor
+    obj: object  # callable obj -> obj
+    mor: object  # callable mor -> mor
 
     def __call__(self, x):
-        return self.on_obj(x)
+        return self.obj(x)
 
     def map(self, f):
-        return self.on_mor(f)
+        return self.mor(f)
 
 
 def mor_eq(f, g) -> bool:

@@ -29,6 +29,7 @@ from .specfile import AlgebraSpec, SpecError, build_algebra, load_spec, parse_sp
 if TYPE_CHECKING:
     from .analyze import Decision
     from .mv import MVData
+    from .recollement import RecollementReport
     from .strat import Stratification
 
 EXIT_OK = 0
@@ -120,6 +121,17 @@ def checks_validate(spec: AlgebraSpec) -> tuple[list[Check], Session]:
     return out, Session(spec.name, algebra, strat, mv)
 
 
+def _axiom_check(name: str, rep: RecollementReport, details: dict) -> Check:
+    """One recollement axiom suite as one check, every failed axiom in the witness."""
+    return Check(
+        name,
+        "adjoint triples, fully faithful embeddings, orthogonality, adjunction exact sequences",
+        "PASS" if rep.ok else "FAIL",
+        witness=None if rep.ok else {"failures": [(f.axiom, f.subject, f.note) for f in rep.failures()]},
+        details=details,
+    )
+
+
 def checks_recollement(session: Session) -> list[Check]:
     from .category import ModuleCategory, is_isomorphic
     from .modules import simple_module
@@ -130,14 +142,8 @@ def checks_recollement(session: Session) -> list[Check]:
         data = session.mv
         r = mv_recollement(data)
         rep = r.verify(_mv_samples(r, data))
-        out.append(Check(
-            "mv-recollement",
-            "adjoint triples, fully faithful embeddings, orthogonality, adjunction exact sequences",
-            "PASS" if rep.ok else "FAIL",
-            witness=None if rep.ok else {"failures": [(f.axiom, f.subject, f.note) for f in rep.failures()]},
-            details={"samples": len(rep.results)},
-        ))
-        cat = r.extras["mv_category"]
+        out.append(_axiom_check("mv-recollement", rep, {"samples": len(rep.results)}))
+        cat = r.cat_c
         for w in data.u_algebra.vertex_names:
             su = simple_module(data.u_algebra, w)
             generic = intermediate_extension(r, su).obj
@@ -154,14 +160,8 @@ def checks_recollement(session: Session) -> list[Check]:
     samples = ModuleCategory(algebra).standard_samples()
     for v in algebra.vertex_names:
         r = make_idempotent_recollement(algebra, [v])
-        rep = r.verify(samples)
-        out.append(Check(
-            f"recollement(e_{v})",
-            "adjoint triples, fully faithful embeddings, orthogonality, adjunction exact sequences",
-            "PASS" if rep.ok else "FAIL",
-            witness=None if rep.ok else {"failures": [(f.axiom, f.subject, f.note) for f in rep.failures()]},
-            details={"samples": [n for n, _ in samples], "degenerate": r.degenerate},
-        ))
+        out.append(_axiom_check(f"recollement(e_{v})", r.verify(samples),
+                                {"samples": [n for n, _ in samples], "degenerate": r.degenerate}))
     return out
 
 
@@ -200,7 +200,7 @@ def checks_porism(s: Stratification) -> list[Check]:
 
 
 def checks_synthesis(s: Stratification) -> list[Check]:
-    from .strat import synthesize_projective_cover
+    from .strat import StratificationError, SynthesisNonTermination, synthesize_projective_cover
     out = []
     for t in s.algebra.vertex_names:
         try:
@@ -215,9 +215,7 @@ def checks_synthesis(s: Stratification) -> list[Check]:
                     for a in res.audit
                 ]},
             ))
-        except UndecidedIsomorphism:
-            raise
-        except Exception as e:  # noqa: BLE001
+        except (StratificationError, SynthesisNonTermination) as e:
             out.append(Check(f"synthesize_cover({t})",
                              "iterated universal extensions rebuild the projective cover",
                              "FAIL", witness={"error": str(e)}))

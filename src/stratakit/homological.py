@@ -113,7 +113,7 @@ def ext(m: RightModule, n: RightModule, degree: int) -> ExtSpace:
     F = m.algebra.field
     res = projective_resolution(m, degree + 1)
     p_n = res.term(degree)
-    if p_n.dim == 0 or n.dim == 0:
+    if p_n.dim == 0 or n.dim == 0:  # Ext is 0, and the coboundaries need no Hom(P_{n-1}, N)
         return ExtSpace(degree, m, n, 0, (), Subspace.zero(F, p_n.dim * n.dim))
     homs = hom_basis(p_n, n)
     ambient = p_n.dim * n.dim
@@ -168,13 +168,17 @@ def reduce_cocycle(space: ExtSpace, f: ModuleMap) -> tuple:
     return B.solve_left(Matrix(F, 1, proj.cols, reduced)).row(0)
 
 
-def _cocycle_to_kernel_map(res: Resolution, f: ModuleMap) -> ModuleMap:
-    """Factor a degree-1 cocycle P_1 -> N through P_1 ->> K = ker(aug)."""
+def _kernel_epi(res: Resolution) -> tuple[ModuleMap, ModuleMap]:
+    """The epi P_1 ->> K = ker(aug) and the inclusion K -> P_0, whose
+    composite is d_1."""
     ker_mod, ker_incl = kernel(res.augmentation)
-    d1 = res.differential(1)
-    # d1 = (P_1 ->> K) ; incl: recover the epi onto K
-    epi_mat = ker_incl.mat.solve_left(d1.mat)
-    return ModuleMap(ker_mod, f.target, epi_mat.solve_right(f.mat))
+    epi_mat = ker_incl.mat.solve_left(res.differential(1).mat)
+    return ModuleMap(res.term(1), ker_mod, epi_mat), ker_incl
+
+
+def _cocycle_to_kernel_map(epi: ModuleMap, f: ModuleMap) -> ModuleMap:
+    """Factor a degree-1 cocycle P_1 -> N through the epi P_1 ->> K."""
+    return ModuleMap(epi.target, f.target, epi.mat.solve_right(f.mat))
 
 
 def _pushout_extension(res: Resolution, fbar: ModuleMap, ker_incl: ModuleMap) -> ShortExactSequence:
@@ -237,12 +241,12 @@ def universal_extension(m: RightModule, targets: list[RightModule]) -> Universal
         return UniversalExtension(multiplicities=mults, middle=m)
 
     res = projective_resolution(m, 2)
-    ker_mod, ker_incl = kernel(res.augmentation)
+    epi, ker_incl = _kernel_epi(res)
     fbars: list[ModuleMap] = []
     blocks: list[RightModule] = []
     for b, space in zip(targets, spaces):
         for cls in space.classes:
-            fbars.append(_cocycle_to_kernel_map(res, cls.cocycle))
+            fbars.append(_cocycle_to_kernel_map(epi, cls.cocycle))
             blocks.append(b)
     T, injs, projs = direct_sum(blocks)
     stacked = None

@@ -466,8 +466,6 @@ def intertwiner_basis(field: Field, pairs: Sequence[tuple["Matrix", "Matrix"]], 
     Unknown k * m + l is the entry X[k, l]; with no pairs there are no
     equations, and the kernel is the unit basis of all n x m matrices.
     """
-    if n == 0 or m == 0:
-        return []
     ncons = len(pairs) * n * m
     ent = [field.zero] * (n * m * ncons)
     for k in range(n):
@@ -506,8 +504,6 @@ class Subspace:
 
     @staticmethod
     def from_matrix(m: Matrix) -> "Subspace":
-        if m.rows == 0:
-            return Subspace.zero(m.field, m.cols)
         R, rank, piv = m.rref()
         return Subspace(m.cols, Matrix(m.field, rank, m.cols, R.entries[: rank * m.cols]), piv)
 

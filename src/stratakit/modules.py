@@ -229,13 +229,8 @@ def hom_basis(m: RightModule, n: RightModule) -> list[ModuleMap]:
     if m.algebra != n.algebra:
         raise ValueError("modules over different algebras")
     A = m.algebra
-    F = A.field
-    dm, dn = m.dim, n.dim
-    if dm == 0 or dn == 0:
-        return []
-    gens = A.generating_vectors()
-    pairs = [(m.action_of(g), n.action_of(g)) for g in gens]
-    return [ModuleMap(m, n, mat) for mat in intertwiner_basis(F, pairs, dm, dn)]
+    pairs = [(m.action_of(g), n.action_of(g)) for g in A.generating_vectors()]
+    return [ModuleMap(m, n, mat) for mat in intertwiner_basis(A.field, pairs, m.dim, n.dim)]
 
 
 def hom_combinations(basis: Sequence, field: Field, exhaustive: bool) -> Iterator:
@@ -330,8 +325,6 @@ class Bimodule(NamedTuple):
 
         def coords(x: RightModule, mats: Sequence[Matrix]) -> Matrix:
             phis = basis(x)
-            if not phis:
-                return Matrix.zero(F, len(mats), 0)
             n = db * x.dim
             flat_basis = Matrix(F, len(phis), n, tuple(e for phi in phis for e in phi.entries))
             return flat_basis.solve_left(Matrix(F, len(mats), n, tuple(e for m in mats for e in m.entries)))

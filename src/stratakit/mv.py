@@ -8,10 +8,13 @@ theta: M (x)_R N -> S.  The pairing induces the natural transformation
     eps_X : F(X) -> G(X),    eps_X(x (x) m)(n) = x . theta(m (x) n),
 
 and the glued category has objects (X_U, X_Z, alpha, beta) with
-beta . alpha = eps_{X_U}.  Kernels and cokernels are componentwise with
-induced connecting maps (G preserves the kernels, F the cokernels).  The
-category implements the same computable-category surface as module
-categories, so the generic recollement machinery runs on it unchanged.
+beta . alpha = eps_{X_U}.  ``MVCategory`` holds F and G (``cat.F``,
+``cat.G``) and computes eps (``cat.eps(x)``).  Kernels and cokernels are
+componentwise with induced connecting maps (G preserves the kernels, F the
+cokernels).  The category implements the same computable-category surface
+as module categories, so the generic recollement machinery runs on it
+unchanged; its recollement's center category ``r.cat_c`` is the
+``MVCategory``.
 """
 
 from __future__ import annotations
@@ -84,37 +87,6 @@ def validate_mv_data(d: MVData) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the two functors and the natural transformation
-
-
-class MVFunctors:
-    """F = (-) (x)_S M and G = Hom_S(N, -), with eps: F -> G from theta."""
-
-    def __init__(self, data: MVData):
-        self.data = data
-        self.field = data.u_algebra.field
-        self.F = data.m.tensor_functor()
-        self.G = data.n.hom_functor()
-
-    # the natural transformation ---------------------------------------------
-
-    def eps(self, x: RightModule) -> ModuleMap:
-        d = self.data
-        F = self.field
-        dx, dm, dn = x.dim, d.m.dim, d.n.dim
-        # theta's row j * dn + t is theta(m_j (x) n_t), acting on x
-        acts = [x.action_of(d.theta.row(k)) for k in range(dm * dn)]
-        mats = [Matrix(F, dn, dx, tuple(e for t in range(dn) for e in acts[j * dn + t].row(i)))
-                for i in range(dx) for j in range(dm)]
-        v_mat_rows = self.G.coords(x, mats)
-        W = self.F.relations(x)
-        if W.dim and self.G.basis(x) and not (W.basis @ v_mat_rows).is_zero:
-            raise InvariantError("eps not well defined on the tensor quotient")
-        _, secT = W.quotient_maps()
-        return ModuleMap(self.F.obj(x), self.G.obj(x), secT @ v_mat_rows)
-
-
-# ---------------------------------------------------------------------------
 # objects, morphisms, category
 
 
@@ -162,19 +134,37 @@ class MVMorphism(RankPredicates):
 
 
 class MVCategory:
-    """The glued abelian category, as a computable category handle."""
+    """The glued abelian category, as a computable category handle, with
+    the functors F = (-) (x)_S M and G = Hom_S(N, -) and the natural
+    transformation eps: F -> G from theta that it glues along."""
 
     def __init__(self, data: MVData):
         self.data = data
-        self.fun = MVFunctors(data)
         self.field = data.u_algebra.field
         self.cat_u = ModuleCategory(data.u_algebra)
         self.cat_z = ModuleCategory(data.z_algebra)
+        self.F = data.m.tensor_functor()
+        self.G = data.n.hom_functor()
+
+    def eps(self, x: RightModule) -> ModuleMap:
+        d = self.data
+        F = self.field
+        dx, dm, dn = x.dim, d.m.dim, d.n.dim
+        # theta's row j * dn + t is theta(m_j (x) n_t), acting on x
+        acts = [x.action_of(d.theta.row(k)) for k in range(dm * dn)]
+        mats = [Matrix(F, dn, dx, tuple(e for t in range(dn) for e in acts[j * dn + t].row(i)))
+                for i in range(dx) for j in range(dm)]
+        v_mat_rows = self.G.coords(x, mats)
+        W = self.F.relations(x)
+        if not (W.basis @ v_mat_rows).is_zero:
+            raise InvariantError("eps not well defined on the tensor quotient")
+        _, secT = W.quotient_maps()
+        return ModuleMap(self.F.obj(x), self.G.obj(x), secT @ v_mat_rows)
 
     # object helpers --------------------------------------------------------
 
     def make_object(self, x_u, x_z, alpha, beta) -> MVObject:
-        if not (alpha.then(beta) - self.fun.eps(x_u)).is_zero:
+        if not (alpha.then(beta) - self.eps(x_u)).is_zero:
             raise MVDataError("beta . alpha differs from eps: not a glued object")
         return MVObject(x_u, x_z, alpha, beta)
 
@@ -204,8 +194,8 @@ class MVCategory:
         for k in range(nu + nz):
             if k < nu:
                 fu, fz = hu[k], None
-                d1 = self.fun.F.mor(fu).then(y.alpha)
-                d2 = x.beta.then(self.fun.G.mor(fu))
+                d1 = self.F.mor(fu).then(y.alpha)
+                d2 = x.beta.then(self.G.mor(fu))
             else:
                 fu, fz = None, hz[k - nu]
                 d1 = x.alpha.then(fz).scale(F.neg(F.one))
@@ -223,35 +213,35 @@ class MVCategory:
         ku, iu = module_kernel(f.f_u)
         kz, iz = module_kernel(f.f_z)
         # alpha restricts: F(ku) -> kz  (image lands in ker f_z)
-        a_mat = iz.mat.solve_left(self.fun.F.mor(iu).then(f.source.alpha).mat)
-        alpha_k = ModuleMap(self.fun.F.obj(ku), kz, a_mat)
+        a_mat = iz.mat.solve_left(self.F.mor(iu).then(f.source.alpha).mat)
+        alpha_k = ModuleMap(self.F.obj(ku), kz, a_mat)
         # beta corestricts through the mono G(ku) -> G(x_u)
-        g_iu = self.fun.G.mor(iu)
+        g_iu = self.G.mor(iu)
         b_mat = g_iu.mat.solve_left(iz.then(f.source.beta).mat)
-        beta_k = ModuleMap(kz, self.fun.G.obj(ku), b_mat)
+        beta_k = ModuleMap(kz, self.G.obj(ku), b_mat)
         k_obj = self.make_object(ku, kz, alpha_k, beta_k)
         return k_obj, MVMorphism(k_obj, f.source, iu, iz)
 
     def cokernel(self, f: MVMorphism) -> tuple[MVObject, MVMorphism]:
         cu, pu = module_cokernel(f.f_u)
         cz, pz = module_cokernel(f.f_z)
-        f_pu = self.fun.F.mor(pu)
+        f_pu = self.F.mor(pu)
         a_mat = f_pu.mat.solve_right(f.target.alpha.then(pz).mat)
-        alpha_c = ModuleMap(self.fun.F.obj(cu), cz, a_mat)
-        b_mat = pz.mat.solve_right(f.target.beta.then(self.fun.G.mor(pu)).mat)
-        beta_c = ModuleMap(cz, self.fun.G.obj(cu), b_mat)
+        alpha_c = ModuleMap(self.F.obj(cu), cz, a_mat)
+        b_mat = pz.mat.solve_right(f.target.beta.then(self.G.mor(pu)).mat)
+        beta_c = ModuleMap(cz, self.G.obj(cu), b_mat)
         c_obj = self.make_object(cu, cz, alpha_c, beta_c)
         return c_obj, MVMorphism(f.target, c_obj, pu, pz)
 
     def image(self, f: MVMorphism) -> tuple[MVObject, MVMorphism, MVMorphism]:
         iu_obj, eu, mu = module_image(f.f_u)
         iz_obj, ez, mz = module_image(f.f_z)
-        f_eu = self.fun.F.mor(eu)
+        f_eu = self.F.mor(eu)
         a_mat = f_eu.mat.solve_right(f.source.alpha.then(ez).mat)
-        alpha_i = ModuleMap(self.fun.F.obj(iu_obj), iz_obj, a_mat)
-        g_mu = self.fun.G.mor(mu)
+        alpha_i = ModuleMap(self.F.obj(iu_obj), iz_obj, a_mat)
+        g_mu = self.G.mor(mu)
         b_mat = g_mu.mat.solve_left(mz.then(f.target.beta).mat)
-        beta_i = ModuleMap(iz_obj, self.fun.G.obj(iu_obj), b_mat)
+        beta_i = ModuleMap(iz_obj, self.G.obj(iu_obj), b_mat)
         i_obj = self.make_object(iu_obj, iz_obj, alpha_i, beta_i)
         return i_obj, MVMorphism(f.source, i_obj, eu, ez), MVMorphism(i_obj, f.target, mu, mz)
 
@@ -262,7 +252,6 @@ class MVCategory:
 
 def mv_recollement(data: MVData) -> Recollement:
     cat = MVCategory(data)
-    fun = cat.fun
     F = cat.field
     cat_z = cat.cat_z
     cat_u = cat.cat_u
@@ -270,8 +259,8 @@ def mv_recollement(data: MVData) -> Recollement:
     @functools.cache
     def i_embed_obj(z: RightModule) -> MVObject:
         zu = zero_module(data.u_algebra)
-        fz = fun.F.obj(zu)
-        gz = fun.G.obj(zu)
+        fz = cat.F.obj(zu)
+        gz = cat.G.obj(zu)
         return MVObject(
             zu, z,
             ModuleMap(fz, z, Matrix.zero(F, fz.dim, z.dim)),
@@ -308,19 +297,19 @@ def mv_recollement(data: MVData) -> Recollement:
 
     @functools.cache
     def j_lower_obj(u: RightModule) -> MVObject:
-        fu = fun.F.obj(u)
-        return MVObject(u, fu, identity_map(fu), fun.eps(u))
+        fu = cat.F.obj(u)
+        return MVObject(u, fu, identity_map(fu), cat.eps(u))
 
     def j_lower_mor(f: ModuleMap) -> MVMorphism:
-        return MVMorphism(j_lower_obj(f.source), j_lower_obj(f.target), f, fun.F.mor(f))
+        return MVMorphism(j_lower_obj(f.source), j_lower_obj(f.target), f, cat.F.mor(f))
 
     @functools.cache
     def j_roof_obj(u: RightModule) -> MVObject:
-        gu = fun.G.obj(u)
-        return MVObject(u, gu, fun.eps(u), identity_map(gu))
+        gu = cat.G.obj(u)
+        return MVObject(u, gu, cat.eps(u), identity_map(gu))
 
     def j_roof_mor(f: ModuleMap) -> MVMorphism:
-        return MVMorphism(j_roof_obj(f.source), j_roof_obj(f.target), f, fun.G.mor(f))
+        return MVMorphism(j_roof_obj(f.source), j_roof_obj(f.target), f, cat.G.mor(f))
 
     # units and counits (all componentwise canonical)
     def unit_quot(x: MVObject) -> MVMorphism:
@@ -361,12 +350,12 @@ def mv_recollement(data: MVData) -> Recollement:
         cat_z=cat_z,
         cat_c=cat,
         cat_u=cat_u,
-        i_embed=Functor("i_embed", cat_z, cat, i_embed_obj, i_embed_mor),
-        i_left=Functor("i_left", cat, cat_z, i_left_obj, i_left_mor),
-        i_right=Functor("i_right", cat, cat_z, i_right_obj, i_right_mor),
-        j_restrict=Functor("j_restrict", cat, cat_u, j_restrict_obj, j_restrict_mor),
-        j_lower=Functor("j_lower", cat_u, cat, j_lower_obj, j_lower_mor),
-        j_roof=Functor("j_roof", cat_u, cat, j_roof_obj, j_roof_mor),
+        i_embed=Functor(i_embed_obj, i_embed_mor),
+        i_left=Functor(i_left_obj, i_left_mor),
+        i_right=Functor(i_right_obj, i_right_mor),
+        j_restrict=Functor(j_restrict_obj, j_restrict_mor),
+        j_lower=Functor(j_lower_obj, j_lower_mor),
+        j_roof=Functor(j_roof_obj, j_roof_mor),
         unit_quot=unit_quot,
         counit_quot=counit_quot,
         unit_sub=unit_sub,
@@ -376,13 +365,12 @@ def mv_recollement(data: MVData) -> Recollement:
         unit_jr=unit_jr,
         counit_jr=counit_jr,
         label="Macpherson-Vilonen gluing",
-        extras={"mv_data": data, "mv_category": cat},
     )
 
 
 def mv_intermediate_table(cat: MVCategory, u: RightModule) -> MVObject:
     """j_!* by the closed formula: (X_U, im eps, corestricted eps, inclusion)."""
-    eps = cat.fun.eps(u)
+    eps = cat.eps(u)
     img, epi, mono = module_image(eps)
     return cat.make_object(u, img, epi, mono)
 

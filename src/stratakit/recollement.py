@@ -86,7 +86,7 @@ class Recollement:
     counit_jr: Callable
     label: str = ""
     degenerate: str | None = None  # "zero-U" (e=0) or "zero-Z" (e=1)
-    extras: dict = dc_field(default_factory=dict)
+    data: IdempotentRecollementData | None = None  # None for the glued recollement
     # reports of ``verify`` by sample tuple; not an ``__init__`` argument, so
     # a ``dataclasses.replace`` copy starts with none and is verified afresh
     reports: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
@@ -101,12 +101,10 @@ class Recollement:
 
 
 class IdempotentRecollementData(NamedTuple):
-    algebra: Algebra
     vertices: tuple[str, ...]
     e: tuple
-    corner: CornerData
-    quotient: QuotientData
-    embed: Matrix  # basis rows of eAe inside A (none for e = 0)
+    corner: CornerData  # eAe, the zero algebra when e = 0
+    quotient: QuotientData  # A/AeA
     e_a: Matrix  # basis rows of eA inside A
     a_e: Matrix  # basis rows of Ae inside A
     ea: Bimodule  # eA over (eAe, A), on the basis e_a
@@ -116,21 +114,12 @@ class IdempotentRecollementData(NamedTuple):
 def idempotent_recollement_data(a: Algebra, vertices: Sequence[str]) -> IdempotentRecollementData:
     vs = tuple(vertices)
     e = a.idempotent_sum(vs)
-    if vs:
-        corner = corner_algebra(a, vs)
-        gamma, embed = corner.algebra, corner.embed
-    else:
-        # e = 0: the U side is the zero category, realized as modules over
-        # the zero algebra (quotient by the unit ideal)
-        corner = None
-        gamma = quotient_by_idempotent_ideal(a, list(a.vertex_names)).algebra
-        embed = Matrix.zero(a.field, 0, a.dim)
-    quotient = quotient_by_idempotent_ideal(a, vs)
+    corner = corner_algebra(a, vs)
     e_a = a.left_mult_matrix(e).row_space().basis
     a_e = a.right_mult_matrix(e).row_space().basis
-    ea, ae = corner_bimodules(a, gamma, embed, e_a, a_e)
+    ea, ae = corner_bimodules(a, corner.algebra, corner.embed, e_a, a_e)
     return IdempotentRecollementData(
-        algebra=a, vertices=vs, e=e, corner=corner, quotient=quotient, embed=embed,
+        vertices=vs, e=e, corner=corner, quotient=quotient_by_idempotent_ideal(a, vs),
         e_a=e_a, a_e=a_e, ea=ea, ae=ae,
     )
 
@@ -149,7 +138,7 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
     e = data.e
     quot = data.quotient
     q_alg = quot.algebra
-    gamma = data.ea.left_algebra
+    gamma = data.corner.algebra
 
     cat_c = ModuleCategory(a)
     cat_z = ModuleCategory(q_alg)
@@ -182,7 +171,7 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
 
     @functools.cache
     def j_restrict_obj(m: RightModule) -> RightModule:
-        return submodule(restrict_scalars(m, gamma, data.embed), restrict_space(m))[0]
+        return submodule(restrict_scalars(m, gamma, data.corner.embed), restrict_space(m))[0]
 
     def j_restrict_mor(f: ModuleMap) -> ModuleMap:
         BM = restrict_space(f.source).basis
@@ -290,12 +279,12 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
         cat_z=cat_z,
         cat_c=cat_c,
         cat_u=cat_u,
-        i_embed=Functor("i_embed", cat_z, cat_c, i_embed_obj, i_embed_mor),
-        i_left=Functor("i_left", cat_c, cat_z, i_left_obj, i_left_mor),
-        i_right=Functor("i_right", cat_c, cat_z, i_right_obj, i_right_mor),
-        j_restrict=Functor("j_restrict", cat_c, cat_u, j_restrict_obj, j_restrict_mor),
-        j_lower=Functor("j_lower", cat_u, cat_c, tensor.obj, tensor.mor),
-        j_roof=Functor("j_roof", cat_u, cat_c, hom.obj, hom.mor),
+        i_embed=Functor(i_embed_obj, i_embed_mor),
+        i_left=Functor(i_left_obj, i_left_mor),
+        i_right=Functor(i_right_obj, i_right_mor),
+        j_restrict=Functor(j_restrict_obj, j_restrict_mor),
+        j_lower=Functor(tensor.obj, tensor.mor),
+        j_roof=Functor(hom.obj, hom.mor),
         unit_quot=unit_quot,
         counit_quot=counit_quot,
         unit_sub=unit_sub,
@@ -306,7 +295,7 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
         counit_jr=counit_jr,
         label=label,
         degenerate=degenerate,
-        extras={"idempotent_data": data},
+        data=data,
     )
     a.cache[key] = weakref.ref(r)
     return r

@@ -336,7 +336,7 @@ class Stratification:
 
     def stratum(self, lam: str) -> CornerData:
         """The stratum algebra at lam: the corner of A_{<=lam} at its vertices."""
-        return self.principal_recollement(lam).extras["idempotent_data"].corner
+        return self.principal_recollement(lam).data.corner
 
     def principal_recollement(self, lam: str) -> Recollement:
         """The recollement of mod-A_{<=lam} at the stratum idempotent."""
@@ -557,7 +557,7 @@ def synthesize_projective_cover(s: Stratification, t: str) -> SynthesisResult:
     base_lower = frozenset(order[: i0 + 1])
     base_alg_data = s.lower_algebra(base_lower)
     r0 = s.layer_recollement(base_lower, lam_t)
-    gamma = r0.extras["idempotent_data"].corner.algebra
+    gamma = r0.data.corner.algebra
     stratum_cover = projective_cover(simple_module(gamma, t))
     current = r0.j_lower(stratum_cover.projective)
     audits.append(

@@ -147,13 +147,13 @@ def mv_subobject_pairs(cat, t):
     for wu in all_submodule_spaces(t.x_u):
         for wz in all_submodule_spaces(t.x_z):
             sub_u, iu = submodule(t.x_u, wu)
-            f_iu = cat.fun.F.mor(iu)
+            f_iu = cat.F.mor(iu)
             # alpha(F(W_u)) inside W_z
             carried = f_iu.then(t.alpha)
             if not all(wz.contains(carried.mat.row(i)) for i in range(carried.mat.rows)):
                 continue
             # beta(W_z) inside the image of G(W_u)
-            g_iu = cat.fun.G.mor(iu)
+            g_iu = cat.G.mor(iu)
             img_rows = g_iu.mat.row_space()
             ok = True
             for i in range(wz.dim):

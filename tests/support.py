@@ -82,15 +82,15 @@ def mv_direct_sum(cat, xs):
     if len(xs) == 1:
         x = xs[0]
         return x, [cat.identity(x)], [cat.identity(x)]
-    F, fun = cat.field, cat.fun
+    F = cat.field
     big_u, inj_u, proj_u = module_sum([x.x_u for x in xs])
     big_z, inj_z, proj_z = module_sum([x.x_z for x in xs])
-    f_big = fun.F.obj(big_u)
-    g_big = fun.G.obj(big_u)
+    f_big = cat.F.obj(big_u)
+    g_big = cat.G.obj(big_u)
     # alpha: F(inj_i) ; alpha = alpha_i ; inj_z_i, stacked and solved
     lhs = rhs = None
     for x, iu, iz in zip(xs, inj_u, inj_z):
-        f_iu = fun.F.mor(iu)
+        f_iu = cat.F.mor(iu)
         lhs = f_iu.mat if lhs is None else lhs.stack(f_iu.mat)
         block = x.alpha.then(iz).mat
         rhs = block if rhs is None else rhs.stack(block)
@@ -102,7 +102,7 @@ def mv_direct_sum(cat, xs):
     # beta: beta ; G(proj_i) = proj_z_i ; beta_i, hstacked and solved
     lhs = rhs = None
     for x, pu, pz in zip(xs, proj_u, proj_z):
-        g_pu = fun.G.mor(pu)
+        g_pu = cat.G.mor(pu)
         lhs = g_pu.mat if lhs is None else lhs.hstack(g_pu.mat)
         block = pz.then(x.beta).mat
         rhs = block if rhs is None else rhs.hstack(block)

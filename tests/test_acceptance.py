@@ -94,7 +94,7 @@ def test_criterion_3_intermediate_extension_contracts(strats):
         a = s.algebra
         for v in a.vertex_names:
             r = make_idempotent_recollement(a, [v])
-            corner = r.extras["idempotent_data"].corner
+            corner = r.data.corner
             if corner is None:
                 continue
             cat_u = r.cat_u
@@ -254,7 +254,7 @@ def test_criterion_10_mv_suite():
         spec = load_fixture(fix)
         data = mv_data_from_spec(spec.mv, spec.field)
         r = mv_recollement(data)
-        cat = r.extras["mv_category"]
+        cat = r.cat_c
         samples = []
         for w in data.u_algebra.vertex_names:
             su = simple_module(data.u_algebra, w)

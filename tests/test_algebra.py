@@ -16,7 +16,7 @@ from stratakit.algebra import (
     quotient_by_idempotent_ideal,
     validate_algebra,
 )
-from stratakit.linalg import GF2, GF3, QQ
+from stratakit.linalg import GF2, GF3, QQ, Subspace
 from stratakit.specfile import build_algebra
 
 from oracles import algebra_issues_by_mul_vec
@@ -122,6 +122,22 @@ def test_corner_nak_at_vertex2(nak):
 def test_quotient_by_unit_is_zero(a2):
     q = quotient_by_idempotent_ideal(a2, ["1", "2"])
     assert q.algebra.dim == 0
+
+
+@pytest.mark.parametrize("fix", ["FIX-A3", "FIX-KRO", "FIX-LOOP", "FIX-NAK"])
+def test_zero_corner_and_quotient_by_every_vertex_are_the_zero_algebra(fix):
+    """e = 0 and e = 1 need no special case: eAe for e = 0 and A/AeA for
+    e = 1 are both the zero algebra, and it passes validation."""
+    a = build_algebra(load_fixture(fix))
+    zero = Algebra(field=a.field, basis_labels=(), mult=(), unit=(), idempotent_indices=(),
+                   vertex_names=(), radical=Subspace.zero(a.field, 0))
+    corner = corner_algebra(a, [])
+    quotient = quotient_by_idempotent_ideal(a, a.vertex_names)
+    assert corner.algebra == zero
+    assert quotient.algebra == zero
+    assert (corner.embed.rows, corner.embed.cols) == (0, a.dim)
+    assert validate_algebra(corner.algebra).ok
+    assert validate_algebra(quotient.algebra).ok
 
 
 def test_quotient_a2(a2):

@@ -28,7 +28,7 @@ def mv_case(fix):
     spec = load_fixture(fix)
     data = mv_data_from_spec(spec.mv, spec.field)
     r = mv_recollement(data)
-    return r.extras["mv_category"], [x for _, x in _mv_samples(r, data)]
+    return r.cat_c, [x for _, x in _mv_samples(r, data)]
 
 
 def cases():

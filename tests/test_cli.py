@@ -8,7 +8,7 @@ import pytest
 
 from stratakit.cli import main
 from stratakit.corpus import fixture_bytes
-from stratakit.linalg import UndecidedIsomorphism
+from stratakit.linalg import InvariantError, UndecidedIsomorphism
 from stratakit.specfile import SpecError, parse_spec
 
 
@@ -139,6 +139,21 @@ def test_corpus_reports_an_undecided_synthesis_as_a_pipeline_error(capsys, monke
     assert [(c["name"], c["verdict"]) for c in checks] == [
         ("FIX-A2/pipeline", "ERROR"), ("FIX-A3/pipeline", "ERROR")]
     assert checks[0]["witness"]["error"].startswith("UndecidedIsomorphism: ")
+
+
+def test_corpus_reports_a_fault_in_synthesis_as_a_pipeline_error_not_a_fail(capsys, monkeypatch):
+    """Only what synthesis reports about the mathematics is a FAIL; a
+    program fault inside it ends the fixture's pipeline as an ERROR."""
+    def fault(*args, **kwargs):
+        raise InvariantError("pushout did not produce a short exact sequence")
+
+    monkeypatch.setattr("stratakit.strat.universal_extension", fault)
+    code, out = run_cli(capsys, "corpus", "--filter", "hw")
+    assert code == 2
+    checks = json.loads(out)["checks"]
+    assert [(c["name"], c["verdict"]) for c in checks] == [
+        ("FIX-A2/pipeline", "ERROR"), ("FIX-A3/pipeline", "ERROR")]
+    assert checks[0]["witness"]["error"] == "InvariantError: pushout did not produce a short exact sequence"
 
 
 def test_corpus_filter(capsys):

@@ -6,6 +6,7 @@ from stratakit.homological import (
     ExtClass,
     _cocycle_to_kernel_map,
     _connecting_map,
+    _kernel_epi,
     _pushout_extension,
     ext,
     ext_dim,
@@ -125,8 +126,8 @@ def realize_ext1(cls):
     if cls.degree != 1:
         raise ValueError("only degree-1 classes are realizable as extensions")
     res = projective_resolution(cls.source, 2)
-    ker_mod, ker_incl = kernel(res.augmentation)
-    fbar = _cocycle_to_kernel_map(res, cls.cocycle)
+    epi, ker_incl = _kernel_epi(res)
+    fbar = _cocycle_to_kernel_map(epi, cls.cocycle)
     return _pushout_extension(res, fbar, ker_incl)
 
 

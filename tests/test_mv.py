@@ -91,7 +91,7 @@ def test_product_category_when_bimodules_vanish(all_data):
 def test_closed_formula_matches_generic(all_data):
     for fix, data in all_data.items():
         r = mv_recollement(data)
-        cat = r.extras["mv_category"]
+        cat = r.cat_c
         for w in data.u_algebra.vertex_names:
             su = simple_module(data.u_algebra, w)
             generic = intermediate_extension(r, su).obj
@@ -105,7 +105,7 @@ def mv_simples(data):
     extensions of the open-side simples.  Simplicity and pairwise
     non-isomorphism are asserted."""
     r = mv_recollement(data)
-    cat = r.extras["mv_category"]
+    cat = r.cat_c
     out = []
     for v in data.z_algebra.vertex_names:
         obj = r.i_embed(simple_module(data.z_algebra, v))
@@ -276,8 +276,8 @@ def test_naturality_checked_on_generators(all_data):
         for w in data.u_algebra.vertex_names:
             sample += hom_basis(reg, simple_module(data.u_algebra, w))
         for f in sample:
-            lhs = cat.fun.F.mor(f).then(cat.fun.eps(f.target))
-            rhs = cat.fun.eps(f.source).then(cat.fun.G.mor(f))
+            lhs = cat.F.mor(f).then(cat.eps(f.target))
+            rhs = cat.eps(f.source).then(cat.G.mor(f))
             assert (lhs - rhs).is_zero, (fix, "eps fails naturality on a sample morphism")
 
 
@@ -293,7 +293,7 @@ def open_simple_cubed(file, field):
     spec = parse_spec(raw)
     data = mv_data_from_spec(spec.mv, spec.field)
     r = mv_recollement(data)
-    cat = r.extras["mv_category"]
+    cat = r.cat_c
     return cat, mv_direct_sum(cat, [r.j_lower(simple_module(data.u_algebra, "1"))] * 3)[0]
 
 
@@ -334,7 +334,7 @@ from stratakit.specfile import parse_spec
 spec = parse_spec(json.loads(fixture_bytes("fix_mv_zero.json")))
 data = mv_data_from_spec(spec.mv, spec.field)
 r = mv_recollement(data)
-cat = r.extras["mv_category"]
+cat = r.cat_c
 x = r.j_lower(simple_module(data.u_algebra, "1"))
 # x's components with zero structure maps: glued, since eps = 0 here, and
 # different from x, whose alpha is the identity

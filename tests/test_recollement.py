@@ -218,7 +218,7 @@ def test_functor_formulas_on_a2():
     il = r.i_left(p1)
     assert il.dim == 1
     assert r.i_right(p1).dim == 0
-    gamma = r.extras["idempotent_data"].corner.algebra
+    gamma = r.data.corner.algebra
     k = simple_module(gamma, "2")
     assert r.j_lower(k).dim == 1
     assert r.j_roof(k).dim == 2
@@ -241,7 +241,7 @@ def test_largest_quotient_characterization():
     e-annihilated quotient; every e-annihilated quotient factors through it."""
     a = algebra("FIX-NAK")
     r = make_idempotent_recollement(a, ["2"])
-    data = r.extras["idempotent_data"]
+    data = r.data
     for v in a.vertex_names:
         m, _ = projective_module(a, v)
         eta = r.unit_quot(m)
@@ -264,7 +264,7 @@ def test_smallest_submodule_with_killed_quotient():
 
     a = algebra("FIX-NAK")
     r = make_idempotent_recollement(a, ["2"])
-    data = r.extras["idempotent_data"]
+    data = r.data
     for v in a.vertex_names:
         m, _ = projective_module(a, v)
         act_e = m.action_of(data.e)
@@ -330,7 +330,7 @@ def test_intermediate_extension_contracts():
         a = algebra(fix)
         for v in a.vertex_names:
             r = make_idempotent_recollement(a, [v])
-            gamma = r.extras["idempotent_data"].corner
+            gamma = r.data.corner
             if gamma is None:
                 continue
             for w in gamma.algebra.vertex_names:
@@ -346,7 +346,7 @@ def test_intermediate_extension_preserves_monos_epis():
         a = algebra(fix)
         for v in a.vertex_names:
             r = make_idempotent_recollement(a, [v])
-            corner = r.extras["idempotent_data"].corner
+            corner = r.data.corner
             if corner is None:
                 continue
             cat_u = r.cat_u
@@ -383,7 +383,7 @@ def test_simple_classification_single_recollement():
         a = algebra(fix)
         for v in a.vertex_names:
             r = make_idempotent_recollement(a, [v])
-            data = r.extras["idempotent_data"]
+            data = r.data
             built = []
             for w in data.quotient.algebra.vertex_names:
                 built.append(r.i_embed(simple_module(data.quotient.algebra, w)))
@@ -464,7 +464,7 @@ def cover_transport(r, x, p_cover) -> CoverTransport:
 def test_canonical_ses_both_sides():
     a = algebra("FIX-A2")
     r = make_idempotent_recollement(a, ["2"])
-    gamma = r.extras["idempotent_data"].corner.algebra
+    gamma = r.data.corner.algebra
     k = simple_module(gamma, "2")
     m = r.j_roof(k)  # dim 2, no Z subobjects
     ses = canonical_ses(r, m, "no-Z-subobjects")
@@ -478,7 +478,7 @@ def test_canonical_ses_both_sides():
 def test_canonical_ses_precondition_violation():
     a = algebra("FIX-A2")
     r = make_idempotent_recollement(a, ["2"])
-    z = r.i_embed(simple_module(r.extras["idempotent_data"].quotient.algebra, "1"))
+    z = r.i_embed(simple_module(r.data.quotient.algebra, "1"))
     with pytest.raises(SidePreconditionError):
         canonical_ses(r, z, "no-Z-quotients")
     with pytest.raises(SidePreconditionError):
@@ -489,14 +489,14 @@ def test_cover_transport_examples():
     # FIX-A2 e=2: j_lower(k) = S(2) = P(2) covers j_!*(k) = S(2)
     a = algebra("FIX-A2")
     r = make_idempotent_recollement(a, ["2"])
-    gamma = r.extras["idempotent_data"].corner.algebra
+    gamma = r.data.corner.algebra
     k = simple_module(gamma, "2")
     ct = cover_transport(r, k, projective_cover(k).cover_map)
     assert ct.cover.dim == 1 and ct.matches_direct
     # FIX-NAK e=2: j_lower(k) = P(2) of dim 2 covers S(2)
     nak = algebra("FIX-NAK")
     rn = make_idempotent_recollement(nak, ["2"])
-    gn = rn.extras["idempotent_data"].corner.algebra
+    gn = rn.data.corner.algebra
     kn = simple_module(gn, "2")
     ct = cover_transport(rn, kn, projective_cover(kn).cover_map)
     assert ct.cover.dim == 2 and ct.matches_direct
