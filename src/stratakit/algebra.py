@@ -16,10 +16,9 @@ action matrices are exactly the right-multiplication slices of the table.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
 from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import Field, InconsistentSystem, Matrix, Subspace, cached_hash
+from .linalg import Field, InconsistentSystem, Matrix, Subspace, Value
 
 
 class NonAdmissibleError(ValueError):
@@ -38,8 +37,7 @@ DEFAULT_LENGTH_BOUND = 32
 PATH_CAP = 20000
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(Value):
     vertices: tuple[str, ...]
     arrows: tuple[tuple[str, str, str], ...]  # (name, source, target)
 
@@ -99,8 +97,7 @@ def _path_label(quiver: Quiver, p: Path) -> str:
     return "*".join(quiver.arrows[i][0] for i in arrows)
 
 
-@dataclass(frozen=True)
-class Algebra:
+class Algebra(Value):
     """Finite-dimensional split basic algebra via structure constants.
 
     ``mult[i][j]`` is the coordinate vector of ``b_i * b_j``.  The vertex
@@ -111,9 +108,9 @@ class Algebra:
     which products and validation read, its generators, its opposite, its
     regular module, its projective, simple and injective modules, its
     idempotent recollements, resolutions of its modules), so it is freed
-    with the algebra; it takes no part in equality, hashing or ``repr``,
-    and is not an ``__init__`` argument, so ``dataclasses.replace`` starts
-    a fresh one.
+    with the algebra; it is no field, so it takes no part in equality,
+    hashing or ``repr``, and ``__post_init__`` starts a fresh one on every
+    instance, a ``_replace`` copy included.
     """
 
     field: Field
@@ -123,9 +120,9 @@ class Algebra:
     idempotent_indices: tuple[int, ...]
     vertex_names: tuple[str, ...]
     radical: Subspace
-    cache: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
 
-    __hash__ = cached_hash
+    def __post_init__(self) -> None:
+        self.__dict__["cache"] = {}
 
     @property
     def dim(self) -> int:

@@ -30,20 +30,21 @@ Conventions:
 * ``Matrix.solve_left`` and ``solve_right`` always return a solution; a
   system with none raises ``InconsistentSystem``.  A caller that asks a
   real yes/no question catches it; everywhere else no solution is a bug.
-* The value types ``Matrix``, ``Subspace``, ``algebra.Algebra`` and
-  ``modules.RightModule`` hash once: ``cached_hash`` computes the hash the
-  dataclass would and keeps it on the instance (and the names of the
-  compared fields on the class), so a memo keyed by a module does not
-  re-hash its algebra's multiplication table on every lookup.
-* Records are ``typing.NamedTuple``s; value types that validate, hash once
-  or are mutated stay dataclasses, whose classes cost their generated
-  methods on every start of the command line.
+* Records are ``typing.NamedTuple``s.  The value types that validate, hash
+  once or are mutated (``Matrix``, ``Subspace``, ``algebra.Algebra``,
+  ``modules.RightModule`` and nine more) subclass ``Value``, which reads
+  their fields off the class annotations when the class is created: no
+  ``dataclasses``, whose generated methods and ``inspect`` import would
+  cost every start of the command line.  The frozen ones hash once:
+  ``cached_hash`` keeps the hash on the instance, so a memo keyed by a
+  module does not re-hash its algebra's multiplication table on every
+  lookup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
+from operator import attrgetter
 from typing import Sequence
 
 
@@ -68,19 +69,73 @@ class UndecidedIsomorphism(RuntimeError):
 
 
 def cached_hash(self) -> int:
-    """``__hash__`` of a frozen value dataclass, computed on first use and
-    kept on the instance: hash of the tuple of the fields that take part in
-    equality, the value the generated ``__hash__`` would return.  Like any
-    hash of a string, it is valid in this process only."""
+    """``__hash__`` of a frozen ``Value``, computed on first use and kept on
+    the instance: hash of the tuple of its fields, in the order ``Value``
+    recorded them.  Like any hash of a string, it is valid in this process
+    only."""
     h = self.__dict__.get("_hash")
     if h is None:
-        cls = type(self)
-        names = cls.__dict__.get("_hash_fields")  # read off the class once
-        if names is None:
-            names = cls._hash_fields = tuple(f.name for f in fields(cls) if f.compare)
-        h = hash(tuple(getattr(self, name) for name in names))
-        object.__setattr__(self, "_hash", h)
+        h = self.__dict__["_hash"] = hash(tuple(getattr(self, name) for name in self._fields))
     return h
+
+
+class Value:
+    """Base of the value types.  A subclass declares its fields as annotated
+    names, which are read once, when the class is created, into ``_fields``;
+    a field's default is the class attribute of its name.  The base gives
+    ``==`` on the same class with equal fields, the kept hash
+    (``cached_hash``), a ``Name(field=value, ...)`` repr, ``_replace`` and,
+    unless the class is created with ``frozen=False`` (then it is mutable
+    and unhashable), no assignment.  ``__post_init__`` runs at the end of
+    ``__init__``, so also on every ``_replace`` copy.  A type built or
+    compared thousands of times per run spells out its own ``__init__``
+    (one ``__dict__`` update, where this one binds its arguments by name)
+    or ``__eq__``."""
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, frozen: bool = True) -> None:
+        own = tuple(cls.__annotations__)
+        cls._fields += own
+        cls._defaults = {**cls._defaults, **{n: cls.__dict__[n] for n in own if n in cls.__dict__}}
+        cls._key = attrgetter(*cls._fields)
+        # also undoes the ``__hash__ = None`` of a class body with an ``__eq__``
+        cls.__hash__ = cached_hash if frozen else None
+        if not frozen:
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self._fields
+        values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        if len(args) > len(names) or values.keys() ^ names:
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+    def _replace(self, **changes):
+        """A copy with ``changes``, built through ``__init__``."""
+        return type(self)(**{**{n: getattr(self, n) for n in self._fields}, **changes})
 
 
 def _whole(x: int | Fraction) -> int | Fraction:
@@ -101,8 +156,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(Value):
     """An exact field: the prime field GF(p) or the rationals.
 
     ``kind`` is ``"GF"`` (with ``p`` prime) or ``"Q"`` (``p`` is None).
@@ -189,8 +243,7 @@ GF3 = Field.gf(3)
 QQ = Field.rationals()
 
 
-@dataclass(frozen=True, init=False)
-class Matrix:
+class Matrix(Value):
     """Immutable dense matrix, row-major entry tuple of length rows*cols."""
 
     field: Field
@@ -198,14 +251,17 @@ class Matrix:
     cols: int
     entries: tuple
 
-    __hash__ = cached_hash
-
     def __init__(self, field: Field, rows: int, cols: int, entries: tuple) -> None:
-        # one dict update where the frozen dataclass __init__ would make one
-        # object.__setattr__ call per field
         if len(entries) != rows * cols:
             raise ValueError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
         self.__dict__.update(field=field, rows=rows, cols=cols, entries=entries)
+
+    def __eq__(self, other) -> bool:
+        # spelled out: tens of thousands of comparisons a run, at half the
+        # cost of the generic one
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.rows, self.cols, self.entries) == (other.field, other.rows, other.cols, other.entries)
 
     # -- constructors ------------------------------------------------------
 
@@ -487,20 +543,20 @@ def intertwiner_basis(field: Field, pairs: Sequence[tuple["Matrix", "Matrix"]], 
     return [Matrix(field, n, m, ker.basis.row(i)) for i in range(ker.dim)]
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Value):
     """A subspace of k^ambient, basis stored as an RREF matrix.
 
-    Canonical: two subspaces are equal iff their dataclass representations
-    are equal.  ``pivots`` are the pivot columns of the basis rows, as
-    ``rref`` returns them.
+    Canonical: two subspaces are equal iff their fields are equal.
+    ``pivots`` are the pivot columns of the basis rows, as ``rref`` returns
+    them.
     """
 
     ambient: int
     basis: Matrix  # rank x ambient, in RREF with no zero rows
     pivots: tuple[int, ...]
 
-    __hash__ = cached_hash
+    def __init__(self, ambient: int, basis: Matrix, pivots: tuple[int, ...]) -> None:
+        self.__dict__.update(ambient=ambient, basis=basis, pivots=pivots)
 
     @staticmethod
     def from_matrix(m: Matrix) -> "Subspace":

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .algebra import Algebra, opposite
-from .linalg import Field, InconsistentSystem, InvariantError, Matrix, Subspace, cached_hash, intertwiner_basis
+from .linalg import Field, InconsistentSystem, InvariantError, Matrix, Subspace, Value, intertwiner_basis
 
 
 def combine(coeffs: Sequence, items: Sequence, start):
@@ -36,13 +35,20 @@ def combine(coeffs: Sequence, items: Sequence, start):
     return out
 
 
-@dataclass(frozen=True)
-class RightModule:
+class RightModule(Value):
     algebra: Algebra
     dim: int
     action: tuple[Matrix, ...]
 
-    __hash__ = cached_hash
+    def __init__(self, algebra: Algebra, dim: int, action: tuple[Matrix, ...]) -> None:
+        self.__dict__.update(algebra=algebra, dim=dim, action=action)
+
+    def __eq__(self, other) -> bool:
+        # spelled out, as ``Matrix.__eq__``: every memo keyed by a module
+        # compares with it
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.algebra, self.dim, self.action) == (other.algebra, other.dim, other.action)
 
     def action_of(self, a: Sequence) -> Matrix:
         """Action matrix of an arbitrary algebra element (coordinate vector):
@@ -77,11 +83,13 @@ class RankPredicates:
             raise ValueError("maps have different sources or targets")
 
 
-@dataclass(frozen=True)
-class ModuleMap(RankPredicates):
+class ModuleMap(Value, RankPredicates):
     source: RightModule
     target: RightModule
     mat: Matrix  # source.dim x target.dim
+
+    def __init__(self, source: RightModule, target: RightModule, mat: Matrix) -> None:
+        self.__dict__.update(source=source, target=target, mat=mat)
 
     def then(self, other: "ModuleMap") -> "ModuleMap":
         if self.target != other.source:

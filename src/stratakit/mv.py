@@ -20,10 +20,9 @@ unchanged; its recollement's center category ``r.cat_c`` is the
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .algebra import Algebra, build_bound_quiver_algebra
-from .linalg import InvariantError, Matrix
+from .linalg import InvariantError, Matrix, Value
 from .modules import (
     Bimodule,
     ModuleMap,
@@ -47,8 +46,7 @@ class MVDataError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MVData:
+class MVData(Value):
     z_algebra: Algebra   # R
     u_algebra: Algebra   # S
     m: Bimodule          # left S, right R
@@ -90,8 +88,7 @@ def validate_mv_data(d: MVData) -> None:
 # objects, morphisms, category
 
 
-@dataclass(frozen=True)
-class MVObject:
+class MVObject(Value):
     x_u: RightModule
     x_z: RightModule
     alpha: ModuleMap  # F(x_u) -> x_z
@@ -102,8 +99,7 @@ class MVObject:
         return self.x_u.dim + self.x_z.dim
 
 
-@dataclass(frozen=True)
-class MVMorphism(RankPredicates):
+class MVMorphism(Value, RankPredicates):
     source: MVObject
     target: MVObject
     f_u: ModuleMap

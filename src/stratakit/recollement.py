@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import weakref
-from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, NamedTuple, Sequence
 
 from .algebra import Algebra, CornerData, QuotientData, corner_algebra, quotient_by_idempotent_ideal
@@ -36,7 +35,7 @@ from .category import (
     mor_eq,
     solve_in_hom,
 )
-from .linalg import InvariantError, Matrix, Subspace
+from .linalg import InvariantError, Matrix, Subspace, Value
 from .modules import (
     Bimodule,
     ModuleMap,
@@ -50,8 +49,7 @@ from .modules import (
 )
 
 
-@dataclass
-class Recollement:
+class Recollement(Value, frozen=False):
     """Six functors plus the unit/counit components of both adjoint triples.
 
     Unit/counit naming: for an adjunction (L -| R), ``unit``: id -> R L and
@@ -87,9 +85,11 @@ class Recollement:
     label: str = ""
     degenerate: str | None = None  # "zero-U" (e=0) or "zero-Z" (e=1)
     data: IdempotentRecollementData | None = None  # None for the glued recollement
-    # reports of ``verify`` by sample tuple; not an ``__init__`` argument, so
-    # a ``dataclasses.replace`` copy starts with none and is verified afresh
-    reports: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # reports of ``verify`` by sample tuple; no field, so a ``_replace``
+        # copy starts with none and is verified afresh
+        self.reports = {}
 
     def verify(self, samples: Sequence[tuple[str, object]]) -> RecollementReport:
         """``verify_recollement`` on ``samples``, run once per sample tuple
@@ -336,7 +336,7 @@ def verify_recollement(r: Recollement, center_samples: Sequence[tuple[str, objec
     object of each sample list: the functors are deterministic, so samples
     with equal values share its answer, and each keeps its own row.
     """
-    r = replace(r, **{name: functools.cache(getattr(r, name)) for name in (
+    r = r._replace(**{name: functools.cache(getattr(r, name)) for name in (
         "unit_quot", "counit_quot", "unit_sub", "counit_sub",
         "unit_jl", "counit_jl", "unit_jr", "counit_jr")})
     out: list[CheckResult] = []

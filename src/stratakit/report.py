@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import __version__
+from .linalg import Value
 
 
 def jsonable(x):
@@ -50,15 +50,18 @@ class Check(NamedTuple):
         return self.verdict in ("FAIL", "ERROR")
 
 
-@dataclass
-class Report:
+class Report(Value, frozen=False):
     mode: str
     input_name: str
     input_sha256: str | None
     seed: int
-    options: dict = field(default_factory=dict)
-    checks: list[Check] = field(default_factory=list)
+    options: dict = {}
+    checks: list[Check] = []
     timing_ms: int | None = None
+
+    def __post_init__(self) -> None:
+        # each report owns its options and checks, never the shared defaults
+        self.options, self.checks = dict(self.options), list(self.checks)
 
     def add(self, check: Check) -> None:
         if check.failed and check.witness is None:

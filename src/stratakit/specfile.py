@@ -9,12 +9,11 @@ a compatibility contract; unknown keys are rejected everywhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 from .algebra import Algebra, Presentation, Quiver, build_bound_quiver_algebra
-from .linalg import Field
+from .linalg import Field, Value
 
 
 class SpecError(ValueError):
@@ -192,8 +191,7 @@ def _parse_mv(obj, field: Field) -> MVSpec:
     return MVSpec(z_presentation=sides["z"], u_presentation=sides["u"], m=m, n=n, theta=theta)
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
+class AlgebraSpec(Value):
     name: str
     field: Field
     quiver: Quiver

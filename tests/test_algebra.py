@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -275,7 +274,7 @@ def test_validate_sees_a_zero_structure_constant_made_nonzero(name):
     assert a.mul_vec(a.basis_vec(i), a.basis_vec(i)) == a.zero_vec()
     mult = [list(row) for row in a.mult]
     mult[i][i] = a.basis_vec(i)
-    bad = dataclasses.replace(a, mult=tuple(tuple(row) for row in mult))
+    bad = a._replace(mult=tuple(tuple(row) for row in mult))
     assert "sparse" not in bad.cache
     assert bad.mul_vec(a.basis_vec(i), a.basis_vec(i)) == a.basis_vec(i)
     rep = validate_algebra(bad)
@@ -309,12 +308,12 @@ def test_validate_matches_the_mul_vec_reference_on_corrupted_tables(corruption):
     a = FIXTURE_ALGEBRAS[n]
     mult = [[list(prod) for prod in row] for row in a.mult]
     mult[i][j][k] = c
-    bad = dataclasses.replace(a, mult=tuple(tuple(tuple(prod) for prod in row) for row in mult))
+    bad = a._replace(mult=tuple(tuple(tuple(prod) for prod in row) for row in mult))
     assert validate_algebra(bad).issues == algebra_issues_by_mul_vec(bad)
 
 
 def _with_radical(a, vectors):
-    return dataclasses.replace(a, radical=span(a.field, vectors, a.dim))
+    return a._replace(radical=span(a.field, vectors, a.dim))
 
 
 def test_validate_sees_a_radical_that_misses_an_arrow():

@@ -9,9 +9,11 @@ A stdlib-``ast`` stand-in for a linter: it flags
 * a function, class or method whose name appears nowhere in ``src/``,
   ``tests/`` or ``perfbench/`` except where it is defined, and
 * a defaulted parameter that no call there (to any function of that name)
-  passes, by keyword or by position, and
-* an attribute that a ``self.<name> = ...`` sets, or a dataclass or
-  ``NamedTuple`` field, that no source there ever reads as an attribute
+  passes, by keyword or by position (a class statement's keywords are a
+  call of ``__init_subclass__``), and
+* an attribute that a ``self.<name> = ...`` sets, or a field of a
+  ``linalg.Value`` subclass, a dataclass or a ``NamedTuple``, that no
+  source there ever reads as an attribute
   (``self.<name> += ...`` counts as a read; reads match by name alone, so
   a field named like an attribute read on another object counts as read,
   unless that object is visibly a ``pathlib.Path``: a ``Path(...)`` call, a
@@ -41,7 +43,11 @@ a setting and is not checked.
 """
 
 import ast
+import importlib
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 from typing import Sequence
@@ -171,6 +177,8 @@ def unpassed_parameters(checked: dict[str, str], others: Sequence[str]) -> list[
     passed: dict[str, list[tuple[int, set[str]]]] = {}
     for text in list(checked.values()) + list(others):
         for call in ast.walk(ast.parse(text)):
+            if isinstance(call, ast.ClassDef):
+                passed.setdefault("__init_subclass__", []).append((0, {k.arg for k in call.keywords}))
             if not isinstance(call, ast.Call):
                 continue
             name = _called_name(call)
@@ -191,13 +199,13 @@ def unpassed_parameters(checked: dict[str, str], others: Sequence[str]) -> list[
 
 
 def _record_fields(tree: ast.AST):
-    """(class name, field name) for each annotated field of a dataclass or a
-    ``NamedTuple`` in ``tree``."""
+    """(class name, field name) for each annotated field of a ``Value``
+    subclass, a dataclass or a ``NamedTuple`` in ``tree``."""
     for cls in ast.walk(tree):
         if not isinstance(cls, ast.ClassDef):
             continue
         marks = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list] + cls.bases
-        if any(getattr(m, "id", getattr(m, "attr", None)) in ("dataclass", "NamedTuple") for m in marks):
+        if any(getattr(m, "id", getattr(m, "attr", None)) in ("Value", "dataclass", "NamedTuple") for m in marks):
             for node in cls.body:
                 if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
                     yield cls.name, node.target.id
@@ -238,9 +246,10 @@ def _path_names(tree: ast.AST) -> set[str]:
 
 def write_only_attributes(checked: dict[str, str], others: Sequence[str]) -> list[str]:
     """``path: name`` for each attribute that a ``checked`` source sets on
-    ``self``, and ``path: Class.field`` for each dataclass or ``NamedTuple``
-    field it declares, that no source, checked or other, reads.  A read on
-    a visible ``pathlib.Path`` (see ``_is_path``) is not a read of a field."""
+    ``self``, and ``path: Class.field`` for each ``Value``, dataclass or
+    ``NamedTuple`` field it declares, that no source, checked or other,
+    reads.  A read on a visible ``pathlib.Path`` (see ``_is_path``) is not a
+    read of a field."""
     trees = {path: ast.parse(text) for path, text in checked.items()}
     read: set[str] = set()
     for tree in list(trees.values()) + [ast.parse(t) for t in others]:
@@ -527,10 +536,15 @@ def test_parameter_checker_flags_what_it_should():
         "    def seq(x=x):\n"
         "        return x\n"
         "    return seq\n"
+        "class Base:\n"
+        "    def __init_subclass__(cls, frozen=True, slots=False):\n"
+        "        pass\n"
+        "class Open(Base, frozen=False):\n"
+        "    pass\n"
     )
     test = "f(0, 1, z=2)\nnever()\nC(4).m(1)\nC().n(1)\ninner(*[1, 2])\n"
     assert unpassed_parameters({"m.py": src}, [test]) == [
-        "m.py: f(unused)", "m.py: n(k)", "m.py: never(a)"]
+        "m.py: __init_subclass__(slots)", "m.py: f(unused)", "m.py: n(k)", "m.py: never(a)"]
 
 
 def test_no_write_only_attributes():
@@ -572,8 +586,11 @@ def test_record_field_checker_flags_what_it_should():
         "@dataclass\n"
         "class Node:\n"
         "    parent: int\n"
-        "def use(r, p):\n"
-        "    return r.value + p.first\n"
+        "class Span(Value, frozen=False):\n"
+        "    low: int\n"
+        "    unread_high: int\n"
+        "def use(r, p, s):\n"
+        "    return r.value + p.first + s.low\n"
     )
     test = ("from pathlib import Path\n"
             "HERE = Path(__file__).resolve().parent\n"
@@ -582,7 +599,8 @@ def test_record_field_checker_flags_what_it_should():
             "    assert Path(__file__).parent.parent == ROOT.parent.parent\n"
             "    assert Result(1, 2, 3).seen_in_test == 3\n")
     assert write_only_attributes({"m.py": src}, [test]) == [
-        "m.py: Node.parent", "m.py: Pair.second", "m.py: Result.kept_for_nothing"]
+        "m.py: Node.parent", "m.py: Pair.second", "m.py: Result.kept_for_nothing",
+        "m.py: Span.unread_high"]
 
 
 def test_every_definition_is_reachable_from_the_cli():
@@ -673,35 +691,53 @@ def test_solve_checker_flags_what_it_should():
     assert none_checked_solves(tree) == ["f, line 3: x", "f, line 5: y", "g, line 11: h"]
 
 
-def test_only_the_listed_value_types_are_dataclasses():
-    """Every other record is a ``typing.NamedTuple``: each dataclass costs
-    its generated, ``exec``'d methods on every start of the command line,
-    about ten times a ``NamedTuple`` class.  These stay dataclasses:
+VALUE_TYPES = {
+    "linalg": ("Field", "Matrix", "Subspace"),
+    "algebra": ("Quiver", "Algebra"),
+    "modules": ("RightModule", "ModuleMap"),
+    "mv": ("MVData", "MVObject", "MVMorphism"),
+    "recollement": ("Recollement",),
+    "report": ("Report",),
+    "specfile": ("AlgebraSpec",),
+}
 
-    * ``Field``, ``Quiver`` and ``MVData`` validate in ``__post_init__``;
-    * ``Matrix``, ``Subspace``, ``Algebra`` and ``RightModule`` hash once
-      with ``cached_hash``, or keep values on their ``__dict__``;
-    * ``Algebra``, ``Recollement`` and ``Report`` have a mutable or
-      ``default_factory`` field;
-    * ``ModuleMap`` and ``MVMorphism`` have a base class;
-    * tests derive inputs from an ``AlgebraSpec`` with ``dataclasses.replace``;
-    * ``MVObject``, an object of the glued category, is a memo key beside
-      modules, where tuple equality would make it equal to a plain tuple of
-      its fields.
 
-    A new record is a ``NamedTuple`` unless it is added here on purpose."""
-    found = set()
+def test_no_module_imports_dataclasses():
+    """Records are ``typing.NamedTuple``s and the value types subclass
+    ``linalg.Value``: ``dataclasses`` would cost every start of the command
+    line its import (with ``inspect``) and each class its generated,
+    ``exec``'d methods."""
+    found = []
     for path in MODULES:
-        for cls in ast.walk(ast.parse(path.read_text())):
-            if isinstance(cls, ast.ClassDef) and any(
-                    getattr(m, "id", getattr(m, "attr", None)) == "dataclass"
-                    for m in (d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list)):
-                found.add(f"{path.stem}.{cls.name}")
-    assert found == {
-        "linalg.Field", "algebra.Quiver", "mv.MVData",
-        "linalg.Matrix", "linalg.Subspace", "algebra.Algebra", "modules.RightModule",
-        "recollement.Recollement", "report.Report",
-        "modules.ModuleMap", "mv.MVMorphism",
-        "specfile.AlgebraSpec",
-        "mv.MVObject",
-    }
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.stem}: {n}" for n in names if n and n.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
+def test_commands_load_neither_dataclasses_nor_inspect():
+    """A fresh interpreter, since this one has loaded both: the command line,
+    then the layers of ``check --mode hw``, then the gluing and the corpus."""
+    steps = ["stratakit.cli", "stratakit.strat", "stratakit.analyze", "stratakit.mv", "stratakit.corpus"]
+    script = ("import importlib, sys\n"
+              f"for name in {steps!r}:\n"
+              "    importlib.import_module(name)\n"
+              "    print(name, sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [f"{name} []" for name in steps]
+
+
+def test_write_only_check_examines_every_field_of_the_value_types():
+    """The value types are exactly the listed ``Value`` subclasses, and the
+    write-only check sees each of their fields."""
+    from stratakit.linalg import Value
+
+    modules = {mod: importlib.import_module(f"stratakit.{mod}") for mod in VALUE_TYPES}
+    assert {(c.__module__, c.__name__) for c in Value.__subclasses__() if c.__module__.startswith("stratakit.")} \
+        == {(f"stratakit.{mod}", cls) for mod, names in VALUE_TYPES.items() for cls in names}
+    fields = {(cls, name) for mod, names in VALUE_TYPES.items() for cls in names
+              for name in getattr(modules[mod], cls)._fields}
+    examined = {pair for mod in VALUE_TYPES for pair in _record_fields(ast.parse((SRC / f"{mod}.py").read_text()))}
+    assert len(fields) == 70 and fields <= examined

@@ -1,13 +1,11 @@
-import dataclasses
 import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stratakit import linalg
 from stratakit.algebra import Algebra
-from stratakit.linalg import GF2, GF3, QQ, Field, InconsistentSystem, Matrix, Subspace, cached_hash
+from stratakit.linalg import GF2, GF3, QQ, Field, InconsistentSystem, Matrix, Subspace, Value
 from stratakit.modules import RightModule, projective_module, regular_module
 from stratakit.specfile import build_algebra
 
@@ -309,8 +307,9 @@ def test_field_rejects_inexact_numbers():
 
 
 def _field_hash(x):
-    """What the dataclass-generated ``__hash__`` returns."""
-    return hash(tuple(getattr(x, f.name) for f in dataclasses.fields(x) if f.compare))
+    """The hash of the tuple of the fields, what a frozen dataclass's
+    ``__hash__`` returns."""
+    return hash(tuple(getattr(x, name) for name in type(x)._fields))
 
 
 def _values(name):
@@ -331,19 +330,43 @@ def test_hash_is_the_dataclass_hash_and_equal_values_hash_alike():
         assert hash(x) == hash(y) == _field_hash(x) == _field_hash(y)
 
 
-def test_compare_field_names_are_read_once_per_class(monkeypatch):
-    calls = []
-    monkeypatch.setattr(linalg, "fields", lambda cls: calls.append(cls) or dataclasses.fields(cls))
-
-    @dataclasses.dataclass(frozen=True)
-    class Pair:
+def test_field_names_are_recorded_when_the_class_is_created():
+    class Pair(Value):
         left: int
-        right: int = dataclasses.field(compare=False)
+        right: int = 0
+        note = "a class attribute, no field"
 
-        __hash__ = cached_hash
+    # on the class itself, before any instance exists
+    assert Pair.__dict__["_fields"] == ("left", "right")
+    assert Pair(1) == Pair(left=1, right=0) != Pair(1, 2)
+    assert [hash(Pair(i, -i)) for i in range(3)] == [hash((i, -i)) for i in range(3)]
+    assert repr(Pair(1, 2)).endswith(".Pair(left=1, right=2)")
+    for args, kwargs in [((), {}), ((1, 2, 3), {}), ((1,), {"note": 2})]:
+        with pytest.raises(TypeError, match="takes the fields left, right"):
+            Pair(*args, **kwargs)
 
-    assert [hash(Pair(i, -i)) for i in range(3)] == [hash((i,)) for i in range(3)]
-    assert calls == [Pair]
+
+def test_a_replaced_value_is_validated_and_a_mutable_one_is_unhashable():
+    class Interval(Value):
+        low: int
+        high: int
+
+        def __post_init__(self):
+            if self.low > self.high:
+                raise ValueError("empty interval")
+
+    class Box(Value, frozen=False):
+        content: list
+
+    i = Interval(1, 3)
+    assert i._replace(high=2) == Interval(1, 2) and i == Interval(1, 3)
+    with pytest.raises(ValueError, match="empty interval"):
+        i._replace(low=4)
+    box = Box([1])
+    box.content = [2]
+    assert box == Box([2]) != ([2],)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(box)
 
 
 class CountingInt(int):
@@ -395,7 +418,7 @@ def test_kept_rank_is_no_part_of_equality_or_hash():
     ranked.rank()
     assert "_rank" in vars(ranked) and "_rank" not in vars(fresh)
     assert ranked == fresh and hash(ranked) == hash(fresh) == _field_hash(fresh)
-    assert "_rank" not in {f.name for f in dataclasses.fields(Matrix)}
+    assert Matrix._fields == ("field", "rows", "cols", "entries")
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +437,9 @@ def test_matrix_rejects_a_wrong_entry_count():
 def test_matrix_is_frozen():
     m = Matrix(GF3, 1, 2, (1, 2))
     for name in ("rows", "entries", "unknown"):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
             setattr(m, name, 0)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="^cannot delete field 'rows'$"):
         del m.rows
     assert (m.field, m.rows, m.cols, m.entries) == (GF3, 1, 2, (1, 2))
 
@@ -428,7 +451,7 @@ def test_matrix_repr_equality_and_fields():
     assert m == Matrix(field=GF3, rows=1, cols=2, entries=(1, 2)) == mat(GF3, [[1, 2]])
     assert m != Matrix(GF3, 2, 1, (1, 2)) and m != Matrix(QQ, 1, 2, (1, 2))
     assert m != (GF3, 1, 2, (1, 2))
-    assert [f.name for f in dataclasses.fields(Matrix)] == ["field", "rows", "cols", "entries"]
+    assert Matrix._fields == ("field", "rows", "cols", "entries")
 
 
 def test_matrix_keeps_hash_and_rank_on_the_instance():
@@ -571,7 +594,7 @@ def test_q_kernels_match_fraction_arithmetic(ops):
         assert k[i * b.rows + j, i2 * b.cols + j2] == fa[i][i2] * fb[j][j2]
 
 
-Q_ALGEBRAS = [build_algebra(dataclasses.replace(load_fixture(name), field=QQ))
+Q_ALGEBRAS = [build_algebra(load_fixture(name)._replace(field=QQ))
               for name in ("FIX-A3", "FIX-NAK", "FIX-KRO")]
 
 

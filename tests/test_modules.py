@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from dataclasses import dataclass
@@ -211,7 +210,8 @@ def test_simples_and_injectives_are_built_once_per_algebra(a2):
     for v in a2.vertex_names:
         assert simple_module(a2, v) is simple_module(a2, v)
         assert injective_module(a2, v) is injective_module(a2, v)
-    fresh = dataclasses.replace(a2)  # equal, with an empty cache
+    fresh = a2._replace()
+    assert fresh == a2 and a2.cache and fresh.cache == {}
     assert simple_module(fresh, "1") == simple_module(a2, "1")
     assert simple_module(fresh, "1") is not simple_module(a2, "1")
 

@@ -247,10 +247,8 @@ def test_invalid_theta_rejected():
     spec = load_fixture("FIX-MV-ID")
     data = data_of("FIX-MV-ID")
     # corrupt theta shape
-    import dataclasses
-
     with pytest.raises(MVDataError):
-        bad = dataclasses.replace(data, theta=Matrix.zero(data.u_algebra.field, 3, 1))
+        bad = data._replace(theta=Matrix.zero(data.u_algebra.field, 3, 1))
 
 
 def test_object_triangle_enforced(all_data):

@@ -83,7 +83,7 @@ def test_corrupted_functor_is_reported():
     a = algebra("FIX-A2")
     samples = ModuleCategory(a).standard_samples()
     r = make_idempotent_recollement(a, ["2"])
-    corrupt = dataclasses.replace(r, j_roof=r.j_lower)
+    corrupt = r._replace(j_roof=r.j_lower)
     rep = verify_recollement(corrupt, samples)
     assert not rep.ok
     axioms = {f.axiom for f in rep.failures()}
@@ -112,7 +112,7 @@ def test_units_and_counits_are_computed_once_per_object():
 
         return call
 
-    rep = verify_recollement(dataclasses.replace(r, **{n: counted(n) for n in UNITS_AND_COUNITS}), samples)
+    rep = verify_recollement(r._replace(**{n: counted(n) for n in UNITS_AND_COUNITS}), samples)
     assert rep == verify_recollement(make_idempotent_recollement(a, ["2"]), samples)
     assert rep.ok
     for name, xs in args.items():
@@ -157,7 +157,7 @@ def test_each_sample_list_runs_its_own_checks(vertices, monkeypatch):
 
 def test_a_replaced_package_is_verified_afresh():
     """A recollement is built once per vertex tuple while it is in use and
-    keeps its reports.  A ``dataclasses.replace`` copy starts with none, so
+    keeps its reports.  A ``_replace`` copy starts with none, so
     a corrupted copy of a verified package is never served its report, and
     the algebra does not keep a recollement that nothing else holds."""
     a = algebra("FIX-A2")
@@ -166,7 +166,7 @@ def test_a_replaced_package_is_verified_afresh():
     assert make_idempotent_recollement(a, ["2"]) is r
     rep = r.verify(samples)
     assert rep.ok and r.verify(samples) is rep
-    assert not dataclasses.replace(r, j_roof=r.j_lower).verify(samples).ok
+    assert not r._replace(j_roof=r.j_lower).verify(samples).ok
     assert r.verify(samples) is rep
     kept = weakref.ref(r)
     del r
@@ -181,7 +181,7 @@ def test_negated_unit_fails_every_triangle_it_reaches():
     a = algebra("FIX-A3")
     samples = ModuleCategory(a).standard_samples()
     r = make_idempotent_recollement(a, ["2"])
-    rep = verify_recollement(dataclasses.replace(r, unit_jr=lambda x: r.unit_jr(x).scale(-1)), samples)
+    rep = verify_recollement(r._replace(unit_jr=lambda x: r.unit_jr(x).scale(-1)), samples)
     reached = [n for n, x in samples if r.j_restrict(x).dim]
     assert len(reached) == 5
     assert [(f.axiom, f.subject) for f in rep.failures()] == (
@@ -200,7 +200,7 @@ def test_raising_unit_fails_every_check_that_reads_it():
     def broken(x):
         raise ValueError("seeded defect")
 
-    rep = verify_recollement(dataclasses.replace(r, unit_jr=broken), samples)
+    rep = verify_recollement(r._replace(unit_jr=broken), samples)
     names = [n for n, _ in samples]
     assert {(f.axiom, f.subject) for f in rep.failures()} == (
         {("R1:j_restrict-|j_roof", n) for n in names}
