@@ -17,7 +17,10 @@ over GF(3) and an A_5 path algebra over GF(3), which reach paths the
 GF(2)/GF(3) fixtures do not: the porism reports of the two C_3 inputs pin
 the heuristic and the exhaustive order of the hom-space search; and FIX-A3
 over Q, whose ``hw``, ``recollement`` and ``simples`` reports pin how those
-modes render values over Q), and
+modes render values over Q; and the V poset x < z > y over GF(3), the
+quiver 1 -> 2 <- 3 with 2 on top, the one input whose order is not total:
+its lower sets {x} and {y} are incomparable, and {x, y} is the down-set of
+no one element), and
 ``corpus.seed11.json`` that of
 ``stratakit corpus --seed 11``.  Regenerate one only for an intended
 change of its report, and say so in the change.
@@ -48,10 +51,11 @@ MODES = ("recollement", "simples", "porism", "eps", "hw", "homological")
 EXTRA_CASES = [("c3_q", "eps"), ("c3_q", "homological"), ("c3_q", "porism"),
                ("c3_q_all", "eps"), ("c3_gf3", "porism"), ("c3_gf3", "eps"),
                ("a5_gf3", "recollement"), ("a3_q", "hw"), ("a3_q", "recollement"),
-               ("a3_q", "simples")]
+               ("a3_q", "simples"), ("v_gf3", "eps"), ("v_gf3", "hw"), ("v_gf3", "porism"),
+               ("v_gf3", "homological")]
 CHECK_CASES = ([(f, m) for f in STRATIFIED for m in MODES] + [("fix_mv_pair", "recollement")]
                + EXTRA_CASES)
-WITH_STRATIFICATION = STRATIFIED + ("c3_q", "c3_q_all", "c3_gf3", "a3_q")
+WITH_STRATIFICATION = STRATIFIED + ("c3_q", "c3_q_all", "c3_gf3", "a3_q", "v_gf3")
 
 
 def run_counting(monkeypatch, argv):
