@@ -3,9 +3,11 @@
 * exactness of the one-sided extension functors at a stratum (via
   projectivity of the corner bimodules, with positive cover certificates
   and negative lost-exactness witnesses),
-* the Ext-comparison map along a Serre inclusion (explicit resolution
-  lifting, not dimension counting),
-* k-homological stratifications,
+* the Ext-comparison map along the embedding i_* of a layer recollement,
+  mod-A_{S - lam} into mod-A_S (explicit resolution lifting, not dimension
+  counting),
+* k-homological stratifications: every layer's i_* is an isomorphism on
+  Ext^n for n <= k,
 * the sign-stratified decision, by the homological criterion and by direct
   filtration search on both the projective and injective sides,
 * highest-weight detection by structure and by the axioms, cross-checked.
@@ -20,7 +22,7 @@ import itertools
 from typing import NamedTuple
 
 from .algebra import opposite
-from .category import ModuleCategory, solve_in_hom
+from .category import solve_in_hom
 from .homological import ext, projective_resolution, reduce_cocycle
 from .linalg import InvariantError, Matrix
 from .modules import (
@@ -31,10 +33,9 @@ from .modules import (
     kernel,
     projective_cover,
     projective_module,
-    restrict_map,
-    restrict_scalars,
     simple_module,
 )
+from .recollement import Recollement
 from .strat import Poset, Stratification, StratificationError
 
 
@@ -118,7 +119,7 @@ def _lost_exactness_witness(s: Stratification, lam: str, side: str) -> dict | No
     return None
 
 
-# -- Ext comparison along a Serre inclusion -----------------------------------
+# -- Ext comparison along a layer's i_* ---------------------------------------
 
 
 class ExtComparison(NamedTuple):
@@ -132,46 +133,34 @@ class ExtComparison(NamedTuple):
         return self.dim_source == self.dim_target == self.rank
 
 
-def ext_comparison(
-    s: Stratification,
-    inner: frozenset,
-    outer: frozenset,
-    x: RightModule,
-    y: RightModule,
-    degree: int,
-) -> ExtComparison:
-    """The canonical map Ext^n_{A_inner}(X, Y) -> Ext^n_{A_outer}(iX, iY).
+def ext_comparison(r: Recollement, x: RightModule, y: RightModule, degree: int) -> ExtComparison:
+    """The map Ext^n_Z(X, Y) -> Ext^n_C(i_* X, i_* Y) induced by the
+    embedding i_* = ``r.i_embed`` of the closed side Z of ``r`` into its
+    center C.
 
-    Realized by lifting a chain map from the minimal outer resolution of
-    the inflation to the inflated inner resolution, then pulling cocycles
-    back; when either Ext space is zero the rank is 0 and nothing is lifted.
-    Degrees 0 and 1 must be isomorphisms (Serre subcategory); that is
-    asserted, not reported.
+    Realized by lifting a chain map from the minimal resolution of i_* X to
+    i_* of the resolution of X, then pulling cocycles back; when either Ext
+    space is zero the rank is 0 and nothing is lifted.  Degrees 0 and 1
+    must be isomorphisms (Serre subcategory); that is asserted, not
+    reported.
     """
-    inner, outer = frozenset(inner), frozenset(outer)
-    if not inner <= outer:
-        raise ValueError("inner must be contained in outer")
-    lift = s.inflation(inner, outer)
-    outer_alg = s.lower_algebra(outer).algebra
-    ix, iy = restrict_scalars(x, outer_alg, lift), restrict_scalars(y, outer_alg, lift)
+    i = r.i_embed
     space_in = ext(x, y, degree)
-    space_out = ext(ix, iy, degree)
+    space_out = ext(i(x), i(y), degree)
     rank = 0
     if space_in.dim and space_out.dim:
         res_in = projective_resolution(x, degree + 1)
-        res_out = projective_resolution(ix, degree + 1)
-        # chain map u_k: outer P_k -> inflated inner P_k over the identity
-        cat = ModuleCategory(outer_alg)
-        aug_in = restrict_map(res_in.augmentation, outer_alg, lift)
-        u = solve_in_hom(cat, res_out.augmentation.source, aug_in.source, lambda h: h.then(aug_in),
+        res_out = projective_resolution(i(x), degree + 1)
+        # chain map u_k: P_k of i_* X -> i_* P_k of X over the identity
+        aug_in = i.map(res_in.augmentation)
+        u = solve_in_hom(r.cat_c, res_out.augmentation.source, aug_in.source, lambda h: h.then(aug_in),
                          res_out.augmentation)
         for k in range(1, degree + 1):
             target_map = res_out.differential(k).then(u)
-            dk_in = restrict_map(res_in.differential(k), outer_alg, lift)
-            u = solve_in_hom(cat, target_map.source, dk_in.source, lambda h: h.then(dk_in), target_map)
-        rows = [reduce_cocycle(space_out, u.then(restrict_map(cls.cocycle, outer_alg, lift)))
-                for cls in space_in.classes]
-        rank = Matrix(s.algebra.field, len(rows), space_out.dim, tuple(x for r in rows for x in r)).rank()
+            dk_in = i.map(res_in.differential(k))
+            u = solve_in_hom(r.cat_c, target_map.source, dk_in.source, lambda h: h.then(dk_in), target_map)
+        rows = [reduce_cocycle(space_out, u.then(i.map(cls.cocycle))) for cls in space_in.classes]
+        rank = Matrix(x.algebra.field, len(rows), space_out.dim, tuple(c for row in rows for c in row)).rank()
     cmp = ExtComparison(degree=degree, dim_source=space_in.dim, dim_target=space_out.dim, rank=rank)
     if degree <= 1 and not cmp.is_isomorphism:
         raise StratificationError(
@@ -197,8 +186,9 @@ class HomologicalVerdict(NamedTuple):
 def is_k_homological(s: Stratification, k: int, deep: bool = False) -> HomologicalVerdict:
     """Every recollement in the stratification data is k-homological.
 
-    Per (lower set, maximal element) pair, the comparison is tested on all
-    pairs of simples of the inner lower-set algebra for degrees up to k;
+    Per (lower set, maximal element) pair, the comparison along that layer's
+    i_* is tested on all pairs of simples of its closed side, the algebra of
+    the lower set without the element, for degrees up to k;
     passage from simples to all finite-length objects is by long-exact-
     sequence induction (recorded, and re-run on the projectives and
     injectives when ``deep``).  The verdict does not depend on a sign
@@ -212,8 +202,8 @@ def _k_homological(s: Stratification, k: int, deep: bool) -> HomologicalVerdict:
     table: list[tuple] = []
     for outer in s.poset.lower_sets():
         for lam in s.poset.maximal_in(outer):
-            inner = outer - {lam}
-            inner_alg = s.lower_algebra(inner).algebra
+            r = s.layer_recollement(outer, lam)
+            inner_alg = r.cat_z.algebra
             if inner_alg.dim == 0:
                 continue
             sample_pairs = []
@@ -225,7 +215,7 @@ def _k_homological(s: Stratification, k: int, deep: bool) -> HomologicalVerdict:
                 sample_pairs.extend(itertools.product(projs, injs))
             for x, y in sample_pairs:
                 for n in range(k + 1):
-                    cmp = ext_comparison(s, inner, outer, x, y, n)
+                    cmp = ext_comparison(r, x, y, n)
                     checked += 1
                     table.append((tuple(sorted(outer)), lam, (x.dim, y.dim), n,
                                   cmp.dim_source, cmp.dim_target, cmp.rank))

@@ -167,12 +167,6 @@ def restrict_scalars(m: RightModule, algebra: Algebra, rows: Matrix) -> RightMod
     return RightModule(algebra, m.dim, tuple(m.action_of(rows.row(k)) for k in range(algebra.dim)))
 
 
-def restrict_map(f: ModuleMap, algebra: Algebra, rows: Matrix) -> ModuleMap:
-    """``f`` between the restricted modules: the same matrix."""
-    return ModuleMap(restrict_scalars(f.source, algebra, rows),
-                     restrict_scalars(f.target, algebra, rows), f.mat)
-
-
 def quotient_module(m: RightModule, space: Subspace) -> tuple[RightModule, ModuleMap]:
     """Quotient by an action-closed subspace, with its projection."""
     proj, sec = space.quotient_maps()

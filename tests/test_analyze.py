@@ -66,33 +66,27 @@ def test_ext_comparison_degree_small(strats):
     # degrees 0 and 1 are isomorphisms on every instance (hard assertion
     # inside; here we just exercise it)
     s = strats["FIX-NAK"]
-    inner = frozenset({"x"})
-    outer = frozenset({"x", "y"})
-    inner_alg = s.lower_algebra(inner).algebra
-    s1 = simple_module(inner_alg, "1")
+    r = s.layer_recollement(frozenset({"x", "y"}), "y")
+    s1 = simple_module(r.cat_z.algebra, "1")
     for n in (0, 1):
-        cmp = ext_comparison(s, inner, outer, s1, s1, n)
+        cmp = ext_comparison(r, s1, s1, n)
         assert cmp.is_isomorphism
 
 
 def test_ext_comparison_a2_degree2(strats):
     s = strats["FIX-A2"]
-    inner = frozenset({"x"})
-    outer = frozenset({"x", "y"})
-    inner_alg = s.lower_algebra(inner).algebra
-    s1 = simple_module(inner_alg, "1")
-    cmp = ext_comparison(s, inner, outer, s1, s1, 2)
+    r = s.layer_recollement(frozenset({"x", "y"}), "y")
+    s1 = simple_module(r.cat_z.algebra, "1")
+    cmp = ext_comparison(r, s1, s1, 2)
     assert cmp == ExtComparison(degree=2, dim_source=0, dim_target=0, rank=0)
     assert cmp.is_isomorphism
 
 
 def test_ext_comparison_nak_degree2_fails(strats):
     s = strats["FIX-NAK"]
-    inner = frozenset({"x"})
-    outer = frozenset({"x", "y"})
-    inner_alg = s.lower_algebra(inner).algebra
-    s1 = simple_module(inner_alg, "1")
-    cmp = ext_comparison(s, inner, outer, s1, s1, 2)
+    r = s.layer_recollement(frozenset({"x", "y"}), "y")
+    s1 = simple_module(r.cat_z.algebra, "1")
+    cmp = ext_comparison(r, s1, s1, 2)
     assert (cmp.dim_source, cmp.dim_target) == (0, 1)
     assert not cmp.is_isomorphism
 

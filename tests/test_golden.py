@@ -36,7 +36,7 @@ from pathlib import Path
 
 import pytest
 
-from stratakit import analyze, recollement, strat
+from stratakit import algebra, analyze, recollement, strat
 from stratakit.algebra import Algebra
 from stratakit.cli import main
 from stratakit.corpus import fixture_bytes
@@ -191,18 +191,26 @@ def test_corpus_asks_each_question_once(monkeypatch):
     (28 on 24 when the (S2) check and the recollement battery each built
     and verified the principal recollement at a top stratum), at most 46
     filtration searches (119 when every sign pattern searched again) and
-    at most 22 exactness facts (52).  Two more batteries repeat one by
-    value, but in another fixture: FIX-NAK's A_{<=x} equals FIX-A2's and
-    FIX-LOOP's A_{<=z} equals FIX-KRO's.  No memo outlives its input, so
-    those two stay."""
+    at most 22 exactness facts (52).  Each build makes one quotient A/AeA
+    and one corner eAe, and no other code makes either, so the run makes
+    18 of each and validates at most 54 algebras (36 quotients, 30 corners
+    and 84 validations when each lower-set algebra and each corner of
+    (S3) was built again beside the layer recollements).  Two more
+    batteries repeat one by value, but in another fixture: FIX-NAK's
+    A_{<=x} equals FIX-A2's and FIX-LOOP's A_{<=z} equals FIX-KRO's.  No
+    memo outlives its input, so those two stay."""
     batteries = count_calls(monkeypatch, recollement, "verify_recollement")
     builds = count_calls(monkeypatch, recollement, "idempotent_recollement_data")
     searches = count_calls(monkeypatch, strat, "filtration_search")
     facts = count_calls(monkeypatch, analyze, "_exactness")
+    quotients = count_calls(monkeypatch, recollement, "quotient_by_idempotent_ideal")
+    corners = count_calls(monkeypatch, recollement, "corner_algebra")
+    validations = count_calls(monkeypatch, algebra, "validate_algebra")
     code, out, _ = run_counting(monkeypatch, ["corpus", "--seed", "11"])
     assert out == (GOLDEN / "corpus.seed11.json").read_text()
     assert code == 0
-    assert (len(batteries), len(builds)) == (22, 18)
+    assert (len(batteries), len(builds), len(quotients), len(corners)) == (22, 18, 18, 18)
+    assert len(validations) <= 54
     assert len(searches) <= 46
     assert len(facts) <= 22
 

@@ -28,7 +28,12 @@ A stdlib-``ast`` stand-in for a linter: it flags
   function or method made a ``functools`` cache: state that would outlive
   every input, and
 * an ``assert`` in ``recollement.py`` or ``analyze.py``, which raise
-  ``InvariantError`` instead, because ``python -O`` strips an ``assert``.
+  ``InvariantError`` instead, because ``python -O`` strips an ``assert``,
+  and
+* a call of, or other reference to, ``corner_algebra`` or
+  ``quotient_by_idempotent_ideal`` anywhere but in
+  ``recollement.idempotent_recollement_data``: a stratification's derived
+  algebras are the sides of its layer recollements, built there once.
 
 Apart from these, every function, class and method in ``src/stratakit``
 must be reachable from the command line: ``unreachable`` follows a
@@ -714,6 +719,64 @@ def test_no_module_imports_dataclasses():
                      else [node.module] if isinstance(node, ast.ImportFrom) else [])
             found += [f"{path.stem}: {n}" for n in names if n and n.split(".")[0] == "dataclasses"]
     assert found == []
+
+
+DERIVED_ALGEBRAS = {"corner_algebra", "quotient_by_idempotent_ideal"}
+
+
+def derived_algebra_uses(sources: dict[str, str]) -> list[str]:
+    """``path: function, line n: name`` for each load (a call or any other
+    reference) of a name in ``DERIVED_ALGEBRAS`` in ``sources`` (path ->
+    text) outside ``recollement.idempotent_recollement_data``; the function
+    is the innermost definition around the load, ``<module>`` for none."""
+    out = []
+    for path, text in sources.items():
+        tree = ast.parse(text)
+        # _definitions yields a definition before those nested in it, so the innermost wins
+        owner = {id(node): qual for qual, fn, _ in _definitions(tree) for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name in DERIVED_ALGEBRAS and isinstance(getattr(node, "ctx", None), ast.Load):
+                where = owner.get(id(node), "<module>")
+                if (path, where) != ("recollement.py", "idempotent_recollement_data"):
+                    out.append(f"{path}: {where}, line {node.lineno}: {name}")
+    return sorted(out)
+
+
+def test_only_the_layer_recollement_builds_corners_and_quotients():
+    """Each lower-set algebra is the closed side of a layer recollement and
+    each stratum its open side; a second construction beside the layer
+    would build and validate the same algebra again."""
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in MODULES}
+    assert derived_algebra_uses(sources) == []
+
+
+def test_derived_algebra_checker_flags_what_it_should():
+    recollement = (
+        "from .algebra import corner_algebra, quotient_by_idempotent_ideal\n"
+        "def idempotent_recollement_data(a, vs):\n"
+        "    return corner_algebra(a, vs), quotient_by_idempotent_ideal(a, vs)\n"
+        "def make(a, vs):\n"
+        "    def inner():\n"
+        "        return corner_algebra(a, vs)\n"
+        "    return inner\n"
+    )
+    strat = (
+        "from . import algebra\n"
+        "from .algebra import corner_algebra\n"
+        "build = corner_algebra\n"
+        "class S:\n"
+        "    def lower(self, vs):\n"
+        "        return algebra.quotient_by_idempotent_ideal(self.a, vs)\n"
+        "    def corner_algebra(self):\n"
+        "        return 0\n"
+    )
+    algebra = "def corner_algebra(a, vs):\n    return a\n"
+    sources = {"recollement.py": recollement, "strat.py": strat, "algebra.py": algebra}
+    assert derived_algebra_uses(sources) == [
+        "recollement.py: make.inner, line 6: corner_algebra",
+        "strat.py: <module>, line 3: corner_algebra",
+        "strat.py: S.lower, line 6: quotient_by_idempotent_ideal"]
 
 
 def test_commands_load_neither_dataclasses_nor_inspect():

@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import pytest
 
 from stratakit import strat
 from stratakit.category import ModuleCategory, is_isomorphic
 from stratakit.modules import (
+    ModuleMap,
     annihilator,
     injective_envelope,
     injective_module,
@@ -10,12 +13,12 @@ from stratakit.modules import (
     projective_module,
     quotient_module,
     regular_module,
-    restrict_map,
+    restrict_scalars,
     simple_module,
     submodule,
 )
 from stratakit.recollement import CheckResult, Recollement, RecollementReport, intermediate_extension
-from stratakit.specfile import build_algebra
+from stratakit.specfile import build_algebra, load_spec
 from stratakit.strat import (
     Poset,
     PosetError,
@@ -33,7 +36,10 @@ ALL = ["FIX-A2", "FIX-A3", "FIX-NAK", "FIX-DUAL", "FIX-KRO", "FIX-LOOP"]
 
 
 def strat_of(fix, check=True):
-    spec = load_fixture(fix)
+    return strat_of_spec(load_fixture(fix), check)
+
+
+def strat_of_spec(spec, check=True):
     a = build_algebra(spec)
     ss = spec.stratification
     poset = Poset.from_pairs(ss.poset.elements, ss.poset.leq)
@@ -143,7 +149,8 @@ def canonical_maps(s, b):
     ie = intermediate_extension(r, l_gamma)
     maps = (r.j_lower.map(projective_cover(l_gamma).cover_map), ie.from_lower, ie.into_roof,
             r.j_roof.map(injective_envelope(l_gamma).envelope_map))
-    return [restrict_map(f, s.algebra, lift) for f in maps]
+    return [ModuleMap(restrict_scalars(f.source, s.algebra, lift),
+                      restrict_scalars(f.target, s.algebra, lift), f.mat) for f in maps]
 
 
 def test_standard_canonical_maps(strats):
@@ -236,8 +243,10 @@ def test_filtration_is_searched_once_per_question(monkeypatch):
 
 
 def test_lower_sets_and_layers_are_kept_in_the_one_memo():
-    """Each lower-set quotient and layer recollement is built once and kept
-    in ``Stratification.memo``; a set that is not lower, or a label that is
+    """Each lower-set algebra and layer recollement is built once and kept
+    in ``Stratification.memo``; the algebra of a lower set is the closed
+    side of the layer above it, so asking for one keeps every layer and
+    lower set above it too.  A set that is not lower, or a label that is
     not maximal in it, raises before anything is kept."""
     s = strat_of("FIX-A3", check=False)
     with pytest.raises(StratificationError, match="not a lower set"):
@@ -249,7 +258,23 @@ def test_lower_sets_and_layers_are_kept_in_the_one_memo():
     r = s.layer_recollement(xy, "y")
     assert s.layer_recollement({"x", "y"}, "y") is r
     assert s.lower_algebra({"x", "y"}) is s.lower_algebra(xy)
-    assert set(s._memo) == {("lower", xy), ("layer", xy, "y")}
+    xyz = frozenset({"x", "y", "z"})
+    assert set(s._memo) == {("lower", xy), ("layer", xy, "y"), ("lower", xyz), ("layer", xyz, "z")}
+
+
+@pytest.mark.parametrize("name", ["FIX-A3", "v_gf3"])
+def test_each_lower_set_algebra_is_the_closed_side_of_the_layer_above(name):
+    """Peeling z, y and x off the chain x < y < z (FIX-A3) or the V poset
+    x < z > y, each lower set's algebra is the very object that the layer
+    above it has as its closed side, so the two share modules, resolutions
+    and simples; the full set's is A."""
+    golden = Path(__file__).parent / "golden"
+    spec = load_fixture(name) if name.startswith("FIX") else load_spec(golden / f"{name}.input.json")[0]
+    s = strat_of_spec(spec, check=False)
+    assert s.lower_algebra(frozenset(s.poset.elements)).algebra is s.algebra
+    for lower, lam in (({"x", "y", "z"}, "z"), ({"x", "y"}, "y"), ({"x"}, "x")):
+        r = s.layer_recollement(frozenset(lower), lam)
+        assert s.lower_algebra(frozenset(lower) - {lam}).algebra is r.cat_z.algebra
 
 
 def test_porism_every_vertex(strats):
