@@ -307,7 +307,8 @@ class Stratification:
         raises is not kept.  The key names the question: the standard
         objects, the lower-set algebras and layer recollements (each algebra
         with the layers above it that build it), the k-homological verdicts,
-        the exactness facts and the filtration searches."""
+        the exactness facts, each flag side's sections and the filtration
+        searches."""
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
@@ -529,7 +530,6 @@ class SynthesisResult(NamedTuple):
     vertex: str
     module: RightModule
     audit: tuple[SynthesisAudit, ...]
-    matches_direct_cover: bool
 
 
 class SynthesisNonTermination(RuntimeError):
@@ -581,14 +581,14 @@ def synthesize_projective_cover(s: Stratification, t: str) -> SynthesisResult:
         iterations = 0
         mults: dict[str, int] = {u: 0 for u in layer_vertices}
         while True:
-            ds = [ext_dim(current, l_u, 1) for l_u in layer_simples]
-            if all(d == 0 for d in ds):
+            # the multiplicities are dim Ext^1(current, L_u): all zero ends the layer
+            ue = universal_extension(current, layer_simples)
+            if not any(ue.multiplicities):
                 break
             if iterations >= SYNTHESIS_ITERATION_CAP:
                 raise SynthesisNonTermination(
                     f"extension iteration bound {SYNTHESIS_ITERATION_CAP} exceeded at layer {lam}"
                 )
-            ue = universal_extension(current, layer_simples)
             for u, d in zip(layer_vertices, ue.multiplicities):
                 mults[u] += d
             current = ue.middle
@@ -609,7 +609,7 @@ def synthesize_projective_cover(s: Stratification, t: str) -> SynthesisResult:
         raise StratificationError(
             f"synthesized cover at {t} is not the projective cover: {res.reason}"
         )
-    return SynthesisResult(vertex=t, module=current, audit=tuple(audits), matches_direct_cover=True)
+    return SynthesisResult(vertex=t, module=current, audit=tuple(audits))
 
 
 def _assert_layer_cover(algebra: Algebra, current: RightModule, t: str) -> None:

@@ -24,17 +24,23 @@ field and meant for tiny inputs only.
 * ``algebra_issues_by_mul_vec``: the structural checks of
   ``validate_algebra``, each product of basis elements taken as a dense
   ``mul_vec`` of two basis vectors instead of a read of the structure table.
+* ``corner_bimodule_is_projective``: exactness of j_! or j_* at a stratum
+  read off the corner bimodule itself (projective iff it is as big as its
+  projective cover), never applying the functor to a stratum module.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from stratakit.algebra import opposite
 from stratakit.category import ModuleCategory, is_isomorphic
 from stratakit.linalg import Matrix, Subspace
 from stratakit.modules import (
+    RightModule,
     hom_basis,
     hom_combinations,
+    projective_cover,
     quotient_module,
     submodule,
 )
@@ -260,3 +266,22 @@ def algebra_issues_by_mul_vec(a) -> tuple[tuple[str, str], ...]:
         if dim != (1 if vi == wi else 0):
             issues.append(("split-semisimple", f"dim e_{v}(A/rad)e_{w} = {dim}, expected {1 if vi == wi else 0}"))
     return tuple(issues)
+
+
+def corner_bimodule_is_projective(s, lam: str, side: str) -> bool:
+    """Is j_!^lam (side "j_!") or j_*^lam (side "j_*") exact, by the bimodule?
+
+    With B = A_{<=lam}, f its stratum idempotent and Gamma = fBf,
+    j_! = - (x)_Gamma fB is exact iff fB is projective as a left
+    Gamma-module, a right module over the opposite of Gamma, and
+    j_* = Hom_Gamma(Bf, -) is exact iff Bf is projective as a right
+    Gamma-module.  A module is projective iff its minimal projective cover
+    is no bigger than it.
+    """
+    data = s.principal_recollement(lam).data
+    gamma = data.corner.algebra
+    if side == "j_!":
+        bim = RightModule(opposite(gamma), data.ea.dim, data.ea.left_action)
+    else:
+        bim = RightModule(gamma, data.ae.dim, data.ae.right_action)
+    return projective_cover(bim).projective.dim == bim.dim

@@ -1,5 +1,8 @@
 import itertools
+import json
+import random
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -7,8 +10,7 @@ from stratakit import analyze
 from stratakit.algebra import opposite
 from stratakit.analyze import (
     ExtComparison,
-    _direct_delta_route,
-    _direct_nabla_route,
+    _flag_route,
     exactness_check,
     ext_comparison,
     is_epsilon_stratified,
@@ -17,13 +19,16 @@ from stratakit.analyze import (
     sign_patterns,
 )
 from stratakit.category import ShortExactSequence
+from stratakit.corpus import fixture_bytes
 from stratakit.modules import projective_module, simple_module
 from stratakit.specfile import build_algebra, parse_spec
 from stratakit.strat import Poset, Stratification
 
+from oracles import corner_bimodule_is_projective
 from support import bs_vanishing_table, load_fixture
 
 ALL = ["FIX-A2", "FIX-A3", "FIX-NAK", "FIX-DUAL", "FIX-KRO", "FIX-LOOP"]
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def strat_of(fix):
@@ -60,6 +65,47 @@ def test_exactness_loop_one_sided(strats):
     s = strats["FIX-LOOP"]
     assert exactness_check(s, "u", "j_*").exact
     assert not exactness_check(s, "u", "j_!").exact
+
+
+FIELDS = ({"kind": "Q"}, {"kind": "GF", "p": 3})
+
+
+def exactness_inputs():
+    """Every stratified fixture and golden input, seeded chains on C_n and
+    A_n (n <= 4) and two-group strata (stratum algebras up to dimension 6),
+    each over Q and over GF(3)."""
+    raw = [json.loads(fixture_bytes(f"{fix.lower().replace('-', '_')}.json")) for fix in ALL]
+    raw += [json.loads(p.read_text()) for p in sorted(GOLDEN.glob("*.input.json"))]
+    rng = random.Random(22)
+    for field in FIELDS:
+        for data in raw:
+            if "stratification" in data:
+                spec = parse_spec({**data, "field": field})
+                ss = spec.stratification
+                yield Stratification(build_algebra(spec), Poset.from_pairs(ss.poset.elements, ss.poset.leq),
+                                     ss.rho, check=False)
+        for kind in "CA":
+            for n in (2, 3, 4):
+                yield chain_strat(kind, field, rng.sample([f"s{i}" for i in range(1, n + 1)], n), check=False)
+            for n in (3, 4):
+                for k in range(1, n):  # vertices 1..k in one stratum, the rest in the other
+                    rho = {str(i): "x" if i <= k else "y" for i in range(1, n + 1)}
+                    for leq in ([["x", "y"]], [["y", "x"]]):
+                        yield quiver_strat(kind, field, n, rho, leq, check=False)
+
+
+def test_exactness_search_agrees_with_corner_bimodule_projectivity():
+    """Differential: the lost-exactness search decides exactness of j_! and
+    j_* at every stratum as the corner bimodule's projectivity does (the
+    reference in oracles.py), and both answers occur."""
+    seen = set()
+    for s in exactness_inputs():
+        for lam in s.poset.elements:
+            for side in ("j_!", "j_*"):
+                want = corner_bimodule_is_projective(s, lam, side)
+                assert exactness_check(s, lam, side).exact == want, (s.algebra.field, s.rho, lam, side)
+                seen.add((side, want))
+    assert seen == {(side, want) for side in ("j_!", "j_*") for want in (True, False)}
 
 
 def test_ext_comparison_degree_small(strats):
@@ -133,28 +179,34 @@ def test_epsilon_nak_witnesses(strats):
     assert res.routes["direct-nabla"].witness["failure"] == "no sign-costandard filtration"
 
 
-def chain_strat(kind, field, chain):
-    """C_3 (radical-square-zero cycle) or A_3 (linear path) over ``field``,
-    with vertex i labelled si and the strata totally ordered by ``chain``."""
-    vs = ["1", "2", "3"]
+def quiver_strat(kind, field, n, rho, leq, check=True):
+    """C_n (radical-square-zero cycle) or A_n (linear path) over ``field``,
+    vertex v in stratum rho[v], the strata ordered by ``leq``."""
+    vs = [str(i) for i in range(1, n + 1)]
     if kind == "C":
-        arrows = [{"name": f"a{i}", "from": vs[i - 1], "to": vs[i % 3]} for i in (1, 2, 3)]
-        relations = [{"terms": [{"coeff": 1, "path": [f"a{i}", f"a{i % 3 + 1}"]}]} for i in (1, 2, 3)]
+        arrows = [{"name": f"a{i}", "from": vs[i - 1], "to": vs[i % n]} for i in range(1, n + 1)]
+        relations = [{"terms": [{"coeff": 1, "path": [f"a{i}", f"a{i % n + 1}"]}]} for i in range(1, n + 1)]
     else:
-        arrows = [{"name": f"a{i}", "from": vs[i - 1], "to": vs[i]} for i in (1, 2)]
+        arrows = [{"name": f"a{i}", "from": vs[i - 1], "to": vs[i]} for i in range(1, n)]
         relations = []
+    elements = sorted(set(rho.values()))
     spec = parse_spec({
         "field": field,
         "quiver": {"vertices": vs, "arrows": arrows},
         "relations": relations,
-        "stratification": {
-            "poset": {"elements": [f"s{v}" for v in vs],
-                      "leq": [[chain[i], chain[j]] for i in range(3) for j in range(i + 1, 3)]},
-            "rho": {v: f"s{v}" for v in vs},
-        },
+        "stratification": {"poset": {"elements": elements, "leq": leq}, "rho": rho},
     })
     ss = spec.stratification
-    return Stratification(build_algebra(spec), Poset.from_pairs(ss.poset.elements, ss.poset.leq), ss.rho)
+    return Stratification(build_algebra(spec), Poset.from_pairs(ss.poset.elements, ss.poset.leq), ss.rho,
+                          check=check)
+
+
+def chain_strat(kind, field, chain, check=True):
+    """C_n or A_n, n = len(chain), with vertex i labelled si and the strata
+    totally ordered by ``chain``."""
+    n = len(chain)
+    return quiver_strat(kind, field, n, {str(i): f"s{i}" for i in range(1, n + 1)},
+                        [[chain[i], chain[j]] for i in range(n) for j in range(i + 1, n)], check)
 
 
 def test_nabla_route_matches_delta_route_over_the_opposite(strats):
@@ -170,8 +222,8 @@ def test_nabla_route_matches_delta_route_over_the_opposite(strats):
         sop = Stratification(opposite(s.algebra), s.poset, s.rho, check=False)
         for eps in sign_patterns(s.poset):
             flipped = {lam: "-" if sign == "+" else "+" for lam, sign in eps.items()}
-            nabla = _direct_nabla_route(s, eps)
-            delta_op = _direct_delta_route(sop, flipped)
+            nabla = _flag_route(s, eps, "nabla")
+            delta_op = _flag_route(sop, flipped, "delta")
             assert nabla.verdict == delta_op.verdict, (s.algebra.field, eps)
             if not nabla.verdict:
                 assert nabla.witness == {"failure": "no sign-costandard filtration",

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from stratakit.algebra import corner_algebra, quotient_by_idempotent_ideal
+from stratakit.algebra import corner_algebra, opposite, quotient_by_idempotent_ideal
 from stratakit.category import ModuleCategory, is_isomorphic
 from stratakit.linalg import GF2, GF3, QQ, Matrix
 from stratakit.modules import (
@@ -214,6 +214,19 @@ def test_simples_and_injectives_are_built_once_per_algebra(a2):
     assert fresh == a2 and a2.cache and fresh.cache == {}
     assert simple_module(fresh, "1") == simple_module(a2, "1")
     assert simple_module(fresh, "1") is not simple_module(a2, "1")
+
+
+def test_the_dual_of_an_injective_is_the_projective_over_the_opposite():
+    """D I(b) is P(b) over A^op on the nose, over the same algebra object and
+    with the same hash, so the injective flag side is the projective flag
+    side over A^op."""
+    count = 0
+    for a in fixture_algebras():
+        for b in a.vertex_names:
+            d_i, p_op = dual_module(injective_module(a, b)), projective_module(opposite(a), b)[0]
+            assert d_i == p_op and d_i.algebra is p_op.algebra and hash(d_i) == hash(p_op)
+            count += 1
+    assert count == 48
 
 
 def test_injective_envelope(a2):

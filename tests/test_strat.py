@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from stratakit import strat
+from stratakit import homological, strat
 from stratakit.category import ModuleCategory, is_isomorphic
 from stratakit.modules import (
     ModuleMap,
@@ -306,8 +306,7 @@ def test_porism_maximal_vertex_trivial(strats):
 def test_synthesis_every_vertex(strats):
     for fix, s in strats.items():
         for t in s.algebra.vertex_names:
-            res = synthesize_projective_cover(s, t)
-            assert res.matches_direct_cover
+            res = synthesize_projective_cover(s, t)  # raises unless it is the direct cover
             direct, _ = projective_module(s.algebra, t)
             assert res.module.dim == direct.dim
 
@@ -318,6 +317,31 @@ def test_synthesis_audit_a2(strats):
     assert [a.layer for a in res.audit] == ["x", "y"]
     assert res.audit[1].iterations == 1
     assert res.audit[1].multiplicities == (("2", 1),)
+
+
+def test_synthesis_computes_ext1_once_per_layer_simple_and_iteration(strats, monkeypatch):
+    """A work counter: each pass of a layer's loop computes Ext^1 against
+    the layer simples once, inside the universal extension, whose
+    multiplicities end the loop; the certifying assertion then takes Ext^1
+    against every simple of the layer's algebra.  P(1) over FIX-A3 crosses
+    layers x, y, z with one extension at y and at z: 1 + (2 + 2) + (2 + 3)
+    computations, 12 when the loop also asked ext_dim first."""
+    calls = []
+    real = homological.ext
+    monkeypatch.setattr(homological, "ext", lambda m, n, d: calls.append(d) or real(m, n, d))
+    synthesize_projective_cover(strats["FIX-A3"], "1")
+    assert calls == [1] * 10
+
+
+def test_synthesis_iteration_cap_raises_on_the_iteration_past_it(strats, monkeypatch):
+    """The cap counts extensions: P(1) over FIX-A2 needs one at layer y, so
+    a cap of 1 passes and a cap of 0 raises there."""
+    s = strats["FIX-A2"]
+    monkeypatch.setattr(strat, "SYNTHESIS_ITERATION_CAP", 1)
+    assert synthesize_projective_cover(s, "1").audit[1].iterations == 1
+    monkeypatch.setattr(strat, "SYNTHESIS_ITERATION_CAP", 0)
+    with pytest.raises(strat.SynthesisNonTermination, match="bound 0 exceeded at layer y"):
+        synthesize_projective_cover(s, "1")
 
 
 def test_synthesis_maximal_vertex_no_extension(strats):
@@ -434,7 +458,7 @@ def test_rational_field_end_to_end():
     s = Stratification(a, poset, ss.rho, check=True)
     s.classify_simples()
     for b in a.vertex_names:
-        assert synthesize_projective_cover(s, b).matches_direct_cover
+        synthesize_projective_cover(s, b)  # raises unless it is the direct cover
         assert porism_check(s, b).certificate is not None
     for eps in sign_patterns(poset):
         res = is_epsilon_stratified(s, eps)
