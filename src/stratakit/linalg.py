@@ -30,6 +30,9 @@ Conventions:
 * ``Matrix.solve_left`` and ``solve_right`` always return a solution; a
   system with none raises ``InconsistentSystem``.  A caller that asks a
   real yes/no question catches it; everywhere else no solution is a bug.
+  A matrix keeps its elimination (``rref``), so a solve against a reduced
+  basis with full row rank reads the coordinates off its pivots; any
+  other matrix is solved by eliminating ``[A | I]``.
 * Records are ``typing.NamedTuple``s.  The value types that validate, hash
   once or are mutated (``Matrix``, ``Subspace``, ``algebra.Algebra``,
   ``modules.RightModule`` and nine more) subclass ``Value``, which reads
@@ -261,7 +264,8 @@ class Matrix(Value):
         # cost of the generic one
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.field, self.rows, self.cols, self.entries) == (other.field, other.rows, other.cols, other.entries)
+        return self is other or (self.field, self.rows, self.cols, self.entries) == (
+            other.field, other.rows, other.cols, other.entries)
 
     # -- constructors ------------------------------------------------------
 
@@ -305,8 +309,7 @@ class Matrix(Value):
 
     @property
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(x == z for x in self.entries)
+        return not any(self.entries)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -418,8 +421,14 @@ class Matrix(Value):
         Returns (rref matrix, rank, pivot columns).  The RREF is the unique
         one with leading 1s and zeros above and below each pivot.  The shape
         is kept: zero rows are not dropped, and the rows below the rank are
-        zero.
+        zero.  The result is kept on the instance and on the RREF, as
+        ``cached_hash`` keeps the hash (``_rref`` is no field); a matrix that
+        is its own RREF comes back itself and keeps only rank and pivots.
         """
+        kept = self.__dict__.get("_rref")
+        if kept is not None:
+            R, rank, pivots = kept
+            return (self if R is None else R), rank, pivots
         F = self.field
         m = [list(self.row(i)) for i in range(self.rows)]
         nrows, ncols = self.rows, self.cols
@@ -447,17 +456,16 @@ class Matrix(Value):
                     m[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[i], m[r])]
             pivots.append(c)
             r += 1
-        flat = tuple(x for row in m for x in row)
-        return Matrix(F, nrows, ncols, flat), len(pivots), tuple(pivots)
+        rank, pivots, flat = len(pivots), tuple(pivots), tuple(x for row in m for x in row)
+        R = self if flat == self.entries else Matrix(F, nrows, ncols, flat)
+        R.__dict__["_rref"] = (None, rank, pivots)
+        if R is not self:
+            self.__dict__["_rref"] = (R, rank, pivots)
+        return R, rank, pivots
 
     def rank(self) -> int:
-        """Kept on the instance after the first elimination, as ``cached_hash``
-        keeps the hash; like ``_hash``, ``_rank`` is no field."""
-        r = self.__dict__.get("_rank")
-        if r is None:
-            r = self.rref()[1]
-            object.__setattr__(self, "_rank", r)
-        return r
+        """The rank, read off the kept elimination (``rref``)."""
+        return self.rref()[1]
 
     def row_space(self) -> "Subspace":
         return Subspace.from_matrix(self)
@@ -488,13 +496,25 @@ class Matrix(Value):
         """Find X with X @ self = target; ``InconsistentSystem`` if none.
 
         ``self`` is (n x m), ``target`` is (k x m), X is (k x n).  This is
-        the workhorse for re-expressing vectors in a spanning set.
+        the workhorse for re-expressing vectors in a spanning set.  Against
+        its own RREF with full row rank (a ``Subspace`` basis), X is unique:
+        each target row's entries at the pivots, checked by one product.
         """
         if target.cols != self.cols:
             raise ValueError("column mismatch in solve_left")
         F = self.field
-        # Row-reduce [self | I] so each target row can be expressed.
         n = self.rows
+        R, rank, piv = self.rref()
+        if R is self and rank == n:
+            x = Matrix(F, target.rows, n, tuple(target.entries[t * self.cols + pc]
+                                                for t in range(target.rows) for pc in piv))
+            back = x @ self
+            if back != target:
+                t = next(t for t in range(target.rows) if back.row(t) != target.row(t))
+                raise InconsistentSystem(
+                    f"target row {t} is not in the row space of a {self.rows} x {self.cols} matrix")
+            return x
+        # Row-reduce [self | I] so each target row can be expressed.
         aug = self.hstack(Matrix.identity(F, n))
         R, rank, piv = aug.rref()
         # Pivot columns inside the first self.cols columns give usable rows.
@@ -561,7 +581,10 @@ class Subspace(Value):
     @staticmethod
     def from_matrix(m: Matrix) -> "Subspace":
         R, rank, piv = m.rref()
-        return Subspace(m.cols, Matrix(m.field, rank, m.cols, R.entries[: rank * m.cols]), piv)
+        if rank < R.rows:
+            R = Matrix(m.field, rank, m.cols, R.entries[: rank * m.cols])
+            R.__dict__["_rref"] = (None, rank, piv)
+        return Subspace(m.cols, R, piv)
 
     @staticmethod
     def zero(field: Field, ambient: int) -> "Subspace":
@@ -599,7 +622,11 @@ class Subspace(Value):
         the identity on the quotient (row convention: section @ projection).
         In closed form, row j of the projection is the unit vector of j off
         the pivots, and -(basis row r) on the non-pivots at the pivot of row r.
+        Kept on the instance, as the hash is.
         """
+        kept = self.__dict__.get("_quotient")
+        if kept is not None:
+            return kept
         F = self.field
         row_of = {pc: r for r, pc in enumerate(self.pivots)}
         nonpiv = [j for j in range(self.ambient) if j not in row_of]
@@ -612,7 +639,8 @@ class Subspace(Value):
                 proj.extend(F.one if c == j else F.zero for c in nonpiv)
         sec = tuple(F.one if j == c else F.zero for c in nonpiv for j in range(self.ambient))
         q = len(nonpiv)
-        return Matrix(F, self.ambient, q, tuple(proj)), Matrix(F, q, self.ambient, sec)
+        kept = self.__dict__["_quotient"] = Matrix(F, self.ambient, q, tuple(proj)), Matrix(F, q, self.ambient, sec)
+        return kept
 
     def _check(self, other: "Subspace") -> None:
         if self.ambient != other.ambient:

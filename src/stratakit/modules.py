@@ -48,7 +48,7 @@ class RightModule(Value):
         # compares with it
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.algebra, self.dim, self.action) == (other.algebra, other.dim, other.action)
+        return self is other or (self.algebra, self.dim, self.action) == (other.algebra, other.dim, other.action)
 
     def action_of(self, a: Sequence) -> Matrix:
         """Action matrix of an arbitrary algebra element (coordinate vector):

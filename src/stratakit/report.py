@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 from fractions import Fraction
 from typing import NamedTuple
@@ -104,4 +103,6 @@ class Report(Value, frozen=False):
 
 
 def sha256_bytes(raw: bytes) -> str:
+    import hashlib  # here, not at the top: OpenSSL's ``_hashlib`` costs every start
+
     return hashlib.sha256(raw).hexdigest()

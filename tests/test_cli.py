@@ -475,25 +475,32 @@ ROOT = Path(__file__).resolve().parent.parent
 START = {"stratakit", "cli", "algebra", "linalg", "report", "specfile"}
 
 
-def loaded_layers(argv) -> set[str]:
-    """The stratakit modules, package prefix dropped, that a fresh
-    interpreter has loaded after ``main(argv)``, or after importing the CLI
-    when ``argv`` is None."""
+def loaded_modules(argv) -> set[str]:
+    """The modules that a fresh interpreter has loaded after ``main(argv)``,
+    or after importing the CLI when ``argv`` is None."""
     run = "" if argv is None else f"main({argv!r})\n"
-    code = ("import sys\nfrom stratakit.cli import main\n" + run
-            + "print(*sorted(m for m in sys.modules if m.startswith('stratakit')))\n")
+    code = "import sys\nfrom stratakit.cli import main\n" + run + "print(*sorted(sys.modules))\n"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
-    return {m.removeprefix("stratakit.") for m in res.stdout.splitlines()[-1].split()}
+    return set(res.stdout.splitlines()[-1].split())
+
+
+def loaded_layers(argv) -> set[str]:
+    """The stratakit modules of ``loaded_modules``, package prefix dropped."""
+    return {m.removeprefix("stratakit.") for m in loaded_modules(argv) if m.startswith("stratakit")}
 
 
 def test_each_command_loads_only_its_layers(tmp_path):
     """Every invocation is a fresh interpreter, so a layer the command does
     not run must not be imported: importing it would compile and build it on
-    every start."""
+    every start.  Nor does the bare import load ``hashlib``, whose OpenSSL
+    module costs milliseconds: only the reports that carry the input's
+    digest import it."""
     a5 = str(ROOT / "tests" / "golden" / "a5_gf3.input.json")
-    assert loaded_layers(None) == START
+    bare = loaded_modules(None)
+    assert {m.removeprefix("stratakit.") for m in bare if m.startswith("stratakit")} == START
+    assert not bare & {"hashlib", "_hashlib"}
     assert loaded_layers(["validate", a5]) == START
     assert loaded_layers(["check", a5, "--mode", "recollement"]) == START | {
         "category", "modules", "recollement"}

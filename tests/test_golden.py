@@ -215,6 +215,23 @@ def test_corpus_asks_each_question_once(monkeypatch):
     assert len(facts) <= 22
 
 
+def test_corpus_solves_against_reduced_bases_by_their_pivots(monkeypatch):
+    """Work counters of the exact kernel on ``corpus --seed 11``: nearly
+    every ``solve_left`` is against a matrix in RREF with full row rank (a
+    subspace basis, a submodule inclusion, a hom basis), which reads the
+    coordinates off its pivots instead of eliminating [A | I], and an
+    elimination is kept on the matrix it reduced.  The run makes 12
+    ``hstack`` calls and about 25,900 matrices (1,763 and 36,644 when
+    every solve eliminated [A | I] and nothing kept its RREF)."""
+    hstacks = count_calls(monkeypatch, Matrix, "hstack")
+    matrices = count_calls(monkeypatch, Matrix, "__init__")
+    code, out, _ = run_counting(monkeypatch, ["corpus", "--seed", "11"])
+    assert out == (GOLDEN / "corpus.seed11.json").read_text()
+    assert code == 0
+    assert len(hstacks) <= 20
+    assert len(matrices) <= 27_000
+
+
 def test_eps_asks_each_sign_independent_question_once(tmp_path, monkeypatch):
     """Deciding all eight sign patterns of C_3 over Q takes 3 filtration
     searches and 6 exactness facts, one per stratum and side (24 and 24

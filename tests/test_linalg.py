@@ -394,30 +394,50 @@ def test_entries_are_hashed_once():
 
 
 # ---------------------------------------------------------------------------
-# a matrix is ranked once
+# a matrix is eliminated once
+
+
+def count_row_operations(monkeypatch) -> list:
+    """Every ``Field.sub`` call from here on: elimination subtracts rows."""
+    calls = []
+    sub = Field.sub
+
+    def counting_sub(self, a, b):
+        calls.append(None)
+        return sub(self, a, b)
+
+    monkeypatch.setattr(Field, "sub", counting_sub)
+    return calls
 
 
 def test_second_rank_runs_no_elimination(monkeypatch):
-    calls = []
-    rref = Matrix.rref
-
-    def counting_rref(self):
-        calls.append(self)
-        return rref(self)
-
-    monkeypatch.setattr(Matrix, "rref", counting_rref)
+    ops = count_row_operations(monkeypatch)
     m = mat(QQ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    assert m.rank() == 2 and len(calls) == 1
-    assert m.rank() == 2 and len(calls) == 1
-    # an equal matrix built afresh is ranked on its own
-    assert mat(QQ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]]).rank() == 2 and len(calls) == 2
+    assert m.rank() == 2 and (first := len(ops)) > 0
+    assert m.rank() == 2 and len(ops) == first
+    # the RREF it returned is reduced already, and says so without eliminating
+    R, rank, piv = m.rref()
+    assert R.rref() == (R, 2, piv) and R.rref()[0] is R and len(ops) == first
+    # an equal matrix built afresh is eliminated on its own
+    assert mat(QQ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]]).rank() == 2 and len(ops) == 2 * first
+
+
+def test_a_reduced_matrix_is_its_own_rref():
+    for m in (mat(GF3, [[1, 0, 2], [0, 1, 1]]), Matrix.identity(QQ, 3), Matrix(GF2, 0, 2, ()),
+              mat(QQ, [[0, 1], [0, 0]])):
+        R, rank, piv = m.rref()
+        assert R is m and vars(m)["_rref"] == (None, rank, piv)
+    # a swap, a scaling or an elimination makes a new matrix
+    for rows in ([[0, 1], [1, 0]], [[2, 0], [0, 1]], [[1, 1], [0, 1]]):
+        m = mat(GF3, rows)
+        assert m.rref()[0] is not m
 
 
 def test_kept_rank_is_no_part_of_equality_or_hash():
-    ranked, fresh = mat(GF3, [[1, 2], [2, 1]]), mat(GF3, [[1, 2], [2, 1]])
-    ranked.rank()
-    assert "_rank" in vars(ranked) and "_rank" not in vars(fresh)
-    assert ranked == fresh and hash(ranked) == hash(fresh) == _field_hash(fresh)
+    reduced, fresh = mat(GF3, [[1, 2], [2, 1]]), mat(GF3, [[1, 2], [2, 1]])
+    reduced.rank()
+    assert "_rref" in vars(reduced) and "_rref" not in vars(fresh)
+    assert reduced == fresh and hash(reduced) == hash(fresh) == _field_hash(fresh)
     assert Matrix._fields == ("field", "rows", "cols", "entries")
 
 
@@ -458,8 +478,11 @@ def test_matrix_keeps_hash_and_rank_on_the_instance():
     m = mat(GF3, [[1, 2], [2, 1]])
     assert set(vars(m)) == {"field", "rows", "cols", "entries"}
     hash(m), m.rank()
-    assert set(vars(m)) == {"field", "rows", "cols", "entries", "_hash", "_rank"}
-    assert vars(m)["_hash"] == _field_hash(m) and vars(m)["_rank"] == 1
+    assert set(vars(m)) == {"field", "rows", "cols", "entries", "_hash", "_rref"}
+    R, rank, piv = vars(m)["_rref"]
+    assert vars(m)["_hash"] == _field_hash(m) and (R.entries, rank, piv) == ((1, 2, 0, 0), 1, (0,))
+    # the RREF keeps its rank and pivots, and no reference back
+    assert vars(R)["_rref"] == (None, 1, (0,))
 
 
 def matrix_and_vector(field):
@@ -520,8 +543,10 @@ def ref_matmul(a, b):
             for row in a]
 
 
-def ref_rref(rows):
-    """Textbook Gauss-Jordan on Fractions: (rref rows, pivot columns)."""
+def ref_rref(rows, p=None):
+    """Textbook Gauss-Jordan on Fractions, or on ints mod a prime ``p``:
+    (rref rows, pivot columns)."""
+    norm = (lambda x: x % p) if p else (lambda x: x)
     m = [list(r) for r in rows]
     pivots = []
     for c in range(len(m[0]) if m else 0):
@@ -530,11 +555,12 @@ def ref_rref(rows):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
+        inv = pow(m[r][c], -1, p) if p else 1 / m[r][c]
+        m[r] = [norm(x * inv) for x in m[r]]
         for i in range(len(m)):
             f = m[i][c]
             if i != r and f != 0:
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                m[i] = [norm(x - f * y) for x, y in zip(m[i], m[r])]
         pivots.append(c)
     return m, pivots
 
@@ -553,19 +579,23 @@ def ref_left_kernel(a):
     return ref_rref(vecs)[0] if vecs else []
 
 
-def ref_solve_left(a, target):
-    """X with X @ a = target, read off the RREF of [a | I] as ``solve_left`` does."""
-    n, m = len(a), len(a[0])
-    r, piv = ref_rref([row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)])
+def ref_solve_left(a, target, p=None, cols=None):
+    """X with X @ a = target, read off the RREF of [a | I] as ``solve_left``
+    does, over Q or GF(p); ``cols`` is needed when ``a`` has no rows.
+    Raises ``ValueError(t)`` at the first target row t outside the row space."""
+    n, m = len(a), len(a[0]) if a else cols
+    unit = Fraction if p is None else int
+    r, piv = ref_rref([row + [unit(int(i == j)) for j in range(n)] for i, row in enumerate(a)], p)
     out = []
-    for t in target:
-        v = list(t) + [Fraction(0)] * n
+    for t, row in enumerate(target):
+        v = list(row) + [unit(0)] * n
         for k, pc in enumerate(piv):
             if pc < m and v[pc] != 0:
                 f = v[pc]
-                v = [x - f * y for x, y in zip(v, r[k])]
-        assert all(x == 0 for x in v[:m])
-        out.append([-x for x in v[m:]])
+                v = [(x - f * y) % p if p else x - f * y for x, y in zip(v, r[k])]
+        if any(x != 0 for x in v[:m]):
+            raise ValueError(t)
+        out.append([(-x) % p if p else -x for x in v[m:]])
     return out
 
 
@@ -592,6 +622,59 @@ def test_q_kernels_match_fraction_arithmetic(ops):
     assert canonical(k.entries)
     for i, j, i2, j2 in itertools.product(range(a.rows), range(b.rows), range(a.cols), range(b.cols)):
         assert k[i * b.rows + j, i2 * b.cols + j2] == fa[i][i2] * fb[j][j2]
+
+
+def reduced_full_rank_and_targets(field):
+    """An r x c matrix in RREF with full row rank, 0 <= r <= c <= 4, and up to
+    three targets: each a combination of its rows, or any vector of k^c."""
+    def build(c, pivots):
+        r = len(pivots)
+        free = st.lists(elements(field), min_size=r * c, max_size=r * c)
+
+        def reduced(xs):
+            ent = []
+            for i, pc in enumerate(pivots):
+                for j in range(c):
+                    if j <= pc or j in pivots:
+                        ent.append(field.of(int(j == pc)))
+                    else:
+                        ent.append(field.of(xs[i * c + j]))
+            return Matrix(field, r, c, tuple(ent))
+
+        vec = lambda n: st.lists(elements(field), min_size=n, max_size=n).map(
+            lambda xs: tuple(field.of(x) for x in xs))
+        row = lambda a: st.one_of(vec(r).map(a.apply_row), vec(c))
+        return free.map(reduced).flatmap(
+            lambda a: st.tuples(st.just(a), st.lists(row(a), max_size=3)))
+
+    return st.integers(0, 4).flatmap(lambda c: st.lists(st.booleans(), min_size=c, max_size=c).flatmap(
+        lambda is_pivot: build(c, [j for j, b in enumerate(is_pivot) if b])))
+
+
+@settings(max_examples=120, deadline=None)
+@given(FIELDS.flatmap(lambda F: st.tuples(st.just(F), reduced_full_rank_and_targets(F))))
+def test_solve_against_a_reduced_basis_reads_its_pivots(case):
+    """The pivot route (``self`` its own RREF with full row rank) gives the
+    solution of the [A | I] reference, and fails on the same target row
+    with the same message."""
+    field, (a, rows) = case
+    R, rank, _ = a.rref()
+    assert R is a and rank == a.rows
+    target = Matrix(field, len(rows), a.cols, tuple(x for row in rows for x in row))
+    p = field.p
+    lift = (lambda x: x) if p else Fraction
+    try:
+        want = ref_solve_left([[lift(x) for x in a.row(i)] for i in range(a.rows)],
+                              [[lift(x) for x in row] for row in rows], p, a.cols)
+    except ValueError as bad:
+        with pytest.raises(InconsistentSystem) as err:
+            a.solve_left(target)
+        assert str(err.value) == (
+            f"target row {bad.args[0]} is not in the row space of a {a.rows} x {a.cols} matrix")
+    else:
+        x = a.solve_left(target)
+        assert (x.rows, x.cols) == (len(rows), a.rows)
+        assert [list(x.row(t)) for t in range(x.rows)] == want and canonical(x.entries)
 
 
 Q_ALGEBRAS = [build_algebra(load_fixture(name)._replace(field=QQ))
