@@ -16,11 +16,11 @@ from .linalg import InvariantError, Matrix, Subspace
 from .modules import (
     ModuleMap,
     RightModule,
-    cokernel,
     direct_sum,
     hom_basis,
     kernel,
     projective_cover,
+    quotient_module,
     top,
     zero_map,
     zero_module,
@@ -91,6 +91,7 @@ class ExtSpace(NamedTuple):
     dim: int
     classes: tuple[ExtClass, ...]
     coboundary_space: Subspace  # in flattened Hom(P_n, target) coordinates
+    class_basis: Subspace       # the classes' reductions mod coboundaries, in RREF
 
 
 def _flatten(f: ModuleMap) -> tuple:
@@ -114,7 +115,8 @@ def ext(m: RightModule, n: RightModule, degree: int) -> ExtSpace:
     res = projective_resolution(m, degree + 1)
     p_n = res.term(degree)
     if p_n.dim == 0 or n.dim == 0:  # Ext is 0, and the coboundaries need no Hom(P_{n-1}, N)
-        return ExtSpace(degree, m, n, 0, (), Subspace.zero(F, p_n.dim * n.dim))
+        zero = Subspace.zero(F, p_n.dim * n.dim)
+        return ExtSpace(degree, m, n, 0, (), zero, zero)
     homs = hom_basis(p_n, n)
     ambient = p_n.dim * n.dim
 
@@ -134,73 +136,39 @@ def ext(m: RightModule, n: RightModule, degree: int) -> ExtSpace:
     coboundaries = Matrix(F, len(cob_vecs), ambient, tuple(x for v in cob_vecs for x in v)).row_space()
 
     # canonical complement: reduce each cocycle basis vector mod coboundaries,
-    # take the RREF of the reductions, lift back through the section
-    classes: list[ExtClass] = []
-    if cocycles.dim > 0:
-        proj, sec = coboundaries.quotient_maps()
-        reduced = [proj.apply_row(cocycles.basis.row(i)) for i in range(cocycles.dim)]
-        red_space = Matrix(F, len(reduced), proj.cols, tuple(x for v in reduced for x in v)).row_space()
-        for i in range(red_space.dim):
-            lifted = sec.apply_row(red_space.basis.row(i))
-            classes.append(ExtClass(degree, m, n, _unflatten(lifted, p_n, n)))
-    dim = len(classes)
-    return ExtSpace(degree, m, n, dim, tuple(classes), coboundaries)
-
-
-def ext_dim(m: RightModule, n: RightModule, degree: int) -> int:
-    if degree == 0:
-        return len(hom_basis(m, n))
-    return ext(m, n, degree).dim
+    # take the RREF of the reductions, lift back through the section; as
+    # proj after sec is the identity, the RREF rows are the classes' reductions
+    proj, sec = coboundaries.quotient_maps()
+    reduced = [proj.apply_row(cocycles.basis.row(i)) for i in range(cocycles.dim)]
+    class_basis = Matrix(F, len(reduced), proj.cols, tuple(x for v in reduced for x in v)).row_space()
+    classes = tuple(ExtClass(degree, m, n, _unflatten(sec.apply_row(class_basis.basis.row(i)), p_n, n))
+                    for i in range(class_basis.dim))
+    return ExtSpace(degree, m, n, len(classes), classes, coboundaries, class_basis)
 
 
 def reduce_cocycle(space: ExtSpace, f: ModuleMap) -> tuple:
-    """Coordinates of the class of cocycle ``f`` in the ExtSpace basis."""
-    F = f.source.algebra.field
-    flat = _flatten(f)
+    """Coordinates of the class of cocycle ``f`` in the ExtSpace basis:
+    its reduction read off the pivots of the kept class basis."""
     proj, _ = space.coboundary_space.quotient_maps()
-    reduced = proj.apply_row(flat)
-    if space.dim == 0:
-        if any(x != F.zero for x in reduced):
-            raise InvariantError("nonzero class in a zero Ext space")
-        return ()
-    basis_rows = [proj.apply_row(_flatten(c.cocycle)) for c in space.classes]
-    B = Matrix(F, len(basis_rows), proj.cols, tuple(x for r in basis_rows for x in r))
-    return B.solve_left(Matrix(F, 1, proj.cols, reduced)).row(0)
+    reduced = Matrix(f.mat.field, 1, proj.cols, proj.apply_row(_flatten(f)))
+    return space.class_basis.basis.solve_left(reduced).row(0)
 
 
-def _kernel_epi(res: Resolution) -> tuple[ModuleMap, ModuleMap]:
-    """The epi P_1 ->> K = ker(aug) and the inclusion K -> P_0, whose
-    composite is d_1."""
-    ker_mod, ker_incl = kernel(res.augmentation)
-    epi_mat = ker_incl.mat.solve_left(res.differential(1).mat)
-    return ModuleMap(res.term(1), ker_mod, epi_mat), ker_incl
-
-
-def _cocycle_to_kernel_map(epi: ModuleMap, f: ModuleMap) -> ModuleMap:
-    """Factor a degree-1 cocycle P_1 -> N through the epi P_1 ->> K."""
-    return ModuleMap(epi.target, f.target, epi.mat.solve_right(f.mat))
-
-
-def _pushout_extension(res: Resolution, fbar: ModuleMap, ker_incl: ModuleMap) -> ShortExactSequence:
-    """Pushout of K -> P_0 along fbar: K -> T, giving 0 -> T -> E -> M -> 0."""
-    m = res.module
-    T = fbar.target
-    p0 = res.term(0)
-    A = m.algebra
-    F = A.field
-    big, injs, _ = direct_sum([T, p0])
-    glue = ModuleMap(
-        fbar.source,
-        big,
-        fbar.mat.hstack(-ker_incl.mat),
-    )
-    e_mod, coker_proj = cokernel(glue)
-    incl = injs[0].then(coker_proj)
-    # E -> M: descend (t, p) |-> aug(p); solve through the cokernel projection
-    lifted = coker_proj.mat.solve_right(
-        Matrix.zero(F, T.dim, m.dim).stack(res.augmentation.mat)
-    )
-    ses = ShortExactSequence(incl, ModuleMap(e_mod, m, lifted))
+def _pushout_extension(res: Resolution, f: ModuleMap) -> ShortExactSequence:
+    """0 -> T -> E -> M -> 0 for a cocycle f: P_1 -> T, with E the cokernel
+    of (f, -d_1): P_1 -> T + P_0.  As d_1 maps P_1 onto K = ker(aug), this
+    is the pushout of K -> P_0 along the map K -> T that f factors through."""
+    m, T = res.module, f.target
+    big, injs, _ = direct_sum([T, res.term(0)])
+    glue = f.mat.hstack(-res.differential(1).mat)
+    relations = glue.row_space()
+    e_mod, coker_proj = quotient_module(big, relations)
+    # E -> M descends (t, p) |-> aug(p) through the cokernel's section
+    descend = Matrix.zero(f.mat.field, T.dim, m.dim).stack(res.augmentation.mat)
+    if not (glue @ descend).is_zero:
+        raise InvariantError("the augmentation does not vanish on the pushout relations")
+    _, sec = relations.quotient_maps()
+    ses = ShortExactSequence(injs[0].then(coker_proj), ModuleMap(e_mod, m, sec @ descend))
     if not ses.verify():
         raise InvariantError("pushout did not produce a short exact sequence")
     return ses
@@ -241,19 +209,12 @@ def universal_extension(m: RightModule, targets: list[RightModule]) -> Universal
         return UniversalExtension(multiplicities=mults, middle=m)
 
     res = projective_resolution(m, 2)
-    epi, ker_incl = _kernel_epi(res)
-    fbars: list[ModuleMap] = []
-    blocks: list[RightModule] = []
-    for b, space in zip(targets, spaces):
-        for cls in space.classes:
-            fbars.append(_cocycle_to_kernel_map(epi, cls.cocycle))
-            blocks.append(b)
-    T, injs, projs = direct_sum(blocks)
-    stacked = None
-    for fb, inj in zip(fbars, injs):
-        piece = fb.then(inj)
-        stacked = piece if stacked is None else stacked + piece
-    ses = _pushout_extension(res, stacked, ker_incl)
+    T, injs, _ = direct_sum([b for b, space in zip(targets, spaces) for _ in space.classes])
+    cocycles = [cls.cocycle for space in spaces for cls in space.classes]
+    stacked = zero_map(res.term(1), T)
+    for f, inj in zip(cocycles, injs):
+        stacked = stacked + f.then(inj)
+    ses = _pushout_extension(res, stacked)
 
     # surjectivity of Hom(T, B_j) -> Ext^1(m, B_j) via the connecting map
     to_sub = _connecting_map(ses, res)

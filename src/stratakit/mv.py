@@ -205,17 +205,20 @@ class MVCategory:
 
     # kernels, cokernels, images ------------------------------------------------
 
+    def _subobject(self, x: MVObject, m_u: ModuleMap, m_z: ModuleMap) -> MVObject:
+        """The subobject of x on monos m_u into x_u and m_z into x_z: alpha
+        restricts through m_z, beta corestricts through the mono G(m_u).
+        A kernel's or an image's monos make both land; a solve raises if not."""
+        a_mat = m_z.mat.solve_left(self.F.mor(m_u).then(x.alpha).mat)
+        b_mat = self.G.mor(m_u).mat.solve_left(m_z.then(x.beta).mat)
+        s_u, s_z = m_u.source, m_z.source
+        return self.make_object(s_u, s_z, ModuleMap(self.F.obj(s_u), s_z, a_mat),
+                                ModuleMap(s_z, self.G.obj(s_u), b_mat))
+
     def kernel(self, f: MVMorphism) -> tuple[MVObject, MVMorphism]:
-        ku, iu = module_kernel(f.f_u)
-        kz, iz = module_kernel(f.f_z)
-        # alpha restricts: F(ku) -> kz  (image lands in ker f_z)
-        a_mat = iz.mat.solve_left(self.F.mor(iu).then(f.source.alpha).mat)
-        alpha_k = ModuleMap(self.F.obj(ku), kz, a_mat)
-        # beta corestricts through the mono G(ku) -> G(x_u)
-        g_iu = self.G.mor(iu)
-        b_mat = g_iu.mat.solve_left(iz.then(f.source.beta).mat)
-        beta_k = ModuleMap(kz, self.G.obj(ku), b_mat)
-        k_obj = self.make_object(ku, kz, alpha_k, beta_k)
+        _, iu = module_kernel(f.f_u)
+        _, iz = module_kernel(f.f_z)
+        k_obj = self._subobject(f.source, iu, iz)
         return k_obj, MVMorphism(k_obj, f.source, iu, iz)
 
     def cokernel(self, f: MVMorphism) -> tuple[MVObject, MVMorphism]:
@@ -230,15 +233,10 @@ class MVCategory:
         return c_obj, MVMorphism(f.target, c_obj, pu, pz)
 
     def image(self, f: MVMorphism) -> tuple[MVObject, MVMorphism, MVMorphism]:
-        iu_obj, eu, mu = module_image(f.f_u)
-        iz_obj, ez, mz = module_image(f.f_z)
-        f_eu = self.F.mor(eu)
-        a_mat = f_eu.mat.solve_right(f.source.alpha.then(ez).mat)
-        alpha_i = ModuleMap(self.F.obj(iu_obj), iz_obj, a_mat)
-        g_mu = self.G.mor(mu)
-        b_mat = g_mu.mat.solve_left(mz.then(f.target.beta).mat)
-        beta_i = ModuleMap(iz_obj, self.G.obj(iu_obj), b_mat)
-        i_obj = self.make_object(iu_obj, iz_obj, alpha_i, beta_i)
+        # F(e_u) is onto, so im(F(m_u) ; alpha) = im(alpha ; e_z ; m_z) lies in im m_z
+        _, eu, mu = module_image(f.f_u)
+        _, ez, mz = module_image(f.f_z)
+        i_obj = self._subobject(f.target, mu, mz)
         return i_obj, MVMorphism(f.source, i_obj, eu, ez), MVMorphism(i_obj, f.target, mu, mz)
 
 

@@ -17,15 +17,15 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import Algebra, CornerData, QuotientData
 from .category import ModuleCategory, is_isomorphic
-from .homological import ext_dim, universal_extension
+from .homological import ext, universal_extension
 from .linalg import InconsistentSystem, Matrix, Subspace
 from .modules import (
     ModuleMap,
     RightModule,
     annihilator,
+    cokernel,
     hom_basis,
     hom_combinations,
-    image,
     injective_envelope,
     kernel,
     projective_cover,
@@ -127,7 +127,6 @@ class LayerWitness(NamedTuple):
     below: Subspace
     above: Subspace
     witness: ModuleMap
-    mode: str
 
 
 class FiltrationCertificate(NamedTuple):
@@ -223,7 +222,7 @@ def _search_exact(m, allowed, budget, embed=None):
             rest = _search_exact(k_mod, allowed, budget, sub_embed)
             if rest is not None:
                 below = Subspace.from_matrix(sub_embed)
-                return rest + [LayerWitness(name, below, full, h, "exact-layers")]
+                return rest + [LayerWitness(name, below, full, h)]
     return None
 
 
@@ -240,14 +239,13 @@ def _search_quotient(m, allowed, budget, proj=None):
             _spend(budget)
             if phi.is_zero:
                 continue
-            img, _, img_incl = image(phi)
-            quo, q_proj = quotient_module(m, img_incl.mat.row_space())
+            quo, q_proj = cokernel(phi)
             rest = _search_quotient(quo, allowed, budget, proj @ q_proj.mat)
             if rest is None:
                 continue
             # preimage in the original module of the freshly filtered part
             above = (proj @ q_proj.mat).left_kernel()
-            return [LayerWitness(name, below, above, phi, "quotient-layers")] + rest
+            return [LayerWitness(name, below, above, phi)] + rest
     return None
 
 
@@ -620,7 +618,7 @@ def _assert_layer_cover(algebra: Algebra, current: RightModule, t: str) -> None:
     if head.dim != 1 or not is_isomorphic(ModuleCategory(algebra), head, lt).isomorphic:
         raise StratificationError(f"synthesis lost the unique simple quotient at {t}")
     for u in algebra.vertex_names:
-        if ext_dim(current, simple_module(algebra, u), 1) != 0:
+        if ext(current, simple_module(algebra, u), 1).dim != 0:
             raise StratificationError(
                 f"synthesis result is not projective: Ext^1 against S({u}) nonzero"
             )

@@ -17,6 +17,9 @@ field and meant for tiny inputs only.
   whose off-diagonal blocks satisfy C(ab) = C(a) act_N(b) + act_M(a) C(b),
   counted modulo the blocks of the form h act_N(a) - act_M(a) h.  It never
   touches the resolution machinery.
+* ``pushout_extension_along_kernel``: the extension of a degree-1 cocycle
+  f: P_1 -> T as the pushout of K = ker(P_0 -> M) -> P_0 along the map
+  K -> T that f factors through, P_1 ->> K being solved from d_1.
 * ``mv_subobject_pairs``: every subobject of a glued object, by
   enumerating pairs of action-closed subspaces.
 * ``verify_filtration_certificate``: re-checks a filtration certificate
@@ -34,12 +37,16 @@ from __future__ import annotations
 import itertools
 
 from stratakit.algebra import opposite
-from stratakit.category import ModuleCategory, is_isomorphic
+from stratakit.category import ModuleCategory, ShortExactSequence, is_isomorphic
 from stratakit.linalg import Matrix, Subspace
 from stratakit.modules import (
+    ModuleMap,
     RightModule,
+    cokernel,
+    direct_sum,
     hom_basis,
     hom_combinations,
+    kernel,
     projective_cover,
     quotient_module,
     submodule,
@@ -117,6 +124,22 @@ def ext1_dimension_by_enumeration(m, n) -> int:
     return d
 
 
+def pushout_extension_along_kernel(res, f) -> ShortExactSequence:
+    """0 -> T -> E -> M -> 0 for a cocycle f: P_1 -> T of the resolution
+    ``res`` of M: E is the pushout of the inclusion K -> P_0 of K = ker(aug)
+    along fbar: K -> T with f = (P_1 ->> K) ; fbar, and E -> M descends
+    (t, p) |-> aug(p) by a solve through the cokernel projection."""
+    m, T, p0 = res.module, f.target, res.term(0)
+    ker_mod, ker_incl = kernel(res.augmentation)
+    epi = ker_incl.mat.solve_left(res.differential(1).mat)  # P_1 ->> K, composing to d_1
+    fbar = epi.solve_right(f.mat)
+    big, injs, _ = direct_sum([T, p0])
+    e_mod, coker_proj = cokernel(ModuleMap(ker_mod, big, fbar.hstack(-ker_incl.mat)))
+    descend = Matrix.zero(m.algebra.field, T.dim, m.dim).stack(res.augmentation.mat)
+    return ShortExactSequence(injs[0].then(coker_proj),
+                              ModuleMap(e_mod, m, coker_proj.mat.solve_right(descend)))
+
+
 def mv_subobject_pairs(cat, t):
     """Exhaustive subobject enumeration over small finite fields.
 
@@ -191,8 +214,8 @@ def verify_filtration_certificate(cert) -> bool:
         sub_above, _ = submodule(m, layer.above)
         below_in_above = Subspace.from_matrix(layer.above.basis.solve_left(layer.below.basis))
         quotient_layer, _ = quotient_module(sub_above, below_in_above)
-        allowed = layer.witness.source if layer.mode == "quotient-layers" else layer.witness.target
-        if layer.mode == "exact-layers":
+        allowed = layer.witness.source if cert.mode == "quotient-layers" else layer.witness.target
+        if cert.mode == "exact-layers":
             if not is_isomorphic(ModuleCategory(m.algebra), quotient_layer, allowed).isomorphic:
                 return False
         elif not any(h.is_surjective()

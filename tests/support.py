@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 
 from stratakit.algebra import Algebra, build_bound_quiver_algebra
 from stratakit.corpus import corpus_index, fixture_bytes
-from stratakit.homological import ext_dim
+from stratakit.homological import ext
 from stratakit.linalg import GF2, GF3, QQ, Field, Matrix, Subspace
 from stratakit.modules import ModuleMap
 from stratakit.modules import direct_sum as module_sum
@@ -70,7 +70,7 @@ def bs_vanishing_table(s, eps: dict[str, str], max_degree: int) -> dict[tuple[st
             delta = fams[b].eps_standard(eps[s.rho[b]])
             nabla = fams[c].eps_costandard(eps[s.rho[c]])
             for n in range(max_degree + 1):
-                table[(b, c, n)] = ext_dim(delta, nabla, n)
+                table[(b, c, n)] = ext(delta, nabla, n).dim
     return table
 
 

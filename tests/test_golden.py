@@ -220,15 +220,23 @@ def test_corpus_solves_against_reduced_bases_by_their_pivots(monkeypatch):
     every ``solve_left`` is against a matrix in RREF with full row rank (a
     subspace basis, a submodule inclusion, a hom basis), which reads the
     coordinates off its pivots instead of eliminating [A | I], and an
-    elimination is kept on the matrix it reduced.  The run makes 12
-    ``hstack`` calls and about 25,900 matrices (1,763 and 36,644 when
-    every solve eliminated [A | I] and nothing kept its RREF)."""
-    hstacks = count_calls(monkeypatch, Matrix, "hstack")
+    elimination is kept on the matrix it reduced.  No ``solve_left``
+    takes the [A | I] route (the only ``hstack`` in ``linalg``), so each of
+    the 6 ``hstack`` calls left glues a universal extension, and the run
+    makes about 25,700 matrices.  There were 1,763 ``hstack`` calls and
+    36,644 matrices when every solve eliminated [A | I] and nothing kept
+    its RREF, and 12 ``hstack`` calls while each extension was pushed out
+    along a kernel module."""
+    callers = []
+    hstack = Matrix.hstack
+    monkeypatch.setattr(Matrix, "hstack",
+                        lambda a, b: callers.append(sys._getframe(1).f_code.co_name) or hstack(a, b))
     matrices = count_calls(monkeypatch, Matrix, "__init__")
     code, out, _ = run_counting(monkeypatch, ["corpus", "--seed", "11"])
     assert out == (GOLDEN / "corpus.seed11.json").read_text()
     assert code == 0
-    assert len(hstacks) <= 20
+    assert "solve_left" not in callers
+    assert len(callers) <= 6
     assert len(matrices) <= 27_000
 
 

@@ -804,3 +804,12 @@ def test_write_only_check_examines_every_field_of_the_value_types():
               for name in getattr(modules[mod], cls)._fields}
     examined = {pair for mod in VALUE_TYPES for pair in _record_fields(ast.parse((SRC / f"{mod}.py").read_text()))}
     assert len(fields) == 70 and fields <= examined
+
+
+def test_perfbench_selftest_passes():
+    """The traced benchmark runs on this tree: ``python3
+    perfbench/selftest.py`` from the repo root traces tiny inputs twice and
+    exits 0 only when every work counter repeats, so a change to ``src/``
+    that breaks the traced run fails here."""
+    res = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT, capture_output=True, text=True)
+    assert res.returncode == 0, res.stdout + res.stderr

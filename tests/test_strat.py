@@ -325,10 +325,13 @@ def test_synthesis_computes_ext1_once_per_layer_simple_and_iteration(strats, mon
     multiplicities end the loop; the certifying assertion then takes Ext^1
     against every simple of the layer's algebra.  P(1) over FIX-A3 crosses
     layers x, y, z with one extension at y and at z: 1 + (2 + 2) + (2 + 3)
-    computations, 12 when the loop also asked ext_dim first."""
+    computations, 12 when the loop also asked for Ext^1 first.  ``ext`` is
+    counted where ``homological`` and where ``strat`` binds it."""
     calls = []
     real = homological.ext
-    monkeypatch.setattr(homological, "ext", lambda m, n, d: calls.append(d) or real(m, n, d))
+    counting = lambda m, n, d: calls.append(d) or real(m, n, d)  # noqa: E731
+    monkeypatch.setattr(homological, "ext", counting)
+    monkeypatch.setattr(strat, "ext", counting)
     synthesize_projective_cover(strats["FIX-A3"], "1")
     assert calls == [1] * 10
 
