@@ -128,10 +128,6 @@ class Algebra(Value):
     def dim(self) -> int:
         return len(self.basis_labels)
 
-    @property
-    def nvertices(self) -> int:
-        return len(self.idempotent_indices)
-
     def zero_vec(self) -> tuple:
         return (self.field.zero,) * self.dim
 

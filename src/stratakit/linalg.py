@@ -27,9 +27,9 @@ Conventions:
   already, so linalg builds them as ``Matrix(field, rows, cols, entries)``
   directly, and so does every module above it for vectors it computed,
   spanning a subspace as ``Matrix(...).row_space()``.
-* ``Matrix.solve_left`` and ``solve_right`` always return a solution; a
-  system with none raises ``InconsistentSystem``.  A caller that asks a
-  real yes/no question catches it; everywhere else no solution is a bug.
+* ``Matrix.solve_left`` always returns a solution; a system with none
+  raises ``InconsistentSystem``.  A caller that asks a real yes/no
+  question catches it; everywhere else no solution is a bug.
   A matrix keeps its elimination (``rref``), so a solve against a reduced
   basis with full row rank reads the coordinates off its pivots; any
   other matrix is solved by eliminating ``[A | I]``.
@@ -487,10 +487,6 @@ class Matrix(Value):
                 v[pc] = F.neg(R[r, fc])
             ent.extend(v)
         return Subspace.from_matrix(Matrix(F, len(free), n, tuple(ent)))
-
-    def solve_right(self, target: "Matrix") -> "Matrix":
-        """Find X with self @ X = target; ``InconsistentSystem`` if none."""
-        return self.transpose().solve_left(target.transpose()).transpose()
 
     def solve_left(self, target: "Matrix") -> "Matrix":
         """Find X with X @ self = target; ``InconsistentSystem`` if none.

@@ -222,15 +222,19 @@ class MVCategory:
         return k_obj, MVMorphism(k_obj, f.source, iu, iz)
 
     def cokernel(self, f: MVMorphism) -> tuple[MVObject, MVMorphism]:
-        cu, pu = module_cokernel(f.f_u)
-        cz, pz = module_cokernel(f.f_z)
-        f_pu = self.F.mor(pu)
-        a_mat = f_pu.mat.solve_right(f.target.alpha.then(pz).mat)
-        alpha_c = ModuleMap(self.F.obj(cu), cz, a_mat)
-        b_mat = pz.mat.solve_right(f.target.beta.then(self.G.mor(pu)).mat)
-        beta_c = ModuleMap(cz, self.G.obj(cu), b_mat)
+        """Componentwise, through the sections s_u, s_z of p_u, p_z: beta_c = s_z ; beta ; G(p_u),
+        alpha_c = F(s_u) ; alpha ; p_z with F's morphism formula on the linear s_u, a right inverse
+        of F(p_u) as p_u (x) I keeps X_u's relations in c_u's.  Both squares are checked."""
+        x = f.target
+        (cu, pu), (cz, pz) = module_cokernel(f.f_u), module_cokernel(f.f_z)
+        s_u, s_z = (g.mat.row_space().quotient_maps()[1] for g in (f.f_u, f.f_z))
+        alpha_c = ModuleMap(self.F.obj(cu), cz, self.F.mor(ModuleMap(cu, x.x_u, s_u)).mat @ x.alpha.mat @ pz.mat)
+        g_pu = self.G.mor(pu).mat
+        beta_c = ModuleMap(cz, self.G.obj(cu), s_z @ x.beta.mat @ g_pu)
+        if self.F.mor(pu).mat @ alpha_c.mat != x.alpha.mat @ pz.mat or pz.mat @ beta_c.mat != x.beta.mat @ g_pu:
+            raise InvariantError("the connecting maps do not descend to the cokernel")
         c_obj = self.make_object(cu, cz, alpha_c, beta_c)
-        return c_obj, MVMorphism(f.target, c_obj, pu, pz)
+        return c_obj, MVMorphism(x, c_obj, pu, pz)
 
     def image(self, f: MVMorphism) -> tuple[MVObject, MVMorphism, MVMorphism]:
         # F(e_u) is onto, so im(F(m_u) ; alpha) = im(alpha ; e_z ; m_z) lies in im m_z
@@ -270,9 +274,9 @@ def mv_recollement(data: MVData) -> Recollement:
         return module_cokernel(x.alpha)[0]
 
     def i_left_mor(f: MVMorphism) -> ModuleMap:
-        _, p_src = module_cokernel(f.source.alpha)
+        _, sec = f.source.alpha.mat.row_space().quotient_maps()
         c_tgt, p_tgt = module_cokernel(f.target.alpha)
-        return ModuleMap(p_src.target, c_tgt, p_src.mat.solve_right(f.f_z.then(p_tgt).mat))
+        return ModuleMap(i_left_obj(f.source), c_tgt, sec @ f.f_z.mat @ p_tgt.mat)
 
     @functools.cache
     def i_right_obj(x: MVObject) -> RightModule:

@@ -20,6 +20,13 @@ field and meant for tiny inputs only.
 * ``pushout_extension_along_kernel``: the extension of a degree-1 cocycle
   f: P_1 -> T as the pushout of K = ker(P_0 -> M) -> P_0 along the map
   K -> T that f factors through, P_1 ->> K being solved from d_1.
+* ``mv_cokernel_by_solve`` and ``mv_i_left_mor_by_solve``: a glued
+  cokernel and the map i^* makes of a glued morphism, with every
+  connecting map solved through a cokernel projection (``solve_right``, a
+  solve on the transposes) instead of read through its section.
+* ``stratum_independent_by_algebra_map``: (S3) over every lower set L and
+  every lam maximal in L, each corner of A_L compared with the stratum by
+  the algebra map A_L -> A ->> A_{<=lam} instead of by one dimension.
 * ``mv_subobject_pairs``: every subobject of a glued object, by
   enumerating pairs of action-closed subspaces.
 * ``verify_filtration_certificate``: re-checks a filtration certificate
@@ -38,7 +45,7 @@ import itertools
 
 from stratakit.algebra import opposite
 from stratakit.category import ModuleCategory, ShortExactSequence, is_isomorphic
-from stratakit.linalg import Matrix, Subspace
+from stratakit.linalg import InconsistentSystem, Matrix, Subspace
 from stratakit.modules import (
     ModuleMap,
     RightModule,
@@ -51,6 +58,7 @@ from stratakit.modules import (
     quotient_module,
     submodule,
 )
+from stratakit.mv import MVMorphism
 
 from support import full, span
 
@@ -132,12 +140,67 @@ def pushout_extension_along_kernel(res, f) -> ShortExactSequence:
     m, T, p0 = res.module, f.target, res.term(0)
     ker_mod, ker_incl = kernel(res.augmentation)
     epi = ker_incl.mat.solve_left(res.differential(1).mat)  # P_1 ->> K, composing to d_1
-    fbar = epi.solve_right(f.mat)
+    fbar = solve_right(epi, f.mat)
     big, injs, _ = direct_sum([T, p0])
     e_mod, coker_proj = cokernel(ModuleMap(ker_mod, big, fbar.hstack(-ker_incl.mat)))
     descend = Matrix.zero(m.algebra.field, T.dim, m.dim).stack(res.augmentation.mat)
     return ShortExactSequence(injs[0].then(coker_proj),
-                              ModuleMap(e_mod, m, coker_proj.mat.solve_right(descend)))
+                              ModuleMap(e_mod, m, solve_right(coker_proj.mat, descend)))
+
+
+def solve_right(a, target):
+    """X with a @ X = target, by a solve on the transposes;
+    ``InconsistentSystem`` if there is none."""
+    return a.transpose().solve_left(target.transpose()).transpose()
+
+
+def mv_cokernel_by_solve(cat, f):
+    """The cokernel of the glued morphism ``f`` in the MV category ``cat``:
+    componentwise, with alpha_c solved from F(p_u) ; alpha_c = alpha ; p_z
+    and beta_c from p_z ; beta_c = beta ; G(p_u), never through a section."""
+    cu, pu = cokernel(f.f_u)
+    cz, pz = cokernel(f.f_z)
+    x = f.target
+    a_mat = solve_right(cat.F.mor(pu).mat, x.alpha.then(pz).mat)
+    b_mat = solve_right(pz.mat, x.beta.then(cat.G.mor(pu)).mat)
+    c_obj = cat.make_object(cu, cz, ModuleMap(cat.F.obj(cu), cz, a_mat),
+                            ModuleMap(cz, cat.G.obj(cu), b_mat))
+    return c_obj, MVMorphism(x, c_obj, pu, pz)
+
+
+def mv_i_left_mor_by_solve(f):
+    """i^*(f) of a glued morphism, the map of cokernels of the alphas that
+    f_z induces, solved through the source's cokernel projection."""
+    _, p_src = cokernel(f.source.alpha)
+    c_tgt, p_tgt = cokernel(f.target.alpha)
+    return ModuleMap(p_src.target, c_tgt, solve_right(p_src.mat, f.f_z.then(p_tgt).mat))
+
+
+def stratum_independent_by_algebra_map(s) -> list[tuple[frozenset, str]]:
+    """The (lower set L, lam maximal in L) of every poset lower set at which
+    the corner of A_L at lam is not the stratum at lam by the map
+    A_L -> A ->> A_{<=lam} (section, then projection): it must be a linear
+    bijection of the corners that keeps the unit and every product of two
+    basis elements."""
+    return [(lower, lam) for lower in s.poset.lower_sets() for lam in s.poset.maximal_in(lower)
+            if not _corner_map_is_isomorphism(s, lower, lam)]
+
+
+def _corner_map_is_isomorphism(s, lower, lam) -> bool:
+    ref, here = s.stratum(lam), s.layer_recollement(lower, lam).data.corner
+    ref_alg, here_alg = ref.algebra, here.algebra
+    if ref_alg.dim != here_alg.dim:
+        return False
+    images = (here.embed @ s.lower_algebra(lower).section
+              @ s.lower_algebra(s.poset.down(lam)).projection)
+    try:
+        phi = ref.embed.solve_left(images)
+    except InconsistentSystem:
+        return False
+    if phi.rank() != ref_alg.dim or phi.apply_row(here_alg.unit) != ref_alg.unit:
+        return False
+    return all(phi.apply_row(here_alg.mult[i][j]) == ref_alg.mul_vec(phi.row(i), phi.row(j))
+               for i in range(here_alg.dim) for j in range(here_alg.dim))
 
 
 def mv_subobject_pairs(cat, t):

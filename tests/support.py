@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import json
+import random
 from typing import Iterable, Sequence
 
 from stratakit.algebra import Algebra, build_bound_quiver_algebra
@@ -14,6 +15,7 @@ from stratakit.modules import ModuleMap
 from stratakit.modules import direct_sum as module_sum
 from stratakit.mv import MVMorphism
 from stratakit.specfile import AlgebraSpec, parse_spec
+from stratakit.strat import Poset, Stratification
 
 
 def load_fixture(name: str) -> AlgebraSpec:
@@ -41,6 +43,60 @@ def fixture_algebras() -> tuple[Algebra, ...]:
             except ValueError:
                 continue
     return tuple(out)
+
+
+GENERATED_FIELDS = ({"kind": "GF", "p": 2}, {"kind": "GF", "p": 3}, {"kind": "Q"})
+
+
+def generated_specs(seed: int, count: int) -> list[dict]:
+    """``count`` stratified inputs in the JSON input format, drawn from
+    ``random.Random(seed)`` alone, so the same seed gives the same list.
+
+    Each has n = 1-4 vertices over GF(2), GF(3) or Q, up to n + 1 arrows
+    and, with probability 0.7, the first one doubled back into a cycle
+    through two vertices; loops are allowed, but at most two arrows leave
+    a vertex, as the algebra build enumerates every path up to twice the
+    longest.  Each arrow is drawn "first" or not, and a composite ab
+    survives (with probability 0.9) only when a is first and b is not: the
+    relations are the other monomials of length two, so no nonzero path is
+    longer than 2.  The poset has n - 1 or n elements (at least one), each
+    pair related with probability 0.3 along a drawn order, so most posets
+    are not total, and the labeling hits every element.
+    """
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        vertices = [str(i) for i in range(1, n + 1)]
+        ends = [(rng.choice(vertices), rng.choice(vertices)) for _ in range(rng.randint(0, n + 1))]
+        if ends and rng.random() < 0.7:
+            ends.insert(1, ends[0][::-1])  # often a cycle through two vertices
+        ends = [(u, v) for i, (u, v) in enumerate(ends) if [w for w, _ in ends[:i]].count(u) < 2]
+        arrows = [{"name": f"a{i}", "from": u, "to": v} for i, (u, v) in enumerate(ends)]
+        first = {a["name"]: rng.random() < 0.5 for a in arrows}
+        relations = [{"terms": [{"coeff": 1, "path": [a["name"], b["name"]]}]}
+                     for a in arrows for b in arrows if a["to"] == b["from"]
+                     and not (first[a["name"]] and not first[b["name"]] and rng.random() < 0.9)]
+        elements = [f"s{i}" for i in range(1, rng.randint(max(1, n - 1), n) + 1)]
+        order = rng.sample(elements, len(elements))
+        leq = [[lo, hi] for i, lo in enumerate(order) for hi in order[i + 1:] if rng.random() < 0.3]
+        labels = elements + [rng.choice(elements) for _ in range(n - len(elements))]
+        rng.shuffle(labels)
+        out.append({"field": rng.choice(GENERATED_FIELDS),
+                    "quiver": {"vertices": vertices, "arrows": arrows},
+                    "relations": relations,
+                    "stratification": {"poset": {"elements": elements, "leq": leq},
+                                       "rho": dict(zip(vertices, labels))}})
+    return out
+
+
+def stratification_of(spec: AlgebraSpec, check: bool = True) -> Stratification:
+    """The stratification of a parsed stratified input, its structure
+    checks run only if ``check``."""
+    ss = spec.stratification
+    return Stratification(build_bound_quiver_algebra(spec.presentation, spec.field),
+                          Poset.from_pairs(ss.poset.elements, ss.poset.leq), ss.rho, ss.epsilon,
+                          check=check)
 
 
 def span(field: Field, vectors: Iterable[Sequence], ambient: int) -> Subspace:
@@ -97,7 +153,7 @@ def mv_direct_sum(cat, xs):
     if f_big.dim == 0 or big_z.dim == 0:
         alpha_mat = Matrix.zero(F, f_big.dim, big_z.dim)
     else:
-        alpha_mat = lhs.solve_right(rhs)
+        alpha_mat = lhs.transpose().solve_left(rhs.transpose()).transpose()
     alpha = ModuleMap(f_big, big_z, alpha_mat)
     # beta: beta ; G(proj_i) = proj_z_i ; beta_i, hstacked and solved
     lhs = rhs = None

@@ -83,7 +83,7 @@ def test_criterion_2_simple_classification(strats):
     ok = True
     for fix, s in strats.items():
         table = s.classify_simples()  # raises on mismatch/redundancy
-        ok = ok and len(table) == s.algebra.nvertices
+        ok = ok and len(table) == len(s.algebra.vertex_names)
     report(2, "simple classification complete and irredundant on every fixture", ok)
 
 

@@ -243,7 +243,7 @@ def test_generating_vectors_generate():
         arrows = [j for j, label in enumerate(a.basis_labels)
                   if "*" not in label and j not in a.idempotent_indices]
         gens = a.generating_vectors()
-        assert len(gens) == a.nvertices + len(arrows)
+        assert len(gens) == len(a.vertex_names) + len(arrows)
         assert set(gens) == {a.basis_vec(j) for j in a.idempotent_indices + tuple(arrows)}
         derived = ([corner_algebra(a, [v]).algebra for v in a.vertex_names]
                    + [quotient_by_idempotent_ideal(a, [v]).algebra for v in a.vertex_names])

@@ -19,11 +19,10 @@ A stdlib-``ast`` stand-in for a linter: it flags
   unless that object is visibly a ``pathlib.Path``: a ``Path(...)`` call, a
   name assigned only from one, or a ``.parent``/``.resolve()`` chain of
   those), and
-* a name assigned from a ``solve_left``, ``solve_right`` or ``solve_in_hom``
-  call and then compared with ``None`` in an ``if``, a conditional
-  expression or an ``assert``: these raise ``InconsistentSystem`` instead
-  of returning ``None``, so a caller with a real yes/no question catches
-  that, and
+* a name assigned from a ``solve_left`` or ``solve_in_hom`` call and then
+  compared with ``None`` in an ``if``, a conditional expression or an
+  ``assert``: these raise ``InconsistentSystem`` instead of returning
+  ``None``, so a caller with a real yes/no question catches that, and
 * a module-level name bound to an empty container, or a module-level
   function or method made a ``functools`` cache: state that would outlive
   every input, and
@@ -360,7 +359,7 @@ def unreachable(sources: dict[str, str], roots: dict[str, set[str]]) -> list[str
     return sorted(f"{path}: {qual}" for path, qual, _, _ in defs if (path, qual) not in reached)
 
 
-SOLVES = {"solve_left", "solve_right", "solve_in_hom"}
+SOLVES = {"solve_left", "solve_in_hom"}
 
 
 def none_checked_solves(tree: ast.Module) -> list[str]:
@@ -679,7 +678,7 @@ def test_solve_checker_flags_what_it_should():
         "def f(a, b, cat):\n"
         "    x = a.solve_left(b)\n"
         "    assert x is not None, 'no solution'\n"
-        "    y = a.solve_right(b)\n"
+        "    y = b.solve_left(a)\n"
         "    if y is None or y.rank() == 0:\n"
         "        return None\n"
         "    z = b.transpose()\n"

@@ -61,15 +61,6 @@ def test_solve_inconsistent():
         a.solve_left(b)
 
 
-def test_solve_right_inconsistent():
-    # a @ X = b needs b's columns in a's column space, which is spanned by (1, 1)
-    a = mat(QQ, [[1, 2], [1, 2]])
-    with pytest.raises(InconsistentSystem):
-        a.solve_right(mat(QQ, [[1], [0]]))
-    x = a.solve_right(mat(QQ, [[3], [3]]))
-    assert a @ x == mat(QQ, [[3], [3]])
-
-
 def test_solve_underdetermined_gf2():
     # x @ [[1],[1]] = [0]: solutions (0,0) and (1,1)
     a = mat(GF2, [[1], [1]])

@@ -376,7 +376,7 @@ def cells(algebra) -> Cells:
 def test_cells_bundle(a2, nak):
     for alg in (a2, nak):
         c = cells(alg)
-        assert len(c.projectives) == len(c.simples) == len(c.injectives) == alg.nvertices
+        assert len(c.projectives) == len(c.simples) == len(c.injectives) == len(alg.vertex_names)
         assert c.regular.dim == alg.dim
         assert sum(p.dim for p in c.projectives) == alg.dim
 

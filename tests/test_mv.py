@@ -20,7 +20,7 @@ from stratakit.mv import (
 from stratakit.recollement import intermediate_extension, verify_recollement
 from stratakit.specfile import parse_spec
 
-from oracles import mv_subobject_pairs
+from oracles import mv_cokernel_by_solve, mv_i_left_mor_by_solve, mv_subobject_pairs
 from support import load_fixture, mv_direct_sum
 
 MV_FIXTURES = ["FIX-MV-ID", "FIX-MV-ZERO", "FIX-MV-PROD", "FIX-MV-PAIR"]
@@ -188,6 +188,21 @@ def test_exact_retraction_componentwise(all_data):
 
             cz, _ = module_cokernel(f.f_z)
             assert c_obj.x_z == cz
+
+
+def test_cokernel_and_i_left_read_through_sections_match_the_solves(all_data):
+    """A glued cokernel's connecting maps and i^* of a glued morphism, read
+    through the sections of the cokernel projections, equal the maps solved
+    through the projections, on every hom-basis morphism between the
+    samples of each fixture."""
+    for fix, data in all_data.items():
+        cat = MVCategory(data)
+        r = mv_recollement(data)
+        objs = [o for _, o in generating_objects(r, data)]
+        for x, y in itertools.product(objs, repeat=2):
+            for f in cat.hom_basis(x, y):
+                assert cat.cokernel(f) == mv_cokernel_by_solve(cat, f), fix
+                assert r.i_left.mor(f) == mv_i_left_mor_by_solve(f), fix
 
 
 def test_direct_sum_universal_maps(all_data):

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from stratakit.modules import (
     submodule,
 )
 from stratakit.recollement import CheckResult, Recollement, RecollementReport, intermediate_extension
-from stratakit.specfile import build_algebra, load_spec
+from stratakit.specfile import build_algebra, load_spec, parse_spec
 from stratakit.strat import (
     Poset,
     PosetError,
@@ -29,21 +30,15 @@ from stratakit.strat import (
     synthesize_projective_cover,
 )
 
-from oracles import verify_filtration_certificate
-from support import is_injective, load_fixture
+from oracles import stratum_independent_by_algebra_map, verify_filtration_certificate
+from support import generated_specs, is_injective, load_fixture, stratification_of
 
 ALL = ["FIX-A2", "FIX-A3", "FIX-NAK", "FIX-DUAL", "FIX-KRO", "FIX-LOOP"]
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def strat_of(fix, check=True):
-    return strat_of_spec(load_fixture(fix), check)
-
-
-def strat_of_spec(spec, check=True):
-    a = build_algebra(spec)
-    ss = spec.stratification
-    poset = Poset.from_pairs(ss.poset.elements, ss.poset.leq)
-    return Stratification(a, poset, ss.rho, ss.epsilon, check=check)
+    return stratification_of(load_fixture(fix), check)
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +72,60 @@ def test_structure_checks_pass(strats):
     for fix, s in strats.items():
         notes = s.run_structure_checks()
         assert any(tag == "S3" for tag, _ in notes), fix
+
+
+def cycle_on_antichain(isolated: int) -> dict:
+    """The golden 2-cycle input over GF(3), a: 1 -> 2 and b: 2 -> 1 with
+    ba = 0, with ``isolated`` vertices added and every vertex its own
+    stratum s<vertex> of an antichain.  e_1 A e_1 holds the cycle ab, which
+    the quotient A_{<=s1} = A / A e_2 A kills, so the stratum at s1 differs
+    inside every lower set that holds s2."""
+    spec = json.loads((GOLDEN / "cyc2_anti_gf3.input.json").read_text())
+    vertices = [str(v) for v in range(1, 3 + isolated)]
+    spec["quiver"]["vertices"] = vertices
+    spec["stratification"] = {"poset": {"elements": [f"s{v}" for v in vertices], "leq": []},
+                              "rho": {v: f"s{v}" for v in vertices}}
+    return spec
+
+
+def test_s3_fails_inside_the_full_set_of_a_seven_stratum_antichain():
+    """(S3) is one count per stratum at every poset size: on seven strata
+    the stratum at s1 is compared inside W_s1, here the full set."""
+    with pytest.raises(StratificationError) as err:
+        stratification_of(parse_spec(cycle_on_antichain(5)))
+    everything = [f"s{v}" for v in range(1, 8)]
+    assert str(err.value) == f"(S3): stratum at s1 differs when computed inside {everything}"
+
+
+def test_s3_counts_at_the_widest_lower_set_where_the_stratum_is_maximal():
+    """On the antichain s1, s2 the widest lower set with s1 on top is the
+    full set, whose corner at 1 is k e_1 + k ab against the stratum k e_1."""
+    s = stratification_of(parse_spec(cycle_on_antichain(0)), check=False)
+    assert s._widest_lower("s1") == frozenset({"s1", "s2"})
+    assert (s.stratum("s1").algebra.dim, s.stratum("s2").algebra.dim) == (1, 1)
+    assert s.layer_recollement(frozenset({"s1", "s2"}), "s1").data.corner.algebra.dim == 2
+    assert not s._stratum_independent("s1")
+    assert s._stratum_independent("s2")  # ba = 0 leaves e_2 A e_2 = k e_2
+
+
+def test_s3_agrees_with_the_algebra_map_over_every_lower_set():
+    """A differential test on 60 generated inputs (1-4 vertices over GF(2),
+    GF(3) and Q, monomial relations, loops, posets that need not be total),
+    built without their structure checks: the dimension count at W_lam
+    fails at exactly the strata at which the algebra map A_L -> A_{<=lam}
+    fails to identify the corner of some lower set L with the stratum."""
+    failing, fields, loops, partial = 0, set(), False, False
+    for spec in generated_specs(0, 60):
+        s = stratification_of(parse_spec(spec), check=False)
+        by_map = {lam for _, lam in stratum_independent_by_algebra_map(s)}
+        assert {lam for lam in s.poset.elements if not s._stratum_independent(lam)} == by_map, spec
+        failing += bool(by_map)
+        fields.add(s.algebra.field)
+        loops = loops or any(a["from"] == a["to"] for a in spec["quiver"]["arrows"])
+        partial = partial or any(not s.poset.leq(x, y) and not s.poset.leq(y, x)
+                                 for x in s.poset.elements for y in s.poset.elements)
+    assert failing >= 5
+    assert len(fields) == 3 and loops and partial
 
 
 def test_s2_failure_text_carries_each_failed_check_by_its_repr(monkeypatch):
@@ -268,9 +317,8 @@ def test_each_lower_set_algebra_is_the_closed_side_of_the_layer_above(name):
     x < z > y, each lower set's algebra is the very object that the layer
     above it has as its closed side, so the two share modules, resolutions
     and simples; the full set's is A."""
-    golden = Path(__file__).parent / "golden"
-    spec = load_fixture(name) if name.startswith("FIX") else load_spec(golden / f"{name}.input.json")[0]
-    s = strat_of_spec(spec, check=False)
+    spec = load_fixture(name) if name.startswith("FIX") else load_spec(GOLDEN / f"{name}.input.json")[0]
+    s = stratification_of(spec, check=False)
     assert s.lower_algebra(frozenset(s.poset.elements)).algebra is s.algebra
     for lower, lam in (({"x", "y", "z"}, "z"), ({"x", "y"}, "y"), ({"x"}, "x")):
         r = s.layer_recollement(frozenset(lower), lam)
@@ -446,11 +494,8 @@ def test_certificates_verify_independently(strats):
 
 def test_rational_field_end_to_end():
     """The whole pipeline over the rationals (heuristic search mode)."""
-    import json
-
     from stratakit.analyze import is_epsilon_stratified, is_highest_weight, sign_patterns
     from stratakit.corpus import fixture_bytes
-    from stratakit.specfile import parse_spec
 
     data = json.loads(fixture_bytes("fix_a2.json"))
     data["field"] = {"kind": "Q"}
