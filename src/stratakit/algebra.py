@@ -140,12 +140,10 @@ class Algebra(Value):
         return self.basis_vec(self.idempotent_indices[i])
 
     def idempotent_sum(self, vertices: Sequence[str]) -> tuple:
-        F = self.field
         out = list(self.zero_vec())
         for v in vertices:
-            ev = self.idempotent_vec(v)
-            out = [F.add(x, y) for x, y in zip(out, ev)]
-        return tuple(out)
+            out[self.idempotent_indices[self.vertex_names.index(v)]] += 1
+        return tuple(map(self.field.norm, out))
 
     def sparse_table(self) -> tuple:
         """``sparse_table()[i][j]`` lists the (k, c) with c = mult[i][j][k]
@@ -161,10 +159,13 @@ class Algebra(Value):
         """The coordinates of the sum of c * b_i * b_j over the (c, i, j) in
         ``terms``, each product read off the sparse table."""
         F, table = self.field, self.sparse_table()
-        out = [F.zero] * self.dim
+        acc = {}
         for c, i, j in terms:
             for k, m in table[i][j]:
-                out[k] = F.add(out[k], F.mul(c, m))
+                acc[k] = acc.get(k, 0) + c * m
+        out, norm = [F.zero] * self.dim, F.norm
+        for k, s in acc.items():
+            out[k] = norm(s)
         return tuple(out)
 
     def mul_vec(self, x: Sequence, y: Sequence) -> tuple:
@@ -174,15 +175,18 @@ class Algebra(Value):
         building those triples costs it about 40 %."""
         F, table = self.field, self.sparse_table()
         ys = [(j, yj) for j, yj in enumerate(y) if yj]
-        out = [F.zero] * self.dim
+        acc = {}
         for i, xi in enumerate(x):
             if not xi:
                 continue
             row = table[i]
             for j, yj in ys:
-                c = F.mul(xi, yj)
+                c = xi * yj
                 for k, m in row[j]:
-                    out[k] = F.add(out[k], F.mul(c, m))
+                    acc[k] = acc.get(k, 0) + c * m
+        out, norm = [F.zero] * self.dim, F.norm
+        for k, s in acc.items():
+            out[k] = norm(s)
         return tuple(out)
 
     def right_mult_matrix(self, a: Sequence) -> Matrix:
@@ -307,7 +311,7 @@ def build_bound_quiver_algebra(pres: Presentation, field: Field) -> Algebra:
                             vec = [F.zero] * ncoords
                             for c, (psrc, parr) in rel:
                                 comp = (x[0], x[1] + parr + y[1])
-                                vec[coord_of[comp]] = F.add(vec[coord_of[comp]], c)
+                                vec[coord_of[comp]] = F.norm(vec[coord_of[comp]] + c)
                             gens.append(tuple(vec))
         ideal = Matrix(F, len(gens), ncoords, tuple(x for g in gens for x in g)).row_space()
 

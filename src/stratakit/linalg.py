@@ -10,10 +10,13 @@ Conventions:
 
 * A vector is a tuple of field elements.  Over GF(p) they are ints in
   ``range(p)``.  Over Q a whole number is an ``int`` and any other value a
-  ``Fraction``, which is never integral: every operation that can leave a
-  ``Fraction`` with denominator 1 turns it back into an ``int``, so there is
-  one representation per rational and whole-number arithmetic, by far the
-  common case, runs on plain ints.
+  ``Fraction``, which is never integral, so there is one representation per
+  rational and whole-number arithmetic, by far the common case, runs on
+  plain ints.
+* There is one arithmetic path for both fields.  A loop combines entries
+  in plain ``int``/``Fraction`` arithmetic, skipping zero entries, and
+  brings each result entry back once with ``Field.norm``: x mod p over
+  GF(p), over Q an ``int`` when whole.  No loop asks which field it is in.
 * A ``Matrix`` is dense and row-major.  Row count 0 and column count 0 are
   both legal and show up constantly (zero modules, empty kernels).
 * Linear maps act on *row* vectors: the map with matrix ``A`` sends ``v`` to
@@ -47,7 +50,7 @@ Conventions:
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import attrgetter
+from operator import add, attrgetter, neg, sub
 from typing import Sequence
 
 
@@ -166,7 +169,8 @@ class Field(Value):
     Elements of GF(p) are plain ints in ``range(p)``; elements of Q are
     ints when whole and otherwise ``Fraction`` instances, never one with
     denominator 1.  ``Fraction(n) == n`` and ``hash(Fraction(n)) == hash(n)``,
-    so equality, hashing and ``str`` agree across the two.
+    so equality, hashing and ``str`` agree across the two.  ``norm`` is
+    bound once per field, so a loop that calls it does not branch on ``kind``.
     """
 
     kind: str
@@ -181,6 +185,8 @@ class Field(Value):
                 raise ValueError("the rationals take no modulus")
         else:
             raise ValueError(f"unknown field kind {self.kind!r}")
+        # p.__rmod__(x) is x % p; GF(p) arithmetic never leaves the ints
+        self.__dict__["norm"] = self.p.__rmod__ if self.kind == "GF" else _whole
 
     @staticmethod
     def gf(p: int) -> "Field":
@@ -214,18 +220,6 @@ class Field(Value):
                 return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
             return x % self.p
         return _whole(x)
-
-    def add(self, a, b):
-        return (a + b) % self.p if self.kind == "GF" else _whole(a + b)
-
-    def sub(self, a, b):
-        return (a - b) % self.p if self.kind == "GF" else _whole(a - b)
-
-    def neg(self, a):
-        return (-a) % self.p if self.kind == "GF" else -a
-
-    def mul(self, a, b):
-        return (a * b) % self.p if self.kind == "GF" else _whole(a * b)
 
     def inv(self, a):
         if a == 0:
@@ -316,52 +310,39 @@ class Matrix(Value):
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
         F = self.field
-        return Matrix(
-            F, self.rows, self.cols,
-            tuple(F.add(a, b) for a, b in zip(self.entries, other.entries)),
-        )
+        return Matrix(F, self.rows, self.cols, tuple(map(F.norm, map(add, self.entries, other.entries))))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
         F = self.field
-        return Matrix(
-            F, self.rows, self.cols,
-            tuple(F.sub(a, b) for a, b in zip(self.entries, other.entries)),
-        )
+        return Matrix(F, self.rows, self.cols, tuple(map(F.norm, map(sub, self.entries, other.entries))))
 
     def __neg__(self) -> "Matrix":
         F = self.field
-        return Matrix(F, self.rows, self.cols, tuple(F.neg(a) for a in self.entries))
+        return Matrix(F, self.rows, self.cols, tuple(map(F.norm, map(neg, self.entries))))
 
     def scale(self, c) -> "Matrix":
         F = self.field
         c = F.of(c)
-        return Matrix(F, self.rows, self.cols, tuple(F.mul(c, a) for a in self.entries))
+        return Matrix(F, self.rows, self.cols, tuple(F.norm(c * a) for a in self.entries))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Row i of the product sums the rows of ``other`` scaled by the
+        nonzero entries of row i of ``self``, a row scaled by 1 as it is."""
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        F = self.field
-        n, m, k = self.rows, self.cols, other.cols
-        a, b = self.entries, other.entries
+        F, n, m, k = self.field, self.rows, self.cols, other.cols
+        a, b, norm, zeros = self.entries, other.entries, F.norm, (F.zero,) * k
         out = []
-        if F.kind == "GF":
-            p = F.p
-            for i in range(n):
-                arow = a[i * m : (i + 1) * m]
-                for j in range(k):
-                    s = 0
-                    for t in range(m):
-                        s += arow[t] * b[t * k + j]
-                    out.append(s % p)
-        else:
-            for i in range(n):
-                terms = [(t * k, x) for t, x in enumerate(a[i * m : (i + 1) * m]) if x]
-                for j in range(k):
-                    s = 0
-                    for start, x in terms:
-                        s += x * b[start + j]
-                    out.append(_whole(s))
+        for i in range(n):
+            acc = None
+            for t, x in enumerate(a[i * m : (i + 1) * m]):
+                if x:
+                    row = b[t * k : (t + 1) * k]
+                    if x != 1:
+                        row = [x * y for y in row]
+                    acc = row if acc is None else list(map(add, acc, row))
+            out.extend(zeros if acc is None else map(norm, acc))
         return Matrix(F, n, k, tuple(out))
 
     def transpose(self) -> "Matrix":
@@ -384,30 +365,30 @@ class Matrix(Value):
         """Kronecker product: entry (i * other.rows + j, i2 * other.cols + j2)
         is self[i, i2] * other[j, j2]."""
         F = self.field
-        zeros = (F.zero,) * other.cols
+        norm, zeros = F.norm, (F.zero,) * other.cols
         out = []
         for i in range(self.rows):
             arow = self.row(i)
             for j in range(other.rows):
                 brow = other.row(j)
                 for c in arow:
-                    out.extend(zeros if c == F.zero else [F.mul(c, y) for y in brow])
+                    out.extend(zeros if not c else brow if c == 1 else [norm(c * y) for y in brow])
         return Matrix(F, self.rows * other.rows, self.cols * other.cols, tuple(out))
 
     def apply_row(self, v: Sequence) -> tuple:
-        """Row vector times matrix: v @ self, summed over the nonzero
-        entries of v, which are collected once for all columns."""
+        """Row vector times matrix, v @ self: the rows of ``self`` scaled by
+        the nonzero entries of v and summed, as in ``@``."""
         if len(v) != self.rows:
             raise ValueError("vector length mismatch")
-        F, cols, ent = self.field, self.cols, self.entries
-        terms = [(i * cols, x) for i, x in enumerate(v) if x != F.zero]
-        out = []
-        for j in range(cols):
-            s = F.zero
-            for start, x in terms:
-                s = F.add(s, F.mul(x, ent[start + j]))
-            out.append(s)
-        return tuple(out)
+        cols, ent = self.cols, self.entries
+        acc = None
+        for t, x in enumerate(v):
+            if x:
+                row = ent[t * cols : (t + 1) * cols]
+                if x != 1:
+                    row = [x * y for y in row]
+                acc = row if acc is None else list(map(add, acc, row))
+        return (self.field.zero,) * cols if acc is None else tuple(map(self.field.norm, acc))
 
     def _same_shape(self, other: "Matrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -429,7 +410,7 @@ class Matrix(Value):
         if kept is not None:
             R, rank, pivots = kept
             return (self if R is None else R), rank, pivots
-        F = self.field
+        F, norm = self.field, self.field.norm
         m = [list(self.row(i)) for i in range(self.rows)]
         nrows, ncols = self.rows, self.cols
         pivots: list[int] = []
@@ -439,7 +420,7 @@ class Matrix(Value):
                 break
             pr = None
             for i in range(r, nrows):
-                if m[i][c] != F.zero:
+                if m[i][c]:
                     pr = i
                     break
             if pr is None:
@@ -447,13 +428,16 @@ class Matrix(Value):
             if pr != r:
                 m[r], m[pr] = m[pr], m[r]
             piv = m[r][c]
-            if piv != F.one:
+            if piv != 1:
                 inv = F.inv(piv)
-                m[r] = [F.mul(inv, x) for x in m[r]]
+                m[r] = [norm(inv * x) for x in m[r]]
+            prow = m[r]
+            # zero left of c: earlier pivots cleared their columns, skipped ones were zero
+            cols = [j for j in range(c, ncols) if prow[j]]
             for i in range(nrows):
-                if i != r and m[i][c] != F.zero:
-                    f = m[i][c]
-                    m[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[i], m[r])]
+                f = m[i][c]
+                if f and i != r:
+                    _eliminate(m[i], f, prow, cols, norm)
             pivots.append(c)
             r += 1
         rank, pivots, flat = len(pivots), tuple(pivots), tuple(x for row in m for x in row)
@@ -484,7 +468,7 @@ class Matrix(Value):
             v = [F.zero] * n
             v[fc] = F.one
             for r, pc in enumerate(piv):
-                v[pc] = F.neg(R[r, fc])
+                v[pc] = F.norm(-R[r, fc])
             ent.extend(v)
         return Subspace.from_matrix(Matrix(F, len(free), n, tuple(ent)))
 
@@ -513,23 +497,29 @@ class Matrix(Value):
         # Row-reduce [self | I] so each target row can be expressed.
         aug = self.hstack(Matrix.identity(F, n))
         R, rank, piv = aug.rref()
-        # Pivot columns inside the first self.cols columns give usable rows.
-        ent = []
+        # Pivots inside the first self.cols columns give usable rows, each
+        # kept with the columns where it is nonzero.
+        usable = [(pc, R.row(r)) for r, pc in enumerate(piv) if pc < self.cols]
+        usable = [(pc, row, [j for j, y in enumerate(row) if y]) for pc, row in usable]
+        norm, ent = F.norm, []
         for t in range(target.rows):
             v = list(target.row(t)) + [F.zero] * n
-            # reduce v against R
-            for r, pc in enumerate(piv):
-                if pc >= self.cols:
-                    break
-                if v[pc] != F.zero:
-                    f = v[pc]
-                    rrow = R.row(r)
-                    v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, rrow)]
-            if any(x != F.zero for x in v[: self.cols]):
+            for pc, row, cols in usable:
+                f = v[pc]
+                if f:
+                    _eliminate(v, f, row, cols, norm)
+            if any(v[: self.cols]):
                 raise InconsistentSystem(
                     f"target row {t} is not in the row space of a {self.rows} x {self.cols} matrix")
-            ent.extend(F.neg(x) for x in v[self.cols :])
+            ent.extend(norm(-x) for x in v[self.cols :])
         return Matrix(F, target.rows, n, tuple(ent))
+
+
+def _eliminate(row: list, f, pivot_row: Sequence, cols: Sequence[int], norm) -> None:
+    """The elimination step: row -= f * pivot_row in place, at ``cols``,
+    the columns where pivot_row is nonzero."""
+    for j in cols:
+        row[j] = norm(row[j] - f * pivot_row[j])
 
 
 def intertwiner_basis(field: Field, pairs: Sequence[tuple["Matrix", "Matrix"]], n: int, m: int) -> list["Matrix"]:
@@ -545,16 +535,16 @@ def intertwiner_basis(field: Field, pairs: Sequence[tuple["Matrix", "Matrix"]], 
             row = (k * m + l) * ncons
             for pi, (A, B) in enumerate(pairs):
                 base = row + pi * n * m
+                # A_i writes each entry once; B_i meets it only at i, j = k, l
                 for i in range(n):
                     c = A[i, k]
-                    if c != field.zero:
-                        idx = base + i * m + l
-                        ent[idx] = field.add(ent[idx], c)
+                    if c:
+                        ent[base + i * m + l] = c
                 for j in range(m):
                     c = B[l, j]
-                    if c != field.zero:
+                    if c:
                         idx = base + k * m + j
-                        ent[idx] = field.sub(ent[idx], c)
+                        ent[idx] = field.norm(ent[idx] - c)
     ker = Matrix(field, n * m, ncons, tuple(ent)).left_kernel()
     return [Matrix(field, n, m, ker.basis.row(i)) for i in range(ker.dim)]
 
@@ -630,7 +620,7 @@ class Subspace(Value):
         for j in range(self.ambient):
             if j in row_of:
                 row = self.basis.row(row_of[j])
-                proj.extend(F.neg(row[c]) for c in nonpiv)
+                proj.extend(F.norm(-row[c]) for c in nonpiv)
             else:
                 proj.extend(F.one if c == j else F.zero for c in nonpiv)
         sec = tuple(F.one if j == c else F.zero for c in nonpiv for j in range(self.ambient))

@@ -194,8 +194,8 @@ class MVCategory:
                 d2 = x.beta.then(self.G.mor(fu))
             else:
                 fu, fz = None, hz[k - nu]
-                d1 = x.alpha.then(fz).scale(F.neg(F.one))
-                d2 = fz.then(y.beta).scale(F.neg(F.one))
+                d1 = x.alpha.then(fz).scale(-1)
+                d2 = fz.then(y.beta).scale(-1)
             rows.append(d1.mat.entries + d2.mat.entries)
         ker = Matrix(F, len(rows), len(rows[0]), tuple(x for r in rows for x in r)).left_kernel()
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, NamedTuple, Sequence
 
-from .algebra import Algebra, CornerData, QuotientData
+from .algebra import Algebra, CornerData
 from .category import ModuleCategory, is_isomorphic
 from .homological import ext, universal_extension
 from .linalg import Matrix, Subspace
@@ -251,6 +251,13 @@ def _search_quotient(m, allowed, budget, proj=None):
     return None
 
 
+class LowerAlgebra(NamedTuple):
+    """A_S for a lower set S, with the algebra surjection A ->> A_S."""
+
+    algebra: Algebra
+    projection: Matrix  # dim A x dim A_S
+
+
 class StandardObjects(NamedTuple):
     """The four object families of one vertex: standard, costandard, proper
     standard, proper costandard."""
@@ -324,26 +331,24 @@ class Stratification:
     def vertices_of(self, lam: str) -> list[str]:
         return [v for v in self.algebra.vertex_names if self.rho[v] == lam]
 
-    def lower_algebra(self, lower: frozenset[str]) -> QuotientData:
-        """A_lower with the projection A ->> A_lower and a linear section."""
+    def lower_algebra(self, lower: frozenset[str]) -> LowerAlgebra:
+        """A_lower with the projection A ->> A_lower."""
         lower = frozenset(lower)
         if not self.poset.is_lower(lower):
             raise StratificationError(f"{sorted(lower)} is not a lower set")
         return self.memo(("lower", lower), lambda: self._lower_algebra(lower))
 
-    def _lower_algebra(self, lower: frozenset[str]) -> QuotientData:
+    def _lower_algebra(self, lower: frozenset[str]) -> LowerAlgebra:
         """A itself for the full set; below it, the closed side of the layer
         at mu over lower + {mu}, mu the first stratum minimal among those
-        missing from lower, composed with that set's projection and section."""
+        missing from lower, its projection composed with that set's."""
         missing = [lam for lam in self.poset.elements if lam not in lower]
         if not missing:
-            one = Matrix.identity(self.algebra.field, self.algebra.dim)
-            return QuotientData(self.algebra, one, one)
+            return LowerAlgebra(self.algebra, Matrix.identity(self.algebra.field, self.algebra.dim))
         mu = next(lam for lam in missing if not any(self.poset.lt(nu, lam) for nu in missing))
         above = self.lower_algebra(lower | {mu})
         closed = self.layer_recollement(lower | {mu}, mu).data.quotient
-        return QuotientData(closed.algebra, above.projection @ closed.projection,
-                            closed.section @ above.section)
+        return LowerAlgebra(closed.algebra, above.projection @ closed.projection)
 
     def stratum(self, lam: str) -> CornerData:
         """The stratum algebra at lam: the corner of A_{<=lam} at its vertices."""

@@ -37,6 +37,11 @@ field and meant for tiny inputs only.
 * ``corner_bimodule_is_projective``: exactness of j_! or j_* at a stratum
   read off the corner bimodule itself (projective iff it is as big as its
   projective cover), never applying the functor to a stratum module.
+* ``reference_matmul``, ``reference_apply_row``, ``reference_rref``,
+  ``reference_solve_left``, ``reference_left_kernel`` and
+  ``reference_kron``: the linear-algebra kernel as it was with two
+  arithmetic paths, every entry computed by a ``ReferenceField`` operation
+  that branches on the field, and a dense, zero-keeping product over GF(p).
 """
 
 from __future__ import annotations
@@ -191,8 +196,7 @@ def _corner_map_is_isomorphism(s, lower, lam) -> bool:
     ref_alg, here_alg = ref.algebra, here.algebra
     if ref_alg.dim != here_alg.dim:
         return False
-    images = (here.embed @ s.lower_algebra(lower).section
-              @ s.lower_algebra(s.poset.down(lam)).projection)
+    images = here.embed @ _lower_section(s, lower) @ s.lower_algebra(s.poset.down(lam)).projection
     try:
         phi = ref.embed.solve_left(images)
     except InconsistentSystem:
@@ -201,6 +205,18 @@ def _corner_map_is_isomorphism(s, lower, lam) -> bool:
         return False
     return all(phi.apply_row(here_alg.mult[i][j]) == ref_alg.mul_vec(phi.row(i), phi.row(j))
                for i in range(here_alg.dim) for j in range(here_alg.dim))
+
+
+def _lower_section(s, lower):
+    """A linear section of A ->> A_lower: the sections of the closed sides
+    of the layers from A down to lower, composed, along the same chain of
+    strata as ``Stratification.lower_algebra`` takes."""
+    missing = [lam for lam in s.poset.elements if lam not in lower]
+    if not missing:
+        return Matrix.identity(s.algebra.field, s.algebra.dim)
+    mu = next(lam for lam in missing if not any(s.poset.lt(nu, lam) for nu in missing))
+    closed = s.layer_recollement(lower | {mu}, mu).data.quotient
+    return closed.section @ _lower_section(s, lower | {mu})
 
 
 def mv_subobject_pairs(cat, t):
@@ -371,3 +387,125 @@ def corner_bimodule_is_projective(s, lam: str, side: str) -> bool:
     else:
         bim = RightModule(gamma, data.ae.dim, data.ae.right_action)
     return projective_cover(bim).projective.dim == bim.dim
+
+
+class ReferenceField:
+    """Per-entry arithmetic of a field, each operation branching on its
+    kind: mod p over GF(p), over Q a whole value made an ``int``."""
+
+    def __init__(self, field) -> None:
+        self.p = field.p if field.is_finite else None
+
+    def reduce(self, x):
+        if self.p is not None:
+            return x % self.p
+        return x.numerator if x.denominator == 1 else x
+
+    def add(self, a, b):
+        return self.reduce(a + b)
+
+    def sub(self, a, b):
+        return self.reduce(a - b)
+
+    def mul(self, a, b):
+        return self.reduce(a * b)
+
+    def neg(self, a):
+        return self.reduce(-a)
+
+
+def reference_matmul(a, b):
+    """The entries of a @ b: a dense triple loop over GF(p), a loop over
+    the nonzero entries of each row of ``a`` over Q."""
+    F = ReferenceField(a.field)
+    n, m, k = a.rows, a.cols, b.cols
+    out = []
+    for i in range(n):
+        arow = a.row(i)
+        if F.p is not None:
+            out += [sum(arow[t] * b[t, j] for t in range(m)) % F.p for j in range(k)]
+        else:
+            terms = [(t, x) for t, x in enumerate(arow) if x]
+            out += [F.reduce(sum((x * b[t, j] for t, x in terms), 0)) for j in range(k)]
+    return tuple(out)
+
+
+def reference_apply_row(a, v):
+    """v @ a, one ``ReferenceField`` operation at a time."""
+    F = ReferenceField(a.field)
+    out = []
+    for j in range(a.cols):
+        s = 0
+        for i, x in enumerate(v):
+            if x:
+                s = F.add(s, F.mul(x, a[i, j]))
+        out.append(s)
+    return tuple(out)
+
+
+def reference_rref(a):
+    """(entries of the RREF, rank, pivots) by Gauss-Jordan elimination with
+    ``ReferenceField`` operations on whole rows."""
+    F = ReferenceField(a.field)
+    m = [list(a.row(i)) for i in range(a.rows)]
+    pivots, r = [], 0
+    for c in range(a.cols):
+        pr = next((i for i in range(r, a.rows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        if m[r][c] != 1:
+            inv = a.field.inv(m[r][c])
+            m[r] = [F.mul(inv, x) for x in m[r]]
+        for i in range(a.rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(x for row in m for x in row), len(pivots), tuple(pivots)
+
+
+def reference_solve_left(a, target):
+    """The entries of an X with X @ a = target, by eliminating [a | I] and
+    reducing each target row against it; ``InconsistentSystem`` if none."""
+    F, n = ReferenceField(a.field), a.rows
+    aug = a.hstack(Matrix.identity(a.field, n))
+    flat, _, piv = reference_rref(aug)
+    width = a.cols + n
+    out = []
+    for t in range(target.rows):
+        v = list(target.row(t)) + [0] * n
+        for r, pc in enumerate(piv):
+            if pc >= a.cols:
+                break
+            if v[pc] != 0:
+                f, rrow = v[pc], flat[r * width:(r + 1) * width]
+                v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, rrow)]
+        if any(x != 0 for x in v[:a.cols]):
+            raise InconsistentSystem(f"target row {t} is not in the row space")
+        out += [F.neg(x) for x in v[a.cols:]]
+    return tuple(out)
+
+
+def reference_left_kernel(a):
+    """The RREF basis entries of {v : v @ a = 0}: the null space of a^T
+    read off its RREF, one vector per free column, then reduced."""
+    F, n = ReferenceField(a.field), a.rows
+    flat, _, piv = reference_rref(a.transpose())
+    vecs = []
+    for fc in (j for j in range(n) if j not in piv):
+        v = [0] * n
+        v[fc] = 1
+        for r, pc in enumerate(piv):
+            v[pc] = F.neg(flat[r * n + fc])
+        vecs.append(v)
+    basis, rank, _ = reference_rref(Matrix(a.field, len(vecs), n, tuple(x for v in vecs for x in v)))
+    return basis[:rank * n]
+
+
+def reference_kron(a, b):
+    """The entries of the Kronecker product, each a ``ReferenceField`` product."""
+    F = ReferenceField(a.field)
+    return tuple(F.mul(a[i, i2], b[j, j2]) for i in range(a.rows) for j in range(b.rows)
+                 for i2 in range(a.cols) for j2 in range(b.cols))

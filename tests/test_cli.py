@@ -507,3 +507,20 @@ def test_each_command_loads_only_its_layers(tmp_path):
     porism = loaded_layers(["check", fixture_path(tmp_path, "fix_a3.json"), "--mode", "porism"])
     assert "strat" in porism
     assert not porism & {"analyze", "mv", "corpus"}
+
+
+def test_a7_recollements_agree_over_gf3_and_q(tmp_path, capsys):
+    """Linearly oriented A_7 (dimension 28), large enough that most entries
+    the kernel meets are zero: ``check --mode recollement`` passes every
+    check over GF(3) and over Q, and both name the same checks."""
+    vs = [str(i) for i in range(1, 8)]
+    quiver = {"vertices": vs, "arrows": [{"name": f"a{i}", "from": vs[i - 1], "to": vs[i]} for i in range(1, 7)]}
+    verdicts = []
+    for field in ({"kind": "GF", "p": 3}, {"kind": "Q"}):
+        path = tmp_path / f"a7_{field['kind']}.json"
+        path.write_text(json.dumps({"field": field, "quiver": quiver, "relations": []}))
+        code, out = run_cli(capsys, "check", str(path), "--mode", "recollement")
+        assert code == 0
+        verdicts.append({c["name"]: c["verdict"] for c in json.loads(out)["checks"]})
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0] == {"validate_algebra": "PASS", **{f"recollement(e_{v})": "PASS" for v in vs}}

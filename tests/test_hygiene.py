@@ -32,7 +32,12 @@ A stdlib-``ast`` stand-in for a linter: it flags
 * a call of, or other reference to, ``corner_algebra`` or
   ``quotient_by_idempotent_ideal`` anywhere but in
   ``recollement.idempotent_recollement_data``: a stratification's derived
-  algebras are the sides of its layer recollements, built there once.
+  algebras are the sides of its layer recollements, built there once, and
+* a read of ``.kind``, ``.p`` or ``.is_finite`` in ``Matrix``,
+  ``Subspace``, ``intertwiner_basis`` or ``Algebra``, and a per-entry
+  ``Field`` arithmetic method (``add``, ``sub``, ``mul``, ``neg``) called
+  on a field or defined on ``Field``: the kernel has one arithmetic path
+  for both fields, and only ``Field.norm`` tells them apart.
 
 Apart from these, every function, class and method in ``src/stratakit``
 must be reachable from the command line: ``unreachable`` follows a
@@ -812,3 +817,74 @@ def test_perfbench_selftest_passes():
     that breaks the traced run fails here."""
     res = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT, capture_output=True, text=True)
     assert res.returncode == 0, res.stdout + res.stderr
+
+
+FIELD_KIND = {"kind", "p", "is_finite"}
+FIELD_ARITHMETIC = {"add", "sub", "mul", "neg"}
+FIELD_NAMES = {"F", "field", "GF2", "GF3", "QQ"}
+
+
+def field_branches(tree: ast.Module, owners: set[str]) -> list[str]:
+    """``owner, line n: attr`` for each read of an attribute in
+    ``FIELD_KIND`` inside the module-level definitions of ``tree`` named in
+    ``owners``, their methods and nested functions included."""
+    return sorted(f"{node.name}, line {sub.lineno}: {sub.attr}" for node in tree.body
+                  if isinstance(node, DEFS) and node.name in owners for sub in ast.walk(node)
+                  if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+                  and sub.attr in FIELD_KIND)
+
+
+def per_entry_field_calls(tree: ast.Module) -> list[str]:
+    """``line n: call`` for each call of a ``FIELD_ARITHMETIC`` method on a
+    field (a name in ``FIELD_NAMES`` or any ``.field`` attribute), and
+    ``line n: Field.name`` for each such method that a class ``Field``
+    defines."""
+    out = [f"line {fn.lineno}: Field.{fn.name}" for cls in ast.walk(tree)
+           if isinstance(cls, ast.ClassDef) and cls.name == "Field" for fn in cls.body
+           if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name in FIELD_ARITHMETIC]
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) \
+                and call.func.attr in FIELD_ARITHMETIC:
+            owner = call.func.value
+            if getattr(owner, "id", None) in FIELD_NAMES or getattr(owner, "attr", None) == "field":
+                out.append(f"line {call.lineno}: {ast.unparse(call.func)}")
+    return sorted(out)
+
+
+def test_the_kernel_has_one_arithmetic_path():
+    """No kernel loop asks which field it runs over, and no code adds,
+    subtracts, multiplies or negates through a ``Field`` method: entries are
+    combined as plain ints and Fractions and brought back by ``norm``."""
+    linalg, algebra = (ast.parse((SRC / name).read_text()) for name in ("linalg.py", "algebra.py"))
+    assert field_branches(linalg, {"Matrix", "Subspace", "intertwiner_basis"}) == []
+    assert field_branches(algebra, {"Algebra"}) == []
+    assert {str(p.relative_to(SRC)): per_entry_field_calls(ast.parse(p.read_text())) for p in MODULES} \
+        == {str(p.relative_to(SRC)): [] for p in MODULES}
+
+
+def test_arithmetic_path_checkers_flag_what_they_should():
+    tree = ast.parse(
+        "class Matrix:\n"
+        "    def rank(self):\n"
+        "        if self.field.kind == 'GF':\n"
+        "            return self.field.p\n"
+        "        return 0\n"
+        "class Field:\n"
+        "    def of(self, x):\n"
+        "        return x % self.p\n"
+        "    def mul(self, a, b):\n"
+        "        return a * b\n"
+        "class Algebra:\n"
+        "    def mul_vec(self, x):\n"
+        "        F = self.field\n"
+        "        return [c for c in x if F.is_finite]\n"
+        "def f(F, m, report, seen):\n"
+        "    report.add(F.of(1))\n"
+        "    seen.add(m)\n"
+        "    x = F.add(1, 2)\n"
+        "    return m.field.neg(x), QQ.sub(x, x), F.norm(x * x), F.kind\n"
+    )
+    assert field_branches(tree, {"Matrix", "Algebra"}) == [
+        "Algebra, line 14: is_finite", "Matrix, line 3: kind", "Matrix, line 4: p"]
+    assert per_entry_field_calls(tree) == [
+        "line 18: F.add", "line 19: QQ.sub", "line 19: m.field.neg", "line 9: Field.mul"]

@@ -4,12 +4,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stratakit import linalg
 from stratakit.algebra import Algebra
 from stratakit.linalg import GF2, GF3, QQ, Field, InconsistentSystem, Matrix, Subspace, Value
 from stratakit.modules import RightModule, projective_module, regular_module
 from stratakit.specfile import build_algebra
 
-from support import full, load_fixture, span
+from oracles import (
+    ReferenceField,
+    reference_apply_row,
+    reference_kron,
+    reference_left_kernel,
+    reference_matmul,
+    reference_rref,
+    reference_solve_left,
+)
+from support import fixture_algebras, full, load_fixture, span
 
 
 def mat(field, rows, cols=None):
@@ -190,7 +200,7 @@ def test_solve_matches_enumeration(a, data):
         assert part.row(0) in expected
         assert len(expected) == F.p ** ker.dim
         for v in expected:
-            diff = tuple(F.sub(x, y) for x, y in zip(v, part.row(0)))
+            diff = tuple(F.norm(x - y) for x, y in zip(v, part.row(0)))
             assert ker.contains(diff)
 
 
@@ -269,7 +279,7 @@ def test_kron_entries_and_mixed_product(ops):
     k = a.kron(b)
     assert (k.rows, k.cols) == (a.rows * b.rows, a.cols * b.cols)
     for i, j, i2, j2 in itertools.product(range(a.rows), range(b.rows), range(a.cols), range(b.cols)):
-        assert k[i * b.rows + j, i2 * b.cols + j2] == F.mul(a[i, i2], b[j, j2])
+        assert k[i * b.rows + j, i2 * b.cols + j2] == F.norm(a[i, i2] * b[j, j2])
     assert (a @ c).kron(b @ d) == a.kron(b) @ c.kron(d)
 
 
@@ -389,15 +399,16 @@ def test_entries_are_hashed_once():
 
 
 def count_row_operations(monkeypatch) -> list:
-    """Every ``Field.sub`` call from here on: elimination subtracts rows."""
+    """Every elimination step from here on: one per row that a pivot row
+    is subtracted from."""
     calls = []
-    sub = Field.sub
+    step = linalg._eliminate
 
-    def counting_sub(self, a, b):
+    def counting_step(*args):
         calls.append(None)
-        return sub(self, a, b)
+        return step(*args)
 
-    monkeypatch.setattr(Field, "sub", counting_sub)
+    monkeypatch.setattr(linalg, "_eliminate", counting_step)
     return calls
 
 
@@ -668,6 +679,123 @@ def test_solve_against_a_reduced_basis_reads_its_pivots(case):
         assert [list(x.row(t)) for t in range(x.rows)] == want and canonical(x.entries)
 
 
+# ---------------------------------------------------------------------------
+# one arithmetic path for both fields: the kernel against the two-path
+# kernel it replaced (``reference_*``), value for value
+
+
+def kernel_values(field):
+    """Field elements, zero about half the time; over Q also proper fractions."""
+    if field.is_finite:
+        x = st.integers(1, field.p - 1)
+    else:
+        x = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-5, 5), st.integers(2, 4)))
+    return st.one_of(st.just(0), x).map(field.of)
+
+
+def kernel_matrices(field, rows, cols):
+    """rows x cols; each row drawn at random, zero or a unit vector."""
+    kinds = [st.lists(kernel_values(field), min_size=cols, max_size=cols), st.just([0] * cols)]
+    if cols:
+        kinds.append(st.integers(0, cols - 1).map(lambda i: [int(j == i) for j in range(cols)]))
+    return st.lists(st.one_of(*kinds), min_size=rows, max_size=rows).map(
+        lambda rs: Matrix(field, rows, cols, tuple(x for r in rs for x in r)))
+
+
+def kernel_operands(field):
+    """A (r x c), B (c x k), C (p x q), X (t x r) and a row of length c, each size in 0..4."""
+    def build(r, c, k, p, q, t):
+        return st.tuples(kernel_matrices(field, r, c), kernel_matrices(field, c, k),
+                         kernel_matrices(field, p, q), kernel_matrices(field, t, r),
+                         kernel_matrices(field, 1, c))
+
+    return st.tuples(*[st.integers(0, 4)] * 5, st.integers(0, 3)).flatmap(lambda s: build(*s))
+
+
+def normalized(field, values) -> bool:
+    """Every value in its one representation: an int in range(p), or over Q
+    an int or a Fraction that is not whole."""
+    if field.is_finite:
+        return all(type(x) is int and 0 <= x < field.p for x in values)
+    return canonical(values)
+
+
+def same_solve(m, target):
+    """``m.solve_left(target)`` gives the reference's solution, or both raise."""
+    try:
+        want = reference_solve_left(m, target)
+    except InconsistentSystem:
+        with pytest.raises(InconsistentSystem):
+            m.solve_left(target)
+    else:
+        got = m.solve_left(target)
+        assert got.entries == want and normalized(m.field, got.entries)
+
+
+KERNEL_FIELDS = st.sampled_from([GF2, GF3, Field.gf(5), Field.gf(7), QQ])
+
+
+@settings(max_examples=100, deadline=None)
+@given(KERNEL_FIELDS.flatmap(kernel_operands))
+def test_kernel_matches_the_two_path_reference(ops):
+    a, b, c, x, extra = ops
+    F, ref = a.field, ReferenceField(a.field)
+    results = []
+    product = a @ b
+    assert product.entries == reference_matmul(a, b)
+    results.append(product.entries)
+    for v in x.row_list():
+        results.append(a.apply_row(v))
+        assert results[-1] == reference_apply_row(a, v)
+    R, rank, piv = a.rref()
+    assert (R.entries, rank, piv) == reference_rref(a)
+    ker = a.left_kernel().basis
+    assert ker.entries == reference_left_kernel(a)
+    k = a.kron(c)
+    assert k.entries == reference_kron(a, c)
+    results += [R.entries, ker.entries, k.entries]
+    # entrywise arithmetic
+    s = F.of(3)
+    for got, want in (((a + a).entries, map(ref.add, a.entries, a.entries)),
+                      ((a - R).entries, map(ref.sub, a.entries, R.entries)),
+                      ((-a).entries, map(ref.neg, a.entries)),
+                      (a.scale(3).entries, (ref.mul(s, y) for y in a.entries))):
+        assert got == tuple(want)
+        results.append(got)
+    assert all(normalized(F, r) for r in results)
+    # both solve routes, on a target in the row space and on one perhaps outside it
+    for target in (x @ a, (x @ a).stack(extra)):
+        same_solve(a, target)
+        same_solve(a.row_space().basis, target)
+
+
+def algebra_operands(a):
+    """Two vectors of ``a`` and a few (c, i, j) terms for ``sum_of_products``."""
+    vec = st.lists(kernel_values(a.field), min_size=a.dim, max_size=a.dim).map(tuple)
+    index = st.integers(0, a.dim - 1)
+    return st.tuples(st.just(a), vec, vec, st.lists(st.tuples(kernel_values(a.field), index, index), max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(fixture_algebras()).flatmap(algebra_operands))
+def test_algebra_products_match_the_reference(ops):
+    """``mul_vec`` and ``sum_of_products`` sum in plain arithmetic and
+    normalize each coordinate: over GF(2) and GF(3) sums reach p."""
+    a, x, y, terms = ops
+    ref = ReferenceField(a.field)
+
+    def reference_sum(triples):
+        out = [0] * a.dim
+        for c, i, j in triples:
+            for k, m in enumerate(a.mult[i][j]):
+                out[k] = ref.add(out[k], ref.mul(c, m))
+        return tuple(out)
+
+    pairs = [(ref.mul(xi, yj), i, j) for i, xi in enumerate(x) for j, yj in enumerate(y)]
+    for got, want in ((a.mul_vec(x, y), reference_sum(pairs)), (a.sum_of_products(terms), reference_sum(terms))):
+        assert got == want and normalized(a.field, got)
+
+
 Q_ALGEBRAS = [build_algebra(load_fixture(name)._replace(field=QQ))
               for name in ("FIX-A3", "FIX-NAK", "FIX-KRO")]
 
@@ -694,8 +822,8 @@ def test_q_values_are_ints_when_whole():
     assert QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
     assert QQ.inv(Fraction(1, 3)) == 3 and type(QQ.inv(Fraction(1, 3))) is int
     assert QQ.inv(2) == Fraction(1, 2)
-    assert type(QQ.add(Fraction(1, 2), Fraction(1, 2))) is int
-    assert type(QQ.mul(Fraction(2, 3), 3)) is int
+    assert type(QQ.norm(Fraction(1, 2) + Fraction(1, 2))) is int
+    assert type(QQ.norm(Fraction(2, 3) * 3)) is int
     assert (QQ.zero, QQ.one) == (0, 1) and type(QQ.zero) is type(QQ.one) is int
     for bad in (0.5, 2.0, True, False):
         with pytest.raises(TypeError):
