@@ -26,7 +26,8 @@ class NonAdmissibleError(ValueError):
 
 
 class PossiblyInfiniteError(ValueError):
-    """Path spans failed to stabilize below the length bound."""
+    """A Gröbner basis tip or a normal word passed the length bound, or the
+    normal words passed their cap."""
 
 
 class AlgebraError(ValueError):
@@ -81,13 +82,6 @@ class Presentation(NamedTuple):
 
 # a path is (source vertex index, tuple of arrow indices)
 Path = tuple[int, tuple[int, ...]]
-
-
-def _path_target(quiver: Quiver, p: Path) -> int:
-    v, arrows = p
-    if not arrows:
-        return v
-    return quiver.vertex_index(quiver.arrows[arrows[-1]][2])
 
 
 def _path_label(quiver: Quiver, p: Path) -> str:
@@ -223,163 +217,156 @@ def build_bound_quiver_algebra(pres: Presentation, field: Field) -> Algebra:
     """Build the path algebra of the quiver modulo the relation ideal.
 
     Relations must be admissible: every term is a composable path of length
-    at least 2 and each relation is homogeneous in (source, target).  The
-    basis consists of the path classes that survive reduction, ordered by
-    (length, lexicographic arrow sequence); the construction is
-    deterministic.  Raises ``PossiblyInfiniteError`` if the surviving path
-    classes do not stabilize below ``DEFAULT_LENGTH_BOUND``, or if more than
-    ``PATH_CAP`` paths are enumerated on the way.
-    """
-    quiver = pres.quiver
-    F = field
-    nv = len(quiver.vertices)
+    at least 2 and each relation is homogeneous in (source, target).  Paths
+    are ordered by length, a longer path being larger, and at equal length
+    the lexicographically smaller arrow sequence is larger.  The relations
+    are completed to a Gröbner basis in that order (E. L. Green, 1999;
+    T. Mora, 1994), kept as rewrite rules tip -> normal form: a pending
+    element reduced to a nonzero one becomes a rule, the rules whose tips
+    contain its tip go back to pending, and each overlap of its tip with a
+    tip adds an S-element.  Pending elements are taken shortest tip first,
+    so that no chain of ever longer tips starves the others.
 
-    # validate relations
-    parsed: list[list[tuple[object, Path]]] = []
+    The basis is the normal words, the paths that contain no tip, ordered
+    by (length, source, arrow sequence); ``b_i * b_j`` is the normal form of
+    the concatenation.  The caps bound the answer, not the search: a tip or
+    a normal word longer than ``DEFAULT_LENGTH_BOUND``, or more than
+    ``PATH_CAP`` normal words, raise ``PossiblyInfiniteError``.
+    """
+    quiver, F, norm = pres.quiver, field, field.norm
+    nv = len(quiver.vertices)
+    ends = [(quiver.vertex_index(s), quiver.vertex_index(t)) for _, s, t in quiver.arrows]
+
+    # validate relations; each becomes a dict arrow tuple -> coefficient
+    parsed: list[dict] = []
     for ridx, rel in enumerate(pres.relations):
-        terms: list[tuple[object, Path]] = []
+        terms: dict = {}
         sig = None
         for coeff, arrows in rel:
             c = F.of(coeff)
             if c == F.zero:
                 continue
             if len(arrows) < 2:
-                raise NonAdmissibleError(
-                    f"relation {ridx}: term of length {len(arrows)} (< 2)"
-                )
-            src = quiver.vertex_index(quiver.arrows[arrows[0]][1])
-            here = src
+                raise NonAdmissibleError(f"relation {ridx}: term of length {len(arrows)} (< 2)")
+            src = here = ends[arrows[0]][0]
             for a in arrows:
-                if quiver.vertex_index(quiver.arrows[a][1]) != here:
+                if ends[a][0] != here:
                     raise AlgebraError(f"relation {ridx}: non-composable path")
-                here = quiver.vertex_index(quiver.arrows[a][2])
+                here = ends[a][1]
             if sig is None:
                 sig = (src, here)
             elif sig != (src, here):
                 raise AlgebraError(f"relation {ridx}: terms not homogeneous in (source, target)")
-            terms.append((c, (src, tuple(arrows))))
-        if terms:
-            parsed.append(terms)
+            terms[tuple(arrows)] = norm(terms.get(tuple(arrows), 0) + c)
+        parsed.append(terms)
 
-    max_rel_len = max((len(p[1]) for rel in parsed for _, p in rel), default=2)
+    def order(w: tuple) -> tuple:  # sorts the largest path first
+        return (-len(w), w)
 
-    # arrows by source vertex, in index order (keeps enumeration lexicographic)
+    rules: dict[tuple, dict] = {}  # tip -> its normal form
+    tip_lengths: list[int] = []
+
+    def find_tip(w: tuple):
+        for i in range(len(w)):
+            for n in tip_lengths:
+                if w[i:i + n] in rules:
+                    return i, w[i:i + n]
+        return None
+
+    def reduce(poly: dict) -> dict:
+        """The normal form of ``poly``, rewriting its largest term first."""
+        poly, out = dict(poly), {}
+        while poly:
+            w = min(poly, key=order)
+            c = poly.pop(w)
+            if c and (hit := find_tip(w)) is None:
+                out[w] = c
+            elif c:
+                i, tip = hit
+                for u, d in rules[tip].items():
+                    v = w[:i] + u + w[i + len(tip):]
+                    poly[v] = norm(poly.get(v, 0) + c * d)
+        return out
+
+    pending: list[tuple[int, dict]] = []  # (length of the longest term, element)
+
+    def push(poly: dict) -> None:
+        if any(poly.values()):
+            pending.append((max(len(w) for w, c in poly.items() if c), poly))
+
+    for rel in parsed:
+        push(rel)
+    while pending:
+        # the first of the shortest, so equal lengths are taken in turn
+        f = reduce(pending.pop(min(range(len(pending)), key=lambda i: pending[i][0]))[1])
+        if not f:
+            continue
+        tip = min(f, key=order)
+        if len(tip) > DEFAULT_LENGTH_BOUND:
+            raise PossiblyInfiniteError(f"Gröbner basis tip of length {len(tip)} (bound {DEFAULT_LENGTH_BOUND})")
+        scale = -F.inv(f.pop(tip))
+        tail = {w: norm(c * scale) for w, c in f.items()}
+        n = len(tip)
+        for t in [t for t in rules if any(t[i:i + n] == tip for i in range(len(t) - n + 1))]:
+            push({t: F.one, **{w: norm(-c) for w, c in rules.pop(t).items()}})
+        rules[tip] = tail
+        tip_lengths[:] = sorted({len(t) for t in rules})
+        # an overlap p = x s, q = s y of tips gives (p - tail_p) y - x (q - tail_q)
+        for t, t_tail in list(rules.items()):
+            for p, q, p_tail, q_tail in ((tip, t, tail, t_tail), (t, tip, t_tail, tail))[:1 + (t != tip)]:
+                for k in range(1, min(len(p), len(q))):
+                    if p[len(p) - k:] == q[:k]:
+                        x, y = p[:len(p) - k], q[k:]
+                        spoly = {x + u: c for u, c in q_tail.items()}
+                        for u, c in p_tail.items():
+                            spoly[u + y] = norm(spoly.get(u + y, 0) - c)
+                        push(spoly)
+
+    def target(p: Path) -> int:
+        return ends[p[1][-1]][1] if p[1] else p[0]
+
     out_arrows: list[list[int]] = [[] for _ in range(nv)]
-    for ai, (_, s, _) in enumerate(quiver.arrows):
-        out_arrows[quiver.vertex_index(s)].append(ai)
-
-    def enumerate_paths(upto: int) -> list[list[Path]]:
-        by_len: list[list[Path]] = [[(v, ()) for v in range(nv)]]
-        total = nv
-        for ln in range(1, upto + 1):
-            nxt: list[Path] = []
-            for (src, arrows) in by_len[ln - 1]:
-                tgt = _path_target(quiver, (src, arrows))
-                for a in out_arrows[tgt]:
-                    nxt.append((src, arrows + (a,)))
-            total += len(nxt)
-            if total > PATH_CAP:
-                raise PossiblyInfiniteError(
-                    f"more than {PATH_CAP} paths below length {upto}"
-                )
-            by_len.append(nxt)
-        return by_len
-
-    level = max(2, max_rel_len)
-    while True:
-        by_len = enumerate_paths(level)
-        paths: list[Path] = [p for chunk in by_len for p in chunk]
-        # coordinates ordered longest-first so pivots rewrite long into short
-        order = sorted(range(len(paths)), key=lambda i: (-len(paths[i][1]), paths[i]))
-        coord_of = {paths[i]: pos for pos, i in enumerate(order)}
-        ncoords = len(paths)
-
-        # span of x * r * y over all composable paths x, y within the level
-        gens: list[tuple] = []
-        for rel in parsed:
-            rlen = max(len(p[1]) for _, p in rel)
-            rsrc = rel[0][1][0]
-            rtgt = _path_target(quiver, rel[0][1])
-            for xlen in range(0, level - rlen + 1):
-                for x in by_len[xlen]:
-                    if _path_target(quiver, x) != rsrc:
-                        continue
-                    for ylen in range(0, level - rlen - xlen + 1):
-                        for y in by_len[ylen]:
-                            if y[0] != rtgt:
-                                continue
-                            vec = [F.zero] * ncoords
-                            for c, (psrc, parr) in rel:
-                                comp = (x[0], x[1] + parr + y[1])
-                                vec[coord_of[comp]] = F.norm(vec[coord_of[comp]] + c)
-                            gens.append(tuple(vec))
-        ideal = Matrix(F, len(gens), ncoords, tuple(x for g in gens for x in g)).row_space()
-
-        pivots = set(ideal.pivots)
-        live = [paths[i] for pos, i in enumerate(order) if pos not in pivots]
-        s = max((len(p[1]) for p in live), default=0)
-
-        if level >= 2 * s + max_rel_len:
+    for a, (s, _) in enumerate(ends):
+        out_arrows[s].append(a)
+    # extending in arrow order keeps each length sorted by (source, arrows)
+    basis_paths: list[Path] = [(v, ()) for v in range(nv)]
+    layer = basis_paths
+    for length in itertools.count(1):
+        layer = [(v, w + (a,)) for v, w in layer for a in out_arrows[target((v, w))]
+                 if not any((w + (a,))[-n:] in rules for n in tip_lengths)]
+        if not layer:
             break
-        nxt = max(2 * s + max_rel_len, level + 1)
-        if nxt > DEFAULT_LENGTH_BOUND:
+        if length > DEFAULT_LENGTH_BOUND:
             raise PossiblyInfiniteError(
-                f"path classes still growing at length {level} (bound {DEFAULT_LENGTH_BOUND})"
-            )
-        level = nxt
-
-    basis_paths = sorted(live, key=lambda p: (len(p[1]), p))
-    index_of = {p: i for i, p in enumerate(basis_paths)}
+                f"normal words still growing at length {length} (bound {DEFAULT_LENGTH_BOUND})")
+        basis_paths += layer
+        if len(basis_paths) > PATH_CAP:
+            raise PossiblyInfiniteError(f"more than {PATH_CAP} normal words")
     dim = len(basis_paths)
+    index_of = {w: i for i, (_, w) in enumerate(basis_paths) if w}
+    zero = (F.zero,) * dim
 
-    # column c of the ideal's quotient projection is the class of live[c]
-    proj, _ = ideal.quotient_maps()
-    basis_index = [index_of[p] for p in live]
-
-    def reduce_path(p: Path) -> tuple:
-        """Class of path p in basis-path coordinates."""
+    def product(p: Path, q: Path) -> tuple:
+        if target(p) != q[0]:
+            return zero
         out = [F.zero] * dim
-        for i, x in zip(basis_index, proj.row(coord_of[p])):
-            out[i] = x
+        for w, c in reduce({p[1] + q[1]: F.one}).items():
+            out[index_of[w] if w else p[0]] = c  # the vertex idempotents come first
         return tuple(out)
 
-    zero = (F.zero,) * dim
-    mult_rows = []
-    for p in basis_paths:
-        row = []
-        for q in basis_paths:
-            if _path_target(quiver, p) != q[0]:
-                row.append(zero)
-            else:
-                row.append(reduce_path((p[0], p[1] + q[1])))
-        mult_rows.append(tuple(row))
-
-    unit = [F.zero] * dim
-    idem_indices = []
-    for v in range(nv):
-        i = index_of[(v, ())]
-        idem_indices.append(i)
-        unit[i] = F.one
-
-    rad_vecs = [basis_paths[i] for i in range(dim) if len(basis_paths[i][1]) >= 1]
-    rad_ent = tuple(F.one if j == index_of[p] else F.zero for p in rad_vecs for j in range(dim))
-    rad = Matrix(F, len(rad_vecs), dim, rad_ent).row_space()
-
+    rad_ent = tuple(F.one if j == i else F.zero for i in range(nv, dim) for j in range(dim))
     alg = Algebra(
         field=F,
         basis_labels=tuple(_path_label(quiver, p) for p in basis_paths),
-        mult=tuple(mult_rows),
-        unit=tuple(unit),
-        idempotent_indices=tuple(idem_indices),
+        mult=tuple(tuple(product(p, q) for q in basis_paths) for p in basis_paths),
+        unit=tuple(F.one if i < nv else F.zero for i in range(dim)),
+        idempotent_indices=tuple(range(nv)),
         vertex_names=quiver.vertices,
-        radical=rad,
+        radical=Matrix(F, dim - nv, dim, rad_ent).row_space(),
     )
     report = validate_algebra(alg)
     if not report.ok:
-        raise AlgebraError(
-            "bound quiver construction failed validation "
-            f"(raise the length bound?): {report.issues}"
-        )
+        raise AlgebraError(f"bound quiver construction failed validation: {report.issues}")
     return alg
 
 

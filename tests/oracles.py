@@ -37,6 +37,14 @@ field and meant for tiny inputs only.
 * ``corner_bimodule_is_projective``: exactness of j_! or j_* at a stratum
   read off the corner bimodule itself (projective iff it is as big as its
   projective cover), never applying the functor to a stratum module.
+* ``bound_quiver_algebra_by_dense_span``: the bound quiver builder as it
+  was before Gröbner bases, kept unchanged with its own caps: it
+  enumerates every path up to length 2s + r (s the longest surviving path,
+  r the longest relation), row-reduces the span of every x*r*y and grows
+  the level until the surviving path classes are stable.
+* ``graded_dimension_by_degree``: dim kQ/I for relations whose terms all
+  have one length, as the sum over degrees d of (#paths of length d - rank
+  I_d); it shares no code with either builder.
 * ``reference_matmul``, ``reference_apply_row``, ``reference_rref``,
   ``reference_solve_left``, ``reference_left_kernel`` and
   ``reference_kron``: the linear-algebra kernel as it was with two
@@ -48,9 +56,20 @@ from __future__ import annotations
 
 import itertools
 
-from stratakit.algebra import opposite
+from stratakit.algebra import (
+    Algebra,
+    AlgebraError,
+    NonAdmissibleError,
+    Path,
+    PossiblyInfiniteError,
+    Presentation,
+    Quiver,
+    _path_label,
+    opposite,
+    validate_algebra,
+)
 from stratakit.category import ModuleCategory, ShortExactSequence, is_isomorphic
-from stratakit.linalg import InconsistentSystem, Matrix, Subspace
+from stratakit.linalg import Field, InconsistentSystem, Matrix, Subspace
 from stratakit.modules import (
     ModuleMap,
     RightModule,
@@ -509,3 +528,220 @@ def reference_kron(a, b):
     F = ReferenceField(a.field)
     return tuple(F.mul(a[i, i2], b[j, j2]) for i in range(a.rows) for j in range(b.rows)
                  for i2 in range(a.cols) for j2 in range(b.cols))
+
+
+# The dense builder's own caps, copied so that the reference does not move
+# with the package's.
+DEFAULT_LENGTH_BOUND = 32
+PATH_CAP = 20000
+
+
+def _path_target(quiver: Quiver, p: Path) -> int:
+    v, arrows = p
+    if not arrows:
+        return v
+    return quiver.vertex_index(quiver.arrows[arrows[-1]][2])
+
+
+def bound_quiver_algebra_by_dense_span(pres: Presentation, field: Field) -> Algebra:
+    """Build the path algebra of the quiver modulo the relation ideal.
+
+    Relations must be admissible: every term is a composable path of length
+    at least 2 and each relation is homogeneous in (source, target).  The
+    basis consists of the path classes that survive reduction, ordered by
+    (length, lexicographic arrow sequence); the construction is
+    deterministic.  Raises ``PossiblyInfiniteError`` if the surviving path
+    classes do not stabilize below ``DEFAULT_LENGTH_BOUND``, or if more than
+    ``PATH_CAP`` paths are enumerated on the way.
+    """
+    quiver = pres.quiver
+    F = field
+    nv = len(quiver.vertices)
+
+    # validate relations
+    parsed: list[list[tuple[object, Path]]] = []
+    for ridx, rel in enumerate(pres.relations):
+        terms: list[tuple[object, Path]] = []
+        sig = None
+        for coeff, arrows in rel:
+            c = F.of(coeff)
+            if c == F.zero:
+                continue
+            if len(arrows) < 2:
+                raise NonAdmissibleError(
+                    f"relation {ridx}: term of length {len(arrows)} (< 2)"
+                )
+            src = quiver.vertex_index(quiver.arrows[arrows[0]][1])
+            here = src
+            for a in arrows:
+                if quiver.vertex_index(quiver.arrows[a][1]) != here:
+                    raise AlgebraError(f"relation {ridx}: non-composable path")
+                here = quiver.vertex_index(quiver.arrows[a][2])
+            if sig is None:
+                sig = (src, here)
+            elif sig != (src, here):
+                raise AlgebraError(f"relation {ridx}: terms not homogeneous in (source, target)")
+            terms.append((c, (src, tuple(arrows))))
+        if terms:
+            parsed.append(terms)
+
+    max_rel_len = max((len(p[1]) for rel in parsed for _, p in rel), default=2)
+
+    # arrows by source vertex, in index order (keeps enumeration lexicographic)
+    out_arrows: list[list[int]] = [[] for _ in range(nv)]
+    for ai, (_, s, _) in enumerate(quiver.arrows):
+        out_arrows[quiver.vertex_index(s)].append(ai)
+
+    def enumerate_paths(upto: int) -> list[list[Path]]:
+        by_len: list[list[Path]] = [[(v, ()) for v in range(nv)]]
+        total = nv
+        for ln in range(1, upto + 1):
+            nxt: list[Path] = []
+            for (src, arrows) in by_len[ln - 1]:
+                tgt = _path_target(quiver, (src, arrows))
+                for a in out_arrows[tgt]:
+                    nxt.append((src, arrows + (a,)))
+            total += len(nxt)
+            if total > PATH_CAP:
+                raise PossiblyInfiniteError(
+                    f"more than {PATH_CAP} paths below length {upto}"
+                )
+            by_len.append(nxt)
+        return by_len
+
+    level = max(2, max_rel_len)
+    while True:
+        by_len = enumerate_paths(level)
+        paths: list[Path] = [p for chunk in by_len for p in chunk]
+        # coordinates ordered longest-first so pivots rewrite long into short
+        order = sorted(range(len(paths)), key=lambda i: (-len(paths[i][1]), paths[i]))
+        coord_of = {paths[i]: pos for pos, i in enumerate(order)}
+        ncoords = len(paths)
+
+        # span of x * r * y over all composable paths x, y within the level
+        gens: list[tuple] = []
+        for rel in parsed:
+            rlen = max(len(p[1]) for _, p in rel)
+            rsrc = rel[0][1][0]
+            rtgt = _path_target(quiver, rel[0][1])
+            for xlen in range(0, level - rlen + 1):
+                for x in by_len[xlen]:
+                    if _path_target(quiver, x) != rsrc:
+                        continue
+                    for ylen in range(0, level - rlen - xlen + 1):
+                        for y in by_len[ylen]:
+                            if y[0] != rtgt:
+                                continue
+                            vec = [F.zero] * ncoords
+                            for c, (psrc, parr) in rel:
+                                comp = (x[0], x[1] + parr + y[1])
+                                vec[coord_of[comp]] = F.norm(vec[coord_of[comp]] + c)
+                            gens.append(tuple(vec))
+        ideal = Matrix(F, len(gens), ncoords, tuple(x for g in gens for x in g)).row_space()
+
+        pivots = set(ideal.pivots)
+        live = [paths[i] for pos, i in enumerate(order) if pos not in pivots]
+        s = max((len(p[1]) for p in live), default=0)
+
+        if level >= 2 * s + max_rel_len:
+            break
+        nxt = max(2 * s + max_rel_len, level + 1)
+        if nxt > DEFAULT_LENGTH_BOUND:
+            raise PossiblyInfiniteError(
+                f"path classes still growing at length {level} (bound {DEFAULT_LENGTH_BOUND})"
+            )
+        level = nxt
+
+    basis_paths = sorted(live, key=lambda p: (len(p[1]), p))
+    index_of = {p: i for i, p in enumerate(basis_paths)}
+    dim = len(basis_paths)
+
+    # column c of the ideal's quotient projection is the class of live[c]
+    proj, _ = ideal.quotient_maps()
+    basis_index = [index_of[p] for p in live]
+
+    def reduce_path(p: Path) -> tuple:
+        """Class of path p in basis-path coordinates."""
+        out = [F.zero] * dim
+        for i, x in zip(basis_index, proj.row(coord_of[p])):
+            out[i] = x
+        return tuple(out)
+
+    zero = (F.zero,) * dim
+    mult_rows = []
+    for p in basis_paths:
+        row = []
+        for q in basis_paths:
+            if _path_target(quiver, p) != q[0]:
+                row.append(zero)
+            else:
+                row.append(reduce_path((p[0], p[1] + q[1])))
+        mult_rows.append(tuple(row))
+
+    unit = [F.zero] * dim
+    idem_indices = []
+    for v in range(nv):
+        i = index_of[(v, ())]
+        idem_indices.append(i)
+        unit[i] = F.one
+
+    rad_vecs = [basis_paths[i] for i in range(dim) if len(basis_paths[i][1]) >= 1]
+    rad_ent = tuple(F.one if j == index_of[p] else F.zero for p in rad_vecs for j in range(dim))
+    rad = Matrix(F, len(rad_vecs), dim, rad_ent).row_space()
+
+    alg = Algebra(
+        field=F,
+        basis_labels=tuple(_path_label(quiver, p) for p in basis_paths),
+        mult=tuple(mult_rows),
+        unit=tuple(unit),
+        idempotent_indices=tuple(idem_indices),
+        vertex_names=quiver.vertices,
+        radical=rad,
+    )
+    report = validate_algebra(alg)
+    if not report.ok:
+        raise AlgebraError(
+            "bound quiver construction failed validation "
+            f"(raise the length bound?): {report.issues}"
+        )
+    return alg
+
+
+def graded_dimension_by_degree(pres: Presentation, field: Field, max_degree: int = 16) -> int:
+    """dim kQ/I for relations whose terms all have one length: the sum over
+    d of (#paths of length d - rank I_d), with I_d spanned by the x*r*y of
+    total length d.  Once a degree is zero every higher one is (A_{d+1} =
+    A_d A_1), so the sum stops there; past ``max_degree`` it raises."""
+    quiver = pres.quiver
+    ends = [(quiver.vertex_index(s), quiver.vertex_index(t)) for _, s, t in quiver.arrows]
+    # a path is (source, target, arrows); by_len[d] holds those of length d
+    by_len = [[(v, v, ()) for v in range(len(quiver.vertices))]]
+    rels = []
+    for rel in pres.relations:
+        terms = [(field.of(c), tuple(w)) for c, w in rel if field.of(c)]
+        if terms:
+            if len({len(w) for _, w in terms}) > 1:
+                raise ValueError("relation not length-homogeneous")
+            w = terms[0][1]
+            rels.append((ends[w[0]][0], ends[w[-1]][1], len(w), terms))
+    total = 0
+    for d in range(max_degree + 1):
+        if d:
+            by_len.append([(s, ends[a][1], w + (a,)) for s, t, w in by_len[d - 1]
+                           for a in range(len(ends)) if ends[a][0] == t])
+        col = {w: i for i, (_, _, w) in enumerate(by_len[d])}
+        rows = []
+        for rs, rt, n, terms in rels:
+            for k in range(d - n + 1):
+                for _, xt, x in by_len[k]:
+                    for ys, _, y in by_len[d - n - k]:
+                        if xt == rs and ys == rt:
+                            row = [0] * len(by_len[d])
+                            for c, w in terms:
+                                row[col[x + w + y]] += c
+                            rows.append(row)
+        rank = Matrix.from_rows(field, rows, cols=len(by_len[d])).rank() if rows else 0
+        total += len(by_len[d]) - rank
+        if len(by_len[d]) == rank:
+            return total
+    raise ValueError(f"degree {max_degree} still nonzero")

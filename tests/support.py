@@ -55,8 +55,9 @@ def generated_specs(seed: int, count: int) -> list[dict]:
     Each has n = 1-4 vertices over GF(2), GF(3) or Q, up to n + 1 arrows
     and, with probability 0.7, the first one doubled back into a cycle
     through two vertices; loops are allowed, but at most two arrows leave
-    a vertex, as the algebra build enumerates every path up to twice the
-    longest.  Each arrow is drawn "first" or not, and a composite ab
+    a vertex, which keeps the dense reference builder
+    (``oracles.bound_quiver_algebra_by_dense_span``) quick on every draw and
+    keeps each seeded list as it was.  Each arrow is drawn "first" or not, and a composite ab
     survives (with probability 0.9) only when a is first and b is not: the
     relations are the other monomials of length two, so no nonzero path is
     longer than 2.  The poset has n - 1 or n elements (at least one), each
