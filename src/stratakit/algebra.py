@@ -16,7 +16,7 @@ action matrices are exactly the right-multiplication slices of the table.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .linalg import Field, InconsistentSystem, Matrix, Subspace, Value
 
@@ -195,21 +195,20 @@ class Algebra(Value):
 
     def generating_vectors(self) -> tuple[tuple, ...]:
         """The vertex idempotents and a basis of a complement of rad^2 in
-        rad, in RREF order: these generate the algebra, since A is the sum
-        of the k e_v and rad, and rad is nilpotent.  Linear conditions such
-        as "intertwines the action" need only be imposed on them.  Built
-        once into ``cache``; on a bound quiver algebra they are the vertex
+        rad: the radical's basis rows outside the span of rad^2 and of the
+        rows before them, read off one elimination of rad^2's basis stacked
+        over them.  These generate the algebra, since A is the sum of the
+        k e_v and rad, and rad is nilpotent.  Linear conditions such as
+        "intertwines the action" need only be imposed on them.  Built once
+        into ``cache``; on a bound quiver algebra they are the vertex
         idempotents and the arrows."""
         if "generators" not in self.cache:
-            F, rows = self.field, self.radical.basis.row_list()
+            rows = self.radical.basis.row_list()
             products = tuple(z for x in rows for y in rows for z in self.mul_vec(x, y))
-            span = Matrix(F, len(rows) ** 2, self.dim, products).row_space()
-            gens = [self.basis_vec(i) for i in self.idempotent_indices]
-            for r in rows:
-                if not span.contains(r):
-                    gens.append(r)
-                    span = span.sum(Matrix(F, 1, self.dim, r).row_space())
-            self.cache["generators"] = tuple(gens)
+            square = Matrix(self.field, len(rows) ** 2, self.dim, products).row_space().basis
+            kept = square.stack(self.radical.basis).independent_rows(square.rows)
+            self.cache["generators"] = (tuple(self.basis_vec(i) for i in self.idempotent_indices)
+                                        + tuple(rows[i - square.rows] for i in kept))
         return self.cache["generators"]
 
 
@@ -470,6 +469,38 @@ def validate_algebra(a: Algebra) -> ValidationReport:
     return ValidationReport(ok=not issues, issues=tuple(issues))
 
 
+def _derived_algebra(a: Algebra, labels: Sequence[str], vertices: Sequence[str],
+                     vectors: Sequence[tuple], coords: Callable[[Matrix], Matrix], what: str) -> Algebra:
+    """The corner or quotient of ``a`` on ``labels``, written by one call of
+    ``coords`` (``a``-vectors to coordinates) on ``vectors``, the products
+    b_i * b_j row-major, the radical's rows and the unit, and on the
+    idempotents of ``vertices``, each of which must come out a unit vector."""
+    F, n = a.field, len(labels)
+    vectors = [*vectors, *(a.idempotent_vec(v) for v in vertices)]
+    sol = coords(Matrix(F, len(vectors), a.dim, tuple(x for v in vectors for x in v)))
+    unit = sol.rows - len(vertices) - 1
+    idem = []
+    for v, t in zip(vertices, range(unit + 1, sol.rows)):
+        ones = [k for k, x in enumerate(sol.row(t)) if x]
+        if len(ones) != 1 or sol[t, ones[0]] != F.one:
+            raise AlgebraError(f"idempotent e_{v} does not survive as a basis class")
+        idem.append(ones[0])
+    alg = Algebra(
+        field=F,
+        basis_labels=tuple(labels),
+        mult=tuple(tuple(sol.row(i * n + j) for j in range(n)) for i in range(n)),
+        unit=sol.row(unit),
+        idempotent_indices=tuple(idem),
+        vertex_names=tuple(vertices),
+        # the radical's rows lie between the products and the unit
+        radical=Matrix(F, unit - n * n, n, sol.entries[n ** 3:unit * n]).row_space(),
+    )
+    report = validate_algebra(alg)
+    if not report.ok:
+        raise AlgebraError(f"{what} algebra failed validation: {report.issues}")
+    return alg
+
+
 class CornerData(NamedTuple):
     algebra: Algebra
     embed: Matrix          # corner dim x parent dim: corner basis as parent vectors
@@ -477,55 +508,29 @@ class CornerData(NamedTuple):
 
 def corner_algebra(a: Algebra, vertices: Sequence[str]) -> CornerData:
     """The corner algebra eAe for e the sum of the named vertex idempotents;
-    the zero algebra for e = 0."""
+    the zero algebra for e = 0.  Its basis is the e_v, then each e b_i e
+    outside the span of those before it, read off one elimination."""
     subset = list(vertices)
     if any(v not in a.vertex_names for v in subset) or len(set(subset)) != len(subset):
         raise ValueError(f"not a vertex subset: {vertices!r}")
-    F = a.field
+    F, mul = a.field, a.mul_vec
     e = a.idempotent_sum(subset)
+    rows = [a.idempotent_vec(v) for v in subset]
+    cands = rows + [mul(mul(e, a.basis_vec(i)), e) for i in range(a.dim)]
+    kept = Matrix(F, len(cands), a.dim, tuple(x for r in cands for x in r)).independent_rows(len(rows))
+    rows += [cands[i] for i in kept]
+    labels = [f"e_{v}" for v in subset] + [a.basis_labels[i - len(subset)] for i in kept]
+    embed = Matrix(F, len(rows), a.dim, tuple(x for r in rows for x in r))
 
-    basis_rows: list[tuple] = []
-    labels: list[str] = []
-    span = Subspace.zero(F, a.dim)
-    for v in subset:
-        ev = a.idempotent_vec(v)
-        basis_rows.append(ev)
-        labels.append(f"e_{v}")
-        span = span.sum(Matrix(F, 1, a.dim, ev).row_space())
-    for i in range(a.dim):
-        cand = a.mul_vec(a.mul_vec(e, a.basis_vec(i)), e)
-        if any(x != F.zero for x in cand) and not span.contains(cand):
-            basis_rows.append(cand)
-            labels.append(a.basis_labels[i])
-            span = span.sum(Matrix(F, 1, a.dim, cand).row_space())
-    embed = Matrix(F, len(basis_rows), a.dim, tuple(x for r in basis_rows for x in r))
-    cdim = embed.rows
+    def coords(targets: Matrix) -> Matrix:
+        try:
+            return embed.solve_left(targets)
+        except InconsistentSystem:
+            raise AlgebraError("corner product left the corner span") from None
 
-    # one solve writes every product, the radical's corner and e in the basis
-    targets = [a.mul_vec(x, y) for x in basis_rows for y in basis_rows]
-    targets += [a.mul_vec(a.mul_vec(e, a.radical.basis.row(r)), e) for r in range(a.radical.dim)]
-    targets.append(e)
-    try:
-        sol = embed.solve_left(Matrix(F, len(targets), a.dim, tuple(x for t in targets for x in t)))
-    except InconsistentSystem:
-        raise AlgebraError("corner product left the corner span") from None
-    mult_rows = [tuple(sol.row(i * cdim + j) for j in range(cdim)) for i in range(cdim)]
-    # the radical's rows lie between the products and e
-    rad = Matrix(F, a.radical.dim, cdim, sol.entries[cdim ** 3:(sol.rows - 1) * cdim]).row_space()
-
-    alg = Algebra(
-        field=F,
-        basis_labels=tuple(labels),
-        mult=tuple(mult_rows),
-        unit=sol.row(sol.rows - 1),
-        idempotent_indices=tuple(range(len(subset))),
-        vertex_names=tuple(subset),
-        radical=rad,
-    )
-    report = validate_algebra(alg)
-    if not report.ok:
-        raise AlgebraError(f"corner algebra failed validation: {report.issues}")
-    return CornerData(algebra=alg, embed=embed)
+    vectors = ([mul(x, y) for x in rows for y in rows]
+               + [mul(mul(e, a.radical.basis.row(r)), e) for r in range(a.radical.dim)] + [e])
+    return CornerData(algebra=_derived_algebra(a, labels, subset, vectors, coords, "corner"), embed=embed)
 
 
 class QuotientData(NamedTuple):
@@ -537,7 +542,8 @@ class QuotientData(NamedTuple):
 def quotient_by_idempotent_ideal(a: Algebra, vertices: Sequence[str]) -> QuotientData:
     """The quotient A/AeA for e the sum of the named vertex idempotents.
 
-    The projection is an algebra surjection; the section picks coordinate
+    Its basis is the classes of the b_i off the ideal's pivots.  The
+    projection is an algebra surjection; the section picks coordinate
     representatives (a linear, not multiplicative, splitting).
     """
     subset = list(vertices)
@@ -568,35 +574,11 @@ def quotient_by_idempotent_ideal(a: Algebra, vertices: Sequence[str]) -> Quotien
                 raise AlgebraError("idempotent ideal span not stable")
 
     proj, sec = ideal.quotient_maps()
-    push = proj.apply_row
-    surviving = [v for v in a.vertex_names if v not in subset]
-    idem_indices = []
-    for v in surviving:
-        img = push(a.idempotent_vec(v))
-        ones = [k for k, x in enumerate(img) if x != F.zero]
-        if len(ones) != 1 or img[ones[0]] != F.one:
-            raise AlgebraError(f"idempotent e_{v} does not survive as a basis class")
-        idem_indices.append(ones[0])
-
     # the section picks the basis elements off the ideal's pivots
     kept = [j for j in range(a.dim) if j not in ideal.pivots]
-    labels = [a.basis_labels[j] for j in kept]
-    mult_rows = [tuple(push(prod([(one, i, j)])) for j in kept) for i in kept]
-
-    rad = (a.radical.basis @ proj).row_space()
-
-    alg = Algebra(
-        field=F,
-        basis_labels=tuple(labels),
-        mult=tuple(mult_rows),
-        unit=push(a.unit),
-        idempotent_indices=tuple(idem_indices),
-        vertex_names=tuple(surviving),
-        radical=rad,
-    )
-    report = validate_algebra(alg)
-    if not report.ok:
-        raise AlgebraError(f"quotient algebra failed validation: {report.issues}")
+    vectors = [prod([(one, i, j)]) for i in kept for j in kept] + a.radical.basis.row_list() + [a.unit]
+    alg = _derived_algebra(a, [a.basis_labels[j] for j in kept], [v for v in a.vertex_names if v not in subset],
+                           vectors, lambda t: t @ proj, "quotient")
     return QuotientData(algebra=alg, projection=proj, section=sec)
 
 

@@ -36,6 +36,9 @@ Conventions:
   A matrix keeps its elimination (``rref``), so a solve against a reduced
   basis with full row rank reads the coordinates off its pivots; any
   other matrix is solved by eliminating ``[A | I]``.
+* A basis chosen from candidates is read off the pivots of one
+  elimination (``Matrix.independent_rows``), never grown one vector at a
+  time: the candidates outside the span of those before them.
 * Records are ``typing.NamedTuple``s.  The value types that validate, hash
   once or are mutated (``Matrix``, ``Subspace``, ``algebra.Algebra``,
   ``modules.RightModule`` and nine more) subclass ``Value``, which reads
@@ -451,6 +454,11 @@ class Matrix(Value):
         """The rank, read off the kept elimination (``rref``)."""
         return self.rref()[1]
 
+    def independent_rows(self, start: int = 0) -> list[int]:
+        """The indices, from ``start`` on, of the rows outside the span of
+        the rows before them: the pivot columns of the transpose's RREF."""
+        return [i for i in self.transpose().rref()[2] if i >= start]
+
     def row_space(self) -> "Subspace":
         return Subspace.from_matrix(self)
 
@@ -594,10 +602,6 @@ class Subspace(Value):
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(other.basis.row(i)) for i in range(other.dim))
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check(other)
-        return Subspace.from_matrix(self.basis.stack(other.basis))
-
     def quotient_maps(self) -> tuple[Matrix, Matrix]:
         """Projection/section pair for k^ambient / self.
 
@@ -627,9 +631,3 @@ class Subspace(Value):
         q = len(nonpiv)
         kept = self.__dict__["_quotient"] = Matrix(F, self.ambient, q, tuple(proj)), Matrix(F, q, self.ambient, sec)
         return kept
-
-    def _check(self, other: "Subspace") -> None:
-        if self.ambient != other.ambient:
-            raise ValueError(f"ambient mismatch: {self.ambient} != {other.ambient}")
-        if self.field != other.field:
-            raise ValueError("field mismatch")

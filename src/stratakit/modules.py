@@ -494,7 +494,9 @@ class Cover(NamedTuple):
 
 
 def projective_cover(m: RightModule) -> Cover:
-    """Minimal projective cover, built by lifting a basis of the top."""
+    """Minimal projective cover, built by lifting a basis of the top: at
+    each vertex v, the rows of the action of e_v whose images in the top lie
+    outside the span of those before them, read off one elimination."""
     A = m.algebra
     F = A.field
     if m.dim == 0:
@@ -506,18 +508,10 @@ def projective_cover(m: RightModule) -> Cover:
     for v in A.vertex_names:
         ev = A.idempotent_vec(v)
         me_v = m.action_of(ev)
-        picked = Subspace.zero(F, head.dim)
-        target_dim = head.action_of(ev).rank()
-        for r in range(me_v.rows):
-            if picked.dim == target_dim:
-                break
-            u = me_v.row(r)
-            tu = proj.mat.apply_row(u)
-            if any(x != F.zero for x in tu) and not picked.contains(tu):
-                picked = picked.sum(Matrix(F, 1, head.dim, tu).row_space())
-                pieces.append((v, u))
-        if picked.dim != target_dim:
+        kept = (me_v @ proj.mat).independent_rows()
+        if len(kept) != head.action_of(ev).rank():
             raise InvariantError("top basis lifting failed")
+        pieces += [(v, me_v.row(r)) for r in kept]
 
     summand_mods = []
     blocks = []

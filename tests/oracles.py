@@ -45,6 +45,13 @@ field and meant for tiny inputs only.
 * ``graded_dimension_by_degree``: dim kQ/I for relations whose terms all
   have one length, as the sum over degrees d of (#paths of length d - rank
   I_d); it shares no code with either builder.
+* ``independent_rows_by_growing_span``: the basis chosen from candidates
+  as it was before one elimination picked it, keeping a candidate outside
+  the span grown from those kept before it.
+* ``reference_corner_algebra`` and ``reference_quotient_by_idempotent_ideal``:
+  eAe and A/AeA as they were before one writer wrote both tables, each
+  with its own coordinate solve and assembly, the corner's basis grown
+  one vector at a time.
 * ``reference_matmul``, ``reference_apply_row``, ``reference_rref``,
   ``reference_solve_left``, ``reference_left_kernel`` and
   ``reference_kron``: the linear-algebra kernel as it was with two
@@ -55,14 +62,17 @@ field and meant for tiny inputs only.
 from __future__ import annotations
 
 import itertools
+from typing import Sequence
 
 from stratakit.algebra import (
     Algebra,
     AlgebraError,
+    CornerData,
     NonAdmissibleError,
     Path,
     PossiblyInfiniteError,
     Presentation,
+    QuotientData,
     Quiver,
     _path_label,
     opposite,
@@ -84,7 +94,7 @@ from stratakit.modules import (
 )
 from stratakit.mv import MVMorphism
 
-from support import full, span
+from support import full, span, subspace_sum
 
 ORACLE_BIT_CAP = 22
 
@@ -745,3 +755,134 @@ def graded_dimension_by_degree(pres: Presentation, field: Field, max_degree: int
         if len(by_len[d]) == rank:
             return total
     raise ValueError(f"degree {max_degree} still nonzero")
+
+
+def independent_rows_by_growing_span(m: Matrix, start: int = 0) -> list[int]:
+    """``Matrix.independent_rows`` as the derived-algebra builders and the
+    projective cover once chose their bases: keep a row when it lies
+    outside the span grown from the rows kept before it."""
+    span, out = Subspace.zero(m.field, m.cols), []
+    for i in range(m.rows):
+        if not span.contains(m.row(i)):
+            span = subspace_sum(span, Matrix(m.field, 1, m.cols, m.row(i)).row_space())
+            out += [i] if i >= start else []
+    return out
+
+
+def reference_corner_algebra(a: Algebra, vertices: Sequence[str]) -> CornerData:
+    """The corner algebra eAe for e the sum of the named vertex idempotents;
+    the zero algebra for e = 0."""
+    subset = list(vertices)
+    if any(v not in a.vertex_names for v in subset) or len(set(subset)) != len(subset):
+        raise ValueError(f"not a vertex subset: {vertices!r}")
+    F = a.field
+    e = a.idempotent_sum(subset)
+
+    basis_rows: list[tuple] = []
+    labels: list[str] = []
+    span = Subspace.zero(F, a.dim)
+    for v in subset:
+        ev = a.idempotent_vec(v)
+        basis_rows.append(ev)
+        labels.append(f"e_{v}")
+        span = subspace_sum(span, Matrix(F, 1, a.dim, ev).row_space())
+    for i in range(a.dim):
+        cand = a.mul_vec(a.mul_vec(e, a.basis_vec(i)), e)
+        if any(x != F.zero for x in cand) and not span.contains(cand):
+            basis_rows.append(cand)
+            labels.append(a.basis_labels[i])
+            span = subspace_sum(span, Matrix(F, 1, a.dim, cand).row_space())
+    embed = Matrix(F, len(basis_rows), a.dim, tuple(x for r in basis_rows for x in r))
+    cdim = embed.rows
+
+    # one solve writes every product, the radical's corner and e in the basis
+    targets = [a.mul_vec(x, y) for x in basis_rows for y in basis_rows]
+    targets += [a.mul_vec(a.mul_vec(e, a.radical.basis.row(r)), e) for r in range(a.radical.dim)]
+    targets.append(e)
+    try:
+        sol = embed.solve_left(Matrix(F, len(targets), a.dim, tuple(x for t in targets for x in t)))
+    except InconsistentSystem:
+        raise AlgebraError("corner product left the corner span") from None
+    mult_rows = [tuple(sol.row(i * cdim + j) for j in range(cdim)) for i in range(cdim)]
+    # the radical's rows lie between the products and e
+    rad = Matrix(F, a.radical.dim, cdim, sol.entries[cdim ** 3:(sol.rows - 1) * cdim]).row_space()
+
+    alg = Algebra(
+        field=F,
+        basis_labels=tuple(labels),
+        mult=tuple(mult_rows),
+        unit=sol.row(sol.rows - 1),
+        idempotent_indices=tuple(range(len(subset))),
+        vertex_names=tuple(subset),
+        radical=rad,
+    )
+    report = validate_algebra(alg)
+    if not report.ok:
+        raise AlgebraError(f"corner algebra failed validation: {report.issues}")
+    return CornerData(algebra=alg, embed=embed)
+
+
+def reference_quotient_by_idempotent_ideal(a: Algebra, vertices: Sequence[str]) -> QuotientData:
+    """The quotient A/AeA for e the sum of the named vertex idempotents.
+
+    The projection is an algebra surjection; the section picks coordinate
+    representatives (a linear, not multiplicative, splitting).
+    """
+    subset = list(vertices)
+    if any(v not in a.vertex_names for v in subset) or len(set(subset)) != len(subset):
+        raise ValueError(f"not a vertex subset: {vertices!r}")
+    F, one, prod = a.field, a.field.one, a.sum_of_products
+    e_idx = [a.idempotent_indices[a.vertex_names.index(v)] for v in subset]
+
+    # the span of the b_i e b_j, products read off the sparse table
+    vecs = []
+    for i in range(a.dim):
+        bie = [(c, m) for m, c in enumerate(prod((one, i, v) for v in e_idx)) if c]
+        if not bie:
+            continue
+        for j in range(a.dim):
+            v = prod((c, m, j) for c, m in bie)
+            if any(v):
+                vecs.append(v)
+    ideal = Matrix(F, len(vecs), a.dim, tuple(x for v in vecs for x in v)).row_space()
+
+    # ideal stability (single pass suffices; assert it)
+    for r in range(ideal.dim):
+        rv = [(c, m) for m, c in enumerate(ideal.basis.row(r)) if c]
+        for i in range(a.dim):
+            if not ideal.contains(prod((c, m, i) for c, m in rv)) or not ideal.contains(
+                prod((c, i, m) for c, m in rv)
+            ):
+                raise AlgebraError("idempotent ideal span not stable")
+
+    proj, sec = ideal.quotient_maps()
+    push = proj.apply_row
+    surviving = [v for v in a.vertex_names if v not in subset]
+    idem_indices = []
+    for v in surviving:
+        img = push(a.idempotent_vec(v))
+        ones = [k for k, x in enumerate(img) if x != F.zero]
+        if len(ones) != 1 or img[ones[0]] != F.one:
+            raise AlgebraError(f"idempotent e_{v} does not survive as a basis class")
+        idem_indices.append(ones[0])
+
+    # the section picks the basis elements off the ideal's pivots
+    kept = [j for j in range(a.dim) if j not in ideal.pivots]
+    labels = [a.basis_labels[j] for j in kept]
+    mult_rows = [tuple(push(prod([(one, i, j)])) for j in kept) for i in kept]
+
+    rad = (a.radical.basis @ proj).row_space()
+
+    alg = Algebra(
+        field=F,
+        basis_labels=tuple(labels),
+        mult=tuple(mult_rows),
+        unit=push(a.unit),
+        idempotent_indices=tuple(idem_indices),
+        vertex_names=tuple(surviving),
+        radical=rad,
+    )
+    report = validate_algebra(alg)
+    if not report.ok:
+        raise AlgebraError(f"quotient algebra failed validation: {report.issues}")
+    return QuotientData(algebra=alg, projection=proj, section=sec)

@@ -7,7 +7,7 @@ import json
 import random
 from typing import Iterable, Sequence
 
-from stratakit.algebra import Algebra, build_bound_quiver_algebra
+from stratakit.algebra import Algebra, Presentation, Quiver, build_bound_quiver_algebra
 from stratakit.corpus import corpus_index, fixture_bytes
 from stratakit.homological import ext
 from stratakit.linalg import GF2, GF3, QQ, Field, Matrix, Subspace
@@ -91,6 +91,18 @@ def generated_specs(seed: int, count: int) -> list[dict]:
     return out
 
 
+def auslander_algebra(n: int) -> Presentation:
+    """The Auslander algebra of k[x]/(x^n): quiver 1 <-> 2 <-> ... <-> n with
+    a_i: i -> i+1 and b_i: i+1 -> i, relations a_1 b_1 = 0 and
+    b_i a_i = a_{i+1} b_{i+1}."""
+    vs = tuple(str(i) for i in range(1, n + 1))
+    arrows = (tuple((f"a{i}", str(i), str(i + 1)) for i in range(1, n))
+              + tuple((f"b{i}", str(i + 1), str(i)) for i in range(1, n)))
+    rels = [[(1, ["a1", "b1"])]] + [[(1, [f"b{i}", f"a{i}"]), (-1, [f"a{i + 1}", f"b{i + 1}"])]
+                                    for i in range(1, n - 1)]
+    return Presentation.from_names(Quiver(vs, arrows), rels)
+
+
 def stratification_of(spec: AlgebraSpec, check: bool = True) -> Stratification:
     """The stratification of a parsed stratified input, its structure
     checks run only if ``check``."""
@@ -106,6 +118,15 @@ def span(field: Field, vectors: Iterable[Sequence], ambient: int) -> Subspace:
     if not rows:
         return Subspace.zero(field, ambient)
     return Matrix.from_rows(field, rows, cols=ambient).row_space()
+
+
+def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
+    """u + v, the span of both bases; both must share ambient and field."""
+    if u.ambient != v.ambient:
+        raise ValueError(f"ambient mismatch: {u.ambient} != {v.ambient}")
+    if u.field != v.field:
+        raise ValueError("field mismatch")
+    return Subspace.from_matrix(u.basis.stack(v.basis))
 
 
 def full(field: Field, ambient: int) -> Subspace:

@@ -1,4 +1,7 @@
+import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,10 +19,10 @@ from stratakit.algebra import (
     validate_algebra,
 )
 from stratakit.linalg import GF2, GF3, QQ, Subspace
-from stratakit.specfile import build_algebra
+from stratakit.specfile import build_algebra, parse_spec
 
-from oracles import algebra_issues_by_mul_vec
-from support import fixture_algebras, full, load_fixture, span
+from oracles import algebra_issues_by_mul_vec, reference_corner_algebra, reference_quotient_by_idempotent_ideal
+from support import auslander_algebra, fixture_algebras, full, generated_specs, load_fixture, span
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +140,35 @@ def test_zero_corner_and_quotient_by_every_vertex_are_the_zero_algebra(fix):
     assert (corner.embed.rows, corner.embed.cols) == (0, a.dim)
     assert validate_algebra(corner.algebra).ok
     assert validate_algebra(quotient.algebra).ok
+
+
+def _derived_inputs():
+    """(algebra, vertex subset): every subset for the fixture algebras and
+    the golden inputs; each single vertex and its complement for 60
+    generated inputs and the Auslander algebras of k[x]/(x^n), n = 2..4,
+    over GF(3) and Q."""
+    golden = sorted((Path(__file__).parent / "golden").glob("*.input.json"))
+    for a in [*fixture_algebras(), *(build_algebra(parse_spec(json.loads(p.read_text()))) for p in golden)]:
+        for k in range(len(a.vertex_names) + 1):
+            for vs in itertools.combinations(a.vertex_names, k):
+                yield a, vs
+    for a in [*(build_algebra(parse_spec(data)) for data in generated_specs(101, 60)),
+              *(build_bound_quiver_algebra(auslander_algebra(n), F) for n in (2, 3, 4) for F in (GF3, QQ))]:
+        for v in a.vertex_names:
+            yield a, (v,)
+            yield a, tuple(w for w in a.vertex_names if w != v)
+
+
+def test_corner_and_quotient_match_the_references():
+    """One writer for both tables gives the corner and the quotient, embed,
+    projection and section included, that their own assemblies gave."""
+    cases = 0
+    for a, vs in _derived_inputs():
+        assert corner_algebra(a, vs) == reference_corner_algebra(a, vs), (a.basis_labels, vs)
+        assert quotient_by_idempotent_ideal(a, vs) == reference_quotient_by_idempotent_ideal(a, vs), (
+            a.basis_labels, vs)
+        cases += 1
+    assert cases > 450
 
 
 def test_quotient_a2(a2):

@@ -31,7 +31,7 @@ from stratakit.linalg import GF2, GF3, QQ
 from stratakit.specfile import parse_spec
 
 from oracles import bound_quiver_algebra_by_dense_span, graded_dimension_by_degree
-from support import generated_specs, load_fixture
+from support import auslander_algebra, generated_specs, load_fixture
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -134,18 +134,6 @@ def test_four_loops_with_cube_zero():
     """Dimension 21; the dense span ran past its path cap here."""
     pres = loops_with_cube_zero(4)
     assert build_bound_quiver_algebra(pres, GF2).dim == 21 == graded_dimension_by_degree(pres, GF2)
-
-
-def auslander_algebra(n: int) -> Presentation:
-    """The Auslander algebra of k[x]/(x^n): quiver 1 <-> 2 <-> ... <-> n with
-    a_i: i -> i+1 and b_i: i+1 -> i, relations a_1 b_1 = 0 and
-    b_i a_i = a_{i+1} b_{i+1}."""
-    vs = tuple(str(i) for i in range(1, n + 1))
-    arrows = (tuple((f"a{i}", str(i), str(i + 1)) for i in range(1, n))
-              + tuple((f"b{i}", str(i + 1), str(i)) for i in range(1, n)))
-    rels = [[(1, ["a1", "b1"])]] + [[(1, [f"b{i}", f"a{i}"]), (-1, [f"a{i + 1}", f"b{i + 1}"])]
-                                    for i in range(1, n - 1)]
-    return Presentation.from_names(Quiver(vs, arrows), rels)
 
 
 @pytest.mark.parametrize("F", [GF3, QQ], ids=str)

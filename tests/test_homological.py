@@ -32,7 +32,7 @@ from stratakit.modules import (
 from stratakit.specfile import build_algebra, parse_spec
 
 from oracles import ext1_dimension_by_enumeration, pushout_extension_along_kernel
-from support import is_injective, load_fixture
+from support import auslander_algebra, is_injective, load_fixture
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +121,22 @@ def test_ext_values_dual(dual):
     s = simple_module(dual, "1")
     for n in range(4):
         assert ext(s, s, n).dim == 1  # periodic resolution of the dual numbers
+
+
+@pytest.mark.parametrize("n, F", [(n, GF3) for n in (2, 3, 4, 5)] + [(n, QQ) for n in (2, 3, 4)], ids=str)
+def test_ext_between_simples_of_the_auslander_algebra(n, F):
+    """Lambda_n, the Auslander algebra of k[x]/(x^n), vertex i the module
+    k[x]/(x^i), has global dimension 2 (M. Auslander, "Representation
+    dimension of Artin algebras", 1971).  The almost split sequences
+    0 -> M_j -> M_(j-1) + M_(j+1) -> M_j -> 0 give pd S_j = 2 for j < n, and
+    rad M_n = M_(n-1) gives pd S_n = 1: Ext^1 between neighbours, Ext^2(S_j,
+    S_j) for j < n, nothing in degree 3."""
+    a = build_bound_quiver_algebra(auslander_algebra(n), F)
+    simples = [simple_module(a, str(i)) for i in range(1, n + 1)]
+    for u, su in enumerate(simples, 1):
+        for v, sv in enumerate(simples, 1):
+            want = (int(u == v), int(abs(u - v) == 1), int(u == v < n), 0)
+            assert tuple(ext(su, sv, d).dim for d in range(4)) == want, (u, v)
 
 
 def realize_ext1(cls):

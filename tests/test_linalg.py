@@ -12,6 +12,7 @@ from stratakit.specfile import build_algebra
 
 from oracles import (
     ReferenceField,
+    independent_rows_by_growing_span,
     reference_apply_row,
     reference_kron,
     reference_left_kernel,
@@ -19,7 +20,7 @@ from oracles import (
     reference_rref,
     reference_solve_left,
 )
-from support import fixture_algebras, full, load_fixture, span
+from support import fixture_algebras, full, load_fixture, span, subspace_sum
 
 
 def mat(field, rows, cols=None):
@@ -95,10 +96,10 @@ def intersection(u: Subspace, v: Subspace) -> Subspace:
 def test_subspace_whole_and_zero():
     u = full(GF2, 3)
     v = Subspace.zero(GF2, 3)
-    assert u.sum(v) == u
+    assert subspace_sum(u, v) == u
     assert intersection(u, v) == v
     w = span(GF2, [(1, 1, 0)], 3)
-    assert w.sum(w) == w and intersection(w, w) == w
+    assert subspace_sum(w, w) == w and intersection(w, w) == w
 
 
 def test_subspace_three_dim_example():
@@ -106,7 +107,7 @@ def test_subspace_three_dim_example():
     v = span(GF2, [(0, 1, 0), (0, 0, 1)], 3)
     inter = intersection(u, v)
     assert inter == span(GF2, [(0, 1, 0)], 3)
-    assert u.sum(v) == full(GF2, 3)
+    assert subspace_sum(u, v) == full(GF2, 3)
 
 
 def test_quotient_with_section():
@@ -122,7 +123,7 @@ def test_ambient_mismatch():
     u = Subspace.zero(GF2, 2)
     v = Subspace.zero(GF2, 3)
     with pytest.raises(ValueError):
-        u.sum(v)
+        subspace_sum(u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +175,7 @@ def subspace_pairs(field, ambient):
 )
 def test_dimension_formula(pair):
     u, v = pair
-    assert u.dim + v.dim == u.sum(v).dim + intersection(u, v).dim
+    assert u.dim + v.dim == subspace_sum(u, v).dim + intersection(u, v).dim
 
 
 @settings(max_examples=25, deadline=None)
@@ -257,6 +258,45 @@ def test_pivots_are_the_rref_pivots(m):
     s = Subspace.from_matrix(m)
     assert s.pivots == piv and s.dim == rank
     assert all(s.basis[r, pc] == 1 for r, pc in enumerate(s.pivots))
+
+
+def candidate_matrices(field):
+    """Matrices of 0-6 rows in k^0 .. k^4 whose rows are often zero or a
+    repeat of an earlier row."""
+    def build(cols):
+        fresh = st.lists(elements(field), min_size=cols, max_size=cols).map(tuple)
+        draw = st.one_of(fresh, st.just(None), st.integers(0, 5))  # None: zero, int: a repeat
+
+        def assemble(draws):
+            rows = []
+            for d in draws:
+                if d is None or (isinstance(d, int) and not rows):
+                    d = (0,) * cols
+                elif isinstance(d, int):
+                    d = rows[d % len(rows)]
+                rows.append(d)
+            return Matrix.from_rows(field, rows, cols=cols)
+
+        return st.lists(draw, max_size=6).map(assemble)
+
+    return st.integers(0, 4).flatmap(build)
+
+
+@settings(max_examples=100, deadline=None)
+@given(FIELDS.flatmap(candidate_matrices))
+def test_independent_rows_match_the_growing_span(m):
+    """One elimination of the transpose keeps the rows that growing a span
+    one kept row at a time keeps, from every start."""
+    for start in range(m.rows + 1):
+        assert m.independent_rows(start) == independent_rows_by_growing_span(m, start)
+
+
+def test_independent_rows_of_empty_matrices():
+    for F in (GF2, GF3, QQ):
+        for rows, cols in ((0, 0), (0, 3), (3, 0)):
+            m = Matrix.zero(F, rows, cols)
+            for start in range(rows + 1):
+                assert m.independent_rows(start) == independent_rows_by_growing_span(m, start) == []
 
 
 def kron_operands(field):
