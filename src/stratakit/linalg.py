@@ -79,12 +79,12 @@ class UndecidedIsomorphism(RuntimeError):
 
 def cached_hash(self) -> int:
     """``__hash__`` of a frozen ``Value``, computed on first use and kept on
-    the instance: hash of the tuple of its fields, in the order ``Value``
-    recorded them.  Like any hash of a string, it is valid in this process
-    only."""
+    the instance: hash of its ``_key``, the tuple of its fields (every value
+    type has two or more) that ``==`` compares.  Like any hash of a string,
+    it is valid in this process only."""
     h = self.__dict__.get("_hash")
     if h is None:
-        h = self.__dict__["_hash"] = hash(tuple(getattr(self, name) for name in self._fields))
+        h = self.__dict__["_hash"] = hash(self._key(self))
     return h
 
 

@@ -1,14 +1,16 @@
 """Finite-dimensional right modules over a split basic algebra.
 
-A ``RightModule`` of dimension d stores one d x d matrix per algebra basis
-element; elements are row vectors and ``v * b_k = v @ action[k]``, so the
-assignment ``b_k -> action[k]`` is multiplicative with no order flip.  A
-``ModuleMap`` stores its matrix with shape (source dim) x (target dim) and
-acts by ``v |-> v @ mat``; composition "f then g" is ``f.mat @ g.mat``.
+A ``RightModule`` of dimension d over an algebra of dimension n keeps its
+action as one (n·d) x d matrix, the stack of the d x d blocks ``block(k)``
+of the basis elements b_k; read as an n x d² matrix (``flat()``), row k is
+block k.  Elements are row vectors and ``v * b_k = v @ block(k)``, so
+b_k -> block(k) is multiplicative with no order flip.  A ``ModuleMap``
+stores its matrix with shape (source dim) x (target dim) and acts by
+``v |-> v @ mat``; composition "f then g" is ``f.mat @ g.mat``.
 
 Everything is immutable and every constructor is deterministic (canonical
-RREF bases throughout), so structural equality of modules is meaningful
-and modules can be used as cache keys.
+RREF bases throughout), so structural equality of modules (one comparison of
+action matrices) is meaningful and modules can be used as cache keys.
 """
 
 from __future__ import annotations
@@ -35,35 +37,69 @@ def combine(coeffs: Sequence, items: Sequence, start):
     return out
 
 
+def _swap_runs(entries: tuple, a: int, b: int, w: int) -> tuple:
+    """``entries`` as an a x b grid of runs of w entries written as the b x a
+    grid: a stack of a blocks of b rows put side by side, and back."""
+    return tuple(itertools.chain.from_iterable(entries[(i * b + j) * w:(i * b + j + 1) * w]
+                                               for j in range(b) for i in range(a)))
+
+
+def _diagonal(field: Field, n: int, parts: Sequence[tuple[int, Matrix]]) -> Matrix:
+    """The action of a direct sum: block k of each (dim, stack) on the diagonal of block k."""
+    total, ent = sum(d for d, _ in parts), []
+    for k in range(n):
+        offset = 0
+        for d, stack in parts:
+            for r in range(k * d, (k + 1) * d):
+                ent.extend((field.zero,) * offset + stack.row(r) + (field.zero,) * (total - offset - d))
+            offset += d
+    return Matrix(field, n * total, total, tuple(ent))
+
+
 class RightModule(Value):
+    """A right module; ``action`` is the (n·d) x d stack of its blocks.
+
+    Each constructor is one product or elimination, plus a reordering of
+    entries (``_swap_runs``) where blocks go side by side: ``restrict_scalars``
+    and ``times`` multiply rows of algebra elements by ``flat()``, and so does
+    ``annihilator``, then side by side; ``quotient_module`` multiplies the
+    non-pivot rows of every block (the section is a row selection) by the
+    projection; ``submodule`` multiplies the basis by the blocks side by side
+    and solves once; ``element_map_from_projective`` is ``incl_rows @ U``,
+    row k of U being u * b_k.  ``regular_module``, ``direct_sum``,
+    ``dual_module`` and the functors' object maps write the stack itself."""
+
     algebra: Algebra
     dim: int
-    action: tuple[Matrix, ...]
+    action: Matrix  # (algebra.dim * dim) x dim
 
-    def __init__(self, algebra: Algebra, dim: int, action: tuple[Matrix, ...]) -> None:
+    def __init__(self, algebra: Algebra, dim: int, action: Matrix) -> None:
         self.__dict__.update(algebra=algebra, dim=dim, action=action)
 
-    def __eq__(self, other) -> bool:
-        # spelled out, as ``Matrix.__eq__``: every memo keyed by a module
-        # compares with it
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.algebra, self.dim, self.action) == (other.algebra, other.dim, other.action)
+    def block(self, k: int) -> Matrix:
+        """The action matrix of b_k, sliced out once per module."""
+        kept, d = self.__dict__.setdefault("_blocks", {}), self.dim
+        if k not in kept:
+            kept[k] = Matrix(self.algebra.field, d, d, self.action.entries[k * d * d:(k + 1) * d * d])
+        return kept[k]
+
+    def flat(self) -> Matrix:
+        """``action`` as the n x d² matrix whose row k is block k, made once."""
+        if "_flat" not in self.__dict__:
+            self.__dict__["_flat"] = Matrix(self.algebra.field, self.algebra.dim, self.dim**2, self.action.entries)
+        return self.__dict__["_flat"]
 
     def action_of(self, a: Sequence) -> Matrix:
         """Action matrix of an arbitrary algebra element (coordinate vector):
-        the sum of its nonzero terms, so a unit vector gives ``action[k]``
-        itself."""
-        terms = [x if c == 1 else x.scale(c) for c, x in zip(a, self.action) if c]
-        if not terms:
-            return Matrix.zero(self.algebra.field, self.dim, self.dim)
-        return functools.reduce(Matrix.__add__, terms)
+        one row combination of ``flat()``, and for a unit vector its block."""
+        support = [k for k, c in enumerate(a) if c]
+        if len(support) == 1 and a[support[0]] == 1:
+            return self.block(support[0])
+        return Matrix(self.algebra.field, self.dim, self.dim, self.flat().apply_row(a))
 
     def vertex_dims(self) -> tuple[int, ...]:
         """Dimension of M e_v for each vertex, in vertex order."""
-        return tuple(
-            self.action[i].rank() for i in self.algebra.idempotent_indices
-        )
+        return tuple(self.block(i).rank() for i in self.algebra.idempotent_indices)
 
 
 class RankPredicates:
@@ -124,18 +160,17 @@ def zero_map(m: RightModule, n: RightModule) -> ModuleMap:
 
 
 def zero_module(algebra: Algebra) -> RightModule:
-    F = algebra.field
-    return RightModule(algebra, 0, tuple(Matrix.zero(F, 0, 0) for _ in range(algebra.dim)))
+    return RightModule(algebra, 0, Matrix.zero(algebra.field, 0, 0))
 
 
 def regular_module(algebra: Algebra) -> RightModule:
     """The algebra as a right module over itself (built once per algebra)."""
     cache = algebra.cache
     if "regular" not in cache:
-        # row i of the action of b_k is b_i * b_k: column slice k of the table
+        # row i of the block of b_k is b_i * b_k: column slice k of the table
         n, mult = algebra.dim, algebra.mult
-        mats = [Matrix(algebra.field, n, n, tuple(x for i in range(n) for x in mult[i][k])) for k in range(n)]
-        cache["regular"] = RightModule(algebra, n, tuple(mats))
+        act = Matrix(algebra.field, n * n, n, tuple(x for k in range(n) for i in range(n) for x in mult[i][k]))
+        cache["regular"] = RightModule(algebra, n, act)
     return cache["regular"]
 
 
@@ -143,15 +178,15 @@ def submodule(m: RightModule, space: Subspace) -> tuple[RightModule, ModuleMap]:
     """Module structure on an action-closed subspace, with its inclusion."""
     if space.ambient != m.dim:
         raise ValueError("ambient mismatch")
-    B, d, n = space.basis, space.dim, m.algebra.dim
-    # one elimination of B for the images of B under every basis element
-    images = Matrix(B.field, n * d, m.dim, tuple(x for k in range(n) for x in (B @ m.action[k]).entries))
+    B, d, n, F = space.basis, space.dim, m.algebra.dim, space.field
+    # row i of B times the blocks side by side is B_i b_0, ..., B_i b_{n-1}:
+    # read as (d·n) x dim m, row i·n + k is the image of B_i under b_k
+    images = B @ Matrix(F, m.dim, n * m.dim, _swap_runs(m.action.entries, n, m.dim, m.dim))
     try:
-        X = B.solve_left(images)
+        X = B.solve_left(Matrix(F, d * n, m.dim, images.entries))
     except InconsistentSystem:
         raise ValueError("subspace not closed under the action") from None
-    mats = tuple(Matrix(B.field, d, d, X.entries[k * d * d:(k + 1) * d * d]) for k in range(n))
-    sub = RightModule(m.algebra, d, mats)
+    sub = RightModule(m.algebra, d, Matrix(F, n * d, d, _swap_runs(X.entries, d, n, d)))
     return sub, ModuleMap(sub, m, B)
 
 
@@ -159,19 +194,22 @@ def restrict_scalars(m: RightModule, algebra: Algebra, rows: Matrix) -> RightMod
     """``m`` as a module over ``algebra`` along a linear map into m's algebra.
 
     Row k of ``rows`` is the image of basis element k of ``algebra``, which
-    then acts on m's space as that image does.  This is a module when the
-    map is an algebra map (a projection onto a quotient algebra); for a
-    section of one, or the embedding of a corner eAe, the caller passes to
-    the sub- or quotient space of m on which it is.
+    then acts on m's space as that image does: ``rows @ m.flat()``.  This is
+    a module when the map is an algebra map (a projection onto a quotient
+    algebra); for a section of one, or the embedding of a corner eAe, the
+    caller passes to the sub- or quotient space of m on which it is.
     """
-    return RightModule(algebra, m.dim, tuple(m.action_of(rows.row(k)) for k in range(algebra.dim)))
+    d = m.dim
+    return RightModule(algebra, d, Matrix(algebra.field, algebra.dim * d, d, (rows @ m.flat()).entries))
 
 
 def quotient_module(m: RightModule, space: Subspace) -> tuple[RightModule, ModuleMap]:
     """Quotient by an action-closed subspace, with its projection."""
-    proj, sec = space.quotient_maps()
-    mats = [sec @ m.action[k] @ proj for k in range(m.algebra.dim)]
-    quo = RightModule(m.algebra, proj.cols, tuple(mats))
+    proj, _ = space.quotient_maps()
+    d, pivots = m.dim, set(space.pivots)
+    # the section picks the non-pivot rows: section @ block is a row selection
+    picked = tuple(x for r in range(m.action.rows) if r % d not in pivots for x in m.action.row(r))
+    quo = RightModule(m.algebra, proj.cols, Matrix(space.field, m.algebra.dim * proj.cols, d, picked) @ proj)
     return quo, ModuleMap(m, quo, proj)
 
 
@@ -196,25 +234,16 @@ def direct_sum(mods: Sequence[RightModule]) -> tuple[RightModule, list[ModuleMap
         raise ValueError("direct_sum of nothing: pass the algebra's zero module instead")
     A = mods[0].algebra
     F = A.field
-    dims = [m.dim for m in mods]
-    total = sum(dims)
-    offsets = [sum(dims[:i]) for i in range(len(mods))]
-    mats = []
-    for k in range(A.dim):
-        ent = []
-        for mi, m in enumerate(mods):
-            left, right = (F.zero,) * offsets[mi], (F.zero,) * (total - offsets[mi] - m.dim)
-            for r in range(m.dim):
-                ent.extend(left + m.action[k].row(r) + right)
-        mats.append(Matrix(F, total, total, tuple(ent)))
-    big = RightModule(A, total, tuple(mats))
+    total = sum(m.dim for m in mods)
+    big = RightModule(A, total, _diagonal(F, A.dim, [(m.dim, m.action) for m in mods]))
     unit = Matrix.identity(F, total)
     injs, projs = [], []
-    for mi, m in enumerate(mods):
-        lo, hi = offsets[mi], offsets[mi] + m.dim
-        inj = Matrix(F, m.dim, total, unit.entries[lo * total:hi * total])
+    lo = 0
+    for m in mods:
+        inj = Matrix(F, m.dim, total, unit.entries[lo * total:(lo + m.dim) * total])
         injs.append(ModuleMap(m, big, inj))
         projs.append(ModuleMap(big, m, inj.transpose()))
+        lo += m.dim
     return big, injs, projs
 
 
@@ -262,18 +291,17 @@ def hom_combinations(basis: Sequence, field: Field, exhaustive: bool) -> Iterato
 
 
 class Bimodule(NamedTuple):
-    """A (left_algebra, right_algebra)-bimodule on row vectors.
-
-    ``right_action[k]`` is multiplicative as usual; the left action composes
-    through the opposite order (apply the right factor first), and the two
-    actions commute.
+    """A (left_algebra, right_algebra)-bimodule on row vectors, as two
+    modules on one space whose actions commute: ``right`` over the right
+    algebra, and ``left`` over the opposite of the left algebra (in row
+    convention the left action applies the right factor first).
     """
 
     left_algebra: Algebra
     right_algebra: Algebra
     dim: int
-    left_action: tuple[Matrix, ...]
-    right_action: tuple[Matrix, ...]
+    left: RightModule
+    right: RightModule
 
     def tensor_functor(self) -> "TensorFunctor":
         """X |-> X (x)_L B from right L-modules to right R-modules (L, R the
@@ -281,25 +309,24 @@ class Bimodule(NamedTuple):
 
         X (x)_L B is the quotient of X (x)_k B, whose coordinate i * dim B + j
         is x_i (x) b_j as in ``Matrix.kron``, by the rows of
-        x.action[s] (x) I - I (x) left_action[s] over the basis l_s of L,
-        that is, by the vectors x l_s (x) b - x (x) l_s b.
+        x.block(s) (x) I - I (x) left.block(s) over the basis l_s of L,
+        that is, by the vectors x l_s (x) b - x (x) l_s b.  As a right
+        R-module, X (x)_k B is dim X copies of B, and the I (x) left.block(s)
+        are the blocks of dim X copies of ``left``.
         """
         L, R = self.left_algebra, self.right_algebra
-        F = R.field
-        ident = Matrix.identity(F, self.dim)
+        F, db = R.field, self.dim
+        ident = Matrix.identity(F, db)
 
         @functools.cache
         def relations(x: RightModule) -> Subspace:
-            x_ident, n = Matrix.identity(F, x.dim), x.dim * self.dim
-            rels = [x.action[s].kron(ident) - x_ident.kron(self.left_action[s]) for s in range(L.dim)]
-            return Subspace.from_matrix(Matrix(F, L.dim * n, n, tuple(e for r in rels for e in r.entries)))
+            copies = _diagonal(F, L.dim, [(db, self.left.action)] * x.dim)
+            return Subspace.from_matrix(x.action.kron(ident) - copies)
 
         @functools.cache
         def obj(x: RightModule) -> RightModule:
-            proj, sec = relations(x).quotient_maps()
-            x_ident = Matrix.identity(F, x.dim)
-            acts = [sec @ x_ident.kron(self.right_action[k]) @ proj for k in range(R.dim)]
-            return RightModule(R, proj.cols, tuple(acts))
+            free = RightModule(R, x.dim * db, _diagonal(F, R.dim, [(db, self.right.action)] * x.dim))
+            return quotient_module(free, relations(x))[0]
 
         def mor(f: ModuleMap) -> ModuleMap:
             _, sec = relations(f.source).quotient_maps()
@@ -319,11 +346,10 @@ class Bimodule(NamedTuple):
         L, R = self.left_algebra, self.right_algebra
         F = R.field
         db = self.dim
-        as_module = RightModule(R, db, self.right_action)
 
         @functools.cache
         def basis(x: RightModule) -> tuple[Matrix, ...]:
-            return tuple(f.mat for f in hom_basis(as_module, x))
+            return tuple(f.mat for f in hom_basis(self.right, x))
 
         def coords(x: RightModule, mats: Sequence[Matrix]) -> Matrix:
             phis = basis(x)
@@ -334,8 +360,9 @@ class Bimodule(NamedTuple):
         @functools.cache
         def obj(x: RightModule) -> RightModule:
             phis = basis(x)
-            acts = [coords(x, [self.left_action[k] @ phi for phi in phis]) for k in range(L.dim)]
-            return RightModule(L, len(phis), tuple(acts))
+            # row k·h + t is b_k * phi_t: block k of the action, h = len(phis)
+            images = [self.left.block(k) @ phi for k in range(L.dim) for phi in phis]
+            return RightModule(L, len(phis), coords(x, images))
 
         def mor(f: ModuleMap) -> ModuleMap:
             imgs = [phi @ f.mat for phi in basis(f.source)]
@@ -358,23 +385,16 @@ class HomFunctor(NamedTuple):
 
 
 def validate_bimodule(b: Bimodule) -> None:
-    L, R = b.left_algebra, b.right_algebra
-    F = L.field
-    ident, zero = Matrix.identity(F, b.dim), Matrix.zero(F, b.dim, b.dim)
-    if combine(L.unit, b.left_action, zero) != ident or combine(R.unit, b.right_action, zero) != ident:
+    ident = Matrix.identity(b.right_algebra.field, b.dim)
+    if b.left.action_of(b.left_algebra.unit) != ident or b.right.action_of(b.right_algebra.unit) != ident:
         raise ValueError("units must act as the identity on the bimodule")
-    for i in range(R.dim):
-        for j in range(R.dim):
-            if b.right_action[i] @ b.right_action[j] != combine(R.mult[i][j], b.right_action, zero):
-                raise ValueError("right action is not multiplicative")
-    for i in range(L.dim):
-        for j in range(L.dim):
-            # (s s') . v applies s' first in row convention
-            if b.left_action[j] @ b.left_action[i] != combine(L.mult[i][j], b.left_action, zero):
-                raise ValueError("left action is not multiplicative")
-    for i in range(L.dim):
-        for j in range(R.dim):
-            if b.left_action[i] @ b.right_action[j] != b.right_action[j] @ b.left_action[i]:
+    for side, m in (("right", b.right), ("left", b.left)):
+        n = m.algebra.dim
+        if any(m.block(i) @ m.block(j) != m.action_of(m.algebra.mult[i][j]) for i in range(n) for j in range(n)):
+            raise ValueError(f"{side} action is not multiplicative")
+    for i in range(b.left_algebra.dim):
+        for j in range(b.right_algebra.dim):
+            if b.left.block(i) @ b.right.block(j) != b.right.block(j) @ b.left.block(i):
                 raise ValueError("left and right actions do not commute")
 
 
@@ -388,49 +408,51 @@ def corner_bimodules(
     and written back in the basis it lands in.
     """
     F = a.field
-    gammas = [embed.row(s) for s in range(gamma.dim)]
-    units = [a.basis_vec(k) for k in range(a.dim)]
 
-    def action(basis: Matrix, x: tuple, on_left: bool) -> Matrix:
-        ent = tuple(y for v in basis.row_list()
+    def action(basis: Matrix, xs: Matrix, on_left: bool) -> Matrix:
+        # row (k, t) is x_k * (basis row t), or the other way round
+        ent = tuple(y for x in xs.row_list() for v in basis.row_list()
                     for y in (a.mul_vec(x, v) if on_left else a.mul_vec(v, x)))
-        return basis.solve_left(Matrix(F, basis.rows, a.dim, ent))
+        return basis.solve_left(Matrix(F, xs.rows * basis.rows, a.dim, ent))
 
-    ea = Bimodule(gamma, a, e_a.rows,
-                  tuple(action(e_a, g, True) for g in gammas),
-                  tuple(action(e_a, b, False) for b in units))
-    ae = Bimodule(a, gamma, a_e.rows,
-                  tuple(action(a_e, b, True) for b in units),
-                  tuple(action(a_e, g, False) for g in gammas))
+    units, gamma_op, a_op = Matrix.identity(F, a.dim), opposite(gamma), opposite(a)
+    ea = Bimodule(gamma, a, e_a.rows, RightModule(gamma_op, e_a.rows, action(e_a, embed, True)),
+                  RightModule(a, e_a.rows, action(e_a, units, False)))
+    ae = Bimodule(a, gamma, a_e.rows, RightModule(a_op, a_e.rows, action(a_e, units, True)),
+                  RightModule(gamma, a_e.rows, action(a_e, embed, False)))
     return ea, ae
 
 
 # -- the two submodule rules: M·S and its annihilator ---------------------------
 
 
-def times(m: RightModule, elements: Sequence[Sequence]) -> Subspace:
-    """M·S, the span of v·s over v in m and s in ``elements`` (algebra
-    elements as coordinate vectors): the row space of the stacked
-    ``m.action_of(s)``.  It is a submodule when S spans a right ideal (M rad A,
-    M e A); an empty S gives the zero space."""
-    acts = [m.action_of(s) for s in elements]
-    ent = tuple(x for act in acts for x in act.entries)
-    return Matrix(m.algebra.field, len(acts) * m.dim, m.dim, ent).row_space()
+def side_by_side(m: RightModule, elements: Matrix) -> Matrix:
+    """The actions on m of the rows of ``elements`` side by side: row i of
+    this d x (s·d) matrix is v_i s_0, ..., v_i s_{s-1}."""
+    d, s = m.dim, elements.rows
+    return Matrix(m.algebra.field, d, s * d, _swap_runs((elements @ m.flat()).entries, s, d, d))
 
 
-def annihilator(m: RightModule, elements: Sequence[Sequence]) -> Subspace:
-    """{v : v·s = 0 for every s in ``elements``}: the left kernel of the
-    ``m.action_of(s)`` side by side.  It is a submodule when S spans a left
-    ideal (the socle for S a basis of rad A); an empty S gives the whole
+def times(m: RightModule, elements: Matrix) -> Subspace:
+    """M·S, the span of v·s over v in m and s a row of ``elements`` (algebra
+    elements as coordinate rows): the row space of the stacked actions of
+    the s.  It is a submodule when S spans a right ideal (M rad A, M e A);
+    no rows give the zero space."""
+    d = m.dim
+    return Matrix(m.algebra.field, elements.rows * d, d, (elements @ m.flat()).entries).row_space()
+
+
+def annihilator(m: RightModule, elements: Matrix) -> Subspace:
+    """{v : v·s = 0 for every row s of ``elements``}: the left kernel of the
+    actions of the s side by side.  It is a submodule when S spans a left
+    ideal (the socle for S a basis of rad A); no rows give the whole
     space."""
-    acts = [m.action_of(s) for s in elements]
-    ent = tuple(x for i in range(m.dim) for act in acts for x in act.row(i))
-    return Matrix(m.algebra.field, m.dim, len(acts) * m.dim, ent).left_kernel()
+    return side_by_side(m, elements).left_kernel()
 
 
 def top(m: RightModule) -> tuple[RightModule, ModuleMap]:
     """The top M / M rad A, with its projection."""
-    return quotient_module(m, times(m, m.algebra.radical.basis.row_list()))
+    return quotient_module(m, times(m, m.algebra.radical.basis))
 
 
 # -- distinguished modules ----------------------------------------------------
@@ -456,7 +478,9 @@ def simple_module(algebra: Algebra, vertex: str) -> RightModule:
 
 def dual_module(m: RightModule) -> RightModule:
     """Vector-space dual, a right module over the opposite algebra."""
-    return RightModule(opposite(m.algebra), m.dim, tuple(a.transpose() for a in m.action))
+    d, e = m.dim, m.action.entries
+    dual = tuple(e[(k * d + j) * d + i] for k in range(m.algebra.dim) for i in range(d) for j in range(d))
+    return RightModule(opposite(m.algebra), d, Matrix(m.algebra.field, m.action.rows, d, dual))
 
 
 def dual_map(f: ModuleMap) -> ModuleMap:
@@ -482,9 +506,9 @@ def element_map_from_projective(
     ``incl_rows`` gives P(v)'s basis as elements of the algebra; row t is an
     algebra element x, and the map sends x to u * x.
     """
-    ent = tuple(x for t in range(incl_rows.rows)
-                for x in target.action_of(incl_rows.row(t)).apply_row(u))
-    return Matrix(target.algebra.field, incl_rows.rows, target.dim, ent)
+    F, n, d = target.algebra.field, target.algebra.dim, target.dim
+    side = Matrix(F, d, n * d, _swap_runs(target.action.entries, n, d, d))
+    return incl_rows @ Matrix(F, n, d, side.apply_row(u))
 
 
 class Cover(NamedTuple):
@@ -526,7 +550,7 @@ def projective_cover(m: RightModule) -> Cover:
     if not phi.is_surjective():
         raise InvariantError("cover map not surjective")
     ker_space = phi.mat.left_kernel()
-    if not times(big, A.radical.basis.row_list()).contains_space(ker_space):
+    if not times(big, A.radical.basis).contains_space(ker_space):
         raise InvariantError("cover not essential")
     summands = tuple((v, counts[v]) for v in A.vertex_names if v in counts)
     return Cover(big, phi, summands)

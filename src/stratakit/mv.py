@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 
-from .algebra import Algebra, build_bound_quiver_algebra
+from .algebra import Algebra, build_bound_quiver_algebra, opposite
 from .linalg import InvariantError, Matrix, Value
 from .modules import (
     Bimodule,
@@ -30,6 +30,7 @@ from .modules import (
     RightModule,
     combine,
     identity_map,
+    side_by_side,
     validate_bimodule,
     zero_map,
     zero_module,
@@ -74,13 +75,13 @@ def validate_mv_data(d: MVData) -> None:
     F, S, theta = d.u_algebra.field, d.u_algebra, d.theta
     id_m, id_n = Matrix.identity(F, d.m.dim), Matrix.identity(F, d.n.dim)
     for r in range(d.z_algebra.dim):
-        if d.m.right_action[r].kron(id_n) @ theta != id_m.kron(d.n.left_action[r]) @ theta:
+        if d.m.right.block(r).kron(id_n) @ theta != id_m.kron(d.n.left.block(r)) @ theta:
             raise MVDataError("theta is not balanced over the closed-side algebra")
     for s in range(S.dim):
         sv = S.basis_vec(s)
-        if d.m.left_action[s].kron(id_n) @ theta != theta @ S.left_mult_matrix(sv):
+        if d.m.left.block(s).kron(id_n) @ theta != theta @ S.left_mult_matrix(sv):
             raise MVDataError("theta is not left equivariant")
-        if id_m.kron(d.n.right_action[s]) @ theta != theta @ S.right_mult_matrix(sv):
+        if id_m.kron(d.n.right.block(s)) @ theta != theta @ S.right_mult_matrix(sv):
             raise MVDataError("theta is not right equivariant")
 
 
@@ -146,10 +147,10 @@ class MVCategory:
         d = self.data
         F = self.field
         dx, dm, dn = x.dim, d.m.dim, d.n.dim
-        # theta's row j * dn + t is theta(m_j (x) n_t), acting on x
-        acts = [x.action_of(d.theta.row(k)) for k in range(dm * dn)]
-        mats = [Matrix(F, dn, dx, tuple(e for t in range(dn) for e in acts[j * dn + t].row(i)))
-                for i in range(dx) for j in range(dm)]
+        # theta's row j * dn + t is theta(m_j (x) n_t), acting on x; row i of
+        # their actions side by side holds the matrices (i, j), one after another
+        side, size = side_by_side(x, d.theta).entries, dn * dx
+        mats = [Matrix(F, dn, dx, side[k * size:(k + 1) * size]) for k in range(dx * dm)]
         v_mat_rows = self.G.coords(x, mats)
         W = self.F.relations(x)
         if not (W.basis @ v_mat_rows).is_zero:
@@ -381,7 +382,7 @@ def mv_data_from_spec(spec, field) -> MVData:
     def build_bimodule(bspec, left_alg, right_alg) -> Bimodule:
         dim = bspec.dim
 
-        def mats(raw: dict, alg: Algebra, which: str) -> tuple[Matrix, ...]:
+        def action(raw: dict, alg: Algebra, which: str) -> RightModule:
             out = []
             for label in alg.basis_labels:
                 if label not in raw:
@@ -389,19 +390,15 @@ def mv_data_from_spec(spec, field) -> MVData:
                 rows = raw[label]
                 if len(rows) != dim:
                     raise MVDataError(f"{which} action for {label}: expected {dim} rows")
-                out.append(Matrix.from_rows(field, rows, cols=dim))
+                out.extend(Matrix.from_rows(field, rows, cols=dim).entries)
             unknown = set(raw) - set(alg.basis_labels)
             if unknown:
                 raise MVDataError(f"{which} action names unknown basis elements {sorted(unknown)}")
-            return tuple(out)
+            return RightModule(alg, dim, Matrix(field, alg.dim * dim, dim, tuple(out)))
 
-        return Bimodule(
-            left_algebra=left_alg,
-            right_algebra=right_alg,
-            dim=dim,
-            left_action=mats(bspec.left, left_alg, "left"),
-            right_action=mats(bspec.right, right_alg, "right"),
-        )
+        # the left action is a right module over the opposite algebra
+        return Bimodule(left_alg, right_alg, dim, action(bspec.left, opposite(left_alg), "left"),
+                        action(bspec.right, right_alg, "right"))
 
     m = build_bimodule(spec.m, u_alg, z_alg)
     n = build_bimodule(spec.n, z_alg, u_alg)

@@ -44,6 +44,7 @@ from .modules import (
     corner_bimodules,
     quotient_module,
     restrict_scalars,
+    side_by_side,
     submodule,
     times,
 )
@@ -150,8 +151,7 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
     elif len(data.vertices) == len(a.vertex_names):
         degenerate = "zero-Z"
 
-    e_a_rows, a_e_rows = data.e_a.row_list(), data.a_e.row_list()
-    de, na = len(e_a_rows), len(a_e_rows)
+    de, na = data.e_a.rows, data.a_e.rows
 
     # e as a 1 x de row over the basis of eA, and as a 1 x na row over Ae
     e_row = Matrix(F, 1, a.dim, e)
@@ -167,7 +167,7 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
 
     @functools.cache
     def restrict_space(m: RightModule) -> Subspace:
-        return times(m, [e])  # M e
+        return times(m, e_row)  # M e
 
     @functools.cache
     def j_restrict_obj(m: RightModule) -> RightModule:
@@ -187,7 +187,7 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
 
     @functools.cache
     def killed_space(m: RightModule) -> Subspace:
-        return times(m, e_a_rows)  # M e A
+        return times(m, data.e_a)  # M e A
 
     @functools.cache
     def i_left_obj(m: RightModule) -> RightModule:
@@ -201,7 +201,7 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
 
     @functools.cache
     def sub_space(m: RightModule) -> Subspace:
-        return annihilator(m, a_e_rows)  # {v : v A e = 0}
+        return annihilator(m, data.a_e)  # {v : v A e = 0}
 
     @functools.cache
     def i_right_obj(m: RightModule) -> RightModule:
@@ -246,9 +246,8 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
         src_u = j_restrict_obj(m)
         BM = restrict_space(m).basis
         dx = src_u.dim
-        acts = [m.action_of(x) for x in e_a_rows]
-        big = Matrix(F, dx * de, m.dim,
-                     tuple(x for i in range(dx) for act in acts for x in act.apply_row(BM.row(i))))
+        # row i of BM times the actions of eA side by side is the rows (i, t)
+        big = Matrix(F, dx * de, m.dim, (BM @ side_by_side(m, data.e_a)).entries)
         W = tensor.relations(src_u)
         if not (W.basis @ big).is_zero:
             raise InvariantError("counit not well defined on the tensor quotient")
@@ -258,9 +257,8 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
     def unit_jr(m: RightModule) -> ModuleMap:
         # m |-> (ae |-> m*(ae)) in Hom_Gamma(Ae, Me)
         mu = j_restrict_obj(m)
-        acts = [m.action_of(x) for x in a_e_rows]
         # row (i, t) is e_i * (Ae row t), written in the basis of M e by one solve
-        rows = tuple(x for i in range(m.dim) for t in range(na) for x in acts[t].row(i))
+        rows = side_by_side(m, data.a_e).entries
         coords = restrict_space(m).basis.solve_left(Matrix(F, m.dim * na, m.dim, rows))
         block = na * mu.dim
         mats = [Matrix(F, na, mu.dim, coords.entries[i * block:(i + 1) * block]) for i in range(m.dim)]

@@ -483,7 +483,7 @@ class Stratification:
             if not is_isomorphic(cat, top(mod)[0], lb).isomorphic:
                 raise StratificationError(f"{name}({fam.vertex}) does not have simple top L({fam.vertex})")
         for name, mod in (("costd", fam.costd), ("proper_costd", fam.proper_costd)):
-            soc, _ = submodule(mod, annihilator(mod, self.algebra.radical.basis.row_list()))
+            soc, _ = submodule(mod, annihilator(mod, self.algebra.radical.basis))
             if not is_isomorphic(cat, soc, lb).isomorphic:
                 raise StratificationError(f"{name}({fam.vertex}) does not have simple socle L({fam.vertex})")
 
@@ -622,7 +622,7 @@ def porism_check(s: Stratification, b: str) -> PorismResult:
     p_b, _ = projective_module(s.algebra, b)
     outside = [v for v in s.algebra.vertex_names if not s.poset.leq(s.rho[v], lam)]
     e = s.algebra.idempotent_sum(outside)
-    w = times(p_b, s.algebra.left_mult_matrix(e).row_list())  # P(b) e A
+    w = times(p_b, s.algebra.left_mult_matrix(e))  # P(b) e A
     q_mod, _ = submodule(p_b, w)
     quo, _ = quotient_module(p_b, w)
     fams = s.standard_objects()

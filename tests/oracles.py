@@ -52,6 +52,14 @@ field and meant for tiny inputs only.
   eAe and A/AeA as they were before one writer wrote both tables, each
   with its own coordinate solve and assembly, the corner's basis grown
   one vector at a time.
+* ``reference_submodule``, ``reference_quotient_module``,
+  ``reference_restrict_scalars``, ``reference_times``,
+  ``reference_annihilator``, ``reference_direct_sum``,
+  ``reference_dual_module`` and ``reference_element_map_from_projective``:
+  the module constructors as they were while a module kept one action
+  matrix per algebra basis element, each block computed on its own (a
+  product or a combination per element), then stacked
+  (``module_from_blocks``).
 * ``reference_matmul``, ``reference_apply_row``, ``reference_rref``,
   ``reference_solve_left``, ``reference_left_kernel`` and
   ``reference_kron``: the linear-algebra kernel as it was with two
@@ -61,6 +69,7 @@ field and meant for tiny inputs only.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Sequence
 
@@ -133,7 +142,7 @@ def ext1_dimension_by_enumeration(m, n) -> int:
             return False
         for i in range(da):
             for j in range(da):
-                lhs = C[i] @ n.action[j] + m.action[i] @ C[j]
+                lhs = C[i] @ n.block(j) + m.block(i) @ C[j]
                 rhs = Matrix.zero(F, dm, dn)
                 for k, c in enumerate(A.mult[i][j]):
                     if c != F.zero:
@@ -152,7 +161,7 @@ def ext1_dimension_by_enumeration(m, n) -> int:
     for hflat in itertools.product(range(F.p), repeat=dm * dn):
         h = Matrix(F, dm, dn, tuple(F.of(x) for x in hflat))
         key = tuple(
-            (h @ n.action[k] - m.action[k] @ h).entries for k in range(da)
+            (h @ n.block(k) - m.block(k) @ h).entries for k in range(da)
         )
         cob.add(key)
     ncob = len(cob)
@@ -272,7 +281,7 @@ def mv_subobject_pairs(cat, t):
             seen.add(space)
             closed = True
             for k in range(mod.algebra.dim):
-                img = space.basis @ mod.action[k]
+                img = space.basis @ mod.block(k)
                 if not all(space.contains(img.row(i)) for i in range(img.rows)):
                     closed = False
                     break
@@ -411,11 +420,109 @@ def corner_bimodule_is_projective(s, lam: str, side: str) -> bool:
     """
     data = s.principal_recollement(lam).data
     gamma = data.corner.algebra
-    if side == "j_!":
-        bim = RightModule(opposite(gamma), data.ea.dim, data.ea.left_action)
-    else:
-        bim = RightModule(gamma, data.ae.dim, data.ae.right_action)
+    bim = data.ea.left if side == "j_!" else data.ae.right
+    assert bim.algebra == (opposite(gamma) if side == "j_!" else gamma)
     return projective_cover(bim).projective.dim == bim.dim
+
+
+# -- the module constructors, one block per algebra basis element -------------
+
+
+@functools.cache
+def reference_blocks(m: RightModule) -> tuple[Matrix, ...]:
+    """The action matrix of each basis element, sliced out of the stack
+    (kept per module value, for the tests' speed only)."""
+    d = m.dim
+    return tuple(Matrix(m.algebra.field, d, d, m.action.entries[k * d * d:(k + 1) * d * d])
+                 for k in range(m.algebra.dim))
+
+
+def module_from_blocks(algebra: Algebra, dim: int, blocks: Sequence[Matrix]) -> RightModule:
+    """The module on which basis element k acts by ``blocks[k]``."""
+    return RightModule(algebra, dim, Matrix(algebra.field, algebra.dim * dim, dim,
+                                            tuple(x for b in blocks for x in b.entries)))
+
+
+def reference_action_of(m: RightModule, a: Sequence) -> Matrix:
+    """The sum of the blocks scaled by the coordinates of ``a``."""
+    out = Matrix.zero(m.algebra.field, m.dim, m.dim)
+    for c, x in zip(a, reference_blocks(m)):
+        if c:
+            out = out + x.scale(c)
+    return out
+
+
+def reference_submodule(m: RightModule, space: Subspace) -> tuple[RightModule, ModuleMap]:
+    B, d, n = space.basis, space.dim, m.algebra.dim
+    acts = reference_blocks(m)
+    images = Matrix(B.field, n * d, m.dim, tuple(x for k in range(n) for x in (B @ acts[k]).entries))
+    try:
+        X = B.solve_left(images)
+    except InconsistentSystem:
+        raise ValueError("subspace not closed under the action") from None
+    mats = [Matrix(B.field, d, d, X.entries[k * d * d:(k + 1) * d * d]) for k in range(n)]
+    sub = module_from_blocks(m.algebra, d, mats)
+    return sub, ModuleMap(sub, m, B)
+
+
+def reference_restrict_scalars(m: RightModule, algebra: Algebra, rows: Matrix) -> RightModule:
+    return module_from_blocks(algebra, m.dim, [reference_action_of(m, rows.row(k)) for k in range(algebra.dim)])
+
+
+def reference_quotient_module(m: RightModule, space: Subspace) -> tuple[RightModule, ModuleMap]:
+    proj, sec = space.quotient_maps()
+    quo = module_from_blocks(m.algebra, proj.cols, [sec @ act @ proj for act in reference_blocks(m)])
+    return quo, ModuleMap(m, quo, proj)
+
+
+def reference_direct_sum(mods: Sequence[RightModule]) -> tuple[RightModule, list[ModuleMap], list[ModuleMap]]:
+    A = mods[0].algebra
+    F = A.field
+    dims = [m.dim for m in mods]
+    total = sum(dims)
+    offsets = [sum(dims[:i]) for i in range(len(mods))]
+    blocks = [reference_blocks(m) for m in mods]
+    mats = []
+    for k in range(A.dim):
+        ent = []
+        for mi, m in enumerate(mods):
+            left, right = (F.zero,) * offsets[mi], (F.zero,) * (total - offsets[mi] - m.dim)
+            for r in range(m.dim):
+                ent.extend(left + blocks[mi][k].row(r) + right)
+        mats.append(Matrix(F, total, total, tuple(ent)))
+    big = module_from_blocks(A, total, mats)
+    unit = Matrix.identity(F, total)
+    injs, projs = [], []
+    for mi, m in enumerate(mods):
+        lo, hi = offsets[mi], offsets[mi] + m.dim
+        inj = Matrix(F, m.dim, total, unit.entries[lo * total:hi * total])
+        injs.append(ModuleMap(m, big, inj))
+        projs.append(ModuleMap(big, m, inj.transpose()))
+    return big, injs, projs
+
+
+def reference_times(m: RightModule, elements: Matrix) -> Subspace:
+    acts = [reference_action_of(m, s) for s in elements.row_list()]
+    ent = tuple(x for act in acts for x in act.entries)
+    return Matrix(m.algebra.field, len(acts) * m.dim, m.dim, ent).row_space()
+
+
+def reference_annihilator(m: RightModule, elements: Matrix) -> Subspace:
+    acts = [reference_action_of(m, s) for s in elements.row_list()]
+    ent = tuple(x for i in range(m.dim) for act in acts for x in act.row(i))
+    return Matrix(m.algebra.field, m.dim, len(acts) * m.dim, ent).left_kernel()
+
+
+def reference_dual_module(m: RightModule) -> RightModule:
+    return module_from_blocks(opposite(m.algebra), m.dim, [a.transpose() for a in reference_blocks(m)])
+
+
+def reference_element_map_from_projective(
+    pv: RightModule, incl_rows: Matrix, target: RightModule, u: Sequence
+) -> Matrix:
+    ent = tuple(x for t in range(incl_rows.rows)
+                for x in reference_action_of(target, incl_rows.row(t)).apply_row(u))
+    return Matrix(target.algebra.field, incl_rows.rows, target.dim, ent)
 
 
 class ReferenceField:

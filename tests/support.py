@@ -103,6 +103,30 @@ def auslander_algebra(n: int) -> Presentation:
     return Presentation.from_names(Quiver(vs, arrows), rels)
 
 
+def path_spec(n: int) -> dict:
+    """The linearly oriented path algebra A_n over GF(3), in the JSON input
+    format: arrows a_i from i to i + 1 and no relations."""
+    return {"field": {"kind": "GF", "p": 3},
+            "quiver": {"vertices": [str(i) for i in range(1, n + 1)],
+                       "arrows": [{"name": f"a{i}", "from": str(i), "to": str(i + 1)} for i in range(1, n)]},
+            "relations": []}
+
+
+def count_calls(monkeypatch, owner, name) -> list:
+    """Count the calls of ``owner.name`` for the rest of the test (and unset
+    ``STRATAKIT_SEED``, so a CLI run counts the same work everywhere)."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    monkeypatch.delenv("STRATAKIT_SEED", raising=False)
+    return calls
+
+
 def stratification_of(spec: AlgebraSpec, check: bool = True) -> Stratification:
     """The stratification of a parsed stratified input, its structure
     checks run only if ``check``."""

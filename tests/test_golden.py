@@ -46,6 +46,8 @@ from stratakit.linalg import Matrix, Subspace
 from stratakit.modules import RightModule
 from stratakit.strat import Stratification
 
+from support import count_calls, path_spec
+
 GOLDEN = Path(__file__).parent / "golden"
 STRATIFIED = ("fix_a3", "fix_nak")
 MODES = ("recollement", "simples", "porism", "eps", "hw", "homological")
@@ -139,20 +141,6 @@ def test_eps_on_c3_over_q_hashes_each_value_once(monkeypatch):
     assert len(computed) <= 3300
 
 
-def count_calls(monkeypatch, owner, name) -> list:
-    """Count the calls of ``owner.name`` for the rest of the test."""
-    calls = []
-    original = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
-    monkeypatch.delenv("STRATAKIT_SEED", raising=False)
-    return calls
-
-
 def test_validate_reads_basis_products_off_the_table(tmp_path, monkeypatch):
     """A work counter: validating the linearly oriented A_6 over GF(3)
     (dimension 21) reads the products of basis elements off the structure
@@ -160,12 +148,8 @@ def test_validate_reads_basis_products_off_the_table(tmp_path, monkeypatch):
     21^3 associativity triples took three), and 5,916 sparse sums of
     products (19,986 when the associativity check also ran the triples
     whose two inner products are both zero)."""
-    spec = {"field": {"kind": "GF", "p": 3},
-            "quiver": {"vertices": [str(i) for i in range(1, 7)],
-                       "arrows": [{"name": f"a{i}", "from": str(i), "to": str(i + 1)} for i in range(1, 6)]},
-            "relations": []}
     path = tmp_path / "a6.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(path_spec(6)))
     calls = count_calls(monkeypatch, Algebra, "mul_vec")
     sums = count_calls(monkeypatch, Algebra, "sum_of_products")
     with contextlib.redirect_stdout(io.StringIO()):
@@ -224,22 +208,31 @@ def test_corpus_solves_against_reduced_bases_by_their_pivots(monkeypatch):
     coordinates off its pivots instead of eliminating [A | I], and an
     elimination is kept on the matrix it reduced.  No ``solve_left``
     takes the [A | I] route (the only ``hstack`` in ``linalg``), so each of
-    the 6 ``hstack`` calls left glues a universal extension, and the run
-    makes about 25,700 matrices.  There were 1,763 ``hstack`` calls and
-    36,644 matrices when every solve eliminated [A | I] and nothing kept
-    its RREF, and 12 ``hstack`` calls while each extension was pushed out
-    along a kernel module."""
+    the 6 ``hstack`` calls left glues a universal extension.  There were
+    1,763 ``hstack`` calls and 36,644 matrices when every solve eliminated
+    [A | I] and nothing kept its RREF, and 12 ``hstack`` calls while each
+    extension was pushed out along a kernel module.
+
+    A module keeps its action as one matrix, so each constructor is one
+    product or elimination, and comparing two modules compares one matrix:
+    the run makes 24,410 matrices, 7,209 products and 6,271 matrix
+    comparisons (25,509, 9,429 and 11,889 with one matrix per algebra
+    basis element)."""
     callers = []
     hstack = Matrix.hstack
     monkeypatch.setattr(Matrix, "hstack",
                         lambda a, b: callers.append(sys._getframe(1).f_code.co_name) or hstack(a, b))
     matrices = count_calls(monkeypatch, Matrix, "__init__")
+    products = count_calls(monkeypatch, Matrix, "__matmul__")
+    comparisons = count_calls(monkeypatch, Matrix, "__eq__")
     code, out, _ = run_counting(monkeypatch, ["corpus", "--seed", "11"])
     assert out == (GOLDEN / "corpus.seed11.json").read_text()
     assert code == 0
     assert "solve_left" not in callers
     assert len(callers) <= 6
     assert len(matrices) <= 27_000
+    assert len(products) <= 7_600
+    assert len(comparisons) <= 6_600
 
 
 def test_eps_asks_each_sign_independent_question_once(tmp_path, monkeypatch):

@@ -83,7 +83,7 @@ def test_minimality_differentials_in_radical(a2, nak):
         s = simple_module(alg, v)
         res = projective_resolution(s, 3)
         for i, d in enumerate(res.differentials, start=1):
-            rad = times(res.terms[i - 1], alg.radical.basis.row_list())
+            rad = times(res.terms[i - 1], alg.radical.basis)
             assert rad.contains_space(d.mat.row_space())
 
 

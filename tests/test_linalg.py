@@ -356,7 +356,7 @@ def _field_hash(x):
 def _values(name):
     a = build_algebra(load_fixture(name))
     m = regular_module(a)
-    return [m.action[-1], a.radical, a, m]
+    return [m.block(a.dim - 1), a.radical, a, m]
 
 
 def test_hash_is_the_dataclass_hash_and_equal_values_hash_alike():
@@ -425,12 +425,13 @@ def test_entries_are_hashed_once():
     m = Matrix(GF2, 2, 2, (one, zero, zero, one))
     u = Subspace(2, m, (0, 1))
     a = Algebra(GF2, ("e",), (((one,),),), (one,), (0,), ("v",), Subspace(1, Matrix(GF2, 0, 1, ()), ()))
-    mod = RightModule(a, 2, (m,))
+    mod = RightModule(a, 2, m)  # a is one-dimensional: its one block is m
     CountingInt.calls = 0
     for _ in range(3):
         hash(m), hash(u), hash(a), hash(mod)
         {m: 0, u: 0, a: 0, mod: 0}
-    # the four entries of m and the two of a (its table and its unit), each once
+    # the four entries of m (also the action of mod) and the two of a (its
+    # table and its unit), each once per instance
     assert CountingInt.calls == 4 + 2
 
 

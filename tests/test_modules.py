@@ -1,11 +1,15 @@
+import functools
 import itertools
+import json
 import random
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
-from stratakit.algebra import corner_algebra, opposite, quotient_by_idempotent_ideal
+from stratakit.algebra import build_bound_quiver_algebra, corner_algebra, opposite, quotient_by_idempotent_ideal
 from stratakit.category import ModuleCategory, is_isomorphic
+from stratakit.corpus import corpus_index
 from stratakit.linalg import GF2, GF3, QQ, Matrix
 from stratakit.modules import (
     ModuleMap,
@@ -14,6 +18,7 @@ from stratakit.modules import (
     cokernel,
     direct_sum,
     dual_module,
+    element_map_from_projective,
     hom_basis,
     hom_combinations,
     identity_map,
@@ -34,7 +39,18 @@ from stratakit.modules import (
 )
 from stratakit.specfile import build_algebra, parse_spec
 
-from support import fixture_algebras, full, load_fixture, span
+from oracles import (
+    reference_action_of,
+    reference_annihilator,
+    reference_direct_sum,
+    reference_dual_module,
+    reference_element_map_from_projective,
+    reference_quotient_module,
+    reference_restrict_scalars,
+    reference_submodule,
+    reference_times,
+)
+from support import auslander_algebra, fixture_algebras, full, generated_specs, load_fixture, span
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +132,7 @@ def test_yoneda_random_modules(a2):
     for v, idx in zip(a2.vertex_names, a2.idempotent_indices):
         p, _ = projective_module(a2, v)
         for m in mods:
-            assert len(hom_basis(p, m)) == m.action[idx].rank()
+            assert len(hom_basis(p, m)) == m.block(idx).rank()
 
 
 def test_ksproj_dimension_pattern(a2, nak, a3):
@@ -159,7 +175,7 @@ def test_nonzero_map_p2_to_p1(a2):
 
 def test_structural_series_a2(a2):
     p1, _ = projective_module(a2, "1")
-    rad = a2.radical.basis.row_list()
+    rad = a2.radical.basis
     assert times(p1, rad).dim == 1
     assert is_isomorphic(ModuleCategory(a2), top(p1)[0], simple_module(a2, "1")).isomorphic
     soc, _ = submodule(p1, annihilator(p1, rad))
@@ -168,7 +184,7 @@ def test_structural_series_a2(a2):
 
 def test_structural_series_semisimple(a2):
     s1 = simple_module(a2, "1")
-    rad = a2.radical.basis.row_list()
+    rad = a2.radical.basis
     assert times(s1, rad).dim == 0
     assert top(s1)[0].dim == 1
     assert annihilator(s1, rad).dim == 1
@@ -176,7 +192,7 @@ def test_structural_series_semisimple(a2):
 
 def test_structural_series_dual_numbers(dual):
     reg = regular_module(dual)
-    rad = dual.radical.basis.row_list()
+    rad = dual.radical.basis
     assert times(reg, rad).dim == 1
     assert annihilator(reg, rad).dim == 1
     assert times(reg, rad) == annihilator(reg, rad)
@@ -266,7 +282,7 @@ def test_dual_module_roundtrip(a2):
 
 def test_quotient_and_submodule_consistency(a2):
     reg = regular_module(a2)
-    rad = times(reg, a2.radical.basis.row_list())
+    rad = times(reg, a2.radical.basis)
     sub, incl = submodule(reg, rad)
     quo, proj = quotient_module(reg, rad)
     assert sub.dim + quo.dim == reg.dim
@@ -296,9 +312,9 @@ def test_action_of_sums_only_the_nonzero_terms(a2):
     reg = regular_module(a2)
     F = a2.field
     for k in range(a2.dim):
-        assert reg.action_of(a2.basis_vec(k)) is reg.action[k]
+        assert reg.action_of(a2.basis_vec(k)) is reg.block(k)
     assert reg.action_of(a2.zero_vec()) == Matrix.zero(F, reg.dim, reg.dim)
-    assert reg.action_of(a2.unit) == reg.action[0] + reg.action[1] == Matrix.identity(F, reg.dim)
+    assert reg.action_of(a2.unit) == reg.block(0) + reg.block(1) == Matrix.identity(F, reg.dim)
 
 
 def test_universal_property_probes(a2):
@@ -458,7 +474,7 @@ def test_restrict_scalars_along_quotient_projection(a3):
                     assert m.action_of(a3.unit) == Matrix.identity(F, m.dim)
                     for i in range(a3.dim):
                         for j in range(a3.dim):
-                            assert m.action[i] @ m.action[j] == m.action_of(a3.mult[i][j])
+                            assert m.block(i) @ m.block(j) == m.action_of(a3.mult[i][j])
 
 
 def _rule_cases():
@@ -486,20 +502,19 @@ def test_times_and_annihilator_follow_their_definitions():
     fields = set()
     for b, mods in _rule_cases():
         fields.add(b.field)
-        rad = b.radical.basis.row_list()
-        element_sets = [rad]
+        element_sets = [b.radical.basis]
         for v in b.vertex_names:
             e = b.idempotent_vec(v)
-            element_sets += [[e], b.left_mult_matrix(e).row_space().basis.row_list(),
-                       b.right_mult_matrix(e).row_space().basis.row_list()]
+            element_sets += [Matrix(b.field, 1, b.dim, e), b.left_mult_matrix(e).row_space().basis,
+                             b.right_mult_matrix(e).row_space().basis]
         for m in mods:
             F = m.algebra.field
-            assert times(m, []) == span(F, [], m.dim)
-            assert annihilator(m, []) == full(F, m.dim)
+            assert times(m, Matrix(F, 0, b.dim, ())) == span(F, [], m.dim)
+            assert annihilator(m, Matrix(F, 0, b.dim, ())) == full(F, m.dim)
             for elements in element_sets:
-                if not elements or m.dim == 0:
+                if not elements.rows or m.dim == 0:
                     continue
-                acts = [m.action_of(s) for s in elements]
+                acts = [m.action_of(s) for s in elements.row_list()]
                 # M·S: every v·s, for v a basis vector, and nothing more
                 products = _stacked(acts, side_by_side=False)
                 assert times(m, elements) == span(F, products.row_list(), m.dim)
@@ -518,16 +533,17 @@ def test_the_recollement_spaces_are_the_two_rules():
     for b, mods in _rule_cases():
         for v in b.vertex_names:
             e = b.idempotent_vec(v)
-            e_a = b.left_mult_matrix(e).row_space().basis.row_list()
-            a_e = b.right_mult_matrix(e).row_space().basis.row_list()
+            e_a = b.left_mult_matrix(e).row_space().basis
+            a_e = b.right_mult_matrix(e).row_space().basis
             for m in mods:
                 if m.dim == 0:
                     continue
                 act_e = m.action_of(e)
-                trace = _stacked([act_e @ x for x in m.action], side_by_side=False).row_space()
+                blocks = [m.block(k) for k in range(b.dim)]
+                trace = _stacked([act_e @ x for x in blocks], side_by_side=False).row_space()
                 assert times(m, e_a) == trace
-                assert times(m, b.left_mult_matrix(e).row_list()) == trace
-                killed = _stacked([x @ act_e for x in m.action], side_by_side=True).left_kernel()
+                assert times(m, b.left_mult_matrix(e)) == trace
+                killed = _stacked([x @ act_e for x in blocks], side_by_side=True).left_kernel()
                 assert annihilator(m, a_e) == killed
 
 
@@ -549,3 +565,109 @@ def test_top_and_simples_compute_no_socle(monkeypatch):
                 head, proj = top(m)
                 assert proj.source == m and proj.target == head and proj.is_surjective()
     assert kernels == []
+
+
+# -- the one action matrix against the per-element references -----------------
+
+
+def _differential_algebras():
+    """Every bundled fixture and golden input, 60 generated inputs and the
+    Auslander algebras Λ_2..Λ_4, each over GF(3) and over Q where it is
+    admissible and finite-dimensional there."""
+    golden = sorted((Path(__file__).parent / "golden").glob("*.input.json"))
+    presentations = ([load_fixture(e.name).presentation for e in corpus_index() if e.expect_error is None]
+                     + [parse_spec(json.loads(p.read_text())).presentation for p in golden]
+                     + [parse_spec(data).presentation for data in generated_specs(101, 60)]
+                     + [auslander_algebra(n) for n in (2, 3, 4)])
+    for pres in presentations:
+        for F in (GF3, QQ):
+            try:
+                yield build_bound_quiver_algebra(pres, F)
+            except ValueError:
+                continue
+
+
+def _differential_modules(a):
+    """The standard samples, their tops, and the kernel and image of the
+    sum of the hom basis P(v) -> I(v) at each vertex."""
+    samples = [x for _, x in ModuleCategory(a).standard_samples()]
+    mods = samples + [top(x)[0] for x in samples]
+    for v in a.vertex_names:
+        basis = hom_basis(projective_module(a, v)[0], injective_module(a, v))
+        f = functools.reduce(ModuleMap.__add__, basis)
+        mods += [kernel(f)[0], image(f)[0]]
+    return list(dict.fromkeys(mods))
+
+
+def _same_outcome(new, ref):
+    """Both calls return equal values, or both raise ``ValueError``."""
+    try:
+        want = ref()
+    except ValueError:
+        with pytest.raises(ValueError):
+            new()
+        return
+    assert new() == want
+
+
+def test_constructors_match_the_per_element_references():
+    """Differential: every constructor that writes the one action matrix
+    gives the modules, maps and subspaces that computing one block per
+    algebra basis element gave (the references in oracles.py)."""
+    algebras = modules_checked = 0
+    for a in _differential_algebras():
+        algebras += 1
+        F = a.field
+        # eAe and A/AeA at the last vertex: restricting along the corner's
+        # embedding and the quotient's section
+        last = a.vertex_names[-1:]
+        along = [(d.algebra, d.embed) for d in [corner_algebra(a, last)]]
+        along += [(d.algebra, d.section) for d in [quotient_by_idempotent_ideal(a, last)]]
+        e = a.idempotent_sum(last)
+        element_sets = [a.radical.basis, Matrix(F, 0, a.dim, ()), Matrix(F, 1, a.dim, e),
+                        a.left_mult_matrix(e).row_space().basis, a.right_mult_matrix(e).row_space().basis]
+        mods = _differential_modules(a)
+        for m in mods:
+            modules_checked += 1
+            assert m.action_of(a.unit) == reference_action_of(m, a.unit)
+            assert dual_module(m) == reference_dual_module(m)
+            spaces = []
+            for elements in element_sets:
+                spaces += [times(m, elements), annihilator(m, elements)]
+                assert spaces[-2:] == [reference_times(m, elements), reference_annihilator(m, elements)]
+            # the radical and the socle, M e (not closed in general), M e A and {v : v A e = 0}
+            for space in (spaces[0], spaces[1], spaces[4], spaces[6], spaces[9]):
+                _same_outcome(lambda: submodule(m, space), lambda: reference_submodule(m, space))
+                _same_outcome(lambda: quotient_module(m, space), lambda: reference_quotient_module(m, space))
+            for b, rows in along:
+                assert restrict_scalars(m, b, rows) == reference_restrict_scalars(m, b, rows)
+            for v in a.vertex_names:
+                pv, incl = projective_module(a, v)
+                for u in m.action_of(a.idempotent_vec(v)).row_list():
+                    assert (element_map_from_projective(pv, incl.mat, m, u)
+                            == reference_element_map_from_projective(pv, incl.mat, m, u))
+        assert direct_sum(mods) == reference_direct_sum(mods)
+        assert direct_sum(mods[:2]) == reference_direct_sum(mods[:2])
+    assert algebras > 100 and modules_checked > 1000
+
+
+def test_a_quotient_is_one_product_and_a_submodule_two(monkeypatch):
+    """Whatever the algebra's dimension, ``quotient_module`` makes one
+    product (the non-pivot rows of every block times the projection) and
+    ``submodule`` two (the basis times the blocks side by side, and
+    ``solve_left``'s check), not one or two per algebra basis element."""
+    products = []
+    real = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__", lambda x, y: products.append(None) or real(x, y))
+    dims = set()
+    for a in [*fixture_algebras(), *(build_bound_quiver_algebra(auslander_algebra(n), GF3) for n in (3, 4))]:
+        dims.add(a.dim)
+        for m in [regular_module(a)] + [projective_module(a, v)[0] for v in a.vertex_names]:
+            rad = times(m, a.radical.basis)
+            products.clear()
+            quotient_module(m, rad)
+            assert len(products) == 1
+            products.clear()
+            submodule(m, rad)
+            assert len(products) == 2
+    assert max(dims) >= 20 and len(dims) >= 5

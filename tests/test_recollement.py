@@ -252,7 +252,7 @@ def test_largest_quotient_characterization():
         mea = eta.mat.left_kernel()
         act_e = m.action_of(data.e)
         for k in range(m.dim):
-            row_space = act_e @ m.action[k]
+            row_space = act_e @ m.block(k)
             assert mea.contains_space(row_space.row_space())
 
 
@@ -270,13 +270,13 @@ def test_smallest_submodule_with_killed_quotient():
         act_e = m.action_of(data.e)
         mea_vecs = []
         for k in range(a.dim):
-            mea_vecs.extend((act_e @ m.action[k]).row_list())
+            mea_vecs.extend((act_e @ m.block(k)).row_list())
         mea = span(a.field, mea_vecs, m.dim)
         # enumerate all submodules of m (dim 2 over GF(2): tiny)
         for rows in itertools.product(itertools.product(range(2), repeat=m.dim), repeat=m.dim):
             space = span(a.field, list(rows), m.dim)
             closed = all(
-                space.contains((space.basis @ m.action[k]).row(i))
+                space.contains((space.basis @ m.block(k)).row(i))
                 for k in range(a.dim)
                 for i in range(space.dim)
             )
@@ -290,7 +290,7 @@ def test_smallest_submodule_with_killed_quotient():
         for rows in itertools.product(itertools.product(range(2), repeat=m.dim), repeat=m.dim):
             space = span(a.field, list(rows), m.dim)
             closed = all(
-                space.contains((space.basis @ m.action[k]).row(i))
+                space.contains((space.basis @ m.block(k)).row(i))
                 for k in range(a.dim)
                 for i in range(space.dim)
             )

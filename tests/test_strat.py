@@ -415,10 +415,10 @@ def composition_profile(s, m):
     out = {lam: 0 for lam in s.poset.elements}
     current = m
     while current.dim > 0:
-        soc_space = annihilator(current, current.algebra.radical.basis.row_list())
+        soc_space = annihilator(current, current.algebra.radical.basis)
         soc, _ = submodule(current, soc_space)
         for v, idx in zip(s.algebra.vertex_names, s.algebra.idempotent_indices):
-            out[s.rho[v]] += soc.action[idx].rank()
+            out[s.rho[v]] += soc.block(idx).rank()
         current, _ = quotient_module(current, soc_space)
     return out
 
@@ -433,7 +433,7 @@ def profile_consistency_checks(s, m):
     prof = composition_profile(s, m)
     direct = {lam: 0 for lam in s.poset.elements}
     for v, idx in zip(s.algebra.vertex_names, s.algebra.idempotent_indices):
-        direct[s.rho[v]] += m.action[idx].rank()
+        direct[s.rho[v]] += m.block(idx).rank()
     if prof != direct:
         raise StratificationError(f"composition profiles disagree: {prof} vs {direct}")
     if sum(prof.values()) != m.dim:
