@@ -16,7 +16,7 @@ action matrices are exactly the right-multiplication slices of the table.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .linalg import Field, InconsistentSystem, Matrix, Subspace, Value
 
@@ -63,7 +63,7 @@ class Quiver(Value):
         raise KeyError(name)
 
 
-class Presentation(NamedTuple):
+class Presentation(Value):
     quiver: Quiver
     # each relation: tuple of (coefficient, arrow-index tuple); coefficients
     # are raw (int/str/Fraction) and coerced by the builder
@@ -369,7 +369,7 @@ def build_bound_quiver_algebra(pres: Presentation, field: Field) -> Algebra:
     return alg
 
 
-class ValidationReport(NamedTuple):
+class ValidationReport(Value):
     ok: bool
     issues: tuple[tuple[str, str], ...]  # (check name, witness)
 
@@ -452,7 +452,15 @@ def validate_algebra(a: Algebra) -> ValidationReport:
         if power.dim > 0:
             issues.append(("radical-nilpotent", f"rad^{k} still nonzero"))
 
-    # split semisimple quotient: e_v (A/rad) e_w is k for v=w, 0 otherwise
+    # split semisimple quotient: e_v (A/rad) e_w is k for v=w, 0 otherwise.
+    # When every check above passed, the e_v are orthogonal idempotents
+    # summing to 1 and rad is a two-sided ideal, so A/rad is the direct sum
+    # of the e_v (A/rad) e_w.  No e_v, a basis element, lies in the
+    # nilpotent rad (else e_v = e_v^k = 0), so every diagonal block is
+    # nonzero, and dim A - dim rad = number of vertices decides every pair
+    # at once.  Otherwise the pair loop runs and names each pair that fails.
+    if not issues and a.dim - rad.dim == len(a.vertex_names):
+        return ValidationReport(ok=True, issues=())
     proj, _ = a.radical.quotient_maps()
     for vi, v in enumerate(a.vertex_names):
         for wi, w in enumerate(a.vertex_names):
@@ -501,7 +509,7 @@ def _derived_algebra(a: Algebra, labels: Sequence[str], vertices: Sequence[str],
     return alg
 
 
-class CornerData(NamedTuple):
+class CornerData(Value):
     algebra: Algebra
     embed: Matrix          # corner dim x parent dim: corner basis as parent vectors
 
@@ -533,7 +541,7 @@ def corner_algebra(a: Algebra, vertices: Sequence[str]) -> CornerData:
     return CornerData(algebra=_derived_algebra(a, labels, subset, vectors, coords, "corner"), embed=embed)
 
 
-class QuotientData(NamedTuple):
+class QuotientData(Value):
     algebra: Algebra
     projection: Matrix     # parent dim x quotient dim
     section: Matrix        # quotient dim x parent dim

@@ -22,12 +22,11 @@ falsification event: it is reported, never auto-resolved.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple
 
 from .algebra import opposite
 from .category import solve_in_hom
 from .homological import ext, projective_resolution, reduce_cocycle
-from .linalg import Matrix
+from .linalg import Matrix, Value
 from .modules import (
     RightModule,
     dual_module,
@@ -45,7 +44,7 @@ from .strat import Poset, Stratification, StratificationError
 # -- exactness of the one-sided extension functors ---------------------------
 
 
-class ExactnessVerdict(NamedTuple):
+class ExactnessVerdict(Value):
     stratum: str
     exact: bool
     witness: dict | None       # lost-exactness data when not exact
@@ -106,7 +105,7 @@ def _exactness(s: Stratification, lam: str, side: str) -> ExactnessVerdict:
 # -- Ext comparison along a layer's i_* ---------------------------------------
 
 
-class ExtComparison(NamedTuple):
+class ExtComparison(Value):
     degree: int
     dim_source: int
     dim_target: int
@@ -157,7 +156,7 @@ def ext_comparison(r: Recollement, x: RightModule, y: RightModule, degree: int) 
 # -- k-homological stratifications --------------------------------------------
 
 
-class HomologicalVerdict(NamedTuple):
+class HomologicalVerdict(Value):
     holds: bool
     witness: dict | None
     checked_pairs: int
@@ -235,12 +234,12 @@ def sign_patterns(poset: Poset) -> list[dict[str, str]]:
     return [dict(zip(poset.elements, bits)) for bits in itertools.product("+-", repeat=len(poset.elements))]
 
 
-class RouteVerdict(NamedTuple):
+class RouteVerdict(Value):
     verdict: bool
     witness: dict | None
 
 
-class Decision(NamedTuple):
+class Decision(Value):
     """One decision reached by independent routes, keyed by route name in
     report order.  The routes must agree; a disagreement is reported by the
     caller, never resolved here."""

@@ -22,10 +22,9 @@ for glued tuples.
 from __future__ import annotations
 
 import random
-from typing import NamedTuple
 
 from .algebra import Algebra
-from .linalg import InconsistentSystem, Matrix, UndecidedIsomorphism
+from .linalg import InconsistentSystem, Matrix, UndecidedIsomorphism, Value
 from .modules import (
     ModuleMap,
     RightModule,
@@ -92,7 +91,7 @@ class ModuleCategory:
         return out
 
 
-class Functor(NamedTuple):
+class Functor(Value):
     """A computable functor: deterministic callables on objects and on
     morphisms, named as in ``TensorFunctor`` and ``HomFunctor``; ``F(x)``
     applies ``obj`` and ``F.map(f)`` applies ``mor``."""
@@ -123,7 +122,7 @@ def exact_at(f, g, mono: bool = False, epi: bool = False) -> bool:
             and (not epi or rg == g.target.dim))
 
 
-class ShortExactSequence(NamedTuple):
+class ShortExactSequence(Value):
     """0 -> sub -> middle -> quotient -> 0 in any category of the interface."""
 
     inclusion: object   # sub -> middle
@@ -168,7 +167,7 @@ def solve_in_hom(cat, source, target, compose, goal):
     return combine(sol.row(0), basis, cat.zero_mor(source, target))
 
 
-class IsoResult(NamedTuple):
+class IsoResult(Value):
     isomorphic: bool
     certificate: object | None  # explicit iso when YES
     reason: str                 # distinguishing invariant or search note

@@ -19,10 +19,10 @@ import json
 import os
 import sys
 import time
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .algebra import Algebra, AlgebraError, NonAdmissibleError, PossiblyInfiniteError
-from .linalg import UndecidedIsomorphism
+from .linalg import UndecidedIsomorphism, Value
 from .report import Check, Report, sha256_bytes
 from .specfile import AlgebraSpec, SpecError, build_algebra, load_spec, parse_spec
 
@@ -42,7 +42,7 @@ class UsageError(Exception):
     """A malformed command line or environment; reported in one line, exit 1."""
 
 
-class Session(NamedTuple):
+class Session(Value):
     """One input, built once: the algebra, its stratification (structure
     checks passed) and its gluing data, each None where the input has none
     or it failed validation.  Every check battery reads these, so their

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 from importlib import resources
-from typing import NamedTuple
+
+from .linalg import Value
 
 
-class CorpusEntry(NamedTuple):
+class CorpusEntry(Value):
     name: str
     file: str
     tags: tuple[str, ...]

@@ -9,10 +9,8 @@ makes class equality a representation equality for a fixed resolution.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .category import ModuleCategory, ShortExactSequence, solve_in_hom
-from .linalg import InvariantError, Matrix, Subspace
+from .linalg import InvariantError, Matrix, Subspace, Value
 from .modules import (
     ModuleMap,
     RightModule,
@@ -27,7 +25,7 @@ from .modules import (
 )
 
 
-class Resolution(NamedTuple):
+class Resolution(Value):
     """P_n -> ... -> P_0 -> M -> 0 (exact), with minimal P_i."""
 
     module: RightModule
@@ -75,7 +73,7 @@ def projective_resolution(m: RightModule, length: int) -> Resolution:
     return res
 
 
-class ExtClass(NamedTuple):
+class ExtClass(Value):
     """Degree-n class represented by a reduced cocycle P_n -> target."""
 
     degree: int
@@ -84,7 +82,7 @@ class ExtClass(NamedTuple):
     cocycle: ModuleMap  # P_degree -> target, reduced modulo coboundaries
 
 
-class ExtSpace(NamedTuple):
+class ExtSpace(Value):
     degree: int
     source: RightModule
     target: RightModule
@@ -183,7 +181,7 @@ def _connecting_map(ses: ShortExactSequence, res: Resolution) -> ModuleMap:
     return ModuleMap(res.term(1), ses.sub, ses.inclusion.mat.solve_left(g.mat))
 
 
-class UniversalExtension(NamedTuple):
+class UniversalExtension(Value):
     multiplicities: tuple[int, ...]
     middle: RightModule  # E in 0 -> sum of B_i^{d_i} -> E -> M -> 0
 

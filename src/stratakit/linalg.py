@@ -39,12 +39,15 @@ Conventions:
 * A basis chosen from candidates is read off the pivots of one
   elimination (``Matrix.independent_rows``), never grown one vector at a
   time: the candidates outside the span of those before them.
-* Records are ``typing.NamedTuple``s.  The value types that validate, hash
-  once or are mutated (``Matrix``, ``Subspace``, ``algebra.Algebra``,
-  ``modules.RightModule`` and nine more) subclass ``Value``, which reads
-  their fields off the class annotations when the class is created: no
-  ``dataclasses``, whose generated methods and ``inspect`` import would
-  cost every start of the command line.  The frozen ones hash once:
+* Every record and value type (``Matrix``, ``Subspace``,
+  ``algebra.Algebra``, ``modules.RightModule``, the results of the checks)
+  subclasses ``Value``, which reads its fields off the class annotations
+  when the class is created.  Neither ``dataclasses`` nor
+  ``typing.NamedTuple``: the one's generated methods and ``inspect``
+  import, and the other's ``exec``'d ``__new__`` and one compiled
+  ``ForwardRef`` per annotation, would cost every start of the command
+  line.  A record is no tuple: it is neither unpacked nor indexed, and it
+  equals only a record of its own class.  The frozen ones hash once:
   ``cached_hash`` keeps the hash on the instance, so a memo keyed by a
   module does not re-hash its algebra's multiplication table on every
   lookup.
@@ -79,9 +82,10 @@ class UndecidedIsomorphism(RuntimeError):
 
 def cached_hash(self) -> int:
     """``__hash__`` of a frozen ``Value``, computed on first use and kept on
-    the instance: hash of its ``_key``, the tuple of its fields (every value
-    type has two or more) that ``==`` compares.  Like any hash of a string,
-    it is valid in this process only."""
+    the instance: hash of its ``_key``, what ``==`` compares: the tuple of
+    its fields, or the field itself for a one-field type (``attrgetter`` of
+    one name), which ``==`` compares the same way.  Like any hash of a
+    string, it is valid in this process only."""
     h = self.__dict__.get("_hash")
     if h is None:
         h = self.__dict__["_hash"] = hash(self._key(self))

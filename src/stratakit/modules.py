@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .algebra import Algebra, opposite
 from .linalg import Field, InconsistentSystem, InvariantError, Matrix, Subspace, Value, intertwiner_basis
@@ -66,8 +66,10 @@ class RightModule(Value):
     non-pivot rows of every block (the section is a row selection) by the
     projection; ``submodule`` multiplies the basis by the blocks side by side
     and solves once; ``element_map_from_projective`` is ``incl_rows @ U``,
-    row k of U being u * b_k.  ``regular_module``, ``direct_sum``,
-    ``dual_module`` and the functors' object maps write the stack itself."""
+    row k of U being u * b_k; the hom functor's object map multiplies the
+    bimodule's stack by the hom basis side by side and solves once.
+    ``regular_module``, ``direct_sum``, ``dual_module`` and the tensor
+    functor's object map write the stack itself."""
 
     algebra: Algebra
     dim: int
@@ -290,7 +292,7 @@ def hom_combinations(basis: Sequence, field: Field, exhaustive: bool) -> Iterato
 # -- bimodules and their tensor/hom functors ------------------------------------
 
 
-class Bimodule(NamedTuple):
+class Bimodule(Value):
     """A (left_algebra, right_algebra)-bimodule on row vectors, as two
     modules on one space whose actions commute: ``right`` over the right
     algebra, and ``left`` over the opposite of the left algebra (in row
@@ -359,10 +361,16 @@ class Bimodule(NamedTuple):
 
         @functools.cache
         def obj(x: RightModule) -> RightModule:
-            phis = basis(x)
-            # row k·h + t is b_k * phi_t: block k of the action, h = len(phis)
-            images = [self.left.block(k) @ phi for k in range(L.dim) for phi in phis]
-            return RightModule(L, len(phis), coords(x, images))
+            phis, dx = basis(x), x.dim
+            h, size = len(phis), db * dx
+            # one product of the action stack and the basis side by side:
+            # its block k is b_k phi_0, ..., b_k phi_{h-1} side by side, and
+            # one after another they are rows k·h, ..., k·h + h - 1 of the action
+            side = Matrix(F, db, h * dx, _swap_runs(tuple(e for phi in phis for e in phi.entries), h, db, dx))
+            prod = (self.left.action @ side).entries
+            blocks = (_swap_runs(prod[k * h * size:(k + 1) * h * size], db, h, dx) for k in range(L.dim))
+            images = [Matrix(F, db, dx, b[t * size:(t + 1) * size]) for b in blocks for t in range(h)]
+            return RightModule(L, h, coords(x, images))
 
         def mor(f: ModuleMap) -> ModuleMap:
             imgs = [phi @ f.mat for phi in basis(f.source)]
@@ -371,13 +379,13 @@ class Bimodule(NamedTuple):
         return HomFunctor(obj, mor, basis, coords)
 
 
-class TensorFunctor(NamedTuple):
+class TensorFunctor(Value):
     obj: Callable[[RightModule], RightModule]
     mor: Callable[[ModuleMap], ModuleMap]
     relations: Callable[[RightModule], Subspace]  # kernel of X (x)_k B ->> X (x)_L B
 
 
-class HomFunctor(NamedTuple):
+class HomFunctor(Value):
     obj: Callable[[RightModule], RightModule]
     mor: Callable[[ModuleMap], ModuleMap]
     basis: Callable[[RightModule], tuple[Matrix, ...]]
@@ -511,7 +519,7 @@ def element_map_from_projective(
     return incl_rows @ Matrix(F, n, d, side.apply_row(u))
 
 
-class Cover(NamedTuple):
+class Cover(Value):
     projective: RightModule
     cover_map: ModuleMap
     summands: tuple[tuple[str, int], ...]  # (vertex, multiplicity)
@@ -556,7 +564,7 @@ def projective_cover(m: RightModule) -> Cover:
     return Cover(big, phi, summands)
 
 
-class Envelope(NamedTuple):
+class Envelope(Value):
     injective: RightModule
     envelope_map: ModuleMap
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import weakref
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .algebra import Algebra, CornerData, QuotientData, corner_algebra, quotient_by_idempotent_ideal
 from .category import (
@@ -40,7 +40,6 @@ from .modules import (
     Bimodule,
     ModuleMap,
     RightModule,
-    annihilator,
     corner_bimodules,
     quotient_module,
     restrict_scalars,
@@ -101,7 +100,7 @@ class Recollement(Value, frozen=False):
         return self.reports[key]
 
 
-class IdempotentRecollementData(NamedTuple):
+class IdempotentRecollementData(Value):
     vertices: tuple[str, ...]
     e: tuple
     corner: CornerData  # eAe, the zero algebra when e = 0
@@ -190,8 +189,12 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
         return times(m, data.e_a)  # M e A
 
     @functools.cache
+    def over_quotient(m: RightModule) -> RightModule:
+        return restrict_scalars(m, q_alg, quot.section)  # a module on M/MeA and on {v : v A e = 0}
+
+    @functools.cache
     def i_left_obj(m: RightModule) -> RightModule:
-        return quotient_module(restrict_scalars(m, q_alg, quot.section), killed_space(m))[0]
+        return quotient_module(over_quotient(m), killed_space(m))[0]
 
     def i_left_mor(f: ModuleMap) -> ModuleMap:
         WM, WN = killed_space(f.source), killed_space(f.target)
@@ -200,12 +203,16 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
         return ModuleMap(i_left_obj(f.source), i_left_obj(f.target), secM @ f.mat @ projN)
 
     @functools.cache
+    def ae_actions(m: RightModule) -> Matrix:
+        return side_by_side(m, data.a_e)  # row i is v_i * (Ae row t) over t
+
+    @functools.cache
     def sub_space(m: RightModule) -> Subspace:
-        return annihilator(m, data.a_e)  # {v : v A e = 0}
+        return ae_actions(m).left_kernel()  # {v : v A e = 0}, annihilator(m, data.a_e)
 
     @functools.cache
     def i_right_obj(m: RightModule) -> RightModule:
-        return submodule(restrict_scalars(m, q_alg, quot.section), sub_space(m))[0]
+        return submodule(over_quotient(m), sub_space(m))[0]
 
     def i_right_mor(f: ModuleMap) -> ModuleMap:
         BM = sub_space(f.source).basis
@@ -258,7 +265,7 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
         # m |-> (ae |-> m*(ae)) in Hom_Gamma(Ae, Me)
         mu = j_restrict_obj(m)
         # row (i, t) is e_i * (Ae row t), written in the basis of M e by one solve
-        rows = side_by_side(m, data.a_e).entries
+        rows = ae_actions(m).entries
         coords = restrict_space(m).basis.solve_left(Matrix(F, m.dim * na, m.dim, rows))
         block = na * mu.dim
         mats = [Matrix(F, na, mu.dim, coords.entries[i * block:(i + 1) * block]) for i in range(m.dim)]
@@ -303,14 +310,18 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
 # generic verification and derived constructions
 
 
-class CheckResult(NamedTuple):
+class CheckResult(Value):
     axiom: str
     subject: str
     ok: bool
     note: str = ""
 
+    def __init__(self, axiom: str, subject: str, ok: bool, note: str = "") -> None:
+        # spelled out: built thousands of times a run, at half the generic cost
+        self.__dict__.update(axiom=axiom, subject=subject, ok=ok, note=note)
 
-class RecollementReport(NamedTuple):
+
+class RecollementReport(Value):
     label: str
     results: tuple[CheckResult, ...]
 
@@ -428,7 +439,7 @@ def verify_recollement(r: Recollement, center_samples: Sequence[tuple[str, objec
     return RecollementReport(label=r.label, results=tuple(out))
 
 
-class IntermediateExtension(NamedTuple):
+class IntermediateExtension(Value):
     obj: object                 # the image j_!* x in the center category
     from_lower: object          # epi  j_lower(x) ->> j_!* x
     into_roof: object           # mono j_!* x -> j_roof(x)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import __version__
 from .linalg import Value
@@ -28,7 +27,7 @@ def jsonable(x):
     return str(x)
 
 
-class Check(NamedTuple):
+class Check(Value):
     name: str
     criterion: str
     verdict: str              # PASS | FAIL | YES | NO | ERROR

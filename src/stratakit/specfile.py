@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import NamedTuple
 
 from .algebra import Algebra, Presentation, Quiver, build_bound_quiver_algebra
 from .linalg import Field, Value
@@ -101,12 +100,12 @@ def _parse_relations(obj, where: str, quiver: Quiver, field: Field) -> Presentat
         raise SpecError(f"{where}: unknown arrow {e}") from None
 
 
-class PosetSpec(NamedTuple):
+class PosetSpec(Value):
     elements: tuple[str, ...]
     leq: tuple[tuple[str, str], ...]
 
 
-class StratSpec(NamedTuple):
+class StratSpec(Value):
     poset: PosetSpec
     rho: dict[str, str]
     epsilon: dict[str, str] | None
@@ -144,13 +143,13 @@ def _parse_stratification(obj, quiver: Quiver) -> StratSpec:
     return StratSpec(PosetSpec(tuple(elements), tuple(leq)), dict(rho), eps)
 
 
-class BimoduleSpec(NamedTuple):
+class BimoduleSpec(Value):
     dim: int
     left: dict[str, list]   # acting algebra basis label -> matrix rows
     right: dict[str, list]
 
 
-class MVSpec(NamedTuple):
+class MVSpec(Value):
     z_presentation: Presentation
     u_presentation: Presentation
     m: BimoduleSpec  # left u-algebra, right z-algebra

@@ -14,12 +14,12 @@ constructive synthesis of projective covers by iterated universal extensions.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .algebra import Algebra, CornerData
 from .category import ModuleCategory, is_isomorphic
 from .homological import ext, universal_extension
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, Value
 from .modules import (
     ModuleMap,
     RightModule,
@@ -49,7 +49,7 @@ class StratificationError(ValueError):
     pass
 
 
-class Poset(NamedTuple):
+class Poset(Value):
     """Finite poset: elements plus the full (reflexive) order relation."""
 
     elements: tuple[str, ...]
@@ -115,7 +115,7 @@ class Poset(NamedTuple):
         return tuple(order)
 
 
-class LayerWitness(NamedTuple):
+class LayerWitness(Value):
     """One layer of a filtration certificate.
 
     ``below`` and ``above`` are nested subspaces of the filtered module with
@@ -130,7 +130,7 @@ class LayerWitness(NamedTuple):
     witness: ModuleMap
 
 
-class FiltrationCertificate(NamedTuple):
+class FiltrationCertificate(Value):
     module: RightModule
     layers: tuple[LayerWitness, ...]
     mode: str
@@ -251,14 +251,14 @@ def _search_quotient(m, allowed, budget, proj=None):
     return None
 
 
-class LowerAlgebra(NamedTuple):
+class LowerAlgebra(Value):
     """A_S for a lower set S, with the algebra surjection A ->> A_S."""
 
     algebra: Algebra
     projection: Matrix  # dim A x dim A_S
 
 
-class StandardObjects(NamedTuple):
+class StandardObjects(Value):
     """The four object families of one vertex: standard, costandard, proper
     standard, proper costandard."""
 
@@ -502,14 +502,14 @@ class Stratification:
                             )
 
 
-class SynthesisAudit(NamedTuple):
+class SynthesisAudit(Value):
     layer: str
     iterations: int
     multiplicities: tuple[tuple[str, int], ...]
     dim_after: int
 
 
-class SynthesisResult(NamedTuple):
+class SynthesisResult(Value):
     vertex: str
     module: RightModule
     audit: tuple[SynthesisAudit, ...]
@@ -609,7 +609,7 @@ def _assert_layer_cover(algebra: Algebra, current: RightModule, t: str) -> None:
             )
 
 
-class PorismResult(NamedTuple):
+class PorismResult(Value):
     vertex: str
     kernel_module: RightModule
     certificate: FiltrationCertificate

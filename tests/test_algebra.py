@@ -368,3 +368,20 @@ def test_validate_sees_a_radical_that_holds_a_vertex_idempotent():
             bad = _with_radical(a, a.radical.basis.row_list() + [a.basis_vec(i)])
             names = [name for name, _ in validate_algebra(bad).issues]
             assert "radical-nilpotent" in names and "split-semisimple" in names, a.basis_labels[i]
+
+
+@pytest.mark.parametrize("name, witnesses", [
+    ("FIX-A3", ["dim e_1(A/rad)e_2 = 1, expected 0", "dim e_1(A/rad)e_3 = 1, expected 0",
+                "dim e_2(A/rad)e_3 = 1, expected 0"]),
+    ("FIX-KRO", ["dim e_1(A/rad)e_1 = 2, expected 1", "dim e_1(A/rad)e_2 = 2, expected 0",
+                 "dim e_2(A/rad)e_1 = 1, expected 0"]),
+])
+def test_validate_names_each_wrong_block_of_a_radical_that_is_too_small(name, witnesses):
+    """Radical 0 is a nilpotent two-sided ideal, so every check before the
+    split-semisimple one passes, but dim A - dim rad exceeds the number of
+    vertices: the pair loop runs and names each block of A/rad = A of the
+    wrong dimension, as the dense reference does."""
+    a = build_algebra(load_fixture(name))
+    bad = _with_radical(a, [])
+    issues = validate_algebra(bad).issues
+    assert issues == tuple(("split-semisimple", w) for w in witnesses) == algebra_issues_by_mul_vec(bad)

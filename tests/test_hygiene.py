@@ -702,20 +702,27 @@ def test_solve_checker_flags_what_it_should():
 
 VALUE_TYPES = {
     "linalg": ("Field", "Matrix", "Subspace"),
-    "algebra": ("Quiver", "Algebra"),
-    "modules": ("RightModule", "ModuleMap"),
+    "algebra": ("Quiver", "Presentation", "Algebra", "ValidationReport", "CornerData", "QuotientData"),
+    "modules": ("RightModule", "ModuleMap", "Bimodule", "TensorFunctor", "HomFunctor", "Cover", "Envelope"),
+    "category": ("Functor", "ShortExactSequence", "IsoResult"),
+    "homological": ("Resolution", "ExtClass", "ExtSpace", "UniversalExtension"),
+    "recollement": ("Recollement", "IdempotentRecollementData", "CheckResult", "RecollementReport",
+                    "IntermediateExtension"),
+    "strat": ("Poset", "LayerWitness", "FiltrationCertificate", "LowerAlgebra", "StandardObjects",
+              "SynthesisAudit", "SynthesisResult", "PorismResult"),
+    "analyze": ("ExactnessVerdict", "ExtComparison", "HomologicalVerdict", "RouteVerdict", "Decision"),
     "mv": ("MVData", "MVObject", "MVMorphism"),
-    "recollement": ("Recollement",),
-    "report": ("Report",),
-    "specfile": ("AlgebraSpec",),
+    "specfile": ("PosetSpec", "StratSpec", "BimoduleSpec", "MVSpec", "AlgebraSpec"),
+    "report": ("Check", "Report"),
+    "corpus": ("CorpusEntry",),
+    "cli": ("Session",),
 }
 
 
 def test_no_module_imports_dataclasses():
-    """Records are ``typing.NamedTuple``s and the value types subclass
-    ``linalg.Value``: ``dataclasses`` would cost every start of the command
-    line its import (with ``inspect``) and each class its generated,
-    ``exec``'d methods."""
+    """Records and value types alike subclass ``linalg.Value``:
+    ``dataclasses`` would cost every start of the command line its import
+    (with ``inspect``) and each class its generated, ``exec``'d methods."""
     found = []
     for path in MODULES:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -723,6 +730,49 @@ def test_no_module_imports_dataclasses():
                      else [node.module] if isinstance(node, ast.ImportFrom) else [])
             found += [f"{path.stem}: {n}" for n in names if n and n.split(".")[0] == "dataclasses"]
     assert found == []
+
+
+NAMED_TUPLES = {"NamedTuple", "namedtuple"}
+
+
+def named_tuple_uses(tree: ast.Module) -> list[str]:
+    """``line n: name`` for each import of, and each other reference to,
+    ``typing.NamedTuple`` or ``collections.namedtuple`` in ``tree``: a base,
+    a call or an attribute of ``typing`` or ``collections``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name.rpartition(".")[2] for a in node.names]
+        else:
+            names = [getattr(node, "id", None) or getattr(node, "attr", None)]
+        out += [(node.lineno, n) for n in names if n in NAMED_TUPLES]
+    return [f"line {line}: {n}" for line, n in sorted(out)]
+
+
+def test_no_record_is_a_named_tuple():
+    """A ``NamedTuple`` class ``exec``s its ``__new__`` and compiles each
+    string annotation into a ``ForwardRef`` when it is created, about ten
+    times what a ``Value`` subclass costs; every record is a ``Value``."""
+    found = [f"{path.stem}: {use}" for path in MODULES for use in named_tuple_uses(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_named_tuple_checker_flags_what_it_should():
+    tree = ast.parse(
+        "import typing\n"
+        "from typing import NamedTuple, Sequence\n"
+        "from collections import namedtuple\n"
+        "class Pair(NamedTuple):\n"
+        "    first: int\n"
+        "class Span(typing.NamedTuple):\n"
+        "    low: int\n"
+        "Point = namedtuple('Point', 'x y')\n"
+        "class Fine(Value):\n"
+        "    named: Sequence\n"
+    )
+    assert named_tuple_uses(tree) == [
+        "line 2: NamedTuple", "line 3: namedtuple", "line 4: NamedTuple", "line 6: NamedTuple",
+        "line 8: namedtuple"]
 
 
 DERIVED_ALGEBRAS = {"corner_algebra", "quotient_by_idempotent_ideal"}
@@ -797,8 +847,8 @@ def test_commands_load_neither_dataclasses_nor_inspect():
 
 
 def test_write_only_check_examines_every_field_of_the_value_types():
-    """The value types are exactly the listed ``Value`` subclasses, and the
-    write-only check sees each of their fields."""
+    """The value types and records are exactly the listed ``Value``
+    subclasses, and the write-only check sees each of their fields."""
     from stratakit.linalg import Value
 
     modules = {mod: importlib.import_module(f"stratakit.{mod}") for mod in VALUE_TYPES}
@@ -807,7 +857,7 @@ def test_write_only_check_examines_every_field_of_the_value_types():
     fields = {(cls, name) for mod, names in VALUE_TYPES.items() for cls in names
               for name in getattr(modules[mod], cls)._fields}
     examined = {pair for mod in VALUE_TYPES for pair in _record_fields(ast.parse((SRC / f"{mod}.py").read_text()))}
-    assert len(fields) == 70 and fields <= examined
+    assert len(fields) == 206 and fields <= examined
 
 
 def test_perfbench_selftest_passes():

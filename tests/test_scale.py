@@ -5,15 +5,22 @@ linearly oriented path algebra A_7 over GF(3) (dimension 28), run through
 Wall time on a shared host swings too much to gate on, so this pins upper
 bounds on the exact kernel's work instead: matrix products, matrix
 constructions and matrix comparisons.  A module keeps its action as one
-matrix, so the run makes 6,689 products, 17,029 matrices and 6,957
-comparisons; with one action matrix per algebra basis element it made
-25,763, 44,414 and 78,198.  A bound moves only with a line in CHANGES.md.
+matrix, the hom functor's object map is one product, and validation
+settles the split-semisimple check by one dimension count, so the run
+makes 5,316 products, 15,527 matrices and 6,974 comparisons; with one
+action matrix per algebra basis element it made 25,763, 44,414 and
+78,198.  It also pins the recollement's intermediates: i_left and i_right
+restrict each module to A/AeA once between them, and i_right and unit_jr
+read one side-by-side action of Ae, so the run makes 434
+``restrict_scalars`` and 310 ``side_by_side`` calls, against 589 and 450
+when each built its own.  A bound moves only with a line in CHANGES.md.
 """
 
 import contextlib
 import io
 import json
 
+from stratakit import modules, mv, recollement, strat
 from stratakit.cli import main
 from stratakit.linalg import Matrix
 
@@ -28,12 +35,17 @@ def test_recollement_check_on_a7_is_counter_gated(tmp_path, monkeypatch):
     products = count_calls(monkeypatch, Matrix, "__matmul__")
     matrices = count_calls(monkeypatch, Matrix, "__init__")
     comparisons = count_calls(monkeypatch, Matrix, "__eq__")
+    # every module that calls them by its own name
+    restrictions = [count_calls(monkeypatch, m, "restrict_scalars") for m in (modules, recollement, strat)]
+    side_actions = [count_calls(monkeypatch, m, "side_by_side") for m in (modules, recollement, mv)]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["check", str(path), "--mode", "recollement", "--seed", "0"])
     verdicts = {c["name"]: c["verdict"] for c in json.loads(out.getvalue())["checks"]}
     assert code == 0
     assert verdicts == {"validate_algebra": "PASS", **{f"recollement(e_{v})": "PASS" for v in range(1, N + 1)}}
-    assert len(products) <= 7_000
-    assert len(matrices) <= 17_900
+    assert len(products) <= 5_600
+    assert len(matrices) <= 16_200
     assert len(comparisons) <= 7_300
+    assert sum(map(len, restrictions)) <= 450
+    assert sum(map(len, side_actions)) <= 330
