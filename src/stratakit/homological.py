@@ -2,9 +2,11 @@
 
 Resolutions are minimal: each step is the projective cover of the previous
 kernel, so differentials land in radicals and Ext dimensions read off
-canonically.  Ext classes are represented by cocycles P_n -> N reduced
-against the coboundary space with a fixed RREF-canonical complement, which
-makes class equality a representation equality for a fixed resolution.
+canonically.  A module has one resolution, kept and grown as longer ones
+are asked for, so Ext in degrees 0, 1 and 2 builds each cover once.  Ext
+classes are represented by cocycles P_n -> N reduced against the
+coboundary space with a fixed RREF-canonical complement, which makes class
+equality a representation equality for a fixed resolution.
 """
 
 from __future__ import annotations
@@ -48,29 +50,27 @@ class Resolution(Value):
 def projective_resolution(m: RightModule, length: int) -> Resolution:
     """Minimal projective resolution out to homological degree ``length``.
 
-    Kept in the cache of ``m``'s algebra, so each resolution is built once
-    per algebra instance and freed with it.
+    One resolution of ``m`` is kept in the cache of its algebra, so it is
+    built once per algebra instance and freed with it: a longer request
+    extends it from its last cover, a shorter one gets its prefix, and one
+    that has stopped (a zero kernel) is complete for any length.
     """
-    cache = m.algebra.cache
-    key = ("resolution", m, length)
-    if key in cache:
-        return cache[key]
-    cov = projective_cover(m)
-    terms = [cov.projective]
-    diffs: list[ModuleMap] = []
-    aug = cov.cover_map
-    prev_cover = cov
-    for i in range(1, length + 1):
-        ker_mod, ker_incl = kernel(prev_cover.cover_map)
-        if ker_mod.dim == 0:
-            break
-        cov_i = projective_cover(ker_mod)
-        terms.append(cov_i.projective)
-        diffs.append(cov_i.cover_map.then(ker_incl))
-        prev_cover = cov_i
-    res = cache[key] = Resolution(module=m, terms=tuple(terms), differentials=tuple(diffs),
-                                  augmentation=aug)
-    return res
+    cache, key = m.algebra.cache, ("resolution", m)
+    if key not in cache:
+        cov = projective_cover(m)
+        cache[key] = Resolution(m, (cov.projective,), (), cov.cover_map), cov, False
+    res, last, stopped = cache[key]
+    terms, diffs = list(res.terms), list(res.differentials)
+    while not stopped and len(diffs) < length:
+        ker_mod, ker_incl = kernel(last.cover_map)
+        stopped = ker_mod.dim == 0
+        if not stopped:
+            last = projective_cover(ker_mod)
+            terms.append(last.projective)
+            diffs.append(last.cover_map.then(ker_incl))
+    res = res._replace(terms=tuple(terms), differentials=tuple(diffs))
+    cache[key] = res, last, stopped
+    return res._replace(terms=res.terms[:length + 1], differentials=res.differentials[:length])
 
 
 class ExtClass(Value):

@@ -15,7 +15,7 @@ Conventions:
   plain ints.
 * There is one arithmetic path for both fields.  A loop combines entries
   in plain ``int``/``Fraction`` arithmetic, skipping zero entries, and
-  brings each result entry back once with ``Field.norm``: x mod p over
+  brings each entry it computed back once with ``Field.norm``: x mod p over
   GF(p), over Q an ``int`` when whole.  No loop asks which field it is in.
 * A ``Matrix`` is dense and row-major.  Row count 0 and column count 0 are
   both legal and show up constantly (zero modules, empty kernels).
@@ -333,11 +333,21 @@ class Matrix(Value):
         c = F.of(c)
         return Matrix(F, self.rows, self.cols, tuple(F.norm(c * a) for a in self.entries))
 
+    @property
+    def is_identity(self) -> bool:
+        n, e = self.rows, self.entries
+        return n == self.cols and e[::n + 1].count(1) == n and e.count(0) == n * n - n
+
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """Row i of the product sums the rows of ``other`` scaled by the
-        nonzero entries of row i of ``self``, a row scaled by 1 as it is."""
+        nonzero entries of row i of ``self``, a row scaled by 1 as it is.
+        An identity factor returns the other factor itself."""
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        if self.is_identity:
+            return other
+        if other.is_identity:
+            return self
         F, n, m, k = self.field, self.rows, self.cols, other.cols
         a, b, norm, zeros = self.entries, other.entries, F.norm, (F.zero,) * k
         out = []
@@ -349,7 +359,8 @@ class Matrix(Value):
                     if x != 1:
                         row = [x * y for y in row]
                     acc = row if acc is None else list(map(add, acc, row))
-            out.extend(zeros if acc is None else map(norm, acc))
+            # a tuple is one row of ``other`` unscaled, field elements already
+            out.extend(zeros if acc is None else acc if acc.__class__ is tuple else map(norm, acc))
         return Matrix(F, n, k, tuple(out))
 
     def transpose(self) -> "Matrix":
@@ -410,10 +421,12 @@ class Matrix(Value):
         one with leading 1s and zeros above and below each pivot.  The shape
         is kept: zero rows are not dropped, and the rows below the rank are
         zero.  The result is kept on the instance and on the RREF, as
-        ``cached_hash`` keeps the hash (``_rref`` is no field); a matrix that
-        is its own RREF comes back itself and keeps only rank and pivots.
+        ``cached_hash`` keeps the hash (``_rref`` is no field); a matrix in
+        RREF, seen in one scan, comes back itself and keeps rank and pivots.
         """
         kept = self.__dict__.get("_rref")
+        if kept is None and (pivots := self._reduced_pivots()) is not None:
+            kept = self.__dict__["_rref"] = (None, len(pivots), pivots)
         if kept is not None:
             R, rank, pivots = kept
             return (self if R is None else R), rank, pivots
@@ -453,6 +466,22 @@ class Matrix(Value):
         if R is not self:
             self.__dict__["_rref"] = (R, rank, pivots)
         return R, rank, pivots
+
+    def _reduced_pivots(self) -> tuple[int, ...] | None:
+        """The pivots if in RREF, else None: each leading entry a 1 right of
+        the one above and alone in its column, the zero rows last."""
+        e, cols, rows = self.entries, self.cols, self.rows
+        pivots, start = [], 0
+        for i in range(rows):
+            row = e[i * cols:(i + 1) * cols]
+            p = row.index(1, start) if 1 in row[start:] else cols
+            if any(row[:p]) or (p < cols and e[p::cols].count(0) != rows - 1):
+                return None
+            if p == cols:
+                return tuple(pivots) if not any(e[i * cols:]) else None
+            pivots.append(p)
+            start = p + 1
+        return tuple(pivots)
 
     def rank(self) -> int:
         """The rank, read off the kept elimination (``rref``)."""

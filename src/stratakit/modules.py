@@ -342,8 +342,8 @@ class Bimodule(Value):
         (phi l)(b) = phi(l b).
 
         An element of Hom_R(B, X) is a dim B x dim X matrix; ``basis(x)`` is
-        ``hom_basis`` from B as a right R-module to X, and ``coords(x, mats)``
-        writes each matrix of ``mats`` in it.
+        ``hom_basis`` from B as a right R-module to X, and ``coords(x, rows)``
+        writes each row of ``rows``, a flattened element, in it.
         """
         L, R = self.left_algebra, self.right_algebra
         F = R.field
@@ -353,28 +353,33 @@ class Bimodule(Value):
         def basis(x: RightModule) -> tuple[Matrix, ...]:
             return tuple(f.mat for f in hom_basis(self.right, x))
 
-        def coords(x: RightModule, mats: Sequence[Matrix]) -> Matrix:
+        @functools.cache
+        def flat_basis(x: RightModule) -> Matrix:
             phis = basis(x)
-            n = db * x.dim
-            flat_basis = Matrix(F, len(phis), n, tuple(e for phi in phis for e in phi.entries))
-            return flat_basis.solve_left(Matrix(F, len(mats), n, tuple(e for m in mats for e in m.entries)))
+            return Matrix(F, len(phis), db * x.dim, tuple(e for phi in phis for e in phi.entries))
+
+        def coords(x: RightModule, rows: Matrix) -> Matrix:
+            return flat_basis(x).solve_left(rows)
 
         @functools.cache
         def obj(x: RightModule) -> RightModule:
-            phis, dx = basis(x), x.dim
-            h, size = len(phis), db * dx
+            dx, flat = x.dim, flat_basis(x)
+            h, size = flat.rows, flat.cols
             # one product of the action stack and the basis side by side:
             # its block k is b_k phi_0, ..., b_k phi_{h-1} side by side, and
             # one after another they are rows k·h, ..., k·h + h - 1 of the action
-            side = Matrix(F, db, h * dx, _swap_runs(tuple(e for phi in phis for e in phi.entries), h, db, dx))
+            side = Matrix(F, db, h * dx, _swap_runs(flat.entries, h, db, dx))
             prod = (self.left.action @ side).entries
-            blocks = (_swap_runs(prod[k * h * size:(k + 1) * h * size], db, h, dx) for k in range(L.dim))
-            images = [Matrix(F, db, dx, b[t * size:(t + 1) * size]) for b in blocks for t in range(h)]
-            return RightModule(L, h, coords(x, images))
+            images = itertools.chain.from_iterable(
+                _swap_runs(prod[k * h * size:(k + 1) * h * size], db, h, dx) for k in range(L.dim))
+            return RightModule(L, h, coords(x, Matrix(F, L.dim * h, size, tuple(images))))
 
         def mor(f: ModuleMap) -> ModuleMap:
-            imgs = [phi @ f.mat for phi in basis(f.source)]
-            return ModuleMap(obj(f.source), obj(f.target), coords(f.target, imgs))
+            # phi @ f for every basis map phi, as one product of their stack
+            flat = flat_basis(f.source)
+            images = Matrix(F, flat.rows * db, f.source.dim, flat.entries) @ f.mat
+            return ModuleMap(obj(f.source), obj(f.target),
+                             coords(f.target, Matrix(F, flat.rows, db * f.target.dim, images.entries)))
 
         return HomFunctor(obj, mor, basis, coords)
 
@@ -389,7 +394,7 @@ class HomFunctor(Value):
     obj: Callable[[RightModule], RightModule]
     mor: Callable[[ModuleMap], ModuleMap]
     basis: Callable[[RightModule], tuple[Matrix, ...]]
-    coords: Callable[[RightModule, Sequence[Matrix]], Matrix]
+    coords: Callable[[RightModule, Matrix], Matrix]
 
 
 def validate_bimodule(b: Bimodule) -> None:

@@ -149,9 +149,7 @@ class MVCategory:
         dx, dm, dn = x.dim, d.m.dim, d.n.dim
         # theta's row j * dn + t is theta(m_j (x) n_t), acting on x; row i of
         # their actions side by side holds the matrices (i, j), one after another
-        side, size = side_by_side(x, d.theta).entries, dn * dx
-        mats = [Matrix(F, dn, dx, side[k * size:(k + 1) * size]) for k in range(dx * dm)]
-        v_mat_rows = self.G.coords(x, mats)
+        v_mat_rows = self.G.coords(x, Matrix(F, dx * dm, dn * dx, side_by_side(x, d.theta).entries))
         W = self.F.relations(x)
         if not (W.basis @ v_mat_rows).is_zero:
             raise InvariantError("eps not well defined on the tensor quotient")

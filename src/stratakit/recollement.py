@@ -267,9 +267,7 @@ def make_idempotent_recollement(a: Algebra, vertices: Sequence[str]) -> Recollem
         # row (i, t) is e_i * (Ae row t), written in the basis of M e by one solve
         rows = ae_actions(m).entries
         coords = restrict_space(m).basis.solve_left(Matrix(F, m.dim * na, m.dim, rows))
-        block = na * mu.dim
-        mats = [Matrix(F, na, mu.dim, coords.entries[i * block:(i + 1) * block]) for i in range(m.dim)]
-        return ModuleMap(m, hom.obj(mu), hom.coords(mu, mats))
+        return ModuleMap(m, hom.obj(mu), hom.coords(mu, Matrix(F, m.dim, na * mu.dim, coords.entries)))
 
     def counit_jr(x: RightModule) -> ModuleMap:
         # phi |-> phi(e): the values at e of the basis maps, combined by the

@@ -60,17 +60,25 @@ field and meant for tiny inputs only.
   matrix per algebra basis element, each block computed on its own (a
   product or a combination per element), then stacked
   (``module_from_blocks``).
-* ``reference_matmul``, ``reference_apply_row``, ``reference_rref``,
+* ``two_path_matmul``, ``reference_apply_row``, ``two_path_rref``,
   ``reference_solve_left``, ``reference_left_kernel`` and
   ``reference_kron``: the linear-algebra kernel as it was with two
   arithmetic paths, every entry computed by a ``ReferenceField`` operation
   that branches on the field, and a dense, zero-keeping product over GF(p).
+* ``reference_matmul`` and ``reference_rref``: the kernel's product loop
+  and full elimination as they were before it recognised finished work
+  (an identity factor, a row copied unscaled, a matrix already in RREF),
+  every product summed and normalized and every matrix eliminated.
+* ``reference_projective_resolution``: a minimal projective resolution
+  built from P_0 up for one length, as it was before one resolution per
+  module was kept and grown.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from operator import add
 from typing import Sequence
 
 from stratakit.algebra import (
@@ -88,6 +96,7 @@ from stratakit.algebra import (
     validate_algebra,
 )
 from stratakit.category import ModuleCategory, ShortExactSequence, is_isomorphic
+from stratakit.homological import Resolution
 from stratakit.linalg import Field, InconsistentSystem, Matrix, Subspace
 from stratakit.modules import (
     ModuleMap,
@@ -550,7 +559,7 @@ class ReferenceField:
         return self.reduce(-a)
 
 
-def reference_matmul(a, b):
+def two_path_matmul(a, b):
     """The entries of a @ b: a dense triple loop over GF(p), a loop over
     the nonzero entries of each row of ``a`` over Q."""
     F = ReferenceField(a.field)
@@ -579,7 +588,7 @@ def reference_apply_row(a, v):
     return tuple(out)
 
 
-def reference_rref(a):
+def two_path_rref(a):
     """(entries of the RREF, rank, pivots) by Gauss-Jordan elimination with
     ``ReferenceField`` operations on whole rows."""
     F = ReferenceField(a.field)
@@ -607,7 +616,7 @@ def reference_solve_left(a, target):
     reducing each target row against it; ``InconsistentSystem`` if none."""
     F, n = ReferenceField(a.field), a.rows
     aug = a.hstack(Matrix.identity(a.field, n))
-    flat, _, piv = reference_rref(aug)
+    flat, _, piv = two_path_rref(aug)
     width = a.cols + n
     out = []
     for t in range(target.rows):
@@ -628,7 +637,7 @@ def reference_left_kernel(a):
     """The RREF basis entries of {v : v @ a = 0}: the null space of a^T
     read off its RREF, one vector per free column, then reduced."""
     F, n = ReferenceField(a.field), a.rows
-    flat, _, piv = reference_rref(a.transpose())
+    flat, _, piv = two_path_rref(a.transpose())
     vecs = []
     for fc in (j for j in range(n) if j not in piv):
         v = [0] * n
@@ -636,7 +645,7 @@ def reference_left_kernel(a):
         for r, pc in enumerate(piv):
             v[pc] = F.neg(flat[r * n + fc])
         vecs.append(v)
-    basis, rank, _ = reference_rref(Matrix(a.field, len(vecs), n, tuple(x for v in vecs for x in v)))
+    basis, rank, _ = two_path_rref(Matrix(a.field, len(vecs), n, tuple(x for v in vecs for x in v)))
     return basis[:rank * n]
 
 
@@ -645,6 +654,76 @@ def reference_kron(a, b):
     F = ReferenceField(a.field)
     return tuple(F.mul(a[i, i2], b[j, j2]) for i in range(a.rows) for j in range(b.rows)
                  for i2 in range(a.cols) for j2 in range(b.cols))
+
+
+def reference_matmul(a, b):
+    """The entries of a @ b by the kernel's loop: row i sums the rows of
+    ``b`` scaled by the nonzero entries of row i of ``a``, and each entry is
+    normalized."""
+    n, m, k = a.rows, a.cols, b.cols
+    x_ent, b_ent, norm, zeros = a.entries, b.entries, a.field.norm, (a.field.zero,) * k
+    out = []
+    for i in range(n):
+        acc = None
+        for t, x in enumerate(x_ent[i * m : (i + 1) * m]):
+            if x:
+                row = b_ent[t * k : (t + 1) * k]
+                if x != 1:
+                    row = [x * y for y in row]
+                acc = row if acc is None else list(map(add, acc, row))
+        out.extend(zeros if acc is None else map(norm, acc))
+    return tuple(out)
+
+
+def reference_rref(a):
+    """(entries of the RREF, rank, pivots) by the kernel's full elimination,
+    run on every matrix."""
+    F, norm = a.field, a.field.norm
+    m = [list(a.row(i)) for i in range(a.rows)]
+    nrows, ncols = a.rows, a.cols
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        pr = None
+        for i in range(r, nrows):
+            if m[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+        piv = m[r][c]
+        if piv != 1:
+            inv = F.inv(piv)
+            m[r] = [norm(inv * x) for x in m[r]]
+        prow = m[r]
+        cols = [j for j in range(c, ncols) if prow[j]]
+        for i in range(nrows):
+            f = m[i][c]
+            if f and i != r:
+                for j in cols:
+                    m[i][j] = norm(m[i][j] - f * prow[j])
+        pivots.append(c)
+        r += 1
+    return tuple(x for row in m for x in row), len(pivots), tuple(pivots)
+
+
+def reference_projective_resolution(m: RightModule, length: int) -> Resolution:
+    """The minimal projective resolution out to degree ``length``, built
+    from P_0 up and kept nowhere."""
+    cov = projective_cover(m)
+    terms, diffs, prev_cover = [cov.projective], [], cov
+    for _ in range(length):
+        ker_mod, ker_incl = kernel(prev_cover.cover_map)
+        if ker_mod.dim == 0:
+            break
+        prev_cover = projective_cover(ker_mod)
+        terms.append(prev_cover.projective)
+        diffs.append(prev_cover.cover_map.then(ker_incl))
+    return Resolution(module=m, terms=tuple(terms), differentials=tuple(diffs), augmentation=cov.cover_map)
 
 
 # The dense builder's own caps, copied so that the reference does not move

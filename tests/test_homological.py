@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
@@ -5,6 +7,8 @@ import pytest
 
 from stratakit.algebra import Presentation, Quiver, build_bound_quiver_algebra
 from stratakit.category import ModuleCategory, is_isomorphic
+from stratakit import analyze, homological, modules, strat
+from stratakit.cli import main
 from stratakit.corpus import corpus_index
 from stratakit.homological import (
     ExtClass,
@@ -31,8 +35,8 @@ from stratakit.modules import (
 )
 from stratakit.specfile import build_algebra, parse_spec
 
-from oracles import ext1_dimension_by_enumeration, pushout_extension_along_kernel
-from support import auslander_algebra, is_injective, load_fixture
+from oracles import ext1_dimension_by_enumeration, pushout_extension_along_kernel, reference_projective_resolution
+from support import auslander_algebra, count_calls, is_injective, load_fixture
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +80,54 @@ def test_resolution_periodic_nak(nak):
 
     tops = [top(t)[0].vertex_dims() for t in res.terms]
     assert tops[0] != tops[1] and tops[0] == tops[2]
+
+
+def test_a_shorter_resolution_is_the_prefix_of_the_kept_one():
+    """After degree 3 is built, degree 1 (and 0) is what a resolution built
+    from scratch for that length is."""
+    s1 = simple_module(build_algebra(load_fixture("FIX-NAK")), "1")
+    assert projective_resolution(s1, 3) == reference_projective_resolution(s1, 3)
+    for length in (1, 0, 3):
+        assert projective_resolution(s1, length) == reference_projective_resolution(s1, length)
+
+
+def test_a_longer_resolution_grows_the_kept_one(monkeypatch):
+    """Asking for degree 1 and then 3 computes each cover once: the second
+    call extends the first resolution from its last cover."""
+    covers = count_calls(monkeypatch, homological, "projective_cover")
+    s1 = simple_module(build_algebra(load_fixture("FIX-NAK")), "1")
+    projective_resolution(s1, 1)
+    assert len(covers) == 2
+    res = projective_resolution(s1, 3)
+    assert len(covers) == len(res.terms) == 4
+    assert res == reference_projective_resolution(s1, 3)
+
+
+def test_a_resolution_that_stopped_is_complete_for_any_length(monkeypatch):
+    """S(1) over A_2 has projective dimension 1: once its zero kernel is
+    seen, every longer request gets the whole resolution and no cover."""
+    covers = count_calls(monkeypatch, homological, "projective_cover")
+    s1 = simple_module(build_algebra(load_fixture("FIX-A2")), "1")
+    assert len(projective_resolution(s1, 2).terms) == 2
+    built = len(covers)
+    for length in (5, 9):
+        assert projective_resolution(s1, length) == reference_projective_resolution(s1, length)
+    assert len(covers) == built == 2
+
+
+def test_homological_check_on_c3_over_q_is_counter_gated(tmp_path, monkeypatch):
+    """The k-homological check asks Ext in degrees 0, 1 and 2 of each
+    module: one resolution per module grown to the longest, so 9 projective
+    covers in all where a resolution per degree built 32."""
+    covers = [count_calls(monkeypatch, m, "projective_cover") for m in (modules, homological, analyze, strat)]
+    golden = Path(__file__).parent / "golden"
+    path = tmp_path / "c3_q.json"  # the report names the input by its file stem
+    path.write_bytes((golden / "c3_q.input.json").read_bytes())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["check", str(path), "--mode", "homological", "--seed", "0"])
+    assert out.getvalue() == (golden / "c3_q.homological.json").read_text()
+    assert sum(map(len, covers)) <= 10
 
 
 def test_minimality_differentials_in_radical(a2, nak):

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stratakit import linalg
 from stratakit.algebra import Algebra
+from stratakit.cli import main
 from stratakit.linalg import GF2, GF3, QQ, Field, InconsistentSystem, Matrix, Subspace, Value
 from stratakit.modules import RightModule, projective_module, regular_module
 from stratakit.specfile import build_algebra
@@ -19,6 +23,8 @@ from oracles import (
     reference_matmul,
     reference_rref,
     reference_solve_left,
+    two_path_matmul,
+    two_path_rref,
 )
 from support import fixture_algebras, full, load_fixture, span, subspace_sum
 
@@ -783,13 +789,13 @@ def test_kernel_matches_the_two_path_reference(ops):
     F, ref = a.field, ReferenceField(a.field)
     results = []
     product = a @ b
-    assert product.entries == reference_matmul(a, b)
+    assert product.entries == two_path_matmul(a, b)
     results.append(product.entries)
     for v in x.row_list():
         results.append(a.apply_row(v))
         assert results[-1] == reference_apply_row(a, v)
     R, rank, piv = a.rref()
-    assert (R.entries, rank, piv) == reference_rref(a)
+    assert (R.entries, rank, piv) == two_path_rref(a)
     ker = a.left_kernel().basis
     assert ker.entries == reference_left_kernel(a)
     k = a.kron(c)
@@ -808,6 +814,131 @@ def test_kernel_matches_the_two_path_reference(ops):
     for target in (x @ a, (x @ a).stack(extra)):
         same_solve(a, target)
         same_solve(a.row_space().basis, target)
+
+
+# ---------------------------------------------------------------------------
+# finished work recognised: the kernel against its own loops run on every
+# input (``reference_matmul``, ``reference_rref``)
+
+FAST_PATH_FIELDS = st.sampled_from([GF3, QQ])
+
+
+def selections(field, rows, cols):
+    """rows x cols, each row zero or a unit vector, repeats allowed."""
+    pick = st.one_of(st.none(), st.integers(0, cols - 1)) if cols else st.none()
+    return st.lists(pick, min_size=rows, max_size=rows).map(lambda picks: Matrix(
+        field, rows, cols, tuple(field.of(int(p == j)) for p in picks for j in range(cols))))
+
+
+def product_operands(field):
+    """A @ B, each size 0..4: A an identity, a row selection or any matrix,
+    B an identity or any matrix."""
+    def build(n, m, k, left, right_identity):
+        a = {"identity": st.just(Matrix.identity(field, m)), "selection": selections(field, n, m),
+             "any": kernel_matrices(field, n, m)}[left]
+        b = st.just(Matrix.identity(field, m)) if right_identity else kernel_matrices(field, m, k)
+        return st.tuples(a, b)
+
+    size = st.integers(0, 4)
+    return st.tuples(size, size, size, st.sampled_from(["identity", "selection", "any"]),
+                     st.booleans()).flatmap(lambda s: build(*s))
+
+
+@settings(max_examples=150, deadline=None)
+@given(FAST_PATH_FIELDS.flatmap(product_operands))
+def test_products_with_identities_and_row_selections_match_the_loop(ab):
+    a, b = ab
+    product = a @ b
+    assert (product.rows, product.cols) == (a.rows, b.cols)
+    assert product.entries == reference_matmul(a, b) and normalized(a.field, product.entries)
+    if a.is_identity or b.is_identity:
+        assert product is (b if a.is_identity else a)
+
+
+def reduced_matrices(field):
+    """r x c in RREF, 0 <= r, c <= 4 (0 x c and r x 0 too), of any rank up
+    to min(r, c), its zero rows last and any entries right of a pivot
+    outside the pivot columns."""
+    def build(r, c):
+        def write(pivots, xs):
+            ent = [0] * (r * c)
+            for i, pc in enumerate(pivots):
+                for j in range(pc, c):
+                    ent[i * c + j] = 1 if j == pc else 0 if j in pivots else xs[i * c + j]
+            return Matrix(field, r, c, tuple(ent))
+
+        pivots = st.lists(st.integers(0, c - 1), unique=True, max_size=min(r, c)).map(sorted) if c else st.just([])
+        return st.builds(write, pivots, st.lists(kernel_values(field), min_size=r * c, max_size=r * c))
+
+    return st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(lambda s: build(*s))
+
+
+def near_misses(field):
+    """A reduced matrix spoiled in one place, where it has room: its last
+    pivot made 2, a nonzero above that pivot, or its first zero row moved
+    above its last nonzero row."""
+    def spoil(a, how, x):
+        _, rank, piv = reference_rref(a)
+        ent, c = list(a.entries), a.cols
+        if how == "pivot" and rank:
+            ent[(rank - 1) * c + piv[-1]] = field.of(2)
+        elif how == "above" and rank > 1:
+            ent[piv[-1]] = x
+        elif how == "middle" and 0 < rank < a.rows:
+            at, zero = (rank - 1) * c, rank * c
+            ent = ent[:at] + ent[zero:zero + c] + ent[at:zero] + ent[zero + c:]
+        return Matrix(field, a.rows, c, tuple(ent))
+
+    return st.builds(spoil, reduced_matrices(field), st.sampled_from(["pivot", "above", "middle"]),
+                     kernel_values(field).filter(bool))
+
+
+@settings(max_examples=200, deadline=None)
+@given(FAST_PATH_FIELDS.flatmap(lambda F: st.one_of(reduced_matrices(F), near_misses(F))))
+def test_rref_recognises_a_reduced_matrix_and_nothing_else(a):
+    """A matrix in RREF is its own elimination and keeps only rank and
+    pivots; a near miss is eliminated as before."""
+    want = reference_rref(a)
+    R, rank, piv = a.rref()
+    assert (R.entries, rank, piv) == want
+    assert (R is a) == (want[0] == a.entries)
+    if R is a:
+        assert a.__dict__["_rref"] == (None, rank, piv)
+
+
+def test_corpus_run_matches_the_loops(monkeypatch):
+    """Every product and elimination of ``corpus --seed 11``, the program's
+    own traffic, equals the loops' result, and the run takes every fast
+    path: identity factors, unscaled row copies and reduced matrices."""
+    matmul, rref = Matrix.__matmul__, Matrix.rref
+    wrong, taken = [], {"identity": 0, "row copy": 0, "reduced": 0}
+
+    def checked_matmul(a, b):
+        out = matmul(a, b)
+        if (out.rows, out.cols, out.entries) != (a.rows, b.cols, reference_matmul(a, b)):
+            wrong.append(("product", a, b))
+        taken["identity"] += out is a or out is b
+        taken["row copy"] += any(a.row(i).count(1) == 1 and a.row(i).count(0) == a.cols - 1
+                                 for i in range(a.rows))
+        return out
+
+    def checked_rref(m):
+        fresh = "_rref" not in m.__dict__
+        R, rank, piv = rref(m)
+        if (R.entries, rank, piv) != reference_rref(m):
+            wrong.append(("rref", m))
+        taken["reduced"] += fresh and R is m
+        return R, rank, piv
+
+    monkeypatch.setattr(Matrix, "__matmul__", checked_matmul)
+    monkeypatch.setattr(Matrix, "rref", checked_rref)
+    monkeypatch.delenv("STRATAKIT_SEED", raising=False)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["corpus", "--seed", "11"])
+    assert code == 0 and out.getvalue() == (Path(__file__).parent / "golden" / "corpus.seed11.json").read_text()
+    assert wrong == []
+    assert all(taken.values()), taken
 
 
 def algebra_operands(a):
