@@ -380,8 +380,7 @@ def validate_algebra(a: Algebra) -> ValidationReport:
     Products of basis elements are read off ``a.sparse_table()``, so the
     dim^3 associativity triples cost the nonzero structure constants they
     touch, not a dense product each."""
-    F = a.field
-    one = F.one
+    F, one, labels = a.field, a.field.one, a.basis_labels
     table = a.sparse_table()
     prod = a.sum_of_products
     issues: list[tuple[str, str]] = []
@@ -390,30 +389,16 @@ def validate_algebra(a: Algebra) -> ValidationReport:
     for i in range(a.dim):
         b = a.basis_vec(i)
         if prod((u, m, i) for u, m in units) != b or prod((u, i, m) for u, m in units) != b:
-            issues.append(("unit", f"unit fails on basis element {a.basis_labels[i]}"))
+            issues.append(("unit", f"unit fails on basis element {labels[i]}"))
             break
 
-    done = False
-    for i in range(a.dim):
-        if done:
-            break
-        for j in range(a.dim):
-            if done:
-                break
-            ij, row_j = table[i][j], table[j]
-            for k in range(a.dim):
-                # (b_i b_j) b_k against b_i (b_j b_k); both are zero when
-                # neither product is in the table
-                if not ij and not row_j[k]:
-                    continue
-                if prod((c, m, k) for m, c in ij) != prod((c, i, m) for m, c in row_j[k]):
-                    issues.append(
-                        ("associativity",
-                         f"({a.basis_labels[i]}*{a.basis_labels[j]})*{a.basis_labels[k]}"
-                         f" != {a.basis_labels[i]}*({a.basis_labels[j]}*{a.basis_labels[k]})")
-                    )
-                    done = True
-                    break
+    # the first (b_i b_j) b_k that differs from b_i (b_j b_k); both are zero
+    # when neither product is in the table
+    for i, j, k in itertools.islice(
+            ((i, j, k) for i in range(a.dim) for j, ij in enumerate(table[i]) for k, jk in enumerate(table[j])
+             if (ij or jk) and prod((c, m, k) for m, c in ij) != prod((c, i, m) for m, c in jk)), 1):
+        issues.append(("associativity",
+                       f"({labels[i]}*{labels[j]})*{labels[k]} != {labels[i]}*({labels[j]}*{labels[k]})"))
 
     idx = a.idempotent_indices
     for v, i in zip(a.vertex_names, idx):
@@ -430,20 +415,14 @@ def validate_algebra(a: Algebra) -> ValidationReport:
     if rad.ambient != a.dim:
         issues.append(("radical", "ambient dimension mismatch"))
     else:
-        for r in range(rad.dim):
-            rv = [(c, m) for m, c in enumerate(rad.basis.row(r)) if c]
-            for i in range(a.dim):
-                if not rad.contains(prod((c, m, i) for c, m in rv)):
-                    issues.append(("radical-ideal", f"rad*{a.basis_labels[i]} leaves the radical"))
-                    break
-                if not rad.contains(prod((c, i, m) for c, m in rv)):
-                    issues.append(("radical-ideal", f"{a.basis_labels[i]}*rad leaves the radical"))
-                    break
-            else:
-                continue
-            break
-        power = rad
-        k = 1
+        # the first r b_i, then b_i r, outside the radical, r a basis row of it
+        rows = [[(c, m) for m, c in enumerate(row) if c] for row in rad.basis.row_list()]
+        for i, left in itertools.islice(
+                ((i, left) for rv in rows for i in range(a.dim) for left in (True, False)
+                 if not rad.contains(prod((c, m, i) if left else (c, i, m) for c, m in rv))), 1):
+            side = f"rad*{labels[i]}" if left else f"{labels[i]}*rad"
+            issues.append(("radical-ideal", f"{side} leaves the radical"))
+        power, k = rad, 1
         while power.dim > 0 and k <= a.dim:
             ent = tuple(x for i in range(power.dim) for j in range(rad.dim)
                         for x in a.mul_vec(power.basis.row(i), rad.basis.row(j)))
@@ -470,19 +449,53 @@ def validate_algebra(a: Algebra) -> ValidationReport:
             img = (Matrix(F, len(corner), a.dim, tuple(x for r in corner for x in r)) @ proj).row_space()
             want = 1 if vi == wi else 0
             if img.dim != want:
-                issues.append(
-                    ("split-semisimple",
-                     f"dim e_{v}(A/rad)e_{w} = {img.dim}, expected {want}")
-                )
+                issues.append(("split-semisimple", f"dim e_{v}(A/rad)e_{w} = {img.dim}, expected {want}"))
     return ValidationReport(ok=not issues, issues=tuple(issues))
 
 
-def _derived_algebra(a: Algebra, labels: Sequence[str], vertices: Sequence[str],
-                     vectors: Sequence[tuple], coords: Callable[[Matrix], Matrix], what: str) -> Algebra:
+def _map_issues(s: Algebra, t: Algebra, m: Matrix, unit: Sequence) -> list[tuple[str, str]]:
+    """Where the linear map from ``s`` to ``t`` with row k the image of b_k
+    is no algebra map: the first b_i, b_j with m(b_i b_j) != m(b_i) m(b_j),
+    summed over nonzero structure constants, and a unit not sent to ``unit``."""
+    n, norm = s.dim, s.field.norm
+    rows = [[(k, c) for k, c in enumerate(r) if c] for r in m.row_list()]
+    source, target = s.sparse_table(), t.sparse_table()
+    issues = []
+    for i, j in itertools.product(range(n), repeat=2):
+        acc = {}
+        for k, c in source[i][j]:
+            for l, x in rows[k]:
+                acc[l] = acc.get(l, 0) + c * x
+        for (k, x), (l, y) in itertools.product(rows[i], rows[j]):
+            for u, c in target[k][l]:
+                acc[u] = acc.get(u, 0) - x * y * c
+        if any(map(norm, acc.values())):
+            issues.append(("product", f"{s.basis_labels[i]}*{s.basis_labels[j]} maps off the product"))
+            break
+    if (Matrix(s.field, 1, n, s.unit) @ m).entries != tuple(unit):
+        issues.append(("unit", "the unit maps off the unit of the image"))
+    return issues
+
+
+def _derived_algebra(a: Algebra, labels: Sequence[str], vertices: Sequence[str], vectors: Sequence[tuple],
+                     coords: Callable[[Matrix], Matrix], what: str, certify: Callable[[Algebra], list]) -> Algebra:
     """The corner or quotient of ``a`` on ``labels``, written by one call of
     ``coords`` (``a``-vectors to coordinates) on ``vectors``, the products
     b_i * b_j row-major, the radical's rows and the unit, and on the
-    idempotents of ``vertices``, each of which must come out a unit vector."""
+    idempotents of ``vertices``, each of which must come out a unit vector.
+
+    ``a`` is validated, so the result is certified against it instead, for
+    dim^2 products and no triples: ``certify`` gives the ``_map_issues`` of
+    the map between the two, and
+    * the projection pi: A -> Q is onto, so if pi(b_i b_j) = pi(b_i) pi(b_j)
+      for A's basis, pi is an algebra surjection: AeA = ker pi is an ideal,
+      Q is associative with unit pi(1), and rad Q = pi(rad A);
+    * the embedding iota of eAe in A is one to one, so if iota(c_i c_j) =
+      iota(c_i) iota(c_j) for its basis and iota(1) = e, eAe is a subalgebra
+      with unit e, and its radical is e rad(A) e.
+    Either way the vertex idempotents are orthogonal and sum to the unit,
+    and the radical rows span a nilpotent ideal; it is the radical, with a
+    split quotient, when dim - dim rad is the number of vertices."""
     F, n = a.field, len(labels)
     vectors = [*vectors, *(a.idempotent_vec(v) for v in vertices)]
     sol = coords(Matrix(F, len(vectors), a.dim, tuple(x for v in vectors for x in v)))
@@ -503,9 +516,11 @@ def _derived_algebra(a: Algebra, labels: Sequence[str], vertices: Sequence[str],
         # the radical's rows lie between the products and the unit
         radical=Matrix(F, unit - n * n, n, sol.entries[n ** 3:unit * n]).row_space(),
     )
-    report = validate_algebra(alg)
-    if not report.ok:
-        raise AlgebraError(f"{what} algebra failed validation: {report.issues}")
+    issues = certify(alg)
+    if alg.dim - alg.radical.dim != len(vertices):
+        issues.append(("split-semisimple", f"dim - dim rad = {alg.dim - alg.radical.dim} != {len(vertices)}"))
+    if issues:
+        raise AlgebraError(f"{what} algebra failed validation: {tuple(issues)}")
     return alg
 
 
@@ -515,19 +530,16 @@ class CornerData(Value):
 
 
 def corner_algebra(a: Algebra, vertices: Sequence[str]) -> CornerData:
-    """The corner algebra eAe for e the sum of the named vertex idempotents;
-    the zero algebra for e = 0.  Its basis is the e_v, then each e b_i e
-    outside the span of those before it, read off one elimination."""
-    subset = list(vertices)
-    if any(v not in a.vertex_names for v in subset) or len(set(subset)) != len(subset):
-        raise ValueError(f"not a vertex subset: {vertices!r}")
+    """The corner algebra eAe for e the sum of the named (distinct) vertex
+    idempotents; the zero algebra for e = 0.  Its basis is the e_v, then each
+    e b_i e outside the span of those before it, read off one elimination."""
     F, mul = a.field, a.mul_vec
-    e = a.idempotent_sum(subset)
-    rows = [a.idempotent_vec(v) for v in subset]
+    e = a.idempotent_sum(vertices)
+    rows = [a.idempotent_vec(v) for v in vertices]
     cands = rows + [mul(mul(e, a.basis_vec(i)), e) for i in range(a.dim)]
     kept = Matrix(F, len(cands), a.dim, tuple(x for r in cands for x in r)).independent_rows(len(rows))
     rows += [cands[i] for i in kept]
-    labels = [f"e_{v}" for v in subset] + [a.basis_labels[i - len(subset)] for i in kept]
+    labels = [f"e_{v}" for v in vertices] + [a.basis_labels[i - len(vertices)] for i in kept]
     embed = Matrix(F, len(rows), a.dim, tuple(x for r in rows for x in r))
 
     def coords(targets: Matrix) -> Matrix:
@@ -538,7 +550,8 @@ def corner_algebra(a: Algebra, vertices: Sequence[str]) -> CornerData:
 
     vectors = ([mul(x, y) for x in rows for y in rows]
                + [mul(mul(e, a.radical.basis.row(r)), e) for r in range(a.radical.dim)] + [e])
-    return CornerData(algebra=_derived_algebra(a, labels, subset, vectors, coords, "corner"), embed=embed)
+    alg = _derived_algebra(a, labels, vertices, vectors, coords, "corner", lambda c: _map_issues(c, a, embed, e))
+    return CornerData(algebra=alg, embed=embed)
 
 
 class QuotientData(Value):
@@ -547,46 +560,23 @@ class QuotientData(Value):
     section: Matrix        # quotient dim x parent dim
 
 
-def quotient_by_idempotent_ideal(a: Algebra, vertices: Sequence[str]) -> QuotientData:
-    """The quotient A/AeA for e the sum of the named vertex idempotents.
+def quotient_by_idempotent_ideal(a: Algebra, vertices: Sequence[str], a_e: Matrix, e_a: Matrix) -> QuotientData:
+    """The quotient A/AeA for e the sum of the named vertex idempotents,
+    given bases of Ae and eA.
 
-    Its basis is the classes of the b_i off the ideal's pivots.  The
-    projection is an algebra surjection; the section picks coordinate
+    AeA is spanned by the products of the two bases, since a e b = (a e)(e b).
+    The quotient's basis is the classes of the b_i off the ideal's pivots.
+    The projection is an algebra surjection; the section picks coordinate
     representatives (a linear, not multiplicative, splitting).
     """
-    subset = list(vertices)
-    if any(v not in a.vertex_names for v in subset) or len(set(subset)) != len(subset):
-        raise ValueError(f"not a vertex subset: {vertices!r}")
-    F, one, prod = a.field, a.field.one, a.sum_of_products
-    e_idx = [a.idempotent_indices[a.vertex_names.index(v)] for v in subset]
-
-    # the span of the b_i e b_j, products read off the sparse table
-    vecs = []
-    for i in range(a.dim):
-        bie = [(c, m) for m, c in enumerate(prod((one, i, v) for v in e_idx)) if c]
-        if not bie:
-            continue
-        for j in range(a.dim):
-            v = prod((c, m, j) for c, m in bie)
-            if any(v):
-                vecs.append(v)
-    ideal = Matrix(F, len(vecs), a.dim, tuple(x for v in vecs for x in v)).row_space()
-
-    # ideal stability (single pass suffices; assert it)
-    for r in range(ideal.dim):
-        rv = [(c, m) for m, c in enumerate(ideal.basis.row(r)) if c]
-        for i in range(a.dim):
-            if not ideal.contains(prod((c, m, i) for c, m in rv)) or not ideal.contains(
-                prod((c, i, m) for c, m in rv)
-            ):
-                raise AlgebraError("idempotent ideal span not stable")
-
+    products = tuple(x for u in a_e.row_list() for w in e_a.row_list() for x in a.mul_vec(u, w))
+    ideal = Matrix(a.field, a_e.rows * e_a.rows, a.dim, products).row_space()
     proj, sec = ideal.quotient_maps()
     # the section picks the basis elements off the ideal's pivots
     kept = [j for j in range(a.dim) if j not in ideal.pivots]
-    vectors = [prod([(one, i, j)]) for i in kept for j in kept] + a.radical.basis.row_list() + [a.unit]
-    alg = _derived_algebra(a, [a.basis_labels[j] for j in kept], [v for v in a.vertex_names if v not in subset],
-                           vectors, lambda t: t @ proj, "quotient")
+    vectors = [a.mult[i][j] for i in kept for j in kept] + a.radical.basis.row_list() + [a.unit]
+    alg = _derived_algebra(a, [a.basis_labels[j] for j in kept], [v for v in a.vertex_names if v not in vertices],
+                           vectors, lambda t: t @ proj, "quotient", lambda q: _map_issues(a, q, proj, q.unit))
     return QuotientData(algebra=alg, projection=proj, section=sec)
 
 

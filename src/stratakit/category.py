@@ -6,8 +6,8 @@ objects), plus the object and morphism conventions:
 
 * every object has ``dim``, the dimension of its underlying space;
 * every morphism has ``source``/``target``/``then``/``+``/``-``/``scale``/
-  ``is_zero``, its ``rank()`` and the pair ``is_surjective``/
-  ``is_isomorphism`` read off the rank.
+  ``is_zero``/``is_identity``, its ``rank()`` and the pair
+  ``is_surjective``/``is_isomorphism`` read off the rank.
 
 Kernels, cokernels and images are computed on underlying spaces (in the
 glued category componentwise), so mono, epi, iso and exactness are rank
@@ -104,10 +104,6 @@ class Functor(Value):
 
     def map(self, f):
         return self.mor(f)
-
-
-def mor_eq(f, g) -> bool:
-    return (f - g).is_zero
 
 
 def exact_at(f, g, mono: bool = False, epi: bool = False) -> bool:

@@ -55,9 +55,11 @@ Conventions:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add, attrgetter, neg, sub
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
+
+if TYPE_CHECKING:  # at run time the first value that is not an int loads it (``Field.of``, ``Field.inv``)
+    from fractions import Fraction
 
 
 class InconsistentSystem(ArithmeticError):
@@ -216,12 +218,14 @@ class Field(Value):
         rejected because they are not exact, and bools because they are not
         numbers (``TypeError``); a malformed string raises ``ValueError``.
         Over Q a whole number comes back as an ``int``."""
-        if isinstance(x, str):
-            x = Fraction(x)
-        elif isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-            raise TypeError(f"not an exact number: {x!r}")
+        if isinstance(x, bool) or not isinstance(x, int):
+            from fractions import Fraction  # with ``decimal``: a run on whole numbers never loads them
+            if isinstance(x, str):
+                x = Fraction(x)
+            elif not isinstance(x, Fraction):
+                raise TypeError(f"not an exact number: {x!r}")
         if self.kind == "GF":
-            if isinstance(x, Fraction):
+            if not isinstance(x, int):
                 if x.denominator % self.p == 0:
                     raise ZeroDivisionError(f"{x} has no image in GF({self.p})")
                 return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
@@ -233,7 +237,10 @@ class Field(Value):
             raise ZeroDivisionError("inverse of zero")
         if self.kind == "GF":
             return pow(a, -1, self.p)
-        return a if a in (1, -1) else _whole(1 / Fraction(a))
+        if a in (1, -1):
+            return a
+        from fractions import Fraction
+        return _whole(1 / Fraction(a))
 
     def to_json(self) -> dict:
         return {"kind": "GF", "p": self.p} if self.kind == "GF" else {"kind": "Q"}

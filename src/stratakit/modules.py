@@ -149,6 +149,10 @@ class ModuleMap(Value, RankPredicates):
     def is_zero(self) -> bool:
         return self.mat.is_zero
 
+    @property
+    def is_identity(self) -> bool:
+        return self.source == self.target and self.mat.is_identity
+
     def rank(self) -> int:
         return self.mat.rank()
 
@@ -342,28 +346,25 @@ class Bimodule(Value):
         (phi l)(b) = phi(l b).
 
         An element of Hom_R(B, X) is a dim B x dim X matrix; ``basis(x)`` is
-        ``hom_basis`` from B as a right R-module to X, and ``coords(x, rows)``
-        writes each row of ``rows``, a flattened element, in it.
+        ``hom_basis`` from B as a right R-module to X, one flattened map per
+        row, and ``coords(x, rows)`` writes each row of ``rows``, a flattened
+        element, in it.
         """
         L, R = self.left_algebra, self.right_algebra
         F = R.field
         db = self.dim
 
         @functools.cache
-        def basis(x: RightModule) -> tuple[Matrix, ...]:
-            return tuple(f.mat for f in hom_basis(self.right, x))
-
-        @functools.cache
-        def flat_basis(x: RightModule) -> Matrix:
-            phis = basis(x)
-            return Matrix(F, len(phis), db * x.dim, tuple(e for phi in phis for e in phi.entries))
+        def basis(x: RightModule) -> Matrix:
+            phis = hom_basis(self.right, x)
+            return Matrix(F, len(phis), db * x.dim, tuple(e for phi in phis for e in phi.mat.entries))
 
         def coords(x: RightModule, rows: Matrix) -> Matrix:
-            return flat_basis(x).solve_left(rows)
+            return basis(x).solve_left(rows)
 
         @functools.cache
         def obj(x: RightModule) -> RightModule:
-            dx, flat = x.dim, flat_basis(x)
+            dx, flat = x.dim, basis(x)
             h, size = flat.rows, flat.cols
             # one product of the action stack and the basis side by side:
             # its block k is b_k phi_0, ..., b_k phi_{h-1} side by side, and
@@ -376,7 +377,7 @@ class Bimodule(Value):
 
         def mor(f: ModuleMap) -> ModuleMap:
             # phi @ f for every basis map phi, as one product of their stack
-            flat = flat_basis(f.source)
+            flat = basis(f.source)
             images = Matrix(F, flat.rows * db, f.source.dim, flat.entries) @ f.mat
             return ModuleMap(obj(f.source), obj(f.target),
                              coords(f.target, Matrix(F, flat.rows, db * f.target.dim, images.entries)))
@@ -393,7 +394,7 @@ class TensorFunctor(Value):
 class HomFunctor(Value):
     obj: Callable[[RightModule], RightModule]
     mor: Callable[[ModuleMap], ModuleMap]
-    basis: Callable[[RightModule], tuple[Matrix, ...]]
+    basis: Callable[[RightModule], Matrix]  # one flattened map per row
     coords: Callable[[RightModule, Matrix], Matrix]
 
 

@@ -126,6 +126,10 @@ class MVMorphism(Value, RankPredicates):
     def is_zero(self) -> bool:
         return self.f_u.is_zero and self.f_z.is_zero
 
+    @property
+    def is_identity(self) -> bool:
+        return self.source == self.target and self.f_u.mat.is_identity and self.f_z.mat.is_identity
+
     def rank(self) -> int:
         return self.f_u.rank() + self.f_z.rank()
 

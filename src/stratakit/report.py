@@ -3,16 +3,13 @@
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from . import __version__
 from .linalg import Value
 
 
 def jsonable(x):
-    """Coerce nested results into JSON-serializable primitives, exactly."""
-    if isinstance(x, Fraction):
-        return str(x)
+    """Coerce nested results into JSON-serializable primitives, exactly (a ``Fraction`` as "-2/5")."""
     if isinstance(x, (str, int, bool)) or x is None:
         return x
     if isinstance(x, float):
@@ -102,6 +99,13 @@ class Report(Value, frozen=False):
 
 
 def sha256_bytes(raw: bytes) -> str:
-    import hashlib  # here, not at the top: OpenSSL's ``_hashlib`` costs every start
-
-    return hashlib.sha256(raw).hexdigest()
+    # CPython's built-in SHA-256, as ``random`` takes its sha512: ``hashlib``
+    # loads OpenSSL's ``_hashlib``, which costs milliseconds on every start
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(raw).hexdigest()

@@ -7,7 +7,7 @@ import json
 import random
 from typing import Iterable, Sequence
 
-from stratakit.algebra import Algebra, Presentation, Quiver, build_bound_quiver_algebra
+from stratakit.algebra import Algebra, Presentation, Quiver, build_bound_quiver_algebra, quotient_by_idempotent_ideal
 from stratakit.corpus import corpus_index, fixture_bytes
 from stratakit.homological import ext
 from stratakit.linalg import GF2, GF3, QQ, Field, Matrix, Subspace
@@ -217,3 +217,11 @@ def mv_direct_sum(cat, xs):
     injs = [MVMorphism(x, total, iu, iz) for x, iu, iz in zip(xs, inj_u, inj_z)]
     projs = [MVMorphism(total, x, pu, pz) for x, pu, pz in zip(xs, proj_u, proj_z)]
     return total, injs, projs
+
+
+def quotient_of(a: Algebra, vertices: Sequence[str]):
+    """``quotient_by_idempotent_ideal`` of ``a`` by the named vertices, with
+    the bases of Ae and eA that the layer recollement eliminates."""
+    e = a.idempotent_sum(vertices)
+    return quotient_by_idempotent_ideal(a, vertices, a.right_mult_matrix(e).row_space().basis,
+                                        a.left_mult_matrix(e).row_space().basis)

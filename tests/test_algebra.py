@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stratakit import algebra as algebra_module
 from stratakit.algebra import (
     Algebra,
+    AlgebraError,
     NonAdmissibleError,
     PossiblyInfiniteError,
     Presentation,
@@ -15,14 +17,13 @@ from stratakit.algebra import (
     build_bound_quiver_algebra,
     corner_algebra,
     opposite,
-    quotient_by_idempotent_ideal,
     validate_algebra,
 )
-from stratakit.linalg import GF2, GF3, QQ, Subspace
+from stratakit.linalg import GF2, GF3, QQ, Matrix, Subspace
 from stratakit.specfile import build_algebra, parse_spec
 
 from oracles import algebra_issues_by_mul_vec, reference_corner_algebra, reference_quotient_by_idempotent_ideal
-from support import auslander_algebra, fixture_algebras, full, generated_specs, load_fixture, span
+from support import auslander_algebra, fixture_algebras, full, generated_specs, load_fixture, quotient_of, span
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +123,7 @@ def test_corner_nak_at_vertex2(nak):
 
 
 def test_quotient_by_unit_is_zero(a2):
-    q = quotient_by_idempotent_ideal(a2, ["1", "2"])
+    q = quotient_of(a2, ["1", "2"])
     assert q.algebra.dim == 0
 
 
@@ -134,7 +135,7 @@ def test_zero_corner_and_quotient_by_every_vertex_are_the_zero_algebra(fix):
     zero = Algebra(field=a.field, basis_labels=(), mult=(), unit=(), idempotent_indices=(),
                    vertex_names=(), radical=Subspace.zero(a.field, 0))
     corner = corner_algebra(a, [])
-    quotient = quotient_by_idempotent_ideal(a, a.vertex_names)
+    quotient = quotient_of(a, a.vertex_names)
     assert corner.algebra == zero
     assert quotient.algebra == zero
     assert (corner.embed.rows, corner.embed.cols) == (0, a.dim)
@@ -161,24 +162,64 @@ def _derived_inputs():
 
 def test_corner_and_quotient_match_the_references():
     """One writer for both tables gives the corner and the quotient, embed,
-    projection and section included, that their own assemblies gave."""
+    projection and section included, that their own assemblies gave, and
+    each passes the full validation that the certificate stands in for."""
     cases = 0
     for a, vs in _derived_inputs():
-        assert corner_algebra(a, vs) == reference_corner_algebra(a, vs), (a.basis_labels, vs)
-        assert quotient_by_idempotent_ideal(a, vs) == reference_quotient_by_idempotent_ideal(a, vs), (
-            a.basis_labels, vs)
+        corner, quotient = corner_algebra(a, vs), quotient_of(a, vs)
+        assert corner == reference_corner_algebra(a, vs), (a.basis_labels, vs)
+        assert quotient == reference_quotient_by_idempotent_ideal(a, vs), (a.basis_labels, vs)
+        assert validate_algebra(corner.algebra).ok and validate_algebra(quotient.algebra).ok, (a.basis_labels, vs)
         cases += 1
     assert cases > 450
 
 
+def _transposed(sol: Matrix, n: int) -> Matrix:
+    """The coordinates with the products' block read as the transposed table."""
+    rows = sol.row_list()
+    rows[:n * n] = [rows[j * n + i] for i in range(n) for j in range(n)]
+    return Matrix(sol.field, sol.rows, sol.cols, tuple(x for r in rows for x in r))
+
+
+def _last_product_off(sol: Matrix, n: int) -> Matrix:
+    """The coordinates with the first entry of the last product moved by one."""
+    ent = list(sol.entries)
+    k = (n * n - 1) * sol.cols
+    ent[k] = sol.field.norm(ent[k] + 1)
+    return Matrix(sol.field, sol.rows, sol.cols, tuple(ent))
+
+
+@pytest.mark.parametrize("mutate,build,vs", [
+    (_transposed, corner_algebra, ["1", "2"]),
+    (_transposed, quotient_of, ["3"]),
+    (_last_product_off, quotient_of, ["3"]),
+    (_last_product_off, corner_algebra, ["1", "3"]),
+], ids=["transposed-corner", "transposed-quotient", "wrong-quotient-product", "wrong-corner-product"])
+def test_the_certificate_refuses_a_miswritten_table(monkeypatch, mutate, build, vs):
+    """A coordinate map that writes the table transposed, or one product
+    wrong, gives a corner or quotient of FIX-A3 that the certificate against
+    A refuses, with ``validate_algebra`` out of reach."""
+    a = build_algebra(load_fixture("FIX-A3"))
+    real = algebra_module._derived_algebra
+
+    def miswritten(a, labels, vertices, vectors, coords, what, certify):
+        return real(a, labels, vertices, vectors, lambda t: mutate(coords(t), len(labels)), what, certify)
+
+    monkeypatch.setattr(algebra_module, "_derived_algebra", miswritten)
+    monkeypatch.setattr(algebra_module, "validate_algebra", lambda b: pytest.fail("validated afresh"))
+    what = "corner" if build is corner_algebra else "quotient"
+    with pytest.raises(AlgebraError, match=f"^{what} algebra failed validation: "):
+        build(a, vs)
+
+
 def test_quotient_a2(a2):
-    q = quotient_by_idempotent_ideal(a2, ["2"])
+    q = quotient_of(a2, ["2"])
     assert q.algebra.dim == 1  # AeA = span{e_2, a}
     assert q.algebra.vertex_names == ("1",)
 
 
 def test_quotient_nak(nak):
-    q = quotient_by_idempotent_ideal(nak, ["2"])
+    q = quotient_of(nak, ["2"])
     assert q.algebra.dim == 1  # AeA = span{e_2, a, b}
     assert q.algebra.vertex_names == ("1",)
 
@@ -278,7 +319,7 @@ def test_generating_vectors_generate():
         assert len(gens) == len(a.vertex_names) + len(arrows)
         assert set(gens) == {a.basis_vec(j) for j in a.idempotent_indices + tuple(arrows)}
         derived = ([corner_algebra(a, [v]).algebra for v in a.vertex_names]
-                   + [quotient_by_idempotent_ideal(a, [v]).algebra for v in a.vertex_names])
+                   + [quotient_of(a, [v]).algebra for v in a.vertex_names])
         for b in [a] + derived:
             assert _generated(b) == full(b.field, b.dim), b.basis_labels
 
@@ -319,7 +360,7 @@ def test_validate_matches_the_mul_vec_reference():
     and its quotients by a vertex."""
     for a in FIXTURE_ALGEBRAS:
         derived = ([corner_algebra(a, [v]).algebra for v in a.vertex_names]
-                   + [quotient_by_idempotent_ideal(a, [v]).algebra for v in a.vertex_names])
+                   + [quotient_of(a, [v]).algebra for v in a.vertex_names])
         for b in [a] + derived:
             assert validate_algebra(b).issues == algebra_issues_by_mul_vec(b) == ()
 

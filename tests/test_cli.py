@@ -486,25 +486,31 @@ def loaded_modules(argv) -> set[str]:
     return set(res.stdout.splitlines()[-1].split())
 
 
-def loaded_layers(argv) -> set[str]:
-    """The stratakit modules of ``loaded_modules``, package prefix dropped."""
-    return {m.removeprefix("stratakit.") for m in loaded_modules(argv) if m.startswith("stratakit")}
+def layers(modules: set[str]) -> set[str]:
+    """The stratakit modules among ``modules``, package prefix dropped."""
+    return {m.removeprefix("stratakit.") for m in modules if m.startswith("stratakit")}
+
+
+LAZY = {"fractions", "decimal", "hashlib", "_hashlib"}
 
 
 def test_each_command_loads_only_its_layers(tmp_path):
     """Every invocation is a fresh interpreter, so a layer the command does
     not run must not be imported: importing it would compile and build it on
-    every start.  Nor does the bare import load ``hashlib``, whose OpenSSL
-    module costs milliseconds: only the reports that carry the input's
-    digest import it."""
+    every start.  Nor does a run over GF(3) load ``fractions`` (with the
+    ``decimal`` it imports), which only a value that is not an int needs,
+    or ``hashlib``, whose OpenSSL module costs milliseconds: the input's
+    digest comes from the built-in SHA-256."""
     a5 = str(ROOT / "tests" / "golden" / "a5_gf3.input.json")
     bare = loaded_modules(None)
-    assert {m.removeprefix("stratakit.") for m in bare if m.startswith("stratakit")} == START
-    assert not bare & {"hashlib", "_hashlib"}
-    assert loaded_layers(["validate", a5]) == START
-    assert loaded_layers(["check", a5, "--mode", "recollement"]) == START | {
-        "category", "modules", "recollement"}
-    porism = loaded_layers(["check", fixture_path(tmp_path, "fix_a3.json"), "--mode", "porism"])
+    assert layers(bare) == START
+    assert not bare & LAZY
+    validate = loaded_modules(["validate", a5])
+    check = loaded_modules(["check", a5, "--mode", "recollement"])
+    assert layers(validate) == START
+    assert layers(check) == START | {"category", "modules", "recollement"}
+    assert not (validate | check) & LAZY
+    porism = layers(loaded_modules(["check", fixture_path(tmp_path, "fix_a3.json"), "--mode", "porism"]))
     assert "strat" in porism
     assert not porism & {"analyze", "mv", "corpus"}
 

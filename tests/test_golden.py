@@ -22,7 +22,9 @@ quiver 1 -> 2 <- 3 with 2 on top, the one input whose order is not total:
 its lower sets {x} and {y} are incomparable, and {x, y} is the down-set of
 no one element; and the 2-cycle a: 1 -> 2, b: 2 -> 1 with ba = 0 over
 GF(3) on the antichain s, t, whose report is the one (S3) failure: the
-corner at 1 holds the cycle ab inside {s, t} but not inside {s}), and
+corner at 1 holds the cycle ab inside {s, t} but not inside {s}; and
+the square a*b, c*d over Q with the relation -2/5 a*b + 3/7 c*d, whose
+coefficients are parsed from text and inverted), and
 ``corpus.seed11.json`` that of
 ``stratakit corpus --seed 11``.  Regenerate one only for an intended
 change of its report, and say so in the change.
@@ -34,6 +36,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -44,6 +47,7 @@ from stratakit.cli import main
 from stratakit.corpus import fixture_bytes
 from stratakit.linalg import Matrix, Subspace
 from stratakit.modules import RightModule
+from stratakit.specfile import build_algebra, parse_spec
 from stratakit.strat import Stratification
 
 from support import count_calls, path_spec
@@ -56,10 +60,10 @@ EXTRA_CASES = [("c3_q", "eps"), ("c3_q", "homological"), ("c3_q", "porism"),
                ("c3_q_all", "eps"), ("c3_gf3", "porism"), ("c3_gf3", "eps"),
                ("a5_gf3", "recollement"), ("a3_q", "hw"), ("a3_q", "recollement"),
                ("a3_q", "simples"), ("v_gf3", "eps"), ("v_gf3", "hw"), ("v_gf3", "porism"),
-               ("v_gf3", "homological"), ("cyc2_anti_gf3", "simples")]
+               ("v_gf3", "homological"), ("cyc2_anti_gf3", "simples"), ("sq_q", "hw")]
 CHECK_CASES = ([(f, m) for f in STRATIFIED for m in MODES] + [("fix_mv_pair", "recollement")]
                + EXTRA_CASES)
-WITH_STRATIFICATION = STRATIFIED + ("c3_q", "c3_q_all", "c3_gf3", "a3_q", "v_gf3", "cyc2_anti_gf3")
+WITH_STRATIFICATION = STRATIFIED + ("c3_q", "c3_q_all", "c3_gf3", "a3_q", "v_gf3", "cyc2_anti_gf3", "sq_q")
 
 
 def run_counting(monkeypatch, argv):
@@ -100,6 +104,15 @@ def test_check_report_matches_golden(tmp_path, monkeypatch, fixture, mode):
     # the stratification is built and checked once, in validation, and then
     # shared with the mode's battery
     assert structure_checks == (1 if fixture in WITH_STRATIFICATION else 0)
+
+
+def test_rational_coefficients_are_parsed_and_inverted():
+    """The square over Q takes its relation's coefficients from text: the
+    Gröbner basis divides by -2/5, so a*b = 15/14 c*d, a ``Fraction``."""
+    a = build_algebra(parse_spec(json.loads(input_bytes("sq_q"))))
+    labels = a.basis_labels
+    ab = a.mul_vec(a.basis_vec(labels.index("a")), a.basis_vec(labels.index("b")))
+    assert ab == tuple(Fraction(15, 14) if label == "c*d" else 0 for label in labels)
 
 
 def test_corpus_report_matches_golden(monkeypatch):
@@ -179,9 +192,11 @@ def test_corpus_asks_each_question_once(monkeypatch):
     filtration searches (119 when every sign pattern searched again) and
     at most 22 exactness facts (52).  Each build makes one quotient A/AeA
     and one corner eAe, and no other code makes either, so the run makes
-    18 of each and validates at most 54 algebras (36 quotients, 30 corners
-    and 84 validations when each lower-set algebra and each corner of
-    (S3) was built again beside the layer recollements).  Two more
+    18 of each (36 quotients and 30 corners when each lower-set algebra and
+    each corner of (S3) was built again beside the layer recollements).
+    Only the algebras built from the input are validated, 18 of them: each
+    corner and quotient is certified against the algebra it comes from
+    (54 validations while each was validated afresh, 84 before that).  Two more
     batteries repeat one by value, but in another fixture: FIX-NAK's
     A_{<=x} equals FIX-A2's and FIX-LOOP's A_{<=z} equals FIX-KRO's.  No
     memo outlives its input, so those two stay."""
@@ -196,7 +211,7 @@ def test_corpus_asks_each_question_once(monkeypatch):
     assert out == (GOLDEN / "corpus.seed11.json").read_text()
     assert code == 0
     assert (len(batteries), len(builds), len(quotients), len(corners)) == (22, 18, 18, 18)
-    assert len(validations) <= 54
+    assert len(validations) <= 18
     assert len(searches) <= 46
     assert len(facts) <= 22
 
@@ -217,10 +232,11 @@ def test_corpus_solves_against_reduced_bases_by_their_pivots(monkeypatch):
     product or elimination, and comparing two modules compares one matrix;
     a product with an identity factor returns the other factor, so it
     builds no matrix, and the hom functor maps a morphism by one product:
-    the run makes 17,897 matrices, 6,497 products and 6,323 matrix
+    the run makes 16,831 matrices, 6,512 products and 6,428 matrix
     comparisons (25,509, 9,429 and 11,889 with one matrix per algebra
     basis element, 23,778, 6,754 and 6,285 while every product built
-    its result)."""
+    its result, 17,897, 6,497 and 6,323 while every corner and quotient
+    was validated afresh and a triangle identity subtracted the identity)."""
     callers = []
     hstack = Matrix.hstack
     monkeypatch.setattr(Matrix, "hstack",

@@ -776,13 +776,14 @@ def test_named_tuple_checker_flags_what_it_should():
 
 
 DERIVED_ALGEBRAS = {"corner_algebra", "quotient_by_idempotent_ideal"}
+LAYER_DATA = ("recollement.py", "idempotent_recollement_data")
 
 
-def derived_algebra_uses(sources: dict[str, str]) -> list[str]:
+def uses_outside(sources: dict[str, str], names: set[str], allowed: tuple[str, str]) -> list[str]:
     """``path: function, line n: name`` for each load (a call or any other
-    reference) of a name in ``DERIVED_ALGEBRAS`` in ``sources`` (path ->
-    text) outside ``recollement.idempotent_recollement_data``; the function
-    is the innermost definition around the load, ``<module>`` for none."""
+    reference) of one of ``names`` in ``sources`` (path -> text) outside
+    the function ``allowed`` (path, qualified name); the function is the
+    innermost definition around the load, ``<module>`` for none."""
     out = []
     for path, text in sources.items():
         tree = ast.parse(text)
@@ -790,9 +791,9 @@ def derived_algebra_uses(sources: dict[str, str]) -> list[str]:
         owner = {id(node): qual for qual, fn, _ in _definitions(tree) for node in ast.walk(fn)}
         for node in ast.walk(tree):
             name = getattr(node, "id", None) or getattr(node, "attr", None)
-            if name in DERIVED_ALGEBRAS and isinstance(getattr(node, "ctx", None), ast.Load):
+            if name in names and isinstance(getattr(node, "ctx", None), ast.Load):
                 where = owner.get(id(node), "<module>")
-                if (path, where) != ("recollement.py", "idempotent_recollement_data"):
+                if (path, where) != allowed:
                     out.append(f"{path}: {where}, line {node.lineno}: {name}")
     return sorted(out)
 
@@ -800,9 +801,17 @@ def derived_algebra_uses(sources: dict[str, str]) -> list[str]:
 def test_only_the_layer_recollement_builds_corners_and_quotients():
     """Each lower-set algebra is the closed side of a layer recollement and
     each stratum its open side; a second construction beside the layer
-    would build and validate the same algebra again."""
+    would build and certify the same algebra again."""
     sources = {str(p.relative_to(SRC)): p.read_text() for p in MODULES}
-    assert derived_algebra_uses(sources) == []
+    assert uses_outside(sources, DERIVED_ALGEBRAS, LAYER_DATA) == []
+
+
+def test_only_the_input_builder_validates_an_algebra():
+    """``validate_algebra`` runs once per input, on the algebra its builder
+    made; every corner and quotient is certified against the algebra it
+    comes from (``algebra._derived_algebra``), not validated afresh."""
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in MODULES}
+    assert uses_outside(sources, {"validate_algebra"}, ("algebra.py", "build_bound_quiver_algebra")) == []
 
 
 def test_derived_algebra_checker_flags_what_it_should():
@@ -827,7 +836,7 @@ def test_derived_algebra_checker_flags_what_it_should():
     )
     algebra = "def corner_algebra(a, vs):\n    return a\n"
     sources = {"recollement.py": recollement, "strat.py": strat, "algebra.py": algebra}
-    assert derived_algebra_uses(sources) == [
+    assert uses_outside(sources, DERIVED_ALGEBRAS, LAYER_DATA) == [
         "recollement.py: make.inner, line 6: corner_algebra",
         "strat.py: <module>, line 3: corner_algebra",
         "strat.py: S.lower, line 6: quotient_by_idempotent_ideal"]

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from stratakit.algebra import build_bound_quiver_algebra, corner_algebra, opposite, quotient_by_idempotent_ideal
+from stratakit.algebra import build_bound_quiver_algebra, corner_algebra, opposite
 from stratakit.category import ModuleCategory, is_isomorphic
 from stratakit.corpus import corpus_index
 from stratakit.linalg import GF2, GF3, QQ, Matrix
@@ -50,7 +50,7 @@ from oracles import (
     reference_submodule,
     reference_times,
 )
-from support import auslander_algebra, fixture_algebras, full, generated_specs, load_fixture, span
+from support import auslander_algebra, fixture_algebras, full, generated_specs, load_fixture, quotient_of, span
 
 
 @pytest.fixture(scope="module")
@@ -463,7 +463,7 @@ def test_restrict_scalars_along_quotient_projection(a3):
     F = a3.field
     for k in range(len(a3.vertex_names) + 1):
         for vs in itertools.combinations(a3.vertex_names, k):
-            quot = quotient_by_idempotent_ideal(a3, vs)
+            quot = quotient_of(a3, vs)
             q = quot.algebra
             e = a3.idempotent_sum(vs)
             for v in q.vertex_names:
@@ -483,7 +483,7 @@ def _rule_cases():
     projectives, injectives and simples of each."""
     for a in fixture_algebras():
         derived = ([corner_algebra(a, [v]).algebra for v in a.vertex_names]
-                   + [quotient_by_idempotent_ideal(a, [v]).algebra for v in a.vertex_names])
+                   + [quotient_of(a, [v]).algebra for v in a.vertex_names])
         for b in [a] + derived:
             mods = []
             for v in b.vertex_names:
@@ -622,7 +622,7 @@ def test_constructors_match_the_per_element_references():
         # embedding and the quotient's section
         last = a.vertex_names[-1:]
         along = [(d.algebra, d.embed) for d in [corner_algebra(a, last)]]
-        along += [(d.algebra, d.section) for d in [quotient_by_idempotent_ideal(a, last)]]
+        along += [(d.algebra, d.section) for d in [quotient_of(a, last)]]
         e = a.idempotent_sum(last)
         element_sets = [a.radical.basis, Matrix(F, 0, a.dim, ()), Matrix(F, 1, a.dim, e),
                         a.left_mult_matrix(e).row_space().basis, a.right_mult_matrix(e).row_space().basis]

@@ -149,8 +149,8 @@ def test_each_sample_list_runs_its_own_checks(vertices, monkeypatch):
     sides = [{x for _, x in samples}, {r.i_left(x) for _, x in samples}, {r.j_restrict(x) for _, x in samples}]
     assert sides[0] in sides[1:]
     calls = []
-    real = recollement.mor_eq
-    monkeypatch.setattr(recollement, "mor_eq", lambda f, g: calls.append(None) or real(f, g))
+    real = recollement._is_identity_on
+    monkeypatch.setattr(recollement, "_is_identity_on", lambda f, x: calls.append(None) or real(f, x))
     assert verify_recollement(r, samples).ok
     assert len(calls) == 4 * len(sides[0]) + 2 * len(sides[1]) + 2 * len(sides[2])
 

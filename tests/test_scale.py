@@ -7,7 +7,7 @@ bounds on the exact kernel's work instead: matrix products, matrix
 constructions and matrix comparisons.  A module keeps its action as one
 matrix, the hom functor's object map is one product, and validation
 settles the split-semisimple check by one dimension count, so the run
-makes 5,302 products, 15,527 matrices and 6,974 comparisons; with one
+makes 5,302 products, 9,585 matrices and 7,211 comparisons; with one
 action matrix per algebra basis element it made 25,763, 44,414 and
 78,198.  It also pins the recollement's intermediates: i_left and i_right
 restrict each module to A/AeA once between them, and i_right and unit_jr
@@ -15,17 +15,20 @@ read one side-by-side action of Ae, so the run makes 434
 ``restrict_scalars`` and 310 ``side_by_side`` calls, against 589 and 450
 when each built its own.  The kernel skips work that is already done:
 a product with an identity factor returns the other factor, and a matrix
-already in RREF is its own elimination, so only 2,270 of the products
+already in RREF is its own elimination, so only 2,250 of the products
 run the summing loop (all 5,316 did while nothing was recognised) and
-338 eliminations meet a matrix that is not reduced.  A bound moves only
-with a line in CHANGES.md.
+319 eliminations meet a matrix that is not reduced.  ``validate_algebra``
+runs once, on the input: each corner and quotient the layers build is
+certified against the algebra it comes from (15 validations, and 11,130
+matrices, while each was validated afresh).  A bound moves only with a
+line in CHANGES.md.
 """
 
 import contextlib
 import io
 import json
 
-from stratakit import modules, mv, recollement, strat
+from stratakit import algebra, modules, mv, recollement, strat
 from stratakit.cli import main
 from stratakit.linalg import Matrix
 
@@ -61,6 +64,7 @@ def test_recollement_check_on_a7_is_counter_gated(tmp_path, monkeypatch):
     # every module that calls them by its own name
     restrictions = [count_calls(monkeypatch, m, "restrict_scalars") for m in (modules, recollement, strat)]
     side_actions = [count_calls(monkeypatch, m, "side_by_side") for m in (modules, recollement, mv)]
+    validations = count_calls(monkeypatch, algebra, "validate_algebra")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["check", str(path), "--mode", "recollement", "--seed", "0"])
@@ -68,9 +72,10 @@ def test_recollement_check_on_a7_is_counter_gated(tmp_path, monkeypatch):
     assert code == 0
     assert verdicts == {"validate_algebra": "PASS", **{f"recollement(e_{v})": "PASS" for v in range(1, N + 1)}}
     assert len(products) <= 5_600
-    assert len(matrices) <= 16_200
+    assert len(matrices) <= 10_200
     assert len(comparisons) <= 7_300
     assert sum(map(len, restrictions)) <= 450
     assert sum(map(len, side_actions)) <= 330
     assert len(loop_products) <= 2_400
-    assert len(eliminations) <= 360
+    assert len(eliminations) <= 340
+    assert len(validations) == 1
