@@ -1,9 +1,9 @@
 """Command line surface: validate, check, corpus.
 
 Exit codes: 0 success, 1 malformed input (schema or command line), 2 failed
-invariants or checks, or an isomorphism question left undecided (reported as
-an ``ERROR`` check, never as a FAIL), 3 oracle mode requested over the
-rationals.
+invariants or checks, an isomorphism question left undecided or a program
+fault (each reported as an ``ERROR`` check, never as a FAIL), 3 oracle mode
+requested over the rationals.
 
 Each input is built once: ``checks_validate`` builds the algebra, the
 checked stratification and the gluing data into a ``Session``, and every
@@ -338,6 +338,9 @@ def cmd_check(args) -> int:
     except UndecidedIsomorphism as e:
         report.add(Check(args.mode, "every isomorphism question is decided", "ERROR",
                          witness={"error": "UNDECIDED", "message": str(e)}))
+    except Exception as e:  # noqa: BLE001  a program fault, not a verdict on the input
+        report.add(Check(args.mode, "the checks run to completion", "ERROR",
+                         witness={"error": "INTERNAL-ERROR", "message": f"{type(e).__name__}: {e}"}))
     if args.timing:
         report.timing_ms = int((time.monotonic() - started) * 1000)
     _emit(report, args)

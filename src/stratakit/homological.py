@@ -21,7 +21,6 @@ from .modules import (
     kernel,
     projective_cover,
     quotient_module,
-    top,
     zero_map,
     zero_module,
 )
@@ -189,18 +188,14 @@ class UniversalExtension(Value):
 def universal_extension(m: RightModule, targets: list[RightModule]) -> UniversalExtension:
     """Extension of m by each B_i^{dim Ext^1(m, B_i)} killing the connecting classes.
 
-    Each target must have a local endomorphism ring; under the split
-    assumption it is enough that it has a simple top (or is itself simple),
-    which is what gets checked.  The induced maps
+    Each target must have a local endomorphism ring, certified by
+    ``ModuleCategory.local`` (a simple top or a simple socle).  The induced maps
     Hom(sum B_i^{d_i}, B_j) -> Ext^1(m, B_j) are surjective; asserted.
     """
     A = m.algebra
     F = A.field
-    for b in targets:
-        if b.dim == 0:
-            raise ValueError("zero module is not a valid extension target")
-        if b.dim > 1 and top(b)[0].dim != 1 and len(hom_basis(b, b)) != 1:
-            raise ValueError("extension target lacks a local endomorphism ring certificate")
+    if not all(map(ModuleCategory(A).local, targets)):
+        raise ValueError("extension target lacks a local endomorphism ring certificate")
     spaces = [ext(m, b, 1) for b in targets]
     mults = tuple(s.dim for s in spaces)
     if all(d == 0 for d in mults):

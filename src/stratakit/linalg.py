@@ -25,8 +25,7 @@ Conventions:
   ``Field.of``, which coerce every entry into the field.  The package uses
   them only for values that may not be field elements yet: parsed input
   (``specfile``, ``mv.mv_data_from_spec``), relation coefficients, the
-  scalar of ``Matrix.scale`` and the pseudorandom coefficients of
-  ``category.is_isomorphic``.  Results computed here are field elements
+  scalar of ``Matrix.scale``.  Results computed here are field elements
   already, so linalg builds them as ``Matrix(field, rows, cols, entries)``
   directly, and so does every module above it for vectors it computed,
   spanning a subspace as ``Matrix(...).row_space()``.
@@ -78,8 +77,8 @@ class InvariantError(RuntimeError):
 
 
 class UndecidedIsomorphism(RuntimeError):
-    """An isomorphism search ran out of tries with every invariant agreeing:
-    neither YES nor NO, so it is reported as undecided, never as a FAIL."""
+    """No side has a local endomorphism ring and no hom basis element is an
+    isomorphism: neither YES nor NO, so it is reported as undecided, never as a FAIL."""
 
 
 def cached_hash(self) -> int:

@@ -272,7 +272,7 @@ def hom_basis(m: RightModule, n: RightModule) -> list[ModuleMap]:
 
 def hom_combinations(basis: Sequence, field: Field, exhaustive: bool) -> Iterator:
     """Deterministic candidate combinations of a hom basis, for searches
-    for an isomorphism, a surjection or a filtration layer.
+    for a surjection or a filtration layer.
 
     Exhaustive (finite fields only): every nonzero combination up to a
     scalar, in ``itertools.product`` order of the coefficient tuples, each

@@ -178,6 +178,10 @@ class MVCategory:
     def invariant(self, x: MVObject) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return x.x_u.vertex_dims(), x.x_z.vertex_dims()
 
+    def local(self, x: MVObject) -> bool:
+        """End(x) = k, a local ring: one hom basis element, the identity's span."""
+        return len(self.hom_basis(x, x)) == 1
+
     def mor_coords(self, f: MVMorphism) -> tuple:
         return f.f_u.mat.entries + f.f_z.mat.entries
 

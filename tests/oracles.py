@@ -72,12 +72,17 @@ field and meant for tiny inputs only.
 * ``reference_projective_resolution``: a minimal projective resolution
   built from P_0 up for one length, as it was before one resolution per
   module was kept and grown.
+* ``reference_is_isomorphic``: the isomorphism search as it was before one
+  pass over a hom basis decided it: basis elements and pairwise sums, then
+  every combination up to scalar when p^dim <= ``ISO_EXHAUSTION_CAP``, else
+  ``ISO_RANDOM_TRIES`` pseudorandom combinations, then UNDECIDED.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import random
 from operator import add
 from typing import Sequence
 
@@ -95,13 +100,14 @@ from stratakit.algebra import (
     opposite,
     validate_algebra,
 )
-from stratakit.category import ModuleCategory, ShortExactSequence, is_isomorphic
+from stratakit.category import IsoResult, ModuleCategory, ShortExactSequence, is_isomorphic
 from stratakit.homological import Resolution
-from stratakit.linalg import Field, InconsistentSystem, Matrix, Subspace
+from stratakit.linalg import Field, InconsistentSystem, Matrix, Subspace, UndecidedIsomorphism
 from stratakit.modules import (
     ModuleMap,
     RightModule,
     cokernel,
+    combine,
     direct_sum,
     hom_basis,
     hom_combinations,
@@ -1072,3 +1078,47 @@ def reference_quotient_by_idempotent_ideal(a: Algebra, vertices: Sequence[str]) 
     if not report.ok:
         raise AlgebraError(f"quotient algebra failed validation: {report.issues}")
     return QuotientData(algebra=alg, projection=proj, section=sec)
+
+
+ISO_EXHAUSTION_CAP = 4096
+ISO_RANDOM_TRIES = 500
+
+
+def reference_is_isomorphic(cat, x, y) -> IsoResult:
+    """Whether x and y are isomorphic in ``cat``; the certificate of a YES
+    is an isomorphism x -> y.  Invariants first (``dim``, then
+    ``cat.invariant``), then Hom(x, y): its basis elements and pairwise sums,
+    then every combination when the field is finite and small enough, else
+    pseudorandom ones, ending in ``UndecidedIsomorphism``, never in NO."""
+    F = cat.field
+    if x.dim != y.dim:
+        return IsoResult(False, None, f"total dimensions differ: {x.dim} != {y.dim}")
+    ix, iy = cat.invariant(x), cat.invariant(y)
+    if x.dim == 0:
+        return IsoResult(True, cat.zero_mor(x, y), "zero modules")
+    if ix != iy:
+        return IsoResult(False, None, f"dimension vectors differ: {ix} != {iy}")
+    if x == y:
+        return IsoResult(True, cat.identity(x), "equal representations")
+    hxy, hyx = cat.hom_basis(x, y), cat.hom_basis(y, x)
+    if len(hxy) != len(hyx):
+        return IsoResult(False, None,
+                         f"hom spaces asymmetric: dim Hom(m,n)={len(hxy)}, dim Hom(n,m)={len(hyx)}")
+    if not hxy:
+        return IsoResult(False, None, "Hom(m,n) = 0")
+
+    for cand in hom_combinations(hxy, F, False):
+        if cand.is_isomorphism():
+            return IsoResult(True, cand, "basis element or pairwise sum")
+    if F.is_finite and F.p ** len(hxy) <= ISO_EXHAUSTION_CAP:
+        for cand in hom_combinations(hxy, F, True):
+            if cand.is_isomorphism():
+                return IsoResult(True, cand, "exhaustive search")
+        return IsoResult(False, None, "exhaustive search over Hom(m,n) found no isomorphism")
+
+    rng = random.Random(0xC0FFEE + x.dim * 7919 + len(hxy))
+    for _ in range(ISO_RANDOM_TRIES):
+        cand = combine([F.of(rng.randint(-3, 3)) for _ in range(len(hxy))], hxy, cat.zero_mor(x, y))
+        if cand.is_isomorphism():
+            return IsoResult(True, cand, "pseudorandom combination")
+    raise UndecidedIsomorphism("invariants agree but no invertible combination found within the retry bound")

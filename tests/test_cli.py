@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from stratakit.algebra import AlgebraError
 from stratakit.cli import main
 from stratakit.corpus import fixture_bytes
 from stratakit.linalg import InvariantError, UndecidedIsomorphism
@@ -129,6 +130,24 @@ def test_check_reports_an_undecided_isomorphism(tmp_path, capsys, monkeypatch, f
     assert checks[-1]["name"] == mode
     assert checks[-1]["witness"] == {"error": "UNDECIDED",
                                      "message": "invariants agree but no invertible combination found"}
+
+
+def test_check_reports_a_program_fault_as_an_internal_error(capsys, monkeypatch):
+    """A fault that escapes a battery is one ERROR check and exit 2, as in
+    ``corpus``: not a traceback with exit 1, which malformed input owns.
+    A5 over GF(3) has no stratification block, so the fault reaches the
+    recollement battery itself."""
+    def fault(*args, **kwargs):
+        raise AlgebraError("quotient table is inconsistent")
+
+    monkeypatch.setattr("stratakit.recollement.quotient_by_idempotent_ideal", fault)
+    path = Path(__file__).parent / "golden" / "a5_gf3.input.json"
+    code, out = run_cli(capsys, "check", str(path), "--mode", "recollement")
+    assert code == 2
+    checks = json.loads(out)["checks"]
+    assert [(c["name"], c["verdict"]) for c in checks] == [("validate_algebra", "PASS"), ("recollement", "ERROR")]
+    assert checks[-1]["witness"] == {"error": "INTERNAL-ERROR",
+                                     "message": "AlgebraError: quotient table is inconsistent"}
 
 
 def test_corpus_reports_an_undecided_synthesis_as_a_pipeline_error(capsys, monkeypatch):

@@ -41,16 +41,16 @@ from pathlib import Path
 
 import pytest
 
-from stratakit import algebra, analyze, recollement, strat
+from stratakit import algebra, analyze, category, recollement, strat
 from stratakit.algebra import Algebra
-from stratakit.cli import main
+from stratakit.cli import checks_porism, checks_simples, main
 from stratakit.corpus import fixture_bytes
-from stratakit.linalg import Matrix, Subspace
+from stratakit.linalg import Matrix, Subspace, UndecidedIsomorphism
 from stratakit.modules import RightModule
 from stratakit.specfile import build_algebra, parse_spec
-from stratakit.strat import Stratification
+from stratakit.strat import Stratification, StratificationError
 
-from support import count_calls, path_spec
+from support import count_calls, generated_specs, path_spec, stratification_of
 
 GOLDEN = Path(__file__).parent / "golden"
 STRATIFIED = ("fix_a3", "fix_nak")
@@ -232,11 +232,13 @@ def test_corpus_solves_against_reduced_bases_by_their_pivots(monkeypatch):
     product or elimination, and comparing two modules compares one matrix;
     a product with an identity factor returns the other factor, so it
     builds no matrix, and the hom functor maps a morphism by one product:
-    the run makes 16,831 matrices, 6,512 products and 6,428 matrix
+    the run makes 16,430 matrices, 6,470 products and 6,273 matrix
     comparisons (25,509, 9,429 and 11,889 with one matrix per algebra
     basis element, 23,778, 6,754 and 6,285 while every product built
     its result, 17,897, 6,497 and 6,323 while every corner and quotient
-    was validated afresh and a triangle identity subtracted the identity)."""
+    was validated afresh and a triangle identity subtracted the identity,
+    16,831, 6,512 and 6,428 while synthesis certified each layer by Ext^1
+    against every simple and isomorphism was searched beyond a hom basis)."""
     callers = []
     hstack = Matrix.hstack
     monkeypatch.setattr(Matrix, "hstack",
@@ -267,3 +269,44 @@ def test_eps_asks_each_sign_independent_question_once(tmp_path, monkeypatch):
     assert out == (GOLDEN / "c3_q_all.eps.json").read_text()
     assert code == 0
     assert (len(searches), len(facts)) == (3, 6)
+
+
+def test_no_isomorphism_question_the_cli_asks_is_left_undecided(tmp_path, monkeypatch):
+    """Every question ``is_isomorphic`` is asked by ``corpus --seed 11``,
+    by every golden (input, mode) pair and by the simples and porism
+    batteries of ``generated_specs(101, 30)``, wherever the stratification
+    passes its checks, has a side with a local endomorphism ring (P(t),
+    std(b) and the simples have a simple top, and in the glued category
+    j_!*(S_u) has End = k), so one pass over a hom basis decides each.
+    There are 256 questions (728 while the standard families' tops and
+    socles were compared with L(b) by ``is_isomorphic``, not by dimension
+    vector)."""
+    asked, undecided = [], []
+    real = category.is_isomorphic
+
+    def watched(cat, x, y):
+        asked.append(None)
+        try:
+            return real(cat, x, y)
+        except UndecidedIsomorphism:
+            undecided.append((x, y))
+            raise
+
+    for owner in (category, recollement, strat):
+        monkeypatch.setattr(owner, "is_isomorphic", watched)
+    run_counting(monkeypatch, ["corpus", "--seed", "11"])
+    for fixture, mode in CHECK_CASES:
+        path = tmp_path / f"{fixture}.json"
+        path.write_bytes(input_bytes(fixture))
+        run_counting(monkeypatch, ["check", str(path), "--mode", mode, "--seed", "0"])
+    strata = 0
+    for raw in generated_specs(101, 30):
+        try:
+            s = stratification_of(parse_spec(raw))
+        except StratificationError:
+            continue
+        strata += 1
+        checks_simples(s)
+        checks_porism(s)
+    assert undecided == []
+    assert (strata, len(asked)) == (28, 256)

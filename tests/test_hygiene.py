@@ -732,6 +732,23 @@ def test_no_module_imports_dataclasses():
     assert found == []
 
 
+def imported_names(tree: ast.Module) -> set[str]:
+    """Every module ``tree`` imports and every name it imports from one."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(a.name for a in node.names)
+    return out
+
+
+def test_the_isomorphism_test_searches_no_combinations():
+    """``category`` decides isomorphism by one pass over a hom basis: it
+    draws no pseudorandom coefficients and enumerates no combinations."""
+    assert {"random", "hom_combinations"} & imported_names(ast.parse((SRC / "category.py").read_text())) == set()
+
+
 NAMED_TUPLES = {"NamedTuple", "namedtuple"}
 
 
@@ -913,10 +930,14 @@ def per_entry_field_calls(tree: ast.Module) -> list[str]:
 def test_the_kernel_has_one_arithmetic_path():
     """No kernel loop asks which field it runs over, and no code adds,
     subtracts, multiplies or negates through a ``Field`` method: entries are
-    combined as plain ints and Fractions and brought back by ``norm``."""
-    linalg, algebra = (ast.parse((SRC / name).read_text()) for name in ("linalg.py", "algebra.py"))
+    combined as plain ints and Fractions and brought back by ``norm``.  Nor
+    does the isomorphism test: one pass over a hom basis decides over any
+    field."""
+    linalg, algebra, category = (ast.parse((SRC / name).read_text())
+                                 for name in ("linalg.py", "algebra.py", "category.py"))
     assert field_branches(linalg, {"Matrix", "Subspace", "intertwiner_basis"}) == []
     assert field_branches(algebra, {"Algebra"}) == []
+    assert field_branches(category, {"is_isomorphic"}) == []
     assert {str(p.relative_to(SRC)): per_entry_field_calls(ast.parse(p.read_text())) for p in MODULES} \
         == {str(p.relative_to(SRC)): [] for p in MODULES}
 

@@ -8,7 +8,7 @@ import pytest
 
 from stratakit.category import is_isomorphic, solve_in_hom
 from stratakit.corpus import fixture_bytes
-from stratakit.linalg import Matrix
+from stratakit.linalg import Matrix, UndecidedIsomorphism
 from stratakit.modules import ModuleMap, simple_module
 from stratakit.mv import (
     MVCategory,
@@ -300,7 +300,7 @@ RETYPED_FIELDS = [{"kind": "Q"}, {"kind": "GF", "p": 3}]
 def open_simple_cubed(file, field):
     """The glued category of the bundled fixture ``file`` retyped over
     ``field``, and j_lower(S_u(1))^3 in it: End is M_3(k), whose RREF basis
-    has no invertible element and no invertible pairwise sum."""
+    has no invertible element."""
     raw = json.loads(fixture_bytes(file))
     raw["field"] = field
     spec = parse_spec(raw)
@@ -312,18 +312,21 @@ def open_simple_cubed(file, field):
 
 @pytest.mark.parametrize("field", RETYPED_FIELDS, ids=["Q", "GF3"])
 def test_glued_cube_is_isomorphic_to_itself(field):
-    """X_U = S_u(1)^3 and X_Z = 0 in the product gluing, where the search
-    must not give up at basis elements and pairwise sums."""
+    """X_U = S_u(1)^3 and X_Z = 0 in the product gluing: equal
+    representations decide it before any hom basis is computed."""
     cat, x = open_simple_cubed("fix_mv_prod.json", field)
     assert (x.x_u.dim, x.x_z.dim) == (3, 0) and len(cat.hom_basis(x, x)) == 9
     res = is_isomorphic(cat, x, x)
     assert res.isomorphic and res.certificate.is_isomorphism()
+    assert res.reason == "equal representations"
 
 
 @pytest.mark.parametrize("field", RETYPED_FIELDS, ids=["Q", "GF3"])
 def test_glued_cube_with_conjugated_structure_maps(field):
     """alpha and beta conjugated by g in GL_3 give an object isomorphic
-    through (id, g) but not equal, so no shortcut decides it."""
+    through (id, g) but not equal.  End = M_3(k) is not local on either
+    side, and no basis element of Hom(x, y) is invertible, so the one pass
+    over the hom basis cannot decide it: UNDECIDED, never NO."""
     cat, x = open_simple_cubed("fix_mv_id.json", field)
     F = cat.field
     g = Matrix.from_rows(F, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
@@ -331,9 +334,10 @@ def test_glued_cube_with_conjugated_structure_maps(field):
     y = cat.make_object(x.x_u, x.x_z, x.alpha.then(ModuleMap(x.x_z, x.x_z, g)),
                         ModuleMap(x.x_z, x.x_z, g_inv).then(x.beta))
     assert x != y and (x.x_u.dim, x.x_z.dim) == (3, 3)
-    res = is_isomorphic(cat, x, y)
-    assert res.isomorphic and res.certificate.is_isomorphism()
-    assert (res.certificate.source, res.certificate.target) == (x, y)
+    assert not (cat.local(x) or cat.local(y))
+    assert not any(h.is_isomorphism() for h in cat.hom_basis(x, y))
+    with pytest.raises(UndecidedIsomorphism):
+        is_isomorphic(cat, x, y)
 
 
 MISMATCHED_ENDS = """

@@ -370,18 +370,26 @@ def test_synthesis_audit_a2(strats):
 def test_synthesis_computes_ext1_once_per_layer_simple_and_iteration(strats, monkeypatch):
     """A work counter: each pass of a layer's loop computes Ext^1 against
     the layer simples once, inside the universal extension, whose
-    multiplicities end the loop; the certifying assertion then takes Ext^1
-    against every simple of the layer's algebra.  P(1) over FIX-A3 crosses
-    layers x, y, z with one extension at y and at z: 1 + (2 + 2) + (2 + 3)
-    computations, 12 when the loop also asked for Ext^1 first.  ``ext`` is
-    counted where ``homological`` and where ``strat`` binds it."""
+    multiplicities end the loop, and nothing else does: each layer is
+    certified by a count, not by Ext^1 or an isomorphism test.  P(1) over
+    FIX-A3 crosses layers x, y, z with one extension at y and at z: 0 + 2 +
+    2 computations."""
     calls = []
     real = homological.ext
-    counting = lambda m, n, d: calls.append(d) or real(m, n, d)  # noqa: E731
-    monkeypatch.setattr(homological, "ext", counting)
-    monkeypatch.setattr(strat, "ext", counting)
+    monkeypatch.setattr(homological, "ext", lambda m, n, d: calls.append(d) or real(m, n, d))
+    monkeypatch.setattr(strat, "is_isomorphic", lambda *args: pytest.fail("synthesis asked is_isomorphic"))
     synthesize_projective_cover(strats["FIX-A3"], "1")
-    assert calls == [1] * 10
+    assert calls == [1] * 4 and not hasattr(strat, "ext")
+
+
+def test_synthesis_refuses_a_layer_left_unextended(strats, monkeypatch):
+    """A universal extension that returns its input and reports nothing to
+    extend leaves P(1) over FIX-A3 one dimension short at layer y: the
+    count against P(1) of the layer's algebra refuses it."""
+    monkeypatch.setattr(strat, "universal_extension", lambda m, targets: homological.UniversalExtension(
+        multiplicities=(0,) * len(targets), middle=m))
+    with pytest.raises(StratificationError, match=r"synthesized P\(1\) has dimension 1, not 2"):
+        synthesize_projective_cover(strats["FIX-A3"], "1")
 
 
 def test_synthesis_iteration_cap_raises_on_the_iteration_past_it(strats, monkeypatch):
