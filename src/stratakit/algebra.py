@@ -100,8 +100,8 @@ class Algebra(Value):
 
     ``cache`` holds data derived from this instance (``sparse_table()``,
     which products and validation read, its generators, its opposite, its
-    regular module, its projective, simple and injective modules, its
-    idempotent recollements, resolutions of its modules), so it is freed
+    regular and projective modules, its idempotent recollements, and the
+    weak table that makes each module over it one object), so it is freed
     with the algebra; it is no field, so it takes no part in equality,
     hashing or ``repr``, and ``__post_init__`` starts a fresh one on every
     instance, a ``_replace`` copy included.
@@ -584,9 +584,9 @@ def opposite(a: Algebra) -> Algebra:
     """Same space, reversed multiplication.
 
     Built once per algebra and kept in its ``cache``; the opposite's cache
-    points back, so ``opposite(opposite(a)) is a`` and both sides share
-    their regular and projective modules and resolutions.  The reference
-    cycle between the two is freed by the garbage collector.
+    points back, so ``opposite(opposite(a)) is a`` and a module's dual's
+    dual is the module itself.  The reference cycle between the two is
+    freed by the garbage collector.
     """
     if "opposite" not in a.cache:
         mult = tuple(tuple(a.mult[j][i] for j in range(a.dim)) for i in range(a.dim))

@@ -101,13 +101,13 @@ def checks_validate(spec: AlgebraSpec) -> tuple[list[Check], Session]:
     ))
     strat = mv = None
     if spec.stratification is not None:
-        from .strat import Poset, Stratification
+        from .strat import Poset, PosetError, Stratification, StratificationError
         ss = spec.stratification
         try:
             poset = Poset.from_pairs(ss.poset.elements, ss.poset.leq)
             strat = Stratification(algebra, poset, ss.rho, ss.epsilon, check=True)
             out.append(Check("stratification", "lower sets, layer recollements, stratum independence", "PASS"))
-        except Exception as e:  # noqa: BLE001
+        except (PosetError, StratificationError) as e:  # any other fault is the program's, not a FAIL
             out.append(Check("stratification", "lower sets, layer recollements, stratum independence",
                              "FAIL", witness={"error": str(e)}))
     if spec.mv is not None:

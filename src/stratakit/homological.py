@@ -49,16 +49,16 @@ class Resolution(Value):
 def projective_resolution(m: RightModule, length: int) -> Resolution:
     """Minimal projective resolution out to homological degree ``length``.
 
-    One resolution of ``m`` is kept in the cache of its algebra, so it is
-    built once per algebra instance and freed with it: a longer request
-    extends it from its last cover, a shorter one gets its prefix, and one
-    that has stopped (a zero kernel) is complete for any length.
+    One resolution of ``m`` is kept on it, as its cover is, and freed with
+    it: a longer request extends it from its last cover, a shorter one gets
+    its prefix, and one that has stopped (a zero kernel) is complete for any
+    length.
     """
-    cache, key = m.algebra.cache, ("resolution", m)
-    if key not in cache:
+    kept = m.__dict__.setdefault("_kept", {})
+    if "resolution" not in kept:
         cov = projective_cover(m)
-        cache[key] = Resolution(m, (cov.projective,), (), cov.cover_map), cov, False
-    res, last, stopped = cache[key]
+        kept["resolution"] = Resolution(m, (cov.projective,), (), cov.cover_map), cov, False
+    res, last, stopped = kept["resolution"]
     terms, diffs = list(res.terms), list(res.differentials)
     while not stopped and len(diffs) < length:
         ker_mod, ker_incl = kernel(last.cover_map)
@@ -68,7 +68,7 @@ def projective_resolution(m: RightModule, length: int) -> Resolution:
             terms.append(last.projective)
             diffs.append(last.cover_map.then(ker_incl))
     res = res._replace(terms=tuple(terms), differentials=tuple(diffs))
-    cache[key] = res, last, stopped
+    kept["resolution"] = res, last, stopped
     return res._replace(terms=res.terms[:length + 1], differentials=res.differentials[:length])
 
 

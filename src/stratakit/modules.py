@@ -10,13 +10,18 @@ stores its matrix with shape (source dim) x (target dim) and acts by
 
 Everything is immutable and every constructor is deterministic (canonical
 RREF bases throughout), so structural equality of modules (one comparison of
-action matrices) is meaningful and modules can be used as cache keys.
+action matrices) is meaningful.  Over one algebra instance each action is one
+live module, found in a weak table in the algebra's ``cache``, so equal
+modules are one object and the answers kept on it (its blocks, top,
+projective cover, dual, hom bases and resolution) are computed once per
+value while any caller holds it.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from typing import Callable, Iterator, Sequence
 
 from .algebra import Algebra, opposite
@@ -75,8 +80,19 @@ class RightModule(Value):
     dim: int
     action: Matrix  # (algebra.dim * dim) x dim
 
-    def __init__(self, algebra: Algebra, dim: int, action: Matrix) -> None:
-        self.__dict__.update(algebra=algebra, dim=dim, action=action)
+    def __new__(cls, algebra: Algebra, dim: int, action: Matrix) -> "RightModule":
+        # the live module with this action, if any: its table holds it weakly
+        table = algebra.cache.get("modules")
+        if table is None:
+            table = algebra.cache["modules"] = weakref.WeakValueDictionary()
+        m = table.get(action)
+        if m is None:
+            m = table[action] = super().__new__(cls)
+            m.__dict__.update(algebra=algebra, dim=dim, action=action)
+        return m
+
+    def __init__(self, *args, **kwargs) -> None:
+        pass  # ``__new__`` returned the module, built or found
 
     def block(self, k: int) -> Matrix:
         """The action matrix of b_k, sliced out once per module."""
@@ -256,18 +272,31 @@ def direct_sum(mods: Sequence[RightModule]) -> tuple[RightModule, list[ModuleMap
 # -- hom spaces --------------------------------------------------------------
 
 
-def hom_basis(m: RightModule, n: RightModule) -> list[ModuleMap]:
-    """RREF-canonical basis of the space of module maps m -> n.
+def _kept(m: RightModule, key, build: Callable, *args):
+    """``build(m, *args)``, made on the first call and kept on ``m`` under
+    ``key``, as ``block`` keeps its blocks."""
+    kept = m.__dict__.setdefault("_kept", {})
+    if key not in kept:
+        kept[key] = build(m, *args)
+    return kept[key]
+
+
+def hom_basis(m: RightModule, n: RightModule) -> tuple[ModuleMap, ...]:
+    """RREF-canonical basis of the space of module maps m -> n, kept on m.
 
     A matrix X intertwines iff action_m(g) @ X = X @ action_n(g) for every
     algebra generator g; generators suffice because intertwining is closed
     under products and linear combinations.
     """
+    return _kept(m, n, _hom_basis, n)
+
+
+def _hom_basis(m: RightModule, n: RightModule) -> tuple[ModuleMap, ...]:
     if m.algebra != n.algebra:
         raise ValueError("modules over different algebras")
     A = m.algebra
     pairs = [(m.action_of(g), n.action_of(g)) for g in A.generating_vectors()]
-    return [ModuleMap(m, n, mat) for mat in intertwiner_basis(A.field, pairs, m.dim, n.dim)]
+    return tuple(ModuleMap(m, n, mat) for mat in intertwiner_basis(A.field, pairs, m.dim, n.dim))
 
 
 def hom_combinations(basis: Sequence, field: Field, exhaustive: bool) -> Iterator:
@@ -465,7 +494,11 @@ def annihilator(m: RightModule, elements: Matrix) -> Subspace:
 
 
 def top(m: RightModule) -> tuple[RightModule, ModuleMap]:
-    """The top M / M rad A, with its projection."""
+    """The top M / M rad A, with its projection, kept on m."""
+    return _kept(m, "top", _top)
+
+
+def _top(m: RightModule) -> tuple[RightModule, ModuleMap]:
     return quotient_module(m, times(m, m.algebra.radical.basis))
 
 
@@ -483,15 +516,16 @@ def projective_module(algebra: Algebra, vertex: str) -> tuple[RightModule, Modul
 
 
 def simple_module(algebra: Algebra, vertex: str) -> RightModule:
-    """S(v): the top of P(v) (built once per algebra)."""
-    key = ("simple", vertex)
-    if key not in algebra.cache:
-        algebra.cache[key] = top(projective_module(algebra, vertex)[0])[0]
-    return algebra.cache[key]
+    """S(v): the top of P(v), kept on it."""
+    return top(projective_module(algebra, vertex)[0])[0]
 
 
 def dual_module(m: RightModule) -> RightModule:
-    """Vector-space dual, a right module over the opposite algebra."""
+    """Vector-space dual, a right module over the opposite algebra, kept on m."""
+    return _kept(m, "dual", _dual_module)
+
+
+def _dual_module(m: RightModule) -> RightModule:
     d, e = m.dim, m.action.entries
     dual = tuple(e[(k * d + j) * d + i] for k in range(m.algebra.dim) for i in range(d) for j in range(d))
     return RightModule(opposite(m.algebra), d, Matrix(m.algebra.field, m.action.rows, d, dual))
@@ -502,11 +536,8 @@ def dual_map(f: ModuleMap) -> ModuleMap:
 
 
 def injective_module(algebra: Algebra, vertex: str) -> RightModule:
-    """I(v) = D(e_v A^op) (built once per algebra)."""
-    key = ("injective", vertex)
-    if key not in algebra.cache:
-        algebra.cache[key] = dual_module(projective_module(opposite(algebra), vertex)[0])
-    return algebra.cache[key]
+    """I(v) = D(e_v A^op), kept on e_v A^op."""
+    return dual_module(projective_module(opposite(algebra), vertex)[0])
 
 
 # -- covers and envelopes ------------------------------------------------------
@@ -532,9 +563,13 @@ class Cover(Value):
 
 
 def projective_cover(m: RightModule) -> Cover:
-    """Minimal projective cover, built by lifting a basis of the top: at
-    each vertex v, the rows of the action of e_v whose images in the top lie
-    outside the span of those before them, read off one elimination."""
+    """Minimal projective cover, kept on m, built by lifting a basis of the
+    top: at each vertex v, the rows of the action of e_v whose images in the
+    top lie outside the span of those before them, read off one elimination."""
+    return _kept(m, "cover", _projective_cover)
+
+
+def _projective_cover(m: RightModule) -> Cover:
     A = m.algebra
     F = A.field
     if m.dim == 0:

@@ -150,6 +150,29 @@ def test_check_reports_a_program_fault_as_an_internal_error(capsys, monkeypatch)
                                      "message": "AlgebraError: quotient table is inconsistent"}
 
 
+def test_a_fault_in_a_layer_build_is_no_stratification_fail(tmp_path, capsys, monkeypatch):
+    """The stratification check fails only on what the poset and the
+    structure checks report about the input (``PosetError``,
+    ``StratificationError``).  A program fault while a layer algebra is
+    built reaches ``check`` as an INTERNAL-ERROR and ends ``corpus``'s
+    fixture pipeline as an ERROR."""
+    def fault(*args, **kwargs):
+        raise AlgebraError("derived table is inconsistent")
+
+    monkeypatch.setattr("stratakit.algebra._derived_algebra", fault)
+    code, out = run_cli(capsys, "check", fixture_path(tmp_path, "fix_a2.json"), "--mode", "recollement")
+    assert code == 2
+    checks = json.loads(out)["checks"]
+    assert [(c["name"], c["verdict"]) for c in checks] == [("recollement", "ERROR")]
+    assert checks[0]["witness"] == {"error": "INTERNAL-ERROR", "message": "AlgebraError: derived table is inconsistent"}
+    code, out = run_cli(capsys, "corpus", "--filter", "hw")
+    assert code == 2
+    checks = json.loads(out)["checks"]
+    assert [(c["name"], c["verdict"]) for c in checks] == [
+        ("FIX-A2/pipeline", "ERROR"), ("FIX-A3/pipeline", "ERROR")]
+    assert checks[0]["witness"]["error"] == "AlgebraError: derived table is inconsistent"
+
+
 def test_corpus_reports_an_undecided_synthesis_as_a_pipeline_error(capsys, monkeypatch):
     monkeypatch.setattr("stratakit.strat.synthesize_projective_cover", undecided)
     code, out = run_cli(capsys, "corpus", "--filter", "hw")

@@ -231,10 +231,12 @@ def test_corpus_solves_against_reduced_bases_by_their_pivots(monkeypatch):
     A module keeps its action as one matrix, so each constructor is one
     product or elimination, and comparing two modules compares one matrix;
     a product with an identity factor returns the other factor, so it
-    builds no matrix, and the hom functor maps a morphism by one product:
-    the run makes 16,430 matrices, 6,470 products and 6,273 matrix
-    comparisons (25,509, 9,429 and 11,889 with one matrix per algebra
-    basis element, 23,778, 6,754 and 6,285 while every product built
+    builds no matrix; the hom functor maps a morphism by one product; and
+    equal modules over one algebra are one object, which keeps its top,
+    cover and hom bases: the run makes 13,675 matrices, 6,064 products and
+    2,973 matrix comparisons (16,430, 6,470 and 6,273 while every module
+    construction made a new object, 25,509, 9,429 and 11,889 with one
+    matrix per algebra basis element, 23,778, 6,754 and 6,285 while every product built
     its result, 17,897, 6,497 and 6,323 while every corner and quotient
     was validated afresh and a triangle identity subtracted the identity,
     16,831, 6,512 and 6,428 while synthesis certified each layer by Ext^1
@@ -251,9 +253,9 @@ def test_corpus_solves_against_reduced_bases_by_their_pivots(monkeypatch):
     assert code == 0
     assert "solve_left" not in callers
     assert len(callers) <= 6
-    assert len(matrices) <= 19_000
-    assert len(products) <= 6_800
-    assert len(comparisons) <= 6_600
+    assert len(matrices) <= 15_000
+    assert len(products) <= 6_400
+    assert len(comparisons) <= 3_300
 
 
 def test_eps_asks_each_sign_independent_question_once(tmp_path, monkeypatch):

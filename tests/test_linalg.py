@@ -431,8 +431,10 @@ def test_entries_are_hashed_once():
     m = Matrix(GF2, 2, 2, (one, zero, zero, one))
     u = Subspace(2, m, (0, 1))
     a = Algebra(GF2, ("e",), (((one,),),), (one,), (0,), ("v",), Subspace(1, Matrix(GF2, 0, 1, ()), ()))
-    mod = RightModule(a, 2, m)  # a is one-dimensional: its one block is m
     CountingInt.calls = 0
+    # a is one-dimensional: its one block is m.  Building the module looks
+    # its action up in a's table of modules, which hashes m there
+    mod = RightModule(a, 2, m)
     for _ in range(3):
         hash(m), hash(u), hash(a), hash(mod)
         {m: 0, u: 0, a: 0, mod: 0}
