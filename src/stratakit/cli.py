@@ -111,11 +111,13 @@ def checks_validate(spec: AlgebraSpec) -> tuple[list[Check], Session]:
             out.append(Check("stratification", "lower sets, layer recollements, stratum independence",
                              "FAIL", witness={"error": str(e)}))
     if spec.mv is not None:
-        from .mv import mv_data_from_spec
+        from .modules import BimoduleError
+        from .mv import MVDataError, mv_data_from_spec
         try:
             mv = mv_data_from_spec(spec.mv, spec.field)
             out.append(Check("mv", "bimodule axioms, balanced equivariant pairing", "PASS"))
-        except Exception as e:  # noqa: BLE001
+        # verdicts on the gluing data; any other fault is the program's, not a FAIL
+        except (MVDataError, BimoduleError, AlgebraError, NonAdmissibleError, PossiblyInfiniteError) as e:
             out.append(Check("mv", "bimodule axioms, balanced equivariant pairing",
                              "FAIL", witness={"error": str(e)}))
     return out, Session(spec.name, algebra, strat, mv)

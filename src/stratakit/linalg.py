@@ -33,8 +33,10 @@ Conventions:
   raises ``InconsistentSystem``.  A caller that asks a real yes/no
   question catches it; everywhere else no solution is a bug.
   A matrix keeps its elimination (``rref``), so a solve against a reduced
-  basis with full row rank reads the coordinates off its pivots; any
-  other matrix is solved by eliminating ``[A | I]``.
+  basis with full row rank reads the coordinates off its pivots, and one
+  against an identity is its target; any other matrix is solved by
+  eliminating ``[A | I]``.  Likewise ``left_kernel`` reads the unit basis
+  off a zero matrix and no kernel off a kept full row rank.
 * A basis chosen from candidates is read off the pivots of one
   elimination (``Matrix.independent_rows``), never grown one vector at a
   time: the candidates outside the span of those before them.
@@ -54,6 +56,7 @@ Conventions:
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import add, attrgetter, neg, sub
 from typing import TYPE_CHECKING, Sequence
 
@@ -370,8 +373,8 @@ class Matrix(Value):
         return Matrix(F, n, k, tuple(out))
 
     def transpose(self) -> "Matrix":
-        ent = tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows))
-        return Matrix(self.field, self.cols, self.rows, ent)
+        e, cols = self.entries, self.cols
+        return Matrix(self.field, cols, self.rows, tuple(chain.from_iterable(e[j::cols] for j in range(cols))))
 
     def stack(self, other: "Matrix") -> "Matrix":
         """Vertical stack (rows of self, then rows of other)."""
@@ -466,7 +469,7 @@ class Matrix(Value):
                     _eliminate(m[i], f, prow, cols, norm)
             pivots.append(c)
             r += 1
-        rank, pivots, flat = len(pivots), tuple(pivots), tuple(x for row in m for x in row)
+        rank, pivots, flat = len(pivots), tuple(pivots), tuple(chain.from_iterable(m))
         R = self if flat == self.entries else Matrix(F, nrows, ncols, flat)
         R.__dict__["_rref"] = (None, rank, pivots)
         if R is not self:
@@ -502,39 +505,48 @@ class Matrix(Value):
         return Subspace.from_matrix(self)
 
     def left_kernel(self) -> "Subspace":
-        """{v : v @ self = 0} as a subspace of k^rows."""
-        # Solve by eliminating self^T: kernel of x |-> x @ A equals kernel
-        # of A^T acting on column vectors, i.e. classic null space of A^T.
-        at = self.transpose()
-        R, rank, piv = at.rref()
-        F = self.field
-        n = self.rows
-        free = [j for j in range(n) if j not in piv]
-        ent = []
-        for fc in free:
+        """{v : v @ self = 0} as a subspace of k^rows.
+
+        A zero matrix's is the whole space, whose RREF basis is the unit
+        basis, and a matrix whose kept elimination has full row rank has
+        none: neither is eliminated.  Otherwise it is the null space of the
+        transpose, one vector per free column of its RREF."""
+        F, n = self.field, self.rows
+        if self.is_zero:
+            unit, pivots = Matrix.identity(F, n), tuple(range(n))
+            unit.__dict__["_rref"] = (None, n, pivots)
+            return Subspace(n, unit, pivots)
+        kept = self.__dict__.get("_rref")
+        if kept is not None and kept[1] == n:
+            return Subspace.zero(F, n)
+        R, rank, piv = self.transpose().rref()
+        e, norm, ent = R.entries, F.norm, []
+        for fc in (j for j in range(n) if j not in piv):
             v = [F.zero] * n
             v[fc] = F.one
-            for r, pc in enumerate(piv):
-                v[pc] = F.norm(-R[r, fc])
+            for pc, x in zip(piv, e[fc::n]):  # column fc, down to the rank
+                v[pc] = norm(-x)
             ent.extend(v)
-        return Subspace.from_matrix(Matrix(F, len(free), n, tuple(ent)))
+        return Subspace.from_matrix(Matrix(F, n - rank, n, tuple(ent)))
 
     def solve_left(self, target: "Matrix") -> "Matrix":
         """Find X with X @ self = target; ``InconsistentSystem`` if none.
 
         ``self`` is (n x m), ``target`` is (k x m), X is (k x n).  This is
         the workhorse for re-expressing vectors in a spanning set.  Against
-        its own RREF with full row rank (a ``Subspace`` basis), X is unique:
-        each target row's entries at the pivots, checked by one product.
+        an identity, X is the target itself.  Against its own RREF with
+        full row rank (a ``Subspace`` basis), X is unique: each target row's
+        entries at the pivots, checked by one product.
         """
         if target.cols != self.cols:
             raise ValueError("column mismatch in solve_left")
+        if self.is_identity:
+            return target
         F = self.field
         n = self.rows
         R, rank, piv = self.rref()
         if R is self and rank == n:
-            x = Matrix(F, target.rows, n, tuple(target.entries[t * self.cols + pc]
-                                                for t in range(target.rows) for pc in piv))
+            x = Matrix(F, target.rows, n, tuple(row[pc] for row in target.row_list() for pc in piv))
             back = x @ self
             if back != target:
                 t = next(t for t in range(target.rows) if back.row(t) != target.row(t))
@@ -582,13 +594,12 @@ def intertwiner_basis(field: Field, pairs: Sequence[tuple["Matrix", "Matrix"]], 
             row = (k * m + l) * ncons
             for pi, (A, B) in enumerate(pairs):
                 base = row + pi * n * m
-                # A_i writes each entry once; B_i meets it only at i, j = k, l
-                for i in range(n):
-                    c = A[i, k]
+                # A_i writes each entry once (its column k); B_i meets it
+                # only at i, j = k, l (its row l)
+                for i, c in enumerate(A.entries[k::n]):
                     if c:
                         ent[base + i * m + l] = c
-                for j in range(m):
-                    c = B[l, j]
+                for j, c in enumerate(B.row(l)):
                     if c:
                         idx = base + k * m + j
                         ent[idx] = field.norm(ent[idx] - c)

@@ -15,6 +15,12 @@ live module, found in a weak table in the algebra's ``cache``, so equal
 modules are one object and the answers kept on it (its blocks, top,
 projective cover, dual, hom bases and resolution) are computed once per
 value while any caller holds it.
+
+The trivial cases are answers already at hand, so they take no product
+or solve: the submodule on the whole space and the quotient by the zero
+space are the module itself, the submodule on the zero space and the
+quotient by the whole space the zero module, and the restriction along
+the identity of the module's own algebra is the module.
 """
 
 from __future__ import annotations
@@ -64,9 +70,10 @@ def _diagonal(field: Field, n: int, parts: Sequence[tuple[int, Matrix]]) -> Matr
 class RightModule(Value):
     """A right module; ``action`` is the (n·d) x d stack of its blocks.
 
-    Each constructor is one product or elimination, plus a reordering of
-    entries (``_swap_runs``) where blocks go side by side: ``restrict_scalars``
-    and ``times`` multiply rows of algebra elements by ``flat()``, and so does
+    Each constructor is one product or elimination (none in the trivial
+    cases above), plus a reordering of entries (``_swap_runs``) where
+    blocks go side by side: ``restrict_scalars`` and ``times`` multiply
+    rows of algebra elements by ``flat()``, and so does
     ``annihilator``, then side by side; ``quotient_module`` multiplies the
     non-pivot rows of every block (the section is a row selection) by the
     projection; ``submodule`` multiplies the basis by the blocks side by side
@@ -197,10 +204,19 @@ def regular_module(algebra: Algebra) -> RightModule:
 
 
 def submodule(m: RightModule, space: Subspace) -> tuple[RightModule, ModuleMap]:
-    """Module structure on an action-closed subspace, with its inclusion."""
+    """Module structure on an action-closed subspace, with its inclusion.
+
+    The whole space is m itself and the zero space the zero module, each
+    closed under the action and included by the subspace's basis (the
+    identity, or no rows), with no product or solve."""
     if space.ambient != m.dim:
         raise ValueError("ambient mismatch")
     B, d, n, F = space.basis, space.dim, m.algebra.dim, space.field
+    if d == m.dim:
+        return m, ModuleMap(m, m, B)
+    if d == 0:
+        z = zero_module(m.algebra)
+        return z, ModuleMap(z, m, B)
     # row i of B times the blocks side by side is B_i b_0, ..., B_i b_{n-1}:
     # read as (d·n) x dim m, row i·n + k is the image of B_i under b_k
     images = B @ Matrix(F, m.dim, n * m.dim, _swap_runs(m.action.entries, n, m.dim, m.dim))
@@ -220,13 +236,26 @@ def restrict_scalars(m: RightModule, algebra: Algebra, rows: Matrix) -> RightMod
     a module when the map is an algebra map (a projection onto a quotient
     algebra); for a section of one, or the embedding of a corner eAe, the
     caller passes to the sub- or quotient space of m on which it is.
+    Along the identity of m's own algebra it is m.
     """
+    if algebra is m.algebra and rows.is_identity:
+        return m
     d = m.dim
     return RightModule(algebra, d, Matrix(algebra.field, algebra.dim * d, d, (rows @ m.flat()).entries))
 
 
 def quotient_module(m: RightModule, space: Subspace) -> tuple[RightModule, ModuleMap]:
-    """Quotient by an action-closed subspace, with its projection."""
+    """Quotient by an action-closed subspace, with its projection.
+
+    The quotient by the zero space is m with its identity, and by the whole
+    space the zero module with the zero map, with no product."""
+    if space.ambient != m.dim:
+        raise ValueError("ambient mismatch")
+    if space.dim == 0:
+        return m, identity_map(m)
+    if space.dim == m.dim:
+        z = zero_module(m.algebra)
+        return z, zero_map(m, z)
     proj, _ = space.quotient_maps()
     d, pivots = m.dim, set(space.pivots)
     # the section picks the non-pivot rows: section @ block is a row selection
@@ -427,18 +456,23 @@ class HomFunctor(Value):
     coords: Callable[[RightModule, Matrix], Matrix]
 
 
+class BimoduleError(ValueError):
+    """The actions given for a bimodule break a bimodule axiom: a verdict
+    on the input, unlike a fault of the program."""
+
+
 def validate_bimodule(b: Bimodule) -> None:
     ident = Matrix.identity(b.right_algebra.field, b.dim)
     if b.left.action_of(b.left_algebra.unit) != ident or b.right.action_of(b.right_algebra.unit) != ident:
-        raise ValueError("units must act as the identity on the bimodule")
+        raise BimoduleError("units must act as the identity on the bimodule")
     for side, m in (("right", b.right), ("left", b.left)):
         n = m.algebra.dim
         if any(m.block(i) @ m.block(j) != m.action_of(m.algebra.mult[i][j]) for i in range(n) for j in range(n)):
-            raise ValueError(f"{side} action is not multiplicative")
+            raise BimoduleError(f"{side} action is not multiplicative")
     for i in range(b.left_algebra.dim):
         for j in range(b.right_algebra.dim):
             if b.left.block(i) @ b.right.block(j) != b.right.block(j) @ b.left.block(i):
-                raise ValueError("left and right actions do not commute")
+                raise BimoduleError("left and right actions do not commute")
 
 
 def corner_bimodules(

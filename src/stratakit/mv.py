@@ -385,6 +385,12 @@ def mv_data_from_spec(spec, field) -> MVData:
     z_alg = build_bound_quiver_algebra(spec.z_presentation, field)
     u_alg = build_bound_quiver_algebra(spec.u_presentation, field)
 
+    def matrix(rows: list, cols: int) -> Matrix:
+        try:
+            return Matrix.from_rows(field, rows, cols=cols)
+        except ValueError as e:  # ragged rows or a wrong width: the input's fault
+            raise MVDataError(*e.args) from None
+
     def build_bimodule(bspec, left_alg, right_alg) -> Bimodule:
         dim = bspec.dim
 
@@ -396,7 +402,7 @@ def mv_data_from_spec(spec, field) -> MVData:
                 rows = raw[label]
                 if len(rows) != dim:
                     raise MVDataError(f"{which} action for {label}: expected {dim} rows")
-                out.extend(Matrix.from_rows(field, rows, cols=dim).entries)
+                out.extend(matrix(rows, dim).entries)
             unknown = set(raw) - set(alg.basis_labels)
             if unknown:
                 raise MVDataError(f"{which} action names unknown basis elements {sorted(unknown)}")
@@ -411,5 +417,5 @@ def mv_data_from_spec(spec, field) -> MVData:
     theta_rows = spec.theta
     if len(theta_rows) != m.dim * n.dim:
         raise MVDataError(f"theta: expected {m.dim * n.dim} rows, got {len(theta_rows)}")
-    theta = Matrix.from_rows(field, theta_rows, cols=u_alg.dim)
+    theta = matrix(theta_rows, u_alg.dim)
     return MVData(z_algebra=z_alg, u_algebra=u_alg, m=m, n=n, theta=theta)

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 from .algebra import Algebra, CornerData
 from .category import ModuleCategory, is_isomorphic
 from .homological import universal_extension
-from .linalg import Matrix, Subspace, Value
+from .linalg import InvariantError, Matrix, Subspace, Value
 from .modules import (
     ModuleMap,
     RightModule,
@@ -377,7 +377,12 @@ class Stratification:
     # -- structure checks ----------------------------------------------------
 
     def run_structure_checks(self) -> list[tuple[str, str]]:
-        """(S1)-(S3) instance checks; raises on violation, returns notes."""
+        """(S1)-(S3) instance checks; raises on violation, returns notes.
+
+        Each layer is the idempotent recollement of mod-A_L at the
+        idempotent of its maximal stratum, which satisfies (R1)-(R4) by
+        theorem (Cline-Parshall-Scott), so an (S2) failure is a program
+        fault (``InvariantError``), never a verdict on the input."""
         notes: list[tuple[str, str]] = []
         # the full lower set is A by construction; the empty one peels every layer
         if self.lower_algebra(frozenset()).algebra.dim != 0:
@@ -389,9 +394,7 @@ class Stratification:
             samples = ModuleCategory(r.cat_c.algebra).standard_samples()
             rep = r.verify(samples)
             if not rep.ok:
-                raise StratificationError(
-                    f"(S2): recollement at {lam} fails axioms: {rep.failures()[:3]}"
-                )
+                raise InvariantError(f"(S2): recollement at {lam} fails axioms: {rep.failures()[:3]}")
             notes.append(("S2", f"recollement at {lam} verified on {len(samples)} samples"))
 
         # (S3): the stratum is independent of the ambient lower set

@@ -173,6 +173,60 @@ def test_a_fault_in_a_layer_build_is_no_stratification_fail(tmp_path, capsys, mo
     assert checks[0]["witness"]["error"] == "AlgebraError: derived table is inconsistent"
 
 
+def test_a_fault_in_the_gluing_data_is_no_mv_fail(tmp_path, capsys, monkeypatch):
+    """The mv check fails only on what the gluing data says about the input
+    (``MVDataError``, ``BimoduleError`` and the algebra build errors).  A
+    program fault while it is built reaches ``check`` as an INTERNAL-ERROR
+    and ends ``corpus``'s fixture pipeline as an ERROR."""
+    def fault(*args, **kwargs):
+        raise InvariantError("bimodule check lost its blocks")
+
+    monkeypatch.setattr("stratakit.mv.validate_bimodule", fault)
+    code, out = run_cli(capsys, "check", fixture_path(tmp_path, "fix_mv_id.json"), "--mode", "recollement")
+    assert code == 2
+    checks = json.loads(out)["checks"]
+    assert [(c["name"], c["verdict"]) for c in checks] == [("recollement", "ERROR")]
+    assert checks[0]["witness"] == {"error": "INTERNAL-ERROR", "message": "InvariantError: bimodule check lost its blocks"}
+    code, out = run_cli(capsys, "corpus", "--filter", "mv")
+    assert code == 2
+    checks = json.loads(out)["checks"]
+    assert checks and all(c["name"].endswith("/pipeline") and c["verdict"] == "ERROR" for c in checks)
+    assert checks[0]["witness"]["error"] == "InvariantError: bimodule check lost its blocks"
+
+
+@pytest.mark.parametrize("where", [["m", "left_u"], ["n", "right_u"], []])
+def test_a_gluing_matrix_of_the_wrong_width_is_an_mv_fail(tmp_path, capsys, where):
+    """A row of the wrong width in an action or in theta is a verdict on the
+    input, as a wrong row count is."""
+    data = json.loads(fixture_bytes("fix_mv_id.json"))
+    if where:
+        data["mv"][where[0]][where[1]]["e_1"] = [[1, 0]]
+    else:
+        data["mv"]["theta"] = [[1, 0]]
+    code, out = run_cli(capsys, "check", write_spec(tmp_path, data), "--mode", "recollement")
+    assert code == 2
+    checks = json.loads(out)["checks"]
+    assert (checks[-1]["name"], checks[-1]["verdict"]) == ("mv", "FAIL")
+    assert checks[-1]["witness"] == {"error": "expected 1 columns, got 2"}
+
+
+def test_an_s2_failure_is_an_internal_error_not_a_stratification_fail(tmp_path, capsys, monkeypatch):
+    """Every layer is an idempotent recollement, which satisfies (R1)-(R4)
+    by theorem, so an axiom the verifier records as failed is a program
+    fault: INTERNAL-ERROR, not ``[FAIL] stratification``."""
+    def fault(*args, **kwargs):
+        raise InvariantError("identity test lost its matrix")
+
+    monkeypatch.setattr("stratakit.recollement._is_identity_on", fault)
+    code, out = run_cli(capsys, "check", fixture_path(tmp_path, "fix_a2.json"), "--mode", "recollement")
+    assert code == 2
+    checks = json.loads(out)["checks"]
+    assert [(c["name"], c["verdict"]) for c in checks] == [("recollement", "ERROR")]
+    assert checks[0]["witness"]["error"] == "INTERNAL-ERROR"
+    assert checks[0]["witness"]["message"].startswith("InvariantError: (S2): recollement at ")
+    assert "raised InvariantError: identity test lost its matrix" in checks[0]["witness"]["message"]
+
+
 def test_corpus_reports_an_undecided_synthesis_as_a_pipeline_error(capsys, monkeypatch):
     monkeypatch.setattr("stratakit.strat.synthesize_projective_cover", undecided)
     code, out = run_cli(capsys, "corpus", "--filter", "hw")

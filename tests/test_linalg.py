@@ -943,6 +943,66 @@ def test_corpus_run_matches_the_loops(monkeypatch):
     assert all(taken.values()), taken
 
 
+# ---------------------------------------------------------------------------
+# trivial cases answered without arithmetic, against the references
+
+
+def trivial_operands(field):
+    """(kind, a, targets): a zero (0 x c and r x 0 too), an identity, [I | B]
+    (full row rank) or any matrix, each size 0..4; the targets have a's
+    column count, lie in its row space or perhaps not."""
+    def build(r, c, kind):
+        a = {"zero": st.just(Matrix.zero(field, r, c)), "identity": st.just(Matrix.identity(field, c)),
+             "full rank": kernel_matrices(field, r, c).map(lambda b: Matrix.identity(field, r).hstack(b)),
+             "any": kernel_matrices(field, r, c)}[kind]
+        return a.flatmap(lambda a: st.tuples(
+            st.just(kind), st.just(a), kernel_matrices(field, 3, a.rows), kernel_matrices(field, 1, a.cols)))
+
+    size = st.integers(0, 4)
+    return st.tuples(size, size, st.sampled_from(["zero", "identity", "full rank", "any"])).flatmap(
+        lambda s: build(*s))
+
+
+@settings(max_examples=200, deadline=None)
+@given(FIELDS.flatmap(trivial_operands))
+def test_trivial_kernels_and_solves_match_the_references(ops):
+    """A zero matrix's left kernel (the unit basis), a kept full row rank's
+    (none) and a solve against an identity (the target) equal what the
+    general path computes, kept eliminations included."""
+    kind, a, x, extra = ops
+    F, n = a.field, a.rows
+    if kind in ("full rank", "any"):
+        a.rank()  # kept: a full row rank is then read off it
+    ker, want = a.left_kernel(), reference_left_kernel(a)
+    dim = len(want) // n if n else 0
+    pivots = tuple(next(j for j in range(n) if want[i * n + j]) for i in range(dim))
+    assert ker == Subspace(n, Matrix(F, dim, n, want), pivots) and normalized(F, ker.basis.entries)
+    R, rank, piv = ker.basis.rref()
+    assert (R.entries, rank, piv) == reference_rref(ker.basis) == (want, dim, pivots)
+    for target in (x @ a, (x @ a).stack(extra), extra):
+        same_solve(a, target)
+        if a.is_identity:
+            assert a.solve_left(target) is target
+
+
+def test_trivial_kernels_and_solves_run_no_elimination(monkeypatch):
+    """A zero matrix, a kept full row rank and an identity system are
+    answered with no transpose and no elimination step."""
+    ops = count_row_operations(monkeypatch)
+    a = mat(QQ, [[1, 2, 3], [0, 1, 1]])
+    a.rank()
+    zero = Matrix.zero(GF3, 3, 2)
+    first = len(ops)
+    transposes = []
+    transpose = Matrix.transpose
+    monkeypatch.setattr(Matrix, "transpose", lambda m: transposes.append(m) or transpose(m))
+    assert a.left_kernel() == Subspace.zero(QQ, 2)
+    assert zero.left_kernel() == full(GF3, 3)
+    target = mat(GF3, [[1, 2, 0]])
+    assert Matrix.identity(GF3, 3).solve_left(target) is target
+    assert (len(ops), transposes) == (first, [])
+
+
 def algebra_operands(a):
     """Two vectors of ``a`` and a few (c, i, j) terms for ``sum_of_products``."""
     vec = st.lists(kernel_values(a.field), min_size=a.dim, max_size=a.dim).map(tuple)

@@ -11,11 +11,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stratakit.algebra import build_bound_quiver_algebra, corner_algebra, opposite
 from stratakit.category import ModuleCategory, is_isomorphic
 from stratakit.corpus import corpus_index
-from stratakit.linalg import GF2, GF3, QQ, Matrix
+from stratakit.linalg import GF2, GF3, QQ, Matrix, Subspace
 from stratakit.modules import (
     ModuleMap,
     RightModule,
@@ -41,6 +42,7 @@ from stratakit.modules import (
     times,
     top,
     zero_map,
+    zero_module,
 )
 from stratakit.specfile import build_algebra, parse_spec
 
@@ -300,17 +302,19 @@ print(json.dumps([code, *map(len, counts)]))
 @pytest.mark.parametrize("hash_seed", ["0", "1"])
 def test_corpus_builds_each_module_value_once(hash_seed):
     """Work counters of ``corpus --seed 11``, in a fresh interpreter per
-    hash seed: 1,741 module constructions give 397 module objects (each
+    hash seed: 1,291 module constructions give 397 module objects (each
     enters its algebra's table once), which solve 148 hom systems and build
-    48 projective covers and 83 tops.  While every construction made a new
-    object, 1,939 constructions solved 237 hom systems and built 87 covers
-    and 224 tops."""
+    48 projective covers and 83 tops.  A submodule or quotient by the whole
+    or the zero space, and a restriction along the identity, construct no
+    module (1,741 constructions while they did).  While every construction
+    made a new object, 1,939 constructions solved 237 hom systems and built
+    87 covers and 224 tops."""
     tests = Path(__file__).parent
     env = {**os.environ, "PYTHONHASHSEED": hash_seed,
            "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
     res = subprocess.run([sys.executable, "-c", PIN_COUNTS], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout) == [0, 1741, 397, 148, 48, 83]
+    assert json.loads(res.stdout) == [0, 1291, 397, 148, 48, 83]
 
 
 def test_injective_envelope(a2):
@@ -719,23 +723,61 @@ def test_constructors_match_the_per_element_references():
     assert algebras > 100 and modules_checked > 1000
 
 
+def trivial_module_operands(a):
+    """(module, space): the zero module, the regular module, a projective,
+    a simple or an injective of ``a``, with the whole space, the zero space
+    or its radical (itself whole or zero at times)."""
+    def space(m, kind):
+        return {"whole": full(a.field, m.dim), "zero": Subspace.zero(a.field, m.dim),
+                "radical": times(m, a.radical.basis)}[kind]
+
+    mods = [zero_module(a), regular_module(a)]
+    for v in a.vertex_names:
+        mods += [projective_module(a, v)[0], simple_module(a, v), injective_module(a, v)]
+    return st.builds(lambda m, kind: (m, space(m, kind)), st.sampled_from(mods),
+                     st.sampled_from(["whole", "zero", "radical"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(fixture_algebras()).flatmap(trivial_module_operands))
+def test_trivial_submodules_quotients_and_restrictions_match_the_references(ms):
+    """Differential over GF(2), GF(3) and Q: a submodule or quotient by the
+    whole or the zero space, and a restriction along the identity of m's
+    own algebra, equal the per-element references, maps included."""
+    m, space = ms
+    a = m.algebra
+    assert submodule(m, space) == reference_submodule(m, space)
+    assert quotient_module(m, space) == reference_quotient_module(m, space)
+    assert restrict_scalars(m, a, Matrix.identity(a.field, a.dim)) == reference_restrict_scalars(
+        m, a, Matrix.identity(a.field, a.dim)) == m
+    if space.dim == m.dim:
+        assert submodule(m, space)[0] is m and quotient_module(m, space)[0] is zero_module(a)
+    if space.dim == 0:
+        assert quotient_module(m, space)[0] is m and submodule(m, space)[0] is zero_module(a)
+
+
 def test_a_quotient_is_one_product_and_a_submodule_two(monkeypatch):
     """Whatever the algebra's dimension, ``quotient_module`` makes one
     product (the non-pivot rows of every block times the projection) and
     ``submodule`` two (the basis times the blocks side by side, and
-    ``solve_left``'s check), not one or two per algebra basis element."""
+    ``solve_left``'s check), not one or two per algebra basis element.  By
+    the whole or the zero space, each makes none."""
     products = []
     real = Matrix.__matmul__
     monkeypatch.setattr(Matrix, "__matmul__", lambda x, y: products.append(None) or real(x, y))
-    dims = set()
+    dims, trivial = set(), 0
     for a in [*fixture_algebras(), *(build_bound_quiver_algebra(auslander_algebra(n), GF3) for n in (3, 4))]:
         dims.add(a.dim)
         for m in [regular_module(a)] + [projective_module(a, v)[0] for v in a.vertex_names]:
             rad = times(m, a.radical.basis)
-            products.clear()
-            quotient_module(m, rad)
-            assert len(products) == 1
-            products.clear()
-            submodule(m, rad)
-            assert len(products) == 2
+            for space in (rad, Subspace.zero(a.field, m.dim), full(a.field, m.dim)):
+                whole_or_zero = space.dim in (0, m.dim)
+                trivial += whole_or_zero
+                products.clear()
+                quotient_module(m, space)
+                assert len(products) == (0 if whole_or_zero else 1)
+                products.clear()
+                submodule(m, space)
+                assert len(products) == (0 if whole_or_zero else 2)
     assert max(dims) >= 20 and len(dims) >= 5
+    assert trivial > 2 * len(dims)

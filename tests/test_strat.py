@@ -5,6 +5,7 @@ import pytest
 
 from stratakit import homological, strat
 from stratakit.category import ModuleCategory, is_isomorphic
+from stratakit.linalg import InvariantError
 from stratakit.modules import (
     ModuleMap,
     annihilator,
@@ -129,12 +130,14 @@ def test_s3_agrees_with_the_algebra_map_over_every_lower_set():
 
 
 def test_s2_failure_text_carries_each_failed_check_by_its_repr(monkeypatch):
-    """``validate`` reports this text as the stratification witness, so the
-    records keep the ``Name(field=value, ...)`` repr of a dataclass."""
+    """``check`` reports this text in the INTERNAL-ERROR witness, so the
+    records keep the ``Name(field=value, ...)`` repr of a dataclass.  A
+    layer is an idempotent recollement, which satisfies the axioms by
+    theorem, so a failed axiom is a program fault: ``InvariantError``."""
     failed = CheckResult("R1", "j_restrict(P(1))", False, "counit not iso")
     monkeypatch.setattr(Recollement, "verify", lambda self, samples: RecollementReport(
         "broken", (CheckResult("R0", "S(1)", True), failed)))
-    with pytest.raises(StratificationError) as err:
+    with pytest.raises(InvariantError) as err:
         strat_of("FIX-A2")
     assert str(err.value) == ("(S2): recollement at x fails axioms: [CheckResult(axiom='R1', "
                               "subject='j_restrict(P(1))', ok=False, note='counit not iso')]")
