@@ -18,20 +18,23 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Sequence
 
-from .linalg import Field, InconsistentSystem, Matrix, Subspace, Value
+from .linalg import Field, InconsistentSystem, InputError, InvariantError, Matrix, Subspace, Value
 
 
-class NonAdmissibleError(ValueError):
+class NonAdmissibleError(InputError):
     """A relation touches paths of length < 2."""
 
 
-class PossiblyInfiniteError(ValueError):
+class PossiblyInfiniteError(InputError):
     """A Gröbner basis tip or a normal word passed the length bound, or the
     normal words passed their cap."""
 
 
-class AlgebraError(ValueError):
-    """Construction produced inconsistent data."""
+class AlgebraError(InputError):
+    """A relation is malformed (a path that does not compose, or terms with
+    different ends), or the built algebra fails validation: the builder
+    checks only that I lies in the square of the arrow ideal, so an ideal
+    that contains no power of it (one loop x with x^2 = x^3) gets that far."""
 
 
 DEFAULT_LENGTH_BOUND = 32
@@ -503,8 +506,8 @@ def _derived_algebra(a: Algebra, labels: Sequence[str], vertices: Sequence[str],
     idem = []
     for v, t in zip(vertices, range(unit + 1, sol.rows)):
         ones = [k for k, x in enumerate(sol.row(t)) if x]
-        if len(ones) != 1 or sol[t, ones[0]] != F.one:
-            raise AlgebraError(f"idempotent e_{v} does not survive as a basis class")
+        if len(ones) != 1 or sol[t, ones[0]] != F.one:  # a basis element of eAe, and of A/AeA off e
+            raise InvariantError(f"idempotent e_{v} does not survive as a basis class")
         idem.append(ones[0])
     alg = Algebra(
         field=F,
@@ -519,8 +522,8 @@ def _derived_algebra(a: Algebra, labels: Sequence[str], vertices: Sequence[str],
     issues = certify(alg)
     if alg.dim - alg.radical.dim != len(vertices):
         issues.append(("split-semisimple", f"dim - dim rad = {alg.dim - alg.radical.dim} != {len(vertices)}"))
-    if issues:
-        raise AlgebraError(f"{what} algebra failed validation: {tuple(issues)}")
+    if issues:  # a corner or a quotient of a validated algebra is one, by the argument above
+        raise InvariantError(f"{what} algebra failed validation: {tuple(issues)}")
     return alg
 
 
@@ -545,8 +548,8 @@ def corner_algebra(a: Algebra, vertices: Sequence[str]) -> CornerData:
     def coords(targets: Matrix) -> Matrix:
         try:
             return embed.solve_left(targets)
-        except InconsistentSystem:
-            raise AlgebraError("corner product left the corner span") from None
+        except InconsistentSystem:  # eAe is closed under products
+            raise InvariantError("corner product left the corner span") from None
 
     vectors = ([mul(x, y) for x in rows for y in rows]
                + [mul(mul(e, a.radical.basis.row(r)), e) for r in range(a.radical.dim)] + [e])

@@ -26,7 +26,7 @@ import itertools
 from .algebra import opposite
 from .category import solve_in_hom
 from .homological import ext, projective_resolution, reduce_cocycle
-from .linalg import Matrix, Value
+from .linalg import InvariantError, Matrix, Value
 from .modules import (
     RightModule,
     dual_module,
@@ -38,7 +38,7 @@ from .modules import (
     simple_module,
 )
 from .recollement import Recollement
-from .strat import Poset, Stratification, StratificationError
+from .strat import Poset, Stratification
 
 
 # -- exactness of the one-sided extension functors ---------------------------
@@ -145,8 +145,9 @@ def ext_comparison(r: Recollement, x: RightModule, y: RightModule, degree: int) 
         rows = [reduce_cocycle(space_out, u.then(i.map(cls.cocycle))) for cls in space_in.classes]
         rank = Matrix(x.algebra.field, len(rows), space_out.dim, tuple(c for row in rows for c in row)).rank()
     cmp = ExtComparison(degree=degree, dim_source=space_in.dim, dim_target=space_out.dim, rank=rank)
+    # i_* is fully faithful with an image closed under extensions (a Serre subcategory)
     if degree <= 1 and not cmp.is_isomorphism:
-        raise StratificationError(
+        raise InvariantError(
             f"Ext comparison in degree {degree} failed to be an isomorphism: "
             f"{cmp.dim_source} -> {cmp.dim_target} with rank {cmp.rank}"
         )

@@ -5,6 +5,17 @@ invariants or checks, an isomorphism question left undecided or a program
 fault (each reported as an ``ERROR`` check, never as a FAIL), 3 oracle mode
 requested over the rationals.
 
+Every raise is a verdict or a fault, by type.  A verdict on the input
+subclasses ``linalg.InputError``, and the check that asks its question (the
+build, the stratification, the gluing data) catches it and reports a FAIL.
+Everything else, an ``InvariantError`` or a verdict that no check asked for
+included, reaches ``_guarded``, the one boundary that all three commands
+share: a ``SpecError`` there is malformed input (exit 1), an
+``UndecidedIsomorphism`` an ERROR check with witness UNDECIDED, and any
+other exception an ERROR check with witness INTERNAL-ERROR (exit 2); under
+``corpus`` that check is the fixture's ``pipeline``, and a bundled fixture
+that fails the schema is such a fault, since the user gave no file.
+
 Each input is built once: ``checks_validate`` builds the algebra, the
 checked stratification and the gluing data into a ``Session``, and every
 check battery reads them from there.  Each battery imports the layers it
@@ -19,10 +30,10 @@ import json
 import os
 import sys
 import time
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .algebra import Algebra, AlgebraError, NonAdmissibleError, PossiblyInfiniteError
-from .linalg import UndecidedIsomorphism, Value
+from .linalg import InputError, InvariantError, UndecidedIsomorphism, Value
 from .report import Check, Report, sha256_bytes
 from .specfile import AlgebraSpec, SpecError, build_algebra, load_spec, parse_spec
 
@@ -75,22 +86,22 @@ def _mv_samples(r, data):
 # individual check batteries (shared by `check` and `corpus`)
 
 
+# the build's verdicts on the relations: criterion and witness code
+BUILD_VERDICTS = {
+    NonAdmissibleError: ("relations generate an admissible ideal", "NON-ADMISSIBLE"),
+    PossiblyInfiniteError: ("path classes stabilize below the length bound", "POSSIBLY-INFINITE"),
+    AlgebraError: ("construction passes structural validation", "INVALID"),
+}
+
+
 def checks_validate(spec: AlgebraSpec) -> tuple[list[Check], Session]:
     """Build and validate everything the input declares, once."""
     out = []
     try:
         algebra = build_algebra(spec)
-    except NonAdmissibleError as e:
-        out.append(Check("build", "relations generate an admissible ideal", "FAIL",
-                         witness={"error": "NON-ADMISSIBLE", "message": str(e)}))
-        return out, Session(spec.name)
-    except PossiblyInfiniteError as e:
-        out.append(Check("build", "path classes stabilize below the length bound", "FAIL",
-                         witness={"error": "POSSIBLY-INFINITE", "message": str(e)}))
-        return out, Session(spec.name)
-    except AlgebraError as e:
-        out.append(Check("build", "construction passes structural validation", "FAIL",
-                         witness={"error": "INVALID", "message": str(e)}))
+    except InputError as e:
+        criterion, code = BUILD_VERDICTS[type(e)]
+        out.append(Check("build", criterion, "FAIL", witness={"error": code, "message": str(e)}))
         return out, Session(spec.name)
     # the build validated the algebra and raised AlgebraError on a failure
     out.append(Check(
@@ -101,23 +112,21 @@ def checks_validate(spec: AlgebraSpec) -> tuple[list[Check], Session]:
     ))
     strat = mv = None
     if spec.stratification is not None:
-        from .strat import Poset, PosetError, Stratification, StratificationError
+        from .strat import Poset, Stratification
         ss = spec.stratification
         try:
             poset = Poset.from_pairs(ss.poset.elements, ss.poset.leq)
             strat = Stratification(algebra, poset, ss.rho, ss.epsilon, check=True)
             out.append(Check("stratification", "lower sets, layer recollements, stratum independence", "PASS"))
-        except (PosetError, StratificationError) as e:  # any other fault is the program's, not a FAIL
+        except InputError as e:
             out.append(Check("stratification", "lower sets, layer recollements, stratum independence",
                              "FAIL", witness={"error": str(e)}))
     if spec.mv is not None:
-        from .modules import BimoduleError
-        from .mv import MVDataError, mv_data_from_spec
+        from .mv import mv_data_from_spec
         try:
             mv = mv_data_from_spec(spec.mv, spec.field)
             out.append(Check("mv", "bimodule axioms, balanced equivariant pairing", "PASS"))
-        # verdicts on the gluing data; any other fault is the program's, not a FAIL
-        except (MVDataError, BimoduleError, AlgebraError, NonAdmissibleError, PossiblyInfiniteError) as e:
+        except InputError as e:
             out.append(Check("mv", "bimodule axioms, balanced equivariant pairing",
                              "FAIL", witness={"error": str(e)}))
     return out, Session(spec.name, algebra, strat, mv)
@@ -168,41 +177,26 @@ def checks_recollement(session: Session) -> list[Check]:
 
 
 def checks_simples(s: Stratification) -> list[Check]:
-    from .strat import StratificationError
-    try:
-        table = s.classify_simples()
-    except StratificationError as e:
-        return [Check("classify_simples", "complete irredundant classification of simples", "FAIL",
-                      witness={"error": str(e)})]
     return [Check(
         "classify_simples",
         "every simple is the intermediate extension of a unique stratum simple",
         "PASS",
-        details={b: lam for b, (lam, _) in table.items()},
+        details={b: lam for b, (lam, _) in s.classify_simples().items()},
     )]
 
 
 def checks_porism(s: Stratification) -> list[Check]:
-    from .strat import StratificationError, porism_check
-    out = []
-    for b in s.algebra.vertex_names:
-        try:
-            res = porism_check(s, b)
-            out.append(Check(
-                f"porism({b})",
-                "cover kernel over the standard quotient is filtered by quotients of higher standards",
-                "PASS",
-                details=res.certificate.summary(),
-            ))
-        except StratificationError as e:
-            out.append(Check(f"porism({b})",
-                             "cover kernel over the standard quotient is filtered by quotients of higher standards",
-                             "FAIL", witness={"error": str(e)}))
-    return out
+    from .strat import porism_check
+    return [Check(
+        f"porism({b})",
+        "cover kernel over the standard quotient is filtered by quotients of higher standards",
+        "PASS",
+        details=porism_check(s, b).certificate.summary(),
+    ) for b in s.algebra.vertex_names]
 
 
 def checks_synthesis(s: Stratification) -> list[Check]:
-    from .strat import StratificationError, SynthesisNonTermination, synthesize_projective_cover
+    from .strat import SynthesisNonTermination, synthesize_projective_cover
     out = []
     for t in s.algebra.vertex_names:
         try:
@@ -217,7 +211,7 @@ def checks_synthesis(s: Stratification) -> list[Check]:
                     for a in res.audit
                 ]},
             ))
-        except (StratificationError, SynthesisNonTermination) as e:
+        except SynthesisNonTermination as e:
             out.append(Check(f"synthesize_cover({t})",
                              "iterated universal extensions rebuild the projective cover",
                              "FAIL", witness={"error": str(e)}))
@@ -295,26 +289,43 @@ MODE_RUNNERS = {
 # commands
 
 
-def cmd_validate(args) -> int:
+def _guarded(name: str, checks: Callable[[], Iterable[Check]]) -> Iterator[Check]:
+    """The checks ``checks()`` gives, then, if it raises, one ERROR check
+    named ``name`` in place of the rest: the one boundary between the
+    checks and the report (see the module docstring).  A ``SpecError``
+    passes on to ``main``: malformed input, exit 1."""
     try:
-        spec, raw = load_spec(args.path)
-    except SpecError as e:
-        print(f"schema error: {e}", file=sys.stderr)
-        return EXIT_SCHEMA
+        yield from checks()
+    except SpecError:
+        raise
+    except UndecidedIsomorphism as e:
+        yield Check(name, "every isomorphism question is decided", "ERROR",
+                    witness={"error": "UNDECIDED", "message": str(e)})
+    except Exception as e:  # noqa: BLE001  a program fault, not a verdict on the input
+        yield Check(name, "the checks run to completion", "ERROR",
+                    witness={"error": "INTERNAL-ERROR", "message": f"{type(e).__name__}: {e}"})
+
+
+def cmd_validate(args) -> int:
+    spec, raw = load_spec(args.path)
     report = Report(mode="validate", input_name=spec.name,
                     input_sha256=sha256_bytes(raw), seed=args.seed)
-    for c in checks_validate(spec)[0]:
+    for c in _guarded("validate", lambda: checks_validate(spec)[0]):
         report.add(c)
     _emit(report, args)
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
+def _mode_checks(spec: AlgebraSpec, args) -> Iterator[Check]:
+    """The input's validation checks, then, if every one passed, the mode's."""
+    checks, session = checks_validate(spec)
+    yield from checks
+    if not any(c.failed for c in checks):
+        yield from MODE_RUNNERS[args.mode](session, args)
+
+
 def cmd_check(args) -> int:
-    try:
-        spec, raw = load_spec(args.path)
-    except SpecError as e:
-        print(f"schema error: {e}", file=sys.stderr)
-        return EXIT_SCHEMA
+    spec, raw = load_spec(args.path)
     if args.oracle and spec.field.kind == "Q":
         print("oracle mode requires a finite field; this input is over the rationals",
               file=sys.stderr)
@@ -327,22 +338,8 @@ def cmd_check(args) -> int:
         options={"mode": args.mode, "n": args.n, "oracle": bool(args.oracle)},
     )
     started = time.monotonic()
-    try:
-        checks, session = checks_validate(spec)
-        for c in checks:
-            report.add(c)
-        if report.ok:
-            for c in MODE_RUNNERS[args.mode](session, args):
-                report.add(c)
-    except SpecError as e:
-        print(f"schema error: {e}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except UndecidedIsomorphism as e:
-        report.add(Check(args.mode, "every isomorphism question is decided", "ERROR",
-                         witness={"error": "UNDECIDED", "message": str(e)}))
-    except Exception as e:  # noqa: BLE001  a program fault, not a verdict on the input
-        report.add(Check(args.mode, "the checks run to completion", "ERROR",
-                         witness={"error": "INTERNAL-ERROR", "message": f"{type(e).__name__}: {e}"}))
+    for c in _guarded(args.mode, lambda: _mode_checks(spec, args)):
+        report.add(c)
     if args.timing:
         report.timing_ms = int((time.monotonic() - started) * 1000)
     _emit(report, args)
@@ -352,22 +349,17 @@ def cmd_check(args) -> int:
 def _corpus_fixture_checks(entry) -> list[Check]:
     from .corpus import fixture_bytes
     raw = fixture_bytes(entry.file)
-    data = json.loads(raw)
-    spec = parse_spec(data, name=entry.name)
-    if entry.expect_error is not None:
-        expected = {"NON-ADMISSIBLE": NonAdmissibleError,
-                    "POSSIBLY-INFINITE": PossiblyInfiniteError}[entry.expect_error]
-        try:
-            build_algebra(spec)
-        except expected:
-            return [Check("negative-control", f"build fails with {entry.expect_error}", "PASS")]
-        except Exception as e:  # noqa: BLE001
-            return [Check("negative-control", f"build fails with {entry.expect_error}", "FAIL",
-                          witness={"error": f"unexpected {type(e).__name__}: {e}"})]
-        return [Check("negative-control", f"build fails with {entry.expect_error}", "FAIL",
-                      witness={"error": "construction unexpectedly succeeded"})]
-
+    try:
+        spec = parse_spec(json.loads(raw), name=entry.name)
+    except SpecError as e:  # the bundled fixtures are well-formed: the corpus golden report parses each
+        raise InvariantError(f"bundled fixture {entry.file}: {e}") from None
     checks, session = checks_validate(spec)
+    if entry.expect_error is not None:
+        # the build's check, or validate_algebra's PASS when the build succeeded
+        got = checks[0].witness["error"] if checks[0].name == "build" else "an algebra"
+        ok = got == entry.expect_error
+        return [Check("negative-control", f"build fails with {entry.expect_error}", "PASS" if ok else "FAIL",
+                      witness=None if ok else {"error": f"the build gave {got}"})]
     if any(c.failed for c in checks):
         return checks
     checks.extend(checks_recollement(session))
@@ -402,12 +394,9 @@ def cmd_corpus(args) -> int:
     # one fixture at a time: the work is pure Python, so a thread pool only
     # adds waiting for the interpreter lock, and no cache sees two threads
     for entry in sorted(entries, key=lambda e: e.name):
-        try:
-            checks = _corpus_fixture_checks(entry)
-        except Exception as e:  # noqa: BLE001
-            checks = [Check("pipeline", "fixture pipeline completes", "ERROR",
-                            witness={"error": f"{type(e).__name__}: {e}"})]
-        for c in checks:
+        # a fixture's checks are all made before the first is reported, so a
+        # fault leaves its pipeline ERROR alone
+        for c in _guarded("pipeline", lambda: _corpus_fixture_checks(entry)):
             report.add(Check(f"{entry.name}/{c.name}", c.criterion, c.verdict, c.witness, c.details))
     if args.timing:
         report.timing_ms = int((time.monotonic() - started) * 1000)
@@ -484,10 +473,12 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.seed is None:
             args.seed = _seed_default()
+        return args.func(args)
     except UsageError as e:
         print(e, file=sys.stderr)
-        return EXIT_SCHEMA
-    return args.func(args)
+    except SpecError as e:
+        print(f"schema error: {e}", file=sys.stderr)
+    return EXIT_SCHEMA
 
 
 if __name__ == "__main__":

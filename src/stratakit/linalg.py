@@ -67,16 +67,27 @@ if TYPE_CHECKING:  # at run time the first value that is not an int loads it (``
 class InconsistentSystem(ArithmeticError):
     """A linear system has no solution.
 
-    Not a ``ValueError``: the handlers that turn bad input into a report
-    must not mistake a failed solve, which is a program bug unless the
-    caller asked for it, for bad input.
+    Not an ``InputError``: a failed solve is a program bug unless the
+    caller asked for it, never a verdict on the input.
     """
+
+
+class InputError(Exception):
+    """The base of every verdict on the input: the input breaks a rule it
+    must meet (a malformed file, a relation that is not admissible,
+    bimodule actions that do not commute, a stratum that depends on its
+    lower set).  A check that claims one reports it as a FAIL; one that no
+    check claims is a program fault like any other.  Not a ``ValueError``,
+    so a failed argument check inside the program never reads as a
+    verdict."""
 
 
 class InvariantError(RuntimeError):
     """A property that the code itself guarantees does not hold: a program
-    bug, never bad input.  Raised explicitly where an ``assert`` would
-    vanish under ``python -O``."""
+    bug, never bad input.  Each raise says which fact failed, and a comment
+    beside it names the theorem or construction that guarantees the fact;
+    the command line reports it as INTERNAL-ERROR, never as a FAIL.  Raised
+    explicitly where an ``assert`` would vanish under ``python -O``."""
 
 
 class UndecidedIsomorphism(RuntimeError):

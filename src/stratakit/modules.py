@@ -31,7 +31,7 @@ import weakref
 from typing import Callable, Iterator, Sequence
 
 from .algebra import Algebra, opposite
-from .linalg import Field, InconsistentSystem, InvariantError, Matrix, Subspace, Value, intertwiner_basis
+from .linalg import Field, InconsistentSystem, InputError, InvariantError, Matrix, Subspace, Value, intertwiner_basis
 
 
 def combine(coeffs: Sequence, items: Sequence, start):
@@ -456,9 +456,8 @@ class HomFunctor(Value):
     coords: Callable[[RightModule, Matrix], Matrix]
 
 
-class BimoduleError(ValueError):
-    """The actions given for a bimodule break a bimodule axiom: a verdict
-    on the input, unlike a fault of the program."""
+class BimoduleError(InputError):
+    """The actions given for a bimodule break a bimodule axiom."""
 
 
 def validate_bimodule(b: Bimodule) -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 
 from .algebra import Algebra, build_bound_quiver_algebra, opposite
-from .linalg import InvariantError, Matrix, Value
+from .linalg import InputError, InvariantError, Matrix, Value
 from .modules import (
     Bimodule,
     ModuleMap,
@@ -43,8 +43,8 @@ from .recollement import Recollement
 from .category import Functor, ModuleCategory
 
 
-class MVDataError(ValueError):
-    pass
+class MVDataError(InputError):
+    """The gluing data breaks a rule of the Macpherson-Vilonen construction."""
 
 
 class MVData(Value):
@@ -386,10 +386,12 @@ def mv_data_from_spec(spec, field) -> MVData:
     u_alg = build_bound_quiver_algebra(spec.u_presentation, field)
 
     def matrix(rows: list, cols: int) -> Matrix:
-        try:
-            return Matrix.from_rows(field, rows, cols=cols)
-        except ValueError as e:  # ragged rows or a wrong width: the input's fault
-            raise MVDataError(*e.args) from None
+        widths = {len(r) for r in rows}
+        if len(widths) > 1:
+            raise MVDataError("ragged rows")
+        if widths - {cols}:
+            raise MVDataError(f"expected {cols} columns, got {widths.pop()}")
+        return Matrix.from_rows(field, rows, cols=cols)
 
     def build_bimodule(bspec, left_alg, right_alg) -> Bimodule:
         dim = bspec.dim

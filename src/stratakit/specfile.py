@@ -12,10 +12,10 @@ import json
 from pathlib import Path
 
 from .algebra import Algebra, Presentation, Quiver, build_bound_quiver_algebra
-from .linalg import Field, Value
+from .linalg import Field, InputError, Value
 
 
-class SpecError(ValueError):
+class SpecError(InputError):
     """Malformed input file (schema level, exit code 1 territory)."""
 
 

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 from .algebra import Algebra, CornerData
 from .category import ModuleCategory, is_isomorphic
 from .homological import universal_extension
-from .linalg import InvariantError, Matrix, Subspace, Value
+from .linalg import InputError, InvariantError, Matrix, Subspace, Value
 from .modules import (
     ModuleMap,
     RightModule,
@@ -41,12 +41,13 @@ from .modules import (
 from .recollement import Recollement, intermediate_extension, make_idempotent_recollement
 
 
-class PosetError(ValueError):
-    pass
+class PosetError(InputError):
+    """The declared order is not a partial order."""
 
 
-class StratificationError(ValueError):
-    pass
+class StratificationError(InputError):
+    """The labeling or the signs do not fit the poset, or (S3) fails: a
+    stratum depends on the lower set it is computed in."""
 
 
 class Poset(Value):
@@ -334,8 +335,8 @@ class Stratification:
     def lower_algebra(self, lower: frozenset[str]) -> LowerAlgebra:
         """A_lower with the projection A ->> A_lower."""
         lower = frozenset(lower)
-        if not self.poset.is_lower(lower):
-            raise StratificationError(f"{sorted(lower)} is not a lower set")
+        if not self.poset.is_lower(lower):  # every caller passes a lower set
+            raise InvariantError(f"{sorted(lower)} is not a lower set")
         return self.memo(("lower", lower), lambda: self._lower_algebra(lower))
 
     def _lower_algebra(self, lower: frozenset[str]) -> LowerAlgebra:
@@ -360,8 +361,8 @@ class Stratification:
 
     def layer_recollement(self, lower: frozenset[str], lam: str) -> Recollement:
         """Recollement of mod-A_{lower} at a maximal element lam of lower."""
-        if lam not in self.poset.maximal_in(frozenset(lower)):
-            raise StratificationError(f"{lam} is not maximal in {sorted(lower)}")
+        if lam not in self.poset.maximal_in(frozenset(lower)):  # every caller passes a maximal stratum
+            raise InvariantError(f"{lam} is not maximal in {sorted(lower)}")
         return self.memo(("layer", frozenset(lower), lam), lambda: self._layer_recollement(lower, lam))
 
     def _layer_recollement(self, lower: frozenset[str], lam: str) -> Recollement:
@@ -382,11 +383,13 @@ class Stratification:
         Each layer is the idempotent recollement of mod-A_L at the
         idempotent of its maximal stratum, which satisfies (R1)-(R4) by
         theorem (Cline-Parshall-Scott), so an (S2) failure is a program
-        fault (``InvariantError``), never a verdict on the input."""
+        fault (``InvariantError``), never a verdict on the input; so is
+        (S1), which holds by construction.  Only (S3) is a verdict
+        (``StratificationError``)."""
         notes: list[tuple[str, str]] = []
         # the full lower set is A by construction; the empty one peels every layer
-        if self.lower_algebra(frozenset()).algebra.dim != 0:
-            raise StratificationError("(S1): the empty lower set does not give the zero algebra")
+        if self.lower_algebra(frozenset()).algebra.dim != 0:  # A/AeA at e = 1 is zero
+            raise InvariantError("(S1): the empty lower set does not give the zero algebra")
         notes.append(("S1", "empty lower set gives the zero algebra"))
 
         for lam in self.poset.elements:
@@ -433,10 +436,8 @@ class Stratification:
             glued = self.j_intermediate(lam, stratum_simple)
             target = simple_module(self.algebra, b)
             res = is_isomorphic(cat, glued, target)
-            if not res.isomorphic:
-                raise StratificationError(
-                    f"classification mismatch at vertex {b}: {res.reason}"
-                )
+            if not res.isomorphic:  # j_!* of a stratum simple is simple (Beilinson-Bernstein-Deligne)
+                raise InvariantError(f"classification mismatch at vertex {b}: {res.reason}")
             out[b] = (lam, stratum_simple)
         return out
 
@@ -479,25 +480,24 @@ class Stratification:
         """Tops and socles are semisimple: the dimension vector of L(b) decides."""
         lb = simple_module(self.algebra, fam.vertex).vertex_dims()
         for name, mod in (("std", fam.std), ("proper_std", fam.proper_std)):
-            if top(mod)[0].vertex_dims() != lb:
-                raise StratificationError(f"{name}({fam.vertex}) does not have simple top L({fam.vertex})")
+            if top(mod)[0].vertex_dims() != lb:  # Hom(j_! X, L) = Hom(X, j^* L): the top of X, L_gamma(b)
+                raise InvariantError(f"{name}({fam.vertex}) does not have simple top L({fam.vertex})")
         for name, mod in (("costd", fam.costd), ("proper_costd", fam.proper_costd)):
             if submodule(mod, annihilator(mod, self.algebra.radical.basis))[0].vertex_dims() != lb:
-                raise StratificationError(f"{name}({fam.vertex}) does not have simple socle L({fam.vertex})")
+                # Hom(L, j_* X) = Hom(j^* L, X): the socle of X, L_gamma(b)
+                raise InvariantError(f"{name}({fam.vertex}) does not have simple socle L({fam.vertex})")
 
     def _check_exceptional_vanishing(self, fams: dict[str, StandardObjects]) -> None:
         for b, fb in fams.items():
             for c, fc in fams.items():
                 if self.poset.lt(self.rho[c], self.rho[b]):
+                    # a module over A_{<=rho(c)} has no composition factor L(b), yet a nonzero
+                    # map out of std_eps(b), or into costd_eps(b), reaches its top or socle L(b)
                     for sign in ("+", "-"):
                         if hom_basis(fb.eps_standard(sign), fc.eps_standard(sign)):
-                            raise StratificationError(
-                                f"Hom(std_eps({b}), std_eps({c})) != 0 with rho({b}) > rho({c})"
-                            )
+                            raise InvariantError(f"Hom(std_eps({b}), std_eps({c})) != 0 with rho({b}) > rho({c})")
                         if hom_basis(fc.eps_costandard(sign), fb.eps_costandard(sign)):
-                            raise StratificationError(
-                                f"Hom(costd_eps({c}), costd_eps({b})) != 0 with rho({b}) > rho({c})"
-                            )
+                            raise InvariantError(f"Hom(costd_eps({c}), costd_eps({b})) != 0 with rho({b}) > rho({c})")
 
 
 class SynthesisAudit(Value):
@@ -591,11 +591,12 @@ def _assert_layer_cover(algebra: Algebra, current: RightModule, t: str) -> None:
     semisimple, so a top with the dimension vector of L(t) is L(t); P(t)
     maps onto every module with top L(t), so equal dimensions make that map
     an isomorphism."""
+    # the universal extensions at each layer give P(t) over its algebra (the paper's construction of covers)
     if top(current)[0].vertex_dims() != simple_module(algebra, t).vertex_dims():
-        raise StratificationError(f"synthesis lost the unique simple quotient at {t}")
+        raise InvariantError(f"synthesis lost the unique simple quotient at {t}")
     want = projective_module(algebra, t)[0].dim
     if current.dim != want:
-        raise StratificationError(f"synthesized P({t}) has dimension {current.dim}, not {want}")
+        raise InvariantError(f"synthesized P({t}) has dimension {current.dim}, not {want}")
 
 
 class PorismResult(Value):
@@ -616,18 +617,16 @@ def porism_check(s: Stratification, b: str) -> PorismResult:
     quo, _ = quotient_module(p_b, w)
     fams = s.standard_objects()
     res = is_isomorphic(ModuleCategory(s.algebra), quo, fams[b].std)
-    if not res.isomorphic:
-        raise StratificationError(
-            f"largest lower-set quotient of P({b}) is not the standard object: {res.reason}"
-        )
+    if not res.isomorphic:  # the porism: P(b) / P(b)eA is std(b)
+        raise InvariantError(f"largest lower-set quotient of P({b}) is not the standard object: {res.reason}")
     allowed = [
         (f"std({c})", fams[c].std)
         for c in s.algebra.vertex_names
         if s.poset.lt(lam, s.rho[c])
     ]
     cert = s.filtration(q_mod, allowed, mode="quotient-layers")
-    if cert is None:
-        raise StratificationError(
+    if cert is None:  # the porism: Q(b) is filtered by quotients of the higher standards
+        raise InvariantError(
             f"no quotient-layers filtration of the porism kernel at {b}; "
             "this contradicts the porism and signals a bug"
         )

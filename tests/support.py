@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 from stratakit.algebra import Algebra, Presentation, Quiver, build_bound_quiver_algebra, quotient_by_idempotent_ideal
 from stratakit.corpus import corpus_index, fixture_bytes
 from stratakit.homological import ext
-from stratakit.linalg import GF2, GF3, QQ, Field, Matrix, Subspace
+from stratakit.linalg import GF2, GF3, QQ, Field, InputError, Matrix, Subspace
 from stratakit.modules import ModuleMap
 from stratakit.modules import direct_sum as module_sum
 from stratakit.mv import MVMorphism
@@ -40,7 +40,7 @@ def fixture_algebras() -> tuple[Algebra, ...]:
         for F in (GF2, GF3, QQ):
             try:
                 out.append(build_bound_quiver_algebra(pres, F))
-            except ValueError:
+            except InputError:
                 continue
     return tuple(out)
 

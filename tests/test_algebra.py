@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from stratakit import algebra as algebra_module
 from stratakit.algebra import (
     Algebra,
-    AlgebraError,
     NonAdmissibleError,
     PossiblyInfiniteError,
     Presentation,
@@ -19,7 +18,7 @@ from stratakit.algebra import (
     opposite,
     validate_algebra,
 )
-from stratakit.linalg import GF2, GF3, QQ, Matrix, Subspace
+from stratakit.linalg import GF2, GF3, QQ, InvariantError, Matrix, Subspace
 from stratakit.specfile import build_algebra, parse_spec
 
 from oracles import algebra_issues_by_mul_vec, reference_corner_algebra, reference_quotient_by_idempotent_ideal
@@ -208,7 +207,7 @@ def test_the_certificate_refuses_a_miswritten_table(monkeypatch, mutate, build, 
     monkeypatch.setattr(algebra_module, "_derived_algebra", miswritten)
     monkeypatch.setattr(algebra_module, "validate_algebra", lambda b: pytest.fail("validated afresh"))
     what = "corner" if build is corner_algebra else "quotient"
-    with pytest.raises(AlgebraError, match=f"^{what} algebra failed validation: "):
+    with pytest.raises(InvariantError, match=f"^{what} algebra failed validation: "):
         build(a, vs)
 
 

@@ -27,7 +27,7 @@ from stratakit.algebra import (
 )
 from stratakit.cli import main
 from stratakit.corpus import corpus_index
-from stratakit.linalg import GF2, GF3, QQ
+from stratakit.linalg import GF2, GF3, QQ, InputError
 from stratakit.specfile import parse_spec
 
 from oracles import bound_quiver_algebra_by_dense_span, graded_dimension_by_degree
@@ -53,7 +53,7 @@ def _outcome(build, pres, F):
     """The algebra ``build`` makes, or the class of the error it raises."""
     try:
         return build(pres, F)
-    except ValueError as e:
+    except InputError as e:
         return type(e)
 
 

@@ -18,7 +18,7 @@ from stratakit.algebra import Presentation, Quiver, build_bound_quiver_algebra
 from stratakit.category import IsoResult, ModuleCategory, ShortExactSequence, exact_at, is_isomorphic
 from stratakit.cli import _mv_samples
 from stratakit.corpus import corpus_index, fixture_bytes
-from stratakit.linalg import GF2, GF3, QQ, Matrix, UndecidedIsomorphism
+from stratakit.linalg import GF2, GF3, QQ, InputError, Matrix, UndecidedIsomorphism
 from stratakit.modules import direct_sum, projective_module, quotient_module, times
 from stratakit.mv import MVCategory, mv_data_from_spec, mv_recollement
 from stratakit.specfile import build_algebra, parse_spec
@@ -200,7 +200,7 @@ def differential_cases():
         spec = parse_spec(raw)
         try:
             a = build_algebra(spec)
-        except ValueError:
+        except InputError:
             continue
         cat = ModuleCategory(a)
         objects = [x for _, x in cat.standard_samples()]

@@ -136,7 +136,8 @@ def test_check_reports_a_program_fault_as_an_internal_error(capsys, monkeypatch)
     """A fault that escapes a battery is one ERROR check and exit 2, as in
     ``corpus``: not a traceback with exit 1, which malformed input owns.
     A5 over GF(3) has no stratification block, so the fault reaches the
-    recollement battery itself."""
+    recollement battery itself.  A verdict class that no check claims
+    (here ``AlgebraError``, a verdict on the relations) is a fault there."""
     def fault(*args, **kwargs):
         raise AlgebraError("quotient table is inconsistent")
 
@@ -154,44 +155,110 @@ def test_a_fault_in_a_layer_build_is_no_stratification_fail(tmp_path, capsys, mo
     """The stratification check fails only on what the poset and the
     structure checks report about the input (``PosetError``,
     ``StratificationError``).  A program fault while a layer algebra is
-    built reaches ``check`` as an INTERNAL-ERROR and ends ``corpus``'s
-    fixture pipeline as an ERROR."""
+    built (``_derived_algebra`` raises ``InvariantError`` when its
+    certificate fails) reaches ``check`` as an INTERNAL-ERROR and ends
+    ``corpus``'s fixture pipeline as an ERROR."""
     def fault(*args, **kwargs):
-        raise AlgebraError("derived table is inconsistent")
+        raise InvariantError("derived table is inconsistent")
 
     monkeypatch.setattr("stratakit.algebra._derived_algebra", fault)
     code, out = run_cli(capsys, "check", fixture_path(tmp_path, "fix_a2.json"), "--mode", "recollement")
     assert code == 2
     checks = json.loads(out)["checks"]
     assert [(c["name"], c["verdict"]) for c in checks] == [("recollement", "ERROR")]
-    assert checks[0]["witness"] == {"error": "INTERNAL-ERROR", "message": "AlgebraError: derived table is inconsistent"}
+    internal = {"error": "INTERNAL-ERROR", "message": "InvariantError: derived table is inconsistent"}
+    assert checks[0]["witness"] == internal
     code, out = run_cli(capsys, "corpus", "--filter", "hw")
     assert code == 2
     checks = json.loads(out)["checks"]
     assert [(c["name"], c["verdict"]) for c in checks] == [
         ("FIX-A2/pipeline", "ERROR"), ("FIX-A3/pipeline", "ERROR")]
-    assert checks[0]["witness"]["error"] == "AlgebraError: derived table is inconsistent"
+    assert checks[0]["witness"] == internal
 
 
-def test_a_fault_in_the_gluing_data_is_no_mv_fail(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("argv, name", [
+    (["validate", "FIX"], "validate"),
+    (["check", "FIX", "--mode", "recollement"], "recollement"),
+    (["corpus", "--filter", "mv"], "pipeline"),
+], ids=["validate", "check", "corpus"])
+def test_a_fault_in_the_gluing_data_is_an_internal_error_under_every_command(tmp_path, capsys, monkeypatch,
+                                                                             argv, name):
     """The mv check fails only on what the gluing data says about the input
-    (``MVDataError``, ``BimoduleError`` and the algebra build errors).  A
-    program fault while it is built reaches ``check`` as an INTERNAL-ERROR
-    and ends ``corpus``'s fixture pipeline as an ERROR."""
+    (an ``InputError``).  A program fault while it is built is one ERROR
+    check with witness INTERNAL-ERROR and exit 2 under all three commands,
+    which share one boundary: never a FAIL, never a traceback with exit 1,
+    which malformed input owns.  Under ``corpus`` it is each fixture's
+    ``pipeline`` ERROR."""
     def fault(*args, **kwargs):
         raise InvariantError("bimodule check lost its blocks")
 
     monkeypatch.setattr("stratakit.mv.validate_bimodule", fault)
-    code, out = run_cli(capsys, "check", fixture_path(tmp_path, "fix_mv_id.json"), "--mode", "recollement")
+    argv = [fixture_path(tmp_path, "fix_mv_id.json") if a == "FIX" else a for a in argv]
+    code, out = run_cli(capsys, *argv)
     assert code == 2
     checks = json.loads(out)["checks"]
-    assert [(c["name"], c["verdict"]) for c in checks] == [("recollement", "ERROR")]
-    assert checks[0]["witness"] == {"error": "INTERNAL-ERROR", "message": "InvariantError: bimodule check lost its blocks"}
+    assert checks and all(c["name"].rpartition("/")[2] == name and c["verdict"] == "ERROR" for c in checks)
+    assert len(checks) == (4 if name == "pipeline" else 1)
+    assert all(c["witness"] == {"error": "INTERNAL-ERROR", "message": "InvariantError: bimodule check lost its blocks"}
+               for c in checks)
+
+
+def test_a_malformed_bundled_fixture_is_a_pipeline_error_and_the_corpus_goes_on(capsys, monkeypatch):
+    """``corpus`` reads no input file of the user's, so a bundled fixture
+    that fails the schema is a program fault: that fixture's ``pipeline``
+    ERROR with witness INTERNAL-ERROR, the next fixtures checked as usual
+    and exit 2, not a schema error with exit 1 and no report."""
+    import stratakit.corpus
+    intact = stratakit.corpus.fixture_bytes
+
+    def fixture_bytes(file):
+        data = json.loads(intact(file))
+        if file == "fix_mv_id.json":
+            del data["field"]
+        return json.dumps(data).encode()
+
+    monkeypatch.setattr(stratakit.corpus, "fixture_bytes", fixture_bytes)
     code, out = run_cli(capsys, "corpus", "--filter", "mv")
     assert code == 2
     checks = json.loads(out)["checks"]
-    assert checks and all(c["name"].endswith("/pipeline") and c["verdict"] == "ERROR" for c in checks)
-    assert checks[0]["witness"]["error"] == "InvariantError: bimodule check lost its blocks"
+    assert [(c["name"], c["verdict"]) for c in checks if c["name"].startswith("FIX-MV-ID/")] == [
+        ("FIX-MV-ID/pipeline", "ERROR")]
+    assert checks[0]["witness"] == {
+        "error": "INTERNAL-ERROR",
+        "message": "InvariantError: bundled fixture fix_mv_id.json: FIX-MV-ID: missing keys ['field']"}
+    rest = [c for c in checks if not c["name"].startswith("FIX-MV-ID/")]
+    assert {c["name"].partition("/")[0] for c in rest} == {"FIX-MV-PAIR", "FIX-MV-PROD", "FIX-MV-ZERO"}
+    assert all(c["verdict"] == "PASS" for c in rest)
+
+
+ANTICHAIN_A2 = {
+    "field": {"kind": "Q"},
+    "quiver": {"vertices": ["1", "2"], "arrows": [{"name": "a", "from": "1", "to": "2"}]},
+    "stratification": {"poset": {"elements": ["s", "t"], "leq": []}, "rho": {"1": "s", "2": "t"},
+                       "epsilon": {"s": "+", "t": "+"}},
+}
+
+
+def test_the_porism_on_an_antichain_is_an_internal_error_not_a_fail(tmp_path, capsys):
+    """A_2 over Q with incomparable strata passes the stratification check
+    although its routes disagree (ROADMAP item 1).  The porism holds by
+    theorem on a stratified category, so its failure at P(1) is a program
+    fault: one INTERNAL-ERROR that names the porism, never a FAIL.  The eps
+    and hw routes still disagree there, as before."""
+    path = write_spec(tmp_path, ANTICHAIN_A2)
+    code, out = run_cli(capsys, "check", path, "--mode", "porism")
+    assert code == 2
+    checks = json.loads(out)["checks"]
+    assert [(c["name"], c["verdict"]) for c in checks] == [
+        ("validate_algebra", "PASS"), ("stratification", "PASS"), ("porism", "ERROR")]
+    assert checks[-1]["witness"] == {"error": "INTERNAL-ERROR", "message": (
+        "InvariantError: no quotient-layers filtration of the porism kernel at 1; "
+        "this contradicts the porism and signals a bug")}
+    for mode, name in (("eps", "eps(s+,t+)"), ("hw", "highest-weight")):
+        code, out = run_cli(capsys, "check", path, "--mode", mode)
+        assert code == 2
+        last = json.loads(out)["checks"][-1]
+        assert (last["name"], last["verdict"], list(last["witness"])) == (name, "FAIL", ["ROUTE-DISAGREEMENT"])
 
 
 @pytest.mark.parametrize("where", [["m", "left_u"], ["n", "right_u"], []])
@@ -213,7 +280,9 @@ def test_a_gluing_matrix_of_the_wrong_width_is_an_mv_fail(tmp_path, capsys, wher
 def test_an_s2_failure_is_an_internal_error_not_a_stratification_fail(tmp_path, capsys, monkeypatch):
     """Every layer is an idempotent recollement, which satisfies (R1)-(R4)
     by theorem, so an axiom the verifier records as failed is a program
-    fault: INTERNAL-ERROR, not ``[FAIL] stratification``."""
+    fault, and so is a raise inside an axiom check, which leaves the
+    verifier: INTERNAL-ERROR naming the raised error, not ``[FAIL]
+    stratification``."""
     def fault(*args, **kwargs):
         raise InvariantError("identity test lost its matrix")
 
@@ -222,9 +291,7 @@ def test_an_s2_failure_is_an_internal_error_not_a_stratification_fail(tmp_path, 
     assert code == 2
     checks = json.loads(out)["checks"]
     assert [(c["name"], c["verdict"]) for c in checks] == [("recollement", "ERROR")]
-    assert checks[0]["witness"]["error"] == "INTERNAL-ERROR"
-    assert checks[0]["witness"]["message"].startswith("InvariantError: (S2): recollement at ")
-    assert "raised InvariantError: identity test lost its matrix" in checks[0]["witness"]["message"]
+    assert checks[0]["witness"] == {"error": "INTERNAL-ERROR", "message": "InvariantError: identity test lost its matrix"}
 
 
 def test_corpus_reports_an_undecided_synthesis_as_a_pipeline_error(capsys, monkeypatch):
@@ -234,7 +301,8 @@ def test_corpus_reports_an_undecided_synthesis_as_a_pipeline_error(capsys, monke
     checks = json.loads(out)["checks"]
     assert [(c["name"], c["verdict"]) for c in checks] == [
         ("FIX-A2/pipeline", "ERROR"), ("FIX-A3/pipeline", "ERROR")]
-    assert checks[0]["witness"]["error"].startswith("UndecidedIsomorphism: ")
+    assert checks[0]["witness"] == {"error": "UNDECIDED",
+                                    "message": "invariants agree but no invertible combination found"}
 
 
 def test_corpus_reports_a_fault_in_synthesis_as_a_pipeline_error_not_a_fail(capsys, monkeypatch):
@@ -249,7 +317,8 @@ def test_corpus_reports_a_fault_in_synthesis_as_a_pipeline_error_not_a_fail(caps
     checks = json.loads(out)["checks"]
     assert [(c["name"], c["verdict"]) for c in checks] == [
         ("FIX-A2/pipeline", "ERROR"), ("FIX-A3/pipeline", "ERROR")]
-    assert checks[0]["witness"]["error"] == "InvariantError: pushout did not produce a short exact sequence"
+    assert checks[0]["witness"] == {"error": "INTERNAL-ERROR",
+                                    "message": "InvariantError: pushout did not produce a short exact sequence"}
 
 
 def test_corpus_filter(capsys):
@@ -460,6 +529,10 @@ def test_inexact_mv_entry_is_a_schema_error(tmp_path, capsys, where):
     ([{"coeff": 1, "path": ["a", "a"]}], "relation 0: non-composable path"),
     ([{"coeff": 1, "path": ["a", "b"]}, {"coeff": 1, "path": ["d", "d"]}],
      "relation 0: terms not homogeneous in (source, target)"),
+    # d^2 = d^3 lies in R^2, so it passes the admissibility check, but the
+    # ideal holds no power of R: d^2 is idempotent and validation fails
+    ([{"coeff": 1, "path": ["d", "d"]}, {"coeff": -1, "path": ["d", "d", "d"]}],
+     "bound quiver construction failed validation: (('radical-nilpotent', 'rad^16 still nonzero'),)"),
 ])
 def test_malformed_relation_is_a_build_failure(tmp_path, capsys, relation, message):
     data = {

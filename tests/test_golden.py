@@ -43,12 +43,12 @@ import pytest
 
 from stratakit import algebra, analyze, category, homological, modules, recollement, strat
 from stratakit.algebra import Algebra
-from stratakit.cli import checks_porism, checks_simples, main
+from stratakit.cli import checks_simples, main
 from stratakit.corpus import fixture_bytes
-from stratakit.linalg import Matrix, Subspace, UndecidedIsomorphism
+from stratakit.linalg import InvariantError, Matrix, Subspace, UndecidedIsomorphism
 from stratakit.modules import RightModule
 from stratakit.specfile import build_algebra, parse_spec
-from stratakit.strat import Stratification, StratificationError
+from stratakit.strat import Stratification, StratificationError, porism_check
 
 from support import count_calls, generated_specs, path_spec, stratification_of
 
@@ -324,7 +324,9 @@ def test_no_isomorphism_question_the_cli_asks_is_left_undecided(tmp_path, monkey
     j_!*(S_u) has End = k), so one pass over a hom basis decides each.
     There are 256 questions (728 while the standard families' tops and
     socles were compared with L(b) by ``is_isomorphic``, not by dimension
-    vector)."""
+    vector).  The porism ends in ``InvariantError`` on some non-total
+    posets (ROADMAP item 1), after its question, so each vertex is asked
+    on its own."""
     asked, undecided = [], []
     real = category.is_isomorphic
 
@@ -351,6 +353,8 @@ def test_no_isomorphism_question_the_cli_asks_is_left_undecided(tmp_path, monkey
             continue
         strata += 1
         checks_simples(s)
-        checks_porism(s)
+        for b in s.algebra.vertex_names:
+            with contextlib.suppress(InvariantError):
+                porism_check(s, b)
     assert undecided == []
     assert (strata, len(asked)) == (28, 256)

@@ -19,7 +19,7 @@ from stratakit.homological import (
     reduce_cocycle,
     universal_extension,
 )
-from stratakit.linalg import GF3, QQ, InvariantError, Matrix
+from stratakit.linalg import GF3, QQ, InputError, InvariantError, Matrix
 from stratakit.modules import (
     combine,
     hom_basis,
@@ -267,7 +267,7 @@ def fixture_and_golden_algebras():
         for F in (GF3, QQ):
             try:
                 out.append(build_bound_quiver_algebra(pres, F))
-            except ValueError:
+            except InputError:
                 continue
     return out
 

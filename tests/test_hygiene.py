@@ -37,7 +37,12 @@ A stdlib-``ast`` stand-in for a linter: it flags
   ``Subspace``, ``intertwiner_basis`` or ``Algebra``, and a per-entry
   ``Field`` arithmetic method (``add``, ``sub``, ``mul``, ``neg``) called
   on a field or defined on ``Field``: the kernel has one arithmetic path
-  for both fields, and only ``Field.norm`` tells them apart.
+  for both fields, and only ``Field.norm`` tells them apart, and
+* a bare ``except``, a handler of ``Exception``, ``BaseException`` or
+  ``ValueError``, or of a tuple, outside ``cli._guarded``,
+  ``cli._seed_default`` and ``specfile``, and a class that subclasses
+  ``ValueError``: every raise is a verdict (``linalg.InputError``) or a
+  fault, by type.
 
 Apart from these, every function, class and method in ``src/stratakit``
 must be reachable from the command line: ``unreachable`` follows a
@@ -796,6 +801,12 @@ DERIVED_ALGEBRAS = {"corner_algebra", "quotient_by_idempotent_ideal"}
 LAYER_DATA = ("recollement.py", "idempotent_recollement_data")
 
 
+def _owners(tree: ast.AST) -> dict[int, str]:
+    """``id(node)`` -> qualified name of the innermost definition around it."""
+    # _definitions yields a definition before those nested in it, so the innermost wins
+    return {id(node): qual for qual, fn, _ in _definitions(tree) for node in ast.walk(fn)}
+
+
 def uses_outside(sources: dict[str, str], names: set[str], allowed: tuple[str, str]) -> list[str]:
     """``path: function, line n: name`` for each load (a call or any other
     reference) of one of ``names`` in ``sources`` (path -> text) outside
@@ -804,8 +815,7 @@ def uses_outside(sources: dict[str, str], names: set[str], allowed: tuple[str, s
     out = []
     for path, text in sources.items():
         tree = ast.parse(text)
-        # _definitions yields a definition before those nested in it, so the innermost wins
-        owner = {id(node): qual for qual, fn, _ in _definitions(tree) for node in ast.walk(fn)}
+        owner = _owners(tree)
         for node in ast.walk(tree):
             name = getattr(node, "id", None) or getattr(node, "attr", None)
             if name in names and isinstance(getattr(node, "ctx", None), ast.Load):
@@ -968,3 +978,110 @@ def test_arithmetic_path_checkers_flag_what_they_should():
         "Algebra, line 14: is_finite", "Matrix, line 3: kind", "Matrix, line 4: p"]
     assert per_entry_field_calls(tree) == [
         "line 18: F.add", "line 19: QQ.sub", "line 19: m.field.neg", "line 9: Field.mul"]
+
+
+BROAD_EXCEPTIONS = {"Exception", "BaseException", "ValueError"}
+# the one boundary the commands share, the seed's parse, and the parsing of raw JSON values
+BROAD_HANDLERS_ALLOWED = {"cli.py: _guarded", "cli.py: _seed_default", "specfile.py"}
+
+
+def broad_handlers(sources: dict[str, str], allowed: set[str]) -> list[str]:
+    """``path: function, line n: handler`` for each bare ``except``, each
+    handler of ``Exception``, ``BaseException`` or ``ValueError`` and each
+    exception tuple in ``sources`` (path -> text), except in a path or a
+    ``path: function`` (the innermost definition) named in ``allowed``."""
+    out = []
+    for path, text in sources.items():
+        tree = ast.parse(text)
+        owner = _owners(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            kind = node.type
+            where = f"{path}: {owner.get(id(node), '<module>')}"
+            if (kind is None or isinstance(kind, ast.Tuple)
+                    or getattr(kind, "id", getattr(kind, "attr", None)) in BROAD_EXCEPTIONS) \
+                    and path not in allowed and where not in allowed:
+                out.append(f"{where}, line {node.lineno}: {'bare' if kind is None else ast.unparse(kind)}")
+    return sorted(out)
+
+
+def value_error_classes(sources: dict[str, str]) -> list[str]:
+    """``path: name`` for each class in ``sources`` (path -> text) that has
+    ``ValueError`` among its bases, directly or through classes of
+    ``sources`` (bases matched by name)."""
+    bases = {}
+    for path, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = (path, [getattr(b, "id", getattr(b, "attr", None)) for b in node.bases])
+
+    def is_value_error(name: str) -> bool:
+        return name == "ValueError" or (name in bases and any(map(is_value_error, bases[name][1])))
+
+    return sorted(f"{path}: {name}" for name, (path, names) in bases.items() if any(map(is_value_error, names)))
+
+
+def test_every_raise_is_a_verdict_or_a_fault_by_type():
+    """A verdict on the input subclasses ``linalg.InputError``, which is no
+    ``ValueError``, and the check that asks its question catches it by that
+    class; any other exception reaches the one boundary the commands share
+    (``cli._guarded``) and is an INTERNAL-ERROR there.  So no handler in
+    ``src/`` catches by a class so broad that a program fault could read as
+    a verdict, or by a tuple, outside that boundary, the parse of
+    ``STRATAKIT_SEED`` and ``specfile``'s parsing of raw JSON values."""
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in MODULES}
+    assert broad_handlers(sources, BROAD_HANDLERS_ALLOWED) == []
+    assert value_error_classes(sources) == []
+    from stratakit.linalg import InputError
+
+    for mod in ("cli", "mv", "strat"):
+        importlib.import_module(f"stratakit.{mod}")
+    assert {c.__name__ for c in InputError.__subclasses__()} == {
+        "SpecError", "AlgebraError", "NonAdmissibleError", "PossiblyInfiniteError", "BimoduleError",
+        "MVDataError", "PosetError", "StratificationError"}
+
+
+def test_raise_checkers_flag_what_they_should():
+    cli = (
+        "def _guarded(run):\n"
+        "    try:\n"
+        "        return run()\n"
+        "    except Exception as e:\n"
+        "        return e\n"
+        "def battery(s):\n"
+        "    try:\n"
+        "        return s.check()\n"
+        "    except (KeyError, StratificationError):\n"
+        "        return None\n"
+        "    except InputError:\n"
+        "        return None\n"
+        "    except:\n"
+        "        raise\n"
+    )
+    strat = (
+        "class Base(ValueError):\n"
+        "    pass\n"
+        "class StratificationError(Base):\n"
+        "    pass\n"
+        "class PosetError(InputError):\n"
+        "    pass\n"
+        "def record(check):\n"
+        "    def inner():\n"
+        "        try:\n"
+        "            return check()\n"
+        "        except builtins.BaseException:\n"
+        "            return False\n"
+        "    try:\n"
+        "        return inner()\n"
+        "    except ValueError:\n"
+        "        return False\n"
+    )
+    specfile = "def _number(x):\n    try:\n        return int(x)\n    except (TypeError, ValueError):\n        raise\n"
+    sources = {"cli.py": cli, "strat.py": strat, "specfile.py": specfile}
+    assert broad_handlers(sources, BROAD_HANDLERS_ALLOWED) == [
+        "cli.py: battery, line 13: bare",
+        "cli.py: battery, line 9: (KeyError, StratificationError)",
+        "strat.py: record, line 15: ValueError",
+        "strat.py: record.inner, line 11: builtins.BaseException"]
+    assert value_error_classes(sources) == ["strat.py: Base", "strat.py: StratificationError"]

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from stratakit.algebra import build_bound_quiver_algebra, corner_algebra, opposite
 from stratakit.category import ModuleCategory, is_isomorphic
 from stratakit.corpus import corpus_index
-from stratakit.linalg import GF2, GF3, QQ, Matrix, Subspace
+from stratakit.linalg import GF2, GF3, QQ, InputError, Matrix, Subspace
 from stratakit.modules import (
     ModuleMap,
     RightModule,
@@ -655,7 +655,7 @@ def _differential_algebras():
         for F in (GF3, QQ):
             try:
                 yield build_bound_quiver_algebra(pres, F)
-            except ValueError:
+            except InputError:
                 continue
 
 

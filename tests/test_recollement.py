@@ -11,7 +11,7 @@ import pytest
 from stratakit import recollement
 from stratakit.algebra import opposite
 from stratakit.category import ModuleCategory, ShortExactSequence, is_isomorphic, solve_in_hom
-from stratakit.linalg import InconsistentSystem
+from stratakit.linalg import InconsistentSystem, InvariantError
 from stratakit.modules import (
     hom_basis,
     identity_map,
@@ -80,14 +80,18 @@ def test_degenerate_idempotents():
 
 
 def test_corrupted_functor_is_reported():
+    """A package whose unit is zero fails the triangle and the exact
+    sequence that read it; one whose maps do not even compose is a program
+    fault, which leaves the verifier as it was raised (the command line
+    reports it as INTERNAL-ERROR)."""
     a = algebra("FIX-A2")
     samples = ModuleCategory(a).standard_samples()
     r = make_idempotent_recollement(a, ["2"])
-    corrupt = r._replace(j_roof=r.j_lower)
-    rep = verify_recollement(corrupt, samples)
-    assert not rep.ok
-    axioms = {f.axiom for f in rep.failures()}
-    assert any(ax.startswith("R1:j_restrict-|j_roof") or ax.startswith("R2") or ax.startswith("R4") for ax in axioms)
+    rep = verify_recollement(r._replace(unit_jr=lambda x: r.unit_jr(x).scale(0)), samples)
+    assert not rep.ok and {f.axiom for f in rep.failures()} == {
+        "R1:j_restrict-|j_roof", "R4:0->ir->X->jr", "R4:K' in image(i_embed)"}
+    with pytest.raises(ValueError, match="^maps not composable$"):
+        verify_recollement(r._replace(j_roof=r.j_lower), samples)
 
 
 UNITS_AND_COUNITS = ("unit_quot", "counit_quot", "unit_sub", "counit_sub",
@@ -166,7 +170,7 @@ def test_a_replaced_package_is_verified_afresh():
     assert make_idempotent_recollement(a, ["2"]) is r
     rep = r.verify(samples)
     assert rep.ok and r.verify(samples) is rep
-    assert not r._replace(j_roof=r.j_lower).verify(samples).ok
+    assert not r._replace(unit_jr=lambda x: r.unit_jr(x).scale(0)).verify(samples).ok
     assert r.verify(samples) is rep
     kept = weakref.ref(r)
     del r
@@ -189,25 +193,22 @@ def test_negated_unit_fails_every_triangle_it_reaches():
         + [("R1:j_restrict-|j_roof", f"j_restrict({n})") for n in reached])
 
 
-def test_raising_unit_fails_every_check_that_reads_it():
-    """A component that raises is not memoized: every check that reads the
-    unit X -> j_roof j_restrict X, in R1 and in R4, is a FAIL row that names
-    the exception."""
+def test_a_raising_unit_leaves_the_verifier():
+    """A component that raises is a program fault, not a failed axiom: the
+    exception leaves ``verify_recollement`` as it was raised, and the
+    command line reports it as INTERNAL-ERROR."""
     a = algebra("FIX-A3")
     samples = ModuleCategory(a).standard_samples()
     r = make_idempotent_recollement(a, ["2"])
+    seen = []
 
     def broken(x):
-        raise ValueError("seeded defect")
+        seen.append(x)
+        raise InvariantError("seeded defect")
 
-    rep = verify_recollement(r._replace(unit_jr=broken), samples)
-    names = [n for n, _ in samples]
-    assert {(f.axiom, f.subject) for f in rep.failures()} == (
-        {("R1:j_restrict-|j_roof", n) for n in names}
-        | {("R1:j_restrict-|j_roof", f"j_restrict({n})") for n in names}
-        | {("R4:0->ir->X->jr", n) for n in names}
-        | {("R4:K' in image(i_embed)", n) for n in names})
-    assert {f.note for f in rep.failures()} == {"raised ValueError: seeded defect"}
+    with pytest.raises(InvariantError, match="^seeded defect$"):
+        verify_recollement(r._replace(unit_jr=broken), samples)
+    assert seen == [samples[0][1]]
 
 
 def test_functor_formulas_on_a2():

@@ -299,11 +299,13 @@ def test_lower_sets_and_layers_are_kept_in_the_one_memo():
     in ``Stratification.memo``; the algebra of a lower set is the closed
     side of the layer above it, so asking for one keeps every layer and
     lower set above it too.  A set that is not lower, or a label that is
-    not maximal in it, raises before anything is kept."""
+    not maximal in it, raises before anything is kept: every caller in the
+    package passes a lower set and a maximal label, so that is a program
+    fault (``InvariantError``)."""
     s = strat_of("FIX-A3", check=False)
-    with pytest.raises(StratificationError, match="not a lower set"):
+    with pytest.raises(InvariantError, match="not a lower set"):
         s.lower_algebra(frozenset({"y"}))
-    with pytest.raises(StratificationError, match="not maximal"):
+    with pytest.raises(InvariantError, match="not maximal"):
         s.layer_recollement(frozenset({"x", "y"}), "x")
     assert s._memo == {}
     xy = frozenset({"x", "y"})
@@ -388,10 +390,12 @@ def test_synthesis_computes_ext1_once_per_layer_simple_and_iteration(strats, mon
 def test_synthesis_refuses_a_layer_left_unextended(strats, monkeypatch):
     """A universal extension that returns its input and reports nothing to
     extend leaves P(1) over FIX-A3 one dimension short at layer y: the
-    count against P(1) of the layer's algebra refuses it."""
+    count against P(1) of the layer's algebra refuses it.  Synthesis
+    rebuilds P(1) by construction, so the refusal is a program fault
+    (``InvariantError``), not a verdict on the input."""
     monkeypatch.setattr(strat, "universal_extension", lambda m, targets: homological.UniversalExtension(
         multiplicities=(0,) * len(targets), middle=m))
-    with pytest.raises(StratificationError, match=r"synthesized P\(1\) has dimension 1, not 2"):
+    with pytest.raises(InvariantError, match=r"synthesized P\(1\) has dimension 1, not 2"):
         synthesize_projective_cover(strats["FIX-A3"], "1")
 
 
